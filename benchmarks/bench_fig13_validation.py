@@ -3,15 +3,12 @@
 Paper: a plain banded kernel produces millions of differing SAM
 entries at small bands, decaying to zero only at the full band; the
 SeedEx algorithm produces *zero* differences at every band setting.
-This harness runs the full aligner three ways over the same reads and
-counts differing SAM records.
+This harness runs the full aligner over the same reads under the
+three ``(band, checks)`` policies of the one wave engine and counts
+differing SAM records.
 """
 
-from repro.aligner.engines import (
-    FullBandEngine,
-    PlainBandedEngine,
-    SeedExEngine,
-)
+from repro.aligner.engines import make_engine
 from repro.aligner.pipeline import Aligner
 from repro.analysis.report import print_table
 from repro.genome.sam import diff_records
@@ -24,18 +21,18 @@ def test_fig13_validation(benchmark, aligner_workload):
 
     def run():
         baseline = Aligner(
-            reference, FullBandEngine(), seeding="kmer"
-        ).align(reads)
+            reference, make_engine("full"), seeding="kmer"
+        ).align_batched(reads)
         banded_diffs = {}
         seedex_diffs = {}
         for band in BANDS:
             banded_out = Aligner(
-                reference, PlainBandedEngine(band), seeding="kmer"
-            ).align(reads)
+                reference, make_engine("banded", band), seeding="kmer"
+            ).align_batched(reads)
             banded_diffs[band] = diff_records(baseline, banded_out)
             seedex_out = Aligner(
-                reference, SeedExEngine(band=band), seeding="kmer"
-            ).align(reads)
+                reference, make_engine("seedex", band), seeding="kmer"
+            ).align_batched(reads)
             seedex_diffs[band] = diff_records(baseline, seedex_out)
         return banded_diffs, seedex_diffs
 

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.aligner.engines import BatchedEngine
+from repro.aligner.engines import make_engine
 from repro.aligner.pipeline import Aligner
 from repro.genome.synth import PLATINUM_LIKE, ReadSimulator, synthesize_reference
 from repro.index import build_index, load_index
@@ -64,7 +64,7 @@ def tier1_bench(quick: bool = False) -> dict[str, float]:
         mmap_s = time.perf_counter() - start
 
         aligner = Aligner(
-            reference, BatchedEngine(), seeding="kmer", index=loaded
+            reference, make_engine("full"), seeding="kmer", index=loaded
         )
         start = time.perf_counter()
         aligner.align_batched(reads, batch_size=64)

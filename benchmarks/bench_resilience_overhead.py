@@ -12,7 +12,7 @@ in `benchmarks/metrics_last_run.json` via the session obs dump
 import pytest
 
 from repro import obs
-from repro.aligner.engines import SeedExEngine, make_resilient
+from repro.aligner.engines import make_engine, make_resilient
 from repro.obs import names
 
 BAND = 41
@@ -32,9 +32,9 @@ def tier1_bench(quick: bool = False) -> dict[str, float]:
     jobs = extension_corpus(
         n, rng, query_length=101, reference_length=300_000
     )
-    bare_engine = SeedExEngine(band=BAND)
+    bare_engine = _engine()
     wrapped_engine = make_resilient(
-        SeedExEngine(band=BAND), fault_rate=0.0
+        _engine(), fault_rate=0.0
     )
     repeats = 2 if quick else 3
     bare = best_of(lambda: _drive(bare_engine, jobs), repeats=repeats)
@@ -48,6 +48,11 @@ def tier1_bench(quick: bool = False) -> dict[str, float]:
     }
 
 
+def _engine():
+    """The checked engine, uncached: every repeat recomputes its jobs."""
+    return make_engine("seedex", BAND, cache_entries=0)
+
+
 def _drive(engine, jobs):
     for job in jobs:
         engine.extend(job.query, job.target, job.h0)
@@ -55,14 +60,14 @@ def _drive(engine, jobs):
 
 def test_bare_engine(benchmark, platinum_corpus):
     jobs = platinum_corpus[:N_JOBS]
-    engine = SeedExEngine(band=BAND)
+    engine = _engine()
     benchmark(lambda: _drive(engine, jobs))
     _rates["bare"] = len(jobs) / benchmark.stats.stats.mean
 
 
 def test_resilient_dispatcher_faults_disabled(benchmark, platinum_corpus):
     jobs = platinum_corpus[:N_JOBS]
-    engine = make_resilient(SeedExEngine(band=BAND), fault_rate=0.0)
+    engine = make_resilient(_engine(), fault_rate=0.0)
     benchmark(lambda: _drive(engine, jobs))
     _rates["wrapped"] = len(jobs) / benchmark.stats.stats.mean
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.aligner.engines import BatchedEngine
+from repro.aligner.engines import make_engine
 from repro.aligner.pipeline import Aligner
 from repro.genome.sequence import decode
 from repro.genome.synth import PLATINUM_LIKE, ReadSimulator, synthesize_reference
@@ -39,7 +39,7 @@ def tier1_bench(quick: bool = False) -> dict[str, float]:
     sim = ReadSimulator(reference, PLATINUM_LIKE, seed=CORPUS_SEED + 12)
     reads = sim.simulate(200 if quick else 1_200)
     pairs = [(r.name, decode(r.codes)) for r in reads]
-    aligner = Aligner(reference, BatchedEngine(), seeding="kmer")
+    aligner = Aligner(reference, make_engine("full"), seeding="kmer")
     server = AlignmentServer(
         aligner,
         ServeConfig(max_batch=64, linger_ms=2.0, queue_capacity=4096),

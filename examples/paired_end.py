@@ -10,7 +10,7 @@ Run:  python examples/paired_end.py
 
 import numpy as np
 
-from repro.aligner import PairedAligner, ReadPair, SeedExEngine
+from repro.aligner import PairedAligner, ReadPair, make_engine
 from repro.aligner.paired import FLAG_PROPER, simulate_pairs
 from repro.genome.synth import synthesize_reference
 
@@ -20,7 +20,7 @@ reference = synthesize_reference(80_000, rng)
 pairs = simulate_pairs(reference, 40, rng)
 print(f"simulated {len(pairs)} FR pairs (insert ~ N(400, 50))\n")
 
-aligner = PairedAligner(reference, SeedExEngine(band=41))
+aligner = PairedAligner(reference, make_engine("seedex", 41))
 proper = exact = 0
 for pair, p1, p2 in pairs:
     r1, r2 = aligner.align_pair(pair)
@@ -31,7 +31,7 @@ print(f"clean library: {proper}/{len(pairs)} proper pairs, "
 
 # Damage mate 2 of each pair with 10 scattered substitutions: enough
 # to starve the 19-mer seeder, not enough to hide the alignment.
-rescue_aligner = PairedAligner(reference, SeedExEngine(band=41))
+rescue_aligner = PairedAligner(reference, make_engine("seedex", 41))
 solo_unmapped = recovered = 0
 for pair, p1, p2 in pairs:
     bad = pair.second.copy()

@@ -1,11 +1,11 @@
 """End-to-end read alignment: SeedEx acceleration is bit-equivalent.
 
 Synthesizes a reference genome, simulates Illumina-like reads
-(including the ~2% carrying structural indels), aligns them twice —
-with the full-band software kernel and with the SeedEx engine on a
-narrow band — and verifies the SAM output is identical, as the paper
-validated over 787M real reads.  Writes both SAM files next to this
-script.
+(including the ~2% carrying structural indels), aligns them twice
+through the same wave scheduler — under the full-band policy and under
+the SeedEx policy (narrow band + checks + rerun wave) — and verifies
+the SAM output is identical, as the paper validated over 787M real
+reads.  Writes both SAM files next to this script.
 
 Run:  python examples/read_alignment.py [n_reads]
 """
@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.aligner import Aligner, FullBandEngine, SeedExEngine
+from repro.aligner import Aligner, make_engine
 from repro.genome.sam import diff_records, write_sam
 from repro.genome.synth import (
     PLATINUM_LIKE,
@@ -34,13 +34,13 @@ print(f"simulated {len(reads)} reads "
       f"({sum(r.indel_span >= 8 for r in reads)} with structural indels)")
 
 start = time.perf_counter()
-baseline = Aligner(reference, FullBandEngine(), seeding="kmer")
-full_sam = baseline.align(reads)
+baseline = Aligner(reference, make_engine("full"), seeding="kmer")
+full_sam = baseline.align_batched(reads)
 print(f"full-band alignment: {time.perf_counter() - start:.1f}s")
 
 start = time.perf_counter()
-engine = SeedExEngine(band=41)
-seedex_sam = Aligner(reference, engine, seeding="kmer").align(reads)
+engine = make_engine("seedex", 41)
+seedex_sam = Aligner(reference, engine, seeding="kmer").align_batched(reads)
 print(f"SeedEx (w=41) alignment: {time.perf_counter() - start:.1f}s")
 
 diffs = diff_records(full_sam, seedex_sam)

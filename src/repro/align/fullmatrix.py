@@ -156,31 +156,30 @@ def _scan_scores_vectorized(
     return lscore, lpos, gscore, gpos, max_off
 
 
-_BATCH_MAX_CELLS = 2_000_000
-"""Cells per lockstep fill chunk; bounds peak matrix memory."""
+TRACEBACK_CHUNK_CELLS = 100_000
+"""Padded cells per lockstep fill chunk (3 x int64 channels each).
+
+The one bound on traceback memory: the wave scheduler fills a chunk,
+walks its winners and drops it, so a window's peak does not grow with
+its read count.
+"""
 
 
-def fill_extension_batch(
+def chunk_spans(
     queries: list[np.ndarray],
     targets: list[np.ndarray],
-    scoring: AffineGap,
-    h0s: list[int],
-    max_cells: int = _BATCH_MAX_CELLS,
-) -> list[DenseMatrices]:
-    """Fill many extension matrices in lockstep (host traceback wave).
+    max_cells: int | None = None,
+) -> list[tuple[int, int]]:
+    """``(start, stop)`` job spans of at most ``max_cells`` padded cells.
 
-    The paper's host runs traceback for each read's winning extension
-    only; the batched pipeline collects those winners into one wave
-    and fills all their dense matrices together, vectorizing across
-    jobs x columns.  Per-job H/E/F channels and derived scores are
-    bit-identical to :func:`fill_extension` (property-tested in
-    ``tests/align/test_fullmatrix_batch.py``); jobs are chunked so no
-    more than ``max_cells`` padded cells are in flight at once.
+    Jobs stay in order; a span always holds at least one job, so a job
+    larger than the bound is filled alone.  ``None`` means
+    :data:`TRACEBACK_CHUNK_CELLS`.
     """
+    if max_cells is None:
+        max_cells = TRACEBACK_CHUNK_CELLS
     n = len(queries)
-    if not (n == len(targets) == len(h0s)):
-        raise ValueError("queries, targets, h0s must align")
-    out: list[DenseMatrices] = []
+    spans: list[tuple[int, int]] = []
     start = 0
     while start < n:
         stop = start + 1
@@ -193,6 +192,35 @@ def fill_extension_batch(
                 break
             max_q, max_t = grow_q, grow_t
             stop += 1
+        spans.append((start, stop))
+        start = stop
+    return spans
+
+
+def fill_extension_batch(
+    queries: list[np.ndarray],
+    targets: list[np.ndarray],
+    scoring: AffineGap,
+    h0s: list[int],
+    max_cells: int | None = None,
+) -> list[DenseMatrices]:
+    """Fill many extension matrices in lockstep (host traceback wave).
+
+    The paper's host runs traceback for each read's winning extension
+    only; the batched pipeline collects those winners into a wave and
+    fills their dense matrices together, vectorizing across jobs x
+    columns.  Per-job H/E/F channels and derived scores are
+    bit-identical to :func:`fill_extension` (property-tested in
+    ``tests/align/test_fullmatrix_batch.py``); jobs are chunked by
+    :func:`chunk_spans` so no more than ``max_cells`` padded cells are
+    in flight at once.  The returned channels are views into their
+    chunk's arrays: drop them to release the chunk.
+    """
+    n = len(queries)
+    if not (n == len(targets) == len(h0s)):
+        raise ValueError("queries, targets, h0s must align")
+    out: list[DenseMatrices] = []
+    for start, stop in chunk_spans(queries, targets, max_cells):
         out.extend(
             _fill_chunk(
                 queries[start:stop],
@@ -201,7 +229,6 @@ def fill_extension_batch(
                 h0s[start:stop],
             )
         )
-        start = stop
     return out
 
 
@@ -291,9 +318,9 @@ def _fill_chunk(
     for k in range(n):
         tl = int(tlens[k])
         ql = int(qlens[k])
-        h = big_h[k, : tl + 1, : ql + 1].copy()
-        e = big_e[k, : tl + 1, : ql + 1].copy()
-        f = big_f[k, : tl + 1, : ql + 1].copy()
+        h = big_h[k, : tl + 1, : ql + 1]
+        e = big_e[k, : tl + 1, : ql + 1]
+        f = big_f[k, : tl + 1, : ql + 1]
         lscore, lpos, gscore, gpos, max_off = _scan_scores_vectorized(
             h, int(h0v[k])
         )

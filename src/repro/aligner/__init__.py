@@ -1,12 +1,7 @@
 """The end-to-end BWA-MEM-style aligner with pluggable extension."""
 
 from repro.aligner.cache import ExtensionCache
-from repro.aligner.engines import (
-    BatchedEngine,
-    FullBandEngine,
-    PlainBandedEngine,
-    SeedExEngine,
-)
+from repro.aligner.engines import BatchedEngine, make_engine
 from repro.aligner.longread import LongReadAligner
 from repro.aligner.paired import InsertSizeModel, PairedAligner, ReadPair
 from repro.aligner.parallel import (
@@ -21,13 +16,11 @@ __all__ = [
     "BatchedEngine",
     "EngineSpec",
     "ExtensionCache",
-    "FullBandEngine",
     "InsertSizeModel",
     "LongReadAligner",
     "PairedAligner",
-    "PlainBandedEngine",
     "ReadPair",
-    "SeedExEngine",
     "StartMethodError",
     "align_sharded",
+    "make_engine",
 ]

@@ -1,15 +1,20 @@
-"""Extension engines: the pluggable seed-extension kernels.
+"""The extension engine: one wave engine under a ``(band, checks)`` policy.
 
-The Figure 13 experiment runs the same aligner with three kernels:
+The Figure 13 experiment runs the same aligner with three kernels, and
+they differ in exactly two settings of :class:`BatchedEngine`:
 
-* :class:`FullBandEngine` — the ground truth (BWA-MEM's software
-  full-band kernel);
-* :class:`PlainBandedEngine` — a narrow band with *no* checks: the
-  naive accelerator whose SAM output diverges (Figure 13's rising
-  curve);
-* :class:`SeedExEngine` — the narrow band with the SeedEx checks and
-  host rerun: bit-equivalent to full band at every band setting
-  (Figure 13's flat zero).
+* ``(None, False)`` — the full band, the ground truth (BWA-MEM's
+  software kernel); ``--engine full`` and ``--engine batched``;
+* ``(w, False)`` — a narrow band with *no* checks: the naive
+  accelerator whose SAM output diverges (Figure 13's rising curve);
+  ``--engine banded``;
+* ``(w, True)`` — the narrow band with the SeedEx checks and a
+  full-band rerun wave: bit-equivalent to the full band at every band
+  setting (Figure 13's flat zero); ``--engine seedex``.
+
+:data:`ENGINE_POLICIES` is the only place the user-facing engine names
+are mapped to a policy; the CLI, :class:`~repro.aligner.parallel.EngineSpec`
+and ``analyze`` all build their engine through :func:`make_engine`.
 """
 
 from __future__ import annotations
@@ -26,11 +31,19 @@ from repro.aligner.cache import (
     ExtensionCache,
     job_key,
 )
-from repro.core.checker import CheckConfig
+from repro.constants import DEFAULT_BAND
 from repro.core.extender import SeedExtender
 from repro.kernels import get_kernel
 from repro.obs import names
 from repro.obs.metrics import MetricsRegistry
+
+ENGINE_POLICIES: dict[str, tuple[bool, bool]] = {
+    "full": (False, False),
+    "batched": (False, False),
+    "banded": (True, False),
+    "seedex": (True, True),
+}
+"""``--engine`` / ``EngineSpec.kind`` -> ``(narrow band?, checks?)``."""
 
 
 def _account(
@@ -65,58 +78,6 @@ class ExtensionEngine(Protocol):
         ...
 
 
-class FullBandEngine:
-    """The reference software kernel: always the full band."""
-
-    def __init__(
-        self,
-        scoring: AffineGap = BWA_MEM_SCORING,
-        kernel=None,
-    ) -> None:
-        self.name = "full-band"
-        self.scoring = scoring
-        self.kernel = get_kernel(kernel)
-        self.extensions = 0
-        self.cells = 0
-
-    def extend(self, query, target, h0):
-        """Full-band extension: the ground-truth result."""
-        self.extensions += 1
-        res = self.kernel.extend(query, target, self.scoring, h0)
-        self.cells += res.cells_computed
-        _account(self.name, res.cells_computed, kernel=self.kernel.name)
-        return res
-
-
-class PlainBandedEngine:
-    """A fixed narrow band with no optimality checks (unsound)."""
-
-    def __init__(
-        self,
-        band: int,
-        scoring: AffineGap = BWA_MEM_SCORING,
-        kernel=None,
-    ) -> None:
-        if band < 1:
-            raise ValueError("band must be at least 1")
-        self.name = f"banded-w{band}"
-        self.band = band
-        self.scoring = scoring
-        self.kernel = get_kernel(kernel)
-        self.extensions = 0
-        self.cells = 0
-
-    def extend(self, query, target, h0):
-        """Narrow-band extension with no optimality guarantee."""
-        self.extensions += 1
-        res = self.kernel.extend(
-            query, target, self.scoring, h0, w=self.band
-        )
-        self.cells += res.cells_computed
-        _account(self.name, res.cells_computed, kernel=self.kernel.name)
-        return res
-
-
 class BatchedEngine:
     """Wave-dispatched kernel: whole job batches in lockstep.
 
@@ -130,17 +91,24 @@ class BatchedEngine:
     (``banded.extend(..., prune=False)``), property-tested in
     ``tests/aligner/test_batched_engine.py`` and ``tests/kernels/``.
 
-    With the default ``band=None`` every job runs the full band, so
-    SAM output through this engine is byte-identical to
-    :class:`FullBandEngine`; a fixed ``band`` makes it the batched
-    analogue of :class:`PlainBandedEngine` (no checks — unsound).
+    The policy is two settings.  ``band=None`` runs every job at the
+    full band (the ground truth); a fixed ``band`` with
+    ``checks=False`` is the naive narrow-band accelerator (unsound);
+    ``checks=True`` sends each wave through
+    :meth:`~repro.core.extender.SeedExtender.extend_many` — narrow
+    wave, optimality checks, one full-band rerun wave for the failures
+    — so SAM output is byte-identical to the full band at any band,
+    and :attr:`stats` reports the check outcomes.
 
     A bounded LRU :class:`~repro.aligner.cache.ExtensionCache` dedups
     byte-identical jobs (reads piling on one locus), both within one
-    wave and across waves; ``cache_entries=0`` disables it.  The
-    scalar :meth:`extend` path shares the same cache, so the engine
-    still satisfies the :class:`ExtensionEngine` protocol when driven
-    one job at a time (e.g. behind the resilience dispatcher).
+    wave and across waves; ``cache_entries=0`` disables it.  A job
+    answered from the cache is counted as a hit, not as a checked
+    extension.  The scalar :meth:`extend` path shares the same cache
+    and policy, so the engine still satisfies the
+    :class:`ExtensionEngine` protocol when driven one job at a time
+    (the per-read reference path, or behind the resilience
+    dispatcher).
     """
 
     def __init__(
@@ -149,144 +117,160 @@ class BatchedEngine:
         scoring: AffineGap = BWA_MEM_SCORING,
         cache_entries: int = DEFAULT_MAX_ENTRIES,
         kernel=None,
+        checks: bool = False,
     ) -> None:
         if band is not None and band < 1:
             raise ValueError("band must be at least 1 (or None)")
-        self.name = "batched-full" if band is None else f"batched-w{band}"
+        if checks and band is None:
+            raise ValueError("checks need a narrow band to test")
+        if band is None:
+            self.name = "full-band"
+        else:
+            self.name = f"{'seedex' if checks else 'banded'}-w{band}"
         self.band = band
+        self.checks = checks
         self.scoring = scoring
         self.kernel = get_kernel(kernel)
+        self._extender = None
+        if checks:
+            # The check counters join the process-wide registry when
+            # it is collecting, so --metrics-out, `analyze` and
+            # `stats` report from one source.
+            self._extender = SeedExtender(
+                band=band,
+                scoring=scoring,
+                registry=obs.get_registry() if obs.enabled() else None,
+                kernel=self.kernel,
+            )
         self.cache = (
             ExtensionCache(cache_entries) if cache_entries else None
         )
         self.extensions = 0
         self.cells = 0
 
-    def _cache_get(self, key) -> ExtensionResult | None:
-        if self.cache is None:
-            return None
-        hit = self.cache.get(key)
+    @property
+    def stats(self):
+        """Check-outcome accounting; ``None`` without ``checks``."""
+        return None if self._extender is None else self._extender.stats
+
+    def _count_lookups(self, hits: int, misses: int) -> None:
+        """Cache accounting: a hit is a job answered without compute."""
         if obs.enabled():
-            name = (
-                names.PIPELINE_BATCH_CACHE_HITS
-                if hit is not None
-                else names.PIPELINE_BATCH_CACHE_MISSES
-            )
-            obs.get_registry().counter(
-                name, "extension-result cache lookups"
-            ).inc()
-        return hit
+            reg = obs.get_registry()
+            reg.counter(
+                names.PIPELINE_BATCH_CACHE_HITS,
+                "extension jobs answered from the result cache",
+            ).inc(hits)
+            reg.counter(
+                names.PIPELINE_BATCH_CACHE_MISSES,
+                "extension jobs computed, then cached",
+            ).inc(misses)
 
     def extend(self, query, target, h0) -> ExtensionResult:
         """One job through the scalar kernel (cache-backed)."""
         self.extensions += 1
-        key = job_key(query, target, h0, self.band)
-        hit = self._cache_get(key)
-        if hit is not None:
-            _account(self.name, 0)
-            return hit
-        res = self.kernel.extend(
-            query, target, self.scoring, h0, w=self.band
-        )
+        if self.cache is not None:
+            key = job_key(query, target, h0, self.band)
+            hit = self.cache.get(key)
+            self._count_lookups(hit is not None, hit is None)
+            if hit is not None:
+                _account(self.name, 0)
+                return hit
+        if self._extender is not None:
+            out = self._extender.extend(query, target, h0)
+            res, cells = out.result, out.narrow_result.cells_computed
+        else:
+            res = self.kernel.extend(
+                query, target, self.scoring, h0, w=self.band
+            )
+            cells = res.cells_computed
         if self.cache is not None:
             self.cache.put(key, res)
-        self.cells += res.cells_computed
-        _account(self.name, res.cells_computed, kernel=self.kernel.name)
+        self.cells += cells
+        _account(self.name, cells, kernel=self.kernel.name)
         return res
+
+    def _compute_wave(self, jobs) -> tuple[list[ExtensionResult], int]:
+        """Run distinct, uncached jobs in lockstep under the policy.
+
+        Returns the results and the cells the speculation filled (the
+        rerun wave's cells are accounted by :attr:`stats`).
+        """
+        if self._extender is not None:
+            outs = self._extender.extend_many(jobs)
+            return [out.result for out in outs], sum(
+                out.narrow_result.cells_computed for out in outs
+            )
+        with obs.span(names.SPAN_EXTEND_BATCH, jobs=len(jobs)):
+            results = self.kernel.extend_batch(
+                [q for q, _, _ in jobs],
+                [t for _, t, _ in jobs],
+                [h0 for _, _, h0 in jobs],
+                self.scoring,
+                w=self.band,
+            )
+        return results, sum(res.cells_computed for res in results)
 
     def extend_wave(self, jobs) -> list[ExtensionResult]:
         """Run a wave of ``(query, target, h0)`` jobs in lockstep.
 
-        Results come back in job order.  Duplicate jobs — equal query
-        bytes, target bytes, ``h0`` — are computed once per wave and
-        answered from the cache thereafter.
+        Results come back in job order.  With the cache on, duplicate
+        jobs — equal query bytes, target bytes, ``h0`` — are computed
+        once per wave and answered from the cache thereafter.
         """
-        results: list[ExtensionResult | None] = [None] * len(jobs)
-        pending: dict[tuple, list[int]] = {}
-        for k, (query, target, h0) in enumerate(jobs):
-            key = job_key(query, target, h0, self.band)
-            hit = self._cache_get(key)
-            if hit is not None:
-                results[k] = hit
-            else:
-                pending.setdefault(key, []).append(k)
         self.extensions += len(jobs)
-        if pending:
-            unique = [jobs[owners[0]] for owners in pending.values()]
-            with obs.span(names.SPAN_EXTEND_BATCH, jobs=len(unique)):
-                computed = self.kernel.extend_batch(
-                    [q for q, _, _ in unique],
-                    [t for _, t, _ in unique],
-                    [h0 for _, _, h0 in unique],
-                    self.scoring,
-                    w=self.band,
-                )
+        if not jobs:
+            return []
+        if self.cache is None:
+            results, cells = self._compute_wave(jobs)
+        else:
+            results = [None] * len(jobs)
+            pending: dict[tuple, list[int]] = {}
+            for k, (query, target, h0) in enumerate(jobs):
+                key = job_key(query, target, h0, self.band)
+                if key in pending:
+                    pending[key].append(k)
+                elif (hit := self.cache.get(key)) is not None:
+                    results[k] = hit
+                else:
+                    pending[key] = [k]
+            self._count_lookups(len(jobs) - len(pending), len(pending))
             cells = 0
-            for (key, owners), res in zip(pending.items(), computed):
-                if self.cache is not None:
+            if pending:
+                computed, cells = self._compute_wave(
+                    [jobs[owners[0]] for owners in pending.values()]
+                )
+                for (key, owners), res in zip(pending.items(), computed):
                     self.cache.put(key, res)
-                cells += res.cells_computed
-                for k in owners:
-                    results[k] = res
-            self.cells += cells
-            _account(self.name, cells, jobs=0)
-        if obs.enabled() and jobs:
-            _account(
-                self.name, 0, jobs=len(jobs), kernel=self.kernel.name
-            )
+                    for k in owners:
+                        results[k] = res
+        self.cells += cells
+        _account(
+            self.name, cells, jobs=len(jobs), kernel=self.kernel.name
+        )
         return results
 
 
-class SeedExEngine:
-    """Narrow band + SeedEx checks + full-band rerun on failure."""
+def make_engine(
+    kind: str, band: int | None = None, **options
+) -> BatchedEngine:
+    """The engine a user-facing ``--engine`` name stands for.
 
-    def __init__(
-        self,
-        band: int = 41,
-        scoring: AffineGap = BWA_MEM_SCORING,
-        config: CheckConfig | None = None,
-        registry: MetricsRegistry | None = None,
-        kernel=None,
-    ) -> None:
-        self.name = f"seedex-w{band}"
-        self.band = band
-        self._extender = SeedExtender(
-            band=band,
-            scoring=scoring,
-            config=config,
-            registry=registry,
-            kernel=kernel,
-        )
-
-    @property
-    def kernel(self):
-        """The DP backend this engine's extender runs on."""
-        return self._extender.kernel
-
-    @property
-    def scoring(self) -> AffineGap:
-        """The affine-gap scheme this engine runs with."""
-        return self._extender.scoring
-
-    @property
-    def stats(self):
-        """Check-outcome accounting (passing rates, rerun counts)."""
-        return self._extender.stats
-
-    @property
-    def extensions(self) -> int:
-        """Extensions processed so far."""
-        return self._extender.stats.total
-
-    def extend(self, query, target, h0):
-        """Guaranteed-optimal extension (checks + rerun)."""
-        out = self._extender.extend(query, target, h0)
-        _account(
-            self.name,
-            out.narrow_result.cells_computed,
-            kernel=self.kernel.name,
-        )
-        return out.result
+    ``band`` applies only to the narrow-band kinds.  The checked kind
+    defaults to the paper's band; an unchecked narrow band has no safe
+    default and must be given.  ``options`` go to
+    :class:`BatchedEngine` (``kernel``, ``cache_entries``, ``scoring``).
+    """
+    if kind not in ENGINE_POLICIES:
+        raise ValueError(f"unknown engine kind {kind!r}")
+    narrow, checks = ENGINE_POLICIES[kind]
+    if not narrow:
+        band = None
+    elif band is None:
+        if not checks:
+            raise ValueError(f"kind={kind!r} needs a band")
+        band = DEFAULT_BAND
+    return BatchedEngine(band=band, checks=checks, **options)
 
 
 def make_resilient(

@@ -422,7 +422,7 @@ class PairedAligner:
     # -- the batched path ---------------------------------------------------
 
     def align_pairs_batched(
-        self, pairs, engine=None, batch_size: int = 4096
+        self, pairs, batch_size: int = 4096
     ) -> list[tuple[SamRecord, SamRecord]]:
         """Align pairs window by window with batched mate rescue.
 
@@ -435,23 +435,18 @@ class PairedAligner:
         flags, positions, CIGARs, tags — are byte-identical to
         :meth:`align_pair` on every pair.
 
-        ``engine`` serves the rescue waves (``extend_wave`` engines
-        take them in lockstep; ``None`` falls back to the scalar
-        rescuer per job); a dead-lettered job degrades alone, through
-        the same scalar rescuer.
+        The aligner's own engine serves the rescue waves, so they run
+        under the same ``(band, checks)`` policy as the mates; a
+        dead-lettered job degrades alone, through the scalar rescuer.
         """
         if batch_size < 1:
             raise ValueError("batch size must be at least 1")
         out: list[tuple[SamRecord, SamRecord]] = []
         for start in range(0, len(pairs), batch_size):
-            out.extend(
-                self._pairs_window(pairs[start : start + batch_size], engine)
-            )
+            out.extend(self._pairs_window(pairs[start : start + batch_size]))
         return out
 
-    def _pairs_window(
-        self, pairs, engine
-    ) -> list[tuple[SamRecord, SamRecord]]:
+    def _pairs_window(self, pairs) -> list[tuple[SamRecord, SamRecord]]:
         from repro.aligner.waves import _dispatch_wave, align_window
 
         mates: list[tuple[str, np.ndarray]] = []
@@ -489,7 +484,7 @@ class PairedAligner:
             for group in need[1].groups:
                 for o, off in group:
                     cands.append((need[1], o, off))
-        extended = self._extend_wave(cands, engine, _dispatch_wave)
+        extended = self._extend_wave(cands, _dispatch_wave)
 
         out: list[tuple[SamRecord, SamRecord]] = []
         for rec1, rec2, need in decisions:
@@ -524,7 +519,7 @@ class PairedAligner:
             )
         return out
 
-    def _extend_wave(self, cands, engine, dispatch) -> dict:
+    def _extend_wave(self, cands, dispatch) -> dict:
         """Extend every candidate via two cross-pair waves.
 
         Returns ``{(id(plan), o, off): candidate tuple}`` with exactly
@@ -550,12 +545,7 @@ class PairedAligner:
                 obs.get_registry().counter(
                     names.PAIRED_RESCUE_WAVES, "rescue waves"
                 ).inc()
-            if engine is None:
-                return [
-                    self.rescuer.extend(q, t, h).result
-                    for q, t, h in jobs
-                ]
-            results = dispatch(engine, jobs, side)
+            results = dispatch(self.aligner.engine, jobs, side)
             return [
                 self.rescuer.extend(q, t, h).result if r is DEGRADED else r
                 for (q, t, h), r in zip(jobs, results)

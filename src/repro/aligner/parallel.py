@@ -153,10 +153,11 @@ def _resolve_context(start_method: str | None):
 class EngineSpec:
     """A picklable recipe for building an extension engine.
 
-    ``kind`` selects the engine class (``full``, ``banded``,
-    ``batched``, ``seedex``); ``band`` is required for ``banded``,
-    optional for ``batched`` (``None`` = full band) and ``seedex``.
-    The chaos fields mirror the CLI's ``--chaos`` flags: with
+    ``kind`` is a user-facing engine name (``full``, ``banded``,
+    ``batched``, ``seedex``), resolved to a ``(band, checks)`` policy
+    by :func:`~repro.aligner.engines.make_engine`; ``band`` is
+    required for ``banded``, optional for ``seedex`` and unused by the
+    full-band kinds.  The chaos fields mirror the CLI's ``--chaos`` flags: with
     ``chaos=True`` the built engine is wrapped in the fault-injecting
     resilient dispatcher, each worker running its own injector (same
     seed, disjoint job streams).  ``breaker_threshold`` (``None`` =
@@ -181,35 +182,14 @@ class EngineSpec:
 
     def build(self):
         """Construct the engine (plus chaos wrapper) this spec names."""
-        from repro.aligner.engines import (
-            BatchedEngine,
-            FullBandEngine,
-            PlainBandedEngine,
-            SeedExEngine,
-            make_resilient,
-        )
+        from repro.aligner.engines import make_engine, make_resilient
 
-        registry = obs.get_registry() if obs.enabled() else None
-        if self.kind == "full":
-            engine = FullBandEngine(kernel=self.kernel)
-        elif self.kind == "banded":
-            if self.band is None:
-                raise ValueError("kind='banded' needs a band")
-            engine = PlainBandedEngine(self.band, kernel=self.kernel)
-        elif self.kind == "batched":
-            engine = BatchedEngine(
-                band=self.band,
-                cache_entries=self.cache_entries,
-                kernel=self.kernel,
-            )
-        elif self.kind == "seedex":
-            engine = SeedExEngine(
-                band=self.band if self.band is not None else 41,
-                registry=registry,
-                kernel=self.kernel,
-            )
-        else:
-            raise ValueError(f"unknown engine kind {self.kind!r}")
+        engine = make_engine(
+            self.kind,
+            self.band,
+            cache_entries=self.cache_entries,
+            kernel=self.kernel,
+        )
         if not self.chaos and self.breaker_threshold is None:
             return engine
         return make_resilient(
@@ -218,7 +198,7 @@ class EngineSpec:
             fault_seed=self.fault_seed,
             max_retries=self.max_retries,
             timeout_s=self.timeout_s,
-            registry=registry,
+            registry=obs.get_registry() if obs.enabled() else None,
             breaker_threshold=self.breaker_threshold,
             breaker_probe_interval=self.breaker_probe_interval,
         )

@@ -26,7 +26,7 @@ from repro import obs
 from repro.align.cigar import Cigar
 from repro.align.fullmatrix import fill_extension, traceback_path
 from repro.align.scoring import AffineGap
-from repro.aligner.engines import ExtensionEngine, FullBandEngine
+from repro.aligner.engines import BatchedEngine, ExtensionEngine
 from repro.faults.errors import DeadLetterError
 from repro.genome.sam import FLAG_REVERSE, SamRecord
 from repro.genome.sequence import decode, reverse_complement
@@ -91,7 +91,7 @@ class Aligner:
             index = index.open()
         self.reference = np.asarray(reference, dtype=np.uint8)
         self.reference_name = reference_name
-        self.engine = engine or FullBandEngine()
+        self.engine = engine or BatchedEngine()
         self.scoring: AffineGap = self.engine.scoring
         self.min_seed_length = min_seed_length
         self.band_margin = band_margin

@@ -1,27 +1,30 @@
 """Deferred-extension wave scheduling: batch across reads, not rows.
 
-The scalar pipeline calls ``engine.extend()`` one chain at a time, so
-the 20-50x lockstep kernel (:mod:`repro.align.batchdp`) never sees a
-real batch.  This scheduler restores the accelerator's working set
-(paper Section V-B): it walks seed/chain for a whole *window* of
-reads, collects every left extension into one wave, dispatches the
-wave in lockstep, resolves the left endpoints, then dispatches every
-surviving right extension as a second wave — preserving BWA-MEM's
-``h0`` threading, where the right job's initial score is the left
-job's result.
+The one production driver: ``align`` (any ``--engine``, any worker
+count, single-end or paired), ``analyze`` and ``serve`` all come
+through here.  Extending one chain at a time would never show the
+20-50x lockstep kernel (:mod:`repro.align.batchdp`) a real batch, so
+this scheduler restores the accelerator's working set (paper Section
+V-B): it walks seed/chain for a whole *window* of reads, collects
+every left extension into one wave, dispatches the wave in lockstep,
+resolves the left endpoints, then dispatches every surviving right
+extension as a second wave — preserving BWA-MEM's ``h0`` threading,
+where the right job's initial score is the left job's result — and
+fills the winners' traceback matrices a bounded chunk at a time.
 
-Semantics are byte-identical to the scalar path (the differential
-suite in ``tests/aligner/test_differential.py`` holds SAM output
-fixed across scalar/batched × worker counts):
+Semantics are byte-identical to the per-read reference
+(``Aligner.align_read``; the differential suite in
+``tests/aligner/test_differential.py`` holds SAM output fixed across
+engine policies x window sizes x worker counts):
 
 * job geometry comes from the same :class:`~repro.aligner.pipeline.Aligner`
-  helpers the scalar path uses;
+  helpers the reference uses;
 * a chain whose left extension dies (``l_end == (0, 0)`` with no
-  score) is dropped before the right wave, exactly as the scalar code
+  score) is dropped before the right wave, exactly as the reference
   short-circuits;
-* candidates accumulate in scalar order — forward-orientation chains
-  then reverse, in chain-filter order — so tie-breaking in the final
-  sort is unchanged;
+* candidates accumulate in reference order — forward-orientation
+  chains then reverse, in chain-filter order — so tie-breaking in the
+  final sort is unchanged;
 * when the engine cannot take a wave (e.g. it is wrapped in the
   chaos/resilience dispatcher, which is scalar by design), jobs fall
   back to per-job dispatch and a dead-lettered job degrades **alone**
@@ -35,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import obs
-from repro.align.fullmatrix import fill_extension_batch
+from repro.align import fullmatrix
 from repro.aligner.pipeline import (
     DEGRADED,
     AlignmentCandidate,
@@ -92,6 +95,17 @@ class _ChainState:
         return not (self.dropped or self.degraded)
 
 
+def _count_wave(reg, side: str, jobs: int) -> None:
+    """The per-wave counters every wave kind shares."""
+    reg.counter(
+        names.PIPELINE_BATCH_WAVES, "extension waves", side=side
+    ).inc()
+    reg.counter(names.PIPELINE_BATCH_JOBS, "wave jobs", side=side).inc(jobs)
+    reg.histogram(
+        names.PIPELINE_BATCH_WAVE_JOBS, "jobs per wave", side=side
+    ).observe(jobs)
+
+
 def _dispatch_wave(engine, jobs: list[tuple], side: str) -> list:
     """Run one wave of jobs; returns a result (or ``DEGRADED``) per job.
 
@@ -115,15 +129,7 @@ def _dispatch_wave(engine, jobs: list[tuple], side: str) -> list:
                     results.append(DEGRADED)
     if obs.enabled():
         reg = obs.get_registry()
-        reg.counter(
-            names.PIPELINE_BATCH_WAVES, "extension waves", side=side
-        ).inc()
-        reg.counter(
-            names.PIPELINE_BATCH_JOBS, "wave jobs", side=side
-        ).inc(len(jobs))
-        reg.histogram(
-            names.PIPELINE_BATCH_WAVE_JOBS, "jobs per wave", side=side
-        ).observe(len(jobs))
+        _count_wave(reg, side, len(jobs))
         # Bucket density: how many striped-kernel shape classes this
         # wave spans.  Window-sized waves keep this small (a handful
         # of geometric length classes), which is what lets the striped
@@ -226,9 +232,11 @@ def _finalize_window(aligner, reads: list[_ReadState]) -> list[SamRecord]:
 
     Selection runs per read exactly as the scalar path does; then the
     winners' dense traceback matrices — the host-side step the paper
-    runs once per read — are filled together in one lockstep wave
-    (:func:`repro.align.fullmatrix.fill_extension_batch`) and each
-    winner's path is walked out of its own slice.
+    runs once per read — are filled in lockstep a chunk at a time
+    (:func:`repro.align.fullmatrix.chunk_spans`): fill a chunk, walk
+    each complete winner's path out of its own slice, drop the chunk.
+    Peak memory is one chunk (two while a winner straddles a
+    boundary), whatever the window's read count.
     """
     records: list[SamRecord | None] = []
     winners: list[tuple[int, AlignmentCandidate, int]] = []
@@ -270,7 +278,8 @@ def _finalize_window(aligner, reads: list[_ReadState]) -> list[SamRecord]:
             winners.append((len(records), best, mapq))
             records.append(None)
 
-    # One dense-fill job per winning extension that needs a walk.
+    # One dense-fill job per winning extension that needs a walk, in
+    # winner order, so a winner's left and right jobs are neighbours.
     jobs: list[tuple[np.ndarray, np.ndarray, int]] = []
     slots: list[tuple[int, str]] = []
     for w, (_, best, _) in enumerate(winners):
@@ -282,42 +291,46 @@ def _finalize_window(aligner, reads: list[_ReadState]) -> list[SamRecord]:
                 (best.right_query, best.right_target, best.right_h0)
             )
             slots.append((w, "right"))
-    mats: list[dict[str, object]] = [{} for _ in winners]
-    if jobs:
+
+    mats: dict[tuple[int, str], object] = {}
+    walked = 0
+
+    def walk(upto: int) -> None:
+        """Trace back winners ``walked..upto`` and drop their matrices."""
+        nonlocal walked
+        while walked < upto:
+            slot, best, mapq = winners[walked]
+            with obs.span(names.SPAN_ALIGNER_TRACEBACK):
+                cigar = aligner._traceback(
+                    best,
+                    left_mats=mats.pop((walked, "left"), None),
+                    right_mats=mats.pop((walked, "right"), None),
+                )
+            state = reads[slot]
+            records[slot] = aligner._record(
+                state.codes, state.name, best, mapq, cigar
+            )
+            walked += 1
+
+    queries = [q for q, _, _ in jobs]
+    targets = [t for _, t, _ in jobs]
+    for start, stop in fullmatrix.chunk_spans(queries, targets):
         with obs.span(
-            names.SPAN_PIPELINE_WAVE, side="traceback", jobs=len(jobs)
+            names.SPAN_PIPELINE_WAVE, side="traceback", jobs=stop - start
         ):
-            filled = fill_extension_batch(
-                [q for q, _, _ in jobs],
-                [t for _, t, _ in jobs],
+            chunk = fullmatrix.fill_extension_batch(
+                queries[start:stop],
+                targets[start:stop],
                 aligner.scoring,
-                [h0 for _, _, h0 in jobs],
+                [h0 for _, _, h0 in jobs[start:stop]],
             )
         if obs.enabled():
-            reg = obs.get_registry()
-            reg.counter(
-                names.PIPELINE_BATCH_WAVES, "extension waves", side="traceback"
-            ).inc()
-            reg.counter(
-                names.PIPELINE_BATCH_JOBS, "wave jobs", side="traceback"
-            ).inc(len(jobs))
-            reg.histogram(
-                names.PIPELINE_BATCH_WAVE_JOBS, "jobs per wave", side="traceback"
-            ).observe(len(jobs))
-        for (w, side), dense in zip(slots, filled):
-            mats[w][side] = dense
-
-    for w, (slot, best, mapq) in enumerate(winners):
-        state = reads[slot]
-        with obs.span(names.SPAN_ALIGNER_TRACEBACK):
-            cigar = aligner._traceback(
-                best,
-                left_mats=mats[w].get("left"),
-                right_mats=mats[w].get("right"),
-            )
-        records[slot] = aligner._record(
-            state.codes, state.name, best, mapq, cigar
-        )
+            _count_wave(obs.get_registry(), "traceback", stop - start)
+        mats.update(zip(slots[start:stop], chunk))
+        # A winner is complete once the next unfilled job is not its
+        # own; one straddling a chunk boundary waits for the next fill.
+        walk(slots[stop][0] if stop < len(slots) else len(winners))
+    walk(len(winners))
     return records
 
 

@@ -10,16 +10,20 @@ Usage::
         --metrics-out metrics.json --trace-out trace.json
 
     python -m repro.cli align --reference ref.fasta --reads reads.fastq \
-        --out out.sam --engine batched --batch-size 4096 --workers 4
+        --out out.sam --engine full --batch-size 4096 --workers 4
 
     python -m repro.cli analyze --reference ref.fasta --reads reads.fastq
 
     python -m repro.cli stats metrics.json
 
-The ``align`` command is the end-to-end pipeline with the SeedEx
-engine by default — its output is bit-identical to ``--engine full``
-at any ``--band``.  ``analyze`` reports the check passing rates the
-chosen band would achieve on the given workload.  Every subcommand
+The ``align`` command is the end-to-end pipeline.  Every run — one
+process or sharded, single-end or ``--paired``, ``serve`` and
+``analyze`` too — drives one wave scheduler; ``--engine`` only names a
+``(band, checks)`` policy on it.  The default, ``seedex``, is the
+narrow band plus the SeedEx checks and a full-band rerun wave: its
+output is bit-identical to ``--engine full`` at any ``--band``.
+``analyze`` reports the check passing rates the chosen band would
+achieve on the given workload.  Every subcommand
 accepts ``--metrics-out FILE`` (registry snapshot as JSON) and
 ``--trace-out FILE`` (Chrome-trace JSON, loadable in Perfetto);
 ``stats`` pretty-prints a saved metrics snapshot.
@@ -35,12 +39,7 @@ import time
 import numpy as np
 
 from repro import obs
-from repro.aligner.engines import (
-    BatchedEngine,
-    FullBandEngine,
-    PlainBandedEngine,
-    SeedExEngine,
-)
+from repro.aligner.engines import ENGINE_POLICIES, make_engine
 from repro.aligner.pipeline import Aligner
 from repro.analysis.report import format_table
 from repro.genome.io_fasta import (
@@ -219,11 +218,13 @@ def build_parser() -> argparse.ArgumentParser:
     aln.add_argument("--out", required=True)
     aln.add_argument(
         "--engine",
-        choices=("seedex", "full", "banded", "batched"),
+        choices=tuple(ENGINE_POLICIES),
         default="seedex",
-        help="extension engine; 'batched' runs the full band through "
-        "the deferred-extension wave scheduler (byte-identical to "
-        "'full')",
+        help="(band, checks) policy on the one wave scheduler: "
+        "'seedex' = --band plus the optimality checks and a full-band "
+        "rerun wave (byte-identical to 'full' at any band), 'full' = "
+        "'batched' = the full band, 'banded' = --band with no checks "
+        "(unsound; Figure 13's baseline)",
     )
     aln.add_argument("--band", type=int, default=41)
     aln.add_argument("--seeding", choices=("smem", "kmer"), default="kmer")
@@ -232,8 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=4096,
         metavar="N",
-        help="reads per scheduling window for the batched/sharded "
-        "paths (default 4096)",
+        help="reads per scheduling window, for every engine and "
+        "worker count (default 4096)",
     )
     aln.add_argument(
         "--workers",
@@ -869,31 +870,23 @@ def _open_index(args: argparse.Namespace, reference: np.ndarray):
 
 
 def _make_engine(args: argparse.Namespace):
-    registry = obs.get_registry() if obs.enabled() else None
-    kernel = getattr(args, "kernel", None)
-    if args.engine == "seedex":
-        return SeedExEngine(
-            band=args.band, registry=registry, kernel=kernel
-        )
-    if args.engine == "full":
-        return FullBandEngine(kernel=kernel)
-    if args.engine == "batched":
-        # Full band through the wave scheduler: byte-identical to
-        # --engine full, so --band does not apply here.
-        return BatchedEngine(kernel=kernel)
-    return PlainBandedEngine(args.band, kernel=kernel)
+    """The wave engine the ``--engine``/``--band``/``--kernel`` flags name."""
+    return make_engine(
+        args.engine, args.band, kernel=getattr(args, "kernel", None)
+    )
 
 
 def _engine_spec(args: argparse.Namespace):
     """The picklable :class:`EngineSpec` matching the CLI flags."""
     from repro.aligner.parallel import EngineSpec
 
-    band: int | None = None
-    if args.engine in ("seedex", "banded"):
-        band = args.band
+    # The spec is part of the journal fingerprint: --band is recorded
+    # only where the policy uses it, so a full-band run resumes under
+    # any --band.
+    narrow, _ = ENGINE_POLICIES[args.engine]
     return EngineSpec(
         kind=args.engine,
-        band=band,
+        band=args.band if narrow else None,
         # Resolved to a concrete name here so workers do not depend on
         # the parent's environment.
         kernel=get_kernel(getattr(args, "kernel", None)).name,
@@ -1374,23 +1367,20 @@ def cmd_align(args: argparse.Namespace) -> int:
         paired.aligner.reference_name = name
         pairs = [
             ReadPair(
-                first.name.rstrip("/1"),
+                first.name.removesuffix("/1"),
                 encode(first.sequence),
                 encode(second.sequence),
             )
             for first, second in zip(reads[0::2], reads[1::2])
         ]
-        records = []
-        if args.engine == "batched":
-            # Mates and rescue candidates go through cross-pair waves;
-            # records are byte-identical to the per-pair path.
-            for r1, r2 in paired.align_pairs_batched(
-                pairs, engine=engine, batch_size=args.batch_size
-            ):
-                records.extend([r1, r2])
-        else:
-            for pair in pairs:
-                records.extend(paired.align_pair(pair))
+        # Mates and rescue candidates go through cross-pair waves.
+        records = [
+            record
+            for mates in paired.align_pairs_batched(
+                pairs, batch_size=args.batch_size
+            )
+            for record in mates
+        ]
         elapsed = time.perf_counter() - start
         with open(args.out, "w") as handle:
             write_sam(
@@ -1415,19 +1405,11 @@ def cmd_align(args: argparse.Namespace) -> int:
         index=_open_index(args, reference),
     )
     encoded = [(r.name, encode(r.sequence)) for r in reads]
-    progress = _JsonProgress() if args.log_json else None
-    if args.engine == "batched":
-        records = aligner.align_batched(
-            encoded, batch_size=args.batch_size, progress=progress
-        )
-    else:
-        records = []
-        for i, (rname, codes) in enumerate(encoded):
-            records.append(aligner.align_read(codes, rname))
-            if progress is not None and (
-                (i + 1) % args.batch_size == 0 or i + 1 == len(encoded)
-            ):
-                progress(i // args.batch_size, i + 1, len(encoded))
+    records = aligner.align_batched(
+        encoded,
+        batch_size=args.batch_size,
+        progress=_JsonProgress() if args.log_json else None,
+    )
     elapsed = time.perf_counter() - start
     with open(args.out, "w") as handle:
         write_sam(
@@ -1439,8 +1421,8 @@ def cmd_align(args: argparse.Namespace) -> int:
         f"aligned {len(records)} reads ({mapped} mapped) in "
         f"{elapsed:.1f}s with engine {engine.name}"
     )
-    if isinstance(base_engine, SeedExEngine):
-        stats = base_engine.stats
+    stats = base_engine.stats
+    if stats is not None:
         print(
             f"check passing rate {stats.passing_rate:.1%} "
             f"({stats.reruns} full-band reruns of {stats.total} "
@@ -1637,18 +1619,20 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     name, reference = _load_reference(args.reference)
     reads = read_fastq(args.reads)
     kernel_name = _resolve_kernel(args)
-    base_engine = SeedExEngine(
-        band=args.band,
-        registry=obs.get_registry(),
+    # No result cache: every extension of the workload is checked and
+    # counted, duplicates included.
+    base_engine = make_engine(
+        "seedex",
+        args.band,
         kernel=getattr(args, "kernel", None),
+        cache_entries=0,
     )
     base_engine.stats.reset()  # this invocation's workload only
     engine, dispatcher = _wrap_chaos(base_engine, args)
     aligner = Aligner(
         reference, engine, seeding=args.seeding, reference_name=name
     )
-    for r in reads:
-        aligner.align_read(encode(r.sequence), r.name)
+    aligner.align_batched([(r.name, encode(r.sequence)) for r in reads])
     stats = base_engine.stats
     snap = stats.registry.snapshot()
     counters = snap["counters"]
@@ -1752,10 +1736,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     name, reference = _load_reference(args.reference)
     _resolve_kernel(args)
-    engine = BatchedEngine(kernel=getattr(args, "kernel", None))
     aligner = Aligner(
         reference,
-        engine,
+        make_engine("full", kernel=getattr(args, "kernel", None)),
         seeding=args.seeding,
         reference_name=name,
         index=_open_index(args, reference),

@@ -274,7 +274,7 @@ class SeedExtender:
         queries = [q for q, _, _ in jobs]
         targets = [t for _, t, _ in jobs]
         h0s = [h0 for _, _, h0 in jobs]
-        with obs.span(names.SPAN_EXTEND_BATCH, jobs=len(jobs)):
+        with obs.span(names.SPAN_EXTEND_NARROW, jobs=len(jobs)):
             narrow = batch_kernel(
                 queries, targets, h0s, self.scoring, w=self.band
             )

@@ -230,8 +230,8 @@ class ResilientDispatcher:
     Satisfies the :class:`~repro.aligner.engines.ExtensionEngine`
     protocol, so it plugs straight into the aligner pipeline in place
     of the engine it wraps.  ``fallback`` defaults to a lazily-built
-    :class:`~repro.aligner.engines.FullBandEngine` sharing the wrapped
-    engine's scoring; ``host_queue_capacity`` bounds how many fallback
+    full-band :class:`~repro.aligner.engines.BatchedEngine` sharing the
+    wrapped engine's scoring; ``host_queue_capacity`` bounds how many fallback
     reruns the host accepts (``None`` = unbounded, the bit-identity
     configuration).
 
@@ -361,9 +361,11 @@ class ResilientDispatcher:
     def _fallback_engine(self):
         """The host full-band engine, built lazily on first use."""
         if self.fallback is None:
-            from repro.aligner.engines import FullBandEngine
+            from repro.aligner.engines import BatchedEngine
 
-            self.fallback = FullBandEngine(self.engine.scoring)
+            self.fallback = BatchedEngine(
+                scoring=self.engine.scoring, cache_entries=0
+            )
         return self.fallback
 
     def _backoff(self, attempt: int) -> None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 # -- spans (each also emits the histogram "<name>.seconds") -------------
 
 SPAN_EXTEND_NARROW = "extend.narrow"
-"""Narrow-band speculative fill of one extension."""
+"""Narrow-band speculative fill: one wave, or one scalar extension."""
 
 SPAN_EXTEND_CHECK = "extend.check"
 """The whole Figure 6 optimality-check workflow for one extension."""
@@ -27,7 +27,7 @@ SPAN_EXTEND_RERUN = "extend.rerun"
 """Full-band rerun of an extension that failed its checks."""
 
 SPAN_EXTEND_BATCH = "extend.batch"
-"""One batched (lockstep) narrow-band kernel invocation."""
+"""One lockstep kernel wave of an unchecked engine policy."""
 
 SPAN_CHECK_THRESHOLD = "check.threshold"
 """S1/S2 threshold computation and classification (cases a/b)."""

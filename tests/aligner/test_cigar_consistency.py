@@ -12,7 +12,7 @@ import pytest
 
 from repro.align.cigar import Cigar
 from repro.align.scoring import BWA_MEM_SCORING
-from repro.aligner.engines import FullBandEngine, SeedExEngine
+from repro.aligner.engines import BatchedEngine, make_engine
 from repro.aligner.pipeline import Aligner
 from repro.genome.sequence import encode, reverse_complement
 from repro.genome.synth import (
@@ -71,8 +71,11 @@ def setup():
 
 
 class TestScoreConsistency:
-    @pytest.mark.parametrize("engine_cls", [FullBandEngine,
-                                            lambda: SeedExEngine(band=11)])
+    @pytest.mark.parametrize(
+        "engine_cls",
+        [BatchedEngine, lambda: make_engine("seedex", 11)],
+        ids=["full-band", None],
+    )
     def test_as_equals_rescored_cigar(self, setup, engine_cls):
         reference = setup
         reads = ReadSimulator(reference, PLATINUM_LIKE, seed=9).simulate(40)
@@ -90,7 +93,7 @@ class TestScoreConsistency:
         reference = setup
         profile = ReadProfile(large_indel_rate=1.0, large_indel_min=15)
         reads = ReadSimulator(reference, profile, seed=10).simulate(25)
-        aligner = Aligner(reference, FullBandEngine(), seeding="kmer")
+        aligner = Aligner(reference, make_engine("full"), seeding="kmer")
         checked = 0
         for read in reads:
             record = aligner.align_read(read.codes, read.name)
@@ -112,7 +115,7 @@ class TestScoreConsistency:
         reference = setup
         rng = np.random.default_rng(21)
         pairs = simulate_pairs(reference, 15, rng)
-        pa = PairedAligner(reference, FullBandEngine())
+        pa = PairedAligner(reference, make_engine("full"))
         checked = 0
         for pair, _, _ in pairs:
             bad = pair.second.copy()

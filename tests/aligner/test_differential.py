@@ -1,18 +1,25 @@
 """Differential SAM tests: every dispatch mode, one byte stream.
 
-The batched/sharded pipeline's whole contract is *no new semantics*:
-the deferred-extension wave scheduler and the multi-process shard
-runner are pure scheduling transforms, so their SAM output must be
-byte-identical to the scalar single-process ``FullBandEngine`` run.
-This suite pins that contract across
+The pipeline's whole contract is *no new semantics*: the
+deferred-extension wave scheduler, the chunked traceback wave and the
+multi-process shard runner are pure scheduling transforms, and the
+checked narrow band is the full band by the paper's guarantee — so
+SAM output must be byte-identical to the per-read reference
+(``Aligner.align`` / ``Aligner.align_read``, full band, one read and
+one extension at a time).  This suite pins that contract across
 
-* engines: scalar ``FullBandEngine`` vs wave-dispatched
-  ``BatchedEngine`` (full band);
-* dispatch: in-process scalar loop, in-process wave scheduler with
-  ragged window sizes, and the sharded runner at 1 and 4 workers;
-* corpora: three independently-seeded Platinum-like read sets, plus a
-  ragged corpus of pipeline edge cases (empty read, all-``N`` read,
-  junk read with no chains, read longer than the whole reference).
+* policies: every sound ``(band, checks)`` setting of the one engine —
+  full band, and the checked bands 41 and 5 — while the *unchecked*
+  band 5 is shown to diverge on structural indels, so the checks are
+  what holds the bytes (Figure 13);
+* dispatch: the per-read reference, the wave scheduler at window
+  sizes 1, 7 and 4096, and the sharded runner at 1 and 4 workers;
+* corpora: three independently-seeded Platinum-like read sets, an
+  SV-rich set (every read carries a 15-40 bp indel), plus a ragged
+  corpus of pipeline edge cases (empty read, all-``N`` read, junk read
+  with no chains, read longer than the whole reference);
+* traceback chunking: any chunk bound gives the records of a one-chunk
+  fill.
 
 Any divergence — a reordered record, a different CIGAR, a drifted
 MAPQ — fails the byte comparison immediately.
@@ -23,11 +30,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.aligner.engines import BatchedEngine, FullBandEngine
+from repro.align import fullmatrix
+from repro.aligner.engines import BatchedEngine
 from repro.aligner.parallel import EngineSpec
+from repro.aligner.pipeline import Aligner
 from repro.genome.sequence import encode
 from repro.genome.synth import (
     PLATINUM_LIKE,
+    ReadProfile,
     ReadSimulator,
     synthesize_reference,
 )
@@ -76,11 +86,121 @@ def _ragged_corpus():
     return reference, reads
 
 
+def _sv_corpus():
+    """Every read carries one 15-40 bp indel: the band-hungry tail."""
+    rng = np.random.default_rng(7)
+    reference = synthesize_reference(20_000, rng, repeat_fraction=0.05)
+    profile = ReadProfile(large_indel_rate=1.0, large_indel_min=15)
+    return reference, ReadSimulator(reference, profile, seed=8).simulate(24)
+
+
+_CORPORA = {
+    "platinum": lambda: _corpus(CORPUS_SEEDS[0]),
+    "ragged": _ragged_corpus,
+    "sv": _sv_corpus,
+}
+
+
+@pytest.fixture(scope="module")
+def corpora():
+    """Each corpus with its per-read, full-band reference bytes."""
+    out = {}
+    for name, build in _CORPORA.items():
+        reference, reads = build()
+        out[name] = (
+            reference,
+            reads,
+            sam_bytes(reference, reads, BatchedEngine(), seeding="kmer"),
+        )
+    return out
+
+
+@pytest.mark.parametrize("window", [1, 7, 4096])
+@pytest.mark.parametrize("band, checks", [(None, False), (41, True), (5, True)])
+@pytest.mark.parametrize("corpus", sorted(_CORPORA))
+def test_sound_policy_matches_per_read_reference(
+    corpora, corpus, band, checks, window
+):
+    """Full band and checked narrow bands: one byte stream, any window."""
+    reference, reads, baseline = corpora[corpus]
+    waves = sam_bytes(
+        reference,
+        reads,
+        BatchedEngine(band=band, checks=checks),
+        batch_size=window,
+        seeding="kmer",
+    )
+    assert waves == baseline
+
+
+@pytest.mark.parametrize("window", [1, 7, 4096])
+def test_unchecked_narrow_band_diverges_on_sv_corpus(corpora, window):
+    """Band 5 without the checks misplaces indels the checked band 5
+    gets right — it is the checks that hold the bytes (Figure 13)."""
+    reference, reads, baseline = corpora["sv"]
+    unchecked = sam_bytes(
+        reference,
+        reads,
+        BatchedEngine(band=5, checks=False),
+        batch_size=window,
+        seeding="kmer",
+    )
+    assert unchecked != baseline
+
+
+@pytest.mark.parametrize("chunk_cells", [1, 5_000])
+def test_traceback_chunking_is_invisible(corpora, monkeypatch, chunk_cells):
+    """Any chunk bound gives the records of a one-chunk fill.
+
+    A bound of one cell puts every fill job alone in a chunk it
+    exceeds, so each winner with a left and a right job straddles a
+    chunk boundary; 5,000 cells mixes many-job chunks with winners
+    larger than the bound.
+    """
+    reference, reads, baseline = corpora["sv"]
+    chunks: list[list[int]] = []
+    two_sided: list[bool] = []
+    fill = fullmatrix.fill_extension_batch
+    walk = Aligner._traceback
+
+    def counting_fill(queries, targets, *args, **kwargs):
+        chunks.append(
+            [(len(q) + 1) * (len(t) + 1) for q, t in zip(queries, targets)]
+        )
+        return fill(queries, targets, *args, **kwargs)
+
+    def counting_walk(self, cand, left_mats=None, right_mats=None):
+        two_sided.append(left_mats is not None and right_mats is not None)
+        return walk(self, cand, left_mats, right_mats)
+
+    monkeypatch.setattr(fullmatrix, "fill_extension_batch", counting_fill)
+    monkeypatch.setattr(Aligner, "_traceback", counting_walk)
+
+    def run(bound):
+        chunks.clear()
+        monkeypatch.setattr(fullmatrix, "TRACEBACK_CHUNK_CELLS", bound)
+        return sam_bytes(
+            reference, reads, BatchedEngine(), batch_size=4096, seeding="kmer"
+        )
+
+    assert run(10**9) == baseline
+    [jobs] = chunks  # the whole window in one fill
+    assert any(two_sided)  # a winner whose left and right jobs can split
+    assert run(chunk_cells) == baseline
+    assert len(chunks) >= 3
+    assert [cells for chunk in chunks for cells in chunk] == jobs
+    assert any(chunk[0] > chunk_cells for chunk in chunks)
+    if chunk_cells == 1:
+        assert all(len(chunk) == 1 for chunk in chunks)
+    else:
+        assert any(len(chunk) > 1 for chunk in chunks)
+
+
 @pytest.mark.parametrize("seed", CORPUS_SEEDS)
 def test_batched_engine_matches_scalar(seed):
     """Wave scheduler + lockstep kernel == scalar loop, byte for byte."""
     reference, reads = _corpus(seed)
-    baseline = sam_bytes(reference, reads, FullBandEngine(), seeding="kmer")
+    baseline = sam_bytes(reference, reads, BatchedEngine(), seeding="kmer")
     batched = sam_bytes(
         reference,
         reads,
@@ -94,9 +214,9 @@ def test_batched_engine_matches_scalar(seed):
 @pytest.mark.parametrize("seed", CORPUS_SEEDS)
 @pytest.mark.parametrize("kind", ["full", "batched"])
 def test_sharded_matches_scalar(seed, kind):
-    """{scalar, batched} engines x 4 workers == single-process scalar."""
+    """Both full-band engine names x 4 workers == the per-read reference."""
     reference, reads = _corpus(seed)
-    baseline = sam_bytes(reference, reads, FullBandEngine(), seeding="kmer")
+    baseline = sam_bytes(reference, reads, BatchedEngine(), seeding="kmer")
     sharded = sam_bytes(
         reference,
         reads,
@@ -111,7 +231,7 @@ def test_sharded_matches_scalar(seed, kind):
 def test_one_worker_inline_path_matches_scalar():
     """``workers=1`` (no multiprocessing) is the same byte stream too."""
     reference, reads = _corpus(CORPUS_SEEDS[0])
-    baseline = sam_bytes(reference, reads, FullBandEngine(), seeding="kmer")
+    baseline = sam_bytes(reference, reads, BatchedEngine(), seeding="kmer")
     inline = sam_bytes(
         reference,
         reads,
@@ -127,7 +247,7 @@ def test_one_worker_inline_path_matches_scalar():
 def test_ragged_corpus_matches_scalar(batch_size):
     """Degenerate reads survive every window geometry unchanged."""
     reference, reads = _ragged_corpus()
-    baseline = sam_bytes(reference, reads, FullBandEngine(), seeding="kmer")
+    baseline = sam_bytes(reference, reads, BatchedEngine(), seeding="kmer")
     batched = sam_bytes(
         reference,
         reads,
@@ -141,7 +261,7 @@ def test_ragged_corpus_matches_scalar(batch_size):
 def test_ragged_corpus_sharded_matches_scalar():
     """The ragged corpus also shards cleanly across 4 workers."""
     reference, reads = _ragged_corpus()
-    baseline = sam_bytes(reference, reads, FullBandEngine(), seeding="kmer")
+    baseline = sam_bytes(reference, reads, BatchedEngine(), seeding="kmer")
     sharded = sam_bytes(
         reference,
         reads,
@@ -156,7 +276,7 @@ def test_ragged_corpus_sharded_matches_scalar():
 def test_smem_seeding_differential():
     """The contract holds under the FM-index seeding backend as well."""
     reference, reads = _corpus(CORPUS_SEEDS[1], reads=10, ref_len=6_000)
-    baseline = sam_bytes(reference, reads, FullBandEngine(), seeding="smem")
+    baseline = sam_bytes(reference, reads, BatchedEngine(), seeding="smem")
     batched = sam_bytes(
         reference, reads, BatchedEngine(), batch_size=4, seeding="smem"
     )
@@ -166,7 +286,7 @@ def test_smem_seeding_differential():
 def test_cache_disabled_matches_scalar():
     """``cache_entries=0`` changes nothing but the work done."""
     reference, reads = _corpus(CORPUS_SEEDS[2], reads=12)
-    baseline = sam_bytes(reference, reads, FullBandEngine(), seeding="kmer")
+    baseline = sam_bytes(reference, reads, BatchedEngine(), seeding="kmer")
     uncached = sam_bytes(
         reference,
         reads,
@@ -181,7 +301,7 @@ def test_cache_disabled_matches_scalar():
 def test_corpus_scale_differential():
     """A corpus-scale run (1k reads) at the paper's batch geometry."""
     reference, reads = _corpus(CORPUS_SEEDS[0], reads=1_000, ref_len=50_000)
-    baseline = sam_bytes(reference, reads, FullBandEngine(), seeding="kmer")
+    baseline = sam_bytes(reference, reads, BatchedEngine(), seeding="kmer")
     batched = sam_bytes(
         reference, reads, BatchedEngine(), batch_size=4096, seeding="kmer"
     )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.align.cigar import Cigar
-from repro.aligner.engines import FullBandEngine, SeedExEngine
+from repro.aligner.engines import make_engine
 from repro.aligner.paired import (
     FLAG_FIRST,
     FLAG_MATE_REVERSE,
@@ -64,7 +64,7 @@ class TestSimulation:
 class TestPairing:
     def test_most_pairs_proper_with_exact_positions(self, setup):
         reference, pairs, _ = setup
-        pa = PairedAligner(reference, FullBandEngine())
+        pa = PairedAligner(reference, make_engine("full"))
         proper = positions = 0
         for pair, p1, p2 in pairs:
             r1, r2 = pa.align_pair(pair)
@@ -75,7 +75,7 @@ class TestPairing:
 
     def test_flags_are_consistent(self, setup):
         reference, pairs, _ = setup
-        pa = PairedAligner(reference, FullBandEngine())
+        pa = PairedAligner(reference, make_engine("full"))
         r1, r2 = pa.align_pair(pairs[0][0])
         assert r1.flag & FLAG_PAIRED and r2.flag & FLAG_PAIRED
         assert r1.flag & FLAG_FIRST
@@ -88,7 +88,7 @@ class TestPairing:
 
     def test_tlen_symmetry(self, setup):
         reference, pairs, _ = setup
-        pa = PairedAligner(reference, FullBandEngine())
+        pa = PairedAligner(reference, make_engine("full"))
         r1, r2 = pa.align_pair(pairs[1][0])
         tl1 = int(dict(t.split(":i:") for t in r1.tags if "TL" in t)["TL"])
         tl2 = int(dict(t.split(":i:") for t in r2.tags if "TL" in t)["TL"])
@@ -97,8 +97,8 @@ class TestPairing:
 
     def test_seedex_engine_gives_same_pairs_as_full(self, setup):
         reference, pairs, _ = setup
-        pa_full = PairedAligner(reference, FullBandEngine())
-        pa_sx = PairedAligner(reference, SeedExEngine(band=11))
+        pa_full = PairedAligner(reference, make_engine("full"))
+        pa_sx = PairedAligner(reference, make_engine("seedex", 11))
         for pair, _, _ in pairs[:8]:
             a1, a2 = pa_full.align_pair(pair)
             b1, b2 = pa_sx.align_pair(pair)
@@ -109,7 +109,7 @@ class TestPairing:
 class TestMateRescue:
     def test_corrupted_mate_is_rescued(self, setup):
         reference, pairs, rng = setup
-        pa = PairedAligner(reference, SeedExEngine(band=41))
+        pa = PairedAligner(reference, make_engine("seedex", 41))
         placed = 0
         for pair, p1, p2 in pairs:
             bad = pair.second.copy()
@@ -123,7 +123,7 @@ class TestMateRescue:
 
     def test_rescued_record_has_marker_tag(self, setup):
         reference, pairs, rng = setup
-        pa = PairedAligner(reference, FullBandEngine())
+        pa = PairedAligner(reference, make_engine("full"))
         rescued_seen = False
         for pair, _, p2 in pairs:
             bad = pair.second.copy()
@@ -142,7 +142,7 @@ class TestMateRescue:
     def test_hopeless_mate_stays_unmapped(self, setup):
         reference, pairs, _ = setup
         rng = np.random.default_rng(123)
-        pa = PairedAligner(reference, FullBandEngine())
+        pa = PairedAligner(reference, make_engine("full"))
         junk = rng.integers(0, 4, size=101).astype(np.uint8)
         pair, _, _ = pairs[0]
         r1, r2 = pa.align_pair(ReadPair(pair.name, pair.first, junk))

@@ -13,12 +13,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.aligner.engines import (
-    BatchedEngine,
-    FullBandEngine,
-    PlainBandedEngine,
-    SeedExEngine,
-)
+from repro.aligner.engines import BatchedEngine
 from repro.aligner.parallel import (
     EngineSpec,
     StartMethodError,
@@ -72,14 +67,18 @@ class TestShardPlan:
 
 class TestEngineSpec:
     def test_builds_every_kind(self):
-        assert isinstance(EngineSpec(kind="full").build(), FullBandEngine)
-        assert isinstance(
-            EngineSpec(kind="banded", band=9).build(), PlainBandedEngine
-        )
-        assert isinstance(
-            EngineSpec(kind="batched").build(), BatchedEngine
-        )
-        assert isinstance(EngineSpec(kind="seedex").build(), SeedExEngine)
+        """Every kind is one engine class under a (band, checks) policy."""
+        policies = {
+            "full": (None, False),
+            "batched": (None, False),
+            "banded": (9, False),
+            "seedex": (9, True),
+        }
+        for kind, policy in policies.items():
+            engine = EngineSpec(kind=kind, band=9).build()
+            assert isinstance(engine, BatchedEngine)
+            assert (engine.band, engine.checks) == policy
+        assert EngineSpec(kind="seedex").build().band == 41
 
     def test_banded_requires_band(self):
         with pytest.raises(ValueError):

@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.align.cigar import Cigar
-from repro.aligner.engines import (
-    FullBandEngine,
-    PlainBandedEngine,
-    SeedExEngine,
-)
+from repro.aligner.engines import make_engine
 from repro.aligner.pipeline import Aligner
 from repro.genome.sam import diff_records
 from repro.genome.sequence import decode, random_sequence
@@ -35,7 +31,7 @@ def platinum_reads(reference):
 class TestAccuracy:
     def test_clean_reads_map_exactly(self, reference):
         reads = ReadSimulator(reference, CLEAN, seed=3).simulate(25)
-        aligner = Aligner(reference, FullBandEngine())
+        aligner = Aligner(reference, make_engine("full"))
         for read, rec in zip(reads, aligner.align(reads)):
             assert not rec.is_unmapped
             assert rec.pos == read.true_pos
@@ -44,7 +40,7 @@ class TestAccuracy:
             assert rec.mapq > 0
 
     def test_noisy_reads_map_near_truth(self, reference, platinum_reads):
-        aligner = Aligner(reference, FullBandEngine())
+        aligner = Aligner(reference, make_engine("full"))
         near = 0
         for read, rec in zip(platinum_reads, aligner.align(platinum_reads)):
             if rec.is_unmapped:
@@ -57,7 +53,7 @@ class TestAccuracy:
         assert near >= len(platinum_reads) - 3
 
     def test_cigar_consumes_whole_read(self, reference, platinum_reads):
-        aligner = Aligner(reference, FullBandEngine())
+        aligner = Aligner(reference, make_engine("full"))
         for rec in aligner.align(platinum_reads):
             if rec.is_unmapped:
                 continue
@@ -66,13 +62,13 @@ class TestAccuracy:
     def test_unalignable_read_is_unmapped(self, reference):
         rng = np.random.default_rng(99)
         junk = random_sequence(101, rng)
-        aligner = Aligner(reference, FullBandEngine())
+        aligner = Aligner(reference, make_engine("full"))
         rec = aligner.align_read(junk, "junk")
         # Either unmapped or a low-quality accidental hit.
         assert rec.is_unmapped or rec.mapq < 30
 
     def test_sequence_reported_as_given(self, reference, platinum_reads):
-        aligner = Aligner(reference, FullBandEngine())
+        aligner = Aligner(reference, make_engine("full"))
         read = platinum_reads[0]
         rec = aligner.align_read(read.codes, read.name)
         assert rec.seq == decode(read.codes)
@@ -83,9 +79,9 @@ class TestEngineEquivalence:
         self, reference, platinum_reads
     ):
         """The headline claim (Figure 13's flat-zero SeedEx curve)."""
-        full = Aligner(reference, FullBandEngine()).align(platinum_reads)
+        full = Aligner(reference, make_engine("full")).align(platinum_reads)
         for band in (5, 11, 41):
-            seedex = Aligner(reference, SeedExEngine(band=band)).align(
+            seedex = Aligner(reference, make_engine("seedex", band)).align(
                 platinum_reads
             )
             assert diff_records(full, seedex) == 0
@@ -94,15 +90,15 @@ class TestEngineEquivalence:
         """A narrow band without checks must eventually disagree."""
         profile = ReadProfile(large_indel_rate=1.0, large_indel_min=20)
         reads = ReadSimulator(reference, profile, seed=11).simulate(25)
-        full = Aligner(reference, FullBandEngine()).align(reads)
-        banded = Aligner(reference, PlainBandedEngine(3)).align(reads)
+        full = Aligner(reference, make_engine("full")).align(reads)
+        banded = Aligner(reference, make_engine("banded", 3)).align(reads)
         assert diff_records(full, banded) > 0
 
     def test_seedex_handles_structural_indels(self, reference):
         profile = ReadProfile(large_indel_rate=1.0, large_indel_min=20)
         reads = ReadSimulator(reference, profile, seed=11).simulate(25)
-        full = Aligner(reference, FullBandEngine()).align(reads)
-        seedex_engine = SeedExEngine(band=8)
+        full = Aligner(reference, make_engine("full")).align(reads)
+        seedex_engine = make_engine("seedex", 8)
         seedex = Aligner(reference, seedex_engine).align(reads)
         assert diff_records(full, seedex) == 0
         # With w=8 and 20+bp indels there must have been reruns.
@@ -110,8 +106,8 @@ class TestEngineEquivalence:
 
     def test_kmer_backend_matches_smem_on_clean_reads(self, reference):
         reads = ReadSimulator(reference, CLEAN, seed=5).simulate(15)
-        smem = Aligner(reference, FullBandEngine(), seeding="smem")
-        kmer = Aligner(reference, FullBandEngine(), seeding="kmer")
+        smem = Aligner(reference, make_engine("full"), seeding="smem")
+        kmer = Aligner(reference, make_engine("full"), seeding="kmer")
         for read in reads:
             a = smem.align_read(read.codes, read.name)
             b = kmer.align_read(read.codes, read.name)
@@ -125,7 +121,7 @@ class TestConstruction:
             Aligner(reference, seeding="hash-table")
 
     def test_engine_counts_extensions(self, reference, platinum_reads):
-        engine = FullBandEngine()
+        engine = make_engine("full")
         Aligner(reference, engine).align(platinum_reads[:10])
         assert engine.extensions > 0
         assert engine.cells > 0

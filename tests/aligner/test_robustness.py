@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.aligner.engines import FullBandEngine, SeedExEngine
+from repro.aligner.engines import make_engine
 from repro.aligner.pipeline import Aligner
 from repro.genome.sam import diff_records
 from repro.genome.sequence import AMBIGUOUS_CODE, decode, encode
@@ -18,7 +18,7 @@ def reference():
 
 class TestAmbiguousBases:
     def test_read_with_n_bases_still_aligns(self, reference):
-        aligner = Aligner(reference, FullBandEngine(), seeding="kmer")
+        aligner = Aligner(reference, make_engine("full"), seeding="kmer")
         read = reference[5000:5101].copy()
         read[50] = AMBIGUOUS_CODE
         read[51] = AMBIGUOUS_CODE
@@ -38,8 +38,8 @@ class TestAmbiguousBases:
         assert res.gscore == 20 + 7 - 4
 
     def test_seedex_handles_n_reads_identically(self, reference):
-        full = Aligner(reference, FullBandEngine(), seeding="kmer")
-        seedex = Aligner(reference, SeedExEngine(band=9), seeding="kmer")
+        full = Aligner(reference, make_engine("full"), seeding="kmer")
+        seedex = Aligner(reference, make_engine("seedex", 9), seeding="kmer")
         reads = []
         rng = np.random.default_rng(3)
         for k in range(10):
@@ -55,19 +55,19 @@ class TestAmbiguousBases:
 
 class TestDegenerateReads:
     def test_homopolymer_read(self, reference):
-        aligner = Aligner(reference, FullBandEngine(), seeding="kmer")
+        aligner = Aligner(reference, make_engine("full"), seeding="kmer")
         rec = aligner.align_read(encode("A" * 101), "polyA")
         # Either unmapped or some low-confidence placement; never crash.
         assert rec.qname == "polyA"
 
     def test_very_short_read(self, reference):
-        aligner = Aligner(reference, FullBandEngine(), seeding="kmer")
+        aligner = Aligner(reference, make_engine("full"), seeding="kmer")
         rec = aligner.align_read(reference[100:125].copy(), "short")
         if not rec.is_unmapped:
             assert rec.pos >= 0
 
     def test_read_overhanging_reference_end(self, reference):
-        aligner = Aligner(reference, FullBandEngine(), seeding="kmer")
+        aligner = Aligner(reference, make_engine("full"), seeding="kmer")
         read = np.concatenate(
             [reference[-80:], encode("ACGTACGTACGTACGTACGTA")]
         ).astype(np.uint8)
@@ -84,8 +84,8 @@ class TestAdversarialRepeats:
             + [unit] * 20
             + [rng.integers(0, 4, size=2000).astype(np.uint8)]
         ).astype(np.uint8)
-        full = Aligner(reference, FullBandEngine(), seeding="kmer")
-        seedex = Aligner(reference, SeedExEngine(band=7), seeding="kmer")
+        full = Aligner(reference, make_engine("full"), seeding="kmer")
+        seedex = Aligner(reference, make_engine("seedex", 7), seeding="kmer")
         # A read spanning repeat copies: positions are ambiguous but
         # both engines must make the same deterministic call.
         read = reference[2025:2126].copy()
@@ -110,8 +110,8 @@ class TestAdversarialInputs:
 
     def _both(self, reference):
         return (
-            Aligner(reference, FullBandEngine(), seeding="kmer"),
-            Aligner(reference, SeedExEngine(band=9), seeding="kmer"),
+            Aligner(reference, make_engine("full"), seeding="kmer"),
+            Aligner(reference, make_engine("seedex", 9), seeding="kmer"),
         )
 
     def test_zero_length_read(self, reference):

@@ -11,11 +11,7 @@ never silent).
 import numpy as np
 import pytest
 
-from repro.aligner.engines import (
-    FullBandEngine,
-    SeedExEngine,
-    make_resilient,
-)
+from repro.aligner.engines import make_engine, make_resilient
 from repro.aligner.pipeline import Aligner
 from repro.genome.sam import diff_records
 from repro.genome.synth import synthesize_reference
@@ -52,7 +48,7 @@ def reads(reference):
 
 @pytest.fixture(scope="module")
 def baseline(reference, reads):
-    aligner = Aligner(reference, FullBandEngine(), seeding="kmer")
+    aligner = Aligner(reference, make_engine("full"), seeding="kmer")
     return [aligner.align_read(codes, name) for name, codes in reads]
 
 
@@ -63,7 +59,7 @@ def test_sam_bit_identity_under_chaos(
 ):
     """diff_records == 0 at every fault rate, for every fault seed."""
     engine = make_resilient(
-        SeedExEngine(band=9),
+        make_engine("seedex", 9),
         fault_rate=fault_rate,
         fault_seed=fault_seed,
         max_retries=3,
@@ -92,7 +88,7 @@ def test_sam_bit_identity_under_chaos(
 def test_high_rate_chaos_actually_exercised(reference, reads, baseline):
     """At 10% the ladder must really fire — the suite is not vacuous."""
     engine = make_resilient(
-        SeedExEngine(band=9),
+        make_engine("seedex", 9),
         fault_rate=0.1,
         fault_seed=1,
         sleep=lambda s: None,
@@ -111,7 +107,7 @@ def test_chaos_fault_sequence_is_reproducible(reference, reads):
 
     def run():
         engine = make_resilient(
-            SeedExEngine(band=9),
+            make_engine("seedex", 9),
             fault_rate=0.1,
             fault_seed=2,
             sleep=lambda s: None,
@@ -132,7 +128,7 @@ def test_degradation_to_unmapped_never_crashes(reference, reads):
     from repro.aligner.pipeline import DEGRADED_TAG
 
     engine = make_resilient(
-        SeedExEngine(band=9),
+        make_engine("seedex", 9),
         fault_rate=0.9,
         fault_seed=3,
         max_retries=0,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.align.banded import ExtensionResult
-from repro.aligner.engines import FullBandEngine, make_resilient
+from repro.aligner.engines import make_engine, make_resilient
 from repro.align.scoring import BWA_MEM_SCORING
 from repro.faults.errors import (
     DeadLetterError,
@@ -33,7 +33,7 @@ class FlakyEngine:
     def __init__(self, faults):
         self.faults = list(faults)
         self.calls = 0
-        self.inner = FullBandEngine()
+        self.inner = make_engine("full")
 
     def extend(self, query, target, h0):
         self.calls += 1
@@ -117,7 +117,7 @@ class TestRetryLadder:
         engine = FlakyEngine([_transient()] * 10)
         disp = _dispatcher(engine, policy=RetryPolicy(max_retries=2))
         res = disp.extend(Q, T, 10)
-        expected = FullBandEngine().extend(Q, T, 10)
+        expected = make_engine("full").extend(Q, T, 10)
         assert _same_result(res, expected)
         assert engine.calls == 3  # 1 try + 2 retries
         assert disp.stats.fallbacks == 1
@@ -151,7 +151,7 @@ class TestRetryLadder:
             ),
         )
         res = disp.extend(Q, T, 10)  # must terminate down the ladder
-        assert _same_result(res, FullBandEngine().extend(Q, T, 10))
+        assert _same_result(res, make_engine("full").extend(Q, T, 10))
         assert disp.stats.tolerated_total == 4  # then stalls escalate
 
     def test_dead_letter_when_host_queue_refuses(self):
@@ -180,7 +180,7 @@ class TestRetryLadder:
 
 class TestDisabledNoOp:
     def test_faults_disabled_is_byte_identical(self):
-        base = FullBandEngine()
+        base = make_engine("full")
         disp = make_resilient(base, fault_rate=0.0)
         for h0 in (0, 10, 40):
             assert _same_result(disp.extend(Q, T, h0), base.extend(Q, T, h0))
@@ -189,7 +189,7 @@ class TestDisabledNoOp:
         assert disp.injector is None
 
     def test_make_resilient_attaches_chaos_when_rate_positive(self):
-        disp = make_resilient(FullBandEngine(), fault_rate=0.2, fault_seed=1)
+        disp = make_resilient(make_engine("full"), fault_rate=0.2, fault_seed=1)
         assert disp.injector is not None
         assert disp.name.startswith("resilient(chaos(")
         assert disp.injector.sink is disp.stats

@@ -14,14 +14,14 @@ import multiprocessing as mp
 
 import pytest
 
-from repro.aligner.engines import BatchedEngine, FullBandEngine
+from repro.aligner.engines import BatchedEngine, make_engine
 from repro.aligner.parallel import EngineSpec
 from repro.index import load_index
 from tests.helpers import sam_bytes
 
 
 def _baseline(reference, reads, seeding):
-    return sam_bytes(reference, reads, FullBandEngine(), seeding=seeding)
+    return sam_bytes(reference, reads, make_engine("full"), seeding=seeding)
 
 
 class TestInProcess:
@@ -31,7 +31,7 @@ class TestInProcess:
         assert sam_bytes(
             reference,
             reads,
-            FullBandEngine(),
+            make_engine("full"),
             seeding=seeding,
             index=loaded,
         ) == _baseline(reference, reads, seeding)
@@ -53,7 +53,7 @@ class TestInProcess:
         path, _ = artifact
         loaded = load_index(path, mmap=mmap_mode)
         assert sam_bytes(
-            reference, reads, FullBandEngine(), index=loaded
+            reference, reads, make_engine("full"), index=loaded
         ) == _baseline(reference, reads, "kmer")
 
 

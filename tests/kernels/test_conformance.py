@@ -257,7 +257,7 @@ def test_corpus_bit_identity(_):
     the comparison.  One fixed seed keeps the corpus stable across
     runs; the property tests above carry the input diversity.
     """
-    from repro.aligner.engines import SeedExEngine
+    from repro.aligner.engines import make_engine
     from repro.genome.synth import (
         PLATINUM_LIKE,
         ReadSimulator,
@@ -274,7 +274,7 @@ def test_corpus_bit_identity(_):
         name: sam_bytes(
             reference,
             reads,
-            SeedExEngine(band=15, kernel=name),
+            make_engine("seedex", 15, kernel=name),
         )
         for name in available_kernels()
     }

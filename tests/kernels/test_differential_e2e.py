@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.aligner.engines import SeedExEngine, make_resilient
+from repro.aligner.engines import make_engine, make_resilient
 from repro.aligner.parallel import EngineSpec
 from repro.genome.synth import (
     PLATINUM_LIKE,
@@ -108,7 +108,6 @@ def test_longread_batched_matches_scalar(long_corpus, kernel, workers):
 def test_paired_batched_matches_scalar(corpus):
     """Batched mate rescue emits the scalar loop's records, bit for
     bit, on every kernel — including the rescued pairs."""
-    from repro.aligner.engines import BatchedEngine
     from repro.aligner.paired import (
         PairedAligner,
         ReadPair,
@@ -129,7 +128,7 @@ def test_paired_batched_matches_scalar(corpus):
         second[::16] = (second[::16] + 1) % 4
         pairs[i] = ReadPair(pairs[i].name, pairs[i].first, second)
 
-    scalar = PairedAligner(reference, SeedExEngine(band=BAND))
+    scalar = PairedAligner(reference, make_engine("seedex", BAND))
     want = [
         (a.to_line(), b.to_line())
         for a, b in scalar.align_pairs(pairs)
@@ -137,13 +136,18 @@ def test_paired_batched_matches_scalar(corpus):
     want_stats = scalar.stats
     assert want_stats.rescued >= 1
 
-    for kernel in ("scalar", "numpy", "striped"):
-        batched = PairedAligner(reference, SeedExEngine(band=BAND))
+    engines = [
+        make_engine(kind, BAND, kernel=kernel)
+        for kernel in ("scalar", "numpy", "striped")
+        for kind in ("seedex", "full")
+    ]
+    for engine in engines:
+        # Mates and rescue waves share the engine's (band, checks)
+        # policy; both sound policies give the per-pair bytes.
+        batched = PairedAligner(reference, engine)
         got = [
             (a.to_line(), b.to_line())
-            for a, b in batched.align_pairs_batched(
-                pairs, engine=BatchedEngine(kernel=kernel), batch_size=16
-            )
+            for a, b in batched.align_pairs_batched(pairs, batch_size=16)
         ]
         assert got == want
         assert batched.stats.pairs == want_stats.pairs
@@ -157,10 +161,10 @@ def test_striped_chaos_bit_identity(corpus):
     scalar bytes — the degradation ladder composes with bucketing."""
     reference, reads = corpus
     clean = sam_bytes(
-        reference, reads, SeedExEngine(band=BAND, kernel="scalar")
+        reference, reads, make_engine("seedex", BAND, kernel="scalar")
     )
     chaotic_engine = make_resilient(
-        SeedExEngine(band=BAND, kernel="striped"),
+        make_engine("seedex", BAND, kernel="striped"),
         fault_rate=0.01,
         fault_seed=4,
         max_retries=3,

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro import SeedExtender, obs
-from repro.aligner.engines import SeedExEngine
+from repro.aligner.engines import make_engine
 from repro.aligner.pipeline import Aligner
 from repro.core.checker import CheckOutcome
 from repro.core.extender import ExtenderStats
@@ -32,7 +32,7 @@ def workload():
 
 
 def _sam_lines(reference, reads, band=9):
-    aligner = Aligner(reference, SeedExEngine(band=band), seeding="kmer")
+    aligner = Aligner(reference, make_engine("seedex", band), seeding="kmer")
     return [str(aligner.align_read(r.codes, r.name)) for r in reads]
 
 

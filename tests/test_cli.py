@@ -120,13 +120,13 @@ class TestPaired:
         reads = str(tmp_path / "pairs.fastq")
         out = str(tmp_path / "pairs.sam")
         rc = main(
-            ["simulate", "--length", "20000", "--reads", "10",
+            ["simulate", "--length", "20000", "--reads", "12",
              "--paired", "--seed", "3",
              "--out-reference", ref, "--out-reads", reads]
         )
         assert rc == 0
         fq = read_fastq(reads)
-        assert len(fq) == 20  # interleaved mates
+        assert len(fq) == 24  # interleaved mates
         assert fq[0].name.endswith("/1")
         assert fq[1].name.endswith("/2")
         rc = main(
@@ -140,9 +140,14 @@ class TestPaired:
                 for line in handle
                 if not line.startswith("@")
             ]
-        assert len(records) == 20
+        assert len(records) == 24
+        # The /1 suffix is removed as a suffix, not as a character
+        # set: pair000001 and pair000011 keep their trailing 1s.
+        assert [r.qname for r in records] == [
+            mate.name[:-2] for mate in fq
+        ]
         proper = sum(1 for r in records if r.flag & 0x2)
-        assert proper >= 16
+        assert proper >= 20
 
     def test_paired_odd_count_rejected(self, tmp_path, workload):
         _, ref, reads = workload
@@ -193,8 +198,18 @@ class TestObservability:
         assert any(
             key.startswith("seedex.check.outcome{") for key in counters
         )
+        # The default engine keeps its user-facing label on the waves,
+        # and a job answered from the result cache is a hit, not a
+        # checked extension.
+        served = counters["engine.extensions{engine=seedex-w41}"]
+        assert served == (
+            counters["seedex.extensions.total"]
+            + counters["pipeline.batch.cache.hits"]
+        )
+        assert counters["pipeline.batch.waves{side=left}"] == 1
         hists = snap["histograms"]
         assert hists["extend.narrow.seconds"]["count"] > 0
+        assert hists["extend.check.seconds"]["count"] > 0
         assert (
             hists["seedex.cells.per_extension{stage=narrow}"]["count"]
             > 0
