@@ -1,37 +1,47 @@
-"""Dense dynamic-programming oracle.
+"""Dense dynamic-programming oracle and the direction-bit traceback.
 
 This module is the single source of truth for the DP semantics used
-throughout the repository (see DESIGN.md, "DP semantics").  It fills the
-whole ``(tlen+1) x (qlen+1)`` matrix with explicit loops and keeps the
-H/E/F channels, so it is slow but obviously correct.  The production
-kernels in :mod:`repro.align.banded` are tested for bit-equivalence
-against this oracle.
+throughout the repository (see DESIGN.md, "DP semantics").
+:func:`fill_extension` is the oracle: explicit loops over the whole
+``(tlen+1) x (qlen+1)`` matrix, H/E/F channels kept — slow but
+obviously correct; :mod:`repro.align.banded` is tested bit-equivalent.
 
-Extension mode (the BWA-MEM ``ksw_extend`` convention):
+Traceback is *bits + one walker, two boundary policies*:
+:func:`fill_direction_bits` sweeps many jobs in lockstep and keeps one
+``uint8`` direction code per cell instead of three matrices, and
+:func:`walk_direction_bits` reads the codes back from an endpoint.
+The policies differ only in their *floor* — a cell at or below it is
+dead:
 
-* rows ``i = 0..tlen`` index the reference/target, columns
+* :data:`LOCAL_EXTEND` (floor 0; BWA-MEM's ``ksw_extend`` convention):
+  rows ``i = 0..tlen`` index the reference/target, columns
   ``j = 0..qlen`` the query; cell ``(0, 0)`` carries the seed score
-  ``h0``;
-* a cell with ``H <= 0`` is *dead* — scores never restart from zero, so
-  every positive score traces back to the seed at the origin;
-* ``lscore`` is the best score over all cells (the local / soft-clip
-  extension score) and ``gscore`` the best score in the last column
-  (query fully consumed; the semi-global "to-end" score);
-* ties break toward the smallest ``i``, then smallest ``j`` (row-major
-  first strict improvement), matching the accelerator's accumulators.
+  ``h0``; scores never restart from zero, so every positive score
+  traces back to the seed at the origin.  ``lscore`` is the best score
+  over all cells (local / soft-clip), ``gscore`` the best in the last
+  column (query consumed; semi-global "to-end"); ties break toward
+  the smallest ``i``, then smallest ``j``, like the accelerator's
+  accumulators;
+* :data:`GLOBAL` (floor ``NEG_INF``): Needleman-Wunsch with affine
+  gaps — scores may go negative, only out-of-band cells are dead, and
+  the score of interest is ``H[tlen][qlen]``.
 
-Global mode is plain Needleman-Wunsch with affine gaps: no dead cells,
-scores may go negative, and the score of interest is ``H[tlen][qlen]``.
+The walker that re-derives predecessors from dense H/E/F survives as
+the oracle the codes are tested against (:func:`traceback_path` given
+:class:`DenseMatrices`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
 from repro.align.cigar import Cigar
-from repro.align.scoring import AffineGap
+from repro.align.scoring import BWA_MEM_SCORING, AffineGap
+from repro.genome.sequence import AMBIGUOUS_CODE
 
 NEG_INF = -(10**9)
 """Effectively minus infinity for integer DP (safe from overflow)."""
@@ -49,16 +59,6 @@ class DenseMatrices:
     gscore: int
     gpos: int
     max_off: int
-
-    @property
-    def tlen(self) -> int:
-        """Target (reference) length of this matrix."""
-        return self.h.shape[0] - 1
-
-    @property
-    def qlen(self) -> int:
-        """Query length of this matrix."""
-        return self.h.shape[1] - 1
 
 
 def fill_extension(
@@ -109,92 +109,229 @@ def fill_extension(
     return DenseMatrices(h, e, f, lscore, lpos, gscore, gpos, max_off)
 
 
-def _substitution_table(
-    scoring: AffineGap, max_code: int
-) -> np.ndarray:
-    """Dense ``(code, code) -> score`` lookup built from the scoring
-    scheme's own :meth:`~repro.align.scoring.AffineGap.substitution`,
-    so vectorized fills cannot drift from the scalar oracle."""
-    size = max_code + 1
-    table = np.empty((size, size), dtype=np.int64)
-    for a in range(size):
-        for b in range(size):
-            table[a, b] = scoring.substitution(a, b)
-    return table
+DIAG, H_IS_E, H_IS_F, E_OPEN, F_OPEN, LIVE = 1, 2, 4, 8, 16, 32
+"""The direction code of one cell: the walker's decisions, precomputed.
 
-
-def _scan_scores_vectorized(
-    h: np.ndarray, h0: int
-) -> tuple[int, tuple[int, int], int, int, int]:
-    """Vectorized :func:`scan_scores` (same accumulator semantics).
-
-    Each row contributes at most one update — its max at the first
-    column achieving it, taken only when it strictly beats the running
-    best — exactly like the scalar loop, so ties resolve identically.
-    """
-    qlen = h.shape[1] - 1
-    row_best = h.max(axis=1)
-    row_arg = h.argmax(axis=1)
-    running = np.maximum.accumulate(np.maximum(row_best, h0))
-    prev = np.empty_like(running)
-    prev[0] = h0
-    prev[1:] = running[:-1]
-    improved = np.flatnonzero(row_best > prev)
-    if improved.size:
-        last = int(improved[-1])
-        lscore = int(row_best[last])
-        lpos = (last, int(row_arg[last]))
-        max_off = int(np.abs(row_arg[improved] - improved).max())
-    else:
-        lscore, lpos, max_off = h0, (0, 0), 0
-    col = h[:, qlen]
-    gscore = int(col.max())
-    if gscore > 0:
-        gpos = int(col.argmax())
-    else:
-        gscore, gpos = 0, -1
-    return lscore, lpos, gscore, gpos, max_off
-
-
-TRACEBACK_CHUNK_CELLS = 100_000
-"""Padded cells per lockstep fill chunk (3 x int64 channels each).
-
-The one bound on traceback memory: the wave scheduler fills a chunk,
-walks its winners and drops it, so a window's peak does not grow with
-its read count.
+``DIAG``: H came diagonally from a live predecessor; ``H_IS_E`` /
+``H_IS_F``: H equals the E / F channel; ``E_OPEN`` / ``F_OPEN``: that
+gap was opened from H one cell up / left (so the walk returns to H
+there); ``LIVE``: H is above the floor — the only bit that means
+anything on a dead cell, which no walk visits.
 """
 
+LOCAL_EXTEND = 0
+GLOBAL = NEG_INF
+"""The two boundary policies, each named by its floor (see module doc)."""
 
-def chunk_spans(
+ROW_COST_CELLS = 1024
+"""Fixed cost of one lockstep row step, in cell units: a bucket may pad
+up to what its sweep costs anyway, so a two-job serve wave fills in one
+sweep and a window-sized wave splits by shape."""
+
+TRACEBACK_CHUNK_CELLS = 1 << 20
+"""Padded cells — bytes, at one ``uint8`` code each — per lockstep
+bucket.  The one bound on traceback memory: a wave fills a bucket,
+walks its jobs, keeps only their ops and drops it, so a window's peak
+does not grow with its read count."""
+
+
+@lru_cache(maxsize=16)
+def _substitution_table(scoring: AffineGap) -> np.ndarray:
+    """Dense ``(code, code) -> score`` lookup, built once per scheme from
+    its own :meth:`~repro.align.scoring.AffineGap.substitution` so
+    vectorized fills cannot drift from the scalar oracle."""
+    size = AMBIGUOUS_CODE + 1
+    return np.array(
+        [[scoring.substitution(a, b) for b in range(size)] for a in range(size)],
+        dtype=np.int64,
+    )
+
+
+_substitution_table(BWA_MEM_SCORING)  # a server's first wave builds nothing
+
+
+def plan_buckets(
     queries: list[np.ndarray],
     targets: list[np.ndarray],
     max_cells: int | None = None,
-) -> list[tuple[int, int]]:
-    """``(start, stop)`` job spans of at most ``max_cells`` padded cells.
+) -> list[list[int]]:
+    """Group jobs, by index, into lockstep buckets balanced by cells.
 
-    Jobs stay in order; a span always holds at least one job, so a job
-    larger than the bound is filled alone.  ``None`` means
-    :data:`TRACEBACK_CHUNK_CELLS`.
+    Jobs are taken tallest first, so a bucket's first job fixes its row
+    count; the next joins while the bucket stays within ``max_cells``
+    padded cells and its padding within the sweep's own fixed cost
+    (:data:`ROW_COST_CELLS` per row).  A job larger than the bound is
+    filled alone.  ``None`` means :data:`TRACEBACK_CHUNK_CELLS`.
     """
     if max_cells is None:
         max_cells = TRACEBACK_CHUNK_CELLS
+    shapes = [(len(t) + 1, len(q) + 1) for q, t in zip(queries, targets)]
+    buckets: list[list[int]] = []
+    rows = width = real = 0
+    for k in sorted(range(len(shapes)), key=shapes.__getitem__, reverse=True):
+        t, q = shapes[k]
+        if buckets:
+            bucket = buckets[-1]
+            padded = (len(bucket) + 1) * rows * max(width, q)
+            waste = padded - real - t * q
+            if padded <= max_cells and waste <= rows * ROW_COST_CELLS:
+                bucket.append(k)
+                width = max(width, q)
+                real += t * q
+                continue
+        buckets.append([k])
+        rows, width, real = t, q, t * q
+    return buckets
+
+
+def fill_direction_bits(
+    queries: list[np.ndarray],
+    targets: list[np.ndarray],
+    scoring: AffineGap,
+    h0s: list[int],
+    floor: int,
+    bands: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One lockstep fill that keeps a direction code per cell.
+
+    ``floor`` is the boundary policy (:data:`LOCAL_EXTEND` or
+    :data:`GLOBAL`): a cell whose H is at or below it is dead, and
+    nothing is taken from a dead predecessor.  ``bands``, when given,
+    confines job ``k`` to ``|i - j| <= bands[k]`` (at least
+    ``|tlen - qlen|``); out-of-band cells are dead.
+
+    Returns ``(codes, score, bound)``.  ``codes`` is ``(tmax+1, n,
+    qmax+1)`` ``uint8`` and job ``k``'s matrix is ``codes[:tlen+1, k,
+    :qlen+1]``: padded cells sit strictly right of / below it, and the
+    recurrence only looks left and up, so they never influence a real
+    cell.  ``score[k]`` is H at the job's corner; ``bound[k]`` the
+    band-edge bound of :mod:`repro.align.globalbatch` (``NEG_INF`` for
+    a job its band covers).
+    """
     n = len(queries)
-    spans: list[tuple[int, int]] = []
-    start = 0
-    while start < n:
-        stop = start + 1
-        max_q = len(queries[start]) + 1
-        max_t = len(targets[start]) + 1
-        while stop < n:
-            grow_q = max(max_q, len(queries[stop]) + 1)
-            grow_t = max(max_t, len(targets[stop]) + 1)
-            if (stop + 1 - start) * grow_q * grow_t > max_cells:
-                break
-            max_q, max_t = grow_q, grow_t
-            stop += 1
-        spans.append((start, stop))
-        start = stop
-    return spans
+    qlens = np.fromiter((len(q) for q in queries), np.int64, n)
+    tlens = np.fromiter((len(t) for t in targets), np.int64, n)
+    qmax, tmax = int(qlens.max()), int(tlens.max())
+    width = qmax + 1
+    go = scoring.gap_open
+    ge_i = scoring.gap_extend_ins
+    ge_d = scoring.gap_extend_del
+    m = scoring.match
+
+    qpad = np.zeros((n, max(1, qmax)), dtype=np.intp)
+    tpad = np.zeros((max(1, tmax), n), dtype=np.intp)
+    for k, (q, t) in enumerate(zip(queries, targets)):
+        qpad[k, : len(q)] = q
+        tpad[: len(t), k] = t
+    # Query profile: profile[c, k, j - 1] scores target base c against
+    # job k's j-th query base, so a row gathers one slice per job.
+    profile = _substitution_table(scoring)[:, qpad]
+    jobs = np.arange(n)
+    cols = np.arange(width, dtype=np.int64)
+    gap_i = cols * ge_i
+
+    score = np.full(n, NEG_INF, dtype=np.int64)
+    bound = np.full(n, NEG_INF, dtype=np.int64)
+    by_end = np.argsort(tlens, kind="stable")
+    end_at = np.searchsorted(tlens[by_end], np.arange(tmax + 2)).tolist()
+    if bands is not None:
+        banded = bands < np.maximum(qlens, tlens)
+
+    def capture(i: int, h_row: np.ndarray) -> None:
+        """Corner scores of jobs ending at row ``i``; band-edge bounds."""
+        done = by_end[end_at[i] : end_at[i + 1]]
+        if done.size:
+            score[done] = h_row[done, qlens[done]]
+        if bands is None:
+            return
+        for j_edge in (i - bands, i + bands):
+            je = np.clip(j_edge, 0, qmax)
+            edge = h_row[jobs, je]
+            sel = banded & (i <= tlens) & (j_edge >= 0) & (j_edge <= qlens)
+            sel &= edge > floor
+            cand = edge + np.minimum(tlens - i, qlens - je) * m
+            np.maximum(bound, np.where(sel, cand, NEG_INF), out=bound)
+
+    # No channel is clamped: a dead H is instead sunk to ``dead`` before
+    # the next row reads it, so it can only breed dead values and every
+    # live value is what the clamped recurrence gives.
+    dead = floor + NEG_INF
+    codes = np.zeros((tmax + 1, n, width), dtype=np.uint8)
+    # One boolean plane per code bit, packed into the code each row.
+    planes = np.zeros((6, n, width), dtype=bool)
+
+    # Row 0 is the F channel decaying from h0.
+    h_row = np.asarray(h0s, dtype=np.int64)[:, None] - go - gap_i
+    h_row[:, 0] = h0s
+    if bands is not None:
+        h_row[cols > bands[:, None]] = dead
+    planes[2, :, 1:] = True
+    np.equal(h_row[:, 1:], h_row[:, :-1] - (go + ge_i), out=planes[4, :, 1:])
+    np.greater(h_row, floor, out=planes[5])
+    codes[0] = np.packbits(planes, axis=0, bitorder="little")[0]
+    h_prev = np.where(planes[5], h_row, dead)
+    e_prev = np.full((n, width), dead, dtype=np.int64)
+    capture(0, h_prev)
+
+    # Row buffers whose first column never changes: no diagonal enters
+    # a window's first column, and F cannot start there.
+    diag = np.full((n, width), dead, dtype=np.int64)
+    f_row = np.full((n, width), dead, dtype=np.int64)
+    ws = max(qmax, tmax) if bands is None else int(bands.max())
+    for i in range(1, tmax + 1):
+        # Window columns a..b-1: the band's reach on this row plus its
+        # left neighbour (column 0 on a full-width row).
+        a = max(i - ws - 1, 0)
+        b = min(qmax, i + ws) + 1
+        hp = h_prev[:, a:b]
+        ep = e_prev[:, a:b]
+        opened = hp - go
+        e_w = np.maximum(opened, ep) - ge_d
+        d_w = diag[:, : b - a]
+        np.add(
+            hp[:, :-1], profile[tpad[i - 1], jobs, a : b - 1], out=d_w[:, 1:]
+        )
+        # G = the non-F part of H (column 0 is the E channel decaying
+        # from h0).
+        g = np.maximum(d_w, e_w)
+        if bands is not None:
+            # Mask to each job's *own* band before the F scan: a wider
+            # bucket-mate's sweep computes cells left of this job's
+            # band, and the run-max would chain them into in-band F.
+            own = np.abs(cols[a:b] - i) <= bands[:, None]
+            e_w = np.where(own, e_w, dead)
+            g = np.where(own, g, dead)
+
+        # F as a running max-plus scan over G — exact: f[j] =
+        # max_{k<j} G[k] - go - (j-k)*ge is the recurrence's closed
+        # form, the H-vs-F max collapses (see banded.extend).
+        run = np.maximum.accumulate(g + (gap_i[a:b] - go), axis=1)
+        f_w = f_row[:, : b - a]
+        np.subtract(run[:, :-1], gap_i[a + 1 : b], out=f_w[:, 1:])
+        h_w = np.maximum(g, f_w)
+        if bands is not None:
+            h_w = np.where(own, h_w, dead)
+
+        # The walker's comparisons, in its tie order (bit k = plane k).
+        p = planes[:, :, : b - a]
+        np.equal(h_w[:, 1:], d_w[:, 1:], out=p[0, :, 1:])
+        np.equal(h_w, e_w, out=p[1])
+        np.equal(h_w, f_w, out=p[2])
+        np.greater_equal(opened, ep, out=p[3])
+        np.equal(f_w[:, 1:], h_w[:, :-1] - (go + ge_i), out=p[4, :, 1:])
+        np.greater(h_w, floor, out=p[5])
+        codes[i, :, a:b] = np.packbits(p, axis=0, bitorder="little")[0]
+
+        h_w = np.where(p[5], h_w, dead)
+        if b - a == width:
+            h_prev, e_prev = h_w, e_w
+        else:
+            h_prev = np.full((n, width), dead, dtype=np.int64)
+            e_prev = np.full((n, width), dead, dtype=np.int64)
+            h_prev[:, a:b] = h_w
+            e_prev[:, a:b] = e_w
+        capture(i, h_prev)
+    return codes, score, bound
 
 
 def fill_extension_batch(
@@ -202,132 +339,30 @@ def fill_extension_batch(
     targets: list[np.ndarray],
     scoring: AffineGap,
     h0s: list[int],
-    max_cells: int | None = None,
-) -> list[DenseMatrices]:
-    """Fill many extension matrices in lockstep (host traceback wave).
+) -> list[np.ndarray]:
+    """Fill one bucket of extension jobs in lockstep (host traceback).
 
-    The paper's host runs traceback for each read's winning extension
-    only; the batched pipeline collects those winners into a wave and
-    fills their dense matrices together, vectorizing across jobs x
-    columns.  Per-job H/E/F channels and derived scores are
-    bit-identical to :func:`fill_extension` (property-tested in
-    ``tests/align/test_fullmatrix_batch.py``); jobs are chunked by
-    :func:`chunk_spans` so no more than ``max_cells`` padded cells are
-    in flight at once.  The returned channels are views into their
-    chunk's arrays: drop them to release the chunk.
+    The batched pipeline collects each read's winning extension into a
+    wave, clips it to its resolved endpoint, buckets the wave
+    (:func:`plan_buckets`) and fills each bucket here.  Walking job
+    ``k``'s codes (:func:`traceback_path`) gives the dense oracle's
+    CIGAR, tie for tie (``tests/align/test_fullmatrix_batch.py``).
+    Each result is the job's ``(tlen+1, qlen+1)`` view into the
+    bucket's array: drop them all to release it.
     """
-    n = len(queries)
-    if not (n == len(targets) == len(h0s)):
+    if not (len(queries) == len(targets) == len(h0s)):
         raise ValueError("queries, targets, h0s must align")
-    out: list[DenseMatrices] = []
-    for start, stop in chunk_spans(queries, targets, max_cells):
-        out.extend(
-            _fill_chunk(
-                queries[start:stop],
-                targets[start:stop],
-                scoring,
-                h0s[start:stop],
-            )
-        )
-    return out
-
-
-def _fill_chunk(
-    queries: list[np.ndarray],
-    targets: list[np.ndarray],
-    scoring: AffineGap,
-    h0s: list[int],
-) -> list[DenseMatrices]:
-    """One lockstep fill over jobs padded to a shared matrix shape.
-
-    Padded cells sit strictly right of / below every job's real
-    matrix, and the recurrence only looks left and up, so they can
-    never influence a real cell; each job's channels are sliced back
-    out at the end.
-    """
-    for h0 in h0s:
-        if h0 < 0:
-            raise ValueError("h0 must be non-negative")
-    n = len(queries)
-    qlens = np.array([len(q) for q in queries], dtype=np.int64)
-    tlens = np.array([len(t) for t in targets], dtype=np.int64)
-    max_q = int(qlens.max())
-    max_t = int(tlens.max())
-    go = scoring.gap_open
-    ge_i = scoring.gap_extend_ins
-    ge_d = scoring.gap_extend_del
-
-    qpad = np.zeros((n, max(1, max_q)), dtype=np.int64)
-    tpad = np.zeros((n, max(1, max_t)), dtype=np.int64)
-    for k, (q, t) in enumerate(zip(queries, targets)):
-        qpad[k, : len(q)] = q
-        tpad[k, : len(t)] = t
-    max_code = int(max(qpad.max(initial=0), tpad.max(initial=0)))
-    sub_table = _substitution_table(scoring, max_code)
-    h0v = np.array(h0s, dtype=np.int64)
-
-    big_h = np.zeros((n, max_t + 1, max_q + 1), dtype=np.int64)
-    big_e = np.zeros((n, max_t + 1, max_q + 1), dtype=np.int64)
-    big_f = np.zeros((n, max_t + 1, max_q + 1), dtype=np.int64)
-
-    cols = np.arange(max_q + 1, dtype=np.int64)
-    if max_q:
-        row0 = np.maximum(0, h0v[:, None] - go - cols[None, 1:] * ge_i)
-        big_f[:, 0, 1:] = row0
-        big_h[:, 0, 1:] = row0
-    big_h[:, 0, 0] = h0v
-    if max_t:
-        rows = np.arange(1, max_t + 1, dtype=np.int64)
-        col0 = np.maximum(0, h0v[:, None] - go - rows[None, :] * ge_d)
-        big_e[:, 1:, 0] = col0
-        big_h[:, 1:, 0] = col0
-
-    for i in range(1, max_t + 1):
-        h_prev = big_h[:, i - 1, :]
-        e_prev = big_e[:, i - 1, :]
-        init = big_h[:, i, 0]
-
-        e_row = np.maximum(0, np.maximum(h_prev - go, e_prev) - ge_d)
-        e_row[:, 0] = init
-
-        # G = the non-F part of H: diagonal (dead predecessors stay
-        # dead) vs the E channel; column 0 is the init value.
-        sub = sub_table[tpad[:, i - 1][:, None], qpad]
-        g = np.empty((n, max_q + 1), dtype=np.int64)
-        g[:, 0] = init
-        g[:, 1:] = np.maximum(
-            np.where(h_prev[:, :-1] > 0, h_prev[:, :-1] + sub, 0),
-            e_row[:, 1:],
-        )
-
-        # F channel as a running max-plus scan over G.  Exact, not
-        # just dominant: f[j] = max(0, max_{k<j} G[k] - go - (j-k)*ge)
-        # is the closed form of the per-cell recurrence because the
-        # 0-clamp and the H-vs-F max both collapse (see banded.extend).
-        run = np.maximum.accumulate(g - go + cols[None, :] * ge_i, axis=1)
-        f_row = big_f[:, i, :]
-        f_row[:, 1:] = np.maximum(0, run[:, :-1] - cols[None, 1:] * ge_i)
-        f_row[:, 0] = 0
-
-        h_row = np.maximum(np.maximum(g, f_row), 0)
-        h_row[:, 0] = init
-        big_e[:, i, :] = e_row
-        big_h[:, i, :] = h_row
-
-    out: list[DenseMatrices] = []
-    for k in range(n):
-        tl = int(tlens[k])
-        ql = int(qlens[k])
-        h = big_h[k, : tl + 1, : ql + 1]
-        e = big_e[k, : tl + 1, : ql + 1]
-        f = big_f[k, : tl + 1, : ql + 1]
-        lscore, lpos, gscore, gpos, max_off = _scan_scores_vectorized(
-            h, int(h0v[k])
-        )
-        out.append(
-            DenseMatrices(h, e, f, lscore, lpos, gscore, gpos, max_off)
-        )
-    return out
+    if any(h0 < 0 for h0 in h0s):
+        raise ValueError("h0 must be non-negative")
+    if not queries:
+        return []
+    codes, _, _ = fill_direction_bits(
+        queries, targets, scoring, h0s, LOCAL_EXTEND
+    )
+    return [
+        codes[: len(t) + 1, k, : len(q) + 1]
+        for k, (q, t) in enumerate(zip(queries, targets))
+    ]
 
 
 def scan_scores(
@@ -364,45 +399,43 @@ def scan_scores(
     return lscore, lpos, gscore, gpos, max_off
 
 
-def fill_global(
-    query: np.ndarray,
-    target: np.ndarray,
-    scoring: AffineGap,
-    h0: int = 0,
-) -> np.ndarray:
-    """Fill the full global (Needleman-Wunsch, affine gap) matrix.
+def walk_direction_bits(codes: np.ndarray, end: tuple[int, int]) -> Cigar:
+    """Read one job's direction codes back from ``end`` to the origin.
 
-    Returns the H channel; the global score is ``h[tlen][qlen]``.
-    Unreachable E/F states are ``NEG_INF``.
+    The one walker.  Its tie order is frozen in the codes: in state H,
+    diagonal before E before F; in a gap state, back to H exactly where
+    the gap was opened from H.
     """
-    qlen = len(query)
-    tlen = len(target)
-    go = scoring.gap_open
-    ge_i = scoring.gap_extend_ins
-    ge_d = scoring.gap_extend_del
-
-    h = np.full((tlen + 1, qlen + 1), NEG_INF, dtype=np.int64)
-    e = np.full((tlen + 1, qlen + 1), NEG_INF, dtype=np.int64)
-    f = np.full((tlen + 1, qlen + 1), NEG_INF, dtype=np.int64)
-
-    h[0][0] = h0
-    for j in range(1, qlen + 1):
-        f[0][j] = h0 - go - j * ge_i
-        h[0][j] = f[0][j]
-    for i in range(1, tlen + 1):
-        e[i][0] = h0 - go - i * ge_d
-        h[i][0] = e[i][0]
-
-    for i in range(1, tlen + 1):
-        for j in range(1, qlen + 1):
-            diag = h[i - 1][j - 1] + scoring.substitution(
-                int(target[i - 1]), int(query[j - 1])
-            )
-            e[i][j] = max(h[i - 1][j] - go, e[i - 1][j]) - ge_d
-            f[i][j] = max(h[i][j - 1] - go, f[i][j - 1]) - ge_i
-            h[i][j] = max(diag, e[i][j], f[i][j])
-
-    return h
+    i, j = end
+    stride = j + 1
+    flat = codes[: i + 1, :stride].tobytes()
+    pos = i * stride + j
+    path: list[str] = []
+    state = "H"
+    while pos:
+        code = flat[pos]
+        if state == "H":
+            if code & DIAG:
+                path.append("M")
+                pos -= stride + 1
+            elif code & H_IS_E:
+                state = "E"
+            elif code & H_IS_F:
+                state = "F"
+            else:
+                raise AssertionError("broken traceback: no predecessor")
+        elif state == "E":
+            path.append("D")
+            if code & E_OPEN:
+                state = "H"
+            pos -= stride
+        else:
+            path.append("I")
+            if code & F_OPEN:
+                state = "H"
+            pos -= 1
+    path.reverse()
+    return Cigar.from_ops([(len(list(run)), op) for op, run in groupby(path)])
 
 
 def traceback_global(
@@ -413,68 +446,11 @@ def traceback_global(
 ) -> Cigar:
     """Trace the optimal *global* path from corner to corner.
 
-    Used by the long-read fill aligner: the gap between two chained
-    seeds is globally aligned and its trace stitched into the read's
-    CIGAR.  Dense fill — fine for the short inter-seed gaps.
+    The long-read scalar path's gap trace: fill-one + walk, full band
+    (the batched path walks the sweep that proved each gap instead).
     """
-    qlen = len(query)
-    tlen = len(target)
-    go = scoring.gap_open
-    ge_i = scoring.gap_extend_ins
-    ge_d = scoring.gap_extend_del
-
-    h = np.full((tlen + 1, qlen + 1), NEG_INF, dtype=np.int64)
-    e = np.full((tlen + 1, qlen + 1), NEG_INF, dtype=np.int64)
-    f = np.full((tlen + 1, qlen + 1), NEG_INF, dtype=np.int64)
-    h[0][0] = h0
-    for j in range(1, qlen + 1):
-        f[0][j] = h0 - go - j * ge_i
-        h[0][j] = f[0][j]
-    for i in range(1, tlen + 1):
-        e[i][0] = h0 - go - i * ge_d
-        h[i][0] = e[i][0]
-    for i in range(1, tlen + 1):
-        for j in range(1, qlen + 1):
-            diag = h[i - 1][j - 1] + scoring.substitution(
-                int(target[i - 1]), int(query[j - 1])
-            )
-            e[i][j] = max(h[i - 1][j] - go, e[i - 1][j]) - ge_d
-            f[i][j] = max(h[i][j - 1] - go, f[i][j - 1]) - ge_i
-            h[i][j] = max(diag, e[i][j], f[i][j])
-
-    ops: list[tuple[int, str]] = []
-    i, j = tlen, qlen
-    state = "H"
-    while i > 0 or j > 0:
-        if state == "H":
-            cur = h[i][j]
-            if i > 0 and j > 0:
-                sub = scoring.substitution(int(target[i - 1]), int(query[j - 1]))
-                if cur == h[i - 1][j - 1] + sub:
-                    ops.append((1, "M"))
-                    i -= 1
-                    j -= 1
-                    continue
-            if i > 0 and cur == e[i][j]:
-                state = "E"
-                continue
-            if j > 0 and cur == f[i][j]:
-                state = "F"
-                continue
-            raise AssertionError("broken global traceback")
-        if state == "E":
-            ops.append((1, "D"))
-            if i == 1 or e[i][j] == h[i - 1][j] - go - ge_d:
-                state = "H"
-            i -= 1
-            continue
-        ops.append((1, "I"))
-        if j == 1 or f[i][j] == h[i][j - 1] - go - ge_i:
-            state = "H"
-        j -= 1
-
-    ops.reverse()
-    return Cigar.from_ops(ops)
+    codes, _, _ = fill_direction_bits([query], [target], scoring, [h0], GLOBAL)
+    return walk_direction_bits(codes[:, 0, :], (len(target), len(query)))
 
 
 def traceback_extension(
@@ -486,31 +462,54 @@ def traceback_extension(
 ) -> Cigar:
     """Trace the optimal path from the origin to ``end = (i, j)``.
 
-    The paper performs traceback on the host, once per read, for the
-    winning extension only (Section II-A); this dense implementation is
-    that host-side step.  The trace covers query ``[0, j)`` and target
-    ``[0, i)``; any unconsumed query suffix is the caller's to soft-clip.
+    The paper's host-side step, once per read, for the winning
+    extension only (Section II-A).  Fill-one + walk: the recurrence
+    looks up and left only, so just ``target[:i] x query[:j]`` is
+    filled.  Any unconsumed query suffix is the caller's to soft-clip.
     """
-    mats = fill_extension(query, target, scoring, h0)
-    return traceback_path(mats, query, target, scoring, end)
+    i, j = end
+    if not (0 <= i <= len(target) and 0 <= j <= len(query)):
+        raise ValueError("traceback endpoint out of range")
+    query, target = query[:j], target[:i]
+    [bits] = fill_extension_batch([query], [target], scoring, [h0])
+    return traceback_path(bits, query, target, scoring, end)
 
 
 def traceback_path(
+    mats: np.ndarray | DenseMatrices,
+    query: np.ndarray,
+    target: np.ndarray,
+    scoring: AffineGap,
+    end: tuple[int, int],
+) -> Cigar:
+    """Walk an already-filled job from the origin to ``end``.
+
+    Split from the fill so a traceback wave can fill a bucket of
+    winners in lockstep (:func:`fill_extension_batch`) and walk each
+    one's codes here.  Given the oracle's :class:`DenseMatrices`, the
+    walk re-derives every predecessor from H/E/F instead — the
+    reference the direction codes are tested against.
+    """
+    i, j = end
+    rows, width = (mats.h if isinstance(mats, DenseMatrices) else mats).shape
+    if not (0 <= i < rows and 0 <= j < width):
+        raise ValueError("traceback endpoint out of range")
+    if isinstance(mats, DenseMatrices):
+        return _walk_dense(mats, query, target, scoring, end)
+    if not mats[i, j] & LIVE:
+        raise ValueError("cannot trace back from a dead cell")
+    return walk_direction_bits(mats, end)
+
+
+def _walk_dense(
     mats: DenseMatrices,
     query: np.ndarray,
     target: np.ndarray,
     scoring: AffineGap,
     end: tuple[int, int],
 ) -> Cigar:
-    """Walk an already-filled matrix from the origin to ``end``.
-
-    Split out of :func:`traceback_extension` so the batched pipeline
-    can fill a whole wave of winners' matrices in lockstep
-    (:func:`fill_extension_batch`) and then walk each one here.
-    """
+    """The oracle walker: compare H/E/F cell by cell, no codes."""
     i, j = end
-    if not (0 <= i <= mats.tlen and 0 <= j <= mats.qlen):
-        raise ValueError("traceback endpoint out of range")
     if mats.h[i][j] <= 0:
         raise ValueError("cannot trace back from a dead cell")
     go = scoring.gap_open

@@ -14,7 +14,8 @@ edges, the exact channel values a band-leaving path must carry:
 * ``upper_f[i]`` — the F value entering above-band cell ``(i, i+w+1)``.
 
 Bit-equivalence with the dense oracle
-(:func:`repro.align.fullmatrix.fill_global`) is property-tested.
+(:func:`repro.align.globalbatch.fill_global_scalar` at full band) is
+property-tested.
 """
 
 from __future__ import annotations

@@ -26,14 +26,20 @@ is what keeps the batched long-read SAM byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.align.fullmatrix import NEG_INF
+from repro.align import fullmatrix
+from repro.align.cigar import Cigar
+from repro.align.fullmatrix import (
+    GLOBAL,
+    NEG_INF,
+    fill_direction_bits,
+    walk_direction_bits,
+)
 from repro.align.overlapdp import _DEAD, _shape_class
 from repro.align.scoring import AffineGap
-from repro.genome.sequence import AMBIGUOUS_CODE
 
 ESCALATION_FACTOR = 4
 """Band multiplier between rungs of the escalation ladder."""
@@ -49,6 +55,8 @@ class GlobalFillResult:
     tlen: int
     bound: int
     cells_computed: int
+    cigar: Cigar | None = None
+    """The corner-to-corner trace of an ``optimal`` lockstep fill."""
 
     @property
     def is_full_band(self) -> bool:
@@ -150,11 +158,13 @@ def fill_global_batch(
 ) -> list[GlobalFillResult]:
     """Fill many global gap jobs in inter-sequence lockstep.
 
-    Jobs are bucketed by ``(shape_class(qlen), shape_class(tlen))``;
-    each bucket sweeps every job together.  Per-job results are
-    bit-identical to :func:`fill_global_scalar` on
-    ``(score, band, bound, optimal)``; ``cells_computed`` reflects the
-    bucket's padded schedule.
+    Jobs are bucketed by ``(shape_class(qlen), shape_class(tlen))``
+    and a bucket is swept at most
+    :data:`~repro.align.fullmatrix.TRACEBACK_CHUNK_CELLS` padded
+    cells at a time, every job of a sweep together.  Per-job results
+    are bit-identical to :func:`fill_global_scalar` on ``(score, band,
+    bound, optimal)``; ``cells_computed`` reflects the sweep's padded
+    schedule.
     """
     if len(queries) != len(targets):
         raise ValueError("queries and targets must align")
@@ -163,17 +173,21 @@ def fill_global_batch(
     for k, (q, t) in enumerate(zip(queries, targets)):
         key = (_shape_class(len(q)), _shape_class(len(t)))
         buckets.setdefault(key, []).append(k)
-    for idx in buckets.values():
-        for k, res in zip(
-            idx,
-            _lockstep_bucket(
-                [queries[k] for k in idx],
-                [targets[k] for k in idx],
-                scoring,
-                w,
-            ),
-        ):
-            out[k] = res
+    for (qcls, tcls), idx in buckets.items():
+        cells = (qcls + 1) * (tcls + 1)
+        step = max(1, fullmatrix.TRACEBACK_CHUNK_CELLS // cells)
+        for start in range(0, len(idx), step):
+            part = idx[start : start + step]
+            for k, res in zip(
+                part,
+                _lockstep_bucket(
+                    [queries[k] for k in part],
+                    [targets[k] for k in part],
+                    scoring,
+                    w,
+                ),
+            ):
+                out[k] = res
     return [r for r in out if r is not None]
 
 
@@ -183,133 +197,49 @@ def _lockstep_bucket(
     scoring: AffineGap,
     w: int | None,
 ) -> list[GlobalFillResult]:
-    """One bucket's lockstep global sweep over a shared padded shape."""
+    """One bucket's lockstep global sweep over a shared padded shape.
+
+    The sweep keeps direction codes, so every job whose path the band
+    provably holds is walked here, before the bucket is dropped.
+    """
     n = len(queries)
-    qlens = np.array([len(q) for q in queries], dtype=np.int64)
-    tlens = np.array([len(t) for t in targets], dtype=np.int64)
-    qmax = int(qlens.max())
-    tmax = int(tlens.max())
+    qlens = [len(q) for q in queries]
+    tlens = [len(t) for t in targets]
     bands = np.array(
-        [_clamp_band(int(ql), int(tl), w) for ql, tl in zip(qlens, tlens)],
+        [_clamp_band(ql, tl, w) for ql, tl in zip(qlens, tlens)],
         dtype=np.int64,
     )
-    ws = int(bands.max())
-    go = scoring.gap_open
-    ge_i = scoring.gap_extend_ins
-    ge_d = scoring.gap_extend_del
-    m = scoring.match
-    x = scoring.mismatch
-
-    qpad = np.full((n, max(1, qmax)), AMBIGUOUS_CODE, dtype=np.int64)
-    tpad = np.full((n, max(1, tmax)), AMBIGUOUS_CODE, dtype=np.int64)
-    for k, (q, t) in enumerate(zip(queries, targets)):
-        qpad[k, : len(q)] = q
-        tpad[k, : len(t)] = t
-
-    cols = np.arange(qmax + 1, dtype=np.int64)
-    h_prev = np.full((n, qmax + 1), NEG_INF, dtype=np.int64)
-    e_prev = np.full((n, qmax + 1), NEG_INF, dtype=np.int64)
-    h_prev[:, 0] = 0
-    row0 = -(go + cols[1:] * ge_i)
-    mask0 = (cols[None, 1:] <= bands[:, None]) & (
-        cols[None, 1:] <= qlens[:, None]
+    codes, score, bound = fill_direction_bits(
+        queries, targets, scoring, [0] * n, GLOBAL, bands
     )
-    h_prev[:, 1:] = np.where(mask0, row0[None, :], NEG_INF)
-
-    score = np.full(n, NEG_INF, dtype=np.int64)
-    banded = bands < np.maximum(qlens, tlens)
-    jobs = np.arange(n)
-    sel = tlens == 0
-    score[sel] = h_prev[jobs, qlens][sel]
-    bound = np.full(n, NEG_INF, dtype=np.int64)
-    sel = banded & (bands <= qlens)
-    if sel.any():
-        edge = h_prev[jobs, np.minimum(bands, qmax)]
-        cand = edge + np.minimum(tlens, qlens - bands) * m
-        bound[sel] = cand[sel]
-
-    h_row = np.empty_like(h_prev)
-    e_row = np.empty_like(e_prev)
-    for i in range(1, tmax + 1):
-        lo = max(0, i - ws)
-        hi = min(qmax, i + ws)
-        h_row.fill(NEG_INF)
-        e_row.fill(NEG_INF)
-        col0 = (i <= bands) & (i <= tlens)
-        h_row[col0, 0] = -(go + i * ge_d)
-        e_row[col0, 0] = h_row[col0, 0]
-
-        lo2 = max(lo, 1)
-        if lo2 <= hi:
-            seg = slice(lo2, hi + 1)
-            e_row[:, seg] = (
-                np.maximum(h_prev[:, seg] - go, e_prev[:, seg]) - ge_d
-            )
-            tc = tpad[:, i - 1][:, None]
-            qseg = qpad[:, lo2 - 1 : hi]
-            sub = np.where((tc == qseg) & (tc != AMBIGUOUS_CODE), m, -x)
-            diag = h_prev[:, lo2 - 1 : hi] + sub
-            g = np.maximum(diag, e_row[:, seg])
-            # Mask G to each job's *own* band before the F scan: a
-            # wider bucket-mate's sweep computes cells left of this
-            # job's band whose E channel drops in from the previous
-            # row's edge, and an unmasked run-max would chain that
-            # into in-band F — the band-clamp asymmetry the sweep
-            # tests pin down.
-            own = np.abs(cols[None, seg] - i) <= bands[:, None]
-            own &= cols[None, seg] <= qlens[:, None]
-            g = np.where(own, g, NEG_INF)
-            src = np.empty((n, hi - lo2 + 2), dtype=np.int64)
-            src[:, 0] = np.where(
-                (lo2 == 1) & (i <= bands), h_row[:, 0], NEG_INF
-            )
-            src[:, 1:] = g
-            ccols = cols[lo2 - 1 : hi + 1]
-            run = np.maximum.accumulate(
-                src - go + ccols[None, :] * ge_i, axis=1
-            )
-            f = run[:, :-1] - ccols[None, 1:] * ge_i
-            h_row[:, seg] = np.where(
-                own, np.maximum(g, f), NEG_INF
-            )
-            e_row[:, seg] = np.where(own, e_row[:, seg], NEG_INF)
-
-        live = i <= tlens
-        corner = live & (tlens == i)
-        if corner.any():
-            score[corner] = h_row[jobs, np.minimum(qlens, qmax)][corner]
-        for j_edge in (i - bands, i + bands):
-            je = np.clip(j_edge, 0, qmax)
-            sel = (
-                live
-                & banded
-                & (j_edge >= 0)
-                & (j_edge <= qlens)
-                & (h_row[jobs, je] > _DEAD)
-            )
-            cand = h_row[jobs, je] + np.minimum(tlens - i, qlens - je) * m
-            bound[sel] = np.maximum(bound[sel], cand[sel])
-
-        h_prev, h_row = h_row, h_prev
-        e_prev, e_row = e_row, e_prev
-
-    cells = 0
-    for i in range(tmax + 1):
-        lo = max(0, i - ws)
-        hi = min(qmax, i + ws)
-        if lo <= hi:
-            cells += hi - lo + 1
-    return [
-        GlobalFillResult(
+    qmax, tmax, ws = max(qlens), max(tlens), int(bands.max())
+    cells = sum(
+        min(qmax, i + ws) - max(0, i - ws) + 1 for i in range(tmax + 1)
+    )
+    # The clamp keeps the corner in band, so the gap step that leaves
+    # the band spends a character of the sequence that limits the edge
+    # bound's remaining matches: a leaving path scores at least one
+    # match below the bound.  ``optimal`` therefore puts every
+    # co-optimal path — hence the full-band walk — inside the band.
+    out: list[GlobalFillResult] = []
+    for k in range(n):
+        res = GlobalFillResult(
             score=int(score[k]),
             band=int(bands[k]),
-            qlen=int(qlens[k]),
-            tlen=int(tlens[k]),
+            qlen=qlens[k],
+            tlen=tlens[k],
             bound=int(bound[k]),
             cells_computed=cells,
         )
-        for k in range(n)
-    ]
+        if res.optimal:
+            res = replace(
+                res,
+                cigar=walk_direction_bits(
+                    codes[:, k, :], (tlens[k], qlens[k])
+                ),
+            )
+        out.append(res)
+    return out
 
 
 def fill_gaps_guaranteed(
@@ -324,7 +254,9 @@ def fill_gaps_guaranteed(
     Every job starts at ``band``; jobs whose band-edge check fails
     rerun together at ``band * escalation``, then the stragglers at
     full band (where the check is vacuous).  Returned scores always
-    equal the dense full-band optimum.
+    equal the dense full-band optimum, and each result carries the
+    full-band ``cigar`` from the rung that proved it — one sweep per
+    gap, not a second fill for the trace.
     """
     if escalation < 2:
         raise ValueError("escalation factor must be at least 2")

@@ -24,7 +24,9 @@ Two execution paths share one plan/stitch skeleton:
   ``extend_wave`` engines the short-read scheduler uses; gap fills
   are collected *across* reads into shape-bucketed lockstep sweeps
   with adaptive band escalation
-  (:func:`repro.align.globalbatch.fill_gaps_guaranteed`).
+  (:func:`repro.align.globalbatch.fill_gaps_guaranteed`), each
+  returning its trace from the rung that proved it; the ends' traces
+  come from one traceback wave per window.
 
 Both paths end at guaranteed-optimal scores for every piece, so their
 stitched alignments — and the SAM lines :func:`sam_record` renders —
@@ -42,8 +44,12 @@ from repro.align.cigar import Cigar
 from repro.align.fullmatrix import traceback_extension, traceback_global
 from repro.align.globalbatch import fill_gaps_guaranteed
 from repro.align.scoring import BWA_MEM_SCORING, AffineGap
-from repro.aligner.pipeline import DEGRADED, _resolve_end
-from repro.aligner.waves import DEFAULT_BATCH_SIZE, _dispatch_wave
+from repro.aligner.pipeline import DEGRADED, _resolve_end, _trace_job
+from repro.aligner.waves import (
+    DEFAULT_BATCH_SIZE,
+    _dispatch_wave,
+    trace_sides,
+)
 from repro.core.extender import SeedExtender
 from repro.core.globalcheck import GlobalSeedEx
 from repro.genome.sam import SamRecord
@@ -101,13 +107,14 @@ class LongReadStats:
 
 @dataclass
 class _FillOutcome:
-    """A guaranteed-optimal gap fill, path-agnostic."""
+    """A guaranteed-optimal gap fill and its trace, path-agnostic."""
 
     score: int
     band_used: int
     proved: bool
     rerun: bool
     cells: int
+    cigar: Cigar
 
 
 @dataclass
@@ -221,7 +228,8 @@ class LongReadAligner:
             band_used=out.narrow_result.band,
             proved=out.decision.passed,
             rerun=out.rerun,
-        cells=out.narrow_result.cells_computed,
+            cells=out.narrow_result.cells_computed,
+            cigar=traceback_global(qgap, tgap, self.scoring),
         )
 
     def _fill_wave(
@@ -262,6 +270,7 @@ class LongReadAligner:
                 proved=o.escalations == 0,
                 rerun=o.rerun,
                 cells=o.result.cells_computed,
+                cigar=o.result.cigar,
             )
             for o in outs
         ]
@@ -271,26 +280,15 @@ class LongReadAligner:
     def _stitch_middle(
         self,
         plan: _ReadPlan,
-        l_resolved: tuple[tuple[int, int], int, int],
+        l_score: int,
         fill_outs: list[_FillOutcome],
     ):
-        """Left end + backbone into ops; returns (ops, score, pos, fills)."""
-        l_end, l_score, clip_left = l_resolved
-        ops: list[tuple[int, str]] = []
-        if clip_left:
-            ops.append((clip_left, "S"))
-        if len(plan.lq) and l_end != (0, 0):
-            ops.extend(
-                traceback_extension(
-                    plan.lq, plan.lt, self.scoring, plan.h0, l_end
-                ).reversed().ops
-            )
+        """Backbone seeds and gap fills into ops; returns (ops, score, fills)."""
         first = plan.backbone[0]
-        pos = first.rbegin - l_end[0]
         score = l_score
         m = self.scoring.match
 
-        ops.append((first.length, "M"))
+        ops: list[tuple[int, str]] = [(first.length, "M")]
         fills: list[FillRecord] = []
         for seed, slot in zip(plan.backbone[1:], plan.gap_slots):
             if slot is not None:
@@ -307,39 +305,38 @@ class LongReadAligner:
                     )
                 )
                 score += fo.score
-                if len(qgap) or len(tgap):
-                    ops.extend(
-                        traceback_global(qgap, tgap, self.scoring).ops
-                    )
+                ops.extend(fo.cigar.ops)
             ops.append((seed.length, "M"))
             score += seed.length * m
-        return ops, score, pos, fills
+        return ops, score, fills
 
     def _finish(
         self,
         plan: _ReadPlan,
-        ops: list[tuple[int, str]],
-        score: int,
-        pos: int,
-        fills: list[FillRecord],
+        l_resolved: tuple[tuple[int, int], int, int],
+        left: Cigar | None,
+        middle: tuple,
         r_resolved: tuple[tuple[int, int], int, int] | None,
-        r_h0: int,
+        right: Cigar | None,
     ) -> LongReadAlignment:
-        """Apply the right-end resolution and build the alignment."""
+        """Put the traced ends around the middle and build the alignment."""
+        l_end, _, clip_left = l_resolved
+        mid_ops, score, fills = middle
+        ops: list[tuple[int, str]] = []
+        if clip_left:
+            ops.append((clip_left, "S"))
+        if left is not None:
+            ops.extend(left.reversed().ops)
+        ops.extend(mid_ops)
         if r_resolved is not None:
-            r_end, r_score, clip_right = r_resolved
-            if r_end != (0, 0):
-                ops.extend(
-                    traceback_extension(
-                        plan.rq, plan.rt, self.scoring, r_h0, r_end
-                    ).ops
-                )
+            _, score, clip_right = r_resolved
+            if right is not None:
+                ops.extend(right.ops)
             if clip_right:
                 ops.append((clip_right, "S"))
-            score = r_score
         return LongReadAlignment(
             name=plan.name,
-            pos=pos,
+            pos=plan.backbone[0].rbegin - l_end[0],
             score=score,
             cigar=Cigar.from_ops(ops),
             seeds_used=len(plan.backbone),
@@ -359,16 +356,22 @@ class LongReadAligner:
         else:
             l_resolved = ((0, 0), plan.h0, 0)
         fill_outs = [self._fill_scalar(q, t) for q, t in plan.gaps]
-        ops, score, pos, fills = self._stitch_middle(
-            plan, l_resolved, fill_outs
-        )
+        middle = self._stitch_middle(plan, l_resolved[1], fill_outs)
         r_resolved = None
-        r_h0 = max(1, score)
+        r_h0 = max(1, middle[1])
         if len(plan.rq):
             rres = self.end_extender.extend(plan.rq, plan.rt, r_h0).result
             r_resolved = _resolve_end(rres, r_h0)
+        left, right = (
+            None
+            if job is None
+            else traceback_extension(
+                job[0], job[1], self.scoring, job[2], job[3]
+            )
+            for job in _end_jobs(plan, l_resolved, r_resolved, r_h0)
+        )
         return self._finish(
-            plan, ops, score, pos, fills, r_resolved, r_h0
+            plan, l_resolved, left, middle, r_resolved, right
         )
 
     # -- the batched path -----------------------------------------------
@@ -406,7 +409,8 @@ class LongReadAligner:
         return out
 
     def _align_window(self, window, engine) -> list[LongReadAlignment | None]:
-        """One window: left wave → fill wave → right wave → stitch."""
+        """One window: left wave → fill wave → right wave → traceback
+        wave over both ends → stitch."""
         with obs.span(
             names.SPAN_PIPELINE_LONGREAD_WINDOW, reads=len(window)
         ):
@@ -451,12 +455,12 @@ class LongReadAligner:
             middles: dict[int, tuple] = {}
             rights: list[tuple[_ReadPlan, int]] = []
             for p, (lo, hi) in zip(live, spans):
-                ops, score, pos, fills = self._stitch_middle(
-                    p, l_resolved[id(p)], fill_outs[lo:hi]
+                middle = self._stitch_middle(
+                    p, l_resolved[id(p)][1], fill_outs[lo:hi]
                 )
-                middles[id(p)] = (ops, score, pos, fills)
+                middles[id(p)] = middle
                 if len(p.rq):
-                    rights.append((p, max(1, score)))
+                    rights.append((p, max(1, middle[1])))
             r_resolved: dict[int, tuple] = {}
             if engine is not None:
                 results = _dispatch_wave(
@@ -474,20 +478,45 @@ class LongReadAligner:
                     res = self.end_extender.extend(p.rq, p.rt, h0).result
                 r_resolved[id(p)] = _resolve_end(res, h0)
 
+            # Wave 4: every end that needs a walk, one traceback wave.
+            walks = trace_sides(
+                self.scoring,
+                [
+                    _end_jobs(
+                        p, l_resolved[id(p)], r_resolved.get(id(p)),
+                        max(1, middles[id(p)][1]),
+                    )
+                    for p in live
+                ],
+            )
+            traced = dict(zip(map(id, live), walks))
             out: list[LongReadAlignment | None] = []
             for p in plans:
                 if p is None:
                     out.append(None)
                     continue
-                ops, score, pos, fills = middles[id(p)]
+                left, right = traced[id(p)]
                 out.append(
                     self._finish(
-                        p, ops, score, pos, fills,
-                        r_resolved.get(id(p)),
-                        max(1, score),
+                        p, l_resolved[id(p)], left, middles[id(p)],
+                        r_resolved.get(id(p)), right,
                     )
                 )
         return out
+
+
+def _end_jobs(
+    plan: _ReadPlan,
+    l_resolved: tuple,
+    r_resolved: tuple | None,
+    r_h0: int,
+) -> tuple[tuple | None, tuple | None]:
+    """The read's (left, right) traceback jobs; ``None`` for an end
+    with nothing to walk."""
+    return (
+        _trace_job(plan.lq, plan.lt, plan.h0, l_resolved[0]),
+        r_resolved and _trace_job(plan.rq, plan.rt, r_h0, r_resolved[0]),
+    )
 
 
 def _non_overlapping(seeds: list[Seed]) -> list[Seed]:

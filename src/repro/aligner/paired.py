@@ -26,7 +26,12 @@ import numpy as np
 from repro import obs
 from repro.align.cigar import Cigar
 from repro.align.fullmatrix import traceback_extension
-from repro.aligner.pipeline import DEGRADED, Aligner, _resolve_end
+from repro.aligner.pipeline import (
+    DEGRADED,
+    Aligner,
+    _resolve_end,
+    _trace_job,
+)
 from repro.core.extender import SeedExtender
 from repro.genome.sam import FLAG_REVERSE, SamRecord
 from repro.genome.sequence import decode, reverse_complement
@@ -369,40 +374,56 @@ class PairedAligner:
                     best = cand
             if best is not None and best[0] >= len(plan.query) * m // 2:
                 break
-        return self._emit_rescue(plan, anchor, best)
+        left, right = (
+            None
+            if job is None
+            else traceback_extension(
+                job[0], job[1], self.aligner.scoring, job[2], job[3]
+            )
+            for job in self._rescue_jobs(plan, best)
+        )
+        return self._emit_rescue(plan, anchor, best, left, right)
+
+    def _min_rescue_score(self, plan: "_RescuePlan") -> int:
+        return len(plan.query) * self.aligner.scoring.match // 3
+
+    def _rescue_jobs(
+        self, plan: "_RescuePlan", best: tuple | None
+    ) -> tuple[tuple | None, tuple | None]:
+        """The (left, right) ``(query, target, h0, end)`` traceback
+        jobs of a winner that clears the score gate; ``None`` for a
+        side with nothing to walk."""
+        if best is None or best[0] < self._min_rescue_score(plan):
+            return None, None
+        _, o, off, l_end, l_score, _, r_end, _ = best
+        lq, lt, rq, rt = self._candidate_jobs(plan, o, off)
+        return (
+            _trace_job(lq, lt, plan.k * self.aligner.scoring.match, l_end),
+            _trace_job(rq, rt, l_score, r_end),
+        )
 
     def _emit_rescue(
-        self, plan: "_RescuePlan", anchor: SamRecord, best: tuple | None
+        self,
+        plan: "_RescuePlan",
+        anchor: SamRecord,
+        best: tuple | None,
+        left: Cigar | None,
+        right: Cigar | None,
     ) -> SamRecord | None:
-        """Score-gate the winning candidate and render its record."""
-        if best is None:
+        """Score-gate the winning candidate and render its record from
+        its traced sides."""
+        min_score = self._min_rescue_score(plan)
+        if best is None or best[0] < min_score:
             return None
-        score, o, off, l_end, l_score, l_clip, r_end, r_clip = best
-        query, window, k = plan.query, plan.window, plan.k
-        min_score = len(query) * self.aligner.scoring.match // 3
-        if score < min_score:
-            return None
+        score, _, off, l_end, _, l_clip, _, r_clip = best
         ops: list[tuple[int, str]] = []
         if l_clip:
             ops.append((l_clip, "S"))
-        if l_end != (0, 0):
-            lq = query[:o][::-1].copy()
-            lt = window[max(0, off - o) : off][::-1].copy()
-            ops.extend(
-                traceback_extension(
-                    lq, lt, self.aligner.scoring,
-                    k * self.aligner.scoring.match, l_end
-                ).reversed().ops
-            )
-        ops.append((k, "M"))
-        if r_end != (0, 0):
-            rq = query[o + k :].copy()
-            rt = window[off + k : off + k + len(rq) + 25].copy()
-            ops.extend(
-                traceback_extension(
-                    rq, rt, self.aligner.scoring, l_score, r_end
-                ).ops
-            )
+        if left is not None:
+            ops.extend(left.reversed().ops)
+        ops.append((plan.k, "M"))
+        if right is not None:
+            ops.extend(right.ops)
         if r_clip:
             ops.append((r_clip, "S"))
         cigar = Cigar.from_ops(ops)
@@ -447,7 +468,11 @@ class PairedAligner:
         return out
 
     def _pairs_window(self, pairs) -> list[tuple[SamRecord, SamRecord]]:
-        from repro.aligner.waves import _dispatch_wave, align_window
+        from repro.aligner.waves import (
+            _dispatch_wave,
+            align_window,
+            trace_sides,
+        )
 
         mates: list[tuple[str, np.ndarray]] = []
         for pair in pairs:
@@ -486,17 +511,33 @@ class PairedAligner:
                     cands.append((need[1], o, off))
         extended = self._extend_wave(cands, _dispatch_wave)
 
-        out: list[tuple[SamRecord, SamRecord]] = []
-        for rec1, rec2, need in decisions:
+        # Phase C: every rescue winner's trace, one traceback wave.
+        bests: list[tuple | None] = []
+        for _, _, need in decisions:
+            best = None
             if need is not None:
-                which, plan, anchor = need
+                plan = need[1]
                 per_plan = {
                     (o, off): extended[(id(plan), o, off)]
                     for group in plan.groups
                     for o, off in group
                 }
                 best = self._select_rescue(plan, per_plan)
-                rescued = self._emit_rescue(plan, anchor, best)
+            bests.append(best)
+        traced = trace_sides(
+            self.aligner.scoring,
+            [
+                (None, None) if need is None
+                else self._rescue_jobs(need[1], best)
+                for (_, _, need), best in zip(decisions, bests)
+            ],
+        )
+
+        out: list[tuple[SamRecord, SamRecord]] = []
+        for (rec1, rec2, need), best, sides in zip(decisions, bests, traced):
+            if need is not None:
+                which, plan, anchor = need
+                rescued = self._emit_rescue(plan, anchor, best, *sides)
                 if which == "second":
                     if rescued is not None and (
                         rec2.is_unmapped

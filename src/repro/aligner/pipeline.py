@@ -68,6 +68,20 @@ class AlignmentCandidate:
     clip_left: int
     clip_right: int
 
+    def traceback_jobs(self) -> tuple[tuple | None, tuple | None]:
+        """The (left, right) traceback jobs whose walks make this
+        candidate's CIGAR (see :func:`_trace_job`)."""
+        return (
+            _trace_job(
+                self.left_query, self.left_target, self.left_h0,
+                self.left_end,
+            ),
+            _trace_job(
+                self.right_query, self.right_target, self.right_h0,
+                self.right_end,
+            ),
+        )
+
 
 class Aligner:
     """Align reads to one reference with a pluggable extension engine."""
@@ -402,57 +416,53 @@ class Aligner:
     def _traceback(
         self,
         cand: AlignmentCandidate,
-        left_mats=None,
-        right_mats=None,
+        left: Cigar | None = None,
+        right: Cigar | None = None,
     ) -> Cigar:
         """Build the final CIGAR: traceback runs on the host, once, for
         the winning extension only.
 
-        ``left_mats``/``right_mats`` are optional pre-filled
-        :class:`~repro.align.fullmatrix.DenseMatrices` — the wave
-        scheduler fills a whole window's winners in lockstep and walks
-        each one here; when absent the matrices are filled on demand
-        (the scalar path).
+        ``left``/``right`` are the sides' walks when a traceback wave
+        (:func:`repro.aligner.waves.trace_sides`) already made them; a
+        side not given is traced here by the per-read reference.
         """
+        jobs = cand.traceback_jobs()
+        if left is None and jobs[0] is not None:
+            left = self._trace_dense(*jobs[0])
+        if right is None and jobs[1] is not None:
+            right = self._trace_dense(*jobs[1])
         ops: list[tuple[int, str]] = []
         if cand.clip_left:
             ops.append((cand.clip_left, "S"))
-        if cand.left_end != (0, 0):
-            if left_mats is None:
-                left_mats = fill_extension(
-                    cand.left_query,
-                    cand.left_target,
-                    self.scoring,
-                    cand.left_h0,
-                )
-            left = traceback_path(
-                left_mats,
-                cand.left_query,
-                cand.left_target,
-                self.scoring,
-                cand.left_end,
-            )
+        if left is not None:
             ops.extend(left.reversed().ops)
         ops.append((cand.seed_len, "M"))
-        if cand.right_end != (0, 0):
-            if right_mats is None:
-                right_mats = fill_extension(
-                    cand.right_query,
-                    cand.right_target,
-                    self.scoring,
-                    cand.right_h0,
-                )
-            right = traceback_path(
-                right_mats,
-                cand.right_query,
-                cand.right_target,
-                self.scoring,
-                cand.right_end,
-            )
+        if right is not None:
             ops.extend(right.ops)
         if cand.clip_right:
             ops.append((cand.clip_right, "S"))
         return Cigar.from_ops(ops)
+
+    def _trace_dense(
+        self,
+        query: np.ndarray,
+        target: np.ndarray,
+        h0: int,
+        end: tuple[int, int],
+    ) -> Cigar:
+        """One side's walk by the oracle: scalar fill of the job clipped
+        to its endpoint, dense walker."""
+        query, target = query[: end[1]], target[: end[0]]
+        mats = fill_extension(query, target, self.scoring, h0)
+        return traceback_path(mats, query, target, self.scoring, end)
+
+
+def _trace_job(
+    query: np.ndarray, target: np.ndarray, h0: int, end: tuple[int, int]
+) -> tuple | None:
+    """One extension's ``(query, target, h0, end)`` traceback job, or
+    ``None`` when it ended at the origin and there is nothing to walk."""
+    return None if end == (0, 0) else (query, target, h0, end)
 
 
 def _resolve_end(result, h0: int) -> tuple[tuple[int, int], int, int]:

@@ -10,7 +10,7 @@ every left extension into one wave, dispatches the wave in lockstep,
 resolves the left endpoints, then dispatches every surviving right
 extension as a second wave — preserving BWA-MEM's ``h0`` threading,
 where the right job's initial score is the left job's result — and
-fills the winners' traceback matrices a bounded chunk at a time.
+traces the winners back a bounded bucket of direction codes at a time.
 
 Semantics are byte-identical to the per-read reference
 (``Aligner.align_read``; the differential suite in
@@ -39,6 +39,7 @@ import numpy as np
 
 from repro import obs
 from repro.align import fullmatrix
+from repro.align.cigar import Cigar
 from repro.aligner.pipeline import (
     DEGRADED,
     AlignmentCandidate,
@@ -227,16 +228,76 @@ def _run_right_wave(aligner, chains: list[_ChainState]) -> None:
         cs.r_end, cs.final, cs.clip_right = _resolve_end(res, cs.l_score)
 
 
+def traceback_wave(
+    scoring, jobs: list[tuple[np.ndarray, np.ndarray, int, tuple[int, int]]]
+) -> list[Cigar]:
+    """Origin-to-endpoint CIGARs of ``(query, target, h0, end)`` jobs.
+
+    The paper's once-per-read host step, as a wave.  The recurrence
+    looks up and left only, so a walk from ``end = (i, j)`` reads
+    nothing outside ``target[:i] x query[:j]``: each job is clipped to
+    its endpoint, the clipped jobs are bucketed by padded shape
+    (:func:`repro.align.fullmatrix.plan_buckets`), and each bucket is
+    filled in lockstep, walked, and dropped — peak memory is two
+    buckets of direction codes (one filling, one just walked) plus the
+    ops kept, whatever the window's read count.
+    """
+    queries = [q[: end[1]] for q, _, _, end in jobs]
+    targets = [t[: end[0]] for _, t, _, end in jobs]
+    cigars: list[Cigar | None] = [None] * len(jobs)
+    for bucket in fullmatrix.plan_buckets(queries, targets):
+        bq = [queries[k] for k in bucket]
+        bt = [targets[k] for k in bucket]
+        with obs.span(
+            names.SPAN_PIPELINE_WAVE, side="traceback", jobs=len(bucket)
+        ):
+            filled = fullmatrix.fill_extension_batch(
+                bq, bt, scoring, [jobs[k][2] for k in bucket]
+            )
+        if obs.enabled():
+            reg = obs.get_registry()
+            _count_wave(reg, "traceback", len(bucket))
+            reg.counter(
+                names.PIPELINE_BATCH_TRACEBACK_CELLS,
+                "matrix cells of the clipped traceback jobs",
+            ).inc(sum(bits.size for bits in filled))
+            reg.counter(
+                names.PIPELINE_BATCH_TRACEBACK_PADDED_CELLS,
+                "cells swept by the lockstep traceback fills",
+            ).inc(filled[0].base.size)
+        for k, bits, q, t in zip(bucket, filled, bq, bt):
+            with obs.span(names.SPAN_ALIGNER_TRACEBACK):
+                cigars[k] = fullmatrix.traceback_path(
+                    bits, q, t, scoring, (len(t), len(q))
+                )
+    return cigars
+
+
+def trace_sides(
+    scoring, pairs: list[tuple[tuple | None, tuple | None]]
+) -> list[tuple[Cigar | None, Cigar | None]]:
+    """One :func:`traceback_wave` over ``(left, right)`` job pairs.
+
+    A side with no job (``None``) stays ``None`` in its pair.
+    """
+    walks = iter(
+        traceback_wave(
+            scoring,
+            [job for pair in pairs for job in pair if job is not None],
+        )
+    )
+    return [
+        tuple(None if job is None else next(walks) for job in pair)
+        for pair in pairs
+    ]
+
+
 def _finalize_window(aligner, reads: list[_ReadState]) -> list[SamRecord]:
     """Best-candidate selection, traceback wave, SAM records in order.
 
-    Selection runs per read exactly as the scalar path does; then the
-    winners' dense traceback matrices — the host-side step the paper
-    runs once per read — are filled in lockstep a chunk at a time
-    (:func:`repro.align.fullmatrix.chunk_spans`): fill a chunk, walk
-    each complete winner's path out of its own slice, drop the chunk.
-    Peak memory is one chunk (two while a winner straddles a
-    boundary), whatever the window's read count.
+    Selection runs per read exactly as the scalar path does; then every
+    winning extension that needs a walk goes through one traceback
+    wave (:func:`trace_sides`).
     """
     records: list[SamRecord | None] = []
     winners: list[tuple[int, AlignmentCandidate, int]] = []
@@ -278,59 +339,15 @@ def _finalize_window(aligner, reads: list[_ReadState]) -> list[SamRecord]:
             winners.append((len(records), best, mapq))
             records.append(None)
 
-    # One dense-fill job per winning extension that needs a walk, in
-    # winner order, so a winner's left and right jobs are neighbours.
-    jobs: list[tuple[np.ndarray, np.ndarray, int]] = []
-    slots: list[tuple[int, str]] = []
-    for w, (_, best, _) in enumerate(winners):
-        if best.left_end != (0, 0):
-            jobs.append((best.left_query, best.left_target, best.left_h0))
-            slots.append((w, "left"))
-        if best.right_end != (0, 0):
-            jobs.append(
-                (best.right_query, best.right_target, best.right_h0)
-            )
-            slots.append((w, "right"))
-
-    mats: dict[tuple[int, str], object] = {}
-    walked = 0
-
-    def walk(upto: int) -> None:
-        """Trace back winners ``walked..upto`` and drop their matrices."""
-        nonlocal walked
-        while walked < upto:
-            slot, best, mapq = winners[walked]
-            with obs.span(names.SPAN_ALIGNER_TRACEBACK):
-                cigar = aligner._traceback(
-                    best,
-                    left_mats=mats.pop((walked, "left"), None),
-                    right_mats=mats.pop((walked, "right"), None),
-                )
-            state = reads[slot]
-            records[slot] = aligner._record(
-                state.codes, state.name, best, mapq, cigar
-            )
-            walked += 1
-
-    queries = [q for q, _, _ in jobs]
-    targets = [t for _, t, _ in jobs]
-    for start, stop in fullmatrix.chunk_spans(queries, targets):
-        with obs.span(
-            names.SPAN_PIPELINE_WAVE, side="traceback", jobs=stop - start
-        ):
-            chunk = fullmatrix.fill_extension_batch(
-                queries[start:stop],
-                targets[start:stop],
-                aligner.scoring,
-                [h0 for _, _, h0 in jobs[start:stop]],
-            )
-        if obs.enabled():
-            _count_wave(obs.get_registry(), "traceback", stop - start)
-        mats.update(zip(slots[start:stop], chunk))
-        # A winner is complete once the next unfilled job is not its
-        # own; one straddling a chunk boundary waits for the next fill.
-        walk(slots[stop][0] if stop < len(slots) else len(winners))
-    walk(len(winners))
+    sides = trace_sides(
+        aligner.scoring, [best.traceback_jobs() for _, best, _ in winners]
+    )
+    for (slot, best, mapq), (left, right) in zip(winners, sides):
+        cigar = aligner._traceback(best, left, right)
+        state = reads[slot]
+        records[slot] = aligner._record(
+            state.codes, state.name, best, mapq, cigar
+        )
     return records
 
 

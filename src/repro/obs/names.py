@@ -163,6 +163,12 @@ PIPELINE_BATCH_CACHE_HITS = "pipeline.batch.cache.hits"
 PIPELINE_BATCH_CACHE_MISSES = "pipeline.batch.cache.misses"
 """Extension jobs that had to be computed (then cached)."""
 
+PIPELINE_BATCH_TRACEBACK_CELLS = "pipeline.batch.traceback.cells"
+"""Matrix cells of the endpoint-clipped jobs a traceback wave filled."""
+
+PIPELINE_BATCH_TRACEBACK_PADDED_CELLS = "pipeline.batch.traceback.padded_cells"
+"""Cells the lockstep traceback fills swept, bucket padding included."""
+
 PIPELINE_SHARD_READS = "pipeline.shard.reads"
 """Reads aligned per shard of a sharded run (labels: ``shard``)."""
 

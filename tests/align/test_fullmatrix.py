@@ -6,11 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.align.fullmatrix import (
-    fill_extension,
-    fill_global,
-    traceback_extension,
-)
+from repro.align.fullmatrix import fill_extension, traceback_extension
+from repro.align.globalbatch import fill_global_scalar
 from repro.align.scoring import BWA_MEM_SCORING, AffineGap
 from repro.genome.sequence import encode
 from tests.helpers import brute_cell_scores
@@ -104,20 +101,18 @@ class TestBruteForceAgreement:
 class TestGlobal:
     def test_perfect_match(self):
         q = encode("ACGTAC")
-        h = fill_global(q, q, BWA_MEM_SCORING)
-        assert h[6][6] == 6
+        assert fill_global_scalar(q, q, BWA_MEM_SCORING).score == 6
 
     def test_global_penalizes_length_difference(self):
         q = encode("ACGT")
         t = encode("ACGTGG")
-        h = fill_global(q, t, BWA_MEM_SCORING)
-        assert h[len(t)][len(q)] == 4 - (6 + 2)
+        score = fill_global_scalar(q, t, BWA_MEM_SCORING).score
+        assert score == 4 - (6 + 2)
 
     def test_scores_can_go_negative(self):
         q = encode("AAAA")
         t = encode("TTTT")
-        h = fill_global(q, t, BWA_MEM_SCORING)
-        assert h[4][4] == -16
+        assert fill_global_scalar(q, t, BWA_MEM_SCORING).score == -16
 
 
 class TestTraceback:

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.align.fullmatrix import NEG_INF, fill_global, traceback_global
+from repro.align.fullmatrix import NEG_INF, traceback_global
 from repro.align.globalband import (
     global_align,
     lower_boundary_length,
     upper_boundary_length,
 )
+from repro.align.globalbatch import fill_global_scalar
 from repro.align.scoring import BWA_MEM_SCORING, AffineGap
 from repro.genome.sequence import encode
 
@@ -24,8 +25,9 @@ class TestFullBandEquivalence:
     @given(q=SEQ, t=SEQ, h0=st.integers(0, 20))
     def test_matches_dense_oracle(self, q, t, h0):
         res = global_align(q, t, BWA_MEM_SCORING, h0)
-        oracle = fill_global(q, t, BWA_MEM_SCORING, h0)
-        assert res.score == oracle[len(t)][len(q)]
+        # h0 only shifts a global score: the oracle fills from 0.
+        oracle = fill_global_scalar(q, t, BWA_MEM_SCORING)
+        assert res.score == oracle.score + h0
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -37,8 +39,8 @@ class TestFullBandEquivalence:
     def test_other_schemes(self, q, t, go, ge):
         scoring = AffineGap(match=2, mismatch=3, gap_open=go, gap_extend=ge)
         res = global_align(q, t, scoring)
-        oracle = fill_global(q, t, scoring)
-        assert res.score == oracle[len(t)][len(q)]
+        oracle = fill_global_scalar(q, t, scoring)
+        assert res.score == oracle.score
 
 
 class TestBandSemantics:

@@ -33,7 +33,7 @@ import pytest
 from repro.align import fullmatrix
 from repro.aligner.engines import BatchedEngine
 from repro.aligner.parallel import EngineSpec
-from repro.aligner.pipeline import Aligner
+from repro.aligner import waves
 from repro.genome.sequence import encode
 from repro.genome.synth import (
     PLATINUM_LIKE,
@@ -150,50 +150,77 @@ def test_unchecked_narrow_band_diverges_on_sv_corpus(corpora, window):
 
 @pytest.mark.parametrize("chunk_cells", [1, 5_000])
 def test_traceback_chunking_is_invisible(corpora, monkeypatch, chunk_cells):
-    """Any chunk bound gives the records of a one-chunk fill.
+    """Any bucket bound gives the records of an unbounded wave.
 
-    A bound of one cell puts every fill job alone in a chunk it
-    exceeds, so each winner with a left and a right job straddles a
-    chunk boundary; 5,000 cells mixes many-job chunks with winners
-    larger than the bound.
+    A bound of one cell puts every traceback job alone in a bucket it
+    exceeds; 5,000 cells mixes many-job buckets with jobs larger than
+    the bound.  Either way winners with a left and a right job see
+    them filled in different buckets, in shape order, not winner order.
     """
     reference, reads, baseline = corpora["sv"]
-    chunks: list[list[int]] = []
-    two_sided: list[bool] = []
-    fill = fullmatrix.fill_extension_batch
-    walk = Aligner._traceback
+    waves_seen: list[tuple[list[tuple[int, int]], list[list[int]]]] = []
+    pairs_seen: list[list[tuple]] = []
+    plan = fullmatrix.plan_buckets
+    sides = waves.trace_sides
 
-    def counting_fill(queries, targets, *args, **kwargs):
-        chunks.append(
-            [(len(q) + 1) * (len(t) + 1) for q, t in zip(queries, targets)]
-        )
-        return fill(queries, targets, *args, **kwargs)
+    def recording_plan(queries, targets, *args):
+        buckets = plan(queries, targets, *args)
+        shapes = [(len(t) + 1, len(q) + 1) for q, t in zip(queries, targets)]
+        waves_seen.append((shapes, buckets))
+        return buckets
 
-    def counting_walk(self, cand, left_mats=None, right_mats=None):
-        two_sided.append(left_mats is not None and right_mats is not None)
-        return walk(self, cand, left_mats, right_mats)
+    def recording_sides(scoring, pairs):
+        pairs_seen.append(pairs)
+        return sides(scoring, pairs)
 
-    monkeypatch.setattr(fullmatrix, "fill_extension_batch", counting_fill)
-    monkeypatch.setattr(Aligner, "_traceback", counting_walk)
+    monkeypatch.setattr(fullmatrix, "plan_buckets", recording_plan)
+    monkeypatch.setattr(waves, "trace_sides", recording_sides)
 
     def run(bound):
-        chunks.clear()
+        waves_seen.clear()
+        pairs_seen.clear()
         monkeypatch.setattr(fullmatrix, "TRACEBACK_CHUNK_CELLS", bound)
-        return sam_bytes(
+        out = sam_bytes(
             reference, reads, BatchedEngine(), batch_size=4096, seeding="kmer"
         )
+        [(shapes, buckets)] = waves_seen  # one traceback wave per window
+        [pairs] = pairs_seen
+        return out, shapes, buckets, pairs
 
-    assert run(10**9) == baseline
-    [jobs] = chunks  # the whole window in one fill
-    assert any(two_sided)  # a winner whose left and right jobs can split
-    assert run(chunk_cells) == baseline
-    assert len(chunks) >= 3
-    assert [cells for chunk in chunks for cells in chunk] == jobs
-    assert any(chunk[0] > chunk_cells for chunk in chunks)
+    out, shapes, unbounded, _ = run(10**9)
+    assert out == baseline
+    out, bounded_shapes, buckets, pairs = run(chunk_cells)
+    assert out == baseline
+    assert bounded_shapes == shapes
+    assert len(buckets) > len(unbounded)
+    assert sorted(k for bucket in buckets for k in bucket) == list(
+        range(len(shapes))
+    )
+    for bucket in buckets:
+        padded = (
+            len(bucket)
+            * max(shapes[k][0] for k in bucket)
+            * max(shapes[k][1] for k in bucket)
+        )
+        assert len(bucket) == 1 or padded <= chunk_cells
+    assert any(
+        shapes[bucket[0]][0] * shapes[bucket[0]][1] > chunk_cells
+        for bucket in buckets
+    )
     if chunk_cells == 1:
-        assert all(len(chunk) == 1 for chunk in chunks)
+        assert all(len(bucket) == 1 for bucket in buckets)
     else:
-        assert any(len(chunk) > 1 for chunk in chunks)
+        assert any(len(bucket) > 1 for bucket in buckets)
+
+    # A winner's two sides are neighbours in the flat job list.
+    bucket_of = {k: b for b, bucket in enumerate(buckets) for k in bucket}
+    flat = 0
+    split = 0
+    for left, right in pairs:
+        if left is not None and right is not None:
+            split += bucket_of[flat] != bucket_of[flat + 1]
+        flat += (left is not None) + (right is not None)
+    assert split
 
 
 @pytest.mark.parametrize("seed", CORPUS_SEEDS)

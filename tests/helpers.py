@@ -226,3 +226,74 @@ def brute_band_demand(
         (r.score for r in records if r.j == len(query)), default=0
     )
     return lscore, gscore
+
+
+def dense_global_cigar(
+    query: np.ndarray,
+    target: np.ndarray,
+    scoring: AffineGap,
+    h0: int = 0,
+):
+    """Corner-to-corner global CIGAR from three dense matrices.
+
+    The per-cell fill and predecessor-re-deriving walker the direction
+    codes replaced in ``src/``; kept here as their independent oracle.
+    """
+    from repro.align.cigar import Cigar
+    from repro.align.fullmatrix import NEG_INF
+
+    qlen, tlen = len(query), len(target)
+    go = scoring.gap_open
+    ge_i = scoring.gap_extend_ins
+    ge_d = scoring.gap_extend_del
+    h = np.full((tlen + 1, qlen + 1), NEG_INF, dtype=np.int64)
+    e = np.full((tlen + 1, qlen + 1), NEG_INF, dtype=np.int64)
+    f = np.full((tlen + 1, qlen + 1), NEG_INF, dtype=np.int64)
+    h[0][0] = h0
+    for j in range(1, qlen + 1):
+        f[0][j] = h[0][j] = h0 - go - j * ge_i
+    for i in range(1, tlen + 1):
+        e[i][0] = h[i][0] = h0 - go - i * ge_d
+    for i in range(1, tlen + 1):
+        for j in range(1, qlen + 1):
+            diag = h[i - 1][j - 1] + scoring.substitution(
+                int(target[i - 1]), int(query[j - 1])
+            )
+            e[i][j] = max(h[i - 1][j] - go, e[i - 1][j]) - ge_d
+            f[i][j] = max(h[i][j - 1] - go, f[i][j - 1]) - ge_i
+            h[i][j] = max(diag, e[i][j], f[i][j])
+
+    ops: list[tuple[int, str]] = []
+    i, j = tlen, qlen
+    state = "H"
+    while i > 0 or j > 0:
+        if state == "H":
+            cur = h[i][j]
+            if i > 0 and j > 0:
+                sub = scoring.substitution(
+                    int(target[i - 1]), int(query[j - 1])
+                )
+                if cur == h[i - 1][j - 1] + sub:
+                    ops.append((1, "M"))
+                    i -= 1
+                    j -= 1
+                    continue
+            if i > 0 and cur == e[i][j]:
+                state = "E"
+                continue
+            if j > 0 and cur == f[i][j]:
+                state = "F"
+                continue
+            raise AssertionError("broken global traceback")
+        if state == "E":
+            ops.append((1, "D"))
+            if i == 1 or e[i][j] == h[i - 1][j] - go - ge_d:
+                state = "H"
+            i -= 1
+            continue
+        ops.append((1, "I"))
+        if j == 1 or f[i][j] == h[i][j - 1] - go - ge_i:
+            state = "H"
+        j -= 1
+    ops.reverse()
+    return Cigar.from_ops(ops)

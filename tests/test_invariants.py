@@ -5,7 +5,12 @@ regression anywhere in the DP/seeding substrate shows up as one of
 these failing before the integration tests do.
 """
 
+import importlib
+import sys
+from pathlib import Path
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -102,3 +107,24 @@ class TestBandMonotonicity:
         wide = banded.extend(q, t, BWA_MEM_SCORING, h0, w=w2)
         assert wide.lscore >= narrow.lscore
         assert wide.gscore >= narrow.gscore
+
+
+class TestBenchmarkStageTable:
+    def test_every_layer_entry_resolves_to_a_callable(self):
+        """perfbench attributes time by wrapping ``(module, qualname)``
+        entry points; a renamed or deleted one must fail here, before
+        it orphans a benchmark row."""
+        root = Path(__file__).resolve().parent.parent
+        if not (root / "perfbench" / "layers.py").exists():
+            pytest.skip("no perfbench/ beside this checkout")
+        sys.path.insert(0, str(root))
+        try:
+            entries = importlib.import_module("perfbench.layers").ENTRIES
+        finally:
+            sys.path.remove(str(root))
+        assert entries
+        for entry in entries:
+            owner = importlib.import_module(entry.module)
+            for part in entry.qualname.split("."):
+                owner = getattr(owner, part)
+            assert callable(owner), f"{entry.module}:{entry.qualname}"
