@@ -14,8 +14,8 @@ configurations align the same Platinum-like corpus:
   scheduler's alone;
 * **batched** — one aligner process, reads scheduled through left /
   right / traceback waves at the paper's batch geometry (4096);
-* **sharded** — the batched pipeline behind the multiprocessing
-  runner.  On a single-core host this only measures the sharding
+* **sharded** — the batched pipeline behind the supervised
+  multi-process runner.  On a single-core host this only measures the sharding
   overhead; real speedups need real cores.
 
 The scalar pipeline is run on a fixed subset of the corpus (it is the
@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 
 from repro.aligner.engines import make_engine
-from repro.aligner.parallel import EngineSpec, align_sharded
+from repro.aligner.parallel import EngineSpec, align_supervised
 from repro.aligner.pipeline import Aligner
 from repro.genome.synth import (
     PLATINUM_LIKE,
@@ -124,7 +124,7 @@ def test_sharded_pipeline_throughput(benchmark, pipeline_corpus):
     spec = EngineSpec(kind="full")
 
     def run():
-        align_sharded(
+        align_supervised(
             reference,
             reads,
             spec=spec,

@@ -7,7 +7,7 @@ from repro.aligner.paired import InsertSizeModel, PairedAligner, ReadPair
 from repro.aligner.parallel import (
     EngineSpec,
     StartMethodError,
-    align_sharded,
+    align_supervised,
 )
 from repro.aligner.pipeline import Aligner
 
@@ -21,6 +21,6 @@ __all__ = [
     "PairedAligner",
     "ReadPair",
     "StartMethodError",
-    "align_sharded",
+    "align_supervised",
     "make_engine",
 ]

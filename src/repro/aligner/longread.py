@@ -535,143 +535,54 @@ def _non_overlapping(seeds: list[Seed]) -> list[Seed]:
     return backbone
 
 
-_SHARD_STATE = None
-"""Worker-process (aligner, engine); pre-built by the parent on fork."""
+@dataclass(frozen=True)
+class LongReadRecipe:
+    """Worker recipe for long reads (see :mod:`repro.aligner.parallel`).
 
-
-def _build_long_state(reference, spec, options):
-    """One worker's long-read state: aligner plus optional end engine."""
-    aligner = LongReadAligner(reference, **options)
-    engine = spec.build() if spec is not None else None
-    return aligner, engine
-
-
-def _init_long_worker(reference, spec, options, collect) -> None:
-    """Pool initializer: adopt the forked state or build a fresh one."""
-    global _SHARD_STATE
-    if collect and not obs.enabled():
-        obs.enable()
-    if _SHARD_STATE is None:
-        _SHARD_STATE = _build_long_state(reference, spec, options)
-
-
-def _run_long_shard(task):
-    """Align one long-read shard; returns records + a metrics snapshot."""
-    index, reads, batch_size, mode, collect = task
-    if collect:
-        obs.reset()
-    aligner, engine = _SHARD_STATE
-    if mode == "batched":
-        alns = aligner.align_batch(
-            reads, engine=engine, batch_size=batch_size
-        )
-    else:
-        alns = [aligner.align(codes, name) for name, codes in reads]
-    records = [
-        sam_record(
-            name, codes, aln,
-            reference_name=aligner.reference_name,
-            match=aligner.scoring.match,
-        )
-        for (name, codes), aln in zip(reads, alns)
-    ]
-    snapshot = obs.get_registry().snapshot() if collect else None
-    return index, records, snapshot
-
-
-def align_long_sharded(
-    reference: np.ndarray,
-    reads,
-    mode: str = "batched",
-    spec=None,
-    workers: int = 2,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    start_method: str | None = None,
-    **aligner_options,
-) -> list[SamRecord]:
-    """Align long reads across worker processes, input order kept.
-
-    The long-read twin of :func:`repro.aligner.parallel.align_sharded`
-    — same contiguous shard plan, same fork copy-on-write state
-    sharing, same metric-snapshot absorption — but each worker drives
-    a :class:`LongReadAligner`.  ``mode`` selects the per-shard
-    schedule (``scalar`` loops :meth:`~LongReadAligner.align`;
-    ``batched`` runs the three-wave :meth:`~LongReadAligner.align_batch`)
-    and ``spec`` (an :class:`~repro.aligner.parallel.EngineSpec`) names
-    the optional end-extension engine.  Both modes, at any worker
-    count, emit byte-identical SAM.
+    ``mode`` selects the schedule (``scalar`` loops
+    :meth:`LongReadAligner.align`; ``batched`` runs the three-wave
+    :meth:`LongReadAligner.align_batch` in windows of ``batch_size``),
+    ``spec`` (an :class:`~repro.aligner.parallel.EngineSpec`, or
+    ``None`` for the scalar extender) names the end-extension engine
+    and ``options`` go to :class:`LongReadAligner`.  Both modes, in one
+    process or under :func:`~repro.aligner.parallel.align_supervised`
+    at any worker count, emit byte-identical SAM.
     """
-    from repro.aligner.parallel import (
-        _normalize_reads,
-        _note_shards,
-        _resolve_context,
-        _shard_plan,
-        _validate_spawn_payload,
-    )
 
-    global _SHARD_STATE
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    if mode not in ("scalar", "batched"):
-        raise ValueError(f"unknown long-read mode {mode!r}")
-    normalized = _normalize_reads(reads)
-    workers = max(1, min(workers, max(1, len(normalized))))
-    collect = obs.enabled()
+    mode: str = "batched"
+    spec: object = None
+    batch_size: int = DEFAULT_BATCH_SIZE
+    options: dict = field(default_factory=dict)
 
-    if workers == 1:
-        aligner, engine = _build_long_state(
-            reference, spec, aligner_options
-        )
-        if mode == "batched":
-            alns = aligner.align_batch(
-                normalized, engine=engine, batch_size=batch_size
-            )
-        else:
-            alns = [
-                aligner.align(codes, name) for name, codes in normalized
+    def __post_init__(self) -> None:
+        if self.mode not in ("scalar", "batched"):
+            raise ValueError(f"unknown long-read mode {self.mode!r}")
+
+    def probe(self) -> None:
+        """Nothing to check in the parent: no artifact is shipped."""
+
+    def build(self, reference):
+        """One aligner + end engine, as a ``reads -> records`` function."""
+        aligner = LongReadAligner(reference, **self.options)
+        engine = self.spec.build() if self.spec is not None else None
+
+        def run(reads) -> list[SamRecord]:
+            if self.mode == "batched":
+                alns = aligner.align_batch(
+                    reads, engine=engine, batch_size=self.batch_size
+                )
+            else:
+                alns = [aligner.align(codes, name) for name, codes in reads]
+            return [
+                sam_record(
+                    name, codes, aln,
+                    reference_name=aligner.reference_name,
+                    match=aligner.scoring.match,
+                )
+                for (name, codes), aln in zip(reads, alns)
             ]
-        _note_shards(collect, [len(normalized)], merged=0)
-        return [
-            sam_record(
-                name, codes, aln,
-                reference_name=aligner.reference_name,
-                match=aligner.scoring.match,
-            )
-            for (name, codes), aln in zip(normalized, alns)
-        ]
 
-    plan = _shard_plan(len(normalized), workers)
-    tasks = [
-        (i, normalized[start:stop], batch_size, mode, collect)
-        for i, (start, stop) in enumerate(plan)
-    ]
-    ctx, method = _resolve_context(start_method)
-    forked = method == "fork"
-    if not forked:
-        _validate_spawn_payload(reference, spec, aligner_options)
-    if forked:
-        _SHARD_STATE = _build_long_state(reference, spec, aligner_options)
-    try:
-        with ctx.Pool(
-            processes=workers,
-            initializer=_init_long_worker,
-            initargs=(reference, spec, aligner_options, collect),
-        ) as pool:
-            results = pool.map(_run_long_shard, tasks)
-    finally:
-        _SHARD_STATE = None
-
-    results.sort(key=lambda item: item[0])
-    records = [rec for _, shard, _ in results for rec in shard]
-    merged = 0
-    if collect:
-        registry = obs.get_registry()
-        for _, _, snapshot in results:
-            if snapshot is not None:
-                registry.absorb_snapshot(snapshot)
-                merged += 1
-    _note_shards(collect, [stop - start for start, stop in plan], merged)
-    return records
+        return run
 
 
 def sam_record(

@@ -1,43 +1,55 @@
-"""Sharded multi-process alignment: partition reads across workers.
+"""Supervised multi-process alignment: the one ``--workers`` runner.
 
-Reads are split into contiguous shards, one per worker process; each
-worker holds the whole reference and its seeding index read-only (on
-fork platforms the parent builds them once and children inherit the
-pages copy-on-write) and drives its shard through the deferred-
-extension wave scheduler (:mod:`repro.aligner.waves`).  Results come
-back tagged with their shard index and are re-concatenated in input
-order, so the merged SAM is byte-identical to a single-process run —
-the differential suite pins scalar x batched x worker counts to one
-output.
+Seed -> extend has no cross-read dependency, so multi-process
+alignment is a plain map over contiguous read slices.  There is one
+way to run it: :func:`align_supervised`.  ``align --workers N`` (with
+or without ``--run-dir``) and ``longread --workers N`` all go through
+the same supervisor, worker loop and bootstrap; supervision is how
+every multi-process run works, and a run directory adds only the
+journal.  See ``docs/durability.md``.
 
-Two runners share the worker machinery:
+* **Worker recipe.**  What a worker does with a slice is a small
+  picklable *recipe*: ``recipe.probe()`` fails fast in the parent,
+  ``recipe.build(reference)`` returns the ``slice -> list[SamRecord]``
+  function a worker applies to every task.  :class:`AlignRecipe`
+  drives :meth:`Aligner.align_batched
+  <repro.aligner.pipeline.Aligner.align_batched>`;
+  :class:`repro.aligner.longread.LongReadRecipe` drives the long-read
+  aligner.  The supervisor never looks inside one.
+* **Task plan.**  Reads are keyed into journal windows of
+  ``batch_size``; a task is a contiguous slice of at most
+  ``min(batch_size, ceil(n / workers))`` reads that never crosses a
+  window (:func:`_task_plan`), so a corpus smaller than
+  ``workers x batch_size`` still fills every worker while window
+  numbering — and with it journal fingerprints and ``--resume`` at
+  any parallelism — does not move.
+* **Supervision.**  Workers beat a shared heartbeat board; one that
+  dies (any exitcode, SIGKILL included) or goes silent is respawned
+  within a bounded budget and its task re-dispatched; a task that
+  keeps crashing is bisected down to the poison read, which is
+  emitted unmapped with ``XF:Z:quarantined`` instead of taking the
+  run down.  A run never hangs on a lost worker.
 
-* :func:`align_sharded` — the simple pool: one contiguous shard per
-  worker, no supervision; a worker crash crashes the run;
-* :func:`align_supervised` — the durable runner: reads are dispatched
-  window by window to supervised workers with heartbeat tracking,
-  bounded restarts after crashes or hangs, poison-shard bisection
-  down to the offending read (quarantined, not fatal), and optional
-  journaling of completed windows for ``--resume``.  See
-  ``docs/durability.md``.
+Results are reassembled window by window in input order, so the SAM is
+byte-identical to a single-process run — the differential suite pins
+scalar x batched x worker counts to one output.
 
-Worker start-up is start-method agnostic: state is keyed off a
-module-level slot that fork platforms pre-populate for copy-on-write
-sharing, and every worker entry point rebuilds the aligner from its
-pickled arguments when the slot is empty — so ``spawn`` (macOS,
-Windows, or ``start_method="spawn"``) behaves identically, just
-without the page sharing.
+Worker start-up is start-method agnostic: on fork platforms the parent
+builds the recipe once and hands the built task function to every
+worker, which inherits the reference and seeding index copy-on-write;
+a ``spawn`` worker is handed nothing and builds its own from the
+pickled recipe.
 
-Observability: each worker zeroes its (inherited) registry, collects
-its own measurements, and ships a snapshot back with its records; the
-parent folds every snapshot into the live registry via
+Observability: each worker zeroes its (inherited) registry per task
+and ships a snapshot back with its records; the parent folds every
+snapshot into the live registry via
 :meth:`~repro.obs.metrics.MetricsRegistry.absorb_snapshot` and adds
 ``pipeline.shard.*`` accounting on top.  Span traces stay worker-local
 (timelines are not mergeable across processes).
 
 Engines cannot be pickled (they hold caches, RNGs, registries), so
-workers receive an :class:`EngineSpec` — a frozen, picklable recipe —
-and build their own engine from it.
+recipes carry an :class:`EngineSpec` — a frozen, picklable engine
+description — and workers build their own engine from it.
 """
 
 from __future__ import annotations
@@ -69,9 +81,6 @@ from repro.genome.sequence import decode
 from repro.index.store import IndexHandle
 from repro.obs import names
 
-_STATE = None
-"""Worker-process aligner; pre-built by the parent on fork platforms."""
-
 
 class StartMethodError(TypeError):
     """Spawn-start workers cannot rebuild the requested worker state.
@@ -82,12 +91,12 @@ class StartMethodError(TypeError):
     spec, or aligner option.  Under ``fork`` children inherit such
     objects copy-on-write; under ``spawn`` they arrive pickled, and
     without this check the failure surfaces as a bare pickle traceback
-    from deep inside the pool machinery.
+    out of a worker bootstrap.
     """
 
 
-def _validate_spawn_payload(reference, spec, options) -> None:
-    """Fail fast when worker ``initargs`` cannot survive a spawn.
+def _validate_spawn_payload(reference, recipe) -> None:
+    """Fail fast when the worker arguments cannot survive a spawn.
 
     Every value shipped to a spawn worker is round-tripped through
     pickle here, so an unpicklable engine spec or aligner option is a
@@ -96,12 +105,10 @@ def _validate_spawn_payload(reference, spec, options) -> None:
     """
     import pickle
 
-    payload = (
+    for label, value in (
         ("reference", reference),
-        ("engine spec", spec),
-        ("aligner options", options),
-    )
-    for label, value in payload:
+        ("worker recipe", recipe),
+    ):
         try:
             pickle.dumps(value)
         except Exception as exc:
@@ -115,28 +122,13 @@ def _validate_spawn_payload(reference, spec, options) -> None:
             ) from exc
 
 
-def _probe_index(options: dict) -> None:
-    """Fail fast in the parent when the shipped index is unusable.
-
-    Workers receive an :class:`~repro.index.store.IndexHandle` inside
-    ``aligner_options`` and open the artifact themselves; probing it
-    here (envelope + pinned-fingerprint check, no section reads)
-    surfaces a vanished or swapped artifact as a typed error at the
-    dispatch site — before any process is spawned — instead of the
-    same error fanned out once per worker.
-    """
-    handle = options.get("index")
-    if isinstance(handle, IndexHandle):
-        handle.open(mmap=True, verify=False)
-
-
 def _resolve_context(start_method: str | None):
     """The multiprocessing context to run workers under.
 
     ``None`` prefers ``fork`` (copy-on-write index sharing) and falls
     back to ``spawn``; an explicit method is validated against the
-    platform.  Every worker entry point rebuilds its own state when
-    the forked module global is absent, so any method works.
+    platform.  A worker that is handed no pre-built state builds its
+    own, so any method works.
     """
     methods = mp.get_all_start_methods()
     if start_method is None:
@@ -204,55 +196,40 @@ class EngineSpec:
         )
 
 
-def _build_aligner(reference, spec: EngineSpec, options: dict):
-    """One worker's aligner: engine from the spec, index from scratch."""
-    from repro.aligner.pipeline import Aligner
+@dataclass(frozen=True)
+class AlignRecipe:
+    """Worker recipe for short reads: ``Aligner.align_batched``.
 
-    return Aligner(reference, spec.build(), **options)
-
-
-def _init_worker(reference, spec, options, collect) -> None:
-    """Pool initializer: adopt the forked state or build a fresh one.
-
-    Spawn-safe by construction: everything needed to build the
-    aligner arrives pickled in ``initargs``, and the forked module
-    global is only an optimization — when it is absent (``spawn``
-    start method, or a fork platform that skipped pre-building) the
-    worker builds its own aligner here instead of crashing on the
-    fork assumption.
+    ``options`` are forwarded to
+    :class:`~repro.aligner.pipeline.Aligner` (``seeding``,
+    ``reference_name``, ``index``, ...).
     """
-    global _STATE
-    if collect and not obs.enabled():
-        obs.enable()
-    if _STATE is None:
-        _STATE = _build_aligner(reference, spec, options)
 
+    spec: EngineSpec = EngineSpec()
+    options: dict = field(default_factory=dict)
 
-def _run_shard(task):
-    """Align one shard in a worker; returns records + a metrics snapshot.
+    def probe(self) -> None:
+        """Fail fast in the parent when the shipped index is unusable.
 
-    The inherited registry still holds the parent's pre-fork counts,
-    so it is zeroed before the shard runs — the snapshot shipped back
-    contains exactly this shard's measurements.
-    """
-    index, reads, batch_size, collect = task
-    if collect:
-        obs.reset()
-    records = _STATE.align_batched(reads, batch_size=batch_size)
-    snapshot = obs.get_registry().snapshot() if collect else None
-    return index, records, snapshot
+        Workers receive an :class:`~repro.index.store.IndexHandle` and
+        open the artifact themselves; probing it here (envelope +
+        pinned-fingerprint check, no section reads) surfaces a vanished
+        or swapped artifact as a typed error at the dispatch site —
+        before any process is spawned — instead of the same error
+        fanned out once per worker.
+        """
+        handle = self.options.get("index")
+        if isinstance(handle, IndexHandle):
+            handle.open(mmap=True, verify=False)
 
+    def build(self, reference):
+        """One worker's aligner, as a ``slice -> records`` function."""
+        from repro.aligner.pipeline import Aligner
 
-def _shard_plan(count: int, workers: int) -> list[tuple[int, int]]:
-    """Contiguous, near-equal ``(start, stop)`` slices, one per shard."""
-    base, extra = divmod(count, workers)
-    plan: list[tuple[int, int]] = []
-    start = 0
-    for shard in range(workers):
-        stop = start + base + (1 if shard < extra else 0)
-        plan.append((start, stop))
-        start = stop
-    return plan
+        aligner = Aligner(reference, self.spec.build(), **self.options)
+        return lambda reads: aligner.align_batched(
+            reads, batch_size=max(1, len(reads))
+        )
 
 
 def _normalize_reads(reads) -> list[tuple[str, np.ndarray]]:
@@ -265,75 +242,26 @@ def _normalize_reads(reads) -> list[tuple[str, np.ndarray]]:
     ]
 
 
-def align_sharded(
-    reference: np.ndarray,
-    reads,
-    spec: EngineSpec | None = None,
-    workers: int = 2,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    start_method: str | None = None,
-    **aligner_options,
-) -> list[SamRecord]:
-    """Align ``reads`` across ``workers`` processes, input order kept.
+def _task_plan(
+    count: int, workers: int, batch_size: int
+) -> list[tuple[int, int, int]]:
+    """``(window, lo, hi)`` task slices covering ``count`` reads in order.
 
-    ``reads`` may be ``(name, codes)`` pairs or ``SimulatedRead``-like
-    objects; ``aligner_options`` are forwarded to
-    :class:`~repro.aligner.pipeline.Aligner` (``seeding``,
-    ``reference_name``, ...).  ``workers=1`` runs in-process with no
-    multiprocessing at all.  ``start_method`` forces ``fork``/``spawn``
-    (``None`` = platform default).  Output is byte-identical to
-    ``Aligner.align`` with the same engine configuration.
+    Windows are ``batch_size``-keyed (the journal's unit, independent
+    of ``workers``); within a window a task holds at most
+    ``min(batch_size, ceil(count / workers))`` reads, so a corpus
+    smaller than ``workers x batch_size`` still gives every worker a
+    task.
     """
-    global _STATE
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    spec = spec or EngineSpec()
-    normalized = _normalize_reads(reads)
-    workers = max(1, min(workers, len(normalized)))
-    collect = obs.enabled()
-
-    if workers == 1:
-        aligner = _build_aligner(reference, spec, aligner_options)
-        records = aligner.align_batched(normalized, batch_size=batch_size)
-        _note_shards(collect, [len(normalized)], merged=0)
-        return records
-
-    plan = _shard_plan(len(normalized), workers)
-    tasks = [
-        (i, normalized[start:stop], batch_size, collect)
-        for i, (start, stop) in enumerate(plan)
-    ]
-
-    ctx, method = _resolve_context(start_method)
-    forked = method == "fork"
-    _probe_index(aligner_options)
-    if not forked:
-        _validate_spawn_payload(reference, spec, aligner_options)
-    if forked:
-        # Build once in the parent; children inherit the reference and
-        # seeding index copy-on-write instead of rebuilding per worker.
-        _STATE = _build_aligner(reference, spec, aligner_options)
-    try:
-        with ctx.Pool(
-            processes=workers,
-            initializer=_init_worker,
-            initargs=(reference, spec, aligner_options, collect),
-        ) as pool:
-            results = pool.map(_run_shard, tasks)
-    finally:
-        _STATE = None
-
-    results.sort(key=lambda item: item[0])
-    records = [rec for _, shard_records, _ in results for rec in shard_records]
-    merged = 0
-    if collect:
-        registry = obs.get_registry()
-        for _, _, snapshot in results:
-            if snapshot is not None:
-                registry.absorb_snapshot(snapshot)
-                merged += 1
-    _note_shards(collect, [stop - start for start, stop in plan], merged)
-    return records
+    cap = max(1, min(batch_size, -(-count // workers)))
+    plan: list[tuple[int, int, int]] = []
+    for window, start in enumerate(range(0, count, batch_size)):
+        stop = min(start + batch_size, count)
+        plan.extend(
+            (window, lo, min(lo + cap, stop))
+            for lo in range(start, stop, cap)
+        )
+    return plan
 
 
 # -- the supervised runner ----------------------------------------------
@@ -371,8 +299,8 @@ def _supervised_worker(
     slot: int,
     parent_pid: int,
     reference,
-    spec: EngineSpec,
-    options: dict,
+    recipe,
+    prebuilt,
     task_q,
     result_conn,
     board: HeartbeatBoard,
@@ -382,8 +310,9 @@ def _supervised_worker(
 ) -> None:
     """Worker loop: heartbeat thread + one task at a time.
 
-    Start-method agnostic: adopts the forked module state when
-    present, rebuilds from the pickled arguments otherwise.  Signals
+    Start-method agnostic: adopts ``prebuilt``, the task function the
+    parent built before forking, when there is one, and builds its own
+    from the pickled recipe otherwise (``spawn``).  Signals
     are left to the supervisor — SIGINT/SIGTERM are ignored so a
     Ctrl-C against the process group cannot kill a worker mid-window
     (the parent drains and shuts workers down via their queues).
@@ -397,11 +326,9 @@ def _supervised_worker(
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
-    global _STATE
     if collect and not obs.enabled():
         obs.enable()
-    if _STATE is None:
-        _STATE = _build_aligner(reference, spec, options)
+    run_task = prebuilt or recipe.build(reference)
     hb_stop = board.start_thread(slot, hb_interval)
 
     def _orphaned() -> bool:
@@ -425,9 +352,7 @@ def _supervised_worker(
             if poison is not None:
                 for name, _ in reads_slice:
                     poison.apply(name, heartbeat_stop=hb_stop)
-            records = _STATE.align_batched(
-                reads_slice, batch_size=max(1, len(reads_slice))
-            )
+            records = run_task(reads_slice)
         except Exception as exc:  # reported, not fatal: supervisor bisects
             result_conn.send(
                 ("fail", slot, tid, f"{type(exc).__name__}: {exc}")
@@ -445,11 +370,10 @@ class _Supervisor:
     def __init__(
         self,
         ctx,
-        forked: bool,
         reference,
         normalized,
-        spec: EngineSpec,
-        options: dict,
+        recipe,
+        prebuilt,
         workers: int,
         policy: SupervisorPolicy,
         poison: PoisonPlan | None,
@@ -459,11 +383,10 @@ class _Supervisor:
         collect: bool,
     ) -> None:
         self.ctx = ctx
-        self.forked = forked
         self.reference = reference
         self.normalized = normalized
-        self.spec = spec
-        self.options = options
+        self.recipe = recipe
+        self.prebuilt = prebuilt
         self.workers = workers
         self.policy = policy
         self.poison = poison
@@ -490,11 +413,11 @@ class _Supervisor:
 
     # -- task plumbing --------------------------------------------------
 
-    def add_window(self, window: int, lo: int, hi: int) -> None:
-        """Register one window of reads as a single pending task."""
+    def add_task(self, window: int, lo: int, hi: int) -> None:
+        """Register one planned slice of ``window`` as a pending task."""
         task = self._new_task(window, lo, hi, depth=0)
-        self.window_tasks[window] = {task.tid}
-        self.window_parts[window] = []
+        self.window_tasks.setdefault(window, set()).add(task.tid)
+        self.window_parts.setdefault(window, [])
 
     def _new_task(self, window: int, lo: int, hi: int, depth: int) -> _Task:
         task = _Task(tid=self.next_tid, window=window, lo=lo, hi=hi,
@@ -524,8 +447,8 @@ class _Supervisor:
                 slot,
                 self.parent_pid,
                 self.reference,
-                self.spec,
-                self.options,
+                self.recipe,
+                self.prebuilt,
                 task_q,
                 send_conn,
                 self.board,
@@ -562,11 +485,6 @@ class _Supervisor:
 
     def run(self) -> SupervisedResult:
         """Drive the run to completion (or a graceful drain)."""
-        if self.forked:
-            global _STATE
-            _STATE = _build_aligner(
-                self.reference, self.spec, self.options
-            )
         try:
             while True:
                 if not self.stopping and self.should_stop():
@@ -579,8 +497,6 @@ class _Supervisor:
                 self._drain_results()
                 self._check_health()
         finally:
-            if self.forked:
-                _STATE = None
             self._shutdown_workers()
         records = [
             rec
@@ -759,7 +675,11 @@ class _Supervisor:
             proc, task_q = self.procs[slot], self.task_qs[slot]
             if proc is None:
                 continue
-            if proc.is_alive():
+            if slot in self.assignments:
+                # Abandoned mid-task (Ctrl-C, exhausted budget): nobody
+                # wants the result, so do not wait a grace period for it.
+                proc.kill()
+            elif proc.is_alive():
                 try:
                     task_q.put(None)
                 except (OSError, ValueError):
@@ -790,18 +710,28 @@ def align_supervised(
     journal=None,
     should_stop=None,
     start_method: str | None = None,
+    recipe=None,
     **aligner_options,
 ) -> SupervisedResult:
-    """Align ``reads`` under crash supervision, window by window.
+    """Align ``reads`` across ``workers`` supervised processes.
 
-    The durable counterpart of :func:`align_sharded`: reads are split
-    into windows of ``batch_size`` and dispatched one window at a time
-    to ``workers`` supervised processes.  A worker that dies (any
+    The one multi-process entry point.  ``reads`` may be ``(name,
+    codes)`` pairs or ``SimulatedRead``-like objects.  What a worker
+    does with a slice is ``recipe`` (see the module docstring); by
+    default an :class:`AlignRecipe` built from ``spec`` and
+    ``aligner_options`` (forwarded to
+    :class:`~repro.aligner.pipeline.Aligner`: ``seeding``,
+    ``reference_name``, ...).  ``start_method`` forces
+    ``fork``/``spawn`` (``None`` = platform default).
+
+    Reads are planned into tasks by :func:`_task_plan` and dispatched
+    to the workers one task at a time.  A worker that dies (any
     exitcode, SIGKILL included) or goes silent past the heartbeat
-    deadline is respawned — within ``policy.max_restarts`` — and its
-    window re-dispatched; a window that keeps crashing is bisected
-    down to the poison read, which is quarantined (``quarantine``,
-    optional) and emitted unmapped with ``XF:Z:quarantined``.
+    deadline is respawned — within ``policy.max_restarts``, else
+    :class:`~repro.durability.supervisor.SupervisorError` — and its
+    task re-dispatched; a task that keeps crashing is bisected down to
+    the poison read, which is quarantined (``quarantine``, optional)
+    and emitted unmapped with ``XF:Z:quarantined``.
 
     ``journal`` (a :class:`~repro.durability.journal.RunJournal`)
     persists each completed window and pre-completed windows are
@@ -809,77 +739,74 @@ def align_supervised(
     turns true the in-flight wave drains, completed windows are
     journaled, and the result comes back ``interrupted=True``.
 
-    For a healthy corpus the records are byte-identical to
-    :func:`align_sharded` / ``Aligner.align`` with the same engine
-    configuration.
+    For a healthy corpus the records are byte-identical to a
+    single-process run of the same recipe.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    spec = spec or EngineSpec()
+    if batch_size < 1:
+        raise ValueError("batch size must be at least 1")
+    if recipe is None:
+        recipe = AlignRecipe(spec or EngineSpec(), aligner_options)
+    elif spec is not None or aligner_options:
+        raise TypeError(
+            "pass either a recipe or spec/aligner options, not both"
+        )
     policy = policy or SupervisorPolicy()
     normalized = _normalize_reads(reads)
-    collect = obs.enabled()
-    if collect:
-        obs.get_registry().gauge(
-            names.PIPELINE_SHARD_WORKERS,
-            "workers in the last sharded run",
-        ).set(workers)
+    ctx, method = _resolve_context(start_method)
+    recipe.probe()
+    if method != "fork":
+        _validate_spawn_payload(reference, recipe)
+
     completed = (
         journal.completed if journal is not None else frozenset()
     )
-
-    ctx, method = _resolve_context(start_method)
-    _probe_index(aligner_options)
-    if method != "fork":
-        _validate_spawn_payload(reference, spec, aligner_options)
-    supervisor = _Supervisor(
-        ctx=ctx,
-        forked=method == "fork",
-        reference=reference,
-        normalized=normalized,
-        spec=spec,
-        options=aligner_options,
-        workers=max(1, min(workers, max(1, len(normalized)))),
-        policy=policy,
-        poison=poison,
-        quarantine=quarantine,
-        journal=journal,
-        should_stop=should_stop,
-        collect=collect,
-    )
-    if batch_size < 1:
-        raise ValueError("batch size must be at least 1")
-    n_skipped = 0
-    for window, lo in enumerate(range(0, len(normalized), batch_size)):
-        hi = min(lo + batch_size, len(normalized))
-        if window in completed:
-            n_skipped += 1
-            continue
-        supervisor.add_window(window, lo, hi)
-    if collect and n_skipped:
-        obs.get_registry().counter(
-            names.DURABILITY_WINDOWS_SKIPPED,
-            "windows skipped by resume",
-        ).inc(n_skipped)
-    return supervisor.run()
-
-
-def _note_shards(collect: bool, shard_sizes: list[int], merged: int) -> None:
-    """Parent-side ``pipeline.shard.*`` accounting after a run."""
-    if not collect:
-        return
-    registry = obs.get_registry()
-    registry.gauge(
-        names.PIPELINE_SHARD_WORKERS, "workers in the last sharded run"
-    ).set(len(shard_sizes))
-    for shard, size in enumerate(shard_sizes):
-        registry.counter(
-            names.PIPELINE_SHARD_READS,
-            "reads dispatched to shards",
-            shard=shard,
-        ).inc(size)
-    if merged:
-        registry.counter(
-            names.PIPELINE_SHARD_SNAPSHOTS_MERGED,
-            "worker metric snapshots folded into the parent registry",
-        ).inc(merged)
+    count = len(normalized)
+    plan = [
+        task
+        for task in _task_plan(count, workers, batch_size)
+        if task[0] not in completed
+    ]
+    workers = min(workers, len(plan))
+    collect = obs.enabled()
+    result = SupervisedResult()
+    if plan:
+        supervisor = _Supervisor(
+            ctx=ctx,
+            reference=reference,
+            normalized=normalized,
+            recipe=recipe,
+            # Fork: build once here; children inherit the reference and
+            # seeding index copy-on-write instead of rebuilding (fork
+            # passes Process args by memory, not by pickle).
+            prebuilt=recipe.build(reference) if method == "fork" else None,
+            workers=workers,
+            policy=policy,
+            poison=poison,
+            quarantine=quarantine,
+            journal=journal,
+            should_stop=should_stop,
+            collect=collect,
+        )
+        for window, lo, hi in plan:
+            supervisor.add_task(window, lo, hi)
+        result = supervisor.run()
+    if collect:
+        # After the run: an absorbed worker snapshot carries the
+        # worker's own (zeroed) copy of the gauge, last write wins.
+        registry = obs.get_registry()
+        registry.gauge(
+            names.PIPELINE_SHARD_WORKERS,
+            "workers started by the last multi-process run",
+        ).set(workers)
+        n_skipped = sum(
+            window in completed
+            for window in range(-(-count // batch_size))
+        )
+        if n_skipped:
+            registry.counter(
+                names.DURABILITY_WINDOWS_SKIPPED,
+                "windows skipped by resume",
+            ).inc(n_skipped)
+    return result

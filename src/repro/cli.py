@@ -241,8 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes; >1 shards the reads and merges "
-        "per-shard metrics (single-end only, default 1)",
+        help="worker processes; >1 shards the reads across supervised "
+        "workers and merges per-shard metrics (single-end only, "
+        "default 1)",
     )
     aln.add_argument(
         "--paired",
@@ -273,8 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=8,
         metavar="N",
-        help="worker respawn budget of the durable run's supervisor "
-        "(default 8)",
+        help="worker respawn budget of a multi-process run's "
+        "supervisor (default 8)",
     )
     aln.add_argument(
         "--hung-timeout",
@@ -1015,8 +1016,13 @@ def _score_after_align(args: argparse.Namespace) -> None:
 
 def cmd_longread(args: argparse.Namespace) -> int:
     """Align long reads (seed-chain-fill), write SAM."""
-    from repro.aligner.longread import align_long_sharded
-    from repro.aligner.parallel import EngineSpec, StartMethodError
+    from repro.aligner.longread import LongReadRecipe
+    from repro.aligner.parallel import (
+        EngineSpec,
+        StartMethodError,
+        align_supervised,
+    )
+    from repro.durability import SupervisorError
 
     name, reference = _load_reference(args.reference)
     reads = read_fastq(args.reads)
@@ -1031,23 +1037,35 @@ def cmd_longread(args: argparse.Namespace) -> int:
         # to the scalar SeedExtender, whose checked results equal the
         # full-band oracle by the paper's guarantee.
         spec = EngineSpec(kind="batched", kernel=kernel)
+    recipe = LongReadRecipe(
+        mode=args.engine,
+        spec=spec,
+        batch_size=args.batch_size,
+        options={
+            "fill_band": args.fill_band,
+            "end_band": args.end_band,
+            "reference_name": name,
+        },
+    )
     encoded = [(r.name, encode(r.sequence)) for r in reads]
+    notes: list[str] = []
     start = time.perf_counter()
-    try:
-        records = align_long_sharded(
-            reference,
-            encoded,
-            mode=args.engine,
-            spec=spec,
-            workers=args.workers,
-            batch_size=args.batch_size,
-            start_method=args.start_method,
-            fill_band=args.fill_band,
-            end_band=args.end_band,
-            reference_name=name,
-        )
-    except StartMethodError as exc:
-        raise SystemExit(f"error: {exc}")
+    if args.workers > 1:
+        try:
+            outcome = align_supervised(
+                reference,
+                encoded,
+                recipe=recipe,
+                workers=args.workers,
+                batch_size=args.batch_size,
+                start_method=args.start_method,
+            )
+        except (StartMethodError, SupervisorError) as exc:
+            raise SystemExit(f"error: {exc}") from exc
+        records = outcome.records
+        notes = _supervision_notes(outcome)
+    else:
+        records = recipe.build(reference)(encoded)
     elapsed = time.perf_counter() - start
     with open(args.out, "w") as handle:
         write_sam(
@@ -1055,10 +1073,12 @@ def cmd_longread(args: argparse.Namespace) -> int:
             program_tags=_program_tags(args),
         )
     mapped = sum(1 for r in records if not r.is_unmapped)
-    print(
+    print("; ".join([
         f"aligned {len(records)} long reads ({mapped} mapped) in "
-        f"{elapsed:.1f}s with engine {args.engine}"
-    )
+        f"{elapsed:.1f}s with engine {args.engine} across "
+        f"{args.workers} worker(s)",
+        *notes,
+    ]))
     _score_after_align(args)
     return 0
 
@@ -1334,21 +1354,13 @@ def cmd_align(args: argparse.Namespace) -> int:
         raise SystemExit("error: --resume needs --run-dir")
     if args.index and args.paired:
         raise SystemExit("error: --index supports single-end reads only")
-    if args.run_dir:
+    if args.run_dir or args.workers > 1:
         if args.paired:
             raise SystemExit(
-                "error: --run-dir supports single-end reads only"
+                "error: --run-dir and --workers > 1 support "
+                "single-end reads only"
             )
-        code = _align_durable_cmd(args, name, reference, reads)
-        if code == 0:
-            _score_after_align(args)
-        return code
-    if args.workers > 1:
-        if args.paired:
-            raise SystemExit(
-                "error: --workers > 1 supports single-end reads only"
-            )
-        code = _align_sharded_cmd(args, name, reference, reads)
+        code = _align_workers_cmd(args, name, reference, reads)
         if code == 0:
             _score_after_align(args)
         return code
@@ -1434,78 +1446,39 @@ def cmd_align(args: argparse.Namespace) -> int:
     return 0
 
 
-def _align_sharded_cmd(
+def _supervision_notes(outcome, quarantine_file=None) -> list[str]:
+    """Summary-line clauses for what the supervisor had to do."""
+    notes = []
+    if outcome.restarts:
+        notes.append(f"worker restarts: {outcome.restarts}")
+    if outcome.quarantined:
+        where = quarantine_file or ", ".join(outcome.quarantined)
+        notes.append(
+            f"quarantined {len(outcome.quarantined)} poison read(s): "
+            f"{where}"
+        )
+    return notes
+
+
+def _align_workers_cmd(
     args: argparse.Namespace, name: str, reference, reads
 ) -> int:
-    """The ``align --workers N`` path: shard reads across processes.
+    """The multi-process ``align`` path: supervised, optionally journaled.
 
-    Worker metric snapshots are merged into the parent registry, so
-    ``--metrics-out`` reflects the whole run; chaos accounting for a
-    sharded run lives in those merged metrics rather than a parent-side
-    dispatcher summary (each worker runs its own dispatcher).
+    Every ``--workers N`` run goes through the supervised runner: a
+    dead or hung worker is respawned and a poison read quarantined, so
+    the run never hangs.  Worker metric snapshots are merged into the
+    parent registry, so ``--metrics-out`` reflects the whole run (chaos
+    accounting included — each worker runs its own dispatcher).
+
+    ``--run-dir`` adds only the journal: completed read windows are
+    committed to the run directory as they finish; SIGINT/SIGTERM
+    drain the in-flight wave, flush the journal, and exit with code 3
+    plus a resume hint.  ``--resume`` validates the journal against
+    the current configuration and recomputes only the missing windows;
+    the stitched SAM is byte-identical to an uninterrupted run.
     """
-    from repro.aligner.parallel import StartMethodError, align_sharded
-    from repro.index import IndexArtifactError
-
-    spec = _engine_spec(args)
-    loaded = _open_index(args, reference)
-    encoded = [(r.name, encode(r.sequence)) for r in reads]
-    options = {"seeding": args.seeding, "reference_name": name}
-    if loaded is not None:
-        # Workers get the picklable capability (path + pinned
-        # fingerprint), not the loaded artifact: each opens the same
-        # file and shares its pages through the OS cache.
-        options["index"] = loaded.handle()
-    start = time.perf_counter()
-    try:
-        records = align_sharded(
-            reference,
-            encoded,
-            spec=spec,
-            workers=args.workers,
-            batch_size=args.batch_size,
-            start_method=args.start_method,
-            **options,
-        )
-    except StartMethodError as exc:
-        raise SystemExit(f"error: {exc}")
-    except IndexArtifactError as exc:
-        raise SystemExit(f"error: {type(exc).__name__}: {exc}")
-    elapsed = time.perf_counter() - start
-    with open(args.out, "w") as handle:
-        write_sam(
-            handle, records, name, len(reference),
-            program_tags=_program_tags(
-                args, loaded.meta() if loaded is not None else None
-            ),
-        )
-    mapped = sum(1 for r in records if not r.is_unmapped)
-    print(
-        f"aligned {len(records)} reads ({mapped} mapped) in "
-        f"{elapsed:.1f}s with engine {args.engine} across "
-        f"{args.workers} workers"
-    )
-    if getattr(args, "chaos", False):
-        print(
-            "chaos: per-worker fault accounting merged into the "
-            "metrics registry (see --metrics-out)"
-        )
-    return 0
-
-
-def _align_durable_cmd(
-    args: argparse.Namespace, name: str, reference, reads
-) -> int:
-    """The ``align --run-dir`` path: journaled, supervised, resumable.
-
-    Completed read windows are committed to the run directory as they
-    finish; SIGINT/SIGTERM drain the in-flight wave, flush the
-    journal, and exit with code 3 plus a resume hint.  ``--resume``
-    validates the journal against the current configuration and
-    recomputes only the missing windows; the stitched SAM is
-    byte-identical to an uninterrupted run.
-    """
-    from repro.aligner.parallel import StartMethodError
+    from repro.aligner.parallel import StartMethodError, align_supervised
     from repro.durability import (
         GracefulShutdown,
         JournalError,
@@ -1519,49 +1492,70 @@ def _align_durable_cmd(
 
     spec = _engine_spec(args)
     loaded = _open_index(args, reference)
-    # The index fingerprint joins the journal manifest's configuration
-    # fingerprint, so `--resume` refuses a drifted artifact — while a
-    # byte-identical rebuild (same content fingerprint) still resumes.
-    fingerprint = run_fingerprint(
-        args.reference,
-        args.reads,
-        spec,
+    tags = _program_tags(
+        args, loaded.meta() if loaded is not None else None
+    )
+    run = dict(
+        spec=spec,
+        workers=args.workers,
         batch_size=args.batch_size,
-        seeding=args.seeding,
-        on_bad_record=args.on_bad_record,
-        index_fingerprint=(
-            loaded.fingerprint if loaded is not None else None
+        policy=SupervisorPolicy(
+            max_restarts=args.max_restarts,
+            hung_timeout=args.hung_timeout,
         ),
+        start_method=args.start_method,
+        reference_name=name,
+        seeding=args.seeding,
     )
-    options = {"seeding": args.seeding}
     if loaded is not None:
-        options["index"] = loaded.handle()
-    policy = SupervisorPolicy(
-        max_restarts=args.max_restarts, hung_timeout=args.hung_timeout
-    )
+        # Workers get the picklable capability (path + pinned
+        # fingerprint), not the loaded artifact: each opens the same
+        # file and shares its pages through the OS cache.
+        run["index"] = loaded.handle()
     encoded = [(r.name, encode(r.sequence)) for r in reads]
+    # A journaled run keeps its records and quarantine in the run
+    # directory; without one they are in hand and named on the line.
+    mapped, quarantine_file = "", None
     start = time.perf_counter()
     try:
-        with GracefulShutdown() as shutdown:
-            report = run_journaled(
-                args.run_dir,
-                reference,
-                encoded,
-                fingerprint,
-                out_path=args.out,
-                reference_name=name,
-                spec=spec,
-                workers=args.workers,
+        if args.run_dir:
+            # The index fingerprint joins the journal manifest's
+            # configuration fingerprint, so `--resume` refuses a
+            # drifted artifact — while a byte-identical rebuild (same
+            # content fingerprint) still resumes.
+            fingerprint = run_fingerprint(
+                args.reference,
+                args.reads,
+                spec,
                 batch_size=args.batch_size,
-                resume=args.resume,
-                policy=policy,
-                should_stop=shutdown,
-                start_method=args.start_method,
-                program_tags=_program_tags(
-                    args, loaded.meta() if loaded is not None else None
+                seeding=args.seeding,
+                on_bad_record=args.on_bad_record,
+                index_fingerprint=(
+                    loaded.fingerprint if loaded is not None else None
                 ),
-                **options,
             )
+            with GracefulShutdown() as shutdown:
+                outcome = run_journaled(
+                    args.run_dir,
+                    reference,
+                    encoded,
+                    fingerprint,
+                    out_path=args.out,
+                    resume=args.resume,
+                    should_stop=shutdown,
+                    program_tags=tags,
+                    **run,
+                )
+            quarantine_file = f"{outcome.run_dir}/quarantine.fastq"
+        else:
+            outcome = align_supervised(reference, encoded, **run)
+            with open(args.out, "w") as handle:
+                write_sam(
+                    handle, outcome.records, name, len(reference),
+                    program_tags=tags,
+                )
+            hits = sum(1 for r in outcome.records if not r.is_unmapped)
+            mapped = f" ({hits} mapped)"
     except RunInterrupted as exc:
         print(
             f"interrupted: {exc.done}/{exc.total} windows journaled in "
@@ -1573,9 +1567,7 @@ def _align_durable_cmd(
             f"--run-dir {args.run_dir} --resume"
         )
         return 3
-    except (JournalError, SupervisorError) as exc:
-        raise SystemExit(f"error: {exc}") from exc
-    except StartMethodError as exc:
+    except (JournalError, SupervisorError, StartMethodError) as exc:
         raise SystemExit(f"error: {exc}") from exc
     except IndexArtifactError as exc:
         raise SystemExit(
@@ -1583,27 +1575,27 @@ def _align_durable_cmd(
         ) from exc
     elapsed = time.perf_counter() - start
     parts = [
-        f"aligned {len(encoded)} reads in {elapsed:.1f}s with engine "
-        f"{args.engine} across {args.workers} worker(s)"
+        f"aligned {len(encoded)} reads{mapped} in {elapsed:.1f}s with "
+        f"engine {_make_engine(args).name} across {args.workers} "
+        "worker(s)"
     ]
-    if report.resumed:
+    if args.resume:
         parts.append(
-            f"resumed: {report.skipped_windows}/{report.total_windows} "
+            f"resumed: {outcome.skipped_windows}/{outcome.total_windows} "
             "windows reused from the journal"
         )
-    if report.dropped_windows:
-        parts.append(
-            f"recomputed {len(report.dropped_windows)} corrupt "
-            "journal segment(s)"
-        )
-    if report.restarts:
-        parts.append(f"worker restarts: {report.restarts}")
-    if report.quarantined:
-        parts.append(
-            f"quarantined {len(report.quarantined)} poison read(s) "
-            f"to {report.run_dir}/quarantine.fastq"
-        )
+        if outcome.dropped_windows:
+            parts.append(
+                f"recomputed {len(outcome.dropped_windows)} corrupt "
+                "journal segment(s)"
+            )
+    parts += _supervision_notes(outcome, quarantine_file)
     print("; ".join(parts))
+    if getattr(args, "chaos", False):
+        print(
+            "chaos: per-worker fault accounting merged into the "
+            "metrics registry (see --metrics-out)"
+        )
     return 0
 
 

@@ -301,8 +301,8 @@ def extend_batch(
         boundary_e[first, 0] = np.maximum(0, h0v[first] - go - ge_d)
 
     # Local-score post-pass: the strict-improvement row scan,
-    # vectorized across jobs (same accumulator semantics as
-    # fullmatrix._scan_scores_vectorized).
+    # vectorized across jobs (same accumulator semantics as the
+    # scalar fullmatrix.scan_scores).
     running = np.maximum.accumulate(
         np.maximum(row_best, h0v[:, None]), axis=1
     )

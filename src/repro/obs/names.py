@@ -332,7 +332,7 @@ RESILIENCE_BREAKER_STATE = "resilience.breaker.state"
 """Circuit-breaker state (0=closed, 1=half-open, 2=open)."""
 
 PIPELINE_SHARD_WORKERS = "pipeline.shard.workers"
-"""Worker processes the sharded runner fanned out to."""
+"""Worker processes the last multi-process run started."""
 
 KERNEL_ACTIVE = "kernel.active"
 """Set to 1 for the DP kernel backend a run selected (labels: ``kernel``)."""

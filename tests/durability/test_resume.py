@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.aligner.parallel import EngineSpec, align_sharded
+from repro.aligner.parallel import AlignRecipe, EngineSpec
 from repro.durability.journal import JournalError, RunJournal
 from repro.durability.runner import (
     GracefulShutdown,
@@ -51,8 +51,8 @@ def _clean_obs():
 def baseline_sam(corpus):
     """The uninterrupted ground truth: write_sam of a plain run."""
     reference, reads = corpus
-    records = align_sharded(
-        reference, reads, workers=1, batch_size=BATCH, seeding="kmer"
+    records = AlignRecipe(options={"seeding": "kmer"}).build(reference)(
+        [(r.name, r.codes) for r in reads]
     )
     buf = io.StringIO()
     write_sam(buf, records, "chr1", len(reference))

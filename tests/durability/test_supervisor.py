@@ -14,11 +14,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.aligner.parallel import (
-    EngineSpec,
-    align_sharded,
-    align_supervised,
-)
+from repro.aligner.parallel import AlignRecipe, align_supervised
 from repro.durability.supervisor import (
     HANG,
     KILL,
@@ -37,6 +33,7 @@ from repro.genome.synth import (
     synthesize_reference,
 )
 from repro.obs import names
+from tests.helpers import fast_policy as _policy
 
 POISON_INDEX = 7
 BATCH = 6
@@ -62,22 +59,10 @@ def _clean_obs():
 
 
 def _baseline_lines(reference, reads):
-    records = align_sharded(
-        reference, reads, workers=1, batch_size=BATCH, seeding="kmer"
+    records = AlignRecipe(options={"seeding": "kmer"}).build(reference)(
+        [(r.name, r.codes) for r in reads]
     )
     return [rec.to_line() for rec in records]
-
-
-def _policy(**overrides):
-    defaults = dict(
-        max_restarts=30,
-        crash_threshold=2,
-        heartbeat_interval=0.05,
-        hung_timeout=30.0,
-        poll_interval=0.02,
-    )
-    defaults.update(overrides)
-    return SupervisorPolicy(**defaults)
 
 
 class TestPolicy:

@@ -40,14 +40,14 @@ def sam_bytes(
     an integer routes reads through the deferred-extension wave
     scheduler in windows of that size.
     """
-    from repro.aligner.parallel import EngineSpec, align_sharded
+    from repro.aligner.parallel import EngineSpec, align_supervised
     from repro.aligner.pipeline import Aligner
     from repro.genome.sam import write_sam
 
     if workers > 1:
         if not isinstance(engine, EngineSpec):
             raise TypeError("workers > 1 requires an EngineSpec")
-        records = align_sharded(
+        records = align_supervised(
             reference,
             reads,
             spec=engine,
@@ -56,7 +56,7 @@ def sam_bytes(
             seeding=seeding,
             reference_name=reference_name,
             **aligner_opts,
-        )
+        ).records
     else:
         built = engine.build() if isinstance(engine, EngineSpec) else engine
         aligner = Aligner(
@@ -73,6 +73,22 @@ def sam_bytes(
     buf = io.StringIO()
     write_sam(buf, records, reference_name, len(reference))
     return buf.getvalue().encode()
+
+
+def fast_policy(**overrides):
+    """A :class:`SupervisorPolicy` tuned for tests: quick heartbeats
+    and polls, a restart budget bisection never exhausts."""
+    from repro.durability.supervisor import SupervisorPolicy
+
+    defaults = dict(
+        max_restarts=30,
+        crash_threshold=2,
+        heartbeat_interval=0.05,
+        hung_timeout=30.0,
+        poll_interval=0.02,
+    )
+    defaults.update(overrides)
+    return SupervisorPolicy(**defaults)
 
 
 def mutate(

@@ -131,14 +131,14 @@ class TestNoSilentSeeds:
     def test_sharded_run_over_vanished_artifact_fails_typed(
         self, reference, reads, tmp_path
     ):
-        from repro.aligner.parallel import EngineSpec, align_sharded
+        from repro.aligner.parallel import EngineSpec, align_supervised
         from repro.index import build_index
 
         path = tmp_path / "ref.rpidx"
         handle = build_index(reference, path).handle()
         path.unlink()
         with pytest.raises(IndexMissingError):
-            align_sharded(
+            align_supervised(
                 reference,
                 reads,
                 spec=EngineSpec(kind="full"),

@@ -74,19 +74,19 @@ def long_corpus():
 
 
 def _longread_lines(reference, reads, mode, kernel=None, workers=1):
-    from repro.aligner.longread import align_long_sharded
+    from repro.aligner.longread import LongReadRecipe
+    from repro.aligner.parallel import align_supervised
 
     spec = None
     if mode == "batched":
         spec = EngineSpec(kind="batched", kernel=kernel)
-    records = align_long_sharded(
-        reference,
-        reads,
-        mode=mode,
-        spec=spec,
-        workers=workers,
-        batch_size=8,
-    )
+    recipe = LongReadRecipe(mode=mode, spec=spec, batch_size=8)
+    if workers > 1:
+        records = align_supervised(
+            reference, reads, recipe=recipe, workers=workers, batch_size=8
+        ).records
+    else:
+        records = recipe.build(reference)(reads)
     return [rec.to_line() for rec in records]
 
 

@@ -128,3 +128,21 @@ class TestBenchmarkStageTable:
             for part in entry.qualname.split("."):
                 owner = getattr(owner, part)
             assert callable(owner), f"{entry.module}:{entry.qualname}"
+
+
+class TestOneProcessRunner:
+    def test_src_has_no_pool_and_one_process_spawn_site(self):
+        """Multi-process work has one home, the supervised runner in
+        ``aligner/parallel.py``: an unsupervised ``Pool`` hangs forever
+        on a SIGKILLed worker, and a second ``Process`` spawn site is a
+        second runner to keep crash-safe."""
+        src = Path(__file__).resolve().parent.parent / "src" / "repro"
+        text = {path: path.read_text() for path in src.rglob("*.py")}
+        assert [p for p, body in text.items() if "Pool(" in body] == []
+        sites = {
+            path.relative_to(src).as_posix(): body.count(".Process(")
+            for path, body in text.items()
+            if ".Process(" in body
+        }
+        assert sites == {"aligner/parallel.py": 1}
+
