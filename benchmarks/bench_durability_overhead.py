@@ -8,8 +8,7 @@ the noise next to the alignment work it checkpoints.  Both arms run
 only difference is whether a :class:`RunJournal` is attached.  The
 measured throughputs and overhead land in
 ``bench/results/durability.json`` (formerly ``BENCH_durability.json``
-at the repository root); the :func:`tier1_bench` hook feeds the same
-comparison, sized for CI, into the ``repro bench`` trend file.
+at the repository root).
 """
 
 from __future__ import annotations
@@ -37,42 +36,6 @@ RESULT_PATH = (
     / "durability.json"
 )
 _rates: dict[str, float] = {}
-
-
-def tier1_bench(quick: bool = False) -> dict[str, float]:
-    """``repro bench`` hook: reads/s with the journal off vs on."""
-    from repro.bench.timing import best_of
-
-    rng = np.random.default_rng(20260806)
-    reference = synthesize_reference(
-        20_000 if quick else 30_000, rng, repeat_fraction=0.02
-    )
-    sim = ReadSimulator(reference, PLATINUM_LIKE, seed=20260807)
-    reads = sim.simulate(64 if quick else N_READS)
-    # Warm-up: the first alignment pass pays one-time import and
-    # cache costs that would otherwise land entirely on the off leg.
-    _run(reference, reads)
-    off = best_of(
-        lambda: _run(reference, reads), repeats=1 if quick else 2
-    )
-    scratch = tempfile.mkdtemp(prefix="bench-durability-")
-
-    def _journaled():
-        run_dir = tempfile.mkdtemp(dir=scratch)
-        journal = RunJournal.create(
-            run_dir, {"bench": 1}, -(-len(reads) // BATCH)
-        )
-        _run(reference, reads, journal=journal)
-
-    try:
-        on = best_of(_journaled, repeats=1 if quick else 2)
-    finally:
-        shutil.rmtree(scratch, ignore_errors=True)
-    return {
-        "durability.journal_off.reads_per_s": len(reads) / off,
-        "durability.journal_on.reads_per_s": len(reads) / on,
-        "durability.overhead.fraction": on / off - 1.0,
-    }
 
 
 @pytest.fixture(scope="module")

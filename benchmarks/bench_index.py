@@ -6,11 +6,11 @@ store, what the two load-ladder rungs cost (cold verified load vs the
 zero-copy mmap fast path workers take), and that an aligner seeded
 from the artifact sustains pipeline throughput.
 
-Gated metrics: ``index.build.bases_per_s`` (serialization rate,
-higher is better) and ``index.pipeline.reads_per_s`` (end-to-end
-alignment over a memory-mapped artifact).  Trend-only:
-``index.load.cold_ms`` (full verify) and ``index.load.mmap_ms``
-(header-only fast path) — single-shot wall-clock, too noisy to gate.
+Recorded in ``bench/results/index.json``: ``index.build.bases_per_s``
+(serialization rate), ``index.pipeline.reads_per_s`` (end-to-end
+alignment over a memory-mapped artifact), ``index.load.cold_ms``
+(full verify) and ``index.load.mmap_ms`` (header-only fast path) —
+single-shot wall clocks, for inspection rather than comparison.
 """
 
 from __future__ import annotations
@@ -37,16 +37,13 @@ RESULT_PATH = (
 """Machine-readable record of the last full bench run."""
 
 
-def tier1_bench(quick: bool = False) -> dict[str, float]:
-    """``repro bench`` hook: build rate, load rungs, seeded pipeline."""
+def _measure() -> dict[str, float]:
+    """Build rate, both load rungs, and the seeded pipeline rate."""
     rng = np.random.default_rng(CORPUS_SEED + 17)
-    n_bases = 60_000 if quick else 250_000
+    n_bases = 250_000
     reference = synthesize_reference(n_bases, rng, repeat_fraction=0.02)
     sim = ReadSimulator(reference, PLATINUM_LIKE, seed=CORPUS_SEED + 18)
-    reads = [
-        (r.name, r.codes)
-        for r in sim.simulate(150 if quick else 1_000)
-    ]
+    reads = [(r.name, r.codes) for r in sim.simulate(1_000)]
 
     with tempfile.TemporaryDirectory(prefix="bench-index-") as tmp:
         path = Path(tmp) / "ref.rpidx"
@@ -79,20 +76,11 @@ def tier1_bench(quick: bool = False) -> dict[str, float]:
 
 
 def test_index_store(benchmark):
-    """``pytest benchmarks/`` leg: run full-size, record the numbers."""
-    metrics = {}
-    benchmark.pedantic(
-        lambda: metrics.update(tier1_bench(quick=False)),
-        rounds=1,
-        iterations=1,
-    )
+    """Run once, record the numbers."""
+    metrics = benchmark.pedantic(_measure, rounds=1, iterations=1)
     RESULT_PATH.parent.mkdir(parents=True, exist_ok=True)
     RESULT_PATH.write_text(
         json.dumps({"schema": 1, **metrics}, indent=2, sort_keys=True)
         + "\n"
     )
 
-
-if __name__ == "__main__":
-    for name, value in tier1_bench(quick=True).items():
-        print(f"{name}: {value:,.2f}")

@@ -23,13 +23,12 @@ Measured rates land in ``bench/results/kernels.json`` (formerly
 ``BENCH_kernels.json`` at the repo root); the numpy backend must clear
 3x the single-thread scalar reference, striped must clear 5x numpy on
 the big batch, and all backends are bit-identical
-(``tests/kernels/``), so the speedups are free.  The
-:func:`tier1_bench` hook feeds the same measurements, sized for CI,
-into the ``repro bench`` trend file.
+(``tests/kernels/``), so the speedups are free.
 """
 
 import json
 import pathlib
+import time
 
 from repro.align.scoring import BWA_MEM_SCORING
 from repro.kernels import get_kernel
@@ -43,53 +42,6 @@ RESULT_PATH = (
     / "kernels.json"
 )
 _rates: dict[str, float] = {}
-
-
-def tier1_bench(quick: bool = False) -> dict[str, float]:
-    """``repro bench`` hook: batch ext/s per kernel backend at w=15."""
-    import numpy as np
-
-    from repro.bench.timing import best_of
-    from repro.genome.synth import extension_corpus
-
-    n = 40 if quick else N_JOBS
-    rng = np.random.default_rng(20200613)
-    corpus = extension_corpus(
-        n, rng, query_length=101, reference_length=300_000
-    )
-    queries = [j.query for j in corpus]
-    targets = [j.target for j in corpus]
-    h0s = [j.h0 for j in corpus]
-    out = {}
-    for name in ("scalar", "numpy"):
-        kernel = get_kernel(name)
-        elapsed = best_of(
-            lambda: kernel.extend_batch(
-                queries, targets, h0s, BWA_MEM_SCORING, w=BAND
-            ),
-            repeats=2 if quick else 3,
-        )
-        out[f"kernel.{name}.ext_per_s"] = n / elapsed
-    # The striped backend's axis is batch size, not per-job cost: its
-    # per-row dispatch amortizes across the batch, so it is measured
-    # on the big ragged batch where the bucketing actually engages.
-    nb = 1024 if quick else BIG_BATCH
-    big = extension_corpus(
-        nb, rng, query_length=101, vary_query_length=True
-    )
-    bq = [j.query for j in big]
-    bt = [j.target for j in big]
-    bh = [j.h0 for j in big]
-    for name in ("numpy", "striped"):
-        kernel = get_kernel(name)
-        elapsed = best_of(
-            lambda: kernel.extend_batch(
-                bq, bt, bh, BWA_MEM_SCORING, w=BAND
-            ),
-            repeats=2 if quick else 3,
-        )
-        out[f"kernel.{name}.big_batch.ext_per_s"] = nb / elapsed
-    return out
 
 
 def _jobs(platinum_corpus):
@@ -200,7 +152,6 @@ def test_striped_big_batch_speedup(benchmark):
     """
     import numpy as np
 
-    from repro.bench.timing import best_of
     from repro.genome.synth import extension_corpus
 
     rng = np.random.default_rng(20200613)
@@ -217,18 +168,19 @@ def test_striped_big_batch_speedup(benchmark):
             queries, targets, h0s, BWA_MEM_SCORING, w=BAND
         )
     )
-    # Best-vs-best: ``best_of`` below reports numpy's fastest run, so
-    # compare against striped's fastest too — means are hostage to
-    # whatever else the CI host was doing during the slowest round.
+    # Best-vs-best: numpy's rate below is its fastest of three runs,
+    # so compare against striped's fastest too — means are hostage to
+    # whatever else the host was doing during the slowest round.
     striped_rate = BIG_BATCH / benchmark.stats.stats.min
 
     numpy_kernel = get_kernel("numpy")
-    numpy_elapsed = best_of(
-        lambda: numpy_kernel.extend_batch(
+    numpy_elapsed = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        numpy_kernel.extend_batch(
             queries, targets, h0s, BWA_MEM_SCORING, w=BAND
-        ),
-        repeats=3,
-    )
+        )
+        numpy_elapsed = min(numpy_elapsed, time.perf_counter() - start)
     numpy_rate = BIG_BATCH / numpy_elapsed
     speedup = striped_rate / numpy_rate
     print(

@@ -46,29 +46,6 @@ SCALAR_CAP = 1_000
 _rates: dict[str, float] = {}
 
 
-def tier1_bench(quick: bool = False) -> dict[str, float]:
-    """``repro bench`` hook: wave-scheduled pipeline reads/s.
-
-    A CI-sized slice of the batched leg only — the scalar and sharded
-    legs stay pytest-harness territory (one is deliberately slow, the
-    other needs real cores to mean anything).
-    """
-    from repro.bench.timing import best_of
-
-    rng = np.random.default_rng(CORPUS_SEED + 6)
-    reference = synthesize_reference(
-        40_000 if quick else 200_000, rng, repeat_fraction=0.02
-    )
-    sim = ReadSimulator(reference, PLATINUM_LIKE, seed=CORPUS_SEED + 7)
-    reads = sim.simulate(300 if quick else 2_000)
-    aligner = Aligner(reference, make_engine("full"), seeding="kmer")
-    elapsed = best_of(
-        lambda: aligner.align_batched(reads, batch_size=BATCH_SIZE),
-        repeats=1 if quick else 2,
-    )
-    return {"pipeline.batched.reads_per_s": len(reads) / elapsed}
-
-
 @pytest.fixture(scope="module")
 def pipeline_corpus():
     """A 10k-read Platinum-like corpus over a 200 kbp reference."""

@@ -20,34 +20,6 @@ N_JOBS = 150
 _rates: dict[str, float] = {}
 
 
-def tier1_bench(quick: bool = False) -> dict[str, float]:
-    """``repro bench`` hook: bare vs resilience-wrapped ext/s."""
-    import numpy as np
-
-    from repro.bench.timing import best_of
-    from repro.genome.synth import extension_corpus
-
-    n = 60 if quick else N_JOBS
-    rng = np.random.default_rng(20200613)
-    jobs = extension_corpus(
-        n, rng, query_length=101, reference_length=300_000
-    )
-    bare_engine = _engine()
-    wrapped_engine = make_resilient(
-        _engine(), fault_rate=0.0
-    )
-    repeats = 2 if quick else 3
-    bare = best_of(lambda: _drive(bare_engine, jobs), repeats=repeats)
-    wrapped = best_of(
-        lambda: _drive(wrapped_engine, jobs), repeats=repeats
-    )
-    return {
-        "resilience.bare.ext_per_s": n / bare,
-        "resilience.wrapped.ext_per_s": n / wrapped,
-        "resilience.overhead.fraction": wrapped / bare - 1.0,
-    }
-
-
 def _engine():
     """The checked engine, uncached: every repeat recomputes its jobs."""
     return make_engine("seedex", BAND, cache_entries=0)

@@ -78,35 +78,6 @@ def _overlap_reads(
     return [(f.name, f.codes) for f in frags]
 
 
-def tier1_bench(quick: bool = False) -> dict[str, float]:
-    """``repro bench`` hook: overlap pairs/s and batched fill jobs/s."""
-    from repro.bench.timing import best_of
-
-    rng = np.random.default_rng(CORPUS_SEED + 8)
-    reads = _overlap_reads(20 if quick else 60, rng)
-    params = OverlapParams(min_overlap=50)
-    overlaps = find_overlaps(reads, params)
-    elapsed = best_of(
-        lambda: find_overlaps(reads, params),
-        repeats=1 if quick else 2,
-    )
-    out = {
-        "workloads.overlap.pairs_per_s": max(len(overlaps), 1) / elapsed
-    }
-
-    queries, targets = _gap_corpus(
-        100 if quick else FILL_JOBS, np.random.default_rng(CORPUS_SEED + 9)
-    )
-    elapsed = best_of(
-        lambda: fill_gaps_guaranteed(
-            queries, targets, BWA_MEM_SCORING, band=FILL_BAND
-        ),
-        repeats=2 if quick else 3,
-    )
-    out["workloads.longread.fill.jobs_per_s"] = len(queries) / elapsed
-    return out
-
-
 @pytest.fixture(scope="module")
 def overlap_corpus():
     """A 60-fragment tiling corpus (59 true dovetail overlaps)."""

@@ -466,68 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the scorecard as JSON (schema-versioned)",
     )
 
-    bn = sub.add_parser(
-        "bench",
-        help="run the tier-1 benchmark suite + accuracy run; append "
-        "one record to the trend file (see docs/observability.md)",
-        parents=[obs_opts],
-    )
-    bn.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI-sized corpora (same schema, smaller numbers)",
-    )
-    bn.add_argument(
-        "--history",
-        default="bench/history.jsonl",
-        metavar="FILE",
-        help="append-only JSONL trend file (default bench/history.jsonl)",
-    )
-    bn.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="extra baseline records (JSONL) consulted by --check; "
-        "default bench/baseline.jsonl when it exists",
-    )
-    bn.add_argument(
-        "--check",
-        action="store_true",
-        help="gate the new record against the rolling baseline: exit "
-        "4 on a throughput drop beyond --max-throughput-drop or on "
-        "any correct-locus-rate drop",
-    )
-    bn.add_argument(
-        "--max-throughput-drop",
-        type=float,
-        default=0.10,
-        metavar="FRACTION",
-        help="tolerated fractional drop for *_per_s metrics "
-        "(default 0.10)",
-    )
-    bn.add_argument(
-        "--min-correct-locus",
-        type=float,
-        default=None,
-        metavar="RATE",
-        help="absolute correct-locus-rate floor for --check",
-    )
-    bn.add_argument(
-        "--benchmarks-dir",
-        metavar="DIR",
-        help="where to discover bench_*.py (default: the repo's "
-        "benchmarks/ directory)",
-    )
-    bn.add_argument(
-        "--scorecard-out",
-        metavar="FILE",
-        help="also write the accuracy run's full scorecard JSON",
-    )
-    bn.add_argument(
-        "--no-append",
-        action="store_true",
-        help="measure and gate without touching the trend file",
-    )
-
     ana = sub.add_parser(
         "analyze",
         help="check passing rates for a band",
@@ -1145,75 +1083,6 @@ def cmd_score(args: argparse.Namespace) -> int:
     if args.out:
         card.write_json(args.out)
         print(f"wrote scorecard to {args.out}")
-    return 0
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Run the tier-1 bench suite; trend-record and optionally gate.
-
-    Exit codes: 0 clean, 2 on setup errors, 4 when ``--check`` finds
-    a regression (the record is still appended first — a failing run
-    is exactly the history worth keeping).
-    """
-    from pathlib import Path
-
-    from repro.bench import (
-        append_record,
-        check_record,
-        load_records,
-        run_suite,
-    )
-
-    try:
-        record = run_suite(
-            args.quick,
-            bench_dir=args.benchmarks_dir,
-            log=lambda msg: print(msg, file=sys.stderr),
-            scorecard_out=args.scorecard_out,
-        )
-    except (OSError, ValueError) as exc:
-        print(f"error: bench suite failed: {exc}", file=sys.stderr)
-        return 2
-    print(
-        f"bench: {record['git_rev']} on {record['host']} "
-        f"(fingerprint {record['fingerprint']}, quick={record['quick']})"
-    )
-    for name in sorted(record["metrics"]):
-        print(f"  {name} = {record['metrics'][name]:,.4f}")
-    if args.scorecard_out:
-        print(f"wrote scorecard to {args.scorecard_out}")
-
-    baseline_path = args.baseline
-    if baseline_path is None:
-        default = Path("bench") / "baseline.jsonl"
-        baseline_path = str(default) if default.exists() else None
-    baseline = []
-    if baseline_path:
-        baseline.extend(load_records(baseline_path))
-    baseline.extend(load_records(args.history))
-
-    if not args.no_append:
-        append_record(args.history, record)
-        print(f"appended record to {args.history}")
-
-    if not args.check:
-        return 0
-    result = check_record(
-        record,
-        baseline,
-        max_drop=args.max_throughput_drop,
-        min_correct_locus=args.min_correct_locus,
-    )
-    for line in result.lines:
-        print(line)
-    if not result.ok:
-        print(
-            "bench gate: FAIL ("
-            + ", ".join(sorted(set(result.failures)))
-            + ")"
-        )
-        return 4
-    print("bench gate: pass")
     return 0
 
 
@@ -1977,7 +1846,6 @@ def main(argv: list[str] | None = None) -> int:
         "overlap": cmd_overlap,
         "analyze": cmd_analyze,
         "score": cmd_score,
-        "bench": cmd_bench,
         "stats": cmd_stats,
         "serve": cmd_serve,
         "client": cmd_client,

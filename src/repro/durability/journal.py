@@ -103,8 +103,8 @@ def payload_crc(payload: dict) -> int:
 
     The journal's own integrity checksum, exposed for other
     subsystems that need a stable fingerprint of a small JSON-able
-    config — the bench history uses it to tag records with their
-    configuration so the regression gate only compares like with like.
+    config — the index store fingerprints an artifact's reference
+    identity and build parameters with it.
     """
     return _payload_crc(payload)
 

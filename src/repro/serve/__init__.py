@@ -23,8 +23,7 @@ The robustness envelope is the point, not an afterthought:
   (:class:`~repro.durability.wal.RequestWAL`), SIGINT/SIGTERM
   graceful drain, and the ``STATUS`` health verb;
 * :mod:`repro.serve.client` — the ``repro client`` helper used by
-  tests, the CI smoke job, and the latency benchmark as a load
-  generator.
+  tests and the CI smoke job as a load generator.
 
 Responses for accepted requests are byte-identical to batch-mode
 ``repro align`` output for the same reads — the differential suite in

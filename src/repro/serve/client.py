@@ -1,8 +1,8 @@
 """The ``repro client`` helper: a pipelined load generator.
 
-Tests, the CI smoke job, and the latency benchmark all need the same
-thing — open N connections to a running ``repro serve``, fire a burst
-of ALIGN requests down each, and account for every response by id.
+Tests and the CI smoke job need the same thing — open N connections
+to a running ``repro serve``, fire a burst of ALIGN requests down
+each, and account for every response by id.
 :func:`run_load` is that harness; :func:`request_status` is the
 one-shot ``STATUS`` probe the smoke job uses for health checks.
 

@@ -427,67 +427,6 @@ class TestScorecardCli:
         assert set(last) >= {"wave", "eta_s", "elapsed_s"}
 
 
-class TestBenchCli:
-    """`repro bench` end to end over a stub benchmarks directory.
-
-    The stub hook returns constants so the throughput legs are
-    deterministic; the accuracy leg still runs the real fixed-seed
-    quick corpus.
-    """
-
-    def _stub_dir(self, tmp_path):
-        bench_dir = tmp_path / "benchmarks"
-        bench_dir.mkdir()
-        (bench_dir / "bench_stub.py").write_text(
-            "def tier1_bench(quick=False):\n"
-            "    return {'stub.ops_per_s': 10.0}\n"
-        )
-        return str(bench_dir)
-
-    def test_first_run_appends_and_gate_skips(
-        self, tmp_path, capsys
-    ):
-        history = tmp_path / "history.jsonl"
-        rc = main(["bench", "--quick", "--check",
-                   "--benchmarks-dir", self._stub_dir(tmp_path),
-                   "--history", str(history),
-                   "--scorecard-out", str(tmp_path / "card.json")])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "bench gate: pass" in out
-        assert "not gated" in out  # empty history -> skip, never silent
-        from repro.bench import load_records
-
-        (record,) = load_records(history)
-        assert record["metrics"]["stub.ops_per_s"] == 10.0
-        assert record["metrics"]["accuracy.correct_locus_rate"] >= 0.99
-        assert (tmp_path / "card.json").exists()
-
-    def test_injected_regression_exits_nonzero(self, tmp_path, capsys):
-        """The acceptance demo at the CLI layer: a baseline 10x faster
-        than what the next run measures must flip the gate to exit 4,
-        while an honest baseline passes."""
-        history = tmp_path / "history.jsonl"
-        bench_dir = self._stub_dir(tmp_path)
-        argv = ["bench", "--quick", "--benchmarks-dir", bench_dir,
-                "--history", str(history)]
-        assert main(argv) == 0
-
-        # Honest re-run against its own record: gate passes.
-        assert main(argv + ["--check", "--no-append"]) == 0
-
-        # Forge the baseline: same fingerprint/host, 10x throughput.
-        record = json.loads(history.read_text())
-        record["metrics"]["stub.ops_per_s"] = 100.0
-        history.write_text(json.dumps(record) + "\n")
-        capsys.readouterr()
-        rc = main(argv + ["--check", "--no-append"])
-        assert rc == 4
-        out = capsys.readouterr().out
-        assert "bench gate: FAIL" in out
-        assert "stub.ops_per_s" in out
-
-
 @pytest.fixture(scope="module")
 def long_workload(tmp_path_factory):
     """A small long-read corpus with its truth sidecar."""

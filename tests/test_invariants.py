@@ -6,6 +6,7 @@ these failing before the integration tests do.
 """
 
 import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -146,3 +147,33 @@ class TestOneProcessRunner:
         }
         assert sites == {"aligner/parallel.py": 1}
 
+
+class TestOneMeasurementSystem:
+    def test_no_second_bench_gate_in_src_benchmarks_or_cli(self, capsys):
+        """``perfbench/`` is the only throughput instrument.  The system
+        it replaced was a ``repro.bench`` package fed by ``tier1_bench``
+        hooks in ``benchmarks/`` behind a ``bench`` subcommand; it timed
+        layers no benchmarked command runs, and none of its three parts
+        may grow back."""
+        from repro.cli import build_parser
+
+        root = Path(__file__).resolve().parent.parent
+        src = root / "src" / "repro"
+        imports_bench = re.compile(
+            r"^\s*(?:from|import)\s+[\w.]*\bbench\b", re.MULTILINE
+        )
+        assert [
+            path.relative_to(src).as_posix()
+            for path in src.rglob("*.py")
+            if "bench" in path.relative_to(src).with_suffix("").parts
+            or imports_bench.search(path.read_text())
+        ] == []
+        assert [
+            path.name
+            for path in (root / "benchmarks").glob("*.py")
+            if "def tier1_bench" in path.read_text()
+        ] == []
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["bench"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
