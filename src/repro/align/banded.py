@@ -54,6 +54,24 @@ def check_batch_shapes(queries, targets, h0s) -> int:
     return n
 
 
+MIN_SHAPE_CLASS = 16
+"""Smallest shape class: lengths up to 16 share one class."""
+
+
+def shape_class(length: int) -> int:
+    """The bucketing class of a length: the next power of two.
+
+    Geometric classes bound the within-class padding at 2x while
+    keeping the number of classes logarithmic in the length range, so
+    a ragged batch shatters into at most a handful of buckets.  Every
+    lockstep batch kernel (striped extension, overlap, global gap
+    fill) buckets by this one function.
+    """
+    if length <= MIN_SHAPE_CLASS:
+        return MIN_SHAPE_CLASS
+    return 1 << int(length - 1).bit_length()
+
+
 @dataclass(frozen=True)
 class ExtensionResult:
     """Scores and check inputs produced by one banded extension.

@@ -31,6 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.align import fullmatrix
+from repro.align.banded import shape_class
 from repro.align.cigar import Cigar
 from repro.align.fullmatrix import (
     GLOBAL,
@@ -38,7 +39,7 @@ from repro.align.fullmatrix import (
     fill_direction_bits,
     walk_direction_bits,
 )
-from repro.align.overlapdp import _DEAD, _shape_class
+from repro.align.overlapdp import _DEAD
 from repro.align.scoring import AffineGap
 
 ESCALATION_FACTOR = 4
@@ -171,7 +172,7 @@ def fill_global_batch(
     out: list[GlobalFillResult | None] = [None] * len(queries)
     buckets: dict[tuple[int, int], list[int]] = {}
     for k, (q, t) in enumerate(zip(queries, targets)):
-        key = (_shape_class(len(q)), _shape_class(len(t)))
+        key = (shape_class(len(q)), shape_class(len(t)))
         buckets.setdefault(key, []).append(k)
     for (qcls, tcls), idx in buckets.items():
         cells = (qcls + 1) * (tcls + 1)

@@ -26,17 +26,16 @@ by at most one match; target-only moves never gain), so
 
 is an admissible bound on every band-leaving path.  When the banded
 score meets it, the banded result is provably the dense full-matrix
-optimum; otherwise the caller reruns at full band
-(:func:`overlap_with_guarantee`).  Soundness and bit-equivalence with
-a dense oracle are swept exhaustively in
-``tests/align/test_overlap_boundaries.py``.
+optimum; otherwise the caller reruns at full band (the overlap app's
+verify wave).  Soundness and bit-equivalence with a dense oracle are
+swept exhaustively in ``tests/align/test_overlap_boundaries.py``.
 
-Three renditions share these exact semantics: a scalar reference
-(:func:`overlap_scalar`), a row-vectorized form (:func:`overlap_band`),
-and an inter-sequence lockstep batch (:func:`overlap_batch_lockstep`)
-that shape-buckets jobs the way the striped extension kernel does.
-All are bit-identical on ``(score, t_end, bound, optimal)``; only
-``cells_computed`` reflects the backend's own schedule.
+Two renditions share these exact semantics: a scalar reference
+(:func:`overlap_scalar`, the oracle) and an inter-sequence lockstep
+batch (:func:`overlap_batch_lockstep`) that shape-buckets jobs the way
+the striped extension kernel does.  Both are bit-identical on
+``(score, t_end, bound, optimal)``; only ``cells_computed`` reflects
+the backend's own schedule.
 """
 
 from __future__ import annotations
@@ -45,15 +44,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.align.banded import shape_class
 from repro.align.fullmatrix import NEG_INF
 from repro.align.scoring import AffineGap
 from repro.genome.sequence import AMBIGUOUS_CODE
 
 _DEAD = NEG_INF // 2
 """Values at or below this are treated as unreachable (drifted NEG_INF)."""
-
-_MIN_SHAPE_CLASS = 16
-"""Smallest lockstep padding class (mirrors the striped kernel's)."""
 
 
 @dataclass(frozen=True)
@@ -87,15 +84,6 @@ class OverlapResult:
         return self.t_end >= 0 and self.score >= self.bound
 
 
-@dataclass(frozen=True)
-class OverlapOutcome:
-    """A guaranteed-optimal overlap: speculation plus any rerun."""
-
-    result: OverlapResult
-    band_requested: int
-    rerun: bool
-
-
 def _resolve_band(qlen: int, tlen: int, w: int | None) -> int:
     if w is None:
         return max(qlen, tlen)
@@ -112,8 +100,8 @@ def overlap_scalar(
 ) -> OverlapResult:
     """Reference per-cell fill of the banded overlap matrix.
 
-    Slow but obviously the semantics above; the vectorized renditions
-    are conformance-tested against it.  ``w=None`` fills the whole
+    Slow but obviously the semantics above; the lockstep rendition is
+    conformance-tested against it.  ``w=None`` fills the whole
     matrix (trivially optimal).
     """
     query = np.asarray(query, dtype=np.int64)
@@ -165,107 +153,6 @@ def overlap_scalar(
     )
 
 
-def overlap_band(
-    query: np.ndarray,
-    target: np.ndarray,
-    scoring: AffineGap,
-    w: int | None = None,
-) -> OverlapResult:
-    """Row-vectorized banded overlap fill (the wavefront backend's form).
-
-    Bit-identical to :func:`overlap_scalar` on every observable field;
-    the F channel uses the exact running-max closed form the global
-    kernel uses (``F[j] = max over k < j of src[k] - go - (j-k)*ge``).
-    """
-    query = np.asarray(query, dtype=np.int64)
-    target = np.asarray(target, dtype=np.int64)
-    qlen, tlen = len(query), len(target)
-    w = _resolve_band(qlen, tlen, w)
-    go = scoring.gap_open
-    ge_i = scoring.gap_extend_ins
-    ge_d = scoring.gap_extend_del
-    m = scoring.match
-    x = scoring.mismatch
-
-    h_prev = np.full(qlen + 1, NEG_INF, dtype=np.int64)
-    e_prev = np.full(qlen + 1, NEG_INF, dtype=np.int64)
-    h_prev[0] = 0
-    hi0 = min(qlen, w)
-    if hi0 >= 1:
-        j_idx = np.arange(1, hi0 + 1, dtype=np.int64)
-        h_prev[1 : hi0 + 1] = -(go + j_idx * ge_i)
-    cells = hi0 + 1
-
-    score, t_end = NEG_INF, -1
-    if qlen <= w and int(h_prev[qlen]) > _DEAD:
-        score, t_end = int(h_prev[qlen]), 0
-    bound = NEG_INF
-    banded = w < max(qlen, tlen)
-    if banded and w <= qlen:
-        bound = int(h_prev[w]) + (qlen - w) * m
-
-    h_row = np.full(qlen + 1, NEG_INF, dtype=np.int64)
-    e_row = np.full(qlen + 1, NEG_INF, dtype=np.int64)
-    for i in range(1, tlen + 1):
-        lo = max(0, i - w)
-        hi = min(qlen, i + w)
-        h_row.fill(NEG_INF)
-        e_row.fill(NEG_INF)
-        if lo == 0 and i <= w:
-            h_row[0] = -(go + i * ge_d)
-            e_row[0] = h_row[0]
-            cells += 1
-
-        lo2 = max(lo, 1)
-        if lo2 <= hi:
-            seg = slice(lo2, hi + 1)
-            e_row[seg] = np.maximum(h_prev[seg] - go, e_prev[seg]) - ge_d
-            tc = target[i - 1]
-            # N never matches anything, itself included.
-            sub = np.where(
-                (tc == query[lo2 - 1 : hi]) & (tc != AMBIGUOUS_CODE), m, -x
-            )
-            diag = h_prev[lo2 - 1 : hi] + sub
-            g = np.maximum(diag, e_row[seg])
-            src = np.empty(hi - lo2 + 2, dtype=np.int64)
-            src[0] = h_row[0] if lo2 == 1 and i <= w else NEG_INF
-            src[1:] = g
-            cols = np.arange(lo2 - 1, hi + 1, dtype=np.int64)
-            run = np.maximum.accumulate(src - go + cols * ge_i)
-            f = run[:-1] - cols[1:] * ge_i
-            h_row[seg] = np.maximum(g, f)
-            cells += hi - lo2 + 1
-
-        if lo <= qlen <= hi:
-            cand = int(h_row[qlen])
-            if cand > _DEAD and (t_end < 0 or cand > score):
-                score, t_end = cand, i
-        if banded:
-            for j in (i - w, i + w):
-                if 0 <= j <= qlen and lo <= j <= hi:
-                    v = int(h_row[j])
-                    if v > _DEAD:
-                        bound = max(bound, v + (qlen - j) * m)
-
-        h_prev, h_row = h_row, h_prev
-        e_prev, e_row = e_row, e_prev
-
-    if t_end < 0:
-        score = NEG_INF
-    return OverlapResult(
-        score=score, t_end=t_end, band=w, qlen=qlen, tlen=tlen,
-        bound=bound, cells_computed=cells,
-    )
-
-
-def _shape_class(length: int) -> int:
-    """Next power-of-two padding class, floored at 16 (striped idiom)."""
-    cls = _MIN_SHAPE_CLASS
-    while cls < length:
-        cls <<= 1
-    return cls
-
-
 def overlap_batch_lockstep(
     queries: list[np.ndarray],
     targets: list[np.ndarray],
@@ -287,7 +174,7 @@ def overlap_batch_lockstep(
     out: list[OverlapResult | None] = [None] * len(queries)
     buckets: dict[tuple[int, int], list[int]] = {}
     for k, (q, t) in enumerate(zip(queries, targets)):
-        key = (_shape_class(len(q)), _shape_class(len(t)))
+        key = (shape_class(len(q)), shape_class(len(t)))
         buckets.setdefault(key, []).append(k)
     for idx in buckets.values():
         for k, res in zip(
@@ -458,24 +345,3 @@ def _lockstep_bucket(
             )
         )
     return out
-
-
-def overlap_with_guarantee(
-    query: np.ndarray,
-    target: np.ndarray,
-    scoring: AffineGap,
-    band: int,
-    overlap=overlap_band,
-) -> OverlapOutcome:
-    """Speculate at ``band``; rerun at full band unless proven optimal.
-
-    The returned score always equals the dense full-matrix optimum —
-    either the check proved the narrow fill optimal or the rerun *is*
-    the full fill.  ``overlap`` lets callers route through a kernel
-    backend's entry point.
-    """
-    res = overlap(query, target, scoring, band)
-    if res.optimal:
-        return OverlapOutcome(result=res, band_requested=band, rerun=False)
-    full = overlap(query, target, scoring, None)
-    return OverlapOutcome(result=full, band_requested=band, rerun=True)

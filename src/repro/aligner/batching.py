@@ -50,79 +50,6 @@ class MicroBatchPolicy:
 
 
 @dataclass(frozen=True)
-class WaveOccupancy:
-    """How densely one wave of extension jobs packs for the striped
-    kernel (:mod:`repro.kernels.striped`).
-
-    ``shape_classes`` counts the distinct geometric (target, query)
-    length classes; ``sweep_groups`` the lockstep groups those classes
-    merge into under the kernel's minimum-occupancy rule; and
-    ``pad_fraction`` the share of swept stripe cells that are padding
-    rather than useful DP work.  The wave scheduler's window size is
-    the lever: bigger windows mean fewer, fuller groups and a smaller
-    pad fraction — the software rendition of keeping the accelerator's
-    PE array occupied (paper Section V-B).
-    """
-
-    jobs: int
-    shape_classes: int
-    sweep_groups: int
-    pad_fraction: float
-
-
-def wave_occupancy(
-    shapes: list[tuple[int, int]], band: int
-) -> WaveOccupancy:
-    """Model how the striped kernel would pack ``shapes`` at ``band``.
-
-    ``shapes`` holds one ``(qlen, tlen)`` pair per job.  Mirrors the
-    kernel's own policy — geometric shape classes, shortest-target
-    classes merged until a group reaches its minimum occupancy — and
-    charges each group's jobs the stripe cells of the group's padded
-    geometry.  Analytic only: the kernel's own ``kernel.bucket_*``
-    metrics report what a live run actually did.
-    """
-    from repro.kernels.striped import (
-        MIN_BUCKET_JOBS,
-        shape_class,
-    )
-
-    if band < 0:
-        raise ValueError("band must be non-negative")
-    if not shapes:
-        return WaveOccupancy(0, 0, 0, 0.0)
-    width = 2 * band + 1
-    buckets: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for qlen, tlen in shapes:
-        key = (shape_class(tlen), shape_class(qlen))
-        buckets.setdefault(key, []).append((qlen, tlen))
-    groups: list[list[tuple[int, int]]] = []
-    pending: list[tuple[int, int]] = []
-    for key in sorted(buckets):
-        pending.extend(buckets[key])
-        if len(pending) >= MIN_BUCKET_JOBS:
-            groups.append(pending)
-            pending = []
-    if pending:
-        groups.append(pending)
-    swept = useful = 0
-    for group in groups:
-        t_max = max(t for _, t in group)
-        q_max = max(q for q, _ in group)
-        dense = min(width, q_max + 1)
-        for qlen, tlen in group:
-            swept += dense * t_max
-            useful += min(dense, qlen + 1) * tlen
-    pad_fraction = 1.0 - useful / swept if swept else 0.0
-    return WaveOccupancy(
-        jobs=len(shapes),
-        shape_classes=len(buckets),
-        sweep_groups=len(groups),
-        pad_fraction=pad_fraction,
-    )
-
-
-@dataclass(frozen=True)
 class BatchingConfig:
     """Thread split and batch geometry."""
 

@@ -48,7 +48,6 @@ from repro.aligner.pipeline import (
 from repro.faults.errors import DeadLetterError
 from repro.genome.sam import SamRecord
 from repro.genome.sequence import reverse_complement
-from repro.kernels.striped import shape_class
 from repro.obs import names
 from repro.seeding.chaining import chain_seeds, filter_chains
 
@@ -131,19 +130,6 @@ def _dispatch_wave(engine, jobs: list[tuple], side: str) -> list:
     if obs.enabled():
         reg = obs.get_registry()
         _count_wave(reg, side, len(jobs))
-        # Bucket density: how many striped-kernel shape classes this
-        # wave spans.  Window-sized waves keep this small (a handful
-        # of geometric length classes), which is what lets the striped
-        # backend pack the wave into dense lockstep sweep groups.
-        classes = {
-            (shape_class(len(t)), shape_class(len(q)))
-            for q, t, _ in jobs
-        }
-        reg.histogram(
-            names.PIPELINE_BATCH_WAVE_CLASSES,
-            "distinct shape classes per wave",
-            side=side,
-        ).observe(len(classes))
         degraded = sum(1 for r in results if r is DEGRADED)
         if degraded:
             reg.counter(

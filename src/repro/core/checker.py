@@ -32,7 +32,7 @@ from repro.align.banded import ExtensionResult
 from repro.align.scoring import AffineGap
 from repro.core.editcheck import above_check, edit_check
 from repro.core.escore import NO_THREAT, score_max_e
-from repro.core.thresholds import Thresholds
+from repro.core.thresholds import Thresholds, semiglobal_thresholds
 from repro.obs import names
 
 
@@ -119,26 +119,21 @@ class CheckDecision:
 class OptimalityChecker:
     """Applies the Figure 6 workflow to narrow-band extension results.
 
-    ``kernel`` picks the DP backend for the threshold math and the
-    edit check's left-entry sweep (``None`` = environment default);
-    backends are bit-identical, so the verdicts never depend on it.
+    The checks have one implementation each and never extend, so the
+    verdicts do not depend on which kernel backend produced ``result``.
     """
 
     def __init__(
         self,
         scoring: AffineGap,
         config: CheckConfig | None = None,
-        kernel=None,
     ) -> None:
-        from repro.kernels import get_kernel
-
         self.scoring = scoring
         self.config = config or CheckConfig()
-        self.kernel = get_kernel(kernel)
 
     def thresholds_for(self, result: ExtensionResult) -> Thresholds:
         """S1/S2 thresholds for one extension result."""
-        return self.kernel.thresholds(
+        return semiglobal_thresholds(
             self.scoring,
             result.qlen,
             result.tlen,
@@ -200,7 +195,6 @@ class OptimalityChecker:
                 thresholds.s1,
                 exact_left_seed=self.config.exact_left_seed,
                 include_top_seeds=local and not e_pass,
-                left_entry_impl=self.kernel.left_entry,
             )
         if ed.score_ed >= score_nb:
             return CheckDecision(

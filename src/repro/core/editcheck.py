@@ -139,7 +139,6 @@ def edit_check(
     exact_left_seed: bool = True,
     region_scoring: AffineGap | None = None,
     include_top_seeds: bool = False,
-    left_entry_impl=None,
 ) -> EditCheckResult:
     """Run the optimistic left-entry extension and form ``score_ed``.
 
@@ -158,10 +157,6 @@ def edit_check(
     seeding for the calibration ablation; ``s1`` may be ``None`` only
     when the above-band region does not exist, in which case exact
     seeding is used regardless.
-
-    ``left_entry_impl`` swaps the sweep implementation (a kernel
-    backend's ``left_entry``); the default is the row-oriented
-    :func:`~repro.align.editdp.left_entry_scores`.
     """
     if region_scoring is None:
         region_scoring = relaxed_edit_scoring()
@@ -183,9 +178,7 @@ def edit_check(
                 return int(boundary_e[j])
             return 0
 
-    if left_entry_impl is None:
-        left_entry_impl = left_entry_scores
-    scores = left_entry_impl(
+    scores = left_entry_scores(
         query, target, result.band, seed, scoring=region_scoring,
         top_seed=top_seed,
     )

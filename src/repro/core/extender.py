@@ -204,7 +204,7 @@ class SeedExtender:
         self.band = band
         self.scoring = scoring
         self.kernel = get_kernel(kernel)
-        self.checker = OptimalityChecker(scoring, config, kernel=self.kernel)
+        self.checker = OptimalityChecker(scoring, config)
         self.stats = ExtenderStats(registry)
 
     def extend(

@@ -1,9 +1,11 @@
-"""Kernel backends: pluggable implementations of the DP hot loops.
+"""Kernel backends: pluggable implementations of the DP fills.
 
-Every compute-heavy primitive the pipeline runs — the banded
-extension fill, its batched form, the relaxed-edit trapezoid sweep,
-the S1/S2 threshold math — goes through a :class:`KernelBackend`.
-Three implementations ship:
+The four fills the pipeline runs — the banded extension, its batched
+form, and the suffix-prefix overlap fill single and batched — go
+through a :class:`KernelBackend`.  The optimality checks (S1/S2
+thresholds, the relaxed-edit trapezoid sweep) have one implementation
+each in :mod:`repro.core` and do not depend on the backend.  Three
+implementations ship:
 
 * ``scalar`` (:mod:`repro.kernels.scalar`) — the original row-oriented
   kernels, the default;
@@ -16,7 +18,7 @@ Three implementations ship:
   PE array with many independent extensions.
 
 Backends are bit-identical on everything observable (scores, CIGARs,
-boundary channels, thresholds, accept/rerun verdicts) — only the
+boundary channels, accept/rerun verdicts) — only the
 execution-shape fields (``cells_computed``, ``terminated_early``) may
 reflect the backend's own schedule.  The cross-kernel conformance
 suite (``tests/kernels/``) enforces this, and CI diffs whole SAM
@@ -31,15 +33,13 @@ passed; unset means ``scalar``).
 from __future__ import annotations
 
 import os
-from typing import Callable, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 import numpy as np
 
 from repro.align.banded import BatchShapeError, ExtensionResult
-from repro.align.editdp import LeftEntryScores
 from repro.align.overlapdp import OverlapResult
 from repro.align.scoring import AffineGap
-from repro.core.thresholds import Thresholds
 from repro.kernels.scalar import ScalarKernel
 from repro.kernels.striped import StripedKernel
 from repro.kernels.wavefront import WavefrontKernel
@@ -94,29 +94,6 @@ class KernelBackend(Protocol):
         w: int | None = None,
     ) -> list[OverlapResult]:
         """Run a batch of overlap fills, results in input order."""
-        ...
-
-    def left_entry(
-        self,
-        query: np.ndarray,
-        target: np.ndarray,
-        band: int,
-        left_seed: Callable[[int], int] | int,
-        scoring: AffineGap | None = None,
-        top_seed: Callable[[int], int] | None = None,
-    ) -> LeftEntryScores:
-        """Run the relaxed left-entry sweep of the edit check."""
-        ...
-
-    def thresholds(
-        self,
-        scoring: AffineGap,
-        qlen: int,
-        tlen: int,
-        band: int,
-        h0: int,
-    ) -> Thresholds:
-        """Compute the semi-global S1/S2 thresholds."""
         ...
 
 

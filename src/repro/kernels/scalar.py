@@ -2,24 +2,20 @@
 
 A thin façade over the repo's original kernels: the per-job banded
 extension (:mod:`repro.align.banded`), the row-lockstep batch kernel
-(:mod:`repro.align.batchdp`), the relaxed left-entry sweep
-(:mod:`repro.align.editdp`) and the scalar S1/S2 threshold math.  This
-is the default backend — selecting it changes nothing about how the
-pipeline computes.
+(:mod:`repro.align.batchdp`) and the per-cell overlap reference
+(:func:`repro.align.overlapdp.overlap_scalar`).  This is the default
+backend — selecting it changes nothing about how the pipeline
+computes.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
-from repro.align import banded, batchdp, editdp, overlapdp
+from repro.align import banded, batchdp, overlapdp
 from repro.align.banded import ExtensionResult
-from repro.align.editdp import LeftEntryScores
 from repro.align.overlapdp import OverlapResult
 from repro.align.scoring import AffineGap
-from repro.core.thresholds import Thresholds, semiglobal_thresholds
 
 
 class ScalarKernel:
@@ -73,29 +69,3 @@ class ScalarKernel:
             overlapdp.overlap_scalar(q, t, scoring, w=w)
             for q, t in zip(queries, targets)
         ]
-
-    def left_entry(
-        self,
-        query: np.ndarray,
-        target: np.ndarray,
-        band: int,
-        left_seed: Callable[[int], int] | int,
-        scoring: AffineGap | None = None,
-        top_seed: Callable[[int], int] | None = None,
-    ) -> LeftEntryScores:
-        """The relaxed-edit trapezoid sweep (row form)."""
-        return editdp.left_entry_scores(
-            query, target, band, left_seed, scoring=scoring,
-            top_seed=top_seed,
-        )
-
-    def thresholds(
-        self,
-        scoring: AffineGap,
-        qlen: int,
-        tlen: int,
-        band: int,
-        h0: int,
-    ) -> Thresholds:
-        """Semi-global S1/S2 thresholds (scalar math)."""
-        return semiglobal_thresholds(scoring, qlen, tlen, band, h0)

@@ -1,11 +1,11 @@
 """Inter-sequence striped batch kernel with shape-bucketing.
 
-The wavefront backend (:mod:`repro.kernels.wavefront`) vectorizes
-*within* one extension — across the slots of an anti-diagonal — the
-way one systolic array schedules one matrix.  The accelerator's
-throughput, and that of SSW/SALoBa-style software aligners, comes from
-the other axis: many independent extensions advancing in lockstep.
-This backend is that inter-sequence rendition.
+The wavefront backend vectorizes *within* one extension — across the
+slots of an anti-diagonal — the way one systolic array schedules one
+matrix.  The accelerator's throughput, and that of SSW/SALoBa-style
+software aligners, comes from the other axis: many independent
+extensions advancing in lockstep.  This backend is that
+inter-sequence rendition.
 
 Layout.  Each job's band is re-indexed by its **band offset**
 ``k = j - i + w`` (``k`` in ``[0, 2w]``), so one target row of one job
@@ -48,11 +48,11 @@ geometric (power-of-two) classes of its lengths, then merges classes
 pays a fixed per-row sweep overhead, so small classes are cheaper
 ridden along in a bigger group than swept alone.  Degenerate jobs
 (empty sequences, or longer than :data:`MAX_DENSE_LENGTH`) fall back
-per job to the wavefront kernel; groups whose band is so wide the
-stripe would be wider than the row layout itself
-(``2w + 1 > max_q + 1``) take the row-lockstep kernel instead, which
-is the cheaper dense layout there.  Both reroutes are bit-identical,
-so the choice is purely a cost model.
+per job to the row-lockstep kernel (:mod:`repro.align.batchdp`), and
+so do groups whose band is so wide the stripe would be wider than the
+row layout itself (``2w + 1 > max_q + 1``), where it is the cheaper
+dense layout.  Both reroutes are bit-identical, so the choice is
+purely a cost model.
 
 Semantics are bit-identical to :func:`repro.align.banded.extend`
 (``prune=False``) and :func:`repro.align.batchdp.extend_batch` on
@@ -65,8 +65,6 @@ job across all three backends.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from repro import obs
@@ -75,19 +73,15 @@ from repro.align.banded import (
     ExtensionResult,
     check_batch_shapes,
     full_band_for,
+    shape_class,
 )
-from repro.align.editdp import LeftEntryScores
+from repro.align.overlapdp import OverlapResult, overlap_batch_lockstep
 from repro.align.scoring import AffineGap
-from repro.core.thresholds import Thresholds
 from repro.genome.sequence import AMBIGUOUS_CODE
-from repro.kernels import wavefront
 from repro.obs import names
 
 _PAD = 64
 """Query pad code (outside the 3-bit alphabet, never equal to a base)."""
-
-MIN_SHAPE_CLASS = 16
-"""Smallest shape class: lengths up to 16 share one class."""
 
 MIN_BUCKET_JOBS = 512
 """Target occupancy of one sweep group.  Shape classes are merged
@@ -97,8 +91,8 @@ outweighs the padded rows a split would save."""
 
 MAX_DENSE_LENGTH = 4096
 """Jobs with a sequence longer than this skip the dense packed sweep
-and fall back to the per-job wavefront kernel — one outlier must not
-force a whole group's padded arrays to its size."""
+and fall back to the row-lockstep kernel one job at a time — one
+outlier must not force a whole group's padded arrays to its size."""
 
 ROW_SWEEP_COST_CELLS = 65536
 """Cost-model constant for group coalescing: the fixed per-row
@@ -107,18 +101,6 @@ units (roughly alpha / beta for per-row cost alpha + beta * cells).
 Merging a short-target group into the next, longer one saves the
 short group's entire per-row fixed cost and pays its jobs' padding to
 the longer sweep; the merge happens while the fixed cost dominates."""
-
-
-def shape_class(length: int) -> int:
-    """The bucketing class of a length: the next power of two.
-
-    Geometric classes bound the within-class padding at 2x while
-    keeping the number of classes logarithmic in the length range, so
-    a ragged batch shatters into at most a handful of buckets.
-    """
-    if length <= MIN_SHAPE_CLASS:
-        return MIN_SHAPE_CLASS
-    return 1 << int(length - 1).bit_length()
 
 
 def _sweep_bucket(
@@ -672,9 +654,9 @@ def extend_batch(
         )
 
     for idx in fallback:
-        out[idx] = wavefront.extend(
-            queries[idx], targets[idx], scoring, h0s[idx], w=w
-        )
+        out[idx] = batchdp.extend_batch(
+            [queries[idx]], [targets[idx]], [h0s[idx]], scoring, w=w
+        )[0]
 
     if obs.enabled():
         reg = obs.get_registry()
@@ -737,11 +719,9 @@ class StripedKernel:
         target: np.ndarray,
         scoring: AffineGap,
         w: int | None = None,
-    ):
+    ) -> OverlapResult:
         """One banded overlap fill (the lockstep kernel with n = 1)."""
-        from repro.align import overlapdp
-
-        return overlapdp.overlap_batch_lockstep(
+        return overlap_batch_lockstep(
             [np.asarray(query)], [np.asarray(target)], scoring, w=w
         )[0]
 
@@ -751,38 +731,6 @@ class StripedKernel:
         targets: list[np.ndarray],
         scoring: AffineGap,
         w: int | None = None,
-    ):
+    ) -> list[OverlapResult]:
         """A shape-bucketed batch of overlap fills in lockstep."""
-        from repro.align import overlapdp
-
-        return overlapdp.overlap_batch_lockstep(
-            queries, targets, scoring, w=w
-        )
-
-    def left_entry(
-        self,
-        query: np.ndarray,
-        target: np.ndarray,
-        band: int,
-        left_seed: Callable[[int], int] | int,
-        scoring: AffineGap | None = None,
-        top_seed: Callable[[int], int] | None = None,
-    ) -> LeftEntryScores:
-        """The relaxed-edit trapezoid sweep (anti-diagonal form)."""
-        return wavefront.left_entry_wave(
-            query, target, band, left_seed, scoring=scoring,
-            top_seed=top_seed,
-        )
-
-    def thresholds(
-        self,
-        scoring: AffineGap,
-        qlen: int,
-        tlen: int,
-        band: int,
-        h0: int,
-    ) -> Thresholds:
-        """Semi-global S1/S2 thresholds (vectorized math)."""
-        return wavefront.semiglobal_thresholds_wave(
-            scoring, qlen, tlen, band, h0
-        )
+        return overlap_batch_lockstep(queries, targets, scoring, w=w)

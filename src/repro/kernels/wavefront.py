@@ -25,27 +25,22 @@ Semantics are bit-identical to :func:`repro.align.banded.extend`
 (``prune=False``) and :func:`repro.align.batchdp.extend_batch`,
 including the boundary E/F channel captures and tie-breaking —
 property-tested against both in ``tests/kernels/test_conformance.py``.
-:func:`left_entry_wave` is the matching anti-diagonal rendition of the
-relaxed-edit trapezoid sweep (:func:`repro.align.editdp.left_entry_scores`)
-and :func:`thresholds_batch` vectorizes the S1/S2 math.
+The backend's overlap entry points share the striped backend's
+inter-sequence lockstep fill
+(:func:`repro.align.overlapdp.overlap_batch_lockstep`).
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
 from repro.align.banded import (
     ExtensionResult,
-    boundary_length,
     check_batch_shapes,
     full_band_for,
-    upper_boundary_length,
 )
-from repro.align.editdp import LeftEntryScores
-from repro.align.scoring import AffineGap, relaxed_edit_scoring
-from repro.core.thresholds import Thresholds
+from repro.align.overlapdp import OverlapResult, overlap_batch_lockstep
+from repro.align.scoring import AffineGap
 from repro.genome.sequence import AMBIGUOUS_CODE
 
 _PAD = 64
@@ -356,150 +351,6 @@ def extend(
                         [h0], scoring, w=w)[0]
 
 
-def left_entry_wave(
-    query: np.ndarray,
-    target: np.ndarray,
-    band: int,
-    left_seed: Callable[[int], int] | int,
-    scoring: AffineGap | None = None,
-    top_seed: Callable[[int], int] | None = None,
-) -> LeftEntryScores:
-    """Anti-diagonal rendition of the relaxed trapezoid sweep.
-
-    Bit-identical to :func:`repro.align.editdp.left_entry_scores`
-    (including its N-matches-N relaxed substitution — looser than the
-    production scheme, hence still admissible).  The free-insertion
-    running max becomes a per-cell ``left`` dependence on diagonal
-    ``d-1``, so each diagonal of the half-matrix is one vector op
-    instead of a per-row scan.
-    """
-    if scoring is None:
-        scoring = relaxed_edit_scoring()
-    if scoring.gap_open != 0 or scoring.gap_extend_ins != 0:
-        raise ValueError(
-            "left-entry DP requires zero-cost insertions "
-            "(free horizontal propagation)"
-        )
-    query = np.asarray(query, dtype=np.int64)
-    target = np.asarray(target, dtype=np.int64)
-    qlen = len(query)
-    tlen = len(target)
-    if tlen <= band:
-        return LeftEntryScores(np.zeros(0, dtype=np.int64), 0)
-
-    seed = left_seed if callable(left_seed) else (lambda _i: int(left_seed))
-    m = scoring.match
-    x = scoring.mismatch
-    ge_d = scoring.gap_extend_del
-
-    n_rows = tlen - band  # rows r = 0..n_rows-1 are matrix rows band+1+r
-    seeds = np.array(
-        [max(0, seed(band + 1 + r)) for r in range(n_rows)], dtype=np.int64
-    )
-    tops = None
-    if top_seed is not None:
-        # top_seed(bj) lands at (i, bj) with bj = i - band - 1 = r.
-        tops = np.array(
-            [top_seed(r) if r <= qlen else 0 for r in range(n_rows)],
-            dtype=np.int64,
-        )
-
-    last_column = np.zeros(n_rows, dtype=np.int64)
-    h_p1 = h_p2 = None
-    r_lo_p1 = r_lo_p2 = 0
-    for d in range(0, n_rows + qlen + 1):
-        r_lo = max(0, d - qlen)
-        r_hi = min(n_rows - 1, d)
-        if r_lo > r_hi:
-            break
-        width = r_hi - r_lo + 1
-        r_cells = np.arange(r_lo, r_hi + 1, dtype=np.int64)
-        j_cells = d - r_cells
-
-        base = np.zeros(width, dtype=np.int64)
-        if r_hi == d:
-            # Column 0 (last slot): the left-boundary seed.
-            base[-1] = seeds[d]
-        if d >= 1:
-            # Up (r-1, j) on d-1 and free left (r, j-1) on d-1.
-            up = _shift(h_p1[None, :], r_lo - 1 - r_lo_p1, width)[0]
-            np.maximum(base, up - ge_d, out=base)
-            left = _shift(h_p1[None, :], r_lo - r_lo_p1, width)[0]
-            np.maximum(base, left, out=base)
-        if d >= 2:
-            # Diagonal (r-1, j-1) on d-2, with the relaxed (plain ==)
-            # substitution the edit machine uses.
-            diag_h = _shift(h_p2[None, :], r_lo - 1 - r_lo_p2, width)[0]
-            tchars = target[band + r_cells - 1 + 1]  # target[band + r] ...
-            # ... i.e. row i = band + 1 + r consumes target[i - 1].
-            qchars = np.full(width, _PAD, dtype=np.int64)
-            has_j = j_cells >= 1
-            qchars[has_j] = query[j_cells[has_j] - 1]
-            sub = np.where(tchars == qchars, m, -x)
-            np.maximum(base, np.where(diag_h > 0, diag_h + sub, 0),
-                       out=base)
-        if tops is not None:
-            # Injection cell (r, r) lies on diagonal d = 2r.
-            if d % 2 == 0 and r_lo <= d // 2 <= r_hi and d // 2 <= qlen:
-                s = d // 2 - r_lo
-                base[s] = max(int(base[s]), int(tops[d // 2]))
-        np.maximum(base, 0, out=base)
-
-        # Free insertions: within a diagonal the left dependence is
-        # already resolved (it lives on d-1), so no scan is needed.
-        if r_lo <= d - qlen <= r_hi:
-            last_column[d - qlen] = int(base[d - qlen - r_lo])
-
-        h_p2, r_lo_p2 = h_p1, r_lo_p1
-        h_p1, r_lo_p1 = base, r_lo
-
-    return LeftEntryScores(last_column, int(last_column.max(initial=0)))
-
-
-def thresholds_batch(
-    scoring: AffineGap,
-    qlens: np.ndarray,
-    tlens: np.ndarray,
-    band: int,
-    h0s: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized semi-global S1/S2 (paper Eq. 4-5) for a batch.
-
-    Returns ``(s1, has_s1, s2, has_s2)``; a threshold only applies
-    where its ``has_*`` mask is true (the band side has an outside
-    region).  Scalar agreement with
-    :func:`repro.core.thresholds.semiglobal_thresholds` is
-    conformance-tested.
-    """
-    qlens = np.asarray(qlens, dtype=np.int64)
-    tlens = np.asarray(tlens, dtype=np.int64)
-    h0s = np.asarray(h0s, dtype=np.int64)
-    m = scoring.match
-    go = scoring.gap_open
-    has_s1 = qlens > band
-    has_s2 = tlens > band
-    s1 = h0s - (go + band * scoring.gap_extend_ins) + (qlens - band) * m
-    s2 = h0s - (go + band * scoring.gap_extend_del) + qlens * m
-    return s1, has_s1, s2, has_s2
-
-
-def semiglobal_thresholds_wave(
-    scoring: AffineGap, qlen: int, tlen: int, band: int, h0: int
-) -> Thresholds:
-    """Per-job façade over :func:`thresholds_batch`."""
-    s1, has_s1, s2, has_s2 = thresholds_batch(
-        scoring,
-        np.array([qlen]),
-        np.array([tlen]),
-        band,
-        np.array([h0]),
-    )
-    return Thresholds(
-        s1=int(s1[0]) if has_s1[0] else None,
-        s2=int(s2[0]) if has_s2[0] else None,
-    )
-
-
 class WavefrontKernel:
     """The anti-diagonal NumPy backend (``--kernel numpy``)."""
 
@@ -533,11 +384,11 @@ class WavefrontKernel:
         target: np.ndarray,
         scoring: AffineGap,
         w: int | None = None,
-    ):
-        """One banded suffix-prefix overlap fill (row-vectorized)."""
-        from repro.align import overlapdp
-
-        return overlapdp.overlap_band(query, target, scoring, w=w)
+    ) -> OverlapResult:
+        """One banded overlap fill (the lockstep kernel with n = 1)."""
+        return overlap_batch_lockstep(
+            [np.asarray(query)], [np.asarray(target)], scoring, w=w
+        )[0]
 
     def overlap_batch(
         self,
@@ -545,39 +396,6 @@ class WavefrontKernel:
         targets: list[np.ndarray],
         scoring: AffineGap,
         w: int | None = None,
-    ):
-        """A batch of overlap fills, row-vectorized per job."""
-        from repro.align import overlapdp
-
-        if len(queries) != len(targets):
-            raise ValueError("queries and targets must align")
-        return [
-            overlapdp.overlap_band(q, t, scoring, w=w)
-            for q, t in zip(queries, targets)
-        ]
-
-    def left_entry(
-        self,
-        query: np.ndarray,
-        target: np.ndarray,
-        band: int,
-        left_seed: Callable[[int], int] | int,
-        scoring: AffineGap | None = None,
-        top_seed: Callable[[int], int] | None = None,
-    ) -> LeftEntryScores:
-        """The relaxed-edit trapezoid sweep (anti-diagonal form)."""
-        return left_entry_wave(
-            query, target, band, left_seed, scoring=scoring,
-            top_seed=top_seed,
-        )
-
-    def thresholds(
-        self,
-        scoring: AffineGap,
-        qlen: int,
-        tlen: int,
-        band: int,
-        h0: int,
-    ) -> Thresholds:
-        """Semi-global S1/S2 thresholds (vectorized math)."""
-        return semiglobal_thresholds_wave(scoring, qlen, tlen, band, h0)
+    ) -> list[OverlapResult]:
+        """A shape-bucketed batch of overlap fills in lockstep."""
+        return overlap_batch_lockstep(queries, targets, scoring, w=w)

@@ -297,11 +297,6 @@ RESILIENCE_ATTEMPTS = "resilience.attempts.per_job"
 PIPELINE_BATCH_WAVE_JOBS = "pipeline.batch.wave.jobs"
 """Jobs carried by one wave (labels: ``side``)."""
 
-PIPELINE_BATCH_WAVE_CLASSES = "pipeline.batch.wave.shape_classes"
-"""Distinct striped-kernel shape classes in one wave (labels:
-``side``) — the wave scheduler's bucket density: 1 means the whole
-wave packs into a single dense sweep group."""
-
 KERNEL_BUCKET_JOBS = "kernel.bucket_jobs"
 """Jobs packed into one striped-kernel shape bucket."""
 

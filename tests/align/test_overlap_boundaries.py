@@ -1,10 +1,10 @@
 """Overlap/global-fill kernels vs naive dense full-matrix oracles.
 
 The overlap DP (:mod:`repro.align.overlapdp`) and the batched global
-gap fill (:mod:`repro.align.globalbatch`) each ship three renditions
-— scalar reference, row-vectorized, inter-sequence lockstep — plus a
-band-edge admissible bound that turns a banded fill into a *proved*
-dense optimum.  The oracles here are deliberately naive whole-matrix
+gap fill (:mod:`repro.align.globalbatch`) each ship two renditions
+— scalar reference and inter-sequence lockstep — plus a band-edge
+admissible bound that turns a banded fill into a *proved* dense
+optimum.  The oracles here are deliberately naive whole-matrix
 fills with none of the production code's diagonal bookkeeping, so the
 sweep pins four properties at once:
 
@@ -14,10 +14,10 @@ sweep pins four properties at once:
 * **bound soundness** — whenever a *banded* fill reports
   ``optimal=True``, its score already equals the dense optimum (an
   inadmissible bound would let a too-low banded score through);
-* **cross-rendition bit-identity** — scalar, row-vectorized, and
-  lockstep agree on ``(score, t_end, band, bound)`` at every width,
-  including the degenerate ones (``w=0``, empty query, empty target,
-  band wider than both);
+* **cross-rendition bit-identity** — scalar and lockstep agree on
+  ``(score, t_end, band, bound)`` at every width, including the
+  degenerate ones (``w=0``, empty query, empty target, band wider
+  than both);
 * **heterogeneous-clamp isolation** — lockstep buckets mixing jobs
   whose effective bands differ (the band-clamp asymmetry fixed in the
   lockstep F-scan) still match the per-job scalar fill bit for bit.
@@ -41,11 +41,7 @@ from repro.align.globalbatch import (
     fill_global_batch,
     fill_global_scalar,
 )
-from repro.align.overlapdp import (
-    overlap_band,
-    overlap_batch_lockstep,
-    overlap_scalar,
-)
+from repro.align.overlapdp import overlap_batch_lockstep, overlap_scalar
 from repro.align.scoring import BWA_MEM_SCORING, AffineGap
 
 from tests.strategies import GapBatch, gap_job_batches
@@ -60,7 +56,6 @@ SCHEMES = (
 
 _OVERLAP_FORMS = (
     overlap_scalar,
-    overlap_band,
     lambda q, t, s, w: overlap_batch_lockstep([q], [t], s, w)[0],
 )
 

@@ -128,3 +128,20 @@ class TestDecisionRecord:
         decision, _ = run_check(q, t, 25, 5)
         assert decision.score_max_e is None
         assert decision.score_ed is None
+
+
+class TestBackendIndependence:
+    def test_checker_ignores_kernel_environment(self, monkeypatch):
+        """The checker never extends, so it must not resolve a kernel
+        backend: a bogus ``REPRO_KERNEL`` cannot break the model-only
+        checkers (hardware core model, passing-rate analysis)."""
+        monkeypatch.setenv("REPRO_KERNEL", "bogus")
+        rng = np.random.default_rng(42)
+        q = random_sequence(40, rng)
+        t = np.concatenate(
+            [q[:3], random_sequence(10, rng), q[3:], random_sequence(5, rng)]
+        ).astype(np.uint8)
+        res = banded.extend(q, t, BWA_MEM_SCORING, 30, w=10)
+        decision = OptimalityChecker(BWA_MEM_SCORING).check(q, t, res)
+        # Case c: thresholds, the E-score and the edit sweep all ran.
+        assert decision.outcome == CheckOutcome.PASS_CHECKS

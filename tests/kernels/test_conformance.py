@@ -2,7 +2,9 @@
 
 The kernel layer's contract (docs/kernels.md) is that every backend
 produces identical results — scores, endpoints, boundary channels,
-thresholds, and therefore accept/rerun verdicts and final SAM bytes.
+and therefore accept/rerun verdicts and final SAM bytes.  The checks
+themselves have one implementation each (``repro.core``), so a verdict
+can differ only through the extension result a backend feeds them.
 These are pure differential properties, driven by the band-edge-biased
 strategies in ``tests/strategies.py`` plus a seeded end-to-end corpus.
 """
@@ -118,6 +120,7 @@ def test_ragged_batch_agrees(batch: RaggedBatch):
     config = CheckConfig(
         use_edit_check=relaxed_edit_scoring().dominates(batch.scoring)
     )
+    checker = OptimalityChecker(batch.scoring, config)
     baseline = None
     for kernel in ALL_KERNELS:
         results = kernel.extend_batch(
@@ -125,9 +128,6 @@ def test_ragged_batch_agrees(batch: RaggedBatch):
             batch.scoring, w=batch.band,
         )
         assert len(results) == len(batch.queries)
-        checker = OptimalityChecker(
-            batch.scoring, config, kernel=kernel
-        )
         verdicts = [
             checker.check(q, t, res).outcome
             for q, t, res in zip(batch.queries, batch.targets, results)
@@ -177,60 +177,12 @@ def test_mismatched_batch_lists_raise_typed_error():
             kernel.extend_batch(q, [t[0]], [0, 1], None, w=5)
 
 
-@given(
-    scoring=scoring_configs(),
-    qlen=st.integers(0, 40),
-    tlen=st.integers(1, 48),
-    band=st.integers(1, 45),
-    h0=h0s(),
-)
-def test_thresholds_agree(scoring, qlen, tlen, band, h0):
-    a = SCALAR.thresholds(scoring, qlen, tlen, band, h0)
-    for kernel in (NUMPY, STRIPED):
-        b = kernel.thresholds(scoring, qlen, tlen, band, h0)
-        assert a.s1 == b.s1
-        assert a.s2 == b.s2
-
-
-@given(
-    query=sequences(max_size=24),
-    target=sequences(min_size=1, max_size=30),
-    band=st.integers(1, 8),
-    corner=st.integers(0, 40),
-    tops=st.one_of(
-        st.none(), st.lists(st.integers(0, 30), max_size=30)
-    ),
-)
-def test_left_entry_agrees(query, target, band, corner, tops):
-    """The edit machine's trapezoid sweep, with and without top seeds."""
-    scoring = relaxed_edit_scoring()
-
-    def seed(i):
-        return corner if i == band + 1 else max(0, corner - i)
-
-    top_seed = None
-    if tops is not None:
-        def top_seed(j):
-            return tops[j] if j < len(tops) else 0
-
-    a = SCALAR.left_entry(
-        query, target, band, seed, scoring=scoring, top_seed=top_seed
-    )
-    b = NUMPY.left_entry(
-        query, target, band, seed, scoring=scoring, top_seed=top_seed
-    )
-    np.testing.assert_array_equal(a.last_column, b.last_column)
-    assert a.best == b.best
-
-
 @given(job=st.one_of(threshold_edge_jobs(), extension_jobs()))
 def test_verdicts_agree(job: ExtensionJob):
     """Accept/rerun decisions match even exactly on the S1/S2 edge."""
+    checker = OptimalityChecker(job.scoring, CheckConfig())
     decisions = []
     for kernel in ALL_KERNELS:
-        checker = OptimalityChecker(
-            job.scoring, CheckConfig(), kernel=kernel
-        )
         result = kernel.extend(
             job.query, job.target, job.scoring, job.h0, w=job.band
         )

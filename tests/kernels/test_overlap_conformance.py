@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.align.overlapdp import overlap_with_guarantee
 from repro.kernels import get_kernel
 
 from tests.strategies import (
@@ -113,19 +112,16 @@ def test_full_band_is_always_optimal(pair: OverlapPair):
 
 @given(pair=overlap_pairs())
 def test_guarantee_equals_full_band(pair: OverlapPair):
-    """The speculate-and-test wrapper's contract, per backend: the
-    returned score/endpoint always equal the dense full-band optimum,
-    whether the narrow check proved them or the rerun recovered them."""
+    """The speculate-and-test contract, per backend: a narrow fill that
+    reports ``optimal`` already holds the full-band score and endpoint,
+    so a caller only reruns the fills that do not."""
     band = pair.band if pair.band is not None else 4
     oracle = SCALAR.overlap(pair.query, pair.target, pair.scoring, w=None)
     for kernel in ALL_KERNELS:
-        out = overlap_with_guarantee(
-            pair.query, pair.target, pair.scoring, band,
-            overlap=kernel.overlap,
-        )
-        assert out.result.score == oracle.score
-        assert out.result.t_end == oracle.t_end
-        assert out.band_requested == band
+        res = kernel.overlap(pair.query, pair.target, pair.scoring, w=band)
+        assert res.band == band
+        if res.optimal:
+            assert (res.score, res.t_end) == (oracle.score, oracle.t_end)
 
 
 def test_mismatched_overlap_batch_rejected():

@@ -8,7 +8,6 @@ from repro.aligner.batching import (
     BatchingConfig,
     best_thread_split,
     simulate_batching,
-    wave_occupancy,
 )
 from repro.genome.synth import extension_corpus
 from repro.system.fpga import BatchTransfer, F1Instance, pcie_is_bottleneck
@@ -134,39 +133,3 @@ class TestBatching:
         report = simulate_batching()
         assert 0 <= report.fpga_utilization <= 1
 
-
-class TestWaveOccupancy:
-    def test_empty_wave(self):
-        occ = wave_occupancy([], band=15)
-        assert occ.jobs == 0
-        assert occ.shape_classes == 0
-        assert occ.sweep_groups == 0
-        assert occ.pad_fraction == 0.0
-
-    def test_uniform_wave_is_one_dense_group(self):
-        occ = wave_occupancy([(101, 131)] * 600, band=15)
-        assert occ.jobs == 600
-        assert occ.shape_classes == 1
-        assert occ.sweep_groups == 1
-        # Identical shapes: the only padding is the band clamp.
-        assert occ.pad_fraction < 0.05
-
-    def test_ragged_wave_pads_more_than_uniform(self):
-        ragged = [(q, q + 30) for q in range(12, 102)] * 10
-        uniform = [(101, 131)] * len(ragged)
-        assert (
-            wave_occupancy(ragged, band=15).pad_fraction
-            > wave_occupancy(uniform, band=15).pad_fraction
-        )
-
-    def test_small_classes_merge_below_occupancy_floor(self):
-        # 3 distinct classes x 4 jobs each: far below the 512-job
-        # floor, so they must coalesce into a single sweep group.
-        shapes = [(10, 12)] * 4 + [(25, 30)] * 4 + [(50, 60)] * 4
-        occ = wave_occupancy(shapes, band=15)
-        assert occ.shape_classes == 3
-        assert occ.sweep_groups == 1
-
-    def test_negative_band_rejected(self):
-        with pytest.raises(ValueError):
-            wave_occupancy([(10, 10)], band=-1)

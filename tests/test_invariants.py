@@ -5,6 +5,7 @@ regression anywhere in the DP/seeding substrate shows up as one of
 these failing before the integration tests do.
 """
 
+import ast
 import importlib
 import re
 import sys
@@ -177,3 +178,55 @@ class TestOneMeasurementSystem:
             build_parser().parse_args(["bench"])
         assert exit_info.value.code == 2
         assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """Every module ``path`` imports, ``from pkg import mod`` included
+    as ``pkg.mod`` (so a submodule pulled in by name is seen)."""
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found.add(node.module)
+            found.update(f"{node.module}.{a.name}" for a in node.names)
+    return found
+
+
+class TestKernelBackendsOwnTheFillsOnly:
+    def test_protocol_is_the_four_dp_fills(self):
+        """A backend is a DP fill, nothing else: the optimality checks
+        have one implementation each in ``core/`` and no selector."""
+        from repro.kernels import KernelBackend
+
+        methods = {
+            name
+            for name, value in vars(KernelBackend).items()
+            if callable(value) and not name.startswith("_")
+        }
+        assert methods == {
+            "extend", "extend_batch", "overlap", "overlap_batch"
+        }
+
+    def test_wavefront_module_has_one_importer(self):
+        """Only the registry reaches the wavefront backend, so retiring
+        it is one file plus one registry line."""
+        root = Path(__file__).resolve().parent.parent
+        importers = sorted(
+            path.relative_to(root).as_posix()
+            for top in ("src", "tests", "benchmarks", "examples", "tools")
+            for path in (root / top).rglob("*.py")
+            if "repro.kernels.wavefront" in _imported_modules(path)
+        )
+        assert importers == ["src/repro/kernels/__init__.py"]
+
+    def test_checks_do_not_import_kernels(self):
+        """The checks never extend, so they must not resolve a backend
+        (and with it ``$REPRO_KERNEL``)."""
+        core = Path(__file__).resolve().parent.parent / "src/repro/core"
+        for name in ("checker.py", "editcheck.py"):
+            imported = _imported_modules(core / name)
+            assert [
+                m for m in imported
+                if m == "repro.kernels" or m.startswith("repro.kernels.")
+            ] == [], name
