@@ -7,8 +7,8 @@ band sweet spot ``w=15``:
 
 * ``scalar`` — the reference backend, one job at a time
   (:func:`repro.align.banded.extend`);
-* ``scalar-batch`` — the scalar backend's row-lockstep batch kernel
-  (:mod:`repro.align.batchdp`);
+* ``scalar-batch`` — the scalar backend's batch kernel, the one
+  lockstep sweep (:func:`repro.align.lockstep.extend_batch`);
 * ``numpy`` — the anti-diagonal wavefront backend's fused batch
   kernel (:mod:`repro.kernels.wavefront`), which vectorizes jobs x
   diagonal cells;

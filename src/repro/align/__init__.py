@@ -4,6 +4,8 @@ Public surface:
 
 * :mod:`repro.align.scoring` — scoring schemes;
 * :mod:`repro.align.banded` — the production banded extension kernel;
+* :mod:`repro.align.lockstep` — the one batched (lockstep) recurrence
+  and its per-shape capture sets;
 * :mod:`repro.align.fullmatrix` — the dense oracle and traceback;
 * :mod:`repro.align.editdp` — edit-distance kernels and the
   shaded-region extension used by the edit check;

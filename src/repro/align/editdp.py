@@ -160,7 +160,7 @@ def left_entry_scores_global(
     empty.  (The above-band region is handled by calling this on the
     transposed problem.)
     """
-    from repro.align.fullmatrix import NEG_INF
+    from repro.align.lockstep import NEG_INF
 
     if scoring is None:
         scoring = relaxed_edit_scoring()
@@ -283,7 +283,7 @@ def upper_entry_scores_global(
     deletions and let the bound ride down onto the true alignment's
     diagonal, degenerating the check.
     """
-    from repro.align.fullmatrix import NEG_INF
+    from repro.align.lockstep import NEG_INF
 
     if scoring is None:
         scoring = relaxed_edit_scoring()

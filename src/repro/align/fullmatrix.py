@@ -7,24 +7,25 @@ throughout the repository (see DESIGN.md, "DP semantics").
 obviously correct; :mod:`repro.align.banded` is tested bit-equivalent.
 
 Traceback is *bits + one walker, two boundary policies*:
-:func:`fill_direction_bits` sweeps many jobs in lockstep and keeps one
-``uint8`` direction code per cell instead of three matrices, and
-:func:`walk_direction_bits` reads the codes back from an endpoint.
-The policies differ only in their *floor* — a cell at or below it is
-dead:
+:func:`~repro.align.lockstep.fill_direction_bits` runs the one
+lockstep sweep and keeps one ``uint8`` direction code per cell instead
+of three matrices, and :func:`walk_direction_bits` reads the codes
+back from an endpoint.  The policies differ only in their *floor* — a
+cell at or below it is dead:
 
-* :data:`LOCAL_EXTEND` (floor 0; BWA-MEM's ``ksw_extend`` convention):
-  rows ``i = 0..tlen`` index the reference/target, columns
-  ``j = 0..qlen`` the query; cell ``(0, 0)`` carries the seed score
-  ``h0``; scores never restart from zero, so every positive score
-  traces back to the seed at the origin.  ``lscore`` is the best score
-  over all cells (local / soft-clip), ``gscore`` the best in the last
-  column (query consumed; semi-global "to-end"); ties break toward
-  the smallest ``i``, then smallest ``j``, like the accelerator's
-  accumulators;
-* :data:`GLOBAL` (floor ``NEG_INF``): Needleman-Wunsch with affine
-  gaps — scores may go negative, only out-of-band cells are dead, and
-  the score of interest is ``H[tlen][qlen]``.
+* :data:`~repro.align.lockstep.LOCAL_EXTEND` (floor 0; BWA-MEM's
+  ``ksw_extend`` convention): rows ``i = 0..tlen`` index the
+  reference/target, columns ``j = 0..qlen`` the query; cell ``(0, 0)``
+  carries the seed score ``h0``; scores never restart from zero, so
+  every positive score traces back to the seed at the origin.
+  ``lscore`` is the best score over all cells (local / soft-clip),
+  ``gscore`` the best in the last column (query consumed; semi-global
+  "to-end"); ties break toward the smallest ``i``, then smallest
+  ``j``, like the accelerator's accumulators;
+* :data:`~repro.align.lockstep.GLOBAL` (floor ``NEG_INF``):
+  Needleman-Wunsch with affine gaps — scores may go negative, only
+  out-of-band cells are dead, and the score of interest is
+  ``H[tlen][qlen]``.
 
 The walker that re-derives predecessors from dense H/E/F survives as
 the oracle the codes are tested against (:func:`traceback_path` given
@@ -34,17 +35,23 @@ the oracle the codes are tested against (:func:`traceback_path` given
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import groupby
 
 import numpy as np
 
 from repro.align.cigar import Cigar
-from repro.align.scoring import BWA_MEM_SCORING, AffineGap
-from repro.genome.sequence import AMBIGUOUS_CODE
-
-NEG_INF = -(10**9)
-"""Effectively minus infinity for integer DP (safe from overflow)."""
+from repro.align.lockstep import (
+    DIAG,
+    E_OPEN,
+    F_OPEN,
+    GLOBAL,
+    H_IS_E,
+    H_IS_F,
+    LIVE,
+    LOCAL_EXTEND,
+    fill_direction_bits,
+)
+from repro.align.scoring import AffineGap
 
 
 @dataclass(frozen=True)
@@ -109,20 +116,6 @@ def fill_extension(
     return DenseMatrices(h, e, f, lscore, lpos, gscore, gpos, max_off)
 
 
-DIAG, H_IS_E, H_IS_F, E_OPEN, F_OPEN, LIVE = 1, 2, 4, 8, 16, 32
-"""The direction code of one cell: the walker's decisions, precomputed.
-
-``DIAG``: H came diagonally from a live predecessor; ``H_IS_E`` /
-``H_IS_F``: H equals the E / F channel; ``E_OPEN`` / ``F_OPEN``: that
-gap was opened from H one cell up / left (so the walk returns to H
-there); ``LIVE``: H is above the floor — the only bit that means
-anything on a dead cell, which no walk visits.
-"""
-
-LOCAL_EXTEND = 0
-GLOBAL = NEG_INF
-"""The two boundary policies, each named by its floor (see module doc)."""
-
 ROW_COST_CELLS = 1024
 """Fixed cost of one lockstep row step, in cell units: a bucket may pad
 up to what its sweep costs anyway, so a two-job serve wave fills in one
@@ -133,21 +126,6 @@ TRACEBACK_CHUNK_CELLS = 1 << 20
 bucket.  The one bound on traceback memory: a wave fills a bucket,
 walks its jobs, keeps only their ops and drops it, so a window's peak
 does not grow with its read count."""
-
-
-@lru_cache(maxsize=16)
-def _substitution_table(scoring: AffineGap) -> np.ndarray:
-    """Dense ``(code, code) -> score`` lookup, built once per scheme from
-    its own :meth:`~repro.align.scoring.AffineGap.substitution` so
-    vectorized fills cannot drift from the scalar oracle."""
-    size = AMBIGUOUS_CODE + 1
-    return np.array(
-        [[scoring.substitution(a, b) for b in range(size)] for a in range(size)],
-        dtype=np.int64,
-    )
-
-
-_substitution_table(BWA_MEM_SCORING)  # a server's first wave builds nothing
 
 
 def plan_buckets(
@@ -182,156 +160,6 @@ def plan_buckets(
         buckets.append([k])
         rows, width, real = t, q, t * q
     return buckets
-
-
-def fill_direction_bits(
-    queries: list[np.ndarray],
-    targets: list[np.ndarray],
-    scoring: AffineGap,
-    h0s: list[int],
-    floor: int,
-    bands: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One lockstep fill that keeps a direction code per cell.
-
-    ``floor`` is the boundary policy (:data:`LOCAL_EXTEND` or
-    :data:`GLOBAL`): a cell whose H is at or below it is dead, and
-    nothing is taken from a dead predecessor.  ``bands``, when given,
-    confines job ``k`` to ``|i - j| <= bands[k]`` (at least
-    ``|tlen - qlen|``); out-of-band cells are dead.
-
-    Returns ``(codes, score, bound)``.  ``codes`` is ``(tmax+1, n,
-    qmax+1)`` ``uint8`` and job ``k``'s matrix is ``codes[:tlen+1, k,
-    :qlen+1]``: padded cells sit strictly right of / below it, and the
-    recurrence only looks left and up, so they never influence a real
-    cell.  ``score[k]`` is H at the job's corner; ``bound[k]`` the
-    band-edge bound of :mod:`repro.align.globalbatch` (``NEG_INF`` for
-    a job its band covers).
-    """
-    n = len(queries)
-    qlens = np.fromiter((len(q) for q in queries), np.int64, n)
-    tlens = np.fromiter((len(t) for t in targets), np.int64, n)
-    qmax, tmax = int(qlens.max()), int(tlens.max())
-    width = qmax + 1
-    go = scoring.gap_open
-    ge_i = scoring.gap_extend_ins
-    ge_d = scoring.gap_extend_del
-    m = scoring.match
-
-    qpad = np.zeros((n, max(1, qmax)), dtype=np.intp)
-    tpad = np.zeros((max(1, tmax), n), dtype=np.intp)
-    for k, (q, t) in enumerate(zip(queries, targets)):
-        qpad[k, : len(q)] = q
-        tpad[: len(t), k] = t
-    # Query profile: profile[c, k, j - 1] scores target base c against
-    # job k's j-th query base, so a row gathers one slice per job.
-    profile = _substitution_table(scoring)[:, qpad]
-    jobs = np.arange(n)
-    cols = np.arange(width, dtype=np.int64)
-    gap_i = cols * ge_i
-
-    score = np.full(n, NEG_INF, dtype=np.int64)
-    bound = np.full(n, NEG_INF, dtype=np.int64)
-    by_end = np.argsort(tlens, kind="stable")
-    end_at = np.searchsorted(tlens[by_end], np.arange(tmax + 2)).tolist()
-    if bands is not None:
-        banded = bands < np.maximum(qlens, tlens)
-
-    def capture(i: int, h_row: np.ndarray) -> None:
-        """Corner scores of jobs ending at row ``i``; band-edge bounds."""
-        done = by_end[end_at[i] : end_at[i + 1]]
-        if done.size:
-            score[done] = h_row[done, qlens[done]]
-        if bands is None:
-            return
-        for j_edge in (i - bands, i + bands):
-            je = np.clip(j_edge, 0, qmax)
-            edge = h_row[jobs, je]
-            sel = banded & (i <= tlens) & (j_edge >= 0) & (j_edge <= qlens)
-            sel &= edge > floor
-            cand = edge + np.minimum(tlens - i, qlens - je) * m
-            np.maximum(bound, np.where(sel, cand, NEG_INF), out=bound)
-
-    # No channel is clamped: a dead H is instead sunk to ``dead`` before
-    # the next row reads it, so it can only breed dead values and every
-    # live value is what the clamped recurrence gives.
-    dead = floor + NEG_INF
-    codes = np.zeros((tmax + 1, n, width), dtype=np.uint8)
-    # One boolean plane per code bit, packed into the code each row.
-    planes = np.zeros((6, n, width), dtype=bool)
-
-    # Row 0 is the F channel decaying from h0.
-    h_row = np.asarray(h0s, dtype=np.int64)[:, None] - go - gap_i
-    h_row[:, 0] = h0s
-    if bands is not None:
-        h_row[cols > bands[:, None]] = dead
-    planes[2, :, 1:] = True
-    np.equal(h_row[:, 1:], h_row[:, :-1] - (go + ge_i), out=planes[4, :, 1:])
-    np.greater(h_row, floor, out=planes[5])
-    codes[0] = np.packbits(planes, axis=0, bitorder="little")[0]
-    h_prev = np.where(planes[5], h_row, dead)
-    e_prev = np.full((n, width), dead, dtype=np.int64)
-    capture(0, h_prev)
-
-    # Row buffers whose first column never changes: no diagonal enters
-    # a window's first column, and F cannot start there.
-    diag = np.full((n, width), dead, dtype=np.int64)
-    f_row = np.full((n, width), dead, dtype=np.int64)
-    ws = max(qmax, tmax) if bands is None else int(bands.max())
-    for i in range(1, tmax + 1):
-        # Window columns a..b-1: the band's reach on this row plus its
-        # left neighbour (column 0 on a full-width row).
-        a = max(i - ws - 1, 0)
-        b = min(qmax, i + ws) + 1
-        hp = h_prev[:, a:b]
-        ep = e_prev[:, a:b]
-        opened = hp - go
-        e_w = np.maximum(opened, ep) - ge_d
-        d_w = diag[:, : b - a]
-        np.add(
-            hp[:, :-1], profile[tpad[i - 1], jobs, a : b - 1], out=d_w[:, 1:]
-        )
-        # G = the non-F part of H (column 0 is the E channel decaying
-        # from h0).
-        g = np.maximum(d_w, e_w)
-        if bands is not None:
-            # Mask to each job's *own* band before the F scan: a wider
-            # bucket-mate's sweep computes cells left of this job's
-            # band, and the run-max would chain them into in-band F.
-            own = np.abs(cols[a:b] - i) <= bands[:, None]
-            e_w = np.where(own, e_w, dead)
-            g = np.where(own, g, dead)
-
-        # F as a running max-plus scan over G — exact: f[j] =
-        # max_{k<j} G[k] - go - (j-k)*ge is the recurrence's closed
-        # form, the H-vs-F max collapses (see banded.extend).
-        run = np.maximum.accumulate(g + (gap_i[a:b] - go), axis=1)
-        f_w = f_row[:, : b - a]
-        np.subtract(run[:, :-1], gap_i[a + 1 : b], out=f_w[:, 1:])
-        h_w = np.maximum(g, f_w)
-        if bands is not None:
-            h_w = np.where(own, h_w, dead)
-
-        # The walker's comparisons, in its tie order (bit k = plane k).
-        p = planes[:, :, : b - a]
-        np.equal(h_w[:, 1:], d_w[:, 1:], out=p[0, :, 1:])
-        np.equal(h_w, e_w, out=p[1])
-        np.equal(h_w, f_w, out=p[2])
-        np.greater_equal(opened, ep, out=p[3])
-        np.equal(f_w[:, 1:], h_w[:, :-1] - (go + ge_i), out=p[4, :, 1:])
-        np.greater(h_w, floor, out=p[5])
-        codes[i, :, a:b] = np.packbits(p, axis=0, bitorder="little")[0]
-
-        h_w = np.where(p[5], h_w, dead)
-        if b - a == width:
-            h_prev, e_prev = h_w, e_w
-        else:
-            h_prev = np.full((n, width), dead, dtype=np.int64)
-            e_prev = np.full((n, width), dead, dtype=np.int64)
-            h_prev[:, a:b] = h_w
-            e_prev[:, a:b] = e_w
-        capture(i, h_prev)
-    return codes, score, bound
 
 
 def fill_extension_batch(

@@ -30,16 +30,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.align import fullmatrix
+from repro.align import fullmatrix, lockstep
 from repro.align.banded import shape_class
 from repro.align.cigar import Cigar
-from repro.align.fullmatrix import (
-    GLOBAL,
-    NEG_INF,
-    fill_direction_bits,
-    walk_direction_bits,
-)
-from repro.align.overlapdp import _DEAD
+from repro.align.fullmatrix import walk_direction_bits
+from repro.align.lockstep import DEAD, GLOBAL, NEG_INF
 from repro.align.scoring import AffineGap
 
 ESCALATION_FACTOR = 4
@@ -69,7 +64,7 @@ class GlobalFillResult:
         """True when the banded corner is provably the dense optimum."""
         if self.is_full_band:
             return True
-        return self.score > _DEAD and self.score >= self.bound
+        return self.score > DEAD and self.score >= self.bound
 
 
 @dataclass(frozen=True)
@@ -141,7 +136,7 @@ def fill_global_scalar(
     if w < max(qlen, tlen):
         for i in range(tlen + 1):
             for j in (i - w, i + w):
-                if 0 <= j <= qlen and H[i][j] > _DEAD:
+                if 0 <= j <= qlen and H[i][j] > DEAD:
                     cand = int(H[i][j]) + min(tlen - i, qlen - j) * m
                     if cand > bound:
                         bound = cand
@@ -181,7 +176,7 @@ def fill_global_batch(
             part = idx[start : start + step]
             for k, res in zip(
                 part,
-                _lockstep_bucket(
+                _fill_bucket(
                     [queries[k] for k in part],
                     [targets[k] for k in part],
                     scoring,
@@ -192,7 +187,7 @@ def fill_global_batch(
     return [r for r in out if r is not None]
 
 
-def _lockstep_bucket(
+def _fill_bucket(
     queries: list[np.ndarray],
     targets: list[np.ndarray],
     scoring: AffineGap,
@@ -210,7 +205,7 @@ def _lockstep_bucket(
         [_clamp_band(ql, tl, w) for ql, tl in zip(qlens, tlens)],
         dtype=np.int64,
     )
-    codes, score, bound = fill_direction_bits(
+    codes, score, bound = lockstep.fill_direction_bits(
         queries, targets, scoring, [0] * n, GLOBAL, bands
     )
     qmax, tmax, ws = max(qlens), max(tlens), int(bands.max())

@@ -32,8 +32,8 @@ swept exhaustively in ``tests/align/test_overlap_boundaries.py``.
 
 Two renditions share these exact semantics: a scalar reference
 (:func:`overlap_scalar`, the oracle) and an inter-sequence lockstep
-batch (:func:`overlap_batch_lockstep`) that shape-buckets jobs the way
-the striped extension kernel does.  Both are bit-identical on
+batch (:func:`overlap_batch_lockstep`) that shape-buckets jobs into
+the one lockstep sweep (:mod:`repro.align.lockstep`).  Both are bit-identical on
 ``(score, t_end, bound, optimal)``; only ``cells_computed`` reflects
 the backend's own schedule.
 """
@@ -44,13 +44,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.align import lockstep
 from repro.align.banded import shape_class
-from repro.align.fullmatrix import NEG_INF
+from repro.align.lockstep import DEAD, NEG_INF
 from repro.align.scoring import AffineGap
-from repro.genome.sequence import AMBIGUOUS_CODE
-
-_DEAD = NEG_INF // 2
-"""Values at or below this are treated as unreachable (drifted NEG_INF)."""
 
 
 @dataclass(frozen=True)
@@ -136,14 +133,14 @@ def overlap_scalar(
 
     score, t_end = NEG_INF, -1
     for i in range(max(0, qlen - w), min(tlen, qlen + w) + 1):
-        if H[i][qlen] > _DEAD and (t_end < 0 or H[i][qlen] > score):
+        if H[i][qlen] > DEAD and (t_end < 0 or H[i][qlen] > score):
             score, t_end = int(H[i][qlen]), i
 
     bound = NEG_INF
     if w < max(qlen, tlen):
         for i in range(tlen + 1):
             for j in (i - w, i + w):
-                if 0 <= j <= qlen and H[i][j] > _DEAD:
+                if 0 <= j <= qlen and H[i][j] > DEAD:
                     cand = int(H[i][j]) + (qlen - j) * m
                     if cand > bound:
                         bound = cand
@@ -162,12 +159,10 @@ def overlap_batch_lockstep(
     """Fill many overlap jobs in inter-sequence lockstep.
 
     Jobs are bucketed by ``(shape_class(qlen), shape_class(tlen))`` and
-    every job of a bucket sweeps together, vectorizing across jobs ×
-    band columns; results come back in input order, bit-identical to
-    :func:`overlap_scalar` per job.  Padded query/target tails use the
-    ambiguous code (never matches) and live strictly outside each
-    job's own matrix, so they cannot influence a real cell; captures
-    are masked to each job's true dimensions.
+    each bucket is one lockstep sweep
+    (:func:`repro.align.lockstep.overlap_ends`), vectorizing across
+    jobs × band columns; results come back in input order,
+    bit-identical to :func:`overlap_scalar` per job.
     """
     if len(queries) != len(targets):
         raise ValueError("queries and targets must align")
@@ -177,171 +172,30 @@ def overlap_batch_lockstep(
         key = (shape_class(len(q)), shape_class(len(t)))
         buckets.setdefault(key, []).append(k)
     for idx in buckets.values():
-        for k, res in zip(
-            idx,
-            _lockstep_bucket(
-                [queries[k] for k in idx],
-                [targets[k] for k in idx],
-                scoring,
-                w,
-            ),
-        ):
-            out[k] = res
-    return [r for r in out if r is not None]
-
-
-def _lockstep_bucket(
-    queries: list[np.ndarray],
-    targets: list[np.ndarray],
-    scoring: AffineGap,
-    w: int | None,
-) -> list[OverlapResult]:
-    """One bucket's lockstep sweep over jobs padded to a shared shape."""
-    n = len(queries)
-    qlens = np.array([len(q) for q in queries], dtype=np.int64)
-    tlens = np.array([len(t) for t in targets], dtype=np.int64)
-    qmax = int(qlens.max())
-    tmax = int(tlens.max())
-    bands = np.array(
-        [_resolve_band(int(ql), int(tl), w) for ql, tl in zip(qlens, tlens)],
-        dtype=np.int64,
-    )
-    # The sweep itself runs at the widest band any job asked for; a
-    # cell outside a job's own band is never *read* for that job
-    # because captures and the per-job band mask use its own width.
-    if w is None:
-        ws = int(bands.max())
-    else:
-        ws = w
-    go = scoring.gap_open
-    ge_i = scoring.gap_extend_ins
-    ge_d = scoring.gap_extend_del
-    m = scoring.match
-    x = scoring.mismatch
-
-    qpad = np.full((n, max(1, qmax)), AMBIGUOUS_CODE, dtype=np.int64)
-    tpad = np.full((n, max(1, tmax)), AMBIGUOUS_CODE, dtype=np.int64)
-    for k, (q, t) in enumerate(zip(queries, targets)):
-        qpad[k, : len(q)] = q
-        tpad[k, : len(t)] = t
-
-    cols = np.arange(qmax + 1, dtype=np.int64)
-    in_band = np.abs(cols[None, :] - 0) <= bands[:, None]  # row 0
-
-    h_prev = np.full((n, qmax + 1), NEG_INF, dtype=np.int64)
-    e_prev = np.full((n, qmax + 1), NEG_INF, dtype=np.int64)
-    h_prev[:, 0] = 0
-    row0 = -(go + cols[1:] * ge_i)
-    mask0 = in_band[:, 1:] & (cols[None, 1:] <= qlens[:, None])
-    h_prev[:, 1:] = np.where(mask0, row0[None, :], NEG_INF)
-
-    score = np.full(n, NEG_INF, dtype=np.int64)
-    t_end = np.full(n, -1, dtype=np.int64)
-    banded = bands < np.maximum(qlens, tlens)
-    # Row-0 captures: the last column when it sits in band, and the
-    # upper edge cell (0, band).
-    sel = (qlens <= bands) & (h_prev[np.arange(n), qlens] > _DEAD)
-    score[sel] = h_prev[np.arange(n), qlens][sel]
-    t_end[sel] = 0
-    bound = np.full(n, NEG_INF, dtype=np.int64)
-    sel = banded & (bands <= qlens)
-    if sel.any():
-        edge = h_prev[np.arange(n), np.minimum(bands, qmax)]
-        bound[sel] = edge[sel] + (qlens[sel] - bands[sel]) * m
-
-    h_row = np.empty_like(h_prev)
-    e_row = np.empty_like(e_prev)
-    jobs = np.arange(n)
-    for i in range(1, tmax + 1):
-        lo = max(0, i - ws)
-        hi = min(qmax, i + ws)
-        h_row.fill(NEG_INF)
-        e_row.fill(NEG_INF)
-        col0 = (i <= bands) & (i <= tlens)
-        h_row[col0, 0] = -(go + i * ge_d)
-        e_row[col0, 0] = h_row[col0, 0]
-
-        lo2 = max(lo, 1)
-        if lo2 <= hi:
-            seg = slice(lo2, hi + 1)
-            e_row[:, seg] = (
-                np.maximum(h_prev[:, seg] - go, e_prev[:, seg]) - ge_d
-            )
-            tc = tpad[:, i - 1][:, None]
-            qseg = qpad[:, lo2 - 1 : hi]
-            sub = np.where((tc == qseg) & (tc != AMBIGUOUS_CODE), m, -x)
-            diag = h_prev[:, lo2 - 1 : hi] + sub
-            g = np.maximum(diag, e_row[:, seg])
-            # Mask G to each job's *own* band before the F scan: when
-            # bucket-mates run wider bands, cells left of this job's
-            # band pick up E values through the previous row's edge,
-            # and an unmasked run-max would chain them into in-band F
-            # (the band-clamp asymmetry the exhaustive sweep pins).
-            own = np.abs(cols[None, seg] - i) <= bands[:, None]
-            own &= cols[None, seg] <= qlens[:, None]
-            g = np.where(own, g, NEG_INF)
-            src = np.empty((n, hi - lo2 + 2), dtype=np.int64)
-            src[:, 0] = np.where(
-                (lo2 == 1) & (i <= bands), h_row[:, 0], NEG_INF
-            )
-            src[:, 1:] = g
-            ccols = cols[lo2 - 1 : hi + 1]
-            run = np.maximum.accumulate(
-                src - go + ccols[None, :] * ge_i, axis=1
-            )
-            f = run[:, :-1] - ccols[None, 1:] * ge_i
-            # Blank out-of-own-band cells so the job's recurrence
-            # next row reads NEG_INF exactly like the scalar form.
-            h_row[:, seg] = np.where(
-                own, np.maximum(g, f), NEG_INF
-            )
-            e_row[:, seg] = np.where(own, e_row[:, seg], NEG_INF)
-
-        live = i <= tlens
-        sel = (
-            live
-            & (np.abs(i - qlens) <= bands)
-            & (h_row[jobs, np.minimum(qlens, qmax)] > _DEAD)
+        qlens = [len(queries[k]) for k in idx]
+        tlens = [len(targets[k]) for k in idx]
+        bands = [_resolve_band(ql, tl, w) for ql, tl in zip(qlens, tlens)]
+        score, t_end, bound = lockstep.overlap_ends(
+            [queries[k] for k in idx],
+            [targets[k] for k in idx],
+            scoring,
+            np.array(bands, dtype=np.int64),
         )
-        cand = h_row[jobs, np.minimum(qlens, qmax)]
-        better = sel & ((t_end < 0) | (cand > score))
-        score[better] = cand[better]
-        t_end[better] = i
-        for j_edge in (i - bands, i + bands):
-            je = np.clip(j_edge, 0, qmax)
-            sel = (
-                live
-                & banded
-                & (j_edge >= 0)
-                & (j_edge <= qlens)
-                & (h_row[jobs, je] > _DEAD)
-            )
-            cand = h_row[jobs, je] + (qlens - je) * m
-            bound[sel] = np.maximum(bound[sel], cand[sel])
-
-        h_prev, h_row = h_row, h_prev
-        e_prev, e_row = e_row, e_prev
-
-    # Padded-sweep cell count: the bucket's schedule, shared by every
-    # job (an execution-shape field, not part of the conformance set).
-    cells = 0
-    for i in range(tmax + 1):
-        lo = max(0, i - ws)
-        hi = min(qmax, i + ws)
-        if lo <= hi:
-            cells += hi - lo + 1
-    out = []
-    for k in range(n):
-        sc = int(score[k]) if int(t_end[k]) >= 0 else NEG_INF
-        out.append(
-            OverlapResult(
-                score=sc,
-                t_end=int(t_end[k]),
-                band=int(bands[k]),
-                qlen=int(qlens[k]),
-                tlen=int(tlens[k]),
-                bound=int(bound[k]),
+        # Padded-sweep cell count: the bucket's schedule, shared by
+        # every job (an execution-shape field, not conformance).
+        ws, qmax = max(bands), max(qlens)
+        cells = sum(
+            max(0, min(qmax, i + ws) - max(0, i - ws) + 1)
+            for i in range(max(tlens) + 1)
+        )
+        for n, k in enumerate(idx):
+            out[k] = OverlapResult(
+                score=int(score[n]),
+                t_end=int(t_end[n]),
+                band=bands[n],
+                qlen=qlens[n],
+                tlen=tlens[n],
+                bound=int(bound[n]),
                 cells_computed=cells,
             )
-        )
-    return out
+    return [r for r in out if r is not None]

@@ -84,9 +84,10 @@ class BatchedEngine:
     The accelerator consumes thousands of independent extensions at a
     time (paper Section V-B); this engine is the software analogue.
     :meth:`extend_wave` pushes a whole wave of ``(query, target, h0)``
-    jobs through the backend's batch kernel — the row-lockstep
-    :mod:`repro.align.batchdp` on the scalar backend, the fused
-    anti-diagonal :mod:`repro.kernels.wavefront` on the numpy one —
+    jobs through the backend's batch kernel — the lockstep sweep
+    :func:`repro.align.lockstep.extend_batch` on the scalar backend,
+    the fused anti-diagonal :mod:`repro.kernels.wavefront` on the
+    numpy one —
     with per-job results bit-equal to the scalar kernel
     (``banded.extend(..., prune=False)``), property-tested in
     ``tests/aligner/test_batched_engine.py`` and ``tests/kernels/``.

@@ -3,7 +3,7 @@
 The one production driver: ``align`` (any ``--engine``, any worker
 count, single-end or paired), ``analyze`` and ``serve`` all come
 through here.  Extending one chain at a time would never show the
-20-50x lockstep kernel (:mod:`repro.align.batchdp`) a real batch, so
+lockstep sweep (:mod:`repro.align.lockstep`) a real batch, so
 this scheduler restores the accelerator's working set (paper Section
 V-B): it walks seed/chain for a whole *window* of reads, collects
 every left extension into one wave, dispatches the wave in lockstep,

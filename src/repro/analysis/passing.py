@@ -70,7 +70,7 @@ def passing_point(
     The narrow-band runs go through the batched lockstep kernel; the
     checks (and any edit-machine DPs they trigger) run per job.
     """
-    from repro.align.batchdp import extend_batch
+    from repro.align.lockstep import extend_batch
 
     checker = OptimalityChecker(scoring, config)
     counts: dict[CheckOutcome, int] = {}

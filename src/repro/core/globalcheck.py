@@ -42,7 +42,7 @@ from repro.align.editdp import (
     left_entry_scores_global,
     upper_entry_scores_global,
 )
-from repro.align.fullmatrix import NEG_INF
+from repro.align.lockstep import NEG_INF
 from repro.align.globalband import GlobalResult, global_align
 from repro.align.scoring import BWA_MEM_SCORING, AffineGap
 from repro.core.thresholds import Thresholds, global_thresholds

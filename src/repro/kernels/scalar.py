@@ -1,8 +1,9 @@
 """The scalar (row-vectorized) kernel backend.
 
 A thin façade over the repo's original kernels: the per-job banded
-extension (:mod:`repro.align.banded`), the row-lockstep batch kernel
-(:mod:`repro.align.batchdp`) and the per-cell overlap reference
+extension (:mod:`repro.align.banded`), the one lockstep sweep's
+extension capture set (:func:`repro.align.lockstep.extend_batch`) and
+the per-cell overlap reference
 (:func:`repro.align.overlapdp.overlap_scalar`).  This is the default
 backend — selecting it changes nothing about how the pipeline
 computes.
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.align import banded, batchdp, overlapdp
+from repro.align import banded, lockstep, overlapdp
 from repro.align.banded import ExtensionResult
 from repro.align.overlapdp import OverlapResult
 from repro.align.scoring import AffineGap
@@ -42,8 +43,8 @@ class ScalarKernel:
         scoring: AffineGap,
         w: int | None = None,
     ) -> list[ExtensionResult]:
-        """A batch of extensions through the row-lockstep kernel."""
-        return batchdp.extend_batch(queries, targets, h0s, scoring, w=w)
+        """A batch of extensions through the one lockstep sweep."""
+        return lockstep.extend_batch(queries, targets, h0s, scoring, w=w)
 
     def overlap(
         self,

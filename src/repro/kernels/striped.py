@@ -48,14 +48,14 @@ geometric (power-of-two) classes of its lengths, then merges classes
 pays a fixed per-row sweep overhead, so small classes are cheaper
 ridden along in a bigger group than swept alone.  Degenerate jobs
 (empty sequences, or longer than :data:`MAX_DENSE_LENGTH`) fall back
-per job to the row-lockstep kernel (:mod:`repro.align.batchdp`), and
-so do groups whose band is so wide the stripe would be wider than the
-row layout itself (``2w + 1 > max_q + 1``), where it is the cheaper
-dense layout.  Both reroutes are bit-identical, so the choice is
-purely a cost model.
+per job to the one lockstep sweep
+(:func:`repro.align.lockstep.extend_batch`), and so do groups whose
+band is so wide the stripe would be wider than the row layout itself
+(``2w + 1 > max_q + 1``), where it is the cheaper dense layout.  Both
+reroutes are bit-identical, so the choice is purely a cost model.
 
 Semantics are bit-identical to :func:`repro.align.banded.extend`
-(``prune=False``) and :func:`repro.align.batchdp.extend_batch` on
+(``prune=False``) and :func:`repro.align.lockstep.extend_batch` on
 everything observable — scores, boundary E/F captures, tie-breaking —
 with the usual execution-shape exemptions (``cells_computed`` uses the
 lockstep formula; ``terminated_early`` is always ``False``).  The
@@ -68,7 +68,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
-from repro.align import batchdp
+from repro.align import lockstep
 from repro.align.banded import (
     ExtensionResult,
     check_batch_shapes,
@@ -91,7 +91,7 @@ outweighs the padded rows a split would save."""
 
 MAX_DENSE_LENGTH = 4096
 """Jobs with a sequence longer than this skip the dense packed sweep
-and fall back to the row-lockstep kernel one job at a time — one
+and fall back to the lockstep sweep one job at a time — one
 outlier must not force a whole group's padded arrays to its size."""
 
 ROW_SWEEP_COST_CELLS = 65536
@@ -639,9 +639,9 @@ def extend_batch(
         w_run = min(w, full_band_for(bq_max, bt_max))
         if 2 * w_run + 1 > bq_max + 1:
             # The stripe would be wider than the row layout: the band
-            # covers (almost) whole rows, so the row-lockstep kernel
-            # is the cheaper dense sweep.  Bit-identical either way.
-            results = batchdp.extend_batch(bq, bt, bh, scoring, w=w)
+            # covers (almost) whole rows, so the lockstep sweep is the
+            # cheaper dense layout.  Bit-identical either way.
+            results = lockstep.extend_batch(bq, bt, bh, scoring, w=w)
             dense_width = bq_max + 1
         else:
             results = _sweep_bucket(bq, bt, bh, scoring, w_run, w)
@@ -654,7 +654,7 @@ def extend_batch(
         )
 
     for idx in fallback:
-        out[idx] = batchdp.extend_batch(
+        out[idx] = lockstep.extend_batch(
             [queries[idx]], [targets[idx]], [h0s[idx]], scoring, w=w
         )[0]
 

@@ -22,7 +22,7 @@ values (:func:`_shift`).  All state for one diagonal is an
 ``(n_jobs, width)`` array, so every ufunc touches the whole batch.
 
 Semantics are bit-identical to :func:`repro.align.banded.extend`
-(``prune=False``) and :func:`repro.align.batchdp.extend_batch`,
+(``prune=False``) and :func:`repro.align.lockstep.extend_batch`,
 including the boundary E/F channel captures and tie-breaking —
 property-tested against both in ``tests/kernels/test_conformance.py``.
 The backend's overlap entry points share the striped backend's
@@ -82,7 +82,7 @@ def extend_batch(
     ``banded.extend(query, target, scoring, h0, w=w, prune=False)``
     except for the execution-shape fields (``cells_computed`` uses the
     lockstep formula; ``terminated_early`` is always ``False``) —
-    exactly the contract of :func:`repro.align.batchdp.extend_batch`.
+    exactly the contract of :func:`repro.align.lockstep.extend_batch`.
     Mismatched input list lengths raise
     :class:`~repro.align.banded.BatchShapeError`.
     """

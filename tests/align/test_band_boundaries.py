@@ -26,7 +26,7 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.align import banded, fullmatrix, globalband
+from repro.align import banded, globalband, lockstep
 from repro.align.scoring import BWA_MEM_SCORING, AffineGap
 
 SCHEMES = (
@@ -97,7 +97,7 @@ def banded_oracle(query, target, scoring, h0, w):
 
 def global_oracle(query, target, scoring, h0, w):
     """Dense global (no zero-floor) fill of the in-band cells."""
-    NEG = fullmatrix.NEG_INF
+    NEG = lockstep.NEG_INF
     qlen, tlen = len(query), len(target)
     go = scoring.gap_open
     ge_i, ge_d = scoring.gap_extend_ins, scoring.gap_extend_del
@@ -131,7 +131,7 @@ def global_oracle(query, target, scoring, h0, w):
             )
             H[i][j] = max(diag, E[i][j], F[i][j])
     score = int(H[tlen][qlen])
-    nl = globalband.lower_boundary_length(qlen, tlen, w)
+    nl = banded.boundary_length(qlen, tlen, w)
     le = np.full(nl, NEG, dtype=np.int64)
     for bj in range(nl):
         i = bj + w
@@ -143,7 +143,7 @@ def global_oracle(query, target, scoring, h0, w):
                 )
                 - ge_d
             )
-    nu = globalband.upper_boundary_length(qlen, tlen, w)
+    nu = banded.upper_boundary_length(qlen, tlen, w)
     uf = np.full(nu, NEG, dtype=np.int64)
     if nu > 0:
         uf[0] = h0 - go - (w + 1) * ge_i

@@ -1,4 +1,10 @@
-"""Bit-equivalence tests for the batched lockstep kernel."""
+"""Bit-equivalence tests for the lockstep sweep's extension capture set.
+
+:func:`repro.align.lockstep.extend_batch` runs a batch of seed
+extensions through the one lockstep recurrence; every field must
+equal the per-job scalar kernel :func:`repro.align.banded.extend`
+(``prune=False``) except the execution-shape ones.
+"""
 
 import numpy as np
 import pytest
@@ -6,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.align import banded
-from repro.align.batchdp import extend_batch
+from repro.align.lockstep import extend_batch
 from repro.align.scoring import BWA_MEM_SCORING, AffineGap
 from repro.genome.synth import extension_corpus
 
@@ -16,17 +22,33 @@ SEQ = st.lists(st.integers(0, 3), min_size=1, max_size=14).map(
 BATCH = st.lists(
     st.tuples(SEQ, SEQ, st.integers(1, 30)), min_size=1, max_size=8
 )
+# N bases (code 4), empty sequences and a dead seed (h0 = 0).
+SEQ_N = st.lists(st.integers(0, 4), min_size=0, max_size=14).map(
+    lambda xs: np.array(xs, dtype=np.uint8)
+)
+BATCH_N = st.lists(
+    st.tuples(SEQ_N, SEQ_N, st.sampled_from([0, 1, 7, 30])),
+    min_size=1,
+    max_size=8,
+)
 
 
-def _assert_equal(batch_results, queries, targets, h0s, w):
+def _assert_equal(batch_results, queries, targets, h0s, w, scoring=None):
+    scoring = scoring or BWA_MEM_SCORING
     for k, res in enumerate(batch_results):
         ref = banded.extend(
-            queries[k], targets[k], BWA_MEM_SCORING, h0s[k], w=w
+            queries[k], targets[k], scoring, h0s[k], w=w, prune=False
         )
         assert res.scores() == ref.scores(), f"job {k}"
         assert (res.boundary_e == ref.boundary_e).all(), f"job {k}"
         assert (res.boundary_f == ref.boundary_f).all(), f"job {k}"
         assert res.max_off == ref.max_off, f"job {k}"
+        if w is not None:
+            assert res.band == ref.band, f"job {k}"
+        assert (res.h0, res.qlen, res.tlen) == (ref.h0, ref.qlen, ref.tlen)
+        assert res.cells_computed == min(
+            2 * res.band + 1, res.qlen + 1
+        ) * res.tlen
 
 
 class TestEquivalence:
@@ -64,6 +86,47 @@ class TestEquivalence:
         for k, res in enumerate(results):
             ref = banded.extend(queries[k], targets[k], scoring, h0s[k], w=w)
             assert res.scores() == ref.scores()
+
+    @settings(max_examples=80, deadline=None)
+    @given(batch=BATCH_N, w=st.sampled_from([None, 0, 1, 3, 20]))
+    def test_w0_n_bases_and_dead_seeds(self, batch, w):
+        """Cases the row kernel's tests never drew: the degenerate
+        ``w = 0`` band, N bases, empty sequences and ``h0 = 0``."""
+        queries = [q for q, _, _ in batch]
+        targets = [t for _, t, _ in batch]
+        h0s = [h for _, _, h in batch]
+        results = extend_batch(queries, targets, h0s, BWA_MEM_SCORING, w=w)
+        _assert_equal(results, queries, targets, h0s, w)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        batch=BATCH_N,
+        w=st.integers(0, 6),
+        scoring=st.builds(
+            AffineGap,
+            match=st.integers(1, 3),
+            mismatch=st.integers(0, 4),
+            gap_open=st.integers(0, 6),
+            gap_extend=st.integers(0, 3),
+            gap_extend_ins=st.integers(0, 3),
+        ),
+    )
+    def test_every_field_under_other_schemes(self, batch, w, scoring):
+        """Boundary channels too, zero-cost gaps included."""
+        queries = [q for q, _, _ in batch]
+        targets = [t for _, t, _ in batch]
+        h0s = [h for _, _, h in batch]
+        results = extend_batch(queries, targets, h0s, scoring, w=w)
+        _assert_equal(results, queries, targets, h0s, w, scoring)
+
+    def test_target_far_longer_than_band_and_query(self):
+        """Rows below the band's reach end the sweep early."""
+        rng = np.random.default_rng(2)
+        q = rng.integers(0, 4, 5).astype(np.uint8)
+        t = np.concatenate([q, rng.integers(0, 4, 40).astype(np.uint8)])
+        for w in (0, 2):
+            results = extend_batch([q, t], [t, q], [9, 9], BWA_MEM_SCORING, w=w)
+            _assert_equal(results, [q, t], [t, q], [9, 9], w)
 
     def test_corpus_batch(self):
         rng = np.random.default_rng(0)

@@ -19,7 +19,9 @@ from hypothesis import strategies as st
 
 from repro.align import fullmatrix
 from repro.align.fullmatrix import (
+    GLOBAL,
     LIVE,
+    fill_direction_bits,
     fill_extension,
     fill_extension_batch,
     plan_buckets,
@@ -28,6 +30,7 @@ from repro.align.fullmatrix import (
     traceback_path,
 )
 from repro.align.globalbatch import fill_gaps_guaranteed
+from repro.align.overlapdp import overlap_batch_lockstep, overlap_scalar
 from repro.align.scoring import (
     BWA_MEM_SCORING,
     AffineGap,
@@ -260,3 +263,24 @@ class TestGlobalPolicy:
         assert {o.result.band for o in outs} == {2, 8, 32, 120}
         for (q, t), out in zip(jobs, outs):
             assert out.result.cigar == dense_global_cigar(q, t, scoring)
+
+    def test_band_narrower_than_the_length_gap(self):
+        """An overlap-shaped job whose band misses the corner: once the
+        band has left the query, the remaining rows are all dead."""
+        rng = np.random.default_rng(5)
+        q = rng.integers(0, 4, 4).astype(np.uint8)
+        t = np.concatenate([q, rng.integers(0, 4, 16).astype(np.uint8)])
+        rows, cols = np.indices((len(t) + 1, len(q) + 1))
+        for band in (0, 2):
+            codes, score, bound = fill_direction_bits(
+                [q], [t], BWA_MEM_SCORING, [0], GLOBAL, np.array([band])
+            )
+            live = (codes[:, 0, :] & LIVE) > 0
+            assert live.tolist() == (abs(rows - cols) <= band).tolist()
+            assert score[0] <= GLOBAL  # the corner is dead
+            assert bound[0] > score[0]
+            [got] = overlap_batch_lockstep([q], [t], BWA_MEM_SCORING, w=band)
+            want = overlap_scalar(q, t, BWA_MEM_SCORING, w=band)
+            assert (got.score, got.t_end, got.bound) == (
+                want.score, want.t_end, want.bound
+            )

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.align.fullmatrix import NEG_INF, traceback_global
-from repro.align.globalband import (
-    global_align,
-    lower_boundary_length,
-    upper_boundary_length,
-)
+from repro.align.banded import boundary_length as lower_boundary_length
+from repro.align.banded import upper_boundary_length
+from repro.align.fullmatrix import traceback_global
+from repro.align.globalband import global_align
+from repro.align.lockstep import NEG_INF
 from repro.align.globalbatch import fill_global_scalar
 from repro.align.scoring import BWA_MEM_SCORING, AffineGap
 from repro.genome.sequence import encode

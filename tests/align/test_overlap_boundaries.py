@@ -35,7 +35,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from repro.align.fullmatrix import NEG_INF
+from repro.align.lockstep import NEG_INF
 from repro.align.globalbatch import (
     fill_gaps_guaranteed,
     fill_global_batch,

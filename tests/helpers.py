@@ -256,7 +256,7 @@ def dense_global_cigar(
     codes replaced in ``src/``; kept here as their independent oracle.
     """
     from repro.align.cigar import Cigar
-    from repro.align.fullmatrix import NEG_INF
+    from repro.align.lockstep import NEG_INF
 
     qlen, tlen = len(query), len(target)
     go = scoring.gap_open

@@ -230,3 +230,84 @@ class TestKernelBackendsOwnTheFillsOnly:
                 m for m in imported
                 if m == "repro.kernels" or m.startswith("repro.kernels.")
             ] == [], name
+
+
+class TestOneLockstepRecurrence:
+    def test_the_other_renditions_are_gone(self):
+        """The row-lockstep extension module and the overlap bucket
+        sweep were two more copies of the same recurrence."""
+        from repro.align import overlapdp
+
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.align.batchdp")
+        assert not hasattr(overlapdp, "_lockstep_bucket")
+
+    def test_one_function_holds_the_row_update(self):
+        """Only ``lockstep.sweep`` runs a jobs x columns F scan under
+        ``align/``: the H/E/F row update has one home."""
+        align = Path(__file__).resolve().parent.parent / "src/repro/align"
+        owners = set()
+        for path in sorted(align.glob("*.py")):
+            for fn in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                for node in ast.walk(fn):
+                    if (
+                        isinstance(node, ast.Call)
+                        and ast.unparse(node.func).endswith(
+                            "maximum.accumulate"
+                        )
+                        and any(
+                            kw.arg == "axis" and ast.unparse(kw.value) == "1"
+                            for kw in node.keywords
+                        )
+                    ):
+                        owners.add(f"{path.stem}.{fn.name}")
+        assert owners == {"lockstep.sweep"}
+
+    def test_every_batched_dp_runs_the_one_sweep(self, monkeypatch):
+        from repro.align import (
+            fullmatrix,
+            globalband,
+            globalbatch,
+            lockstep,
+            overlapdp,
+        )
+        from repro.kernels.scalar import ScalarKernel
+        from repro.kernels.striped import StripedKernel
+
+        calls: list[str] = []
+        sweep = lockstep.sweep
+
+        def counting(*args, **kwargs):
+            calls.append("sweep")
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(lockstep, "sweep", counting)
+        rng = np.random.default_rng(3)
+        q = rng.integers(0, 4, 12).astype(np.uint8)
+        t = rng.integers(0, 4, 14).astype(np.uint8)
+        s = BWA_MEM_SCORING
+        callers = {
+            "ScalarKernel.extend_batch": lambda: ScalarKernel().extend_batch(
+                [q], [t], [10], s
+            ),
+            # Full band: the stripe is wider than a row.
+            "StripedKernel.extend_batch": lambda: StripedKernel().extend_batch(
+                [q], [t], [10], s
+            ),
+            "overlap_batch_lockstep": lambda: overlapdp.overlap_batch_lockstep(
+                [q], [t], s, w=3
+            ),
+            "fill_global_batch": lambda: globalbatch.fill_global_batch(
+                [q], [t], s, w=3
+            ),
+            "fill_extension_batch": lambda: fullmatrix.fill_extension_batch(
+                [q], [t], s, [10]
+            ),
+            "global_align": lambda: globalband.global_align(q, t, s, w=3),
+        }
+        for name, call in callers.items():
+            before = len(calls)
+            call()
+            assert len(calls) == before + 1, name
