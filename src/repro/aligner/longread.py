@@ -59,6 +59,9 @@ from repro.seeding.chaining import chain_seeds, filter_chains
 from repro.seeding.kmer_index import KmerIndex
 from repro.seeding.mems import Seed
 
+_SEEDING = {"stride": 8, "max_occurrences": 8}
+"""k-mer anchoring of a long read: sparser anchors, fewer repeats."""
+
 
 @dataclass
 class FillRecord:
@@ -163,11 +166,13 @@ class LongReadAligner:
 
     # -- planning -------------------------------------------------------
 
-    def _plan(self, codes: np.ndarray, name: str) -> _ReadPlan | None:
-        """Seed, chain and lay out one read's jobs; None when hopeless."""
+    def _plan(
+        self, codes: np.ndarray, name: str, seeds: list[Seed]
+    ) -> _ReadPlan | None:
+        """Chain one read's seeds and lay out its jobs; None when
+        hopeless."""
         self.stats.reads += 1
         codes = np.asarray(codes, dtype=np.uint8)
-        seeds = self.index.seed_read(codes, stride=8, max_occurrences=8)
         chains = filter_chains(
             chain_seeds(seeds, max_gap=self.max_fill_gap,
                         max_diagonal_drift=self.max_fill_gap // 2),
@@ -347,7 +352,9 @@ class LongReadAligner:
 
     def align(self, codes: np.ndarray, name: str = "read") -> LongReadAlignment | None:
         """Align one long read; None when no usable chain exists."""
-        plan = self._plan(codes, name)
+        plan = self._plan(
+            codes, name, self.index.seed_read(codes, **_SEEDING)
+        )
         if plan is None:
             return None
         if len(plan.lq):
@@ -414,7 +421,13 @@ class LongReadAligner:
         with obs.span(
             names.SPAN_PIPELINE_LONGREAD_WINDOW, reads=len(window)
         ):
-            plans = [self._plan(codes, name) for name, codes in window]
+            seeded = self.index.seed_reads(
+                [codes for _, codes in window], **_SEEDING
+            )
+            plans = [
+                self._plan(codes, name, seeds)
+                for (name, codes), seeds in zip(window, seeded)
+            ]
             live = [p for p in plans if p is not None]
             if obs.enabled():
                 obs.get_registry().counter(

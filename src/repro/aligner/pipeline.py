@@ -143,6 +143,13 @@ class Aligner:
             return seed_read(self._fm, query, self.min_seed_length)
         return self._kmer.seed_read(query)
 
+    def _seed_window(self, queries: list[np.ndarray]):
+        """Seeds of every query, in order: one k-mer pass for the whole
+        window, or the SMEM reference one query at a time."""
+        if self._fm is not None:
+            return [self._seeds(query) for query in queries]
+        return self._kmer.seed_reads(queries)
+
     # -- extension --------------------------------------------------------
 
     def _left_job(

@@ -140,36 +140,43 @@ def _dispatch_wave(engine, jobs: list[tuple], side: str) -> list:
 
 
 def _collect_chains(aligner, window) -> tuple[list[_ReadState], list[_ChainState]]:
-    """Seed and chain every read of the window; build chain states."""
-    reads: list[_ReadState] = []
+    """Seed both strands of every read of the window in one call, then
+    chain each strand and build chain states."""
+    reads = [
+        _ReadState(name=name, codes=np.asarray(codes, dtype=np.uint8))
+        for name, codes in window
+    ]
+    strands = [
+        (state, reverse, query)
+        for state in reads
+        for reverse, query in (
+            (False, state.codes),
+            (True, reverse_complement(state.codes)),
+        )
+    ]
+    with obs.span(names.SPAN_ALIGNER_SEED):
+        seeded = aligner._seed_window([query for _, _, query in strands])
     chains: list[_ChainState] = []
-    for name, codes in window:
-        codes = np.asarray(codes, dtype=np.uint8)
-        state = _ReadState(name=name, codes=codes)
-        reads.append(state)
-        for reverse in (False, True):
-            query = reverse_complement(codes) if reverse else codes
-            with obs.span(names.SPAN_ALIGNER_SEED):
-                seeds = aligner._seeds(query)
-            with obs.span(names.SPAN_ALIGNER_CHAIN):
-                kept = filter_chains(
-                    chain_seeds(seeds), max_chains=aligner.max_chains
-                )
-            state.n_seeds += len(seeds)
-            state.n_chains += len(kept)
-            for chain in kept:
-                lq, lt, h0 = aligner._left_job(query, chain)
-                cs = _ChainState(
-                    read=state,
-                    reverse=reverse,
-                    query=query,
-                    chain=chain,
-                    lq=lq,
-                    lt=lt,
-                    h0=h0,
-                )
-                state.chains.append(cs)
-                chains.append(cs)
+    for (state, reverse, query), seeds in zip(strands, seeded):
+        with obs.span(names.SPAN_ALIGNER_CHAIN):
+            kept = filter_chains(
+                chain_seeds(seeds), max_chains=aligner.max_chains
+            )
+        state.n_seeds += len(seeds)
+        state.n_chains += len(kept)
+        for chain in kept:
+            lq, lt, h0 = aligner._left_job(query, chain)
+            cs = _ChainState(
+                read=state,
+                reverse=reverse,
+                query=query,
+                chain=chain,
+                lq=lq,
+                lt=lt,
+                h0=h0,
+            )
+            state.chains.append(cs)
+            chains.append(cs)
     return reads, chains
 
 

@@ -45,7 +45,8 @@ SPAN_ALIGNER_READ = "aligner.read"
 """One read aligned end to end (seed, chain, extend, traceback)."""
 
 SPAN_ALIGNER_SEED = "aligner.seed"
-"""Seeding one read orientation (SMEM or k-mer lookup)."""
+"""Seeding one window, both orientations (SMEM or k-mer lookup); one
+orientation on the per-read reference path."""
 
 SPAN_ALIGNER_CHAIN = "aligner.chain"
 """Chaining and filtering the seeds of one orientation."""

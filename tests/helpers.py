@@ -244,6 +244,74 @@ def brute_band_demand(
     return lscore, gscore
 
 
+def loop_seed_read(
+    index,
+    query: np.ndarray,
+    stride: int = 4,
+    max_occurrences: int = 32,
+) -> list:
+    """``KmerIndex`` seeding one anchor and one hit at a time.
+
+    The per-read loop the window-level ``KmerIndex.seed_reads``
+    replaced in ``src/``; kept here as its independent oracle.
+    """
+    from repro.seeding.kmer_index import _pack_kmers
+
+    query = np.asarray(query, dtype=np.uint8)
+    ref = index.reference
+    k = index.k
+    found: set[tuple[int, int, int]] = set()
+    out = []
+    if len(query) < k:
+        return out
+    starts = list(range(0, len(query) - k + 1, stride))
+    if starts[-1] != len(query) - k:
+        starts.append(len(query) - k)
+    q64 = query.astype(np.int64)
+    keys = _pack_kmers(q64, k)
+    bad = np.concatenate(([0], np.cumsum((q64 >= 4).astype(np.int64))))
+    anchors = np.asarray(starts, dtype=np.int64)
+    valid = (bad[anchors + k] - bad[anchors]) == 0
+    sorted_keys = index.tables()["sorted_keys"]
+    positions = index.tables()["positions"]
+    los = np.searchsorted(sorted_keys, keys[anchors], side="left")
+    his = np.searchsorted(sorted_keys, keys[anchors], side="right")
+    for qb, ok, lo, hi in zip(starts, valid, los, his):
+        if not ok or hi - lo > max_occurrences:
+            continue
+        for rb in np.sort(positions[lo:hi]):
+            seed = _extend_maximal(query, ref, qb, int(rb), k)
+            key = (seed.qbegin, seed.qend, seed.rbegin)
+            if key not in found:
+                found.add(key)
+                out.append(seed)
+    out.sort(key=lambda s: (s.qbegin, s.rbegin))
+    return out
+
+
+def _extend_maximal(query, ref, qb: int, rb: int, k: int):
+    """Grow an exact k-mer hit to its maximal exact match by scanning
+    for the nearest mismatch on each side."""
+    from repro.seeding.mems import Seed
+
+    qe, re_ = qb + k, rb + k
+    lmax = min(qb, rb)
+    if lmax:
+        neq = np.flatnonzero(query[qb - lmax : qb] != ref[rb - lmax : rb])
+        back = lmax if neq.size == 0 else lmax - 1 - int(neq[-1])
+        qb -= back
+        rb -= back
+    rmax = min(len(query) - qe, len(ref) - re_)
+    if rmax:
+        neq = np.flatnonzero(
+            query[qe : qe + rmax] != ref[re_ : re_ + rmax]
+        )
+        fwd = rmax if neq.size == 0 else int(neq[0])
+        qe += fwd
+        re_ += fwd
+    return Seed(qb, qe, rb)
+
+
 def dense_global_cigar(
     query: np.ndarray,
     target: np.ndarray,

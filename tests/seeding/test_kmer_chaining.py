@@ -2,11 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.genome.sequence import encode, random_sequence
+from repro.genome.sequence import (
+    AMBIGUOUS_CODE,
+    random_sequence,
+    reverse_complement,
+)
+from repro.seeding import kmer_index
 from repro.seeding.chaining import Chain, chain_seeds, filter_chains
 from repro.seeding.kmer_index import KmerIndex
 from repro.seeding.mems import Seed
+from tests.helpers import loop_seed_read
+# The index suite's reference and built (memory-mapped) artifact.
+from tests.index.conftest import artifact, reference  # noqa: F401
 
 
 class TestKmerIndex:
@@ -63,6 +73,125 @@ class TestKmerIndex:
         full = Seed(0, 100, 800)
         assert full in kmer_seeds
         assert full in fm_seeds
+
+
+@st.composite
+def seeding_windows(draw):
+    """``(index, queries, stride, max_occurrences)``: a small reference
+    (random, low-complexity, or with a unit planted right at or just
+    past the occurrence cap) and a window cut from it, with both
+    reference ends, substitutions, N bases and too-short queries."""
+    k = draw(st.sampled_from((5, 11, 19)))
+    stride = draw(st.sampled_from((1, 4, 8)))
+    cap = draw(st.sampled_from((1, 8, 32)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("random", "periodic", "planted")))
+    if kind == "periodic":
+        unit = random_sequence(draw(st.integers(1, 4)), rng)
+        ref = np.resize(unit, draw(st.integers(k, 200))).astype(np.uint8)
+        ref[rng.integers(0, len(ref), 3)] = rng.integers(0, 4, 3)
+    elif kind == "planted":
+        unit = random_sequence(k + draw(st.integers(0, 12)), rng)
+        copies = cap + draw(st.integers(0, 1))
+        ref = np.concatenate(
+            [
+                piece
+                for _ in range(copies)
+                for piece in (random_sequence(int(rng.integers(0, 9)), rng),
+                              unit)
+            ]
+        ).astype(np.uint8)
+    else:
+        ref = random_sequence(draw(st.integers(k, 300)), rng)
+    queries = []
+    for _ in range(draw(st.integers(0, 10))):
+        length = draw(st.integers(0, min(len(ref), 90)))
+        start = draw(
+            st.sampled_from((0, len(ref) - length))
+            | st.integers(0, len(ref) - length)
+        )
+        query = ref[start : start + length].copy()
+        if length and draw(st.booleans()):
+            spots = rng.integers(0, length, draw(st.integers(1, 3)))
+            query[spots] = rng.integers(0, 5, len(spots))
+        if draw(st.booleans()):
+            query = reverse_complement(query)
+        queries.append(query)
+    return KmerIndex(ref, k=k), queries, stride, cap
+
+
+def _loop_window(index, queries, stride=4, cap=32):
+    return [loop_seed_read(index, q, stride, cap) for q in queries]
+
+
+class TestWindowSeeding:
+    """``seed_reads`` is the per-anchor, per-hit loop, done as arrays."""
+
+    @settings(max_examples=150)
+    @given(case=seeding_windows())
+    def test_window_equals_the_loop(self, case):
+        index, queries, stride, cap = case
+        got = index.seed_reads(queries, stride, cap)
+        assert got == _loop_window(index, queries, stride, cap)
+
+    @settings(max_examples=40)
+    @given(case=seeding_windows())
+    def test_chunking_is_invisible(self, case):
+        """One query per pass, every pass over the cell budget, gives
+        the whole window's seeds, and so does one call per query."""
+        index, queries, stride, cap = case
+        whole = index.seed_reads(queries, stride, cap)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kmer_index, "SEED_CHUNK", 1)
+            mp.setattr(kmer_index, "SCAN_CELLS", 1)
+            assert index.seed_reads(queries, stride, cap) == whole
+        assert [index.seed_read(q, stride, cap) for q in queries] == whole
+
+    def test_empty_window(self):
+        index = KmerIndex(random_sequence(50, np.random.default_rng(0)), k=5)
+        assert index.seed_reads([]) == []
+        assert index.seed_reads([np.zeros(0, np.uint8)]) == [[]]
+
+    def test_short_and_ambiguous_queries_seed_nothing(self):
+        ref = random_sequence(200, np.random.default_rng(4))
+        index = KmerIndex(ref, k=11)
+        all_n = np.full(40, AMBIGUOUS_CODE, dtype=np.uint8)
+        assert index.seed_reads([ref[:10], all_n]) == [[], []]
+
+    def test_hits_at_both_reference_ends(self):
+        ref = random_sequence(300, np.random.default_rng(6))
+        index = KmerIndex(ref, k=11)
+        head, tail = index.seed_reads([ref[:40], ref[-40:]])
+        assert Seed(0, 40, 0) in head
+        assert Seed(0, 40, 260) in tail
+        assert [head, tail] == _loop_window(index, [ref[:40], ref[-40:]])
+
+    @pytest.mark.parametrize("copies", [8, 9])
+    def test_occurrence_cap_is_inclusive(self, copies):
+        rng = np.random.default_rng(8)
+        unit = random_sequence(30, rng)
+        spacers = [random_sequence(40, rng) for _ in range(copies)]
+        ref = np.concatenate(
+            [p for spacer in spacers for p in (spacer, unit)]
+        ).astype(np.uint8)
+        index = KmerIndex(ref, k=11)
+        [seeds] = index.seed_reads([unit], stride=4, max_occurrences=8)
+        assert seeds == loop_seed_read(index, unit, 4, 8)
+        assert len(seeds) == (8 if copies == 8 else 0)
+
+    def test_mapped_tables_seed_like_the_loop(
+        self, artifact, reference  # noqa: F811
+    ):
+        _, loaded = artifact
+        index = loaded.kmer_index()
+        assert isinstance(index.tables()["sorted_keys"], np.memmap)
+        rng = np.random.default_rng(9)
+        queries = []
+        for start in rng.integers(0, len(reference) - 150, 24):
+            query = reference[start : start + 150].copy()
+            query[rng.integers(0, 150, 3)] = rng.integers(0, 5, 3)
+            queries += [query, reverse_complement(query)]
+        assert index.seed_reads(queries) == _loop_window(index, queries)
 
 
 class TestChaining:

@@ -286,7 +286,7 @@ class TestEngineDegradation:
     class _BrokenAligner:
         """An aligner whose seeding always explodes."""
 
-        def _seeds(self, query):
+        def _seed_window(self, queries):
             raise RuntimeError("kernel down")
 
     def test_failing_waves_answer_typed_then_breaker_opens(self):

@@ -311,3 +311,36 @@ class TestOneLockstepRecurrence:
             before = len(calls)
             call()
             assert len(calls) == before + 1, name
+
+
+class TestWindowSeeding:
+    def test_per_hit_extension_is_gone(self):
+        """k-mer hits are grown to maximal matches as one array pass per
+        window, not one mismatch scan per hit."""
+        from repro.seeding import kmer_index
+
+        assert not hasattr(kmer_index, "_extend_maximal")
+
+    def test_one_seeding_call_per_window(self, monkeypatch):
+        from repro.aligner.pipeline import Aligner
+        from repro.genome.synth import ReadSimulator, synthesize_reference
+        from repro.seeding.kmer_index import KmerIndex
+
+        calls: list[int] = []
+        seed_reads = KmerIndex.seed_reads
+
+        def counting(self, queries, *args, **kwargs):
+            calls.append(len(queries))
+            return seed_reads(self, queries, *args, **kwargs)
+
+        def per_read(*args, **kwargs):
+            raise AssertionError("the window path seeded one read alone")
+
+        monkeypatch.setattr(KmerIndex, "seed_reads", counting)
+        monkeypatch.setattr(KmerIndex, "seed_read", per_read)
+        reference = synthesize_reference(20_000, np.random.default_rng(5))
+        reads = ReadSimulator(reference, seed=5).simulate(100)
+        aligner = Aligner(reference, seeding="kmer")
+        aligner.align_batched(reads, batch_size=50)
+        # Two 50-read windows, each one call over both strands.
+        assert calls == [100, 100]
