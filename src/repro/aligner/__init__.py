@@ -1,6 +1,5 @@
 """The end-to-end BWA-MEM-style aligner with pluggable extension."""
 
-from repro.aligner.cache import ExtensionCache
 from repro.aligner.engines import BatchedEngine, make_engine
 from repro.aligner.longread import LongReadAligner
 from repro.aligner.paired import InsertSizeModel, PairedAligner, ReadPair
@@ -15,7 +14,6 @@ __all__ = [
     "Aligner",
     "BatchedEngine",
     "EngineSpec",
-    "ExtensionCache",
     "InsertSizeModel",
     "LongReadAligner",
     "PairedAligner",

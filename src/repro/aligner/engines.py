@@ -15,6 +15,11 @@ they differ in exactly two settings of :class:`BatchedEngine`:
 :data:`ENGINE_POLICIES` is the only place the user-facing engine names
 are mapped to a policy; the CLI, :class:`~repro.aligner.parallel.EngineSpec`
 and ``analyze`` all build their engine through :func:`make_engine`.
+
+Every wave path — the short-read window, the paired rescue and the
+long-read ends — reaches the engine through one step,
+:func:`repro.aligner.waves.extend_side`, so :meth:`BatchedEngine.extend_wave`
+is one call under the policy and keeps nothing between waves.
 """
 
 from __future__ import annotations
@@ -26,11 +31,6 @@ import numpy as np
 from repro import obs
 from repro.align.banded import ExtensionResult
 from repro.align.scoring import BWA_MEM_SCORING, AffineGap
-from repro.aligner.cache import (
-    DEFAULT_MAX_ENTRIES,
-    ExtensionCache,
-    job_key,
-)
 from repro.constants import DEFAULT_BAND
 from repro.core.extender import SeedExtender
 from repro.kernels import get_kernel
@@ -101,22 +101,17 @@ class BatchedEngine:
     — so SAM output is byte-identical to the full band at any band,
     and :attr:`stats` reports the check outcomes.
 
-    A bounded LRU :class:`~repro.aligner.cache.ExtensionCache` dedups
-    byte-identical jobs (reads piling on one locus), both within one
-    wave and across waves; ``cache_entries=0`` disables it.  A job
-    answered from the cache is counted as a hit, not as a checked
-    extension.  The scalar :meth:`extend` path shares the same cache
-    and policy, so the engine still satisfies the
-    :class:`ExtensionEngine` protocol when driven one job at a time
-    (the per-read reference path, or behind the resilience
-    dispatcher).
+    The scalar :meth:`extend` runs one job under the same policy, so
+    the engine still satisfies the :class:`ExtensionEngine` protocol
+    when driven one job at a time (the per-read reference path, or
+    behind the resilience dispatcher).  Every job is computed, equal
+    ones included.
     """
 
     def __init__(
         self,
         band: int | None = None,
         scoring: AffineGap = BWA_MEM_SCORING,
-        cache_entries: int = DEFAULT_MAX_ENTRIES,
         kernel=None,
         checks: bool = False,
     ) -> None:
@@ -143,9 +138,6 @@ class BatchedEngine:
                 registry=obs.get_registry() if obs.enabled() else None,
                 kernel=self.kernel,
             )
-        self.cache = (
-            ExtensionCache(cache_entries) if cache_entries else None
-        )
         self.extensions = 0
         self.cells = 0
 
@@ -154,29 +146,8 @@ class BatchedEngine:
         """Check-outcome accounting; ``None`` without ``checks``."""
         return None if self._extender is None else self._extender.stats
 
-    def _count_lookups(self, hits: int, misses: int) -> None:
-        """Cache accounting: a hit is a job answered without compute."""
-        if obs.enabled():
-            reg = obs.get_registry()
-            reg.counter(
-                names.PIPELINE_BATCH_CACHE_HITS,
-                "extension jobs answered from the result cache",
-            ).inc(hits)
-            reg.counter(
-                names.PIPELINE_BATCH_CACHE_MISSES,
-                "extension jobs computed, then cached",
-            ).inc(misses)
-
     def extend(self, query, target, h0) -> ExtensionResult:
-        """One job through the scalar kernel (cache-backed)."""
-        self.extensions += 1
-        if self.cache is not None:
-            key = job_key(query, target, h0, self.band)
-            hit = self.cache.get(key)
-            self._count_lookups(hit is not None, hit is None)
-            if hit is not None:
-                _account(self.name, 0)
-                return hit
+        """One job through the scalar kernel under the policy."""
         if self._extender is not None:
             out = self._extender.extend(query, target, h0)
             res, cells = out.result, out.narrow_result.cells_computed
@@ -185,66 +156,36 @@ class BatchedEngine:
                 query, target, self.scoring, h0, w=self.band
             )
             cells = res.cells_computed
-        if self.cache is not None:
-            self.cache.put(key, res)
+        self.extensions += 1
         self.cells += cells
         _account(self.name, cells, kernel=self.kernel.name)
         return res
 
-    def _compute_wave(self, jobs) -> tuple[list[ExtensionResult], int]:
-        """Run distinct, uncached jobs in lockstep under the policy.
-
-        Returns the results and the cells the speculation filled (the
-        rerun wave's cells are accounted by :attr:`stats`).
-        """
-        if self._extender is not None:
-            outs = self._extender.extend_many(jobs)
-            return [out.result for out in outs], sum(
-                out.narrow_result.cells_computed for out in outs
-            )
-        with obs.span(names.SPAN_EXTEND_BATCH, jobs=len(jobs)):
-            results = self.kernel.extend_batch(
-                [q for q, _, _ in jobs],
-                [t for _, t, _ in jobs],
-                [h0 for _, _, h0 in jobs],
-                self.scoring,
-                w=self.band,
-            )
-        return results, sum(res.cells_computed for res in results)
-
     def extend_wave(self, jobs) -> list[ExtensionResult]:
         """Run a wave of ``(query, target, h0)`` jobs in lockstep.
 
-        Results come back in job order.  With the cache on, duplicate
-        jobs — equal query bytes, target bytes, ``h0`` — are computed
-        once per wave and answered from the cache thereafter.
+        Results come back in job order.  With checks, the wave goes
+        through :meth:`~repro.core.extender.SeedExtender.extend_many`,
+        whose full-band rerun wave's cells are accounted by
+        :attr:`stats`; :attr:`cells` counts the speculation.
         """
         self.extensions += len(jobs)
         if not jobs:
             return []
-        if self.cache is None:
-            results, cells = self._compute_wave(jobs)
+        if self._extender is not None:
+            outs = self._extender.extend_many(jobs)
+            results = [out.result for out in outs]
+            cells = sum(out.narrow_result.cells_computed for out in outs)
         else:
-            results = [None] * len(jobs)
-            pending: dict[tuple, list[int]] = {}
-            for k, (query, target, h0) in enumerate(jobs):
-                key = job_key(query, target, h0, self.band)
-                if key in pending:
-                    pending[key].append(k)
-                elif (hit := self.cache.get(key)) is not None:
-                    results[k] = hit
-                else:
-                    pending[key] = [k]
-            self._count_lookups(len(jobs) - len(pending), len(pending))
-            cells = 0
-            if pending:
-                computed, cells = self._compute_wave(
-                    [jobs[owners[0]] for owners in pending.values()]
+            with obs.span(names.SPAN_EXTEND_BATCH, jobs=len(jobs)):
+                results = self.kernel.extend_batch(
+                    [q for q, _, _ in jobs],
+                    [t for _, t, _ in jobs],
+                    [h0 for _, _, h0 in jobs],
+                    self.scoring,
+                    w=self.band,
                 )
-                for (key, owners), res in zip(pending.items(), computed):
-                    self.cache.put(key, res)
-                    for k in owners:
-                        results[k] = res
+            cells = sum(res.cells_computed for res in results)
         self.cells += cells
         _account(
             self.name, cells, jobs=len(jobs), kernel=self.kernel.name
@@ -260,7 +201,7 @@ def make_engine(
     ``band`` applies only to the narrow-band kinds.  The checked kind
     defaults to the paper's band; an unchecked narrow band has no safe
     default and must be given.  ``options`` go to
-    :class:`BatchedEngine` (``kernel``, ``cache_entries``, ``scoring``).
+    :class:`BatchedEngine` (``kernel``, ``scoring``).
     """
     if kind not in ENGINE_POLICIES:
         raise ValueError(f"unknown engine kind {kind!r}")

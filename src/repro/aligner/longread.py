@@ -20,8 +20,9 @@ Two execution paths share one plan/stitch skeleton:
   time, one ``GlobalSeedEx`` call per gap;
 * :meth:`LongReadAligner.align_batch` — the batched path: windows of
   reads move through three dependency-ordered waves (left ends →
-  gap fills → right ends).  End extensions ride the same
-  ``extend_wave`` engines the short-read scheduler uses; gap fills
+  gap fills → right ends).  End extensions go through the same
+  :func:`~repro.aligner.waves.extend_side` step the short-read
+  scheduler uses; gap fills
   are collected *across* reads into shape-bucketed lockstep sweeps
   with adaptive band escalation
   (:func:`repro.align.globalbatch.fill_gaps_guaranteed`), each
@@ -44,12 +45,8 @@ from repro.align.cigar import Cigar
 from repro.align.fullmatrix import traceback_extension, traceback_global
 from repro.align.globalbatch import fill_gaps_guaranteed
 from repro.align.scoring import BWA_MEM_SCORING, AffineGap
-from repro.aligner.pipeline import DEGRADED, _resolve_end, _trace_job
-from repro.aligner.waves import (
-    DEFAULT_BATCH_SIZE,
-    _dispatch_wave,
-    trace_sides,
-)
+from repro.aligner.pipeline import _resolve_end, _trace_job, stitch_cigar
+from repro.aligner.waves import DEFAULT_BATCH_SIZE, extend_side, trace_sides
 from repro.core.extender import SeedExtender
 from repro.core.globalcheck import GlobalSeedEx
 from repro.genome.sam import SamRecord
@@ -142,7 +139,16 @@ class _ReadPlan:
 
 
 class LongReadAligner:
-    """Seed-chain-fill alignment with guaranteed-optimal fills."""
+    """Seed-chain-fill alignment with guaranteed-optimal fills.
+
+    ``end_band`` is the band of :attr:`end_extender`, the checked
+    scalar read-end extender.  It runs every end of the scalar
+    :meth:`align` and, in :meth:`align_batch`, only the end jobs the
+    wave engine dead-letters; the end waves themselves run under the
+    engine's own policy (the full band, for ``longread --engine
+    batched``).  Either way the ends are optimal, so the SAM is the
+    same.
+    """
 
     def __init__(
         self,
@@ -324,26 +330,22 @@ class LongReadAligner:
         r_resolved: tuple[tuple[int, int], int, int] | None,
         right: Cigar | None,
     ) -> LongReadAlignment:
-        """Put the traced ends around the middle and build the alignment."""
-        l_end, _, clip_left = l_resolved
+        """Put the traced ends around the middle and build the alignment.
+
+        A read with no right end (``r_resolved is None``) reports the
+        stitched middle's score, not the end job's ``max(1, middle)``.
+        """
         mid_ops, score, fills = middle
-        ops: list[tuple[int, str]] = []
-        if clip_left:
-            ops.append((clip_left, "S"))
-        if left is not None:
-            ops.extend(left.reversed().ops)
-        ops.extend(mid_ops)
+        clip_right = 0
         if r_resolved is not None:
             _, score, clip_right = r_resolved
-            if right is not None:
-                ops.extend(right.ops)
-            if clip_right:
-                ops.append((clip_right, "S"))
         return LongReadAlignment(
             name=plan.name,
-            pos=plan.backbone[0].rbegin - l_end[0],
+            pos=plan.backbone[0].rbegin - l_resolved[0][0],
             score=score,
-            cigar=Cigar.from_ops(ops),
+            cigar=stitch_cigar(
+                l_resolved[2], left, mid_ops, right, clip_right
+            ),
             seeds_used=len(plan.backbone),
             fills=fills,
         )
@@ -386,19 +388,20 @@ class LongReadAligner:
     def align_batch(
         self,
         reads,
-        engine=None,
+        engine,
         batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> list[LongReadAlignment | None]:
         """Align many reads through three dependency-ordered waves.
 
         ``reads`` may be ``(name, codes)`` pairs or ``SimulatedRead``-like
         objects; results come back in input order, byte-identical to
-        per-read :meth:`align`.  ``engine`` handles the end-extension
-        waves (anything with ``extend`` works; ``extend_wave`` engines
-        get whole waves) and defaults to the scalar ``SeedExtender`` —
-        pass a :class:`~repro.aligner.engines.BatchedEngine` for the
-        lockstep fast path.  A dead-lettered end job falls back to the
-        scalar extender alone, never its whole wave.
+        per-read :meth:`align`.  ``engine`` runs the end-extension
+        waves through :func:`~repro.aligner.waves.extend_side`
+        (``extend_wave`` engines, such as
+        :class:`~repro.aligner.engines.BatchedEngine`, get whole waves;
+        anything else with ``extend`` is driven job by job).  A
+        dead-lettered end job falls back to the scalar
+        :attr:`end_extender` alone, never its whole wave.
         """
         if batch_size < 1:
             raise ValueError("batch size must be at least 1")
@@ -435,26 +438,12 @@ class LongReadAligner:
                 ).inc(len(window))
 
             # Wave 1: left ends (h0 known up front).
-            lefts = [p for p in live if len(p.lq)]
-            l_resolved: dict[int, tuple] = {}
-            if engine is not None:
-                results = _dispatch_wave(
-                    engine,
-                    [(p.lq, p.lt, p.h0) for p in lefts],
-                    "longread_left",
-                )
-            else:
-                results = [
-                    self.end_extender.extend(p.lq, p.lt, p.h0).result
-                    for p in lefts
-                ]
-            for p, res in zip(lefts, results):
-                if res is DEGRADED:
-                    res = self.end_extender.extend(p.lq, p.lt, p.h0).result
-                l_resolved[id(p)] = _resolve_end(res, p.h0)
-            for p in live:
-                if not len(p.lq):
-                    l_resolved[id(p)] = ((0, 0), p.h0, 0)
+            lefts = extend_side(
+                engine,
+                [(p.lq, p.lt, p.h0) for p in live],
+                "longread_left",
+                fallback=self.end_extender,
+            )
 
             # Wave 2: every gap of every read, one lockstep ladder.
             flat: list[tuple[np.ndarray, np.ndarray]] = []
@@ -465,57 +454,39 @@ class LongReadAligner:
             fill_outs = self._fill_wave(flat)
 
             # Stitch middles; wave 3: right ends (h0 = stitched score).
-            middles: dict[int, tuple] = {}
-            rights: list[tuple[_ReadPlan, int]] = []
-            for p, (lo, hi) in zip(live, spans):
-                middle = self._stitch_middle(
-                    p, l_resolved[id(p)][1], fill_outs[lo:hi]
-                )
-                middles[id(p)] = middle
-                if len(p.rq):
-                    rights.append((p, max(1, middle[1])))
-            r_resolved: dict[int, tuple] = {}
-            if engine is not None:
-                results = _dispatch_wave(
-                    engine,
-                    [(p.rq, p.rt, h0) for p, h0 in rights],
-                    "longread_right",
-                )
-            else:
-                results = [
-                    self.end_extender.extend(p.rq, p.rt, h0).result
-                    for p, h0 in rights
-                ]
-            for (p, h0), res in zip(rights, results):
-                if res is DEGRADED:
-                    res = self.end_extender.extend(p.rq, p.rt, h0).result
-                r_resolved[id(p)] = _resolve_end(res, h0)
+            middles = [
+                self._stitch_middle(p, left[1], fill_outs[lo:hi])
+                for p, left, (lo, hi) in zip(live, lefts, spans)
+            ]
+            r_h0 = [max(1, middle[1]) for middle in middles]
+            rights = extend_side(
+                engine,
+                [(p.rq, p.rt, h0) for p, h0 in zip(live, r_h0)],
+                "longread_right",
+                fallback=self.end_extender,
+            )
+            # An empty right end stays None: its dispatch h0 is not
+            # the score the read reports.
+            rights = [
+                right if len(p.rq) else None
+                for p, right in zip(live, rights)
+            ]
 
             # Wave 4: every end that needs a walk, one traceback wave.
             walks = trace_sides(
                 self.scoring,
                 [
-                    _end_jobs(
-                        p, l_resolved[id(p)], r_resolved.get(id(p)),
-                        max(1, middles[id(p)][1]),
-                    )
-                    for p in live
+                    _end_jobs(p, left, right, h0)
+                    for p, left, right, h0 in zip(live, lefts, rights, r_h0)
                 ],
             )
-            traced = dict(zip(map(id, live), walks))
-            out: list[LongReadAlignment | None] = []
-            for p in plans:
-                if p is None:
-                    out.append(None)
-                    continue
-                left, right = traced[id(p)]
-                out.append(
-                    self._finish(
-                        p, l_resolved[id(p)], left, middles[id(p)],
-                        r_resolved.get(id(p)), right,
-                    )
+            finished = (
+                self._finish(p, left, lw, middle, right, rw)
+                for p, left, middle, right, (lw, rw) in zip(
+                    live, lefts, middles, rights, walks
                 )
-        return out
+            )
+            return [None if p is None else next(finished) for p in plans]
 
 
 def _end_jobs(
@@ -555,8 +526,8 @@ class LongReadRecipe:
     ``mode`` selects the schedule (``scalar`` loops
     :meth:`LongReadAligner.align`; ``batched`` runs the three-wave
     :meth:`LongReadAligner.align_batch` in windows of ``batch_size``),
-    ``spec`` (an :class:`~repro.aligner.parallel.EngineSpec`, or
-    ``None`` for the scalar extender) names the end-extension engine
+    ``spec`` (an :class:`~repro.aligner.parallel.EngineSpec`, required
+    by ``batched`` and unused by ``scalar``) names the end-wave engine
     and ``options`` go to :class:`LongReadAligner`.  Both modes, in one
     process or under :func:`~repro.aligner.parallel.align_supervised`
     at any worker count, emit byte-identical SAM.
@@ -570,6 +541,8 @@ class LongReadRecipe:
     def __post_init__(self) -> None:
         if self.mode not in ("scalar", "batched"):
             raise ValueError(f"unknown long-read mode {self.mode!r}")
+        if self.mode == "batched" and self.spec is None:
+            raise ValueError("batched long-read mode needs an engine spec")
 
     def probe(self) -> None:
         """Nothing to check in the parent: no artifact is shipped."""
@@ -577,7 +550,7 @@ class LongReadRecipe:
     def build(self, reference):
         """One aligner + end engine, as a ``reads -> records`` function."""
         aligner = LongReadAligner(reference, **self.options)
-        engine = self.spec.build() if self.spec is not None else None
+        engine = self.spec.build() if self.mode == "batched" else None
 
         def run(reads) -> list[SamRecord]:
             if self.mode == "batched":

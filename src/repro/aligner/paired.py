@@ -27,11 +27,12 @@ from repro import obs
 from repro.align.cigar import Cigar
 from repro.align.fullmatrix import traceback_extension
 from repro.aligner.pipeline import (
-    DEGRADED,
     Aligner,
     _resolve_end,
     _trace_job,
+    stitch_cigar,
 )
+from repro.aligner.waves import align_window, extend_side, trace_sides
 from repro.core.extender import SeedExtender
 from repro.genome.sam import FLAG_REVERSE, SamRecord
 from repro.genome.sequence import decode, reverse_complement
@@ -313,20 +314,23 @@ class PairedAligner:
         self, plan: "_RescuePlan", o: int, off: int
     ) -> tuple:
         """Left extension (reversed), then right with the accumulated
-        score as h0 — the scalar schedule for one candidate."""
+        score as h0 — the scalar schedule for one candidate.
+
+        Returns ``(score, o, off, left, right)``, the sides resolved as
+        ``(endpoint, score, clipped)``.
+        """
         lq, lt, rq, rt = self._candidate_jobs(plan, o, off)
         h0 = plan.k * self.aligner.scoring.match
-        if len(lq):
-            lres = self.rescuer.extend(lq, lt, h0).result
-            l_end, l_score, l_clip = _resolve_end(lres, h0)
-        else:
-            l_end, l_score, l_clip = (0, 0), h0, 0
-        if len(rq):
-            rres = self.rescuer.extend(rq, rt, l_score).result
-            r_end, score, r_clip = _resolve_end(rres, l_score)
-        else:
-            r_end, score, r_clip = (0, 0), l_score, 0
-        return (score, o, off, l_end, l_score, l_clip, r_end, r_clip)
+        left = self._rescue_side(lq, lt, h0)
+        right = self._rescue_side(rq, rt, left[1])
+        return (right[1], o, off, left, right)
+
+    def _rescue_side(self, query, target, h0: int) -> tuple:
+        """One side through the scalar rescuer, resolved."""
+        if not len(query):
+            return (0, 0), h0, 0
+        res = self.rescuer.extend(query, target, h0).result
+        return _resolve_end(res, h0)
 
     def _select_rescue(
         self, plan: "_RescuePlan", extended: dict
@@ -395,11 +399,11 @@ class PairedAligner:
         side with nothing to walk."""
         if best is None or best[0] < self._min_rescue_score(plan):
             return None, None
-        _, o, off, l_end, l_score, _, r_end, _ = best
+        _, o, off, left, right = best
         lq, lt, rq, rt = self._candidate_jobs(plan, o, off)
         return (
-            _trace_job(lq, lt, plan.k * self.aligner.scoring.match, l_end),
-            _trace_job(rq, rt, l_score, r_end),
+            _trace_job(lq, lt, plan.k * self.aligner.scoring.match, left[0]),
+            _trace_job(rq, rt, left[1], right[0]),
         )
 
     def _emit_rescue(
@@ -407,27 +411,19 @@ class PairedAligner:
         plan: "_RescuePlan",
         anchor: SamRecord,
         best: tuple | None,
-        left: Cigar | None,
-        right: Cigar | None,
+        left_walk: Cigar | None,
+        right_walk: Cigar | None,
     ) -> SamRecord | None:
         """Score-gate the winning candidate and render its record from
         its traced sides."""
         min_score = self._min_rescue_score(plan)
         if best is None or best[0] < min_score:
             return None
-        score, _, off, l_end, _, l_clip, _, r_clip = best
-        ops: list[tuple[int, str]] = []
-        if l_clip:
-            ops.append((l_clip, "S"))
-        if left is not None:
-            ops.extend(left.reversed().ops)
-        ops.append((plan.k, "M"))
-        if right is not None:
-            ops.extend(right.ops)
-        if r_clip:
-            ops.append((r_clip, "S"))
-        cigar = Cigar.from_ops(ops)
-        pos_in_window = off - l_end[0]
+        score, _, off, left, right = best
+        cigar = stitch_cigar(
+            left[2], left_walk, [(plan.k, "M")], right_walk, right[2]
+        )
+        pos_in_window = off - left[0][0]
         flag = FLAG_REVERSE if plan.reverse else 0
         return SamRecord(
             qname=anchor.qname,
@@ -468,12 +464,6 @@ class PairedAligner:
         return out
 
     def _pairs_window(self, pairs) -> list[tuple[SamRecord, SamRecord]]:
-        from repro.aligner.waves import (
-            _dispatch_wave,
-            align_window,
-            trace_sides,
-        )
-
         mates: list[tuple[str, np.ndarray]] = []
         for pair in pairs:
             mates.append((pair.name, pair.first))
@@ -509,7 +499,7 @@ class PairedAligner:
             for group in need[1].groups:
                 for o, off in group:
                     cands.append((need[1], o, off))
-        extended = self._extend_wave(cands, _dispatch_wave)
+        extended = self._extend_wave(cands)
 
         # Phase C: every rescue winner's trace, one traceback wave.
         bests: list[tuple | None] = []
@@ -560,7 +550,7 @@ class PairedAligner:
             )
         return out
 
-    def _extend_wave(self, cands, dispatch) -> dict:
+    def _extend_wave(self, cands) -> dict:
         """Extend every candidate via two cross-pair waves.
 
         Returns ``{(id(plan), o, off): candidate tuple}`` with exactly
@@ -574,53 +564,30 @@ class PairedAligner:
         geoms = [
             self._candidate_jobs(plan, o, off) for plan, o, off in cands
         ]
-        h0 = [plan.k * m for plan, _, _ in cands]
         if obs.enabled():
             reg = obs.get_registry()
             reg.counter(
                 names.PAIRED_RESCUE_JOBS, "rescue candidates extended"
             ).inc(len(cands))
-
-        def _run(jobs, side):
-            if obs.enabled():
-                obs.get_registry().counter(
-                    names.PAIRED_RESCUE_WAVES, "rescue waves"
-                ).inc()
-            results = dispatch(self.aligner.engine, jobs, side)
-            return [
-                self.rescuer.extend(q, t, h).result if r is DEGRADED else r
-                for (q, t, h), r in zip(jobs, results)
-            ]
-
-        left_idx = [i for i, g in enumerate(geoms) if len(g[0])]
-        left_results = _run(
-            [(geoms[i][0], geoms[i][1], h0[i]) for i in left_idx],
+            reg.counter(names.PAIRED_RESCUE_WAVES, "rescue waves").inc(2)
+        lefts = extend_side(
+            self.aligner.engine,
+            [(lq, lt, plan.k * m) for (plan, _, _), (lq, lt, _, _)
+             in zip(cands, geoms)],
             "rescue_left",
+            fallback=self.rescuer,
         )
-        lefts: list[tuple] = [((0, 0), h, 0) for h in h0]
-        for i, res in zip(left_idx, left_results):
-            lefts[i] = _resolve_end(res, h0[i])
-
-        right_idx = [i for i, g in enumerate(geoms) if len(g[2])]
-        right_results = _run(
-            [(geoms[i][2], geoms[i][3], lefts[i][1]) for i in right_idx],
+        rights = extend_side(
+            self.aligner.engine,
+            [(rq, rt, left[1]) for (_, _, rq, rt), left
+             in zip(geoms, lefts)],
             "rescue_right",
+            fallback=self.rescuer,
         )
-        rights: list[tuple] = [
-            ((0, 0), lefts[i][1], 0) for i in range(len(cands))
-        ]
-        for i, res in zip(right_idx, right_results):
-            rights[i] = _resolve_end(res, lefts[i][1])
-
-        extended = {}
-        for i, (plan, o, off) in enumerate(cands):
-            l_end, l_score, l_clip = lefts[i]
-            r_end, score, r_clip = rights[i]
-            extended[(id(plan), o, off)] = (
-                score, o, off, l_end, l_score, l_clip, r_end, r_clip
-            )
-        return extended
-
+        return {
+            (id(plan), o, off): (right[1], o, off, left, right)
+            for (plan, o, off), left, right in zip(cands, lefts, rights)
+        }
 
     # -- flagging ---------------------------------------------------------------
 

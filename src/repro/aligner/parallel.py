@@ -47,7 +47,7 @@ snapshot into the live registry via
 ``pipeline.shard.*`` accounting on top.  Span traces stay worker-local
 (timelines are not mergeable across processes).
 
-Engines cannot be pickled (they hold caches, RNGs, registries), so
+Engines cannot be pickled (they hold kernels, RNGs, registries), so
 recipes carry an :class:`EngineSpec` — a frozen, picklable engine
 description — and workers build their own engine from it.
 """
@@ -66,7 +66,6 @@ from multiprocessing import connection as mp_connection
 import numpy as np
 
 from repro import obs
-from repro.aligner.cache import DEFAULT_MAX_ENTRIES
 from repro.aligner.waves import DEFAULT_BATCH_SIZE
 from repro.durability.supervisor import (
     QUARANTINE_TAG,
@@ -162,7 +161,6 @@ class EngineSpec:
 
     kind: str = "full"
     band: int | None = None
-    cache_entries: int = DEFAULT_MAX_ENTRIES
     kernel: str | None = None
     chaos: bool = False
     fault_rate: float = 0.01
@@ -176,12 +174,7 @@ class EngineSpec:
         """Construct the engine (plus chaos wrapper) this spec names."""
         from repro.aligner.engines import make_engine, make_resilient
 
-        engine = make_engine(
-            self.kind,
-            self.band,
-            cache_entries=self.cache_entries,
-            kernel=self.kernel,
-        )
+        engine = make_engine(self.kind, self.band, kernel=self.kernel)
         if not self.chaos and self.breaker_threshold is None:
             return engine
         return make_resilient(

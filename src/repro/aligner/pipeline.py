@@ -55,31 +55,19 @@ class AlignmentCandidate:
     pos: int
     reverse: bool
     chain: Chain
-    # Geometry of the winning extension for host-side traceback.
-    left_query: np.ndarray
-    left_target: np.ndarray
-    left_h0: int
-    left_end: tuple[int, int]
-    right_query: np.ndarray
-    right_target: np.ndarray
-    right_h0: int
-    right_end: tuple[int, int]
-    seed_len: int
-    clip_left: int
-    clip_right: int
+    # The two ``(query, target, h0)`` extension jobs and their resolved
+    # ``(endpoint, score, clipped)`` sides, for host-side traceback.
+    left_job: tuple
+    right_job: tuple
+    left: tuple
+    right: tuple
 
     def traceback_jobs(self) -> tuple[tuple | None, tuple | None]:
         """The (left, right) traceback jobs whose walks make this
         candidate's CIGAR (see :func:`_trace_job`)."""
         return (
-            _trace_job(
-                self.left_query, self.left_target, self.left_h0,
-                self.left_end,
-            ),
-            _trace_job(
-                self.right_query, self.right_target, self.right_h0,
-                self.right_end,
-            ),
+            _trace_job(*self.left_job, self.left[0]),
+            _trace_job(*self.right_job, self.right[0]),
         )
 
 
@@ -169,12 +157,12 @@ class Aligner:
         return lq, lt, h0
 
     def _right_job(
-        self, query: np.ndarray, chain: Chain
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The chain's right extension job geometry: ``(rq, rt)``.
+        self, query: np.ndarray, chain: Chain, h0: int
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        """The chain's right extension job: ``(rq, rt, h0)``.
 
-        The right job's ``h0`` is the left extension's result (BWA-MEM
-        threads the score), so it is supplied at dispatch time.
+        ``h0`` is the left extension's score (BWA-MEM threads it), so
+        the job exists only once the left side is resolved.
         """
         seed = chain.anchor
         rq = query[seed.qend :].copy()
@@ -183,74 +171,54 @@ class Aligner:
             len(self.reference), seed_rend + len(rq) + self.band_margin
         )
         rt = self.reference[seed_rend:rt_hi].copy()
-        return rq, rt
+        return rq, rt, h0
 
     def _make_candidate(
         self,
         chain: Chain,
         reverse: bool,
-        lq: np.ndarray,
-        lt: np.ndarray,
-        h0: int,
-        l_end: tuple[int, int],
-        l_score: int,
-        clip_left: int,
-        rq: np.ndarray,
-        rt: np.ndarray,
-        r_end: tuple[int, int],
-        final: int,
-        clip_right: int,
+        left_job: tuple,
+        right_job: tuple,
+        left: tuple,
+        right: tuple,
     ) -> AlignmentCandidate:
-        """Assemble the candidate from resolved left/right extensions."""
-        seed = chain.anchor
+        """Assemble the candidate from the chain's two jobs and their
+        resolved ``(endpoint, score, clipped)`` sides."""
         return AlignmentCandidate(
-            score=final,
-            pos=seed.rbegin - l_end[0],
+            score=right[1],
+            pos=chain.anchor.rbegin - left[0][0],
             reverse=reverse,
             chain=chain,
-            left_query=lq,
-            left_target=lt,
-            left_h0=h0,
-            left_end=l_end,
-            right_query=rq,
-            right_target=rt,
-            right_h0=l_score,
-            right_end=r_end,
-            seed_len=seed.length,
-            clip_left=clip_left,
-            clip_right=clip_right,
+            left_job=left_job,
+            right_job=right_job,
+            left=left,
+            right=right,
         )
+
+    def _extend_side(self, job: tuple) -> tuple:
+        """One job, resolved by the scalar kernel: the per-read twin of
+        :func:`repro.aligner.waves.extend_side`."""
+        query, target, h0 = job
+        if not len(query):
+            return (0, 0), h0, 0
+        return _resolve_end(self.engine.extend(query, target, h0), h0)
 
     def _extend_chain(
         self, query: np.ndarray, chain: Chain, reverse: bool
     ) -> "AlignmentCandidate | str | None":
         """Extend one chain; ``DEGRADED`` when the engine dead-letters."""
-        lq, lt, h0 = self._left_job(query, chain)
-        if len(lq):
-            try:
-                lres = self.engine.extend(lq, lt, h0)
-            except DeadLetterError:
-                return DEGRADED
-            l_end, l_score, clip_left = _resolve_end(lres, h0)
-            if l_end == (0, 0) and l_score <= 0:
+        left_job = self._left_job(query, chain)
+        try:
+            left = self._extend_side(left_job)
+            if left[0] == (0, 0) and left[1] <= 0:
                 return None
-        else:
-            l_end, l_score, clip_left = (0, 0), h0, 0
-
-        # Right extension continues with the accumulated score.
-        rq, rt = self._right_job(query, chain)
-        if len(rq):
-            try:
-                rres = self.engine.extend(rq, rt, l_score)
-            except DeadLetterError:
-                return DEGRADED
-            r_end, final, clip_right = _resolve_end(rres, l_score)
-        else:
-            r_end, final, clip_right = (0, 0), l_score, 0
-
+            # Right extension continues with the accumulated score.
+            right_job = self._right_job(query, chain, left[1])
+            right = self._extend_side(right_job)
+        except DeadLetterError:
+            return DEGRADED
         return self._make_candidate(
-            chain, reverse, lq, lt, h0, l_end, l_score, clip_left,
-            rq, rt, r_end, final, clip_right,
+            chain, reverse, left_job, right_job, left, right
         )
 
     # -- per-read alignment ------------------------------------------------
@@ -438,17 +406,13 @@ class Aligner:
             left = self._trace_dense(*jobs[0])
         if right is None and jobs[1] is not None:
             right = self._trace_dense(*jobs[1])
-        ops: list[tuple[int, str]] = []
-        if cand.clip_left:
-            ops.append((cand.clip_left, "S"))
-        if left is not None:
-            ops.extend(left.reversed().ops)
-        ops.append((cand.seed_len, "M"))
-        if right is not None:
-            ops.extend(right.ops)
-        if cand.clip_right:
-            ops.append((cand.clip_right, "S"))
-        return Cigar.from_ops(ops)
+        return stitch_cigar(
+            cand.left[2],
+            left,
+            [(cand.chain.anchor.length, "M")],
+            right,
+            cand.right[2],
+        )
 
     def _trace_dense(
         self,
@@ -470,6 +434,31 @@ def _trace_job(
     """One extension's ``(query, target, h0, end)`` traceback job, or
     ``None`` when it ended at the origin and there is nothing to walk."""
     return None if end == (0, 0) else (query, target, h0, end)
+
+
+def stitch_cigar(
+    clip_left: int,
+    left: Cigar | None,
+    middle: list[tuple[int, str]],
+    right: Cigar | None,
+    clip_right: int,
+) -> Cigar:
+    """One alignment's CIGAR from its traced sides around the middle.
+
+    The ops are ``[S] + reversed(left) + middle + right + [S]``: the
+    left walk ran on reversed sequences, so it is flipped back; a
+    ``None`` walk or a zero clip adds nothing.  Every path — short read,
+    mate rescue, long read — stitches through here.
+    """
+    ops: list[tuple[int, str]] = [(clip_left, "S")] if clip_left else []
+    if left is not None:
+        ops.extend(left.reversed().ops)
+    ops.extend(middle)
+    if right is not None:
+        ops.extend(right.ops)
+    if clip_right:
+        ops.append((clip_right, "S"))
+    return Cigar.from_ops(ops)
 
 
 def _resolve_end(result, h0: int) -> tuple[tuple[int, int], int, int]:

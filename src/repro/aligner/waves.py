@@ -12,6 +12,13 @@ extension as a second wave — preserving BWA-MEM's ``h0`` threading,
 where the right job's initial score is the left job's result — and
 traces the winners back a bounded bucket of direction codes at a time.
 
+That left → right step is :func:`extend_side`, and it is the only
+way any path extends a wave: the short-read window here, the paired
+mate rescue (:meth:`~repro.aligner.paired.PairedAligner.align_pairs_batched`)
+and the long-read ends (:meth:`~repro.aligner.longread.LongReadAligner.align_batch`).
+Each then stitches its CIGAR with
+:func:`~repro.aligner.pipeline.stitch_cigar`.
+
 Semantics are byte-identical to the per-read reference
 (``Aligner.align_read``; the differential suite in
 ``tests/aligner/test_differential.py`` holds SAM output fixed across
@@ -28,7 +35,8 @@ engine policies x window sizes x worker counts):
 * when the engine cannot take a wave (e.g. it is wrapped in the
   chaos/resilience dispatcher, which is scalar by design), jobs fall
   back to per-job dispatch and a dead-lettered job degrades **alone**
-  — its chain, not its whole wave.
+  — its chain, not its whole wave (the rescue and long-read paths
+  answer it with their scalar extender instead).
 """
 
 from __future__ import annotations
@@ -75,17 +83,10 @@ class _ChainState:
     reverse: bool
     query: np.ndarray
     chain: object
-    lq: np.ndarray
-    lt: np.ndarray
-    h0: int
-    l_end: tuple[int, int] = (0, 0)
-    l_score: int = 0
-    clip_left: int = 0
-    rq: np.ndarray | None = None
-    rt: np.ndarray | None = None
-    r_end: tuple[int, int] = (0, 0)
-    final: int = 0
-    clip_right: int = 0
+    left_job: tuple
+    right_job: tuple | None = None
+    left: tuple | None = None
+    right: tuple | None = None
     dropped: bool = False
     degraded: bool = False
 
@@ -165,60 +166,74 @@ def _collect_chains(aligner, window) -> tuple[list[_ReadState], list[_ChainState
         state.n_seeds += len(seeds)
         state.n_chains += len(kept)
         for chain in kept:
-            lq, lt, h0 = aligner._left_job(query, chain)
             cs = _ChainState(
                 read=state,
                 reverse=reverse,
                 query=query,
                 chain=chain,
-                lq=lq,
-                lt=lt,
-                h0=h0,
+                left_job=aligner._left_job(query, chain),
             )
             state.chains.append(cs)
             chains.append(cs)
     return reads, chains
 
 
-def _run_left_wave(aligner, chains: list[_ChainState]) -> None:
-    """Dispatch all left extensions; resolve endpoints and drops."""
-    pending = [cs for cs in chains if len(cs.lq)]
-    results = _dispatch_wave(
-        aligner.engine, [(cs.lq, cs.lt, cs.h0) for cs in pending], "left"
-    )
-    for cs, res in zip(pending, results):
+def extend_side(engine, jobs: list[tuple], side: str, fallback=None) -> list:
+    """Extend one side of many chains as one wave; resolve each job.
+
+    The host's per-chain schedule (paper Section V-B) is this step run
+    twice: left jobs, then right jobs whose ``h0`` is the left score.
+    ``jobs`` are ``(query, target, h0)``; each comes back, in job
+    order, as its ``(endpoint, score, clipped)`` resolution
+    (:func:`~repro.aligner.pipeline._resolve_end`).  An empty query has
+    nothing to extend and resolves to ``((0, 0), h0, 0)`` without
+    reaching the engine; the rest go out as one :func:`_dispatch_wave`.
+    A dead-lettered job resolves through ``fallback`` (a scalar
+    :class:`~repro.core.extender.SeedExtender`) when one is given, and
+    is ``DEGRADED`` otherwise.
+    """
+    out: list = [((0, 0), h0, 0) for _, _, h0 in jobs]
+    pending = [k for k, (query, _, _) in enumerate(jobs) if len(query)]
+    results = _dispatch_wave(engine, [jobs[k] for k in pending], side)
+    for k, res in zip(pending, results):
+        query, target, h0 = jobs[k]
         if res is DEGRADED:
+            if fallback is None:
+                out[k] = DEGRADED
+                continue
+            res = fallback.extend(query, target, h0).result
+        out[k] = _resolve_end(res, h0)
+    return out
+
+
+def _run_left_wave(aligner, chains: list[_ChainState]) -> None:
+    """Extend every left side; a chain whose left extension dies at the
+    origin with no score is dropped."""
+    lefts = extend_side(
+        aligner.engine, [cs.left_job for cs in chains], "left"
+    )
+    for cs, left in zip(chains, lefts):
+        if left is DEGRADED:
             cs.degraded = True
-            continue
-        cs.l_end, cs.l_score, cs.clip_left = _resolve_end(res, cs.h0)
-        if cs.l_end == (0, 0) and cs.l_score <= 0:
-            cs.dropped = True
-    for cs in chains:
-        if not len(cs.lq):
-            cs.l_end, cs.l_score, cs.clip_left = (0, 0), cs.h0, 0
+        else:
+            cs.left = left
+            cs.dropped = left[0] == (0, 0) and left[1] <= 0
 
 
 def _run_right_wave(aligner, chains: list[_ChainState]) -> None:
-    """Dispatch all surviving right extensions (``h0`` = left score)."""
-    pending: list[_ChainState] = []
-    for cs in chains:
-        if not cs.alive:
-            continue
-        cs.rq, cs.rt = aligner._right_job(cs.query, cs.chain)
-        if len(cs.rq):
-            pending.append(cs)
-        else:
-            cs.r_end, cs.final, cs.clip_right = (0, 0), cs.l_score, 0
-    results = _dispatch_wave(
-        aligner.engine,
-        [(cs.rq, cs.rt, cs.l_score) for cs in pending],
-        "right",
+    """Extend the right side of every surviving chain (``h0`` = its
+    left score)."""
+    live = [cs for cs in chains if cs.alive]
+    for cs in live:
+        cs.right_job = aligner._right_job(cs.query, cs.chain, cs.left[1])
+    rights = extend_side(
+        aligner.engine, [cs.right_job for cs in live], "right"
     )
-    for cs, res in zip(pending, results):
-        if res is DEGRADED:
+    for cs, right in zip(live, rights):
+        if right is DEGRADED:
             cs.degraded = True
-            continue
-        cs.r_end, cs.final, cs.clip_right = _resolve_end(res, cs.l_score)
+        else:
+            cs.right = right
 
 
 def traceback_wave(
@@ -302,19 +317,8 @@ def _finalize_window(aligner, reads: list[_ReadState]) -> list[SamRecord]:
             elif not cs.dropped:
                 candidates.append(
                     aligner._make_candidate(
-                        cs.chain,
-                        cs.reverse,
-                        cs.lq,
-                        cs.lt,
-                        cs.h0,
-                        cs.l_end,
-                        cs.l_score,
-                        cs.clip_left,
-                        cs.rq,
-                        cs.rt,
-                        cs.r_end,
-                        cs.final,
-                        cs.clip_right,
+                        cs.chain, cs.reverse, cs.left_job, cs.right_job,
+                        cs.left, cs.right,
                     )
                 )
         picked = aligner._select_candidate(

@@ -348,7 +348,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=41,
         metavar="W",
-        help="band of the checked read-end extensions (default 41)",
+        help="band of the checked scalar read-end extender (default "
+        "41): every end under --engine scalar, and only the per-job "
+        "fallbacks under --engine batched, whose end waves run the "
+        "full band",
     )
     lr.add_argument(
         "--batch-size",
@@ -1480,13 +1483,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     name, reference = _load_reference(args.reference)
     reads = read_fastq(args.reads)
     kernel_name = _resolve_kernel(args)
-    # No result cache: every extension of the workload is checked and
-    # counted, duplicates included.
     base_engine = make_engine(
-        "seedex",
-        args.band,
-        kernel=getattr(args, "kernel", None),
-        cache_entries=0,
+        "seedex", args.band, kernel=getattr(args, "kernel", None)
     )
     base_engine.stats.reset()  # this invocation's workload only
     engine, dispatcher = _wrap_chaos(base_engine, args)

@@ -363,9 +363,7 @@ class ResilientDispatcher:
         if self.fallback is None:
             from repro.aligner.engines import BatchedEngine
 
-            self.fallback = BatchedEngine(
-                scoring=self.engine.scoring, cache_entries=0
-            )
+            self.fallback = BatchedEngine(scoring=self.engine.scoring)
         return self.fallback
 
     def _backoff(self, attempt: int) -> None:

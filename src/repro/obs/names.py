@@ -158,12 +158,6 @@ PIPELINE_BATCH_JOBS = "pipeline.batch.jobs"
 PIPELINE_BATCH_JOBS_DEGRADED = "pipeline.batch.jobs.degraded"
 """Wave jobs that exhausted the resilience ladder individually."""
 
-PIPELINE_BATCH_CACHE_HITS = "pipeline.batch.cache.hits"
-"""Extension jobs answered from the result cache."""
-
-PIPELINE_BATCH_CACHE_MISSES = "pipeline.batch.cache.misses"
-"""Extension jobs that had to be computed (then cached)."""
-
 PIPELINE_BATCH_TRACEBACK_CELLS = "pipeline.batch.traceback.cells"
 """Matrix cells of the endpoint-clipped jobs a traceback wave filled."""
 

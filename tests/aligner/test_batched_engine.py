@@ -1,17 +1,12 @@
-"""Property tests for the wave-dispatched engine and its result cache.
+"""Property tests for the wave-dispatched engine.
 
-:class:`~repro.aligner.engines.BatchedEngine` promises two things:
-
-1. **Bit-identity** — every job of an :meth:`extend_wave` call comes
-   back equal to the scalar kernel run with pruning disabled
-   (``banded.extend(prune=False)``), field for field: the score tuple,
-   the boundary-E/F check inputs, ``max_off``, and the geometry.
-2. **Transparent caching** — a cache hit (within one wave or across
-   calls) returns a result equal to the cold compute, and duplicate
-   jobs inside a wave are computed exactly once.
-
-Both are enforced here with hypothesis over random job mixes, ragged
-lengths (including empty queries/targets), and band settings.
+:class:`~repro.aligner.engines.BatchedEngine` promises **bit-identity**:
+every job of an :meth:`extend_wave` call comes back equal to the scalar
+kernel run with pruning disabled (``banded.extend(prune=False)``),
+field for field: the score tuple, the boundary-E/F check inputs,
+``max_off``, and the geometry.  It is enforced here with hypothesis
+over random job mixes, duplicated jobs, ragged lengths (including
+empty queries/targets), and band settings.
 """
 
 from __future__ import annotations
@@ -22,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.align import banded
 from repro.align.scoring import BWA_MEM_SCORING
-from repro.aligner.cache import ExtensionCache, job_key
 from repro.aligner.engines import BatchedEngine
 
 SEQ = st.lists(st.integers(0, 4), min_size=0, max_size=14).map(
@@ -56,21 +50,27 @@ def assert_results_equal(got, want) -> None:
 
 class TestWaveBitIdentity:
     @settings(max_examples=60, deadline=None)
-    @given(jobs=st.lists(JOB, min_size=1, max_size=8))
-    def test_wave_matches_scalar_kernel(self, jobs):
+    @given(
+        distinct=st.lists(JOB, min_size=1, max_size=8),
+        picks=st.lists(st.integers(0, 7), max_size=8),
+    )
+    def test_wave_matches_scalar_kernel(self, distinct, picks):
         """Each wave job == ``banded.extend(prune=False)`` on that job.
 
         ``band=None`` runs the whole wave at the batch-wide full band
         (the band covering the largest job), so the scalar reference
         is the kernel at that same band; scores are additionally
         pinned to the per-job full-band run, which they must equal
-        because both bands cover the job's whole matrix.
+        because both bands cover the job's whole matrix.  ``picks``
+        appends duplicates of drawn jobs (twin repeat loci give equal
+        jobs in one wave), and each copy is computed on its own.
         """
+        jobs = distinct + [distinct[k % len(distinct)] for k in picks]
         shared = banded.full_band_for(
             max(len(q) for q, _, _ in jobs),
             max(len(t) for _, t, _ in jobs),
         )
-        engine = BatchedEngine(cache_entries=0)
+        engine = BatchedEngine()
         results = engine.extend_wave(jobs)
         assert len(results) == len(jobs)
         for (q, t, h0), res in zip(jobs, results):
@@ -88,7 +88,7 @@ class TestWaveBitIdentity:
     )
     def test_banded_wave_matches_scalar_kernel(self, jobs, band):
         """A fixed band batches just like the scalar banded kernel."""
-        engine = BatchedEngine(band=band, cache_entries=0)
+        engine = BatchedEngine(band=band)
         results = engine.extend_wave(jobs)
         for (q, t, h0), res in zip(jobs, results):
             want = banded.extend(
@@ -101,81 +101,6 @@ class TestWaveBitIdentity:
     def test_scalar_extend_matches_kernel(self, job):
         """The protocol's scalar ``extend`` is the same kernel result."""
         q, t, h0 = job
-        engine = BatchedEngine(cache_entries=0)
+        engine = BatchedEngine()
         want = banded.extend(q, t, BWA_MEM_SCORING, h0)
         assert_results_equal(engine.extend(q, t, h0), want)
-
-
-class TestCacheSemantics:
-    @settings(max_examples=40, deadline=None)
-    @given(job=JOB)
-    def test_hit_equals_cold_compute(self, job):
-        """A warm lookup returns a result equal to the cold one."""
-        q, t, h0 = job
-        cold = BatchedEngine(cache_entries=0).extend(q, t, h0)
-        engine = BatchedEngine()
-        first = engine.extend(q, t, h0)
-        second = engine.extend(q, t, h0)
-        assert second is first  # replayed, not recomputed
-        assert_results_equal(second, cold)
-        assert engine.cache.hits == 1
-
-    @settings(max_examples=30, deadline=None)
-    @given(jobs=st.lists(JOB, min_size=1, max_size=5))
-    def test_wave_hits_equal_cold_computes(self, jobs):
-        """Warm wave == cold wave, job for job."""
-        cold = BatchedEngine(cache_entries=0).extend_wave(jobs)
-        engine = BatchedEngine()
-        engine.extend_wave(jobs)
-        warm = engine.extend_wave(jobs)
-        for got, want in zip(warm, cold):
-            assert_results_equal(got, want)
-
-    def test_within_wave_dedup_computes_once(self):
-        """N copies of one job cost one compute, and all results agree."""
-        rng = np.random.default_rng(5)
-        q = rng.integers(0, 4, size=30).astype(np.uint8)
-        t = rng.integers(0, 4, size=40).astype(np.uint8)
-        single = BatchedEngine(cache_entries=0)
-        [baseline] = single.extend_wave([(q, t, 25)])
-        engine = BatchedEngine()
-        results = engine.extend_wave([(q, t, 25)] * 6)
-        assert engine.cells == single.cells  # one compute for six jobs
-        for res in results:
-            assert res is baseline or res is results[0]
-            assert_results_equal(res, baseline)
-
-    def test_band_is_part_of_the_key(self):
-        """Same sequences, different band: distinct cache entries."""
-        rng = np.random.default_rng(6)
-        q = rng.integers(0, 4, size=20).astype(np.uint8)
-        t = rng.integers(0, 4, size=25).astype(np.uint8)
-        assert job_key(q, t, 10, None) != job_key(q, t, 10, 5)
-        full = BatchedEngine().extend(q, t, 10)
-        narrow = BatchedEngine(band=2).extend(q, t, 10)
-        assert full.band != narrow.band
-
-    def test_lru_eviction_keeps_newest(self):
-        """The oldest entry is evicted first; capacity is enforced."""
-        cache = ExtensionCache(max_entries=2)
-        engine = BatchedEngine(cache_entries=0)
-        rng = np.random.default_rng(7)
-        keys, results = [], []
-        for _ in range(3):
-            q = rng.integers(0, 4, size=10).astype(np.uint8)
-            t = rng.integers(0, 4, size=12).astype(np.uint8)
-            keys.append(job_key(q, t, 8, None))
-            results.append(engine.extend(q, t, 8))
-            cache.put(keys[-1], results[-1])
-        assert len(cache) == 2
-        assert cache.get(keys[0]) is None
-        assert cache.get(keys[2]) is results[2]
-
-    def test_cache_clear_resets_accounting(self):
-        """``clear`` empties the store and zeroes hit/miss counters."""
-        cache = ExtensionCache()
-        cache.get(("q", "t", 1, None))
-        assert cache.misses == 1
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.hits == 0 and cache.misses == 0

@@ -310,20 +310,6 @@ def test_smem_seeding_differential():
     assert batched == baseline
 
 
-def test_cache_disabled_matches_scalar():
-    """``cache_entries=0`` changes nothing but the work done."""
-    reference, reads = _corpus(CORPUS_SEEDS[2], reads=12)
-    baseline = sam_bytes(reference, reads, BatchedEngine(), seeding="kmer")
-    uncached = sam_bytes(
-        reference,
-        reads,
-        BatchedEngine(cache_entries=0),
-        batch_size=5,
-        seeding="kmer",
-    )
-    assert uncached == baseline
-
-
 @pytest.mark.slow
 def test_corpus_scale_differential():
     """A corpus-scale run (1k reads) at the paper's batch geometry."""

@@ -4,13 +4,19 @@ import numpy as np
 import pytest
 
 from repro.align.cigar import Cigar
-from repro.aligner.longread import LongReadAligner, _non_overlapping
+from repro.aligner.engines import BatchedEngine
+from repro.aligner.longread import (
+    LongReadAligner,
+    _non_overlapping,
+    sam_record,
+)
 from repro.genome.synth import (
     LongReadProfile,
     simulate_long_reads,
     synthesize_reference,
 )
 from repro.seeding.mems import Seed
+from tests.helpers import DeadLetteringEngine
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +92,26 @@ class TestGuarantee:
             narrow.align(read.codes, read.name)
             wide.align(read.codes, read.name)
         assert narrow.stats.fill_pass_rate <= wide.stats.fill_pass_rate
+
+
+class TestEndWaves:
+    def test_dead_lettered_ends_are_answered_by_end_extender(self, setup):
+        """An engine that dead-letters every end job changes nothing:
+        each job falls back to the checked scalar ``end_extender``,
+        whose results equal the clean full-band waves'."""
+        reference, reads = setup
+
+        def lines(engine):
+            aligner = LongReadAligner(reference, fill_band=16)
+            alns = aligner.align_batch(reads, engine, batch_size=4)
+            return [
+                sam_record(r.name, r.codes, aln).to_line()
+                for r, aln in zip(reads, alns)
+            ]
+
+        dead = DeadLetteringEngine(dies=lambda h0: True)
+        assert lines(dead) == lines(BatchedEngine())
+        assert dead.seen, "no end job reached the engine"
 
 
 class TestPlumbing:

@@ -245,7 +245,10 @@ class TestStartMethodError:
     ):
         """The same refusal for a hand-built (long-read) recipe."""
         reference, reads = corpus
-        recipe = LongReadRecipe(options={"scoring": lambda: None})
+        recipe = LongReadRecipe(
+            spec=EngineSpec(kind="batched"),
+            options={"scoring": lambda: None},
+        )
         with pytest.raises(StartMethodError):
             align_supervised(
                 reference,

@@ -75,6 +75,34 @@ def sam_bytes(
     return buf.getvalue().encode()
 
 
+class DeadLetteringEngine:
+    """A per-job engine (no ``extend_wave``) over the full-band kernel.
+
+    It raises :class:`~repro.faults.errors.DeadLetterError` for every
+    job whose ``h0`` satisfies ``dies`` and records the ``h0`` of every
+    job it is handed — the shape of a resilience dispatcher whose
+    degradation ladder ran out.
+    """
+
+    name = "dead-lettering"
+
+    def __init__(self, dies=lambda h0: False) -> None:
+        from repro.aligner.engines import BatchedEngine
+
+        self.inner = BatchedEngine()
+        self.scoring = self.inner.scoring
+        self.dies = dies
+        self.seen: list[int] = []
+
+    def extend(self, query, target, h0):
+        from repro.faults.errors import DeadLetterError
+
+        self.seen.append(h0)
+        if self.dies(h0):
+            raise DeadLetterError("test", site="test", attempts=1)
+        return self.inner.extend(query, target, h0)
+
+
 def fast_policy(**overrides):
     """A :class:`SupervisorPolicy` tuned for tests: quick heartbeats
     and polls, a restart budget bisection never exhausts."""

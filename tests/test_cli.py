@@ -199,12 +199,10 @@ class TestObservability:
             key.startswith("seedex.check.outcome{") for key in counters
         )
         # The default engine keeps its user-facing label on the waves,
-        # and a job answered from the result cache is a hit, not a
-        # checked extension.
-        served = counters["engine.extensions{engine=seedex-w41}"]
-        assert served == (
-            counters["seedex.extensions.total"]
-            + counters["pipeline.batch.cache.hits"]
+        # and every job it serves is a checked extension.
+        assert (
+            counters["engine.extensions{engine=seedex-w41}"]
+            == counters["seedex.extensions.total"]
         )
         assert counters["pipeline.batch.waves{side=left}"] == 1
         hists = snap["histograms"]

@@ -344,3 +344,71 @@ class TestWindowSeeding:
         aligner.align_batched(reads, batch_size=50)
         # Two 50-read windows, each one call over both strands.
         assert calls == [100, 100]
+
+
+class TestOneExtensionSchedule:
+    def test_no_result_cache(self):
+        """Equal jobs are computed, not replayed: there is no cache
+        module and no knob to size one."""
+        import dataclasses
+        import inspect
+
+        from repro.aligner.engines import BatchedEngine
+        from repro.aligner.parallel import EngineSpec
+
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.aligner.cache")
+        assert "cache_entries" not in inspect.signature(
+            BatchedEngine
+        ).parameters
+        assert "cache_entries" not in {
+            f.name for f in dataclasses.fields(EngineSpec)
+        }
+
+    def test_every_wave_path_reaches_extend_side(self, monkeypatch):
+        """The short-read window, the paired rescue and the long-read
+        ends all extend through the one side step."""
+        from repro.aligner import longread, paired, waves
+        from repro.aligner.engines import BatchedEngine
+        from repro.aligner.pipeline import Aligner
+        from repro.genome.synth import (
+            ReadSimulator,
+            simulate_long_reads,
+            synthesize_reference,
+        )
+
+        sides: list[str] = []
+        extend_side = waves.extend_side
+
+        def counting(engine, jobs, side, fallback=None):
+            sides.append(side)
+            return extend_side(engine, jobs, side, fallback=fallback)
+
+        for module in (waves, paired, longread):
+            monkeypatch.setattr(module, "extend_side", counting)
+        rng = np.random.default_rng(8)
+        reference = synthesize_reference(20_000, rng)
+
+        reads = ReadSimulator(reference, seed=8).simulate(6)
+        waves.align_window(
+            Aligner(reference, seeding="kmer"),
+            [(r.name, r.codes) for r in reads],
+        )
+        assert sides == ["left", "right"]
+
+        # Mate 2 loses every 16th base: no 19-mer seed survives, so it
+        # is unmapped, but the 12-mer rescue probes still anchor it.
+        sides.clear()
+        pair, _, _ = paired.simulate_pairs(reference, 1, rng)[0]
+        second = pair.second.copy()
+        second[15::16] = (second[15::16] + 1) % 4
+        paired.PairedAligner(reference).align_pairs_batched(
+            [paired.ReadPair(pair.name, pair.first, second)]
+        )
+        assert sides == ["left", "right", "rescue_left", "rescue_right"]
+
+        sides.clear()
+        longread.LongReadAligner(reference).align_batch(
+            simulate_long_reads(reference, 2, rng), BatchedEngine()
+        )
+        assert sides == ["longread_left", "longread_right"]
