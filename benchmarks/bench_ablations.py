@@ -21,7 +21,8 @@ import numpy as np
 
 from repro import constants as paper
 from repro.align import banded
-from repro.align.editdp import left_entry_scores_reference
+from repro.align.editdp import BELOW, relaxed_sweep_reference
+from repro.align.lockstep import LOCAL_EXTEND
 from repro.align.scoring import BWA_MEM_SCORING, edit_scoring
 from repro.analysis.passing import passing_point
 from repro.analysis.report import print_table
@@ -30,7 +31,7 @@ from repro.core.checker import (
     CheckOutcome,
     OptimalityChecker,
 )
-from repro.core.editcheck import exact_left_seeds
+from repro.core.editcheck import edge_seeds
 from repro.core.escore import score_max_e
 from repro.core.thresholds import semiglobal_thresholds
 from repro.hw import timing
@@ -47,18 +48,16 @@ def _exact_edit_bound(job, result):
     hardware (and our default) prefer the relaxed scheme's single
     readout column.
     """
-    seeds = exact_left_seeds(job.h0, BWA_MEM_SCORING)
-    scores = left_entry_scores_reference(
-        job.query, job.target, BAND, seeds, scoring=edit_scoring()
+    last_column = relaxed_sweep_reference(
+        job.query,
+        job.target,
+        BAND,
+        BELOW,
+        LOCAL_EXTEND,
+        edge_seeds(result, BWA_MEM_SCORING, BELOW),
+        scoring=edit_scoring(),
     )
-    m = BWA_MEM_SCORING.match
-    best = -(10**9)
-    # Reference returns the last column; pair it with the all-match
-    # exit assumption per row (the sound generic form).
-    for r, value in enumerate(scores.last_column):
-        if value > 0:
-            best = max(best, int(value))
-    return max(best, int(scores.best))
+    return int(last_column.max(initial=0))
 
 
 def test_ablation_check_attribution(benchmark, structural_jobs):

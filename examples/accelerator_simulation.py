@@ -14,8 +14,10 @@ Run:  python examples/accelerator_simulation.py
 import numpy as np
 
 from repro import constants as paper
+from repro.align import banded
+from repro.align.editdp import BELOW
 from repro.align.scoring import BWA_MEM_SCORING
-from repro.core.editcheck import exact_left_seeds
+from repro.core.editcheck import edge_seeds
 from repro.genome.sequence import decode
 from repro.genome.synth import extension_corpus
 from repro.hw import area, timing
@@ -41,10 +43,11 @@ print(f"scores: lscore={run.result.lscore} gscore={run.result.gscore} "
 # --- 2. the delta-encoded edit machine ---------------------------------------
 print("\n== 3-bit delta-encoded edit machine (w=12) ==")
 em = EditMachine(12)
+narrow = banded.extend(job.query, job.target, BWA_MEM_SCORING, job.h0, w=12)
 em_run = em.run(job.query, job.target,
-                exact_left_seeds(job.h0, BWA_MEM_SCORING))
+                edge_seeds(narrow, BWA_MEM_SCORING, BELOW))
 print(f"half-width PEs: {em_run.pe_count}, cells: {em_run.cells_computed}")
-print(f"decoded score_ed bound: {em_run.scores.best} "
+print(f"decoded score_ed bound: {em_run.best} "
       "(bit-exact vs the full-width software DP)")
 
 # --- 3. the full accelerator --------------------------------------------------

@@ -12,9 +12,10 @@ Run:  python examples/check_anatomy.py
 import numpy as np
 
 from repro.align import banded
+from repro.align.editdp import BELOW
 from repro.align.scoring import BWA_MEM_SCORING
 from repro.core.checker import CheckOutcome, OptimalityChecker
-from repro.core.editcheck import edit_check
+from repro.core.editcheck import sweep_bound
 from repro.core.escore import score_max_e
 from repro.core.thresholds import semiglobal_thresholds
 from repro.genome.sequence import random_sequence
@@ -59,10 +60,12 @@ print(f"   scoreMax_E = {e_bound} "
 print("   (the deletion sits at column 5, so every live boundary "
       "entry already paid it)")
 
-ed = edit_check(query, target, narrow, BWA_MEM_SCORING, th.s1)
-ed_pass = ed.score_ed < narrow.gscore
+score_ed = sweep_bound(
+    query, target, narrow, BWA_MEM_SCORING, BELOW, channel_seeds=False
+)
+ed_pass = score_ed < narrow.gscore
 print("\n4. edit-distance check (the column-0 dive, half-matrix sweep)")
-print(f"   score_ed = {ed.score_ed} "
+print(f"   score_ed = {score_ed} "
       f"{'<' if ed_pass else '>='} gscore_nb {narrow.gscore}: "
       f"{'PASS' if ed_pass else 'FAIL'}")
 

@@ -7,8 +7,9 @@ Public surface:
 * :mod:`repro.align.lockstep` — the one batched (lockstep) recurrence
   and its per-shape capture sets;
 * :mod:`repro.align.fullmatrix` — the dense oracle and traceback;
-* :mod:`repro.align.editdp` — edit-distance kernels and the
-  shaded-region extension used by the edit check;
+* :mod:`repro.align.editdp` — Levenshtein and the one relaxed-edit
+  sweep (region below/above the band x extension/global floor) behind
+  every optimality check that looks outside the band;
 * :mod:`repro.align.cigar` — CIGAR utilities.
 """
 

@@ -1,34 +1,48 @@
-"""Edit-distance DP kernels, including the left-entry extension.
+"""Edit-distance DP kernels: Levenshtein and the one relaxed-edit sweep.
 
-The edit-distance check of paper Section III-D runs an *optimistic*
-extra extension for the paper's "path 2": alignment paths whose first
-band departure is the pure-deletion dive down query column 0 past row
-``w``.  Every cell such a path can subsequently touch lies in the
-lower half-matrix ``rows w+1 .. tlen`` (rows only grow) — including
-cells back inside the band, which the path may re-enter.  The check
-therefore runs a DP over exactly that half-matrix, seeded only on its
-left boundary, using the relaxed edit scoring
-``{m:1, x:-1, go:0, ge(ins):0, ge(del):-1}``.
+Every band-leaving path of the SeedEx checks (paper Section III-D) is
+bounded by one optimistic DP, :func:`relaxed_sweep`, run over all a
+departing path can later touch — band cells it may re-enter included —
+under the relaxed edit scoring ``{m:1, x:-1, go:0, ge(ins):0,
+ge(del):-1}``.  Two parameters fix which DP that is:
 
-Zero-penalty insertions make scores non-decreasing along each row, so
-the row maximum always sits in the last column: the hardware's single
-augmentation unit reads the decoded scores along the right edge
-(the augmentation path of paper Figure 10), and this model only needs
-the last-column values.  The half-matrix sweep is also what motivates
-the half-width PE array of Section IV-B.
+* **region** — :data:`BELOW`: rows ``band+1 .. tlen`` x every column,
+  entered down query column 0 (the paper's "path 2" dive) or across
+  the band's lower edge; :data:`ABOVE`: every row x columns
+  ``band+1 .. qlen``, entered along the init row or across the upper
+  edge.  The free direction is horizontal in both: transposing the
+  below sweep would hand out free *deletions* above the band and let
+  the bound ride down onto the true alignment's diagonal.
+* **floor** — :data:`~repro.align.lockstep.LOCAL_EXTEND` (dead at 0,
+  the extension kernel's semantics) or
+  :data:`~repro.align.lockstep.GLOBAL` (``NEG_INF``: global paths
+  survive negative running scores), the fill's boundary-policy names.
 
-:func:`levenshtein` is the classic edit distance, used by tests and by
-the delta-encoding hardware model as a reference.
+Seeds are injected along the region's *edge* (column 0 below, row 0
+above) and, optionally, at each band-edge entry cell — the recorded
+boundary channel value of a path whose first departure crossed the
+band edge there.  Zero-cost insertions make every row non-decreasing,
+so the row maximum sits in the last column: the sweep returns that
+column, which is what the hardware's single augmentation unit reads
+along the right edge (Figure 10) and why the edit machine is a
+half-width PE array (Section IV-B).  The global checks read its
+corner.
+
+:func:`relaxed_sweep_reference` is the cell-by-cell loop oracle;
+:func:`levenshtein` is the classic edit distance, the delta-encoding
+hardware model's reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
+from repro.align.lockstep import DEAD
 from repro.align.scoring import AffineGap, relaxed_edit_scoring
+
+BELOW = "below"
+ABOVE = "above"
+"""The two sweep regions (see module doc)."""
 
 
 def levenshtein(a: np.ndarray, b: np.ndarray) -> int:
@@ -53,326 +67,141 @@ def levenshtein(a: np.ndarray, b: np.ndarray) -> int:
     return int(prev[-1])
 
 
-@dataclass(frozen=True)
-class LeftEntryScores:
-    """Scores read out along the augmentation path (the right edge).
-
-    ``last_column[r]`` is the relaxed score at cell
-    ``(band + 1 + r, qlen)`` — the best any left-entering path can have
-    when the query runs out at that reference row.  ``best`` is their
-    maximum; because free insertions make rows non-decreasing, it also
-    bounds left-entering paths ending *anywhere*.
-    """
-
-    last_column: np.ndarray
-    best: int
+def _region(qlen: int, tlen: int, band: int, region: str):
+    """``(first row, first column)`` of the region, ``None`` if empty."""
+    if region == BELOW:
+        return (band + 1, 0) if tlen > band else None
+    if region == ABOVE:
+        return (0, band + 1) if qlen > band else None
+    raise ValueError(f"unknown sweep region {region!r}")
 
 
-def left_entry_scores(
+def relaxed_sweep(
     query: np.ndarray,
     target: np.ndarray,
     band: int,
-    left_seed: Callable[[int], int] | int,
+    region: str,
+    floor: int,
+    edge: np.ndarray,
+    channel: np.ndarray | None = None,
     scoring: AffineGap | None = None,
-    top_seed: Callable[[int], int] | None = None,
-) -> LeftEntryScores:
-    """Run the optimistic left-entry extension over the half-matrix.
+) -> np.ndarray:
+    """Run the relaxed DP over ``region`` and read out its last column.
 
-    ``left_seed`` gives the initial score injected at left-boundary
-    cell ``(i, 0)`` for ``i >= band+1`` — the paper injects ``S1`` at
-    the top-left corner (the "circle" of Figure 5) and lets the DP
-    propagate it; passing a callable allows the tighter
-    exact-initialization ablation.  ``scoring`` defaults to the relaxed
-    edit scheme; any scheme that *dominates* the production scheme
-    keeps the check admissible (:meth:`AffineGap.dominates`).
-
-    ``top_seed(j)``, when given, additionally injects the recorded
-    boundary E-channel cap at region cell ``(j + band + 1, j)`` — used
-    by the local-target workflow, whose all-match E-check arithmetic
-    is useless for soft-clipped reads, so downward crossings at
-    columns >= 1 are swept with real content instead.
-
-    Dead-cell semantics match the extension kernel: scores clamp to
-    zero and dead cells cannot be extended — admissible because the
-    relaxed score of a path is everywhere >= its production score.
+    ``edge[i]`` seeds cell ``(i, 0)`` (:data:`BELOW`); ``edge[j]`` seeds
+    ``(0, j)`` (:data:`ABOVE`).  ``channel[k]``, when given, seeds the
+    band-edge entry cell ``(k + band + 1, k)`` (below) or
+    ``(k, k + band + 1)`` (above).  Returns the score at column
+    ``qlen`` of each region row, top to bottom — empty when the region
+    is.  Cells at or below ``floor`` (or
+    :data:`~repro.align.lockstep.DEAD`, whichever is higher) are dead
+    and extend nowhere.  ``scoring`` defaults to the relaxed edit
+    scheme; it must have free insertions.
     """
     if scoring is None:
         scoring = relaxed_edit_scoring()
     if scoring.gap_open != 0 or scoring.gap_extend_ins != 0:
         raise ValueError(
-            "left-entry DP requires zero-cost insertions "
+            "the relaxed sweep requires zero-cost insertions "
             "(free horizontal propagation)"
         )
     query = np.asarray(query, dtype=np.int64)
     target = np.asarray(target, dtype=np.int64)
     qlen = len(query)
     tlen = len(target)
-    if tlen <= band:
-        return LeftEntryScores(np.zeros(0, dtype=np.int64), 0)
-
-    seed = left_seed if callable(left_seed) else (lambda _i: int(left_seed))
+    corner = _region(qlen, tlen, band, region)
+    if corner is None:
+        return np.zeros(0, dtype=np.int64)
+    first, lo = corner
+    width = qlen + 1 - lo
+    dead = max(floor, DEAD)
+    edge = np.asarray(edge, dtype=np.int64)
+    n_channel = 0 if channel is None else min(len(channel), width)
     m = scoring.match
     x = scoring.mismatch
     ge_d = scoring.gap_extend_del
 
-    rows = tlen - band
-    last_column = np.zeros(rows, dtype=np.int64)
-    prev = np.zeros(0, dtype=np.int64)
-    for r, i in enumerate(range(band + 1, tlen + 1)):
-        base = np.zeros(qlen + 1, dtype=np.int64)
-        base[0] = max(0, seed(i))
-        if prev.size:
-            np.maximum(base, prev - ge_d, out=base)
-            sub = np.where(target[i - 1] == query, m, -x)
-            diag = np.where(prev[:-1] > 0, prev[:-1] + sub, 0)
-            np.maximum(base[1:], diag, out=base[1:])
-        if top_seed is not None:
-            bj = i - band - 1
-            if 0 <= bj <= qlen:
-                base[bj] = max(int(base[bj]), top_seed(bj))
-        # Free horizontal propagation: running max along the row.
-        row = np.maximum.accumulate(np.maximum(base, 0))
+    last = np.empty(tlen + 1 - first, dtype=np.int64)
+    row = None
+    for r, i in enumerate(range(first, tlen + 1)):
         prev = row
-        last_column[r] = int(row[qlen])
+        row = np.full(width, floor, dtype=np.int64)
+        if prev is not None:
+            live = prev > dead
+            np.maximum(row, np.where(live, prev - ge_d, floor), out=row)
+            # Column lo's diagonal predecessor is outside the region.
+            sub = np.where(target[i - 1] == query[lo:], m, -x)
+            diag = np.where(live[:-1], prev[:-1] + sub, floor)
+            np.maximum(row[1:], diag, out=row[1:])
+        if lo == 0:
+            row[0] = max(int(row[0]), int(edge[i]))
+        elif r == 0:
+            np.maximum(row, edge[lo : qlen + 1], out=row)
+        # Row r's entry cell sits at offset r in both regions.
+        if r < n_channel:
+            row[r] = max(int(row[r]), int(channel[r]))
+        # Free insertions: a running max along the row.
+        row = np.maximum.accumulate(row)
+        last[r] = row[-1]
+    return last
 
-    return LeftEntryScores(last_column, int(last_column.max(initial=0)))
 
-
-def left_entry_scores_global(
+def relaxed_sweep_reference(
     query: np.ndarray,
     target: np.ndarray,
     band: int,
-    left_seed: Callable[[int], int],
-    top_seed: Callable[[int], int] | None = None,
+    region: str,
+    floor: int,
+    edge: np.ndarray,
+    channel: np.ndarray | None = None,
     scoring: AffineGap | None = None,
-) -> int:
-    """Corner bound for *global* band-leaving paths on one side.
+) -> np.ndarray:
+    """Cell-by-cell loop oracle for :func:`relaxed_sweep` (tests only).
 
-    Same half-matrix sweep as :func:`left_entry_scores` but without
-    the dead-at-zero clamp: global alignment paths survive negative
-    running scores, so clamping would under-bound them.  Besides the
-    ``left_seed`` (column-0 entries), an optional ``top_seed(j)``
-    injects the recorded boundary-channel value at region cell
-    ``(j + band + 1, j)`` — the entry point of a path whose first
-    departure crossed the band's lower edge at column ``j``.  Returns
-    the relaxed score at the corner ``(tlen, qlen)`` — the only
-    endpoint a global path has — or ``NEG_INF`` when the region is
-    empty.  (The above-band region is handled by calling this on the
-    transposed problem.)
-    """
-    from repro.align.lockstep import NEG_INF
-
-    if scoring is None:
-        scoring = relaxed_edit_scoring()
-    if scoring.gap_open != 0 or scoring.gap_extend_ins != 0:
-        raise ValueError(
-            "left-entry DP requires zero-cost insertions "
-            "(free horizontal propagation)"
-        )
-    query = np.asarray(query, dtype=np.int64)
-    target = np.asarray(target, dtype=np.int64)
-    qlen = len(query)
-    tlen = len(target)
-    if tlen <= band:
-        return NEG_INF
-    m = scoring.match
-    x = scoring.mismatch
-    ge_d = scoring.gap_extend_del
-
-    prev = np.full(qlen + 1, NEG_INF, dtype=np.int64)
-    for i in range(band + 1, tlen + 1):
-        base = np.full(qlen + 1, NEG_INF, dtype=np.int64)
-        base[0] = left_seed(i)
-        live = prev > NEG_INF // 2
-        if live.any():
-            up = np.where(live, prev - ge_d, NEG_INF)
-            np.maximum(base, up, out=base)
-            sub = np.where(target[i - 1] == query, m, -x)
-            diag = np.where(live[:-1], prev[:-1] + sub, NEG_INF)
-            np.maximum(base[1:], diag, out=base[1:])
-        bj = i - band - 1
-        if top_seed is not None and 0 <= bj <= qlen:
-            base[bj] = max(int(base[bj]), top_seed(bj))
-        prev = np.maximum.accumulate(base)
-    return int(prev[qlen])
-
-
-def upper_entry_scores(
-    query: np.ndarray,
-    target: np.ndarray,
-    band: int,
-    row_seed: Callable[[int], int],
-    boundary_seed: Callable[[int], int],
-    scoring: AffineGap | None = None,
-) -> LeftEntryScores:
-    """The above-band mirror of :func:`left_entry_scores`.
-
-    Extension-mode (dead-at-zero) relaxed sweep over everything a path
-    can touch after first leaving the band *upward*: all rows, columns
-    ``>= band + 1``.  ``row_seed(j)`` injects the exact init-row
-    arrival values at ``(0, j)`` (an insertion run along the top edge);
-    ``boundary_seed(i)`` injects the recorded upper-edge F value at
-    entry cell ``(i, i + band + 1)``.  Because insertions are free the
-    rows are non-decreasing, so ``last_column[i]`` bounds such a path
-    ending anywhere in row ``i`` — the readout the local-target check
-    (and a hardware twin of the edit machine) needs.
+    Honors a non-zero insertion cost too, which the vectorized sweep
+    refuses (the exact-edit-scoring ablation uses it).
     """
     if scoring is None:
         scoring = relaxed_edit_scoring()
-    if scoring.gap_open != 0 or scoring.gap_extend_ins != 0:
-        raise ValueError(
-            "upper-entry DP requires zero-cost insertions "
-            "(free horizontal propagation)"
-        )
-    query = np.asarray(query, dtype=np.int64)
-    target = np.asarray(target, dtype=np.int64)
     qlen = len(query)
     tlen = len(target)
-    if qlen <= band:
-        return LeftEntryScores(np.zeros(0, dtype=np.int64), 0)
+    corner = _region(qlen, tlen, band, region)
+    if corner is None:
+        return np.zeros(0, dtype=np.int64)
+    first, lo = corner
+    dead = max(floor, DEAD)
     m = scoring.match
     x = scoring.mismatch
-    ge_d = scoring.gap_extend_del
-
-    lo = band + 1
-    width = qlen - lo + 1
-    last_column = np.zeros(tlen + 1, dtype=np.int64)
-    base0 = np.array(
-        [max(0, row_seed(j)) for j in range(lo, qlen + 1)],
-        dtype=np.int64,
-    )
-    prev = np.maximum.accumulate(base0)
-    last_column[0] = int(prev[-1])
-    for i in range(1, tlen + 1):
-        base = np.zeros(width, dtype=np.int64)
-        np.maximum(base, prev - ge_d, out=base)
-        sub = np.where(target[i - 1] == query[lo:qlen], m, -x)
-        diag = np.where(prev[:-1] > 0, prev[:-1] + sub, 0)
-        np.maximum(base[1:], diag, out=base[1:])
-        bcol = i + band + 1
-        if lo <= bcol <= qlen:
-            idx = bcol - lo
-            base[idx] = max(int(base[idx]), boundary_seed(i), 0)
-        prev = np.maximum.accumulate(np.maximum(base, 0))
-        last_column[i] = int(prev[-1])
-    return LeftEntryScores(
-        last_column, int(last_column.max(initial=0))
-    )
-
-
-def upper_entry_scores_global(
-    query: np.ndarray,
-    target: np.ndarray,
-    band: int,
-    row_seed: Callable[[int], int],
-    boundary_seed: Callable[[int], int],
-    scoring: AffineGap | None = None,
-) -> int:
-    """Corner bound for global paths that first leave the band upward.
-
-    The mirror of :func:`left_entry_scores_global` for the above-band
-    region ``{j - i > band}``: every cell such a path can later touch
-    has column ``j >= band + 1``, so the sweep covers all rows but only
-    those columns.  ``row_seed(j)`` injects the init-row entry values
-    at ``(0, j)``; ``boundary_seed(i)`` injects the recorded F-channel
-    value at region cell ``(i, i + band + 1)``.
-
-    The free direction stays horizontal (original insertions), so
-    vertical moves cost the full deletion extension — this matters:
-    transposing the below-sweep instead would hand out free original
-    deletions and let the bound ride down onto the true alignment's
-    diagonal, degenerating the check.
-    """
-    from repro.align.lockstep import NEG_INF
-
-    if scoring is None:
-        scoring = relaxed_edit_scoring()
-    if scoring.gap_open != 0 or scoring.gap_extend_ins != 0:
-        raise ValueError(
-            "upper-entry DP requires zero-cost insertions "
-            "(free horizontal propagation)"
-        )
-    query = np.asarray(query, dtype=np.int64)
-    target = np.asarray(target, dtype=np.int64)
-    qlen = len(query)
-    tlen = len(target)
-    if qlen <= band:
-        return NEG_INF
-    m = scoring.match
-    x = scoring.mismatch
-    ge_d = scoring.gap_extend_del
-
-    lo = band + 1  # leftmost column of the domain
-    width = qlen - lo + 1
-    prev = np.full(width, NEG_INF, dtype=np.int64)
-    # Row 0: seeds along the init row, propagated by free insertions.
-    base0 = np.array(
-        [row_seed(j) for j in range(lo, qlen + 1)], dtype=np.int64
-    )
-    prev = np.maximum.accumulate(base0)
-    for i in range(1, tlen + 1):
-        base = np.full(width, NEG_INF, dtype=np.int64)
-        live = prev > NEG_INF // 2
-        if live.any():
-            np.maximum(
-                base, np.where(live, prev - ge_d, NEG_INF), out=base
-            )
-            # Diagonal into column c consumes query[c-1]; column lo's
-            # diagonal predecessor (column lo-1) is in the band and out
-            # of this sweep's scope by construction.
-            sub = np.where(target[i - 1] == query[lo:qlen], m, -x)
-            diag = np.where(live[:-1], prev[:-1] + sub, NEG_INF)
-            np.maximum(base[1:], diag, out=base[1:])
-        bcol = i + band + 1
-        if lo <= bcol <= qlen:
-            idx = bcol - lo
-            base[idx] = max(int(base[idx]), boundary_seed(i))
-        prev = np.maximum.accumulate(base)
-    return int(prev[-1])
-
-
-def left_entry_scores_reference(
-    query: np.ndarray,
-    target: np.ndarray,
-    band: int,
-    left_seed: Callable[[int], int] | int,
-    scoring: AffineGap | None = None,
-) -> LeftEntryScores:
-    """Loop-based oracle for :func:`left_entry_scores` (tests only)."""
-    if scoring is None:
-        scoring = relaxed_edit_scoring()
-    query = np.asarray(query, dtype=np.int64)
-    target = np.asarray(target, dtype=np.int64)
-    qlen = len(query)
-    tlen = len(target)
-    if tlen <= band:
-        return LeftEntryScores(np.zeros(0, dtype=np.int64), 0)
-    seed = left_seed if callable(left_seed) else (lambda _i: int(left_seed))
-    m = scoring.match
-    x = scoring.mismatch
-    ge_d = scoring.gap_extend_del
-    ge_i = scoring.gap_extend_ins
+    entries = {}
+    for k in range(0 if channel is None else len(channel)):
+        cell = (k + first, k) if region == BELOW else (k, k + lo)
+        entries[cell] = int(channel[k])
 
     scores: dict[tuple[int, int], int] = {}
-    for i in range(band + 1, tlen + 1):
-        for j in range(qlen + 1):
-            cands = [0]
-            if j == 0:
-                cands.append(seed(i))
-            up = scores.get((i - 1, j))
-            if up is not None:
-                cands.append(up - ge_d)
-            left = scores.get((i, j - 1))
-            if left is not None:
-                cands.append(left - ge_i)
-            dg = scores.get((i - 1, j - 1))
-            if dg is not None and dg > 0:
-                match = int(target[i - 1]) == int(query[j - 1])
-                cands.append(dg + (m if match else -x))
-            scores[(i, j)] = max(cands)
 
-    rows = tlen - band
-    last = np.zeros(rows, dtype=np.int64)
-    for r, i in enumerate(range(band + 1, tlen + 1)):
-        last[r] = scores[(i, qlen)]
-    return LeftEntryScores(last, int(last.max(initial=0)))
+    def live(cell):
+        value = scores.get(cell)
+        return value if value is not None and value > dead else None
+
+    for i in range(first, tlen + 1):
+        for j in range(lo, qlen + 1):
+            cands = [floor]
+            if (j if region == BELOW else i) == 0:
+                cands.append(int(edge[i if region == BELOW else j]))
+            if (i, j) in entries:
+                cands.append(entries[(i, j)])
+            up = live((i - 1, j))
+            if up is not None:
+                cands.append(up - scoring.gap_extend_del)
+            left = live((i, j - 1))
+            if left is not None:
+                cands.append(left - scoring.gap_extend_ins)
+            dg = live((i - 1, j - 1))
+            if dg is not None:
+                same = int(target[i - 1]) == int(query[j - 1])
+                cands.append(dg + (m if same else -x))
+            scores[(i, j)] = max(cands)
+    return np.array(
+        [scores[(i, qlen)] for i in range(first, tlen + 1)], dtype=np.int64
+    )
+

@@ -63,6 +63,22 @@ from repro.kernels import available_kernels, get_kernel
 PROFILES = {"platinum": PLATINUM_LIKE, "clean": CLEAN}
 
 
+def _int_at_least(low: int):
+    """An argparse ``type`` for ints of at least ``low``: an out-of-range
+    flag fails with argparse's usage error (exit 2), not a traceback."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}"
+            )
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its messages
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the repro CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -226,11 +242,11 @@ def build_parser() -> argparse.ArgumentParser:
         "'batched' = the full band, 'banded' = --band with no checks "
         "(unsound; Figure 13's baseline)",
     )
-    aln.add_argument("--band", type=int, default=41)
+    aln.add_argument("--band", type=_int_at_least(1), default=41)
     aln.add_argument("--seeding", choices=("smem", "kmer"), default="kmer")
     aln.add_argument(
         "--batch-size",
-        type=int,
+        type=_int_at_least(1),
         default=4096,
         metavar="N",
         help="reads per scheduling window, for every engine and "
@@ -238,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     aln.add_argument(
         "--workers",
-        type=int,
+        type=_int_at_least(1),
         default=1,
         metavar="N",
         help="worker processes; >1 shards the reads across supervised "
@@ -306,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     aln.add_argument(
         "--truth-tolerance",
-        type=int,
+        type=_int_at_least(0),
         default=20,
         metavar="BASES",
         help="correct-locus window around the true position, widened "
@@ -338,14 +354,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lr.add_argument(
         "--fill-band",
-        type=int,
+        type=_int_at_least(0),
         default=16,
         metavar="W",
         help="speculation band of the inter-seed gap fills (default 16)",
     )
     lr.add_argument(
         "--end-band",
-        type=int,
+        type=_int_at_least(1),
         default=41,
         metavar="W",
         help="band of the checked scalar read-end extender (default "
@@ -355,14 +371,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lr.add_argument(
         "--batch-size",
-        type=int,
+        type=_int_at_least(1),
         default=512,
         metavar="N",
         help="long reads per batched scheduling window (default 512)",
     )
     lr.add_argument(
         "--workers",
-        type=int,
+        type=_int_at_least(1),
         default=1,
         metavar="N",
         help="worker processes; >1 shards the reads (default 1)",
@@ -386,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lr.add_argument(
         "--truth-tolerance",
-        type=int,
+        type=_int_at_least(0),
         default=50,
         metavar="BASES",
         help="correct-locus window around the true position (default "
@@ -440,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ovl.add_argument(
         "--batch-size",
-        type=int,
+        type=_int_at_least(1),
         default=512,
         metavar="N",
         help="overlap jobs per verification wave (default 512)",
@@ -476,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ana.add_argument("--reference", required=True)
     ana.add_argument("--reads", required=True)
-    ana.add_argument("--band", type=int, default=41)
+    ana.add_argument("--band", type=_int_at_least(1), default=41)
     ana.add_argument("--seeding", choices=("smem", "kmer"), default="kmer")
 
     st = sub.add_parser(
@@ -528,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     srv.add_argument(
         "--max-batch",
-        type=int,
+        type=_int_at_least(1),
         default=64,
         metavar="N",
         help="reads per micro-batch wave (default 64)",
@@ -967,10 +983,6 @@ def cmd_longread(args: argparse.Namespace) -> int:
 
     name, reference = _load_reference(args.reference)
     reads = read_fastq(args.reads)
-    if args.batch_size < 1:
-        raise SystemExit("error: --batch-size must be at least 1")
-    if args.workers < 1:
-        raise SystemExit("error: --workers must be at least 1")
     kernel = _resolve_kernel(args)
     spec = None
     if args.engine == "batched":
@@ -1041,8 +1053,6 @@ def cmd_overlap(args: argparse.Namespace) -> int:
         band=args.band,
         batch_size=args.batch_size,
     )
-    if params.batch_size < 1:
-        raise SystemExit("error: --batch-size must be at least 1")
     encoded = [(r.name, encode(r.sequence)) for r in reads]
     start = time.perf_counter()
     overlaps = find_overlaps(
@@ -1218,10 +1228,6 @@ def cmd_align(args: argparse.Namespace) -> int:
     """Align a FASTQ against a FASTA reference, write SAM."""
     name, reference = _load_reference(args.reference)
     reads = _read_input_fastq(args)
-    if args.batch_size < 1:
-        raise SystemExit("error: --batch-size must be at least 1")
-    if args.workers < 1:
-        raise SystemExit("error: --workers must be at least 1")
     if args.resume and not args.run_dir:
         raise SystemExit("error: --resume needs --run-dir")
     if args.index and args.paired:

@@ -29,8 +29,9 @@ import numpy as np
 
 from repro import obs
 from repro.align.banded import ExtensionResult
+from repro.align.editdp import ABOVE, BELOW
 from repro.align.scoring import AffineGap
-from repro.core.editcheck import above_check, edit_check
+from repro.core.editcheck import sweep_bound
 from repro.core.escore import NO_THREAT, score_max_e
 from repro.core.thresholds import Thresholds, semiglobal_thresholds
 from repro.obs import names
@@ -187,43 +188,47 @@ class OptimalityChecker:
         # the sweep re-evaluates the downward crossings with real
         # content by seeding the region's top boundary.
         with obs.span(names.SPAN_CHECK_EDIT):
-            ed = edit_check(
+            score_ed = sweep_bound(
                 query,
                 target,
                 result,
                 self.scoring,
-                thresholds.s1,
-                exact_left_seed=self.config.exact_left_seed,
-                include_top_seeds=local and not e_pass,
+                BELOW,
+                corner_s1=(
+                    None if self.config.exact_left_seed else thresholds.s1
+                ),
+                channel_seeds=local and not e_pass,
             )
-        if ed.score_ed >= score_nb:
+        if score_ed >= score_nb:
             return CheckDecision(
                 CheckOutcome.FAIL_EDIT,
                 score_nb,
                 thresholds,
                 e_bound,
-                ed.score_ed,
+                score_ed,
             )
 
-        if self.config.target == "local":
+        if local:
             # The above-band region: the semi-global workflow has it
             # covered by score_nb > S1; the local one sweeps it.
             with obs.span(names.SPAN_CHECK_ABOVE):
-                ab = above_check(query, target, result, self.scoring)
-            if ab.score_ed >= score_nb:
+                score_ab = sweep_bound(
+                    query, target, result, self.scoring, ABOVE
+                )
+            if score_ab >= score_nb:
                 return CheckDecision(
                     CheckOutcome.FAIL_ABOVE,
                     score_nb,
                     thresholds,
                     e_bound,
-                    ed.score_ed,
+                    score_ed,
                 )
         return CheckDecision(
             CheckOutcome.PASS_CHECKS,
             score_nb,
             thresholds,
             e_bound,
-            ed.score_ed,
+            score_ed,
         )
 
 

@@ -14,9 +14,12 @@ rendition of the Figure 6 workflow:
    ``lower_e[j]`` boundary-channel values (first departures crossing
    the band's lower edge at column ``j``); its corner value bounds
    every such path wherever it wanders, including back into the band;
-3. an **above-band sweep**: the same check run on the transposed
-   problem, seeded with the init-row values and the recorded
+3. an **above-band sweep**: the same DP over the columns right of the
+   band, seeded with the init-row values and the recorded
    ``upper_f[i]`` values.
+
+Both sweeps are :func:`repro.core.editcheck.sweep_bound` at the global
+floor — the extension check's bound builder, dominance guard included.
 
 Arithmetic per-column bounds (entry + all-match - mandatory return
 gap) turn out to be useless here: global mode has no dead cells, so
@@ -38,13 +41,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.align.editdp import (
-    left_entry_scores_global,
-    upper_entry_scores_global,
-)
-from repro.align.lockstep import NEG_INF
+from repro.align.editdp import ABOVE, BELOW
 from repro.align.globalband import GlobalResult, global_align
+from repro.align.lockstep import NEG_INF
 from repro.align.scoring import BWA_MEM_SCORING, AffineGap
+from repro.core.editcheck import sweep_bound
 from repro.core.thresholds import Thresholds, global_thresholds
 
 
@@ -78,57 +79,6 @@ class GlobalDecision:
     def passed(self) -> bool:
         """True when the banded score was certified optimal."""
         return self.outcome.passed
-
-
-def below_band_bound(
-    query: np.ndarray,
-    target: np.ndarray,
-    result: GlobalResult,
-    scoring: AffineGap,
-) -> int:
-    """Sweep bound on every path that first leaves the band downward."""
-    go = scoring.gap_open
-    ge_d = scoring.gap_extend_del
-    h0 = result.h0
-    lower_e = result.lower_e
-
-    def left_seed(i: int) -> int:
-        return h0 - go - i * ge_d
-
-    def top_seed(j: int) -> int:
-        if j < lower_e.size:
-            return int(lower_e[j])
-        return NEG_INF
-
-    return left_entry_scores_global(
-        query, target, result.band, left_seed, top_seed
-    )
-
-
-def above_band_bound(
-    query: np.ndarray,
-    target: np.ndarray,
-    result: GlobalResult,
-    scoring: AffineGap,
-) -> int:
-    """Sweep bound on every path that first leaves the band upward."""
-    go = scoring.gap_open
-    ge_i = scoring.gap_extend_ins
-    h0 = result.h0
-    upper_f = result.upper_f
-
-    def row_seed(j: int) -> int:
-        # Entry along the init row: a pure insertion run.
-        return h0 - go - j * ge_i
-
-    def boundary_seed(i: int) -> int:
-        if i < upper_f.size:
-            return int(upper_f[i])
-        return NEG_INF
-
-    return upper_entry_scores_global(
-        query, target, result.band, row_seed, boundary_seed
-    )
 
 
 class GlobalChecker:
@@ -165,12 +115,12 @@ class GlobalChecker:
             return GlobalDecision(
                 GlobalOutcome.PASS_THRESHOLD, score_nb, thresholds
             )
-        below = below_band_bound(query, target, result, self.scoring)
+        below = sweep_bound(query, target, result, self.scoring, BELOW)
         if below >= score_nb:
             return GlobalDecision(
                 GlobalOutcome.FAIL_BELOW, score_nb, thresholds, below
             )
-        above = above_band_bound(query, target, result, self.scoring)
+        above = sweep_bound(query, target, result, self.scoring, ABOVE)
         if above >= score_nb:
             return GlobalDecision(
                 GlobalOutcome.FAIL_ABOVE,

@@ -1,6 +1,7 @@
 """Functional model of the delta-encoded edit machine (paper Sec IV-B).
 
-The edit machine runs the edit-distance check's optimistic DP using
+The edit machine runs the edit check's optimistic DP — the relaxed
+sweep's below-band region at the extension floor — using
 3-bit residue arithmetic: every interior cell stores only its score
 modulo :data:`repro.hw.delta.DELTA_MODULUS`, PEs compare candidates
 with delta-max units, and a single full-width augmentation unit decodes
@@ -18,19 +19,17 @@ Two co-designed properties make this work, both enforced here:
   because a dead cell's residue is meaningless.
 
 The decoded outputs are validated bit-for-bit against the full-width
-software DP (:func:`repro.align.editdp.left_entry_scores`) in the test
-suite; the half-width PE array claim is an area statement handled by
-:mod:`repro.hw.area`.
+software DP (:func:`repro.align.editdp.relaxed_sweep` with ``BELOW``
+and ``LOCAL_EXTEND``) in the test suite; the half-width PE array claim
+is an area statement handled by :mod:`repro.hw.area`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from repro.align.editdp import LeftEntryScores
 from repro.align.scoring import AffineGap, relaxed_edit_scoring
 from repro.hw.delta import DELTA_MODULUS, AugmentationUnit, dmax2
 
@@ -41,12 +40,21 @@ class DeltaRangeError(ValueError):
 
 @dataclass(frozen=True)
 class EditMachineRun:
-    """Decoded check outputs plus hardware telemetry."""
+    """Decoded check outputs plus hardware telemetry.
 
-    scores: LeftEntryScores
+    ``last_column`` is the decoded augmentation path, one score per row
+    ``band+1 .. tlen`` — the software sweep's readout.
+    """
+
+    last_column: np.ndarray
     cycles: int
     cells_computed: int
     pe_count: int
+
+    @property
+    def best(self) -> int:
+        """The decoded bound: the augmentation path's maximum."""
+        return int(self.last_column.max(initial=0))
 
 
 class EditMachine:
@@ -75,15 +83,17 @@ class EditMachine:
         self,
         query: np.ndarray,
         target: np.ndarray,
-        left_seed: Callable[[int], int] | int,
+        edge: np.ndarray,
     ) -> EditMachineRun:
         """Sweep the half-matrix in residue arithmetic and decode.
 
-        Residues are kept per cell; full-width values appear only in
-        (a) the seed injection and (b) the augmentation unit walking
-        the last column.  A shadow full-width array exists purely to
-        *assert* the bounded-difference preconditions the hardware
-        relies on — its values never feed the result.
+        ``edge[i]`` is the seed register's value at row ``i`` (the
+        software sweep's edge seeds).  Residues are kept per cell;
+        full-width values appear only in (a) the seed injection and (b)
+        the augmentation unit walking the last column.  A shadow
+        full-width array exists purely to *assert* the
+        bounded-difference preconditions the hardware relies on — its
+        values never feed the result.
         """
         query = np.asarray(query, dtype=np.int64)
         target = np.asarray(target, dtype=np.int64)
@@ -92,14 +102,11 @@ class EditMachine:
         band = self.band
         if tlen <= band:
             return EditMachineRun(
-                LeftEntryScores(np.zeros(0, dtype=np.int64), 0),
+                np.zeros(0, dtype=np.int64),
                 cycles=0,
                 cells_computed=0,
                 pe_count=self.pe_count(qlen),
             )
-        seed = (
-            left_seed if callable(left_seed) else (lambda _i: int(left_seed))
-        )
         m = self.scoring.match
         x = self.scoring.mismatch
         ge_d = self.scoring.gap_extend_del
@@ -123,7 +130,7 @@ class EditMachine:
             shadow = np.zeros(qlen + 1, dtype=np.int64)
 
             # Column 0: seed register (full width by construction).
-            s = max(0, seed(i))
+            s = max(0, int(edge[i]))
             up0 = prev_shadow[0] - ge_d if prev_alive[0] else 0
             val0 = max(s, up0, 0)
             shadow[0] = val0
@@ -182,11 +189,10 @@ class EditMachine:
                 # A dead edge cell resets the augmentation chain.
                 aug = None
 
-        best = int(last_column.max(initial=0))
         # One wavefront per anti-diagonal of the trapezoid plus drain.
         cycles = rows + qlen + self.pe_count(qlen)
         return EditMachineRun(
-            scores=LeftEntryScores(last_column, best),
+            last_column=last_column,
             cycles=cycles,
             cells_computed=cells,
             pe_count=self.pe_count(qlen),

@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.align import banded
+from repro.align.editdp import ABOVE, BELOW
 from repro.align.scoring import BWA_MEM_SCORING
-from repro.core.editcheck import above_check, edit_check
+from repro.core.editcheck import sweep_bound
 from repro.core.escore import NO_THREAT
-from repro.core.thresholds import semiglobal_thresholds
 from repro.genome.sequence import encode
 from tests.helpers import enumerate_paths
 
@@ -50,22 +50,20 @@ class TestAboveSweep:
         """The above sweep's bound covers every upward-departing path
         at every endpoint (the local target's requirement)."""
         res = banded.extend(q, t, BWA_MEM_SCORING, h0, w=w)
-        ab = above_check(q, t, res, BWA_MEM_SCORING)
+        bound = sweep_bound(q, t, res, BWA_MEM_SCORING, ABOVE)
         for rec in enumerate_paths(q, t, BWA_MEM_SCORING, h0, w):
             dep = rec.first_departure
             if dep is None or dep[0] != "up":
                 continue
-            assert rec.score <= max(ab.score_ed, 0), (
-                f"path score {rec.score} beats above bound "
-                f"{ab.score_ed}"
+            assert rec.score <= max(bound, 0), (
+                f"path score {rec.score} beats above bound {bound}"
             )
 
     def test_no_region_no_threat(self):
         q = encode("ACG")
         t = encode("ACGTACGT")
         res = banded.extend(q, t, BWA_MEM_SCORING, 10, w=5)
-        ab = above_check(q, t, res, BWA_MEM_SCORING)
-        assert ab.score_ed == NO_THREAT
+        assert sweep_bound(q, t, res, BWA_MEM_SCORING, ABOVE) == NO_THREAT
 
 
 class TestTopSeededBelowSweep:
@@ -75,14 +73,9 @@ class TestTopSeededBelowSweep:
         """With top seeds, the below sweep bounds downward departures
         at every column (0 included) and every endpoint."""
         res = banded.extend(q, t, BWA_MEM_SCORING, h0, w=w)
-        th = semiglobal_thresholds(
-            BWA_MEM_SCORING, len(q), len(t), w, h0
-        )
-        ed = edit_check(
-            q, t, res, BWA_MEM_SCORING, th.s1, include_top_seeds=True
-        )
+        bound = sweep_bound(q, t, res, BWA_MEM_SCORING, BELOW)
         for rec in enumerate_paths(q, t, BWA_MEM_SCORING, h0, w):
             dep = rec.first_departure
             if dep is None or dep[0] != "down":
                 continue
-            assert rec.score <= max(ed.score_ed, 0)
+            assert rec.score <= max(bound, 0)

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.align import banded
+from repro.align.editdp import BELOW
 from repro.align.scoring import BWA_MEM_SCORING, AffineGap
-from repro.core.editcheck import edit_check, exact_left_seeds
+from repro.core.editcheck import edge_seeds, sweep_bound
 from repro.core.escore import NO_THREAT
 from repro.core.thresholds import semiglobal_thresholds
 from repro.genome.sequence import encode
@@ -22,6 +23,13 @@ def _thresholds(q, t, w, h0):
     return semiglobal_thresholds(BWA_MEM_SCORING, len(q), len(t), w, h0)
 
 
+def score_ed(q, t, res, corner_s1=None):
+    """The edit check: the column-0 dive's bound, no channel seeds."""
+    return sweep_bound(
+        q, t, res, BWA_MEM_SCORING, BELOW, corner_s1, channel_seeds=False
+    )
+
+
 class TestAdmissibility:
     @settings(max_examples=120, deadline=None)
     @given(q=TINY, t=TINY, h0=st.integers(1, 20), w=st.integers(0, 4))
@@ -30,50 +38,48 @@ class TestAdmissibility:
         must score at most score_ed (both seeding variants)."""
         res = banded.extend(q, t, BWA_MEM_SCORING, h0, w=w)
         th = _thresholds(q, t, w, h0)
-        for exact in (False, True):
-            ed = edit_check(
-                q, t, res, BWA_MEM_SCORING, th.s1, exact_left_seed=exact
-            )
+        for corner_s1 in (th.s1, None):
+            bound = score_ed(q, t, res, corner_s1)
             for rec in enumerate_paths(q, t, BWA_MEM_SCORING, h0, w):
                 if rec.first_departure is None:
                     continue
                 side, col = rec.first_departure
                 if side == "down" and col == 0:
-                    assert rec.score <= ed.score_ed
+                    assert rec.score <= bound
 
     @settings(max_examples=60, deadline=None)
     @given(q=TINY, t=TINY, h0=st.integers(1, 20), w=st.integers(0, 4))
     def test_exact_seed_is_tighter(self, q, t, h0, w):
         res = banded.extend(q, t, BWA_MEM_SCORING, h0, w=w)
         th = _thresholds(q, t, w, h0)
-        loose = edit_check(q, t, res, BWA_MEM_SCORING, th.s1)
-        tight = edit_check(
-            q, t, res, BWA_MEM_SCORING, th.s1, exact_left_seed=True
-        )
-        assert tight.score_ed <= loose.score_ed
+        loose = score_ed(q, t, res, corner_s1=th.s1)
+        tight = score_ed(q, t, res)
+        assert tight <= loose
 
 
 class TestUnits:
     def test_exact_left_seeds_formula(self):
-        seed = exact_left_seeds(30, BWA_MEM_SCORING)
-        assert seed(0) == 24
-        assert seed(5) == 30 - 6 - 5
-        assert seed(100) == 0
+        t = encode("ACGT" * 26)
+        res = banded.extend(encode("ACGT"), t, BWA_MEM_SCORING, 30, w=2)
+        seed = edge_seeds(res, BWA_MEM_SCORING, BELOW)
+        assert seed.size == len(t) + 1
+        assert seed[0] == 24
+        assert seed[5] == 30 - 6 - 5
+        assert seed[100] == 30 - 6 - 100  # dead once the sweep floors it
 
     def test_no_region_no_threat(self):
         q = encode("ACGTACGT")
         t = encode("ACG")
         res = banded.extend(q, t, BWA_MEM_SCORING, 10, w=8)
-        ed = edit_check(q, t, res, BWA_MEM_SCORING, s1=None)
-        assert ed.score_ed == NO_THREAT
+        assert score_ed(q, t, res) == NO_THREAT
 
     def test_corner_seed_fires_once(self):
-        from repro.core.editcheck import corner_seed
-
-        seed = corner_seed(17, band=5)
-        assert seed(6) == 17
-        assert seed(7) == 0
-        assert seed(5) == 0
+        q = encode("ACGT")
+        res = banded.extend(q, encode("ACGT" * 3), BWA_MEM_SCORING, 9, w=5)
+        seed = edge_seeds(res, BWA_MEM_SCORING, BELOW, corner_s1=17)
+        assert seed[6] == 17
+        assert seed[7] == 0
+        assert seed[5] == 0
 
     def test_dead_half_matrix_no_threat(self):
         # Negative S1 seeds nothing; the bound must be NO_THREAT, not 0,
@@ -81,24 +87,18 @@ class TestUnits:
         q = encode("ACGTACGT")
         t = encode("ACGTACGTACGTACGT")
         res = banded.extend(q, t, BWA_MEM_SCORING, 2, w=2)
-        ed = edit_check(q, t, res, BWA_MEM_SCORING, s1=-5)
-        assert ed.score_ed == NO_THREAT
+        assert score_ed(q, t, res, corner_s1=-5) == NO_THREAT
+        assert score_ed(q, t, res) == NO_THREAT
 
     def test_non_dominating_scheme_rejected(self):
+        # A match worth 2 outscores the relaxed scheme's 1: the sweep
+        # would under-bound real paths, so the check refuses to run.
+        scoring = AffineGap(match=2, mismatch=4, gap_open=6, gap_extend=1)
         q = encode("ACGTACGT")
         t = encode("ACGTACGTACGTACGT")
-        res = banded.extend(q, t, BWA_MEM_SCORING, 10, w=2)
-        with pytest.raises(ValueError):
-            edit_check(
-                q,
-                t,
-                res,
-                BWA_MEM_SCORING,
-                s1=10,
-                region_scoring=AffineGap(
-                    match=1, mismatch=9, gap_open=0, gap_extend=0
-                ),
-            )
+        res = banded.extend(q, t, scoring, 10, w=2)
+        with pytest.raises(ValueError, match="dominate"):
+            sweep_bound(q, t, res, scoring, BELOW)
 
     def test_distant_repeat_is_a_real_threat(self):
         # The query reappears after a long deletion: a left-entering
@@ -107,8 +107,6 @@ class TestUnits:
         q = encode("ACGTACGTAC")
         t = encode("GGGGGGGG" + "ACGTACGTAC")
         res = banded.extend(q, t, BWA_MEM_SCORING, 30, w=2)
-        th = _thresholds(q, t, 2, 30)
-        ed = edit_check(q, t, res, BWA_MEM_SCORING, th.s1)
         full = banded.extend(q, t, BWA_MEM_SCORING, 30)
         assert full.gscore > res.gscore
-        assert ed.score_ed >= full.gscore
+        assert score_ed(q, t, res) >= full.gscore

@@ -1,19 +1,20 @@
 """The global-mode theorem and admissibility tests."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.align.editdp import ABOVE, BELOW
 from repro.align.globalband import global_align
-from repro.align.scoring import BWA_MEM_SCORING
+from repro.align.scoring import BWA_MEM_SCORING, AffineGap
+from repro.core.editcheck import sweep_bound
 from repro.core.globalcheck import (
     GlobalChecker,
     GlobalOutcome,
     GlobalSeedEx,
-    above_band_bound,
-    below_band_bound,
 )
-from repro.genome.sequence import random_sequence
+from repro.genome.sequence import encode, random_sequence
 from tests.helpers import enumerate_paths, mutate
 
 SEQ = st.lists(st.integers(0, 3), min_size=1, max_size=20).map(
@@ -59,6 +60,29 @@ class TestGlobalTheorem:
         ).score
 
 
+class TestScoringSchemes:
+    """The global checks under schemes other than BWA-MEM's."""
+
+    def test_non_dominated_scheme_refused_not_wrong(self):
+        """Match 3 outscores the relaxed scheme's match 1, so the sweeps
+        under-bound real paths.  This pair once came back as score 11
+        with no rerun while the full band scores 14; now the bound
+        builder's dominance guard refuses it."""
+        scoring = AffineGap(match=3, mismatch=4, gap_open=6, gap_extend=1)
+        q = encode("CCGCACCGATG")
+        t = encode("ACACCGACCGATG")
+        assert global_align(q, t, scoring).score == 14
+        with pytest.raises(ValueError, match="dominate"):
+            GlobalSeedEx(band=2, scoring=scoring).align(q, t)
+
+    @settings(max_examples=150, deadline=None)
+    @given(q=SEQ, t=SEQ, h0=st.integers(0, 25), w=st.integers(0, 10))
+    def test_dominated_scheme_keeps_the_guarantee(self, q, t, h0, w):
+        scoring = AffineGap(match=1, mismatch=3, gap_open=5, gap_extend=2)
+        out = GlobalSeedEx(band=w, scoring=scoring).align(q, t, h0)
+        assert out.result.score == global_align(q, t, scoring, h0).score
+
+
 class TestBoundAdmissibility:
     @settings(max_examples=100, deadline=None)
     @given(q=TINY, t=TINY, h0=st.integers(0, 15), w=st.integers(0, 4))
@@ -68,8 +92,8 @@ class TestBoundAdmissibility:
         if abs(len(t) - len(q)) > w:
             return
         res = global_align(q, t, BWA_MEM_SCORING, h0, w=w)
-        below = below_band_bound(q, t, res, BWA_MEM_SCORING)
-        above = above_band_bound(q, t, res, BWA_MEM_SCORING)
+        below = sweep_bound(q, t, res, BWA_MEM_SCORING, BELOW)
+        above = sweep_bound(q, t, res, BWA_MEM_SCORING, ABOVE)
         for rec in enumerate_paths(
             q, t, BWA_MEM_SCORING, h0, w, dead_at_zero=False
         ):

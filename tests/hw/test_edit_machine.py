@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.align.editdp import left_entry_scores
+from repro.align import banded
+from repro.align.editdp import BELOW, relaxed_sweep
+from repro.align.lockstep import LOCAL_EXTEND
 from repro.align.scoring import BWA_MEM_SCORING
-from repro.core.editcheck import exact_left_seeds
+from repro.core.editcheck import edge_seeds
 from repro.genome.sequence import random_sequence
 from repro.hw.edit_machine import EditMachine
 from tests.helpers import mutate
@@ -15,6 +17,17 @@ from tests.helpers import mutate
 SEQ = st.lists(st.integers(0, 3), min_size=2, max_size=16).map(
     lambda xs: np.array(xs, dtype=np.uint8)
 )
+
+
+def exact_edge(q, t, band, h0):
+    """The edit check's exact per-row seeds for this extension."""
+    result = banded.extend(q, t, BWA_MEM_SCORING, h0, w=band)
+    return edge_seeds(result, BWA_MEM_SCORING, BELOW)
+
+
+def software(q, t, band, edge):
+    """The one relaxed sweep, in the region the edit machine covers."""
+    return relaxed_sweep(q, t, band, BELOW, LOCAL_EXTEND, edge)
 
 
 class TestDecodedEquivalence:
@@ -27,19 +40,20 @@ class TestDecodedEquivalence:
     )
     def test_constant_seed_matches_software(self, q, t, band, seed_val):
         """3-bit residues must decode to the full-width DP exactly."""
-        run = EditMachine(band).run(q, t, seed_val)
-        sw = left_entry_scores(q, t, band, seed_val)
-        assert run.scores.best == sw.best
-        assert (run.scores.last_column == sw.last_column).all()
+        edge = np.full(len(t) + 1, seed_val)
+        run = EditMachine(band).run(q, t, edge)
+        sw = software(q, t, band, edge)
+        assert run.best == int(sw.max(initial=0))
+        assert (run.last_column == sw).all()
 
     @settings(max_examples=100, deadline=None)
     @given(q=SEQ, t=SEQ, band=st.integers(1, 6), h0=st.integers(1, 35))
     def test_exact_seeds_match_software(self, q, t, band, h0):
-        seed = exact_left_seeds(h0, BWA_MEM_SCORING)
-        run = EditMachine(band).run(q, t, seed)
-        sw = left_entry_scores(q, t, band, seed)
-        assert run.scores.best == sw.best
-        assert (run.scores.last_column == sw.last_column).all()
+        edge = exact_edge(q, t, band, h0)
+        run = EditMachine(band).run(q, t, edge)
+        sw = software(q, t, band, edge)
+        assert run.best == int(sw.max(initial=0))
+        assert (run.last_column == sw).all()
 
     def test_realistic_corpus_never_violates_delta_range(self):
         """The relaxed scoring was co-designed to fit the 3-bit circle;
@@ -53,9 +67,9 @@ class TestDecodedEquivalence:
             ).astype(np.uint8)
             if len(t) == 0:
                 t = q.copy()
-            seed = exact_left_seeds(int(rng.integers(1, 40)),
-                                    BWA_MEM_SCORING)
-            EditMachine(int(rng.integers(1, 8))).run(q, t, seed)
+            band = int(rng.integers(1, 8))
+            edge = exact_edge(q, t, band, int(rng.integers(1, 40)))
+            EditMachine(band).run(q, t, edge)
 
 
 class TestConstruction:
@@ -74,6 +88,6 @@ class TestConstruction:
     def test_empty_half_matrix(self):
         em = EditMachine(10)
         q = random_sequence(5, np.random.default_rng(0))
-        run = em.run(q, q, 7)
-        assert run.scores.best == 0
+        run = em.run(q, q, np.full(6, 7))
+        assert run.best == 0
         assert run.cells_computed == 0

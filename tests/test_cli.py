@@ -572,3 +572,47 @@ class TestOverlapCli:
                 outputs[kernel] = handle.read()
         assert outputs["scalar"] == outputs["numpy"]
         assert outputs["scalar"] == outputs["striped"]
+
+
+class TestFlagBounds:
+    """Out-of-range integer flags fail in argparse (usage error, exit
+    2) before any input is read, instead of as a traceback later."""
+
+    IO = ["--reference", "ref.fa", "--reads", "reads.fq", "--out", "o"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["align", *IO, "--band", "0"],
+            ["analyze", "--reference", "ref.fa", "--reads", "r.fq",
+             "--band", "0"],
+            ["longread", *IO, "--end-band", "0"],
+            ["longread", *IO, "--fill-band", "-1"],
+            ["serve", "--reference", "ref.fa", "--max-batch", "0"],
+            ["align", *IO, "--truth-tolerance", "-5"],
+            ["align", *IO, "--batch-size", "0"],
+            ["align", *IO, "--workers", "0"],
+            ["longread", *IO, "--batch-size", "0"],
+            ["longread", *IO, "--workers", "0"],
+            ["overlap", "--reads", "r.fq", "--out", "o",
+             "--batch-size", "0"],
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}",
+    )
+    def test_out_of_range_flag_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {argv[-2]}: must be at least" in err
+
+    def test_lowest_accepted_values_parse(self):
+        from repro.cli import build_parser
+
+        args = build_parser().parse_args(
+            ["longread", *self.IO, "--fill-band", "0", "--end-band", "1",
+             "--truth-tolerance", "0"]
+        )
+        assert (args.fill_band, args.end_band, args.truth_tolerance) == (
+            0, 1, 0,
+        )

@@ -412,3 +412,97 @@ class TestOneExtensionSchedule:
             simulate_long_reads(reference, 2, rng), BatchedEngine()
         )
         assert sides == ["longread_left", "longread_right"]
+
+
+class TestOneRelaxedSweep:
+    OLD_NAMES = (
+        "left_entry_scores",
+        "left_entry_scores_global",
+        "upper_entry_scores",
+        "upper_entry_scores_global",
+        "edit_check",
+        "above_check",
+        "below_band_bound",
+        "above_band_bound",
+    )
+
+    def test_old_renditions_and_wrappers_are_gone(self):
+        """Four edit-machine sweeps and four seed-and-bound wrappers
+        became ``editdp.relaxed_sweep`` and ``editcheck.sweep_bound``."""
+        src = Path(__file__).resolve().parent.parent / "src" / "repro"
+        pattern = re.compile(r"\b(%s)\b" % "|".join(self.OLD_NAMES))
+        found = {
+            path.relative_to(src).as_posix(): sorted(
+                set(pattern.findall(path.read_text()))
+            )
+            for path in src.rglob("*.py")
+            if pattern.search(path.read_text())
+        }
+        assert found == {}
+
+    def test_one_function_holds_the_relaxed_row_update(self):
+        """The free-insertion running max of the relaxed recurrence has
+        one home under ``align/`` and ``core/``.  The scalar banded
+        kernels' own row-wide ``maximum.accumulate`` calls are affine F
+        scans (a running max of ``g - go + cols * ge``, unwound per
+        column), not renditions of it."""
+        root = Path(__file__).resolve().parent.parent / "src/repro"
+        owners = set()
+        for package in ("align", "core"):
+            for path in sorted((root / package).glob("*.py")):
+                for fn in ast.walk(ast.parse(path.read_text())):
+                    if not isinstance(fn, ast.FunctionDef):
+                        continue
+                    for node in ast.walk(fn):
+                        if (
+                            isinstance(node, ast.Call)
+                            and ast.unparse(node.func).endswith(
+                                "maximum.accumulate"
+                            )
+                            and not node.keywords
+                        ):
+                            owners.add(f"{path.stem}.{fn.name}")
+        affine_f_scans = {"banded.extend", "adaptive.adaptive_extend"}
+        assert owners - affine_f_scans == {"editdp.relaxed_sweep"}
+
+    def test_all_four_check_sites_run_the_one_sweep(self, monkeypatch):
+        from repro.align.editdp import ABOVE, BELOW
+        from repro.align.globalband import global_align
+        from repro.align.lockstep import GLOBAL, LOCAL_EXTEND
+        from repro.core import editcheck
+        from repro.core.checker import CheckConfig, OptimalityChecker
+        from repro.core.globalcheck import GlobalChecker
+
+        calls: list[tuple[str, int]] = []
+        relaxed_sweep = editcheck.relaxed_sweep
+
+        def counting(query, target, band, region, floor, *args):
+            calls.append((region, floor))
+            return relaxed_sweep(query, target, band, region, floor, *args)
+
+        monkeypatch.setattr(editcheck, "relaxed_sweep", counting)
+        s = BWA_MEM_SCORING
+
+        # A soft-clipped read: the local target runs the edit check and
+        # then the above check, and both pass.
+        rng = np.random.default_rng(0)
+        ref = random_sequence(200, rng)
+        q = np.concatenate([ref[:80], random_sequence(20, rng)])
+        t = ref[:130]
+        local = OptimalityChecker(s, CheckConfig(target="local"))
+        res = banded.extend(q, t, s, 25, w=12)
+        assert local.check(q, t, res).passed
+        assert calls == [(BELOW, LOCAL_EXTEND), (ABOVE, LOCAL_EXTEND)]
+
+        # A band-deep deletion behind early noise: global case c, both
+        # sides swept.
+        calls.clear()
+        rng = np.random.default_rng(9)
+        ref = random_sequence(160, rng)
+        q = np.concatenate([ref[:30], ref[42:120]]).astype(np.uint8)
+        for p in (2, 5, 9):
+            q[p] = (q[p] + 1) % 4
+        t = ref[:120]
+        narrow = global_align(q, t, s, 0, w=12)
+        assert GlobalChecker(s).check(q, t, narrow).passed
+        assert calls == [(BELOW, GLOBAL), (ABOVE, GLOBAL)]
