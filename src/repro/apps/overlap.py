@@ -12,11 +12,13 @@ same job geometry.
 
 The driver is the classic two-stage shape:
 
-1. **candidates** — a k-mer index over all reads votes on diagonals:
-   a k-mer at position ``pa`` of A and ``pb`` of B implies A's suffix
+1. **candidates** — every k-mer of every read votes on diagonals: a
+   k-mer at position ``pa`` of A and ``pb`` of B implies A's suffix
    starting at ``pa - pb`` overlaps B's prefix.  Pairs with enough
    votes on one diagonal survive (repeat k-mers are capped, so a
-   low-complexity read cannot go quadratic);
+   low-complexity read cannot go quadratic).  This is one pass over
+   sorted arrays — k-mer keys, one sort, per-size-class pair
+   expansion and one ``np.unique`` count — with no per-hit Python;
 2. **verify** — surviving pairs become overlap jobs (query = A's
    suffix from the voted diagonal, target = B's prefix plus band
    slack), dispatched in batches through the selected kernel backend.
@@ -28,7 +30,6 @@ kernels and batch sizes.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,15 +42,18 @@ from repro.obs import names
 _ENCODE_BASE = 4
 """Codes 0-3 are real bases; AMBIGUOUS_CODE (4) never indexes."""
 
+MAX_K = 32
+"""Longest k-mer with a collision-free int64 key (``4**32`` wraps to 0)."""
+
 
 @dataclass(frozen=True)
 class OverlapParams:
     """Knobs of the overlap driver.
 
-    ``accept`` is the score floor as a fraction of a perfect overlap
-    (``match * query_length``); ``band`` is the verification band —
-    sound at any width thanks to the full-band rerun, narrow widths
-    just rerun more.
+    ``k`` is 1..32 (:data:`MAX_K`); ``accept`` is the score floor as a
+    fraction of a perfect overlap (``match * query_length``); ``band``
+    is the verification band — sound at any width thanks to the
+    full-band rerun, narrow widths just rerun more.
     """
 
     k: int = 15
@@ -59,6 +63,10 @@ class OverlapParams:
     band: int = 31
     max_occurrences: int = 16
     batch_size: int = 512
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.k <= MAX_K:
+            raise ValueError(f"k must be in 1..{MAX_K}, got {self.k}")
 
 
 @dataclass(frozen=True)
@@ -106,73 +114,97 @@ class _Candidate:
     a_start: int
 
 
-def _index_reads(
-    reads: list[tuple[str, np.ndarray]], params: OverlapParams
-) -> dict[int, list[tuple[int, int]]]:
-    """Hash every k-mer of every read to ``(read, position)`` lists.
+def _kmer_hits(
+    reads: list[tuple[str, np.ndarray]], k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every clean k-mer of every read as ``(key, read, pos)`` arrays.
 
-    K-mers containing an ambiguous base are skipped (they cannot
-    produce a match under the scoring model anyway) and k-mers seen in
-    more than ``max_occurrences`` places are dropped entirely — the
-    standard repeat guard that keeps all-vs-all candidate generation
-    near-linear.
+    One ``sliding_window_view`` runs over all reads laid end to end;
+    windows that straddle two reads, or contain an ambiguous base
+    (which cannot produce a match under the scoring model anyway), are
+    masked out.  Rows come out in ``(read, pos)`` order.  Keys are the
+    k-mer in base 4: at ``k == 32`` the int64 arithmetic wraps, but
+    modulo 2**64 it is still one key per k-mer.
     """
-    k = params.k
-    table: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    for idx, (_, codes) in enumerate(reads):
-        if len(codes) < k:
-            continue
-        arr = np.asarray(codes, dtype=np.int64)
-        powers = _ENCODE_BASE ** np.arange(k - 1, -1, -1, dtype=np.int64)
-        windows = np.lib.stride_tricks.sliding_window_view(arr, k)
-        keys = windows @ powers
-        clean = (windows < _ENCODE_BASE).all(axis=1)
-        for pos in np.flatnonzero(clean):
-            table[int(keys[pos])].append((idx, int(pos)))
-    return {
-        key: hits
-        for key, hits in table.items()
-        if len(hits) <= params.max_occurrences
-    }
+    lengths = np.array([len(codes) for _, codes in reads], dtype=np.int64)
+    n_windows = int(lengths.sum()) - k + 1
+    if n_windows <= 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty.astype(np.int32), empty.astype(np.int32)
+    bases = np.concatenate(
+        [np.asarray(codes, dtype=np.int64) for _, codes in reads]
+    )
+    windows = np.lib.stride_tricks.sliding_window_view(bases, k)
+    powers = _ENCODE_BASE ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    read = np.repeat(np.arange(len(reads), dtype=np.int32), lengths)
+    starts = np.cumsum(lengths) - lengths
+    pos = (np.arange(len(bases)) - starts[read]).astype(np.int32)
+    read, pos = read[:n_windows], pos[:n_windows]
+    keep = (pos <= lengths[read] - k) & (windows.max(axis=1) < _ENCODE_BASE)
+    return (windows @ powers)[keep], read[keep], pos[keep]
 
 
-def _vote_candidates(
-    reads: list[tuple[str, np.ndarray]],
-    table: dict[int, list[tuple[int, int]]],
-    params: OverlapParams,
+def _candidate_pairs(
+    reads: list[tuple[str, np.ndarray]], params: OverlapParams
 ) -> list[_Candidate]:
-    """Diagonal voting: the ordered pairs worth verifying.
+    """Diagonal voting: the ordered pairs worth verifying, by ``(a, b)``.
 
     For an ordered pair ``(a, b)`` every shared k-mer votes for the
     diagonal ``pa - pb`` — the start of A's overlapping suffix.  Only
     non-negative diagonals describe an A-suffix/B-prefix overlap; the
-    symmetric ordering handles the rest.  The winning diagonal is the
+    symmetric ordering handles the rest, and two hits in one read never
+    vote.  K-mers seen in more than ``max_occurrences`` places are
+    dropped entirely — the standard repeat guard that keeps all-vs-all
+    candidate generation near-linear.  The winning diagonal is the
     most-voted one (ties to the *smallest*, i.e. the longest overlap),
-    and it must leave at least ``min_overlap`` suffix.
+    with at least ``min_shared`` votes and ``min_overlap`` suffix.
+
+    One sort groups hits by k-mer.  Pairs are expanded one
+    group-size class at a time, ``(G, s)`` hits broadcast to ``(G, s,
+    s)`` pairs, so the pair arrays never hold more than one class and
+    stay int32 until ``(a, b, diag)`` is packed into one int64 cell
+    that ``np.unique`` counts.  Expanding every group at once would
+    hold all pairs of all classes in int64 together and raise peak RSS.
     """
-    votes: dict[tuple[int, int], dict[int, int]] = defaultdict(
-        lambda: defaultdict(int)
+    keys, read, pos = _kmer_hits(reads, params.k)
+    order = np.argsort(keys)  # votes are counts: order in a group is moot
+    group_start = np.flatnonzero(_run_starts(keys[order]))
+    group_size = np.diff(np.append(group_start, len(keys)))
+    voting = (group_size >= 2) & (group_size <= params.max_occurrences)
+    lengths = np.array([len(codes) for _, codes in reads], dtype=np.int64)
+    n_reads = len(reads)
+    span = int(lengths.max(initial=1))  # > every diagonal
+    packed = [np.empty(0, dtype=np.int64)]
+    for size in np.unique(group_size[voting]):
+        first = group_start[voting & (group_size == size)]
+        hits = order[first[:, None] + np.arange(size)]
+        hit_read, hit_pos = read[hits], pos[hits]
+        a, b = hit_read[:, :, None], hit_read[:, None, :]
+        diag = hit_pos[:, :, None] - hit_pos[:, None, :]
+        vote = (a != b) & (diag >= 0)
+        a = np.broadcast_to(a, vote.shape)[vote].astype(np.int64)
+        b = np.broadcast_to(b, vote.shape)[vote]
+        packed.append((a * n_reads + b) * span + diag[vote])
+    cells, votes = np.unique(np.concatenate(packed), return_counts=True)
+    pair, diag = np.divmod(cells, span)
+    ranked = np.lexsort((diag, -votes, pair))
+    best = ranked[_run_starts(pair[ranked])]
+    a, b = np.divmod(pair[best], n_reads)
+    diag = diag[best]
+    keep = (votes[best] >= params.min_shared) & (
+        lengths[a] - diag >= params.min_overlap
     )
-    for hits in table.values():
-        for a, pa in hits:
-            for b, pb in hits:
-                if a == b:
-                    continue
-                diag = pa - pb
-                if diag < 0:
-                    continue
-                votes[(a, b)][diag] += 1
-    out: list[_Candidate] = []
-    for (a, b), diags in sorted(votes.items()):
-        best_diag, best_votes = min(
-            diags.items(), key=lambda item: (-item[1], item[0])
-        )
-        if best_votes < params.min_shared:
-            continue
-        if len(reads[a][1]) - best_diag < params.min_overlap:
-            continue
-        out.append(_Candidate(a=a, b=b, a_start=best_diag))
-    return out
+    return [
+        _Candidate(a=int(x), b=int(y), a_start=int(d))
+        for x, y, d in zip(a[keep], b[keep], diag[keep])
+    ]
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal ``values``."""
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    return first
 
 
 def find_overlaps(
@@ -191,8 +223,7 @@ def find_overlaps(
     params = params or OverlapParams()
     backend = get_kernel(kernel)
     with obs.span(names.SPAN_OVERLAP_RUN, reads=len(reads)):
-        table = _index_reads(reads, params)
-        candidates = _vote_candidates(reads, table, params)
+        candidates = _candidate_pairs(reads, params)
         if obs.enabled():
             obs.get_registry().counter(
                 names.OVERLAP_CANDIDATES_TOTAL,

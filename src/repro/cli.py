@@ -63,9 +63,10 @@ from repro.kernels import available_kernels, get_kernel
 PROFILES = {"platinum": PLATINUM_LIKE, "clean": CLEAN}
 
 
-def _int_at_least(low: int):
-    """An argparse ``type`` for ints of at least ``low``: an out-of-range
-    flag fails with argparse's usage error (exit 2), not a traceback."""
+def _int_at_least(low: int, at_most: int | None = None):
+    """An argparse ``type`` for ints of at least ``low`` (and at most
+    ``at_most``): an out-of-range flag fails with argparse's usage
+    error (exit 2), not a traceback."""
 
     def parse(text: str) -> int:
         value = int(text)
@@ -73,10 +74,27 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(
                 f"must be at least {low}, got {value}"
             )
+        if at_most is not None and value > at_most:
+            raise argparse.ArgumentTypeError(
+                f"must be at most {at_most}, got {value}"
+            )
         return value
 
     parse.__name__ = "int"  # argparse names the type in its messages
     return parse
+
+
+def _fraction(text: str) -> float:
+    """An argparse ``type`` for a float in ``[0, 1]`` (``nan`` is not)."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(
+            f"must be a fraction in [0, 1], got {text}"
+        )
+    return value
+
+
+_fraction.__name__ = "float"  # argparse names the type in its messages
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -418,10 +436,11 @@ def build_parser() -> argparse.ArgumentParser:
     ovl.add_argument("--out", required=True)
     ovl.add_argument(
         "--k",
-        type=int,
+        type=_int_at_least(1, at_most=32),  # 4**32 wraps the int64 key
         default=15,
         metavar="K",
-        help="k-mer size of the shared-seed candidate filter",
+        help="k-mer size of the shared-seed candidate filter, 1-32 "
+        "(default 15)",
     )
     ovl.add_argument(
         "--min-shared",
@@ -440,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ovl.add_argument(
         "--accept",
-        type=float,
+        type=_fraction,
         default=0.5,
         metavar="FRAC",
         help="score floor as a fraction of a perfect overlap "
@@ -448,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ovl.add_argument(
         "--band",
-        type=int,
+        type=_int_at_least(0),
         default=31,
         metavar="W",
         help="verification band; failures rerun at full band, so any "

@@ -596,6 +596,8 @@ class TestFlagBounds:
             ["longread", *IO, "--workers", "0"],
             ["overlap", "--reads", "r.fq", "--out", "o",
              "--batch-size", "0"],
+            ["overlap", "--reads", "r.fq", "--out", "o", "--k", "0"],
+            ["overlap", "--reads", "r.fq", "--out", "o", "--band", "-1"],
         ],
         ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}",
     )
@@ -605,6 +607,35 @@ class TestFlagBounds:
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert f"error: argument {argv[-2]}: must be at least" in err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            # 4**32 wraps the int64 k-mer key: k-mers would collide.
+            ("--k", "33", "must be at most 32"),
+            ("--accept", "nan", "must be a fraction in [0, 1]"),
+            ("--accept", "1.5", "must be a fraction in [0, 1]"),
+        ],
+        ids=["k=33", "accept=nan", "accept=1.5"],
+    )
+    def test_out_of_range_overlap_flag_is_a_usage_error(
+        self, flag, value, message, capsys
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["overlap", "--reads", "r.fq", "--out", "o", flag, value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}: {message}" in err
+
+    def test_overlap_bounds_are_inclusive(self):
+        from repro.cli import build_parser
+
+        parse = build_parser().parse_args
+        base = ["overlap", "--reads", "r.fq", "--out", "o"]
+        low = parse([*base, "--k", "1", "--band", "0", "--accept", "0"])
+        high = parse([*base, "--k", "32", "--accept", "1"])
+        assert (low.k, low.band, low.accept) == (1, 0, 0.0)
+        assert (high.k, high.accept) == (32, 1.0)
 
     def test_lowest_accepted_values_parse(self):
         from repro.cli import build_parser

@@ -506,3 +506,51 @@ class TestOneRelaxedSweep:
         narrow = global_align(q, t, s, 0, w=12)
         assert GlobalChecker(s).check(q, t, narrow).passed
         assert calls == [(BELOW, GLOBAL), (ABOVE, GLOBAL)]
+
+
+class TestOverlapCandidatesAsArrays:
+    def test_dict_index_and_vote_loop_are_gone(self):
+        """The k-mer dict and its per-k-mer double loop became one
+        sorted-array pass, ``overlap._candidate_pairs``."""
+        from repro.apps import overlap
+
+        assert not hasattr(overlap, "_index_reads")
+        assert not hasattr(overlap, "_vote_candidates")
+
+    def test_no_defaultdict(self):
+        path = Path(__file__).resolve().parent.parent / (
+            "src/repro/apps/overlap.py"
+        )
+        assert "collections" not in _imported_modules(path)
+        assert "defaultdict" not in path.read_text()
+
+    def test_one_candidate_pass_per_run(self, monkeypatch):
+        from repro.apps import overlap
+        from repro.genome.synth import fragment_corpus, synthesize_reference
+
+        calls: list[int] = []
+        candidate_pairs = overlap._candidate_pairs
+        kmer_hits = overlap._kmer_hits
+
+        def counting(reads, params):
+            calls.append(len(reads))
+            return candidate_pairs(reads, params)
+
+        def counting_hits(reads, k):
+            calls.append(-len(reads))
+            return kmer_hits(reads, k)
+
+        monkeypatch.setattr(overlap, "_candidate_pairs", counting)
+        monkeypatch.setattr(overlap, "_kmer_hits", counting_hits)
+        rng = np.random.default_rng(23)
+        reference = synthesize_reference(2_000, rng)
+        reads = [
+            (f.name, f.codes)
+            for f in fragment_corpus(reference, rng, length=250, step=180)
+        ]
+        params = overlap.OverlapParams(batch_size=3)
+        assert overlap.find_overlaps(reads, params)
+        assert overlap.find_overlaps(reads[:4], params)
+        # One pass per run, and one k-mer table inside it, over every
+        # read at once.
+        assert calls == [len(reads), -len(reads), 4, -4]
