@@ -21,7 +21,7 @@ configurations align the same Platinum-like corpus:
 The scalar pipeline is run on a fixed subset of the corpus (it is the
 slow leg by design — that is the point of the comparison) and its rate
 extrapolated; the cap is printed, never silent.  SAM byte-identity of
-the three paths is pinned by ``tests/aligner/test_differential.py``,
+the three paths is pinned by ``tests/test_byte_identity.py``,
 so this harness measures speed only.
 """
 

@@ -17,8 +17,8 @@ speculate-and-test scheme serves every alignment shape):
 The fill stage is measured in isolation because seeding and chaining
 dominate the end-to-end long-read wall clock in the functional model
 and are schedule-independent; byte-identity of the full pipelines is
-pinned by ``tests/kernels/test_differential_e2e.py`` and the golden
-fixtures, so this harness measures speed only.
+pinned by ``tests/test_byte_identity.py`` (including the golden
+fixtures), so this harness measures speed only.
 """
 
 import numpy as np

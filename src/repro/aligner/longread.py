@@ -31,7 +31,7 @@ Two execution paths share one plan/stitch skeleton:
 
 Both paths end at guaranteed-optimal scores for every piece, so their
 stitched alignments — and the SAM lines :func:`sam_record` renders —
-are byte-identical (pinned by ``tests/kernels/test_differential_e2e.py``).
+are byte-identical (pinned by ``tests/test_byte_identity.py``).
 """
 
 from __future__ import annotations

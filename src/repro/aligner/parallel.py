@@ -31,8 +31,9 @@ journal.  See ``docs/durability.md``.
   run down.  A run never hangs on a lost worker.
 
 Results are reassembled window by window in input order, so the SAM is
-byte-identical to a single-process run — the differential suite pins
-scalar x batched x worker counts to one output.
+byte-identical to a single-process run — the byte-identity harness
+(``tests/test_byte_identity.py``) pins scalar x batched x worker
+counts to one output.
 
 Worker start-up is start-method agnostic: on fork platforms the parent
 builds the recipe once and hands the built task function to every

@@ -20,8 +20,8 @@ Each then stitches its CIGAR with
 :func:`~repro.aligner.pipeline.stitch_cigar`.
 
 Semantics are byte-identical to the per-read reference
-(``Aligner.align_read``; the differential suite in
-``tests/aligner/test_differential.py`` holds SAM output fixed across
+(``Aligner.align_read``; the byte-identity harness in
+``tests/test_byte_identity.py`` holds SAM output fixed across
 engine policies x window sizes x worker counts):
 
 * job geometry comes from the same :class:`~repro.aligner.pipeline.Aligner`

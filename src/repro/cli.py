@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -97,6 +98,26 @@ def _fraction(text: str) -> float:
 _fraction.__name__ = "float"  # argparse names the type in its messages
 
 
+def _float_above(low: float, inclusive: bool = False):
+    """An argparse ``type`` for finite floats above ``low`` (or at
+    least ``low`` when ``inclusive``); ``nan`` and ``inf`` are not."""
+    word = "at least" if inclusive else "greater than"
+
+    def parse(text: str) -> float:
+        value = float(text)
+        if not (
+            math.isfinite(value)
+            and (value >= low if inclusive else value > low)
+        ):
+            raise argparse.ArgumentTypeError(
+                f"must be a finite number {word} {low:g}, got {text}"
+            )
+        return value
+
+    parse.__name__ = "float"  # argparse names the type in its messages
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the repro CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -126,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos_opts.add_argument(
         "--fault-rate",
-        type=float,
+        type=_fraction,
         default=0.01,
         metavar="P",
         help="per-site, per-attempt fault probability (default 0.01)",
@@ -140,21 +161,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos_opts.add_argument(
         "--max-retries",
-        type=int,
+        type=_int_at_least(0),
         default=3,
         metavar="N",
         help="accelerator retries before the host rerun (default 3)",
     )
     chaos_opts.add_argument(
         "--timeout",
-        type=float,
+        type=_float_above(0),
         default=0.25,
         metavar="SECONDS",
         help="per-attempt stall/timeout budget (default 0.25)",
     )
     chaos_opts.add_argument(
         "--breaker-threshold",
-        type=int,
+        type=_int_at_least(1),
         default=None,
         metavar="N",
         help="arm the accelerator circuit breaker: N consecutive host "
@@ -203,8 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="generate a synthetic workload",
         parents=[obs_opts],
     )
-    sim.add_argument("--length", type=int, default=50_000)
-    sim.add_argument("--reads", type=int, default=100)
+    sim.add_argument("--length", type=_int_at_least(1), default=50_000)
+    sim.add_argument("--reads", type=_int_at_least(1), default=100)
     sim.add_argument("--profile", choices=sorted(PROFILES), default="platinum")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out-reference", required=True)
@@ -228,14 +249,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sim.add_argument(
         "--long-length",
-        type=int,
+        type=_int_at_least(1),
         default=1500,
         metavar="BP",
         help="mean long-read length (with --long, default 1500)",
     )
     sim.add_argument(
         "--length-sd",
-        type=float,
+        type=_float_above(0, inclusive=True),
         default=0.0,
         metavar="BP",
         help="PBSIM-style length spread: sample per-read lengths from "
@@ -305,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     aln.add_argument(
         "--max-restarts",
-        type=int,
+        type=_int_at_least(0),
         default=8,
         metavar="N",
         help="worker respawn budget of a multi-process run's "
@@ -313,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     aln.add_argument(
         "--hung-timeout",
-        type=float,
+        type=_float_above(0),
         default=30.0,
         metavar="SECONDS",
         help="heartbeat silence after which a supervised worker is "
@@ -493,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sc.add_argument(
         "--tolerance",
-        type=int,
+        type=_int_at_least(0),
         default=20,
         metavar="BASES",
         help="correct-locus window (default 20)",
@@ -532,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--host", default="127.0.0.1")
     srv.add_argument(
         "--port",
-        type=int,
+        type=_int_at_least(0, at_most=65535),
         default=0,
         help="TCP port (default 0: bind an ephemeral port and "
         "announce it via --port-file)",
@@ -548,14 +569,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     srv.add_argument(
         "--queue-capacity",
-        type=int,
+        type=_int_at_least(1),
         default=256,
         metavar="N",
         help="admission queue bound (default 256)",
     )
     srv.add_argument(
         "--high-water",
-        type=int,
+        type=_int_at_least(1),
         default=None,
         metavar="N",
         help="shed new requests at this queue depth "
@@ -570,21 +591,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     srv.add_argument(
         "--linger-ms",
-        type=float,
+        type=_float_above(0, inclusive=True),
         default=20.0,
         metavar="MS",
         help="how long a wave waits to fill (default 20)",
     )
     srv.add_argument(
         "--default-deadline-ms",
-        type=int,
+        type=_int_at_least(1),
         default=None,
         metavar="MS",
         help="deadline for requests that carry none (default: none)",
     )
     srv.add_argument(
         "--quota-rate",
-        type=float,
+        type=_float_above(0),
         default=None,
         metavar="PER_S",
         help="per-client token-bucket refill rate "
@@ -621,7 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     srv.add_argument(
         "--net-disconnect-rate",
-        type=float,
+        type=_fraction,
         default=0.0,
         metavar="P",
         help="chaos seam: probability a response send finds the "
@@ -629,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     srv.add_argument(
         "--net-stall-rate",
-        type=float,
+        type=_fraction,
         default=0.0,
         metavar="P",
         help="chaos seam: probability a response send stalls "
@@ -659,7 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
     idx_build.add_argument("--out", required=True, metavar="FILE")
     idx_build.add_argument(
         "--min-seed-length",
-        type=int,
+        type=_int_at_least(1),
         default=19,
         metavar="K",
         help="k-mer size of the hash tables; must match the aligner's "
@@ -667,7 +688,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     idx_build.add_argument(
         "--sa-sample-rate",
-        type=int,
+        type=_int_at_least(1),
         default=8,
         metavar="N",
         help="FM-index sampled-SA rate (default 8)",
@@ -712,7 +733,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cl.add_argument(
         "--connections",
-        type=int,
+        type=_int_at_least(1),
         default=1,
         metavar="N",
         help="concurrent pipelined connections (default 1)",
@@ -732,7 +753,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cl.add_argument(
         "--repeat",
-        type=int,
+        type=_int_at_least(1),
         default=1,
         metavar="N",
         help="send the FASTQ burst N times over (default 1)",

@@ -26,8 +26,9 @@ The robustness envelope is the point, not an afterthought:
   tests and the CI smoke job as a load generator.
 
 Responses for accepted requests are byte-identical to batch-mode
-``repro align`` output for the same reads — the differential suite in
-``tests/serve`` holds the server to that bar.  See ``docs/serve.md``.
+``repro align`` output for the same reads — the serve leg of the
+byte-identity harness (``tests/test_byte_identity.py``) holds the
+server to that bar, request by request.  See ``docs/serve.md``.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Unit tests for the multi-process runner's plumbing.
 
 The byte-identity of sharded SAM output lives in
-``tests/aligner/test_differential.py`` and the journaled crash ladder
+``tests/test_byte_identity.py`` and the journaled crash ladder
 in ``tests/durability``; this module covers the parts around them: the
 task plan, the :class:`EngineSpec` recipe, input normalization,
 argument validation, the parent-side merge of per-worker metric

@@ -6,12 +6,10 @@ import pytest
 from repro.align.cigar import Cigar
 from repro.aligner.engines import make_engine
 from repro.aligner.pipeline import Aligner
-from repro.genome.sam import diff_records
 from repro.genome.sequence import decode, random_sequence
 from repro.genome.synth import (
     CLEAN,
     PLATINUM_LIKE,
-    ReadProfile,
     ReadSimulator,
     synthesize_reference,
 )
@@ -75,34 +73,8 @@ class TestAccuracy:
 
 
 class TestEngineEquivalence:
-    def test_seedex_bit_equivalent_to_full_band(
-        self, reference, platinum_reads
-    ):
-        """The headline claim (Figure 13's flat-zero SeedEx curve)."""
-        full = Aligner(reference, make_engine("full")).align(platinum_reads)
-        for band in (5, 11, 41):
-            seedex = Aligner(reference, make_engine("seedex", band)).align(
-                platinum_reads
-            )
-            assert diff_records(full, seedex) == 0
-
-    def test_plain_banded_diverges_with_structural_indels(self, reference):
-        """A narrow band without checks must eventually disagree."""
-        profile = ReadProfile(large_indel_rate=1.0, large_indel_min=20)
-        reads = ReadSimulator(reference, profile, seed=11).simulate(25)
-        full = Aligner(reference, make_engine("full")).align(reads)
-        banded = Aligner(reference, make_engine("banded", 3)).align(reads)
-        assert diff_records(full, banded) > 0
-
-    def test_seedex_handles_structural_indels(self, reference):
-        profile = ReadProfile(large_indel_rate=1.0, large_indel_min=20)
-        reads = ReadSimulator(reference, profile, seed=11).simulate(25)
-        full = Aligner(reference, make_engine("full")).align(reads)
-        seedex_engine = make_engine("seedex", 8)
-        seedex = Aligner(reference, seedex_engine).align(reads)
-        assert diff_records(full, seedex) == 0
-        # With w=8 and 20+bp indels there must have been reruns.
-        assert seedex_engine.stats.reruns > 0
+    """Seeding backends agree; byte identity across engines, kernels and
+    dispatch paths lives in ``tests/test_byte_identity.py``."""
 
     def test_kmer_backend_matches_smem_on_clean_reads(self, reference):
         reads = ReadSimulator(reference, CLEAN, seed=5).simulate(15)

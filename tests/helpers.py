@@ -1,4 +1,8 @@
-"""Shared test utilities: generators and a brute-force path oracle.
+"""Shared test utilities: runners, generators and a path oracle.
+
+The runners (:func:`sam_bytes`, :func:`cli_output`,
+:func:`serve_report`) are the transports of the byte-identity harness,
+``tests/test_byte_identity.py``.
 
 The brute-force enumerator walks every monotone path of a small DP
 matrix and scores it with exact affine-gap accounting.  It is the
@@ -10,7 +14,9 @@ trusted because they agree with this enumeration on small inputs.
 from __future__ import annotations
 
 import io
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -26,53 +32,146 @@ def sam_bytes(
     batch_size: int | None = None,
     seeding: str = "kmer",
     reference_name: str = "chr1",
+    start_method: str | None = None,
+    paired: bool = False,
+    observe=None,
     **aligner_opts,
 ) -> bytes:
     """SAM output of one pipeline configuration, as comparable bytes.
 
-    The differential suite's single entry point: every configuration —
-    scalar or wave-scheduled, one process or sharded — renders through
-    the same writer so outputs are directly ``==``-comparable.
+    The byte-identity harness's one in-process runner: every
+    configuration — per-read or wave-scheduled, one process or
+    supervised, short, paired or long reads — renders through the same
+    writer so outputs are directly ``==``-comparable.
 
-    ``engine`` is an engine instance for in-process runs, or a
-    picklable :class:`~repro.aligner.parallel.EngineSpec` (mandatory
-    when ``workers > 1``).  ``batch_size=None`` runs the scalar path;
-    an integer routes reads through the deferred-extension wave
-    scheduler in windows of that size.
+    ``engine`` is an engine instance for in-process runs, a picklable
+    :class:`~repro.aligner.parallel.EngineSpec` (mandatory when
+    ``workers > 1``), or a
+    :class:`~repro.aligner.longread.LongReadRecipe` for long reads.
+    ``batch_size=None`` runs the per-read path; an integer routes
+    reads through the deferred-extension wave scheduler in windows of
+    that size.  ``workers > 1`` runs the supervised runner, its
+    processes started by ``start_method``.  ``paired=True`` takes
+    ``ReadPair`` objects through
+    :class:`~repro.aligner.paired.PairedAligner`.  ``observe``, when
+    given, is called with the in-process aligner after the run, so a
+    test can read its counters.
     """
+    from repro.aligner.longread import LongReadRecipe
+    from repro.aligner.paired import PairedAligner
     from repro.aligner.parallel import EngineSpec, align_supervised
     from repro.aligner.pipeline import Aligner
     from repro.genome.sam import write_sam
 
-    if workers > 1:
-        if not isinstance(engine, EngineSpec):
-            raise TypeError("workers > 1 requires an EngineSpec")
-        records = align_supervised(
-            reference,
-            reads,
-            spec=engine,
-            workers=workers,
-            batch_size=batch_size if batch_size is not None else 4096,
-            seeding=seeding,
-            reference_name=reference_name,
-            **aligner_opts,
-        ).records
+    if isinstance(engine, LongReadRecipe):
+        options = {"recipe": engine}
     else:
-        built = engine.build() if isinstance(engine, EngineSpec) else engine
-        aligner = Aligner(
-            reference,
-            built,
+        options = dict(
+            spec=engine,
             seeding=seeding,
             reference_name=reference_name,
             **aligner_opts,
         )
-        if batch_size is None:
-            records = aligner.align(reads)
+    if workers > 1:
+        if not isinstance(engine, (EngineSpec, LongReadRecipe)):
+            raise TypeError("workers > 1 requires an EngineSpec")
+        records = align_supervised(
+            reference,
+            reads,
+            workers=workers,
+            batch_size=batch_size if batch_size is not None else 4096,
+            start_method=start_method,
+            **options,
+        ).records
+    elif isinstance(engine, LongReadRecipe):
+        records = engine.build(reference)(reads)
+    else:
+        built = engine.build() if isinstance(engine, EngineSpec) else engine
+        if paired:
+            aligner = PairedAligner(
+                reference, built, seeding=seeding, **aligner_opts
+            )
+            aligner.aligner.reference_name = reference_name
+            mates = (
+                aligner.align_pairs(reads)
+                if batch_size is None
+                else aligner.align_pairs_batched(reads, batch_size)
+            )
+            records = [rec for pair in mates for rec in pair]
         else:
-            records = aligner.align_batched(reads, batch_size=batch_size)
+            aligner = Aligner(
+                reference,
+                built,
+                seeding=seeding,
+                reference_name=reference_name,
+                **aligner_opts,
+            )
+            records = (
+                aligner.align(reads)
+                if batch_size is None
+                else aligner.align_batched(reads, batch_size=batch_size)
+            )
+        if observe is not None:
+            observe(aligner)
     buf = io.StringIO()
     write_sam(buf, records, reference_name, len(reference))
     return buf.getvalue().encode()
+
+
+def cli_output(argv: list[str]) -> str:
+    """What one ``repro`` subcommand writes to its ``--out``.
+
+    The CLI transport of the byte-identity harness: ``argv`` runs
+    in-process through :func:`repro.cli.main`, which must exit 0.
+    """
+    from repro import cli
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        return out.read_text()
+
+
+def serve_report(
+    reference: np.ndarray,
+    reads,
+    engine,
+    *,
+    max_batch: int,
+    seeding: str = "kmer",
+    connections: int = 3,
+    client: str = "leg",
+    reference_name: str = "chr1",
+):
+    """One concurrent burst of ``reads`` against a resident server.
+
+    The serve transport of the byte-identity harness: a server over
+    ``engine`` answers ``connections`` pipelined clients; the
+    :class:`~repro.serve.client.LoadReport` maps request
+    ``{client}-{i}`` to the SAM line answering read ``i``.
+    """
+    from repro.aligner.pipeline import Aligner
+    from repro.genome.sequence import decode
+    from repro.serve.client import run_load
+    from repro.serve.server import AlignmentServer, ServeConfig
+
+    aligner = Aligner(
+        reference, engine, seeding=seeding, reference_name=reference_name
+    )
+    server = AlignmentServer(
+        aligner, ServeConfig(max_batch=max_batch, linger_ms=5)
+    )
+    port = server.start()
+    try:
+        return run_load(
+            "127.0.0.1",
+            port,
+            [(name, decode(codes)) for name, codes in reads],
+            connections=connections,
+            client=client,
+        )
+    finally:
+        server.shutdown()
 
 
 class DeadLetteringEngine:

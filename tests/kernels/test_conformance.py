@@ -6,14 +6,15 @@ and therefore accept/rerun verdicts and final SAM bytes.  The checks
 themselves have one implementation each (``repro.core``), so a verdict
 can differ only through the extension result a backend feeds them.
 These are pure differential properties, driven by the band-edge-biased
-strategies in ``tests/strategies.py`` plus a seeded end-to-end corpus.
+strategies in ``tests/strategies.py``; SAM bytes across backends are
+compared end to end in ``tests/test_byte_identity.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.align.banded import BatchShapeError, full_band_for
@@ -197,45 +198,3 @@ def test_verdicts_agree(job: ExtensionJob):
         assert a.thresholds.s2 == b.thresholds.s2
         assert a.score_max_e == b.score_max_e
         assert a.score_ed == b.score_ed
-
-
-@settings(deadline=None, max_examples=1)
-@given(st.just(None))
-def test_corpus_bit_identity(_):
-    """Seeded 500-read corpus: SAM bytes identical across backends.
-
-    End-to-end through the SeedEx engine (narrow band + checks +
-    rerun), so scores, CIGARs, positions, and mapping flags all feed
-    the comparison.  One fixed seed keeps the corpus stable across
-    runs; the property tests above carry the input diversity.
-    """
-    from repro.aligner.engines import make_engine
-    from repro.genome.synth import (
-        PLATINUM_LIKE,
-        ReadSimulator,
-        synthesize_reference,
-    )
-
-    from tests.helpers import sam_bytes
-
-    rng = np.random.default_rng(20260806)
-    reference = synthesize_reference(20_000, rng, repeat_fraction=0.02)
-    sim = ReadSimulator(reference, PLATINUM_LIKE, seed=503)
-    reads = [(r.name, r.codes) for r in sim.simulate(500)]
-    outputs = {
-        name: sam_bytes(
-            reference,
-            reads,
-            make_engine("seedex", 15, kernel=name),
-        )
-        for name in available_kernels()
-    }
-    assert outputs["scalar"] == outputs["numpy"]
-    assert outputs["scalar"] == outputs["striped"]
-    # Sanity: the corpus actually maps (guards against a vacuous pass).
-    mapped = sum(
-        1
-        for line in outputs["scalar"].decode().splitlines()
-        if not line.startswith("@") and "\t4\t" not in line[:40]
-    )
-    assert mapped > 400

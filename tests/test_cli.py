@@ -627,6 +627,57 @@ class TestFlagBounds:
         err = capsys.readouterr().err
         assert f"error: argument {flag}: {message}" in err
 
+    SERVE = ["serve", "--reference", "ref.fa"]
+    CLIENT = ["client", "--port", "1"]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["align", *IO, "--chaos", "--fault-rate", "nan"], "fraction"),
+            (["analyze", "--reference", "ref.fa", "--reads", "r.fq",
+              "--chaos", "--fault-rate", "nan"], "fraction"),
+            (["align", *IO, "--fault-rate", "1.5"], "fraction"),
+            (["align", *IO, "--max-retries", "-1"], "at least 0"),
+            (["align", *IO, "--timeout", "0"], "greater than 0"),
+            (["align", *IO, "--breaker-threshold", "0"], "at least 1"),
+            (["align", *IO, "--max-restarts", "-1"], "at least 0"),
+            (["align", *IO, "--hung-timeout", "0"], "greater than 0"),
+            (["simulate", "--out-reference", "r", "--out-reads", "q",
+              "--reads", "-1"], "at least 1"),
+            (["simulate", "--out-reference", "r", "--out-reads", "q",
+              "--length", "0"], "at least 1"),
+            (["simulate", "--out-reference", "r", "--out-reads", "q",
+              "--long-length", "0"], "at least 1"),
+            (["simulate", "--out-reference", "r", "--out-reads", "q",
+              "--length-sd", "-5"], "at least 0"),
+            (["index", "build", "--reference", "r", "--out", "o",
+              "--sa-sample-rate", "0"], "at least 1"),
+            (["index", "build", "--reference", "r", "--out", "o",
+              "--min-seed-length", "0"], "at least 1"),
+            ([*SERVE, "--quota-rate", "-1"], "greater than 0"),
+            ([*SERVE, "--default-deadline-ms", "-5"], "at least 1"),
+            ([*SERVE, "--linger-ms", "nan"], "at least 0"),
+            ([*SERVE, "--linger-ms", "-1"], "at least 0"),
+            ([*SERVE, "--queue-capacity", "0"], "at least 1"),
+            ([*SERVE, "--high-water", "0"], "at least 1"),
+            ([*SERVE, "--net-stall-rate", "2"], "fraction"),
+            ([*SERVE, "--net-disconnect-rate", "2"], "fraction"),
+            ([*SERVE, "--port", "70000"], "at most 65535"),
+            ([*CLIENT, "--repeat", "0"], "at least 1"),
+            ([*CLIENT, "--connections", "0"], "at least 1"),
+            (["score", "--sam", "s", "--truth", "t", "--tolerance", "-5"],
+             "at least 0"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else f"{v[0]}{v[-2]}={v[-1]}",
+    )
+    def test_out_of_range_value_is_a_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {argv[-2]}: " in err
+        assert message in err
+
     def test_overlap_bounds_are_inclusive(self):
         from repro.cli import build_parser
 

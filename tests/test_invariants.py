@@ -554,3 +554,38 @@ class TestOverlapCandidatesAsArrays:
         # One pass per run, and one k-mer table inside it, over every
         # read at once.
         assert calls == [len(reads), -len(reads), 4, -4]
+
+
+class TestOneByteIdentityTable:
+    def test_every_backend_and_path_has_a_leg(self):
+        """Every kernel, engine name, ``--seeding`` backend, start
+        method the platform has, index mode and transport appears in at
+        least one leg of ``tests/test_byte_identity.py``: a new backend
+        cannot skip the table, and deleting one is a table edit."""
+        import multiprocessing as mp
+
+        from repro.aligner.engines import ENGINE_POLICIES
+        from repro.cli import build_parser
+        from repro.kernels import available_kernels
+        from tests.test_byte_identity import INDEX_MODES, LEGS, TRANSPORTS
+
+        sub = build_parser()._subparsers._group_actions[0].choices["align"]
+        choices = {
+            action.dest: action.choices
+            for action in sub._actions
+            if action.choices
+        }
+        want = {
+            "kernel": set(available_kernels()),
+            "policy": set(ENGINE_POLICIES),
+            "seeding": set(choices["seeding"]),
+            "start": set(choices["start_method"])
+            & set(mp.get_all_start_methods()),
+            "index": set(INDEX_MODES),
+            "path": set(TRANSPORTS),
+        }
+        for axis, names in want.items():
+            have = {getattr(leg, axis) for leg in LEGS}
+            assert names <= have, f"no byte-identity leg for {axis} " + (
+                f"{sorted(names - have)}"
+            )
