@@ -63,9 +63,11 @@ def shape_class(length: int) -> int:
 
     Geometric classes bound the within-class padding at 2x while
     keeping the number of classes logarithmic in the length range, so
-    a ragged batch shatters into at most a handful of buckets.  Every
-    lockstep batch kernel (striped extension, overlap, global gap
-    fill) buckets by this one function.
+    a ragged batch shatters into at most a handful of buckets.  The
+    striped kernel's narrow-band stripe groups and the overlap batch
+    bucket by it; every other lockstep sweep (extension waves,
+    traceback fills, gap fills) is planned by cells instead
+    (:func:`repro.align.lockstep.plan_buckets`).
     """
     if length <= MIN_SHAPE_CLASS:
         return MIN_SHAPE_CLASS

@@ -116,52 +116,6 @@ def fill_extension(
     return DenseMatrices(h, e, f, lscore, lpos, gscore, gpos, max_off)
 
 
-ROW_COST_CELLS = 1024
-"""Fixed cost of one lockstep row step, in cell units: a bucket may pad
-up to what its sweep costs anyway, so a two-job serve wave fills in one
-sweep and a window-sized wave splits by shape."""
-
-TRACEBACK_CHUNK_CELLS = 1 << 20
-"""Padded cells — bytes, at one ``uint8`` code each — per lockstep
-bucket.  The one bound on traceback memory: a wave fills a bucket,
-walks its jobs, keeps only their ops and drops it, so a window's peak
-does not grow with its read count."""
-
-
-def plan_buckets(
-    queries: list[np.ndarray],
-    targets: list[np.ndarray],
-    max_cells: int | None = None,
-) -> list[list[int]]:
-    """Group jobs, by index, into lockstep buckets balanced by cells.
-
-    Jobs are taken tallest first, so a bucket's first job fixes its row
-    count; the next joins while the bucket stays within ``max_cells``
-    padded cells and its padding within the sweep's own fixed cost
-    (:data:`ROW_COST_CELLS` per row).  A job larger than the bound is
-    filled alone.  ``None`` means :data:`TRACEBACK_CHUNK_CELLS`.
-    """
-    if max_cells is None:
-        max_cells = TRACEBACK_CHUNK_CELLS
-    shapes = [(len(t) + 1, len(q) + 1) for q, t in zip(queries, targets)]
-    buckets: list[list[int]] = []
-    rows = width = real = 0
-    for k in sorted(range(len(shapes)), key=shapes.__getitem__, reverse=True):
-        t, q = shapes[k]
-        if buckets:
-            bucket = buckets[-1]
-            padded = (len(bucket) + 1) * rows * max(width, q)
-            waste = padded - real - t * q
-            if padded <= max_cells and waste <= rows * ROW_COST_CELLS:
-                bucket.append(k)
-                width = max(width, q)
-                real += t * q
-                continue
-        buckets.append([k])
-        rows, width, real = t, q, t * q
-    return buckets
-
-
 def fill_extension_batch(
     queries: list[np.ndarray],
     targets: list[np.ndarray],
@@ -172,9 +126,10 @@ def fill_extension_batch(
 
     The batched pipeline collects each read's winning extension into a
     wave, clips it to its resolved endpoint, buckets the wave
-    (:func:`plan_buckets`) and fills each bucket here.  Walking job
-    ``k``'s codes (:func:`traceback_path`) gives the dense oracle's
-    CIGAR, tie for tie (``tests/align/test_fullmatrix_batch.py``).
+    (:func:`~repro.align.lockstep.plan_buckets`) and fills each bucket
+    here.  Walking job ``k``'s codes (:func:`traceback_path`) gives the
+    dense oracle's CIGAR, tie for tie
+    (``tests/align/test_fullmatrix_batch.py``).
     Each result is the job's ``(tlen+1, qlen+1)`` view into the
     bucket's array: drop them all to release it.
     """

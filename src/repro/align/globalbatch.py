@@ -5,9 +5,9 @@ one :class:`~repro.core.globalcheck.GlobalSeedEx` call — a narrow
 banded global alignment, a sound optimality check, and a full-band
 rerun when the check fails.  This module is the batched rendition:
 whole *waves* of gap jobs, collected across chains and reads, sweep
-together in an inter-sequence lockstep fill (jobs × band columns),
-shape-bucketed the way the striped extension kernel buckets its
-batches.
+together in an inter-sequence lockstep fill (jobs × band columns), in
+the cell-balanced buckets every lockstep sweep is planned into
+(:func:`~repro.align.lockstep.plan_buckets`).
 
 The optimality check here is the band-edge bound the overlap kernel
 uses (:mod:`repro.align.overlapdp`), specialized to global mode: a
@@ -30,8 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.align import fullmatrix, lockstep
-from repro.align.banded import shape_class
+from repro.align import lockstep
 from repro.align.cigar import Cigar
 from repro.align.fullmatrix import walk_direction_bits
 from repro.align.lockstep import DEAD, GLOBAL, NEG_INF
@@ -154,37 +153,26 @@ def fill_global_batch(
 ) -> list[GlobalFillResult]:
     """Fill many global gap jobs in inter-sequence lockstep.
 
-    Jobs are bucketed by ``(shape_class(qlen), shape_class(tlen))``
-    and a bucket is swept at most
-    :data:`~repro.align.fullmatrix.TRACEBACK_CHUNK_CELLS` padded
-    cells at a time, every job of a sweep together.  Per-job results
-    are bit-identical to :func:`fill_global_scalar` on ``(score, band,
-    bound, optimal)``; ``cells_computed`` reflects the sweep's padded
-    schedule.
+    Jobs are swept in the cell-balanced buckets of
+    :func:`~repro.align.lockstep.plan_buckets`, each at most
+    :data:`~repro.align.lockstep.TRACEBACK_CHUNK_CELLS` padded cells
+    of direction codes.  Per-job results are bit-identical to
+    :func:`fill_global_scalar` on ``(score, band, bound, optimal)``;
+    ``cells_computed`` reflects the sweep's padded schedule.
     """
     if len(queries) != len(targets):
         raise ValueError("queries and targets must align")
     out: list[GlobalFillResult | None] = [None] * len(queries)
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for k, (q, t) in enumerate(zip(queries, targets)):
-        key = (shape_class(len(q)), shape_class(len(t)))
-        buckets.setdefault(key, []).append(k)
-    for (qcls, tcls), idx in buckets.items():
-        cells = (qcls + 1) * (tcls + 1)
-        step = max(1, fullmatrix.TRACEBACK_CHUNK_CELLS // cells)
-        for start in range(0, len(idx), step):
-            part = idx[start : start + step]
-            for k, res in zip(
-                part,
-                _fill_bucket(
-                    [queries[k] for k in part],
-                    [targets[k] for k in part],
-                    scoring,
-                    w,
-                ),
-            ):
-                out[k] = res
-    return [r for r in out if r is not None]
+    for bucket in lockstep.plan_buckets(queries, targets):
+        results = _fill_bucket(
+            [queries[k] for k in bucket],
+            [targets[k] for k in bucket],
+            scoring,
+            w,
+        )
+        for k, res in zip(bucket, results):
+            out[k] = res
+    return out  # type: ignore[return-value]
 
 
 def _fill_bucket(

@@ -9,7 +9,10 @@ batch of jobs one target row at a time (jobs x query columns).  Its
 Needleman-Wunsch, and :data:`GLOBAL` with ``h0 = 0`` for overlap.
 Each caller keeps one *capture set*, fixed by its DP shape:
 :func:`extend_batch`, :func:`overlap_ends`, :func:`fill_direction_bits`
-(traceback codes and the gap fill) and :func:`global_edges`.
+(traceback codes and the gap fill) and :func:`global_edges`.  One
+planner, :func:`plan_buckets`, splits every extension wave, traceback
+wave and gap-fill wave into cell-balanced buckets, so a short job is
+not padded to the wave's longest.
 
 The sweep scores substitutions from a query profile (SSW's layout),
 computes only the columns the widest band reaches, and never clamps a
@@ -25,6 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from repro import obs
 from repro.align.banded import (
     ExtensionResult,
     boundary_length,
@@ -34,6 +38,7 @@ from repro.align.banded import (
 )
 from repro.align.scoring import BWA_MEM_SCORING, AffineGap
 from repro.genome.sequence import AMBIGUOUS_CODE
+from repro.obs import names
 
 NEG_INF = -(10**9)
 """Effectively minus infinity for integer DP (safe from overflow)."""
@@ -55,6 +60,9 @@ there); ``LIVE``: H is above the floor — the only bit that means
 anything on a dead cell, which no walk visits.
 """
 
+_CODE_SHIFTS = np.arange(6, dtype=np.uint8)[:, None, None]
+"""Plane ``k`` of the sweep's code planes is bit ``k`` of the code."""
+
 Row = tuple[int, int, np.ndarray, np.ndarray, np.ndarray]
 
 
@@ -75,6 +83,12 @@ def _substitution_table(scoring: AffineGap) -> np.ndarray:
 
 
 _substitution_table(BWA_MEM_SCORING)  # a server's first wave builds nothing
+
+
+def _pack_codes(planes: np.ndarray, out: np.ndarray) -> None:
+    """Shift-or six boolean code planes into ``out``'s ``uint8`` codes."""
+    shifted = planes.view(np.uint8) << _CODE_SHIFTS
+    np.bitwise_or.reduce(shifted, axis=0, out=out)
 
 
 def sweep(
@@ -133,7 +147,8 @@ def sweep(
         ws = int(bands.max())
         per_job = bool((bands != ws).any())
     if codes is not None:
-        # One boolean plane per code bit, packed into the code each row.
+        # One boolean plane per code bit, shifted and or-ed into the
+        # code each row.
         planes = np.zeros((6, n, width), dtype=bool)
 
     # Row 0 is the F channel decaying from h0.
@@ -145,7 +160,7 @@ def sweep(
         planes[2, :, 1:] = True
         np.equal(h_row[:, 1:], h_row[:, :-1] - (go + ge_i), out=planes[4, :, 1:])
         np.greater(h_row, floor, out=planes[5])
-        codes[0] = np.packbits(planes, axis=0, bitorder="little")[0]
+        _pack_codes(planes, codes[0])
     h_prev = np.where(h_row > floor, h_row, dead)
     e_prev = np.full((n, width), dead, dtype=np.int64)
     run = np.maximum.accumulate(h_prev + opened_gap, axis=1)
@@ -207,7 +222,7 @@ def sweep(
             np.equal(h_w, f_w, out=p[2])
             np.equal(f_w[:, 1:], h_w[:, :-1] - (go + ge_i), out=p[4, :, 1:])
             live = np.greater(h_w, floor, out=p[5])
-            codes[i, :, a:b] = np.packbits(p, axis=0, bitorder="little")[0]
+            _pack_codes(p, codes[i, :, a:b])
             h_w = np.where(live, h_w, dead)
         else:
             np.copyto(h_w, dead, where=h_w <= floor)
@@ -219,6 +234,57 @@ def sweep(
             h_prev[:, a:b] = h_w
             e_prev[:, a:b] = e_w
         yield i, a, h_w, e_w, run
+
+
+ROW_COST_CELLS = 1024
+"""Fixed cost of one lockstep row step, in cell units: a bucket may pad
+up to what its sweep costs anyway, so a two-job serve wave fills in one
+sweep and a window-sized wave splits by shape."""
+
+TRACEBACK_CHUNK_CELLS = 1 << 20
+"""Padded cells — bytes, at one ``uint8`` code each — per lockstep
+bucket.  The one bound on traceback memory: a wave fills a bucket,
+walks its jobs, keeps only their ops and drops it, so a window's peak
+does not grow with its read count."""
+
+
+def plan_buckets(
+    queries: list[np.ndarray],
+    targets: list[np.ndarray],
+    max_cells: int | None = None,
+    band: int | None = None,
+) -> list[list[int]]:
+    """Group jobs, by index, into lockstep buckets balanced by cells.
+
+    Jobs are taken tallest first, so a bucket's first job fixes its row
+    count; the next joins while the bucket stays within ``max_cells``
+    padded cells and its padding within the sweep's own fixed cost
+    (:data:`ROW_COST_CELLS` per row).  A job larger than the bound is
+    filled alone.  ``None`` means :data:`TRACEBACK_CHUNK_CELLS`.  With
+    one ``band`` for every job, a row costs at most the ``2 * band +
+    2`` columns the sweep's window spans.
+    """
+    if max_cells is None:
+        max_cells = TRACEBACK_CHUNK_CELLS
+    shapes = [(len(t) + 1, len(q) + 1) for q, t in zip(queries, targets)]
+    if band is not None:
+        shapes = [(t, min(q, 2 * band + 2)) for t, q in shapes]
+    buckets: list[list[int]] = []
+    rows = width = real = 0
+    for k in sorted(range(len(shapes)), key=shapes.__getitem__, reverse=True):
+        t, q = shapes[k]
+        if buckets:
+            bucket = buckets[-1]
+            padded = (len(bucket) + 1) * rows * max(width, q)
+            waste = padded - real - t * q
+            if padded <= max_cells and waste <= rows * ROW_COST_CELLS:
+                bucket.append(k)
+                width = max(width, q)
+                real += t * q
+                continue
+        buckets.append([k])
+        rows, width, real = t, q, t * q
+    return buckets
 
 
 def extend_batch(
@@ -236,19 +302,64 @@ def extend_batch(
     ``min(2w+1, qlen+1) * tlen``; ``terminated_early`` is ``False``).
     ``w=None`` is the batch's full band.  Mismatched input list
     lengths raise :class:`~repro.align.banded.BatchShapeError`.
+
+    ``w`` is resolved over the whole batch, then the batch is swept in
+    the cell-balanced buckets of :func:`plan_buckets`; a job's result
+    does not depend on its bucket-mates.
     """
     n = check_batch_shapes(queries, targets, h0s)
     if n == 0:
         return []
     if any(h0 < 0 for h0 in h0s):
         raise ValueError("h0 must be non-negative")
+    if w is None:
+        w = full_band_for(
+            max(len(q) for q in queries), max(len(t) for t in targets)
+        )
+    if w < 0:
+        raise ValueError("band must be non-negative")
+    out: list[ExtensionResult | None] = [None] * n
+    for bucket in plan_buckets(queries, targets, band=w):
+        results = _extend_bucket(
+            [queries[k] for k in bucket],
+            [targets[k] for k in bucket],
+            [h0s[k] for k in bucket],
+            scoring,
+            w,
+        )
+        for k, res in zip(bucket, results):
+            out[k] = res
+        if obs.enabled():
+            _count_bucket(results, w)
+    return out  # type: ignore[return-value]
+
+
+def _count_bucket(results: list[ExtensionResult], w: int) -> None:
+    """The padding counters of one swept bucket: every job is swept
+    ``min(2w+1, qmax+1)`` columns wide for ``tmax`` rows."""
+    width = min(2 * w + 1, max(r.qlen for r in results) + 1)
+    rows = max(r.tlen for r in results)
+    real = sum(r.cells_computed for r in results)
+    reg = obs.get_registry()
+    reg.counter(names.KERNEL_BUCKET_TOTAL).inc()
+    reg.histogram(names.KERNEL_BUCKET_JOBS).observe(len(results))
+    pad = len(results) * width * rows - real
+    if pad:
+        reg.counter(names.KERNEL_BUCKET_PAD_CELLS).inc(pad)
+
+
+def _extend_bucket(
+    queries: list[np.ndarray],
+    targets: list[np.ndarray],
+    h0s: list[int],
+    scoring: AffineGap,
+    w: int,
+) -> list[ExtensionResult]:
+    """One bucket's extension sweep at band ``w``."""
+    n = len(queries)
     qlens = np.fromiter((len(q) for q in queries), np.int64, n)
     tlens = np.fromiter((len(t) for t in targets), np.int64, n)
     max_q, max_t = int(qlens.max()), int(tlens.max())
-    if w is None:
-        w = full_band_for(max_q, max_t)
-    if w < 0:
-        raise ValueError("band must be non-negative")
     go = scoring.gap_open
     ge_i = scoring.gap_extend_ins
     ge_d = scoring.gap_extend_del
@@ -322,23 +433,24 @@ def extend_batch(
     np.maximum(edge_e, 0, out=edge_e)
     np.maximum(edge_f, 0, out=edge_f)
     dense = 2 * w + 1
+    lrow, gscore = lrow.tolist(), gscore.tolist()
     return [
         ExtensionResult(
             lscore=lscore[k],
-            lpos=(int(lrow[k]), lcol[k]),
-            gscore=int(gscore[k]),
+            lpos=(lrow[k], lcol[k]),
+            gscore=gscore[k],
             gpos=gpos[k],
             max_off=max_off[k],
             band=w,
             h0=int(h0s[k]),
-            qlen=int(qlens[k]),
-            tlen=int(tlens[k]),
+            qlen=q,
+            tlen=t,
             boundary_e=edge_e[: n_bound[k], k].copy(),
             boundary_f=edge_f[: n_upper[k], k].copy(),
-            cells_computed=int(min(dense, qlens[k] + 1) * tlens[k]),
+            cells_computed=min(dense, q + 1) * t,
             terminated_early=False,
         )
-        for k in range(n)
+        for k, (q, t) in enumerate(lens)
     ]
 
 

@@ -48,6 +48,7 @@ import numpy as np
 from repro import obs
 from repro.align import fullmatrix
 from repro.align.cigar import Cigar
+from repro.align.lockstep import plan_buckets
 from repro.aligner.pipeline import (
     DEGRADED,
     AlignmentCandidate,
@@ -245,7 +246,8 @@ def traceback_wave(
     looks up and left only, so a walk from ``end = (i, j)`` reads
     nothing outside ``target[:i] x query[:j]``: each job is clipped to
     its endpoint, the clipped jobs are bucketed by padded shape
-    (:func:`repro.align.fullmatrix.plan_buckets`), and each bucket is
+    (:func:`~repro.align.lockstep.plan_buckets`, the planner every
+    lockstep extension sweep and gap fill shares), and each bucket is
     filled in lockstep, walked, and dropped — peak memory is two
     buckets of direction codes (one filling, one just walked) plus the
     ops kept, whatever the window's read count.
@@ -253,7 +255,7 @@ def traceback_wave(
     queries = [q[: end[1]] for q, _, _, end in jobs]
     targets = [t[: end[0]] for _, t, _, end in jobs]
     cigars: list[Cigar | None] = [None] * len(jobs)
-    for bucket in fullmatrix.plan_buckets(queries, targets):
+    for bucket in plan_buckets(queries, targets):
         bq = [queries[k] for k in bucket]
         bt = [targets[k] for k in bucket]
         with obs.span(

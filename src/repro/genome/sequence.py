@@ -24,7 +24,7 @@ for _i, _b in enumerate(BASES):
 _ENCODE[ord("N")] = AMBIGUOUS_CODE
 _ENCODE[ord("n")] = AMBIGUOUS_CODE
 
-_DECODE = np.array(list(BASES + "N"))
+_DECODE = np.frombuffer((BASES + "N").encode("ascii"), dtype=np.uint8)
 
 _COMPLEMENT = np.array([3, 2, 1, 0, AMBIGUOUS_CODE], dtype=np.uint8)
 
@@ -47,7 +47,7 @@ def decode(codes: np.ndarray) -> str:
     codes = np.asarray(codes)
     if codes.size and (codes.max(initial=0) > AMBIGUOUS_CODE):
         raise ValueError("base code out of range")
-    return "".join(_DECODE[codes])
+    return _DECODE[codes].tobytes().decode("ascii")
 
 
 def reverse_complement(codes: np.ndarray) -> np.ndarray:

@@ -38,10 +38,14 @@ data.  The boundary-F capture costs nothing extra: in ``k``-space its
 source ``max_k(H + k * ge)`` provably equals the F scan's own last
 column plus ``gap_open``, which the recurrence computes anyway.
 
-Shape-bucketing.  In the striped layout a job's *query* length is
-free — the stripe is ``2w + 1`` wide no matter how long the query —
-so the padding cost of a ragged batch is driven by target length
-(sweep rows) alone.  ``extend_batch`` classes each job by the
+Shape-bucketing.  A full-band wave (``w`` covers its longest job)
+would be rerouted to the dense layout in every group (see below), so
+it goes to :func:`repro.align.lockstep.extend_batch` whole, and the
+lockstep planner buckets it by cells.  For a narrow band, in the
+striped layout a job's *query* length is free — the stripe is ``2w +
+1`` wide no matter how long the query — so the padding cost of a
+ragged batch is driven by target length (sweep rows) alone.
+``extend_batch`` classes each job by the
 geometric (power-of-two) classes of its lengths, then merges classes
 (shortest targets first) into sweep groups of at least
 :data:`MIN_BUCKET_JOBS` jobs: splitting a batch saves padded rows but
@@ -577,10 +581,16 @@ def extend_batch(
 
     qlens = [len(q) for q in queries]
     tlens = [len(t) for t in targets]
+    full = full_band_for(max(qlens), max(tlens))
     if w is None:
-        w = full_band_for(max(qlens), max(tlens))
+        w = full
     if w < 0:
         raise ValueError("band must be non-negative")
+    if w >= full:
+        # A full-band wave: every stripe group would be wider than its
+        # row layout and take the dense reroute below, so the lockstep
+        # sweep plans the whole wave at once.
+        return lockstep.extend_batch(queries, targets, h0s, scoring, w=w)
 
     buckets: dict[tuple[int, int], list[int]] = {}
     fallback: list[int] = []
@@ -629,6 +639,7 @@ def extend_batch(
     groups = coalesced
 
     out: list[ExtensionResult | None] = [None] * n
+    stripe_groups: list[int] = []
     pad_cells = 0
     for idxs in groups:
         bq = [queries[i] for i in idxs]
@@ -640,18 +651,19 @@ def extend_batch(
         if 2 * w_run + 1 > bq_max + 1:
             # The stripe would be wider than the row layout: the band
             # covers (almost) whole rows, so the lockstep sweep is the
-            # cheaper dense layout.  Bit-identical either way.
+            # cheaper dense layout (and counts its own buckets).
+            # Bit-identical either way.
             results = lockstep.extend_batch(bq, bt, bh, scoring, w=w)
-            dense_width = bq_max + 1
         else:
             results = _sweep_bucket(bq, bt, bh, scoring, w_run, w)
-            dense_width = 2 * w_run + 1
+            width = 2 * w_run + 1
+            stripe_groups.append(len(idxs))
+            pad_cells += sum(
+                width * bt_max - min(width, len(q) + 1) * len(t)
+                for q, t in zip(bq, bt)
+            )
         for i, res in zip(idxs, results):
             out[i] = res
-        pad_cells += sum(
-            dense_width * bt_max - min(dense_width, len(q) + 1) * len(t)
-            for q, t in zip(bq, bt)
-        )
 
     for idx in fallback:
         out[idx] = lockstep.extend_batch(
@@ -660,11 +672,11 @@ def extend_batch(
 
     if obs.enabled():
         reg = obs.get_registry()
-        if groups:
-            reg.counter(names.KERNEL_BUCKET_TOTAL).inc(len(groups))
+        if stripe_groups:
+            reg.counter(names.KERNEL_BUCKET_TOTAL).inc(len(stripe_groups))
             hist = reg.histogram(names.KERNEL_BUCKET_JOBS)
-            for idxs in groups:
-                hist.observe(len(idxs))
+            for jobs in stripe_groups:
+                hist.observe(jobs)
             if pad_cells:
                 reg.counter(names.KERNEL_BUCKET_PAD_CELLS).inc(pad_cells)
         if fallback:

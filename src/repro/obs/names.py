@@ -219,10 +219,12 @@ KERNEL_EXTENSIONS = "kernel.extensions"
 """Extension jobs served per DP kernel backend (labels: ``kernel``)."""
 
 KERNEL_BUCKET_TOTAL = "kernel.bucket_total"
-"""Shape buckets the striped kernel swept (one per distinct class)."""
+"""Extension buckets swept: each lockstep-sweep bucket of
+``lockstep.extend_batch`` (any backend) and each striped stripe group."""
 
 KERNEL_BUCKET_PAD_CELLS = "kernel.bucket_pad_cells"
-"""DP cells spent on bucket padding (padded minus useful cells)."""
+"""Extension DP cells spent on bucket padding: the cells a bucket's
+sweep covers minus its jobs' ``cells_computed``."""
 
 KERNEL_FALLBACK_TOTAL = "kernel.fallback_total"
 """Batch jobs the striped kernel routed to the per-job fallback."""
@@ -293,7 +295,8 @@ PIPELINE_BATCH_WAVE_JOBS = "pipeline.batch.wave.jobs"
 """Jobs carried by one wave (labels: ``side``)."""
 
 KERNEL_BUCKET_JOBS = "kernel.bucket_jobs"
-"""Jobs packed into one striped-kernel shape bucket."""
+"""Jobs packed into one extension bucket (lockstep sweep or stripe
+group)."""
 
 SERVE_BATCH_READS = "serve.batch.reads"
 """Reads carried by one server micro-batch wave."""

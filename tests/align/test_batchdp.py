@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.align import banded
-from repro.align.lockstep import extend_batch
+from repro.align.lockstep import extend_batch, plan_buckets
 from repro.align.scoring import BWA_MEM_SCORING, AffineGap
 from repro.genome.synth import extension_corpus
 
@@ -148,6 +148,24 @@ class TestEquivalence:
             [j.h0 for j in jobs],
             9,
         )
+
+
+    @pytest.mark.parametrize("w", [None, 4])
+    def test_planned_buckets_match_scalar(self, w):
+        """A wave the planner splits into several buckets gives every
+        job the result it gets alone, at the wave's band."""
+        rng = np.random.default_rng(21)
+        lens = [(60, 400)] + [
+            (int(q), int(q) + 40) for q in rng.integers(0, 30, 150)
+        ]
+        queries = [rng.integers(0, 5, q).astype(np.uint8) for q, _ in lens]
+        targets = [rng.integers(0, 5, t).astype(np.uint8) for _, t in lens]
+        h0s = rng.integers(0, 40, len(lens)).tolist()
+        assert len(plan_buckets(queries, targets, band=w or 400)) > 1
+        results = extend_batch(queries, targets, h0s, BWA_MEM_SCORING, w=w)
+        _assert_equal(results, queries, targets, h0s, w)
+        if w is None:
+            assert {r.band for r in results} == {400}
 
 
 class TestValidation:

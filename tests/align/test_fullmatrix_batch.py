@@ -17,19 +17,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.align import fullmatrix
+from repro.align import lockstep
 from repro.align.fullmatrix import (
     GLOBAL,
     LIVE,
     fill_direction_bits,
     fill_extension,
     fill_extension_batch,
-    plan_buckets,
     traceback_extension,
     traceback_global,
     traceback_path,
 )
 from repro.align.globalbatch import fill_gaps_guaranteed
+from repro.align.lockstep import plan_buckets
 from repro.align.overlapdp import overlap_batch_lockstep, overlap_scalar
 from repro.align.scoring import (
     BWA_MEM_SCORING,
@@ -143,6 +143,26 @@ class TestLockstepBitIdentity:
             fill_extension_batch([q], [q], BWA_MEM_SCORING, [-1])
 
 
+class TestCodePacking:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 6),
+        width=st.integers(1, 40),
+        cut=st.integers(0, 39),
+    )
+    def test_shift_or_is_packbits(self, seed, n, width, cut):
+        """The sweep's shift-or packing writes ``np.packbits``' bytes,
+        into a full row or a column window of one."""
+        planes = np.random.default_rng(seed).random((6, n, width)) < 0.5
+        a = min(cut, width - 1)
+        out = np.zeros((n, width), dtype=np.uint8)
+        lockstep._pack_codes(planes[:, :, a:], out[:, a:])
+        want = np.packbits(planes[:, :, a:], axis=0, bitorder="little")[0]
+        assert (out[:, a:] == want).all()
+        assert not out[:, :a].any()
+
+
 class TestBuckets:
     def test_oversized_job_is_filled_alone(self):
         """A job larger than the bound gets its own bucket; the rest
@@ -163,8 +183,19 @@ class TestBuckets:
         many = [tall] + [small] * 400
         assert len(plan_buckets(many, many)) == 2
         # The bound is read at call time (tests and tuning patch it).
-        monkeypatch.setattr(fullmatrix, "TRACEBACK_CHUNK_CELLS", 1)
+        monkeypatch.setattr(lockstep, "TRACEBACK_CHUNK_CELLS", 1)
         assert len(plan_buckets([tall, small], [tall, small])) == 2
+
+    def test_a_band_caps_the_row_width(self):
+        """Narrow jobs ride a wide-query job's sweep when one band
+        confines every row to ``2 * band + 2`` columns anyway."""
+        wide = np.zeros(200, dtype=np.uint8)
+        narrow = np.zeros(10, dtype=np.uint8)
+        target = np.zeros(60, dtype=np.uint8)
+        queries, targets = [wide] + [narrow] * 50, [target] * 51
+        assert len(plan_buckets(queries, targets)) == 2
+        assert len(plan_buckets(queries, targets, band=5)) == 1
+        assert len(plan_buckets(queries, targets, band=200)) == 2
 
 
 class TestTracebackPath:

@@ -38,6 +38,18 @@ class TestEncodeDecode:
     def test_roundtrip(self, s):
         assert decode(encode(s)) == s
 
+    @pytest.mark.parametrize(
+        "s", ["", "N", "NNNN", "ACGTN", "nacgt", "TTTTTTTTNA"]
+    )
+    def test_roundtrip_with_n_and_empty(self, s):
+        assert decode(encode(s)) == s.upper()
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    def test_decode_any_integer_array(self, dtype):
+        assert decode(np.array([], dtype=dtype)) == ""
+        assert decode(np.array([4, 0, 1, 2, 3, 4], dtype=dtype)) == "NACGTN"
+        assert decode([3, 4]) == "TN"
+
     def test_decode_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             decode(np.array([9], dtype=np.uint8))

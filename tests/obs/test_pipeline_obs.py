@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro import SeedExtender, obs
+from repro.align.scoring import BWA_MEM_SCORING
 from repro.aligner.engines import make_engine
 from repro.aligner.pipeline import Aligner
 from repro.core.checker import CheckOutcome
@@ -135,3 +136,61 @@ def stats_outcome_total(counters: dict) -> int:
         for key, count in counters.items()
         if key.startswith(prefix)
     )
+
+
+class TestBucketPaddingCounters:
+    """``kernel.bucket_*`` count the lockstep extension sweep that ran,
+    whatever the backend: per bucket, the cells it sweeps (jobs x
+    ``min(2w+1, qmax+1)`` x ``tmax``) minus its jobs' real cells."""
+
+    @staticmethod
+    def _wave(lens):
+        rng = np.random.default_rng(11)
+        queries = [rng.integers(0, 4, q).astype(np.uint8) for q, _ in lens]
+        targets = [rng.integers(0, 4, t).astype(np.uint8) for _, t in lens]
+        return queries, targets, [20] * len(lens)
+
+    @pytest.mark.parametrize("kernel", ["scalar", "striped"])
+    def test_one_bucket_by_hand(self, kernel):
+        from repro.kernels import get_kernel
+
+        queries, targets, h0s = self._wave([(6, 50), (53, 98), (20, 65)])
+        obs.enable()
+        get_kernel(kernel).extend_batch(
+            queries, targets, h0s, BWA_MEM_SCORING
+        )
+        reg = obs.get_registry()
+        # One bucket, 54 columns x 98 rows per job; real cells are
+        # (qlen + 1) * tlen each.
+        padded = 3 * 54 * 98
+        real = 7 * 50 + 54 * 98 + 21 * 65
+        assert reg.counter(names.KERNEL_BUCKET_TOTAL).value == 1
+        assert reg.histogram(names.KERNEL_BUCKET_JOBS).count == 1
+        assert reg.counter(names.KERNEL_BUCKET_PAD_CELLS).value == (
+            padded - real
+        )
+
+    def test_split_wave_counts_every_bucket(self):
+        from repro.align import lockstep
+
+        lens = [(80, 125)] + [(q, q + 45) for q in range(1, 60)] * 4
+        queries, targets, h0s = self._wave(lens)
+        buckets = lockstep.plan_buckets(queries, targets, band=30)
+        assert len(buckets) > 1
+        obs.enable()
+        results = lockstep.extend_batch(
+            queries, targets, h0s, BWA_MEM_SCORING, w=30
+        )
+        padded = sum(
+            len(b)
+            * min(61, max(len(queries[k]) for k in b) + 1)
+            * max(len(targets[k]) for k in b)
+            for b in buckets
+        )
+        real = sum(r.cells_computed for r in results)
+        reg = obs.get_registry()
+        assert reg.counter(names.KERNEL_BUCKET_TOTAL).value == len(buckets)
+        assert reg.histogram(names.KERNEL_BUCKET_JOBS).count == len(buckets)
+        assert reg.counter(names.KERNEL_BUCKET_PAD_CELLS).value == (
+            padded - real
+        )

@@ -331,7 +331,7 @@ def gap_job_batches(draw, max_jobs: int = 6) -> GapBatch:
     bucket, no ragged padding), both-sides-empty gaps and one-sided
     gaps (pure insertion/deletion fills, where the corner lives on a
     matrix edge), and — the important one — heterogeneous-clamp waves:
-    jobs sharing a shape bucket whose ``max(w, |tlen - qlen|)`` clamps
+    jobs sharing a lockstep bucket whose ``max(w, |tlen - qlen|)`` clamps
     differ wildly, the geometry where an unmasked lockstep F-scan
     leaks a wide bucket-mate's cells into a narrow job's band.
     """
@@ -372,8 +372,9 @@ def gap_job_batches(draw, max_jobs: int = 6) -> GapBatch:
                      draw(sequences(min_size=1, max_size=20)))
                 )
     elif kind == "hetero_clamp":
-        # Same shape bucket (every length <= 16 pads to class 16) but
-        # clamps far apart: one near-square job rides the requested
+        # One lockstep bucket (jobs this small pad less than one row
+        # step costs, so the planner packs them together) but clamps
+        # far apart: one near-square job rides the requested
         # band while a skewed bucket-mate's |tlen - qlen| forces a
         # much wider sweep over the shared padded columns.
         band = draw(st.integers(1, 4))

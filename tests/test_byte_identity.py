@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.align import fullmatrix
+from repro.align import lockstep
 from repro.aligner import waves
 from repro.aligner.engines import BatchedEngine, make_engine, make_resilient
 from repro.aligner.longread import LongReadRecipe
@@ -386,7 +386,7 @@ def test_traceback_chunking_is_invisible(monkeypatch, chunk_cells):
     """
     reference, reads = corpus("sv")
     plans, sides_seen = [], []
-    plan, sides = fullmatrix.plan_buckets, waves.trace_sides
+    plan, sides = waves.plan_buckets, waves.trace_sides
 
     def recording_plan(queries, targets, *args):
         buckets = plan(queries, targets, *args)
@@ -398,13 +398,15 @@ def test_traceback_chunking_is_invisible(monkeypatch, chunk_cells):
         sides_seen.append(pairs)
         return sides(scoring, pairs)
 
-    monkeypatch.setattr(fullmatrix, "plan_buckets", recording_plan)
+    # Extension waves plan their own buckets too: record only the
+    # traceback wave's, where traceback_wave calls the planner.
+    monkeypatch.setattr(waves, "plan_buckets", recording_plan)
     monkeypatch.setattr(waves, "trace_sides", recording_sides)
 
     def run(bound):
         plans.clear()
         sides_seen.clear()
-        monkeypatch.setattr(fullmatrix, "TRACEBACK_CHUNK_CELLS", bound)
+        monkeypatch.setattr(lockstep, "TRACEBACK_CHUNK_CELLS", bound)
         out = sam_bytes(reference, reads, BatchedEngine(), batch_size=4096)
         assert out == _reference("sv", "kmer")[0]
         [(shapes, buckets)] = plans  # one traceback wave per window

@@ -313,6 +313,49 @@ class TestOneLockstepRecurrence:
             assert len(calls) == before + 1, name
 
 
+class TestCellBalancedSweeps:
+    def test_one_planner_owned_by_the_sweep(self):
+        """``lockstep.plan_buckets`` is the only bucketing of extension
+        sweeps, traceback fills and gap fills: no alias in
+        ``fullmatrix``, no shape classes in ``globalbatch``."""
+        from repro.align import fullmatrix, globalbatch, lockstep
+
+        assert callable(lockstep.plan_buckets)
+        for name in ("plan_buckets", "ROW_COST_CELLS", "TRACEBACK_CHUNK_CELLS"):
+            assert not hasattr(fullmatrix, name), name
+        assert not hasattr(globalbatch, "shape_class")
+
+    @pytest.mark.parametrize("kernel", ["scalar", "striped"])
+    def test_full_band_wave_pads_at_most_half_again(self, monkeypatch, kernel):
+        """A ragged full-band wave shaped like a 101 bp read window's
+        (1,100 jobs, queries 1-53 bp with a tail to 80, targets 45 bp
+        longer) sweeps at most 1.5x its real cells; one padded
+        rectangle sweeps ~3.6x."""
+        from repro.align import lockstep
+        from repro.kernels import get_kernel
+
+        swept = []
+        sweep = lockstep.sweep
+
+        def counting(queries, targets, *args, **kwargs):
+            rows = max(len(t) for t in targets) + 1
+            width = max(len(q) for q in queries) + 1
+            swept.append(len(queries) * width * rows)
+            return sweep(queries, targets, *args, **kwargs)
+
+        monkeypatch.setattr(lockstep, "sweep", counting)
+        rng = np.random.default_rng(20200613)
+        qlens = np.concatenate(
+            [rng.integers(1, 54, 990), rng.integers(54, 81, 110)]
+        )
+        queries = [random_sequence(int(n), rng) for n in qlens]
+        targets = [random_sequence(int(n) + 45, rng) for n in qlens]
+        h0s = rng.integers(10, 60, len(queries)).tolist()
+        get_kernel(kernel).extend_batch(queries, targets, h0s, BWA_MEM_SCORING)
+        real = sum((len(q) + 1) * (len(t) + 1) for q, t in zip(queries, targets))
+        assert sum(swept) <= 1.5 * real, sum(swept) / real
+
+
 class TestWindowSeeding:
     def test_per_hit_extension_is_gone(self):
         """k-mer hits are grown to maximal matches as one array pass per
