@@ -14,9 +14,9 @@ pipeline model.
 from repro import constants as paper
 from repro.align import banded
 from repro.align.scoring import BWA_MEM_SCORING
-from repro.aligner.batching import best_thread_split
 from repro.analysis.report import PaperComparison, comparison_table, print_table
 from repro.core.extender import SeedExtender
+from repro.system.batching import best_thread_split
 from repro.system.host import time_software_kernel
 from repro.system.scheduler import (
     bwa_mem2_breakdown,

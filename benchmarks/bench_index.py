@@ -26,7 +26,8 @@ import numpy as np
 from repro.aligner.engines import make_engine
 from repro.aligner.pipeline import Aligner
 from repro.genome.synth import PLATINUM_LIKE, ReadSimulator, synthesize_reference
-from repro.index import build_index, load_index
+from repro.index.build import build_index
+from repro.index.store import load_index
 
 CORPUS_SEED = 20200613
 

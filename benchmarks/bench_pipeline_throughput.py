@@ -28,8 +28,8 @@ so this harness measures speed only.
 import numpy as np
 import pytest
 
-from repro.aligner.engines import make_engine
-from repro.aligner.parallel import EngineSpec, align_supervised
+from repro.aligner.engines import EngineSpec, make_engine
+from repro.aligner.parallel import align_supervised
 from repro.aligner.pipeline import Aligner
 from repro.genome.synth import (
     PLATINUM_LIKE,

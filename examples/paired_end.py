@@ -10,8 +10,13 @@ Run:  python examples/paired_end.py
 
 import numpy as np
 
-from repro.aligner import PairedAligner, ReadPair, make_engine
-from repro.aligner.paired import FLAG_PROPER, simulate_pairs
+from repro.aligner.engines import make_engine
+from repro.aligner.paired import (
+    FLAG_PROPER,
+    PairedAligner,
+    ReadPair,
+    simulate_pairs,
+)
 from repro.genome.synth import synthesize_reference
 
 rng = np.random.default_rng(2024)

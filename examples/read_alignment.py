@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.aligner import Aligner, make_engine
+from repro.aligner.engines import make_engine
+from repro.aligner.pipeline import Aligner
 from repro.genome.sam import diff_records, write_sam
 from repro.genome.synth import (
     PLATINUM_LIKE,

@@ -12,23 +12,3 @@ Public surface:
   every optimality check that looks outside the band;
 * :mod:`repro.align.cigar` — CIGAR utilities.
 """
-
-from repro.align.banded import ExtensionResult, extend, full_band_for
-from repro.align.cigar import Cigar
-from repro.align.scoring import (
-    BWA_MEM_SCORING,
-    AffineGap,
-    edit_scoring,
-    relaxed_edit_scoring,
-)
-
-__all__ = [
-    "AffineGap",
-    "BWA_MEM_SCORING",
-    "Cigar",
-    "ExtensionResult",
-    "edit_scoring",
-    "extend",
-    "full_band_for",
-    "relaxed_edit_scoring",
-]

@@ -13,8 +13,11 @@ they differ in exactly two settings of :class:`BatchedEngine`:
   setting (Figure 13's flat zero); ``--engine seedex``.
 
 :data:`ENGINE_POLICIES` is the only place the user-facing engine names
-are mapped to a policy; the CLI, :class:`~repro.aligner.parallel.EngineSpec`
-and ``analyze`` all build their engine through :func:`make_engine`.
+are mapped to a policy.  Every engine the CLI runs — ``align``,
+``longread``, ``analyze``, ``serve`` and each ``--workers`` process —
+is built from one picklable recipe, :class:`EngineSpec`, through
+:func:`make_engine` and (for the chaos/breaker flags)
+:func:`make_resilient`.
 
 Every wave path — the short-read window, the paired rescue and the
 long-read ends — reaches the engine through one step,
@@ -24,6 +27,7 @@ is one call under the policy and keeps nothing between waves.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
@@ -119,10 +123,7 @@ class BatchedEngine:
             raise ValueError("band must be at least 1 (or None)")
         if checks and band is None:
             raise ValueError("checks need a narrow band to test")
-        if band is None:
-            self.name = "full-band"
-        else:
-            self.name = f"{'seedex' if checks else 'banded'}-w{band}"
+        self.name = _policy_name(band, checks)
         self.band = band
         self.checks = checks
         self.scoring = scoring
@@ -193,15 +194,21 @@ class BatchedEngine:
         return results
 
 
-def make_engine(
-    kind: str, band: int | None = None, **options
-) -> BatchedEngine:
-    """The engine a user-facing ``--engine`` name stands for.
+def _policy_name(band: int | None, checks: bool) -> str:
+    """The engine label a ``(band, checks)`` policy reports."""
+    if band is None:
+        return "full-band"
+    return f"{'seedex' if checks else 'banded'}-w{band}"
+
+
+def _resolve_policy(
+    kind: str, band: int | None = None
+) -> tuple[int | None, bool]:
+    """The ``(band, checks)`` policy an ``--engine`` name stands for.
 
     ``band`` applies only to the narrow-band kinds.  The checked kind
     defaults to the paper's band; an unchecked narrow band has no safe
-    default and must be given.  ``options`` go to
-    :class:`BatchedEngine` (``kernel``, ``scoring``).
+    default and must be given.
     """
     if kind not in ENGINE_POLICIES:
         raise ValueError(f"unknown engine kind {kind!r}")
@@ -212,6 +219,18 @@ def make_engine(
         if not checks:
             raise ValueError(f"kind={kind!r} needs a band")
         band = DEFAULT_BAND
+    return band, checks
+
+
+def make_engine(
+    kind: str, band: int | None = None, **options
+) -> BatchedEngine:
+    """The engine a user-facing ``--engine`` name stands for.
+
+    ``band`` resolves as in :func:`_resolve_policy`; ``options`` go to
+    :class:`BatchedEngine` (``kernel``, ``scoring``).
+    """
+    band, checks = _resolve_policy(kind, band)
     return BatchedEngine(band=band, checks=checks, **options)
 
 
@@ -247,12 +266,9 @@ def make_resilient(
     """
     # Local import keeps the engine module importable without pulling
     # the faults package into every pipeline run.
-    from repro.faults import (
-        ChaosEngine,
-        FaultInjector,
-        ResilientDispatcher,
-        RetryPolicy,
-    )
+    from repro.faults.chaos import ChaosEngine
+    from repro.faults.injector import FaultInjector
+    from repro.faults.resilience import ResilientDispatcher, RetryPolicy
 
     injector = None
     wrapped = engine
@@ -283,3 +299,67 @@ def make_resilient(
         breaker=breaker,
         **kwargs,
     )
+
+
+@dataclass(frozen=True)
+class EngineSpec:
+    """A picklable recipe for building an extension engine.
+
+    ``kind`` is a user-facing engine name (``full``, ``banded``,
+    ``batched``, ``seedex``), resolved to a ``(band, checks)`` policy
+    by :func:`make_engine`; ``band`` is required for ``banded``,
+    optional for ``seedex`` and unused by the full-band kinds.  The
+    chaos fields mirror the CLI's ``--chaos`` flags: with
+    ``chaos=True`` the built engine is wrapped in the fault-injecting
+    resilient dispatcher, each worker running its own injector (same
+    seed, disjoint job streams).  ``breaker_threshold`` (``None`` =
+    off) arms the accelerator circuit breaker inside that dispatcher
+    — see :mod:`repro.durability.breaker`.  ``kernel`` names the DP
+    backend (``scalar``/``numpy``/``striped``; ``None`` = environment
+    default) — a name rather than an instance so the spec stays
+    picklable.
+
+    The fields are the engine part of a journaled run's configuration
+    fingerprint (:func:`repro.durability.runner.run_fingerprint`), so
+    they are the whole recipe and nothing else.
+    """
+
+    kind: str = "full"
+    band: int | None = None
+    kernel: str | None = None
+    chaos: bool = False
+    fault_rate: float = 0.01
+    fault_seed: int = 0
+    max_retries: int = 3
+    timeout_s: float = 0.25
+    breaker_threshold: int | None = None
+    breaker_probe_interval: int = 32
+
+    @property
+    def engine_name(self) -> str:
+        """The label of the engine :meth:`engine` builds, unbuilt."""
+        return _policy_name(*_resolve_policy(self.kind, self.band))
+
+    def engine(self) -> BatchedEngine:
+        """The bare wave engine: the policy on the named backend."""
+        return make_engine(self.kind, self.band, kernel=self.kernel)
+
+    def wrap(self, engine):
+        """``engine`` behind the resilient dispatcher when the chaos or
+        breaker fields ask for one; ``engine`` itself otherwise."""
+        if not self.chaos and self.breaker_threshold is None:
+            return engine
+        return make_resilient(
+            engine,
+            fault_rate=self.fault_rate if self.chaos else 0.0,
+            fault_seed=self.fault_seed,
+            max_retries=self.max_retries,
+            timeout_s=self.timeout_s,
+            registry=obs.get_registry() if obs.enabled() else None,
+            breaker_threshold=self.breaker_threshold,
+            breaker_probe_interval=self.breaker_probe_interval,
+        )
+
+    def build(self):
+        """Construct the engine (plus chaos wrapper) this spec names."""
+        return self.wrap(self.engine())

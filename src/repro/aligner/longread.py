@@ -526,7 +526,7 @@ class LongReadRecipe:
     ``mode`` selects the schedule (``scalar`` loops
     :meth:`LongReadAligner.align`; ``batched`` runs the three-wave
     :meth:`LongReadAligner.align_batch` in windows of ``batch_size``),
-    ``spec`` (an :class:`~repro.aligner.parallel.EngineSpec`, required
+    ``spec`` (an :class:`~repro.aligner.engines.EngineSpec`, required
     by ``batched`` and unused by ``scalar``) names the end-wave engine
     and ``options`` go to :class:`LongReadAligner`.  Both modes, in one
     process or under :func:`~repro.aligner.parallel.align_supervised`

@@ -49,8 +49,9 @@ snapshot into the live registry via
 (timelines are not mergeable across processes).
 
 Engines cannot be pickled (they hold kernels, RNGs, registries), so
-recipes carry an :class:`EngineSpec` — a frozen, picklable engine
-description — and workers build their own engine from it.
+recipes carry an :class:`~repro.aligner.engines.EngineSpec` — a
+frozen, picklable engine description — and workers build their own
+engine from it.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ from multiprocessing import connection as mp_connection
 import numpy as np
 
 from repro import obs
+from repro.aligner.engines import EngineSpec
 from repro.aligner.waves import DEFAULT_BATCH_SIZE
 from repro.durability.supervisor import (
     QUARANTINE_TAG,
@@ -139,55 +141,6 @@ def _resolve_context(start_method: str | None):
             f"platform (have: {', '.join(methods)})"
         )
     return mp.get_context(start_method), start_method
-
-
-@dataclass(frozen=True)
-class EngineSpec:
-    """A picklable recipe for building an extension engine.
-
-    ``kind`` is a user-facing engine name (``full``, ``banded``,
-    ``batched``, ``seedex``), resolved to a ``(band, checks)`` policy
-    by :func:`~repro.aligner.engines.make_engine`; ``band`` is
-    required for ``banded``, optional for ``seedex`` and unused by the
-    full-band kinds.  The chaos fields mirror the CLI's ``--chaos`` flags: with
-    ``chaos=True`` the built engine is wrapped in the fault-injecting
-    resilient dispatcher, each worker running its own injector (same
-    seed, disjoint job streams).  ``breaker_threshold`` (``None`` =
-    off) arms the accelerator circuit breaker inside that dispatcher
-    — see :mod:`repro.durability.breaker`.  ``kernel`` names the DP
-    backend (``scalar``/``numpy``/``striped``; ``None`` = environment
-    default) — a name rather than an instance so the spec stays
-    picklable.
-    """
-
-    kind: str = "full"
-    band: int | None = None
-    kernel: str | None = None
-    chaos: bool = False
-    fault_rate: float = 0.01
-    fault_seed: int = 0
-    max_retries: int = 3
-    timeout_s: float = 0.25
-    breaker_threshold: int | None = None
-    breaker_probe_interval: int = 32
-
-    def build(self):
-        """Construct the engine (plus chaos wrapper) this spec names."""
-        from repro.aligner.engines import make_engine, make_resilient
-
-        engine = make_engine(self.kind, self.band, kernel=self.kernel)
-        if not self.chaos and self.breaker_threshold is None:
-            return engine
-        return make_resilient(
-            engine,
-            fault_rate=self.fault_rate if self.chaos else 0.0,
-            fault_seed=self.fault_seed,
-            max_retries=self.max_retries,
-            timeout_s=self.timeout_s,
-            registry=obs.get_registry() if obs.enabled() else None,
-            breaker_threshold=self.breaker_threshold,
-            breaker_probe_interval=self.breaker_probe_interval,
-        )
 
 
 @dataclass(frozen=True)

@@ -1,26 +1,1 @@
 """Workload analysis and experiment harness helpers."""
-
-from repro.analysis.band_analysis import (
-    band_distribution,
-    estimated_band,
-    minimal_band,
-)
-from repro.analysis.passing import passing_point, passing_sweep
-from repro.analysis.report import (
-    PaperComparison,
-    comparison_table,
-    format_table,
-    print_table,
-)
-
-__all__ = [
-    "PaperComparison",
-    "band_distribution",
-    "comparison_table",
-    "estimated_band",
-    "format_table",
-    "minimal_band",
-    "passing_point",
-    "passing_sweep",
-    "print_table",
-]

@@ -11,25 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-
-def format_table(
-    headers: Sequence[str], rows: Iterable[Sequence[object]]
-) -> str:
-    """Render an aligned ASCII table."""
-    str_rows = [[_fmt(c) for c in row] for row in rows]
-    widths = [len(h) for h in headers]
-    for row in str_rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = [
-        "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)),
-        "  ".join("-" * w for w in widths),
-    ]
-    for row in str_rows:
-        lines.append(
-            "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row))
-        )
-    return "\n".join(lines)
+from repro.obs.table import format_table
 
 
 def print_table(
@@ -40,18 +22,6 @@ def print_table(
     """Print a titled, aligned table to stdout."""
     print(f"\n== {title} ==")
     print(format_table(headers, rows))
-
-
-def _fmt(cell: object) -> str:
-    if isinstance(cell, float):
-        if cell == 0:
-            return "0"
-        if abs(cell) >= 1000:
-            return f"{cell:,.0f}"
-        if abs(cell) >= 10:
-            return f"{cell:.1f}"
-        return f"{cell:.3f}"
-    return str(cell)
 
 
 def ascii_bars(

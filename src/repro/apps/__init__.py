@@ -5,13 +5,3 @@ to any DP whose computation has single-dimension locality; these
 modules demonstrate it on dynamic time warping and longest common
 subsequence.
 """
-
-from repro.apps.dtw import banded_dtw, dtw_with_guarantee
-from repro.apps.lcs import banded_lcs, lcs_with_guarantee
-
-__all__ = [
-    "banded_dtw",
-    "banded_lcs",
-    "dtw_with_guarantee",
-    "lcs_with_guarantee",
-]

@@ -39,29 +39,11 @@ import time
 
 import numpy as np
 
+# Only what building the parser needs is imported here: each cmd_*
+# imports the subsystem it runs, so a command loads what it uses.
 from repro import obs
-from repro.aligner.engines import ENGINE_POLICIES, make_engine
-from repro.aligner.pipeline import Aligner
-from repro.analysis.report import format_table
-from repro.genome.io_fasta import (
-    FastaRecord,
-    FastqRecord,
-    read_fasta,
-    read_fastq,
-    write_fasta,
-    write_fastq,
-)
-from repro.genome.sam import write_sam
-from repro.genome.sequence import decode, encode
-from repro.genome.synth import (
-    CLEAN,
-    PLATINUM_LIKE,
-    ReadSimulator,
-    synthesize_reference,
-)
+from repro.aligner.engines import ENGINE_POLICIES, EngineSpec
 from repro.kernels import available_kernels, get_kernel
-
-PROFILES = {"platinum": PLATINUM_LIKE, "clean": CLEAN}
 
 
 def _int_at_least(low: int, at_most: int | None = None):
@@ -226,7 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sim.add_argument("--length", type=_int_at_least(1), default=50_000)
     sim.add_argument("--reads", type=_int_at_least(1), default=100)
-    sim.add_argument("--profile", choices=sorted(PROFILES), default="platinum")
+    sim.add_argument(
+        "--profile", choices=("clean", "platinum"), default="platinum"
+    )
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out-reference", required=True)
     sim.add_argument("--out-reads", required=True)
@@ -777,6 +761,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_reference(path: str) -> tuple[str, np.ndarray]:
+    from repro.genome.io_fasta import read_fasta
+    from repro.genome.sequence import encode
+
     records = read_fasta(path)
     if not records:
         raise SystemExit(f"error: {path} contains no FASTA records")
@@ -836,7 +823,9 @@ def _open_index(args: argparse.Namespace, reference: np.ndarray):
     path = getattr(args, "index", None)
     if not path:
         return None
-    from repro.index import IndexArtifactError, build_index, load_index
+    from repro.index.build import build_index
+    from repro.index.errors import IndexArtifactError
+    from repro.index.store import load_index
     from repro.obs import names as mn
 
     def _load_and_pin():
@@ -867,23 +856,19 @@ def _open_index(args: argparse.Namespace, reference: np.ndarray):
         return _load_and_pin()
 
 
-def _make_engine(args: argparse.Namespace):
-    """The wave engine the ``--engine``/``--band``/``--kernel`` flags name."""
-    return make_engine(
-        args.engine, args.band, kernel=getattr(args, "kernel", None)
-    )
+def _engine_spec(args: argparse.Namespace, kind: str | None = None):
+    """The picklable :class:`EngineSpec` the engine and chaos flags name.
 
-
-def _engine_spec(args: argparse.Namespace):
-    """The picklable :class:`EngineSpec` matching the CLI flags."""
-    from repro.aligner.parallel import EngineSpec
-
+    ``kind`` stands in for ``--engine`` on commands that run one fixed
+    policy (``analyze``).
+    """
+    kind = kind or args.engine
     # The spec is part of the journal fingerprint: --band is recorded
     # only where the policy uses it, so a full-band run resumes under
     # any --band.
-    narrow, _ = ENGINE_POLICIES[args.engine]
+    narrow, _ = ENGINE_POLICIES[kind]
     return EngineSpec(
-        kind=args.engine,
+        kind=kind,
         band=args.band if narrow else None,
         # Resolved to a concrete name here so workers do not depend on
         # the parent's environment.
@@ -896,27 +881,6 @@ def _engine_spec(args: argparse.Namespace):
         breaker_threshold=getattr(args, "breaker_threshold", None),
         breaker_probe_interval=getattr(args, "breaker_probe_interval", 32),
     )
-
-
-def _wrap_chaos(engine, args: argparse.Namespace):
-    """Wrap ``engine`` per the ``--chaos``/breaker flags; ``None`` off."""
-    chaos = getattr(args, "chaos", False)
-    threshold = getattr(args, "breaker_threshold", None)
-    if not chaos and threshold is None:
-        return engine, None
-    from repro.aligner.engines import make_resilient
-
-    dispatcher = make_resilient(
-        engine,
-        fault_rate=args.fault_rate if chaos else 0.0,
-        fault_seed=args.fault_seed,
-        max_retries=args.max_retries,
-        timeout_s=args.timeout,
-        registry=obs.get_registry() if obs.enabled() else None,
-        breaker_threshold=threshold,
-        breaker_probe_interval=getattr(args, "breaker_probe_interval", 32),
-    )
-    return dispatcher, dispatcher
 
 
 def _print_chaos_summary(dispatcher) -> None:
@@ -994,7 +958,8 @@ def _score_after_align(args: argparse.Namespace) -> None:
     card_out = getattr(args, "scorecard_out", None)
     if not truth and not card_out:
         return
-    from repro.scorecard import TruthError, score_sam, truth_path_for
+    from repro.scorecard.score import score_sam
+    from repro.scorecard.truth import TruthError, truth_path_for
 
     truth = truth or truth_path_for(args.reads)
     try:
@@ -1014,12 +979,9 @@ def _score_after_align(args: argparse.Namespace) -> None:
 def cmd_longread(args: argparse.Namespace) -> int:
     """Align long reads (seed-chain-fill), write SAM."""
     from repro.aligner.longread import LongReadRecipe
-    from repro.aligner.parallel import (
-        EngineSpec,
-        StartMethodError,
-        align_supervised,
-    )
-    from repro.durability import SupervisorError
+    from repro.genome.io_fasta import read_fastq
+    from repro.genome.sam import write_sam
+    from repro.genome.sequence import encode
 
     name, reference = _load_reference(args.reference)
     reads = read_fastq(args.reads)
@@ -1044,6 +1006,9 @@ def cmd_longread(args: argparse.Namespace) -> int:
     notes: list[str] = []
     start = time.perf_counter()
     if args.workers > 1:
+        from repro.aligner.parallel import StartMethodError, align_supervised
+        from repro.durability.supervisor import SupervisorError
+
         try:
             outcome = align_supervised(
                 reference,
@@ -1083,6 +1048,8 @@ def cmd_overlap(args: argparse.Namespace) -> int:
         find_overlaps,
         write_overlaps,
     )
+    from repro.genome.io_fasta import read_fastq
+    from repro.genome.sequence import encode
 
     reads = read_fastq(args.reads)
     params = OverlapParams(
@@ -1112,7 +1079,8 @@ def cmd_overlap(args: argparse.Namespace) -> int:
 
 def cmd_score(args: argparse.Namespace) -> int:
     """Grade an existing SAM run against its truth sidecar."""
-    from repro.scorecard import TruthError, score_sam
+    from repro.scorecard.score import score_sam
+    from repro.scorecard.truth import TruthError
 
     try:
         card = score_sam(args.sam, args.truth, tolerance=args.tolerance)
@@ -1147,22 +1115,38 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     ``<reads>.truth.tsv`` sidecar so the run can later be scored with
     ``repro score`` or ``repro align --truth``.
     """
+    from repro.genome.io_fasta import (
+        FastaRecord,
+        FastqRecord,
+        write_fasta,
+        write_fastq,
+    )
+    from repro.genome.sequence import decode
+    from repro.genome.synth import (
+        CLEAN,
+        PLATINUM_LIKE,
+        LongReadProfile,
+        ReadSimulator,
+        simulate_long_reads,
+        synthesize_reference,
+    )
     from repro.scorecard.truth import TruthRecord
 
     if args.long and args.paired:
         raise SystemExit("error: --long and --paired are exclusive")
+    profile = {"platinum": PLATINUM_LIKE, "clean": CLEAN}[args.profile]
     rng = np.random.default_rng(args.seed)
     reference = synthesize_reference(args.length, rng)
     records: list[FastqRecord] = []
     truth_rows: list[TruthRecord] = []
     if args.long:
-        from repro.genome.synth import LongReadProfile, simulate_long_reads
-
-        profile = LongReadProfile(
-            read_length=args.long_length, length_sd=args.length_sd
-        )
         for r in simulate_long_reads(
-            reference, args.reads, rng, profile=profile
+            reference,
+            args.reads,
+            rng,
+            profile=LongReadProfile(
+                read_length=args.long_length, length_sd=args.length_sd
+            ),
         ):
             records.append(
                 FastqRecord(r.name, r.sequence, "I" * len(r.codes))
@@ -1172,7 +1156,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         from repro.aligner.paired import simulate_pairs
 
         for pair, pos1, pos2 in simulate_pairs(
-            reference, args.reads, rng, profile=PROFILES[args.profile]
+            reference, args.reads, rng, profile=profile
         ):
             for suffix, codes in (("/1", pair.first), ("/2", pair.second)):
                 records.append(
@@ -1192,9 +1176,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 TruthRecord(pair.name + "/2", pos2, reverse=True)
             )
     else:
-        sim = ReadSimulator(
-            reference, PROFILES[args.profile], seed=args.seed
-        )
+        sim = ReadSimulator(reference, profile, seed=args.seed)
         for r in sim.simulate(args.reads):
             records.append(
                 FastqRecord(r.name, r.sequence, "I" * len(r.codes))
@@ -1227,7 +1209,7 @@ def _read_input_fastq(args: argparse.Namespace):
     ``<run-dir>/bad_records.tsv`` when a run directory exists) instead
     of aborting the run.
     """
-    from repro.genome.io_fasta import MalformedRecordError
+    from repro.genome.io_fasta import MalformedRecordError, read_fastq
     from repro.obs import names as mn
 
     policy = getattr(args, "on_bad_record", "fail")
@@ -1266,6 +1248,10 @@ def _read_input_fastq(args: argparse.Namespace):
 
 def cmd_align(args: argparse.Namespace) -> int:
     """Align a FASTQ against a FASTA reference, write SAM."""
+    from repro.aligner.pipeline import Aligner
+    from repro.genome.sam import write_sam
+    from repro.genome.sequence import encode
+
     name, reference = _load_reference(args.reference)
     reads = _read_input_fastq(args)
     if args.resume and not args.run_dir:
@@ -1282,8 +1268,10 @@ def cmd_align(args: argparse.Namespace) -> int:
         if code == 0:
             _score_after_align(args)
         return code
-    base_engine = _make_engine(args)
-    engine, dispatcher = _wrap_chaos(base_engine, args)
+    spec = _engine_spec(args)
+    base_engine = spec.engine()
+    engine = spec.wrap(base_engine)
+    dispatcher = None if engine is base_engine else engine
     start = time.perf_counter()
     if args.paired:
         from repro.aligner.paired import PairedAligner, ReadPair
@@ -1397,16 +1385,17 @@ def _align_workers_cmd(
     the stitched SAM is byte-identical to an uninterrupted run.
     """
     from repro.aligner.parallel import StartMethodError, align_supervised
-    from repro.durability import (
+    from repro.durability.journal import JournalError
+    from repro.durability.runner import (
         GracefulShutdown,
-        JournalError,
         RunInterrupted,
-        SupervisorError,
-        SupervisorPolicy,
         run_fingerprint,
         run_journaled,
     )
-    from repro.index import IndexArtifactError
+    from repro.durability.supervisor import SupervisorError, SupervisorPolicy
+    from repro.genome.sam import write_sam
+    from repro.genome.sequence import encode
+    from repro.index.errors import IndexArtifactError
 
     spec = _engine_spec(args)
     loaded = _open_index(args, reference)
@@ -1494,7 +1483,7 @@ def _align_workers_cmd(
     elapsed = time.perf_counter() - start
     parts = [
         f"aligned {len(encoded)} reads{mapped} in {elapsed:.1f}s with "
-        f"engine {_make_engine(args).name} across {args.workers} "
+        f"engine {spec.engine_name} across {args.workers} "
         "worker(s)"
     ]
     if args.resume:
@@ -1524,16 +1513,20 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     numbers ``--metrics-out`` exports — so Figure-14 accounting and
     production metrics cannot drift apart.
     """
+    from repro.aligner.pipeline import Aligner
+    from repro.genome.io_fasta import read_fastq
+    from repro.genome.sequence import encode
     from repro.obs import names as mn
+    from repro.obs.table import format_table
 
     name, reference = _load_reference(args.reference)
     reads = read_fastq(args.reads)
     kernel_name = _resolve_kernel(args)
-    base_engine = make_engine(
-        "seedex", args.band, kernel=getattr(args, "kernel", None)
-    )
+    spec = _engine_spec(args, kind="seedex")
+    base_engine = spec.engine()
     base_engine.stats.reset()  # this invocation's workload only
-    engine, dispatcher = _wrap_chaos(base_engine, args)
+    engine = spec.wrap(base_engine)
+    dispatcher = None if engine is base_engine else engine
     aligner = Aligner(
         reference, engine, seeding=args.seeding, reference_name=name
     )
@@ -1580,6 +1573,8 @@ _STATS_TABLES = (
 
 def cmd_stats(args: argparse.Namespace) -> int:
     """Pretty-print a metrics snapshot written by ``--metrics-out``."""
+    from repro.obs.table import format_table
+
     try:
         with open(args.metrics_file) as handle:
             snap = json.load(handle)
@@ -1637,13 +1632,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
     flush the in-flight waves, answer every straggler, and exit 0 —
     a second signal kills immediately.  See ``docs/serve.md``.
     """
+    from repro.aligner.pipeline import Aligner
     from repro.serve.server import AlignmentServer, ServeConfig
 
     name, reference = _load_reference(args.reference)
-    _resolve_kernel(args)
     aligner = Aligner(
         reference,
-        make_engine("full", kernel=getattr(args, "kernel", None)),
+        EngineSpec(kind="full", kernel=_resolve_kernel(args)).build(),
         seeding=args.seeding,
         reference_name=name,
         index=_open_index(args, reference),
@@ -1712,12 +1707,10 @@ def cmd_index(args: argparse.Namespace) -> int:
     climbs the full load ladder and exits non-zero with the typed
     error on any refusal; ``info`` prints the artifact's identity.
     """
-    from repro.index import (
-        IndexArtifactError,
-        build_index,
-        read_header,
-        verify_artifact,
-    )
+    from repro.index.build import build_index
+    from repro.index.errors import IndexArtifactError
+    from repro.index.format import read_header
+    from repro.index.store import verify_artifact
 
     if args.index_command == "build":
         _, reference = _load_reference(args.reference)
@@ -1800,6 +1793,7 @@ def cmd_client(args: argparse.Namespace) -> int:
     died first).  ``--status`` instead prints the server's health
     payload and exits.
     """
+    from repro.genome.io_fasta import read_fastq
     from repro.serve.client import request_status, run_load
 
     port = args.port

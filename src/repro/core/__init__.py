@@ -1,35 +1,1 @@
 """SeedEx core: the speculate-and-test optimality-check framework."""
-
-from repro.core.checker import (
-    CheckConfig,
-    CheckDecision,
-    CheckOutcome,
-    OptimalityChecker,
-)
-from repro.core.extender import ExtenderStats, SeedExOutput, SeedExtender
-from repro.core.globalcheck import (
-    GlobalChecker,
-    GlobalOutcome,
-    GlobalSeedEx,
-)
-from repro.core.thresholds import (
-    Thresholds,
-    global_thresholds,
-    semiglobal_thresholds,
-)
-
-__all__ = [
-    "CheckConfig",
-    "CheckDecision",
-    "CheckOutcome",
-    "ExtenderStats",
-    "GlobalChecker",
-    "GlobalOutcome",
-    "GlobalSeedEx",
-    "OptimalityChecker",
-    "SeedExOutput",
-    "SeedExtender",
-    "Thresholds",
-    "global_thresholds",
-    "semiglobal_thresholds",
-]

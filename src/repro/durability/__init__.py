@@ -31,44 +31,3 @@ Everything composes with the chaos layer: a ``--chaos`` run that is
 killed and resumed still produces byte-identical SAM.  See
 ``docs/durability.md``.
 """
-
-from __future__ import annotations
-
-from repro.durability.breaker import (
-    BreakerPolicy,
-    BreakerState,
-    CircuitBreaker,
-)
-from repro.durability.journal import JournalError, RunJournal
-from repro.durability.runner import (
-    GracefulShutdown,
-    RunInterrupted,
-    run_fingerprint,
-    run_journaled,
-)
-from repro.durability.supervisor import (
-    PoisonPlan,
-    Quarantine,
-    SupervisorError,
-    SupervisorPolicy,
-)
-from repro.durability.wal import RequestWAL, WalError, WalReplay
-
-__all__ = [
-    "BreakerPolicy",
-    "BreakerState",
-    "CircuitBreaker",
-    "GracefulShutdown",
-    "JournalError",
-    "PoisonPlan",
-    "Quarantine",
-    "RequestWAL",
-    "RunInterrupted",
-    "RunJournal",
-    "SupervisorError",
-    "SupervisorPolicy",
-    "WalError",
-    "WalReplay",
-    "run_fingerprint",
-    "run_journaled",
-]

@@ -120,7 +120,7 @@ def run_fingerprint(
     output bytes.  Worker count and supervision knobs are deliberately
     absent: windows are the unit of work, so a run may resume at a
     different parallelism with identical output.  ``spec`` is an
-    :class:`~repro.aligner.parallel.EngineSpec`.
+    :class:`~repro.aligner.engines.EngineSpec`.
 
     ``index_fingerprint`` is the content fingerprint of the persistent
     index artifact the run seeds from (``None`` when seeding

@@ -12,60 +12,3 @@ output bit-identical to the full-band engine.
 
 See ``docs/resilience.md`` for the failure model and ladder diagram.
 """
-
-from __future__ import annotations
-
-from repro.faults.chaos import ChaosEngine
-from repro.faults.errors import (
-    DataCorruptionFault,
-    DeadLetterError,
-    FaultError,
-    MissingRecordFault,
-    SilentCorruptionError,
-    StalledStreamFault,
-    TransientAcceleratorFault,
-)
-from repro.faults.indexfaults import (
-    bitflip_section,
-    stale_magic,
-    stale_version,
-    tamper_header,
-    truncate_at,
-)
-from repro.faults.injector import (
-    ALL_SITES,
-    DATAPATH_SITES,
-    FaultInjector,
-)
-from repro.faults.netfaults import NetFaultPlan, NetFaultPolicy
-from repro.faults.resilience import (
-    DeadLetter,
-    ResilienceStats,
-    ResilientDispatcher,
-    RetryPolicy,
-)
-
-__all__ = [
-    "ALL_SITES",
-    "ChaosEngine",
-    "DATAPATH_SITES",
-    "DataCorruptionFault",
-    "DeadLetter",
-    "DeadLetterError",
-    "FaultError",
-    "FaultInjector",
-    "MissingRecordFault",
-    "NetFaultPlan",
-    "NetFaultPolicy",
-    "ResilienceStats",
-    "ResilientDispatcher",
-    "RetryPolicy",
-    "SilentCorruptionError",
-    "StalledStreamFault",
-    "TransientAcceleratorFault",
-    "bitflip_section",
-    "stale_magic",
-    "stale_version",
-    "tamper_header",
-    "truncate_at",
-]

@@ -22,8 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.faults.errors import (
-    CorruptLineError,
-    CorruptRecordError,
     DataCorruptionFault,
     MissingRecordFault,
     SilentCorruptionError,
@@ -35,8 +33,14 @@ from repro.faults.injector import (
     RECORD_SITES,
     FaultInjector,
 )
+from repro.faults.wire import (
+    CorruptLineError,
+    CorruptRecordError,
+    ResultRecord,
+    pack_job,
+    unpack_job,
+)
 from repro.genome.synth import ExtensionJob
-from repro.hw.io_path import ResultRecord, pack_job, unpack_job
 
 
 class ChaosEngine:

@@ -6,19 +6,15 @@ caused it, so the resilience layer can attribute each detected fault
 back to its injection and the chaos suite can assert the accounting
 invariant *injected == detected + tolerated* (no silent corruption).
 
-The low-level framing errors (:class:`~repro.hw.io_path.CorruptLineError`,
-:class:`~repro.hw.io_path.CorruptRecordError`) live with the framing
-code in :mod:`repro.hw.io_path`; the chaos engine wraps them into
+The low-level framing errors (:class:`~repro.faults.wire.CorruptLineError`,
+:class:`~repro.faults.wire.CorruptRecordError`) live with the framing
+code in :mod:`repro.faults.wire`; the chaos engine wraps them into
 :class:`DataCorruptionFault` with the injected site attached.
 """
 
 from __future__ import annotations
 
-from repro.hw.io_path import CorruptLineError, CorruptRecordError
-
 __all__ = [
-    "CorruptLineError",
-    "CorruptRecordError",
     "DataCorruptionFault",
     "DeadLetterError",
     "FaultError",

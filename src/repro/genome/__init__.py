@@ -1,15 +1,1 @@
 """Genomics substrate: sequences, synthetic data, FASTA/FASTQ, SAM."""
-
-from repro.genome.sequence import (
-    decode,
-    encode,
-    reverse_complement,
-    reverse_complement_str,
-)
-
-__all__ = [
-    "decode",
-    "encode",
-    "reverse_complement",
-    "reverse_complement_str",
-]

@@ -8,16 +8,3 @@
 * :mod:`repro.hw.area`, :mod:`repro.hw.timing` — analytic FPGA/ASIC
   cost models calibrated to the paper's published numbers.
 """
-
-from repro.hw.accelerator import AcceleratorConfig, SeedExAccelerator
-from repro.hw.edit_machine import EditMachine
-from repro.hw.seedex_core import SeedExCore
-from repro.hw.systolic import SystolicBSW
-
-__all__ = [
-    "AcceleratorConfig",
-    "EditMachine",
-    "SeedExAccelerator",
-    "SeedExCore",
-    "SystolicBSW",
-]

@@ -112,7 +112,7 @@ class SeedExAccelerator:
         long as the AXI round-trip fits under one initiation interval.
 
         ``model_io=True`` routes every job through the memory-line
-        packing path (:mod:`repro.hw.io_path`): jobs are serialized to
+        packing path (:mod:`repro.faults.wire`): jobs are serialized to
         512-bit lines, fed through the arbiter, and unpacked at the
         core — exercising the full Figure-7 input path functionally.
 
@@ -219,12 +219,8 @@ def _through_io_path(
     accounting invariant holds.
     """
     from repro.faults.injector import LINE_SITES
-    from repro.hw.io_path import (
-        Arbiter,
-        CorruptLineError,
-        pack_job,
-        unpack_job,
-    )
+    from repro.faults.wire import CorruptLineError, pack_job, unpack_job
+    from repro.hw.io_path import Arbiter
 
     per_stream: list[list[tuple[int, list[bytes], str]]] = [
         [] for _ in range(n_streams)

@@ -13,51 +13,3 @@ pins) and fails with a *typed* error rather than ever serving seeds
 from damaged or mismatched bytes.  See ``docs/index.md`` for the
 artifact format and the drift rules.
 """
-
-from __future__ import annotations
-
-from repro.index.build import build_index
-from repro.index.errors import (
-    IndexArtifactError,
-    IndexCorruptError,
-    IndexDriftError,
-    IndexMissingError,
-    IndexVersionError,
-)
-from repro.index.format import (
-    MAGIC,
-    SCHEMA_VERSION,
-    SECTION_NAMES,
-    IndexHeader,
-    SectionMeta,
-    build_fingerprint,
-    read_header,
-    reference_crc,
-)
-from repro.index.store import (
-    IndexHandle,
-    LoadedIndex,
-    load_index,
-    verify_artifact,
-)
-
-__all__ = [
-    "IndexArtifactError",
-    "IndexCorruptError",
-    "IndexDriftError",
-    "IndexHandle",
-    "IndexHeader",
-    "IndexMissingError",
-    "IndexVersionError",
-    "LoadedIndex",
-    "MAGIC",
-    "SCHEMA_VERSION",
-    "SECTION_NAMES",
-    "SectionMeta",
-    "build_fingerprint",
-    "build_index",
-    "load_index",
-    "read_header",
-    "reference_crc",
-    "verify_artifact",
-]

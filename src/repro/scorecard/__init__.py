@@ -27,37 +27,3 @@ serialized as a schema-versioned ``scorecard.json``.  Scoring is
 strictly read-only over the SAM stream: output bytes are identical
 with scoring on or off.
 """
-
-from __future__ import annotations
-
-from repro.scorecard.score import (
-    SCORECARD_SCHEMA,
-    Scorecard,
-    band_bucket,
-    mapq_bin,
-    score_records,
-    score_sam,
-)
-from repro.scorecard.truth import (
-    TRUTH_VERSION,
-    TruthError,
-    TruthRecord,
-    read_truth,
-    truth_path_for,
-    write_truth,
-)
-
-__all__ = [
-    "SCORECARD_SCHEMA",
-    "Scorecard",
-    "TRUTH_VERSION",
-    "TruthError",
-    "TruthRecord",
-    "band_bucket",
-    "mapq_bin",
-    "read_truth",
-    "score_records",
-    "score_sam",
-    "truth_path_for",
-    "write_truth",
-]

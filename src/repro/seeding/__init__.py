@@ -1,19 +1,1 @@
 """Seeding substrate: suffix array, FM-index, MEMs, k-mers, chaining."""
-
-from repro.seeding.chaining import Chain, chain_seeds, filter_chains
-from repro.seeding.fmindex import FMIndex
-from repro.seeding.kmer_index import KmerIndex
-from repro.seeding.mems import Seed, find_smems, seed_read
-from repro.seeding.suffixarray import build_suffix_array
-
-__all__ = [
-    "Chain",
-    "FMIndex",
-    "KmerIndex",
-    "Seed",
-    "build_suffix_array",
-    "chain_seeds",
-    "filter_chains",
-    "find_smems",
-    "seed_read",
-]

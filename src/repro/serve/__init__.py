@@ -30,35 +30,3 @@ Responses for accepted requests are byte-identical to batch-mode
 byte-identity harness (``tests/test_byte_identity.py``) holds the
 server to that bar, request by request.  See ``docs/serve.md``.
 """
-
-from __future__ import annotations
-
-from repro.serve.admission import AdmissionQueue, Decision, Ticket
-from repro.serve.client import LoadReport, request_status, run_load
-from repro.serve.protocol import (
-    ERROR_CODES,
-    PROTOCOL_VERSION,
-    ProtocolError,
-    Request,
-    parse_request,
-)
-from repro.serve.quotas import QuotaTable, TokenBucket
-from repro.serve.server import AlignmentServer, ServeConfig
-
-__all__ = [
-    "AdmissionQueue",
-    "AlignmentServer",
-    "Decision",
-    "ERROR_CODES",
-    "LoadReport",
-    "PROTOCOL_VERSION",
-    "ProtocolError",
-    "QuotaTable",
-    "Request",
-    "ServeConfig",
-    "Ticket",
-    "TokenBucket",
-    "parse_request",
-    "request_status",
-    "run_load",
-]

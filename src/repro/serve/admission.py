@@ -21,7 +21,8 @@ Its contract is the robustness envelope of ``repro serve``:
 
 All time is caller-supplied monotonic seconds; the queue itself never
 reads a clock, which keeps the shedding/deadline policies directly
-unit-testable.
+unit-testable.  :class:`MicroBatchPolicy` says how many tickets one
+:meth:`AdmissionQueue.pop_wave` takes and how long it lingers.
 """
 
 from __future__ import annotations
@@ -69,6 +70,35 @@ class Wave:
     closed: bool = False
     """True when the queue is drained *and* closed: the batcher's
     signal to exit its loop."""
+
+
+@dataclass(frozen=True)
+class MicroBatchPolicy:
+    """How the resident server coalesces requests into waves.
+
+    ``repro serve`` pops admitted requests from its bounded queue and
+    feeds them to the wave scheduler in micro-batches: up to
+    ``max_batch`` reads per wave, waiting at most ``linger_ms`` from
+    the first available request for the batch to fill.  Small
+    ``linger_ms`` favours latency; large favours wave occupancy (the
+    same producer/consumer trade :mod:`repro.system.batching`'s
+    steady-state model quantifies for the paper's FPGA driver
+    threads).
+    """
+
+    max_batch: int = 64
+    linger_ms: float = 20.0
+
+    def __post_init__(self) -> None:
+        if self.max_batch < 1:
+            raise ValueError("max_batch must be at least 1")
+        if self.linger_ms < 0:
+            raise ValueError("linger_ms must be non-negative")
+
+    @property
+    def linger_s(self) -> float:
+        """The linger window in seconds (the queue's native unit)."""
+        return self.linger_ms / 1000.0
 
 
 class AdmissionQueue:

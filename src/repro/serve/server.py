@@ -9,7 +9,7 @@ stream ALIGN requests at it over a local TCP socket.  Threads:
   quota draw, WAL admit, bounded-queue admission — answering every
   rejection inline in microseconds;
 * a single **batcher** thread pops micro-batches
-  (:class:`~repro.aligner.batching.MicroBatchPolicy`), drops expired
+  (:class:`~repro.serve.admission.MicroBatchPolicy`), drops expired
   tickets before they cost a wave, and feeds survivors through the
   existing wave scheduler (:func:`repro.aligner.waves.align_window`),
   answering each request from the per-read completion callback.
@@ -36,14 +36,18 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro import obs
-from repro.aligner.batching import MicroBatchPolicy
 from repro.aligner.waves import align_window
 from repro.durability.breaker import BreakerPolicy, CircuitBreaker
 from repro.durability.runner import GracefulShutdown
 from repro.durability.wal import WAL_NAME, RequestWAL
 from repro.genome.sequence import encode as encode_seq
 from repro.obs import names as mn
-from repro.serve.admission import DEFAULT_CAPACITY, AdmissionQueue, Ticket
+from repro.serve.admission import (
+    DEFAULT_CAPACITY,
+    AdmissionQueue,
+    MicroBatchPolicy,
+    Ticket,
+)
 from repro.serve.protocol import (
     E_BAD_REQUEST,
     E_BREAKER_OPEN,

@@ -1,16 +1,1 @@
 """Host + FPGA system integration models (paper Sections V, VII-B)."""
-
-from repro.system.events import simulate_timeline, threads_to_saturate
-from repro.system.fpga import F1Instance
-from repro.system.host import RerunBudget, time_software_kernel
-from repro.system.scheduler import figure17_table, model_configuration
-
-__all__ = [
-    "F1Instance",
-    "RerunBudget",
-    "figure17_table",
-    "model_configuration",
-    "simulate_timeline",
-    "threads_to_saturate",
-    "time_software_kernel",
-]

@@ -1,6 +1,6 @@
 """Discrete-event simulation of the FPGA driving protocol (Fig 12).
 
-The steady-state model in :mod:`repro.aligner.batching` answers "who
+The steady-state model in :mod:`repro.system.batching` answers "who
 is the bottleneck"; this simulator replays the actual protocol the
 paper describes — seeding threads produce batches, FPGA threads
 package and DMA them, take the FPGA lock, issue ``batch_start``, poll

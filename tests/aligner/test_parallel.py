@@ -20,11 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.aligner.engines import BatchedEngine
+from repro.aligner.engines import BatchedEngine, EngineSpec
 from repro.aligner.longread import LongReadRecipe
 from repro.aligner.parallel import (
     AlignRecipe,
-    EngineSpec,
     StartMethodError,
     _task_plan,
     align_supervised,

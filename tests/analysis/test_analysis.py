@@ -12,12 +12,10 @@ from repro.analysis.band_analysis import (
     minimal_band,
 )
 from repro.analysis.passing import passing_point, passing_sweep
-from repro.analysis.report import (
-    PaperComparison,
-    format_table,
-)
+from repro.analysis.report import PaperComparison
 from repro.core.checker import CheckConfig
 from repro.genome.synth import ExtensionJob, extension_corpus
+from repro.obs.table import format_table
 
 
 @pytest.fixture(scope="module")

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.aligner.parallel import AlignRecipe, EngineSpec
+from repro.aligner.engines import EngineSpec
+from repro.aligner.parallel import AlignRecipe
 from repro.durability.journal import JournalError, RunJournal
 from repro.durability.runner import (
     GracefulShutdown,

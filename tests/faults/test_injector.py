@@ -10,8 +10,8 @@ from repro.faults.injector import (
     RECORD_SITES,
     FaultInjector,
 )
+from repro.faults.wire import pack_job
 from repro.genome.synth import ExtensionJob
-from repro.hw.io_path import pack_job
 
 pytestmark = pytest.mark.chaos
 """Chaos tier: selected by the CI chaos job via ``-m chaos``."""

@@ -45,7 +45,7 @@ def sam_bytes(
     writer so outputs are directly ``==``-comparable.
 
     ``engine`` is an engine instance for in-process runs, a picklable
-    :class:`~repro.aligner.parallel.EngineSpec` (mandatory when
+    :class:`~repro.aligner.engines.EngineSpec` (mandatory when
     ``workers > 1``), or a
     :class:`~repro.aligner.longread.LongReadRecipe` for long reads.
     ``batch_size=None`` runs the per-read path; an integer routes
@@ -59,7 +59,8 @@ def sam_bytes(
     """
     from repro.aligner.longread import LongReadRecipe
     from repro.aligner.paired import PairedAligner
-    from repro.aligner.parallel import EngineSpec, align_supervised
+    from repro.aligner.engines import EngineSpec
+    from repro.aligner.parallel import align_supervised
     from repro.aligner.pipeline import Aligner
     from repro.genome.sam import write_sam
 

@@ -5,16 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults.wire import CHARS_PER_LINE, LINE_BYTES, pack_job, unpack_job
 from repro.genome.synth import ExtensionJob
-from repro.hw.io_path import (
-    CHARS_PER_LINE,
-    LINE_BYTES,
-    Arbiter,
-    coalesce_results,
-    lines_per_job,
-    pack_job,
-    unpack_job,
-)
+from repro.hw.io_path import Arbiter, coalesce_results, lines_per_job
 
 SEQ = st.lists(st.integers(0, 4), min_size=1, max_size=200).map(
     lambda xs: np.array(xs, dtype=np.uint8)
@@ -148,7 +141,7 @@ class TestCorruptionDetection:
         bit=st.integers(0, 10_000),
     )
     def test_any_single_bitflip_detected(self, q, t, h0, bit):
-        from repro.hw.io_path import CorruptLineError
+        from repro.faults.wire import CorruptLineError
 
         lines = pack_job(_job(q, t, h0))
         blob = bytearray(b"".join(lines))
@@ -164,7 +157,7 @@ class TestCorruptionDetection:
     @settings(max_examples=60, deadline=None)
     @given(q=SEQ, t=SEQ, h0=st.integers(0, 200), drop=st.integers(0, 99))
     def test_dropped_line_detected(self, q, t, h0, drop):
-        from repro.hw.io_path import CorruptLineError
+        from repro.faults.wire import CorruptLineError
 
         lines = pack_job(_job(q, t, h0))
         del lines[drop % len(lines)]
@@ -174,7 +167,7 @@ class TestCorruptionDetection:
     @settings(max_examples=60, deadline=None)
     @given(q=SEQ, t=SEQ, h0=st.integers(0, 200), cut=st.integers(0, 63))
     def test_truncated_line_detected(self, q, t, h0, cut):
-        from repro.hw.io_path import CorruptLineError
+        from repro.faults.wire import CorruptLineError
 
         lines = pack_job(_job(q, t, h0))
         lines[-1] = lines[-1][:cut]
@@ -182,7 +175,7 @@ class TestCorruptionDetection:
             unpack_job(lines)
 
     def test_reordered_lines_detected(self):
-        from repro.hw.io_path import CorruptLineError
+        from repro.faults.wire import CorruptLineError
 
         rng = np.random.default_rng(8)
         q = rng.integers(0, 4, size=101).astype(np.uint8)
@@ -194,7 +187,7 @@ class TestCorruptionDetection:
             unpack_job(lines)
 
     def test_error_carries_field_and_offset(self):
-        from repro.hw.io_path import CorruptLineError
+        from repro.faults.wire import CorruptLineError
 
         q = np.zeros(120, dtype=np.uint8)
         lines = pack_job(_job(q, q, 5))
@@ -213,12 +206,12 @@ class TestCorruptionDetection:
 
 class TestResultRecord:
     def _record(self):
-        from repro.hw.io_path import ResultRecord
+        from repro.faults.wire import ResultRecord
 
         return ResultRecord(lscore=87, lpos=(93, 101), gscore=83, gpos=99)
 
     def test_roundtrip(self):
-        from repro.hw.io_path import RESULT_BYTES, ResultRecord
+        from repro.faults.wire import RESULT_BYTES, ResultRecord
 
         rec = self._record()
         blob = rec.pack()
@@ -237,7 +230,7 @@ class TestResultRecord:
     def test_any_record_bitflip_detected(
         self, lscore, li, lj, gscore, gpos, bit
     ):
-        from repro.hw.io_path import CorruptRecordError, ResultRecord
+        from repro.faults.wire import CorruptRecordError, ResultRecord
 
         rec = ResultRecord(
             lscore=lscore, lpos=(li, lj), gscore=gscore, gpos=gpos
@@ -248,7 +241,7 @@ class TestResultRecord:
             ResultRecord.unpack(bytes(blob))
 
     def test_truncation_detected(self):
-        from repro.hw.io_path import CorruptRecordError, ResultRecord
+        from repro.faults.wire import CorruptRecordError, ResultRecord
 
         blob = self._record().pack()
         for cut in range(len(blob)):
@@ -256,7 +249,7 @@ class TestResultRecord:
                 ResultRecord.unpack(blob[:cut])
 
     def test_out_of_range_rejected_at_pack(self):
-        from repro.hw.io_path import ResultRecord
+        from repro.faults.wire import ResultRecord
 
         with pytest.raises(ValueError):
             ResultRecord(lscore=2**15, lpos=(0, 0), gscore=0, gpos=0).pack()
@@ -266,7 +259,7 @@ class TestResultRecord:
     def test_from_result_matches_engine_fields(self):
         from repro.align import banded
         from repro.align.scoring import BWA_MEM_SCORING
-        from repro.hw.io_path import ResultRecord
+        from repro.faults.wire import ResultRecord
 
         rng = np.random.default_rng(21)
         q = rng.integers(0, 4, size=60).astype(np.uint8)
@@ -281,11 +274,8 @@ class TestResultRecord:
 
 class TestRecordCoalescer:
     def test_roundtrip_five_to_one(self):
-        from repro.hw.io_path import (
-            ResultRecord,
-            coalesce_record_lines,
-            split_record_lines,
-        )
+        from repro.faults.wire import ResultRecord
+        from repro.hw.io_path import coalesce_record_lines, split_record_lines
 
         records = [
             ResultRecord(lscore=k, lpos=(k, k + 1), gscore=-k, gpos=k).pack()
@@ -297,12 +287,8 @@ class TestRecordCoalescer:
         assert split_record_lines(lines, 13) == records
 
     def test_lost_output_line_detected(self):
-        from repro.hw.io_path import (
-            CorruptRecordError,
-            ResultRecord,
-            coalesce_record_lines,
-            split_record_lines,
-        )
+        from repro.faults.wire import CorruptRecordError, ResultRecord
+        from repro.hw.io_path import coalesce_record_lines, split_record_lines
 
         records = [
             ResultRecord(lscore=k, lpos=(0, 0), gscore=0, gpos=0).pack()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.genome.synth import ReadSimulator, synthesize_reference
-from repro.index import build_index
+from repro.index.build import build_index
 
 
 @pytest.fixture(scope="module")

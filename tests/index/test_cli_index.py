@@ -74,7 +74,7 @@ class TestIndexSubcommands:
         _, _, _, idx = workload
         assert main(["index", "info", "--index", idx, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        from repro.index import SECTION_NAMES
+        from repro.index.format import SECTION_NAMES
 
         assert set(payload["sections"]) == set(SECTION_NAMES)
         assert payload["schema_version"] == 1
@@ -107,7 +107,7 @@ class TestAlignWithIndex:
             )
             == 0
         )
-        from repro.index import read_header
+        from repro.index.format import read_header
 
         header = read_header(idx)
         (pg,) = [
@@ -165,7 +165,7 @@ class TestServeStatus:
     def test_status_payload_carries_index_meta(self, workload):
         from repro.aligner.pipeline import Aligner
         from repro.cli import _load_reference
-        from repro.index import load_index
+        from repro.index.store import load_index
         from repro.serve.server import AlignmentServer
 
         _, ref, _, idx = workload

@@ -21,16 +21,14 @@ from repro.faults.indexfaults import (
     tamper_header,
     truncate_at,
 )
-from repro.index import (
-    SECTION_NAMES,
+from repro.index.errors import (
     IndexArtifactError,
     IndexCorruptError,
     IndexMissingError,
     IndexVersionError,
-    load_index,
-    verify_artifact,
 )
-from repro.index.format import _FIXED
+from repro.index.format import _FIXED, SECTION_NAMES
+from repro.index.store import load_index, verify_artifact
 
 pytestmark = pytest.mark.chaos
 
@@ -131,8 +129,9 @@ class TestNoSilentSeeds:
     def test_sharded_run_over_vanished_artifact_fails_typed(
         self, reference, reads, tmp_path
     ):
-        from repro.aligner.parallel import EngineSpec, align_supervised
-        from repro.index import build_index
+        from repro.aligner.engines import EngineSpec
+        from repro.aligner.parallel import align_supervised
+        from repro.index.build import build_index
 
         path = tmp_path / "ref.rpidx"
         handle = build_index(reference, path).handle()
@@ -156,7 +155,7 @@ class TestErrorPickling:
             IndexCorruptError("msg", section="sa", offset=64),
             IndexMissingError("msg", path="/x/y.rpidx"),
         ]
-        from repro.index import IndexDriftError
+        from repro.index.errors import IndexDriftError
 
         errors.append(
             IndexDriftError("msg", field="k", found=21, expected=19)

@@ -13,15 +13,14 @@ import numpy as np
 import pytest
 
 from repro.durability.journal import atomic_write_bytes
-from repro.index import (
+from repro.index.build import build_index
+from repro.index.format import (
     SCHEMA_VERSION,
     SECTION_NAMES,
-    build_index,
-    load_index,
     read_header,
     reference_crc,
-    verify_artifact,
 )
+from repro.index.store import load_index, verify_artifact
 from repro.seeding.fmindex import FMIndex
 from repro.seeding.kmer_index import KmerIndex
 

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.aligner.parallel import EngineSpec
+from repro.aligner.engines import EngineSpec
 from repro.durability.journal import JournalError
 from repro.durability.runner import (
     fingerprint_reads,
     run_fingerprint,
     run_journaled,
 )
-from repro.index import build_index
+from repro.index.build import build_index
 
 
 def _fingerprint(reads, index_fingerprint):

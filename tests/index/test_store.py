@@ -14,13 +14,9 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.index import (
-    IndexDriftError,
-    IndexMissingError,
-    build_index,
-    load_index,
-)
-from repro.index.store import IndexHandle
+from repro.index.build import build_index
+from repro.index.errors import IndexDriftError, IndexMissingError
+from repro.index.store import IndexHandle, load_index
 
 
 class TestHandles:

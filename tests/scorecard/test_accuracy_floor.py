@@ -17,7 +17,8 @@ from repro.genome.synth import (
     ReadSimulator,
     synthesize_reference,
 )
-from repro.scorecard import TruthRecord, score_records
+from repro.scorecard.score import score_records
+from repro.scorecard.truth import TruthRecord
 
 SEED = 20200613
 

@@ -9,14 +9,14 @@ import pytest
 from repro.genome.sam import FLAG_REVERSE, FLAG_SECONDARY, FLAG_UNMAPPED, SamRecord
 from repro.obs import names
 from repro.obs.metrics import MetricsRegistry
-from repro.scorecard import (
+from repro.scorecard.score import (
     SCORECARD_SCHEMA,
-    TruthRecord,
     band_bucket,
     mapq_bin,
     score_records,
     score_sam,
 )
+from repro.scorecard.truth import TruthRecord
 
 
 def _mapped(qname, pos, mapq=60, flag=0, tags=()):

@@ -13,7 +13,7 @@ from repro.genome.synth import (
     synthesize_reference,
     write_truth_sidecar,
 )
-from repro.scorecard import (
+from repro.scorecard.truth import (
     TruthError,
     TruthRecord,
     read_truth,

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.aligner.batching import MicroBatchPolicy
-from repro.serve.admission import AdmissionQueue, Ticket
+from repro.serve.admission import AdmissionQueue, MicroBatchPolicy, Ticket
 from repro.serve.protocol import (
     E_DRAINING,
     E_OVERLOADED,

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.aligner.batching import BatchingConfig, simulate_batching
 from repro.hw import timing
+from repro.system.batching import BatchingConfig, simulate_batching
 from repro.system.events import simulate_timeline, threads_to_saturate
 
 

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from repro import constants as paper
-from repro.aligner.batching import (
+from repro.genome.synth import extension_corpus
+from repro.system.batching import (
     BatchingConfig,
     best_thread_split,
     simulate_batching,
 )
-from repro.genome.synth import extension_corpus
 from repro.system.fpga import BatchTransfer, F1Instance, pcie_is_bottleneck
 from repro.system.host import RerunBudget, time_software_kernel
 from repro.system.scheduler import (

@@ -31,10 +31,14 @@ import pytest
 
 from repro.align import lockstep
 from repro.aligner import waves
-from repro.aligner.engines import BatchedEngine, make_engine, make_resilient
+from repro.aligner.engines import (
+    BatchedEngine,
+    EngineSpec,
+    make_engine,
+    make_resilient,
+)
 from repro.aligner.longread import LongReadRecipe
 from repro.aligner.paired import ReadPair, simulate_pairs
-from repro.aligner.parallel import EngineSpec
 from repro.genome.sequence import encode
 from repro.genome.synth import (
     PLATINUM_LIKE,
@@ -44,7 +48,8 @@ from repro.genome.synth import (
     simulate_long_reads,
     synthesize_reference,
 )
-from repro.index import build_index, load_index
+from repro.index.build import build_index
+from repro.index.store import load_index
 from tests.helpers import cli_output, sam_bytes, serve_report
 
 KERNELS = ("scalar", "numpy", "striped")

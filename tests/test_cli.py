@@ -344,7 +344,7 @@ class TestScorecardCli:
             return handle.read()
 
     def test_simulate_writes_truth_sidecar(self, workload):
-        from repro.scorecard import read_truth
+        from repro.scorecard.truth import read_truth
 
         _, _, reads = workload
         truth = read_truth(reads + ".truth.tsv")

@@ -7,7 +7,10 @@ these failing before the integration tests do.
 
 import ast
 import importlib
+import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -191,6 +194,182 @@ def _imported_modules(path: Path) -> set[str]:
             found.add(node.module)
             found.update(f"{node.module}.{a.name}" for a in node.names)
     return found
+
+
+_SRC = Path(__file__).resolve().parent.parent / "src"
+
+MODEL = (
+    "repro.hw",
+    "repro.system",
+    "repro.analysis",
+    "repro.align.adaptive",
+    "repro.align.automaton",
+)
+"""The paper's hardware and system model: what reproduces its figures.
+Everything else under ``src/repro`` is the product a user runs."""
+
+INIT_IMPORTERS = ("repro", "repro.obs", "repro.kernels")
+"""The package ``__init__``s that hold code (``repro``'s quick-start
+names, the process-wide registry, the backend registry)."""
+
+
+def _is_model(module: str) -> bool:
+    return any(module == m or module.startswith(m + ".") for m in MODEL)
+
+
+def _src_modules() -> dict[str, Path]:
+    """Every ``repro`` module under ``src/``, by dotted name."""
+    out = {}
+    for path in sorted((_SRC / "repro").rglob("*.py")):
+        parts = path.relative_to(_SRC).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        out[".".join(parts)] = path
+    return out
+
+
+_LOAD_CORE = frozenset({
+    "repro", "repro.cli", "repro.constants",
+    "repro.align", "repro.align.banded", "repro.align.editdp",
+    "repro.align.globalband", "repro.align.lockstep",
+    "repro.align.overlapdp", "repro.align.scoring",
+    "repro.aligner", "repro.aligner.engines",
+    "repro.core", "repro.core.checker", "repro.core.editcheck",
+    "repro.core.escore", "repro.core.extender", "repro.core.globalcheck",
+    "repro.core.thresholds",
+    "repro.genome", "repro.genome.io_fasta", "repro.genome.sequence",
+    "repro.kernels", "repro.kernels.scalar", "repro.kernels.striped",
+    "repro.kernels.wavefront",
+    "repro.obs", "repro.obs.metrics", "repro.obs.names",
+    "repro.obs.tracing",
+})
+"""What every command below loads: the parser's imports (the engine
+table, the backend registry), the DP fills and checks, FASTA/FASTQ."""
+
+_ALIGN_LOADS = _LOAD_CORE | {
+    "repro.align.cigar", "repro.align.fullmatrix",
+    "repro.aligner.pipeline", "repro.aligner.waves",
+    "repro.durability", "repro.durability.journal",
+    "repro.faults", "repro.faults.errors",
+    "repro.genome.sam",
+    "repro.index", "repro.index.errors", "repro.index.format",
+    "repro.index.store",
+    "repro.seeding", "repro.seeding.chaining", "repro.seeding.fmindex",
+    "repro.seeding.kmer_index", "repro.seeding.mems",
+    "repro.seeding.suffixarray",
+}
+
+COMMAND_LOADS = {
+    "align": _ALIGN_LOADS,
+    "longread": _ALIGN_LOADS | {
+        "repro.align.globalbatch", "repro.aligner.longread",
+    },
+    "overlap": _LOAD_CORE | {"repro.apps", "repro.apps.overlap"},
+}
+"""The ``repro.*`` modules a one-record run of each command loads in a
+fresh interpreter (``align`` with ``short_batched``'s flags)."""
+
+_LOADS_SCRIPT = """
+import contextlib, io, json, sys
+from repro.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+loaded = [m for m in sys.modules if m == "repro" or m.startswith("repro.")]
+print(json.dumps({"code": code, "modules": sorted(loaded)}))
+"""
+
+
+def _command_inputs(tmp_path: Path) -> dict[str, list[str]]:
+    """One-record inputs and argv per pinned command."""
+    rng = np.random.default_rng(37)
+    reference = "".join(rng.choice(list("ACGT"), size=6000))
+    (tmp_path / "ref.fa").write_text(f">chr1\n{reference}\n")
+
+    def fastq(name, *reads):
+        path = tmp_path / name
+        path.write_text("".join(
+            f"@r{k}\n{seq}\n+\n{'I' * len(seq)}\n"
+            for k, seq in enumerate(reads)
+        ))
+        return str(path)
+
+    ref, out = str(tmp_path / "ref.fa"), str(tmp_path / "out")
+    return {
+        "align": [
+            "align", "--reference", ref, "--out", out,
+            "--reads", fastq("short.fq", reference[2000:2101]),
+            "--engine", "batched", "--kernel", "striped",
+            "--seeding", "kmer", "--batch-size", "4096",
+        ],
+        "longread": [
+            "longread", "--reference", ref, "--out", out,
+            "--reads", fastq("long.fq", reference[1000:2500]),
+            "--engine", "batched", "--kernel", "striped",
+        ],
+        "overlap": [
+            "overlap", "--out", out,
+            "--reads", fastq(
+                "tiles.fq", reference[0:400], reference[250:650]
+            ),
+            "--kernel", "striped", "--band", "31",
+        ],
+    }
+
+
+class TestLayering:
+    def test_no_product_module_imports_the_model(self):
+        """The product never imports the model, at any nesting level:
+        a function-local import still loads the module when it runs."""
+        edges = sorted(
+            f"{name} -> {target}"
+            for name, path in _src_modules().items()
+            if not _is_model(name)
+            for target in _imported_modules(path)
+            if _is_model(target)
+        )
+        assert edges == []
+
+    def test_package_inits_import_nothing(self):
+        """One import path per name: a package ``__init__`` is its
+        docstring, so every name is imported from the module that
+        defines it."""
+        importing = sorted(
+            name
+            for name, path in _src_modules().items()
+            if path.name == "__init__.py"
+            and name not in INIT_IMPORTERS
+            and any(
+                isinstance(node, (ast.Import, ast.ImportFrom))
+                for node in ast.walk(ast.parse(path.read_text()))
+            )
+        )
+        assert importing == []
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_LOADS))
+    def test_a_command_loads_what_it_runs(self, command, tmp_path):
+        """Each command imports its own subsystem, so a fresh run loads
+        no model module and exactly the pinned set: a stray top-level
+        import fails here by name."""
+        argv = _command_inputs(tmp_path)[command]
+        env = dict(os.environ, PYTHONPATH=str(_SRC))
+        proc = subprocess.run(
+            [sys.executable, "-c", _LOADS_SCRIPT, *argv],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        report = json.loads(proc.stdout.splitlines()[-1])
+        assert report["code"] == 0
+        loaded = set(report["modules"])
+        assert sorted(m for m in loaded if _is_model(m)) == []
+        want = COMMAND_LOADS[command]
+        assert sorted(loaded - want) == [], (
+            f"{command} loads new modules; import them inside the "
+            "function that needs them"
+        )
+        assert sorted(want - loaded) == [], (
+            f"{command} no longer loads these; lower the pin"
+        )
+        if command == "align":
+            assert len(loaded) <= 50  # the budget a pin may not outgrow
 
 
 class TestKernelBackendsOwnTheFillsOnly:
@@ -396,8 +575,7 @@ class TestOneExtensionSchedule:
         import dataclasses
         import inspect
 
-        from repro.aligner.engines import BatchedEngine
-        from repro.aligner.parallel import EngineSpec
+        from repro.aligner.engines import BatchedEngine, EngineSpec
 
         with pytest.raises(ImportError):
             importlib.import_module("repro.aligner.cache")
