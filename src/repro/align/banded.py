@@ -54,26 +54,6 @@ def check_batch_shapes(queries, targets, h0s) -> int:
     return n
 
 
-MIN_SHAPE_CLASS = 16
-"""Smallest shape class: lengths up to 16 share one class."""
-
-
-def shape_class(length: int) -> int:
-    """The bucketing class of a length: the next power of two.
-
-    Geometric classes bound the within-class padding at 2x while
-    keeping the number of classes logarithmic in the length range, so
-    a ragged batch shatters into at most a handful of buckets.  The
-    striped kernel's narrow-band stripe groups and the overlap batch
-    bucket by it; every other lockstep sweep (extension waves,
-    traceback fills, gap fills) is planned by cells instead
-    (:func:`repro.align.lockstep.plan_buckets`).
-    """
-    if length <= MIN_SHAPE_CLASS:
-        return MIN_SHAPE_CLASS
-    return 1 << int(length - 1).bit_length()
-
-
 @dataclass(frozen=True)
 class ExtensionResult:
     """Scores and check inputs produced by one banded extension.

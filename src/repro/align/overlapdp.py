@@ -45,7 +45,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.align import lockstep
-from repro.align.banded import shape_class
 from repro.align.lockstep import DEAD, NEG_INF
 from repro.align.scoring import AffineGap
 
@@ -148,6 +147,25 @@ def overlap_scalar(
         score=score, t_end=t_end, band=w, qlen=qlen, tlen=tlen,
         bound=bound, cells_computed=cells,
     )
+
+
+MIN_SHAPE_CLASS = 16
+"""Smallest shape class: lengths up to 16 share one class."""
+
+
+def shape_class(length: int) -> int:
+    """The bucketing class of a length: the next power of two.
+
+    Geometric classes bound the within-class padding at 2x while
+    keeping the number of classes logarithmic in the length range, so
+    a ragged batch shatters into at most a handful of buckets.  Only
+    the overlap batch buckets by it; every other lockstep sweep
+    (extension waves, traceback fills, gap fills) is planned by cells
+    instead (:func:`repro.align.lockstep.plan_buckets`).
+    """
+    if length <= MIN_SHAPE_CLASS:
+        return MIN_SHAPE_CLASS
+    return 1 << int(length - 1).bit_length()
 
 
 def overlap_batch_lockstep(

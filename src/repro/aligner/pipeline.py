@@ -30,7 +30,6 @@ from repro.aligner.engines import BatchedEngine, ExtensionEngine
 from repro.faults.errors import DeadLetterError
 from repro.genome.sam import FLAG_REVERSE, SamRecord
 from repro.genome.sequence import decode, reverse_complement
-from repro.index.store import IndexHandle, LoadedIndex
 from repro.obs import names
 from repro.seeding.chaining import Chain, chain_seeds, filter_chains
 from repro.seeding.fmindex import FMIndex
@@ -83,14 +82,19 @@ class Aligner:
         min_seed_length: int = 19,
         band_margin: int = 45,
         max_chains: int = 3,
-        index: LoadedIndex | IndexHandle | None = None,
+        index: "LoadedIndex | IndexHandle | None" = None,
     ) -> None:
         # Shard workers receive the picklable capability, not the
         # loaded artifact; resolving it here keeps one code path for
         # in-process, forked, and spawned aligners — and surfaces a
         # vanished/swapped artifact as the typed error, in the worker.
-        if isinstance(index, IndexHandle):
-            index = index.open()
+        # Imported only here, so a run without --index never loads
+        # the index package.
+        if index is not None:
+            from repro.index.store import IndexHandle
+
+            if isinstance(index, IndexHandle):
+                index = index.open()
         self.reference = np.asarray(reference, dtype=np.uint8)
         self.reference_name = reference_name
         self.engine = engine or BatchedEngine()

@@ -136,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos_opts.add_argument(
         "--fault-seed",
-        type=int,
+        type=_int_at_least(0),
         default=0,
         metavar="N",
         help="RNG seed of the fault injector (default 0)",
@@ -165,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos_opts.add_argument(
         "--breaker-probe-interval",
-        type=int,
+        type=_int_at_least(1),
         default=32,
         metavar="N",
         help="jobs between half-open probes while the breaker is open "
@@ -179,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="DP kernel backend: 'scalar' (reference implementation), "
         "'numpy' (vectorized anti-diagonal), or 'striped' "
-        "(shape-bucketed inter-sequence lockstep); default from "
+        "(inter-sequence lockstep in cell-balanced buckets); default from "
         "$REPRO_KERNEL, else scalar.  Alignment output is "
         "bit-identical either way — only the @PG header line records "
         "the choice (see docs/kernels.md)",
@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument(
         "--profile", choices=("clean", "platinum"), default="platinum"
     )
-    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--seed", type=_int_at_least(0), default=0)
     sim.add_argument("--out-reference", required=True)
     sim.add_argument("--out-reads", required=True)
     sim.add_argument(
@@ -597,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     srv.add_argument(
         "--quota-burst",
-        type=float,
+        type=_float_above(1, inclusive=True),
         default=None,
         metavar="N",
         help="token-bucket burst size (default: the rate)",
@@ -611,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     srv.add_argument(
         "--breaker-threshold",
-        type=int,
+        type=_int_at_least(1),
         default=5,
         metavar="N",
         help="consecutive failed waves that open the engine circuit "
@@ -619,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     srv.add_argument(
         "--breaker-probe-interval",
-        type=int,
+        type=_int_at_least(1),
         default=32,
         metavar="N",
         help="denied waves between half-open probes (default 32)",
@@ -703,7 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
     cl.add_argument("--host", default="127.0.0.1")
     cl.add_argument(
         "--port",
-        type=int,
+        type=_int_at_least(1, at_most=65535),
         default=None,
         help="server port (or use --port-file)",
     )

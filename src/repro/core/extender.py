@@ -244,8 +244,9 @@ class SeedExtender:
 
         Order is a contract, not an accident: ``result[k]`` always
         belongs to ``jobs[k]``, regardless of how the active backend
-        reorders, buckets, or pads work internally (the striped kernel
-        sorts jobs by shape before sweeping and scatters results back).
+        reorders, buckets, or pads work internally (the lockstep sweep
+        plans jobs into cell-balanced buckets, tallest first, and
+        scatters results back).
         Backends raise :class:`repro.align.banded.BatchShapeError` when
         the per-job query/target/h0 lists disagree in length.
         """

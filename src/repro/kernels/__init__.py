@@ -13,9 +13,10 @@ implementations ship:
   (wavefront) kernels that vectorize along the dependency-free
   diagonals, the way the accelerator's systolic array does;
 * ``striped`` (:mod:`repro.kernels.striped`) — inter-sequence lockstep
-  kernels that shape-bucket a batch and sweep every job of a bucket
-  together in a band-offset layout, the way the accelerator fills its
-  PE array with many independent extensions.
+  fills: every extension batch goes to the one lockstep sweep, which
+  plans it into cell-balanced buckets and advances every job of a
+  bucket together, the way the accelerator fills its PE array with
+  many independent extensions.
 
 Backends are bit-identical on everything observable (scores, CIGARs,
 boundary channels, accept/rerun verdicts) — only the

@@ -220,14 +220,11 @@ KERNEL_EXTENSIONS = "kernel.extensions"
 
 KERNEL_BUCKET_TOTAL = "kernel.bucket_total"
 """Extension buckets swept: each lockstep-sweep bucket of
-``lockstep.extend_batch`` (any backend) and each striped stripe group."""
+``lockstep.extend_batch`` (any backend)."""
 
 KERNEL_BUCKET_PAD_CELLS = "kernel.bucket_pad_cells"
 """Extension DP cells spent on bucket padding: the cells a bucket's
 sweep covers minus its jobs' ``cells_computed``."""
-
-KERNEL_FALLBACK_TOTAL = "kernel.fallback_total"
-"""Batch jobs the striped kernel routed to the per-job fallback."""
 
 DURABILITY_WINDOWS_JOURNALED = "durability.windows.journaled"
 """Read windows whose SAM segment was committed to the journal."""
@@ -295,8 +292,7 @@ PIPELINE_BATCH_WAVE_JOBS = "pipeline.batch.wave.jobs"
 """Jobs carried by one wave (labels: ``side``)."""
 
 KERNEL_BUCKET_JOBS = "kernel.bucket_jobs"
-"""Jobs packed into one extension bucket (lockstep sweep or stripe
-group)."""
+"""Jobs packed into one extension bucket of the lockstep sweep."""
 
 SERVE_BATCH_READS = "serve.batch.reads"
 """Reads carried by one server micro-batch wave."""

@@ -17,9 +17,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.align.banded import BatchShapeError, full_band_for
-from repro.align.scoring import relaxed_edit_scoring
+from repro.align.banded import BatchShapeError, extend, full_band_for
+from repro.align.scoring import BWA_MEM_SCORING, relaxed_edit_scoring
 from repro.core.checker import CheckConfig, OptimalityChecker
+from repro.genome.sequence import random_sequence
 from repro.kernels import available_kernels, get_kernel
 
 from tests.strategies import (
@@ -111,8 +112,8 @@ def test_extend_batch_agrees(scoring, band, jobs):
 def test_ragged_batch_agrees(batch: RaggedBatch):
     """Per-job agreement on ragged batches across all three backends.
 
-    Covers the striped kernel's bucketing edges (empty batch, single
-    job, one job per bucket, exact pad boundaries) and checks not just
+    Covers the lockstep planner's bucket edges (empty batch, single
+    job, queries straddling the ``2w + 2`` column cap) and checks not just
     scores and boundary channels but the accept/rerun verdicts those
     feed.  The edit check demands a scoring its relaxed scheme
     dominates, so for the drawn schemes that violate that it is
@@ -166,6 +167,35 @@ def test_batch_order_is_preserved(batch: RaggedBatch):
         ):
             solo = kernel.extend(q, t, batch.scoring, h0, w=w)
             _assert_results_agree(solo, res)
+
+
+def test_long_job_in_a_ragged_narrow_batch():
+    """A 5,000 bp job rides in a ragged narrow-band batch of short,
+    empty and long-target jobs; every backend returns what the per-job
+    oracle does for each of them."""
+    band = 5
+    rng = np.random.default_rng(5000)
+    long_target = random_sequence(5000, rng)
+    long_query = long_target.copy()
+    long_query[::97] = (long_query[::97] + 1) % 4
+    queries = [long_query, random_sequence(0, rng), random_sequence(9, rng)]
+    targets = [long_target, random_sequence(30, rng), random_sequence(0, rng)]
+    for qlen in rng.integers(1, 120, 37):
+        query = random_sequence(int(qlen), rng)
+        queries.append(query)
+        targets.append(np.concatenate([query, random_sequence(45, rng)]))
+    seeds = rng.integers(0, 60, len(queries)).tolist()
+    expected = [
+        extend(q, t, BWA_MEM_SCORING, h0, w=band)
+        for q, t, h0 in zip(queries, targets, seeds)
+    ]
+    for kernel in ALL_KERNELS:
+        results = kernel.extend_batch(
+            queries, targets, seeds, BWA_MEM_SCORING, w=band
+        )
+        assert len(results) == len(expected)
+        for want, got in zip(expected, results):
+            _assert_results_agree(want, got)
 
 
 def test_mismatched_batch_lists_raise_typed_error():

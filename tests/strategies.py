@@ -153,24 +153,27 @@ class RaggedBatch:
 
 
 _PAD_BOUNDARY_LENGTHS = (15, 16, 17, 31, 32, 33, 63, 64, 65)
-"""Lengths straddling the striped kernel's power-of-two shape-class
-boundaries — one off either side of each pad edge."""
+"""Lengths straddling the overlap batch's power-of-two shape-class
+boundaries (``overlapdp.shape_class``) — one off either side of each
+pad edge."""
 
 
 @st.composite
 def ragged_batches(draw, max_jobs: int = 8) -> RaggedBatch:
-    """Batches biased toward the striped kernel's bucketing edges.
+    """Batches biased toward the lockstep planner's bucket edges.
 
-    Beyond generic mixed-length batches, the structured draws cover:
-    the empty batch, the single-job batch, the all-identical batch
-    (one bucket, zero ragged padding), one job per shape bucket (every
-    bucket below its occupancy floor), and jobs whose lengths land
-    exactly on the power-of-two pad boundaries.
+    Beyond generic mixed-length batches, the structured draws cover
+    :func:`repro.align.lockstep.plan_buckets`: the empty batch, the
+    single-job batch, the all-identical batch (tied heights, zero
+    ragged padding), and queries whose ``qlen + 1`` straddles the
+    ``2w + 2`` columns a narrow band caps a row at.  Two more draws
+    keep the power-of-two shape classes the overlap batch buckets by:
+    one job per class, and lengths exactly on the class boundaries.
     """
     kind = draw(
         st.sampled_from(
             ("mixed", "mixed", "mixed", "empty", "single",
-             "identical", "per_bucket", "pad_boundary")
+             "identical", "band_cap", "per_bucket", "pad_boundary")
         )
     )
     scoring = draw(scoring_configs())
@@ -184,6 +187,26 @@ def ragged_batches(draw, max_jobs: int = 8) -> RaggedBatch:
         jobs = [(q.copy(), t.copy(), h0)] * draw(
             st.integers(2, max_jobs)
         )
+    elif kind == "band_cap":
+        if band is None:
+            band = draw(bands())
+        cap = 2 * band + 2
+        jobs = []
+        for _ in range(draw(st.integers(1, max_jobs))):
+            qlen = draw(
+                st.one_of(
+                    st.sampled_from((cap - 2, cap - 1, cap)),
+                    st.integers(0, cap + 1),
+                )
+            )
+            tlen = draw(st.integers(1, qlen + 8))
+            jobs.append(
+                (
+                    draw(sequences(min_size=qlen, max_size=qlen)),
+                    draw(sequences(min_size=tlen, max_size=tlen)),
+                    draw(h0s()),
+                )
+            )
     elif kind == "per_bucket":
         # Distinct power-of-two classes: 16, 32, 64, ... one job each.
         n_buckets = draw(st.integers(2, 4))

@@ -663,6 +663,18 @@ class TestFlagBounds:
             ([*SERVE, "--net-stall-rate", "2"], "fraction"),
             ([*SERVE, "--net-disconnect-rate", "2"], "fraction"),
             ([*SERVE, "--port", "70000"], "at most 65535"),
+            (["simulate", "--out-reference", "r", "--out-reads", "q",
+              "--seed", "-1"], "at least 0"),
+            (["align", *IO, "--chaos", "--fault-seed", "-1"], "at least 0"),
+            (["align", *IO, "--breaker-probe-interval", "0"], "at least 1"),
+            (["analyze", "--reference", "ref.fa", "--reads", "r.fq",
+              "--breaker-probe-interval", "0"], "at least 1"),
+            ([*SERVE, "--breaker-probe-interval", "0"], "at least 1"),
+            ([*SERVE, "--breaker-threshold", "0"], "at least 1"),
+            ([*SERVE, "--quota-burst", "-1"], "at least 1"),
+            ([*SERVE, "--quota-burst", "nan"], "at least 1"),
+            (["client", "--port", "-5"], "at least 1"),
+            (["client", "--port", "70000"], "at most 65535"),
             ([*CLIENT, "--repeat", "0"], "at least 1"),
             ([*CLIENT, "--connections", "0"], "at least 1"),
             (["score", "--sam", "s", "--truth", "t", "--tolerance", "-5"],

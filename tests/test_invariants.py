@@ -249,11 +249,8 @@ table, the backend registry), the DP fills and checks, FASTA/FASTQ."""
 _ALIGN_LOADS = _LOAD_CORE | {
     "repro.align.cigar", "repro.align.fullmatrix",
     "repro.aligner.pipeline", "repro.aligner.waves",
-    "repro.durability", "repro.durability.journal",
     "repro.faults", "repro.faults.errors",
     "repro.genome.sam",
-    "repro.index", "repro.index.errors", "repro.index.format",
-    "repro.index.store",
     "repro.seeding", "repro.seeding.chaining", "repro.seeding.fmindex",
     "repro.seeding.kmer_index", "repro.seeding.mems",
     "repro.seeding.suffixarray",
@@ -267,7 +264,9 @@ COMMAND_LOADS = {
     "overlap": _LOAD_CORE | {"repro.apps", "repro.apps.overlap"},
 }
 """The ``repro.*`` modules a one-record run of each command loads in a
-fresh interpreter (``align`` with ``short_batched``'s flags)."""
+fresh interpreter (``align`` with ``short_batched``'s flags).  Without
+``--index``, neither ``align`` nor ``longread`` loads ``index/`` or
+``durability/``."""
 
 _LOADS_SCRIPT = """
 import contextlib, io, json, sys
@@ -368,8 +367,8 @@ class TestLayering:
         assert sorted(want - loaded) == [], (
             f"{command} no longer loads these; lower the pin"
         )
-        if command == "align":
-            assert len(loaded) <= 50  # the budget a pin may not outgrow
+        budget = {"align": 43, "longread": 45}  # a pin may not outgrow it
+        assert len(loaded) <= budget.get(command, len(loaded))
 
 
 class TestKernelBackendsOwnTheFillsOnly:
@@ -413,13 +412,22 @@ class TestKernelBackendsOwnTheFillsOnly:
 
 class TestOneLockstepRecurrence:
     def test_the_other_renditions_are_gone(self):
-        """The row-lockstep extension module and the overlap bucket
-        sweep were two more copies of the same recurrence."""
+        """The row-lockstep extension module, the overlap bucket sweep
+        and the striped backend's stripe-group sweep were three more
+        copies of the same recurrence."""
         from repro.align import overlapdp
+        from repro.kernels import striped
 
         with pytest.raises(ImportError):
             importlib.import_module("repro.align.batchdp")
         assert not hasattr(overlapdp, "_lockstep_bucket")
+        # The band-offset stripe sweep and its shape-class planner.
+        for name in (
+            "_sweep_bucket", "extend_batch", "_PAD", "MIN_BUCKET_JOBS",
+            "MAX_DENSE_LENGTH", "ROW_SWEEP_COST_CELLS",
+        ):
+            assert not hasattr(striped, name), name
+        assert not hasattr(banded, "shape_class")
 
     def test_one_function_holds_the_row_update(self):
         """Only ``lockstep.sweep`` runs a jobs x columns F scan under
@@ -471,9 +479,14 @@ class TestOneLockstepRecurrence:
             "ScalarKernel.extend_batch": lambda: ScalarKernel().extend_batch(
                 [q], [t], [10], s
             ),
-            # Full band: the stripe is wider than a row.
             "StripedKernel.extend_batch": lambda: StripedKernel().extend_batch(
                 [q], [t], [10], s
+            ),
+            "StripedKernel.extend_batch w=3": lambda: (
+                StripedKernel().extend_batch([q], [t], [10], s, w=3)
+            ),
+            "StripedKernel.extend w=3": lambda: StripedKernel().extend(
+                q, t, s, 10, w=3
             ),
             "overlap_batch_lockstep": lambda: overlapdp.overlap_batch_lockstep(
                 [q], [t], s, w=3
@@ -490,6 +503,40 @@ class TestOneLockstepRecurrence:
             before = len(calls)
             call()
             assert len(calls) == before + 1, name
+
+    @pytest.mark.parametrize("band", [0, 3, 11, 41, None])
+    def test_striped_extension_sweeps_as_scalar_does(self, monkeypatch, band):
+        """``--kernel striped`` has no extension sweep of its own: at
+        every band its batch makes the very ``lockstep.sweep`` calls
+        (jobs and bands per bucket) the scalar backend's batch makes."""
+        from repro.align import lockstep
+        from repro.kernels.scalar import ScalarKernel
+        from repro.kernels.striped import StripedKernel
+
+        calls: list[tuple] = []
+        sweep = lockstep.sweep
+
+        def recording(queries, targets, scoring, h0s, floor, bands=None,
+                      codes=None):
+            calls.append((
+                tuple(len(q) for q in queries),
+                tuple(len(t) for t in targets),
+                tuple(h0s), floor, None if bands is None else tuple(bands),
+            ))
+            return sweep(queries, targets, scoring, h0s, floor, bands, codes)
+
+        monkeypatch.setattr(lockstep, "sweep", recording)
+        rng = np.random.default_rng(38)
+        qlens = rng.integers(0, 90, 300)
+        queries = [random_sequence(int(n), rng) for n in qlens]
+        targets = [random_sequence(int(n) + 45, rng) for n in qlens]
+        h0s = rng.integers(10, 60, len(queries)).tolist()
+        seen = []
+        for kernel in (ScalarKernel(), StripedKernel()):
+            calls.clear()
+            kernel.extend_batch(queries, targets, h0s, BWA_MEM_SCORING, w=band)
+            seen.append(list(calls))
+        assert seen[0] and seen[0] == seen[1]
 
 
 class TestCellBalancedSweeps:
