@@ -9,7 +9,7 @@ construction (failures become reruns, not wrong answers).
 """
 
 from repro.align import banded
-from repro.align.adaptive import adaptive_extend
+from repro.analysis.adaptive import adaptive_extend
 from repro.align.scoring import BWA_MEM_SCORING
 from repro.analysis.report import print_table
 from repro.core.extender import SeedExtender

@@ -81,9 +81,9 @@ def test_fig18_asic_comparison(benchmark):
 
     # Mechanism behind the area gap: automaton states scale O(K^2),
     # banded PEs O(K) — quantified with the working Levenshtein
-    # automaton of repro.align.automaton.
+    # automaton of repro.hw.automaton.
     from repro import constants as paper_const
-    from repro.align.automaton import seedex_pe_count, silla_state_count
+    from repro.hw.automaton import seedex_pe_count, silla_state_count
 
     k = paper_const.SILLAX_K
     print_table(

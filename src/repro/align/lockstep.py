@@ -8,17 +8,29 @@ batch of jobs one target row at a time (jobs x query columns).  Its
 ``ksw_extend``) for extension, :data:`GLOBAL` (:data:`NEG_INF`) for
 Needleman-Wunsch, and :data:`GLOBAL` with ``h0 = 0`` for overlap.
 Each caller keeps one *capture set*, fixed by its DP shape:
-:func:`extend_batch`, :func:`overlap_ends`, :func:`fill_direction_bits`
-(traceback codes and the gap fill) and :func:`global_edges`.  One
-planner, :func:`plan_buckets`, splits every extension wave, traceback
-wave and gap-fill wave into cell-balanced buckets, so a short job is
-not padded to the wave's longest.
+
+* :func:`extend_batch` — each row's best cell and its column, the last
+  column and the boundary E/F; reduced to the local and semi-global
+  scores and ``max_off``;
+* :func:`overlap_ends` — H at each job's last column and at its two
+  band-edge cells; reduced by one masked argmax (score, ``t_end``) and
+  one band-edge bound;
+* :func:`fill_direction_bits` — direction codes (traceback), plus the
+  corner and both band-edge cells, reduced to one bound (gap fill);
+* :func:`global_edges` — one job's unfloored boundary E/F and corner.
+
+A row copies its captures into ``(rows, n)`` planes, and the bounds
+and ends are reduced once, after the sweep.  One planner,
+:func:`plan_buckets`, splits every extension wave, traceback wave and
+gap-fill wave into cell-balanced buckets, so a short job is not padded
+to the wave's longest.
 
 The sweep scores substitutions from a query profile (SSW's layout),
 computes only the columns the widest band reaches, and never clamps a
 channel at the floor: a dead H is sunk far below it instead, so it can
 only breed dead values, and every live value is the clamped
-recurrence's.
+recurrence's.  Its planes are ``int32`` when the scheme and the shapes
+prove every value fits, ``int64`` otherwise (:func:`_plane_dtype`).
 """
 
 from __future__ import annotations
@@ -91,6 +103,26 @@ def _pack_codes(planes: np.ndarray, out: np.ndarray) -> None:
     np.bitwise_or.reduce(shifted, axis=0, out=out)
 
 
+def _plane_dtype(
+    scoring: AffineGap, qmax: int, tmax: int, h0max: int, floor: int
+) -> type[np.integer]:
+    """``int32`` when every value of a sweep provably fits it, else ``int64``.
+
+    A live H lies in ``(floor, h0max + match * qmax]``: a path gains at
+    most one match per query column, padding included.  A dead H is
+    re-sunk to ``floor + NEG_INF`` every row, so E, the diagonal, G
+    and F sit at most a gap open, an extension and a substitution
+    below it, and the F scan's ``run`` at most ``qmax`` insertion
+    extensions above a live H.  The two tests below bound all of
+    that, with a margin of ``tmax + qmax + 2`` steps on the low side.
+    """
+    ge = max(scoring.gap_extend_ins, scoring.gap_extend_del)
+    step = scoring.gap_open + ge + max(scoring.match, scoring.mismatch, 1)
+    low = floor + NEG_INF - (tmax + qmax + 2) * step
+    high = h0max + (qmax + 1) * (scoring.match + ge)
+    return np.int32 if low > -(2**31) and high < 2**31 else np.int64
+
+
 def sweep(
     queries: list[np.ndarray],
     targets: list[np.ndarray],
@@ -118,15 +150,23 @@ def sweep(
     remaining rows are all dead and the sweep stops early.  ``codes``,
     when given, is a zeroed ``(max tlen + 1, n, max qlen + 1)``
     ``uint8`` array that receives every cell's direction code.
+
+    The planes are ``int32`` when the scheme and shapes prove every
+    value fits (:func:`_plane_dtype`), else ``int64``.
     """
     n = len(queries)
     qlens = np.fromiter((len(q) for q in queries), np.int64, n)
     tlens = np.fromiter((len(t) for t in targets), np.int64, n)
     qmax, tmax = int(qlens.max()), int(tlens.max())
     width = qmax + 1
-    go = scoring.gap_open
-    ge_i = scoring.gap_extend_ins
-    ge_d = scoring.gap_extend_del
+    dt = _plane_dtype(scoring, qmax, tmax, max(h0s), floor)
+    # Scalars in the planes' dtype: NumPy range-checks a Python int
+    # against int32 on every operation.
+    go = dt(scoring.gap_open)
+    ge_i = dt(scoring.gap_extend_ins)
+    ge_d = dt(scoring.gap_extend_del)
+    dead = dt(floor + NEG_INF)
+    floor = dt(floor)
 
     qpad = np.zeros((n, max(1, qmax)), dtype=np.uint8)
     tpad = np.zeros((max(1, tmax), n), dtype=np.uint8)
@@ -136,11 +176,12 @@ def sweep(
     # Query profile: profile[c, k, j - 1] scores target base c against
     # job k's j-th query base, so a row gathers one slice per job.
     profile = _substitution_table(scoring)[:, qpad]
+    if profile.itemsize > dt().itemsize:
+        profile = profile.astype(dt)
     jobs = np.arange(n)
-    cols = np.arange(width, dtype=np.int64)
-    gap_i = cols * ge_i
+    cols = np.arange(width)
+    gap_i = cols.astype(dt) * ge_i
     opened_gap = gap_i - go
-    dead = floor + NEG_INF
     if bands is None:
         ws, per_job = max(qmax, tmax), False
     else:
@@ -152,7 +193,7 @@ def sweep(
         planes = np.zeros((6, n, width), dtype=bool)
 
     # Row 0 is the F channel decaying from h0.
-    h_row = np.asarray(h0s, dtype=np.int64)[:, None] - go - gap_i
+    h_row = np.asarray(h0s, dtype=dt)[:, None] - go - gap_i
     h_row[:, 0] = h0s
     if bands is not None:
         h_row[cols > bands[:, None]] = dead
@@ -162,14 +203,14 @@ def sweep(
         np.greater(h_row, floor, out=planes[5])
         _pack_codes(planes, codes[0])
     h_prev = np.where(h_row > floor, h_row, dead)
-    e_prev = np.full((n, width), dead, dtype=np.int64)
+    e_prev = np.full((n, width), dead, dtype=dt)
     run = np.maximum.accumulate(h_prev + opened_gap, axis=1)
     yield 0, 0, h_prev, e_prev, run
 
     # Row buffers whose first column never changes: no diagonal enters
     # a window's first column, and F cannot start there.
-    diag = np.full((n, width), dead, dtype=np.int64)
-    f_row = np.full((n, width), dead, dtype=np.int64)
+    diag = np.full((n, width), dead, dtype=dt)
+    f_row = np.full((n, width), dead, dtype=dt)
     for i in range(1, tmax + 1):
         # Window columns a..b-1: the widest band's reach on this row
         # plus its left neighbour (column 0 on a full-width row).
@@ -372,10 +413,8 @@ def _extend_bucket(
     # Per-row planes, reduced after the sweep: the row's best real
     # cell and its leftmost column, H in the last query column, and
     # the E / F values entering the band's lower / upper neighbours.
-    # A dead H is exactly NEG_INF here, and a live one at most h0 plus
-    # a match per query base, so the planes are int32 when that fits.
-    top_score = int(h0v.max()) + scoring.match * max_q
-    dt = np.int32 if top_score < 2**31 else np.int64
+    # The H planes hold the sweep's H values, so they take its dtype.
+    dt = _plane_dtype(scoring, max_q, max_t, int(h0v.max()), LOCAL_EXTEND)
     jobs = np.arange(n)
     best = np.full((max_t + 1, n), NEG_INF, dtype=dt)
     best_j = np.zeros((max_t + 1, n), dtype=np.int32)
@@ -400,7 +439,7 @@ def _extend_bucket(
             arg = real.argmax(axis=1)
             best[i] = real[jobs, arg]
             np.add(arg, a, out=best_j[i])
-        last_col[i] = h[jobs, np.clip(qlens - a, 0, cols - 1)]
+        last_col[i] = _take(h, jobs, qlens - a)
         c = i - w  # E entering (i + 1, c), just below the band
         if 0 <= c < max_bound:
             edge_e[c] = np.maximum(h[:, c - a] - go, e[:, c - a]) - ge_d
@@ -454,34 +493,49 @@ def _extend_bucket(
     ]
 
 
+def _take(h: np.ndarray, jobs: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``h[jobs, cols]`` with the columns clamped into the window.
+
+    ``cols`` is ``(n,)``, or ``(k, n)`` for ``k`` cells per job in one
+    gather, and is left as it was.  A clamped column is not the cell
+    asked for, so every caller masks what it read there.  Two ufuncs in
+    place of ``np.clip``, whose Python wrapper costs more than the
+    gather it guards.
+    """
+    clamped = np.maximum(cols, 0)
+    np.minimum(clamped, h.shape[1] - 1, out=clamped)
+    return h[jobs, clamped]
+
+
 def _edge_bound(
-    bound: np.ndarray,
-    i: int,
-    a: int,
-    h: np.ndarray,
+    edges: np.ndarray,
     bands: np.ndarray,
     qlens: np.ndarray,
     tlens: np.ndarray,
     match: int,
     to_corner: bool,
-) -> None:
-    """Raise ``bound`` by row ``i``'s band-edge cells ``(i, i -+ band)``.
+) -> np.ndarray:
+    """The band-edge bound of every job, reduced once after the sweep.
 
-    A band-leaving path first exits through an edge cell with at most
-    its banded value; from column ``j`` it gains at most ``(qlen - j)
-    * match`` to the last column (overlap), or ``min(tlen - i, qlen -
-    j) * match`` to the corner (``to_corner``, global gap fill).
+    ``edges[0, i, k]`` / ``edges[1, i, k]`` hold H at job ``k``'s edge
+    cells ``(i, i -+ bands[k])``.  A band-leaving path first exits
+    through an edge cell with at most its banded value; from column
+    ``j`` it gains at most ``(qlen - j) * match`` to the last column
+    (overlap), or ``min(tlen - i, qlen - j) * match`` to the corner
+    (``to_corner``, global gap fill).  A job its band covers gets
+    :data:`NEG_INF`.
     """
-    jobs = np.arange(len(qlens))
-    reach = (i <= tlens) & (bands < np.maximum(qlens, tlens))
-    for j_edge in (i - bands, i + bands):
-        edge = h[jobs, np.clip(j_edge - a, 0, h.shape[1] - 1)]
+    rows = np.arange(edges.shape[1])[:, None]
+    reach = (rows <= tlens) & (bands < np.maximum(qlens, tlens))
+    bound = np.full(len(qlens), NEG_INF, dtype=np.int64)
+    for edge, j_edge in zip(edges, (rows - bands, rows + bands)):
         sel = reach & (j_edge >= 0) & (j_edge <= qlens) & (edge > DEAD)
         rest = qlens - j_edge
         if to_corner:
-            rest = np.minimum(rest, tlens - i)
+            rest = np.minimum(rest, tlens - rows)
         cand = np.where(sel, edge + rest * match, NEG_INF)
-        np.maximum(bound, cand, out=bound)
+        np.maximum(bound, cand.max(axis=0), out=bound)
+    return bound
 
 
 def overlap_ends(
@@ -496,28 +550,35 @@ def overlap_ends(
     last-column cell (ties to the smallest row; ``t_end = -1`` and
     ``score = NEG_INF`` when none is live) and the band-edge bound of
     :mod:`repro.align.overlapdp` (``NEG_INF`` for a job its band
-    covers).
+    covers).  Each row only copies H at every job's last column and
+    band edges into ``(rows, n)`` planes; both are reduced once, after
+    the sweep.
     """
     n = len(queries)
     qlens = np.fromiter((len(q) for q in queries), np.int64, n)
     tlens = np.fromiter((len(t) for t in targets), np.int64, n)
     jobs = np.arange(n)
-    score = np.full(n, DEAD, dtype=np.int64)
-    t_end = np.full(n, -1, dtype=np.int64)
-    bound = np.full(n, NEG_INF, dtype=np.int64)
-    banded = bool((bands < np.maximum(qlens, tlens)).any())
-    fits = np.abs(qlens - np.arange(int(tlens.max()) + 1)[:, None]) <= bands
+    # H at (i, qlen), (i, i - band) and (i, i + band), one gather a
+    # row.  Rows the sweep skips once the band has left every query
+    # keep NEG_INF: never a live cell.
+    caps = np.full((3, int(tlens.max()) + 1, n), NEG_INF, dtype=np.int64)
+    at = np.stack((qlens, -bands, bands))
     rows = sweep(queries, targets, scoring, [0] * n, GLOBAL, bands)
     for i, a, h, _, _ in rows:
-        cand = h[jobs, np.clip(qlens - a, 0, h.shape[1] - 1)]
-        better = (i <= tlens) & fits[i] & (cand > score)
-        score[better] = cand[better]
-        t_end[better] = i
-        if banded:
-            _edge_bound(
-                bound, i, a, h, bands, qlens, tlens, scoring.match, False
-            )
-    score[t_end < 0] = NEG_INF
+        cols = at - a
+        cols[1:] += i
+        caps[:, i] = _take(h, jobs, cols)
+    last, edges = caps[0], caps[1:]
+
+    steps = np.arange(last.shape[0])[:, None]
+    fits = (steps <= tlens) & (np.abs(qlens - steps) <= bands)
+    last = np.where(fits, last, DEAD)
+    t_end = last.argmax(axis=0)  # the first row of the best
+    score = last[t_end, jobs]
+    found = score > DEAD
+    score = np.where(found, score, NEG_INF)
+    t_end = np.where(found, t_end, -1)
+    bound = _edge_bound(edges, bands, qlens, tlens, scoring.match, False)
     return score, t_end, bound
 
 
@@ -537,15 +598,19 @@ def fill_direction_bits(
     ``score[k]`` is H at the job's corner (``NEG_INF`` if dead);
     ``bound[k]`` the gap-fill band-edge bound of
     :mod:`repro.align.globalbatch` (``NEG_INF`` for a job its band
-    covers, or without ``bands``).
+    covers, or without ``bands``), reduced from edge planes after the
+    sweep.
     """
     n = len(queries)
     qlens = np.fromiter((len(q) for q in queries), np.int64, n)
     tlens = np.fromiter((len(t) for t in targets), np.int64, n)
     tmax = int(tlens.max())
+    jobs = np.arange(n)
     codes = np.zeros((tmax + 1, n, int(qlens.max()) + 1), dtype=np.uint8)
     score = np.full(n, NEG_INF, dtype=np.int64)
-    bound = np.full(n, NEG_INF, dtype=np.int64)
+    if bands is not None:
+        edges = np.full((2, tmax + 1, n), NEG_INF, dtype=np.int64)
+        at = np.stack((-bands, bands))
     by_end = np.argsort(tlens, kind="stable")
     end_at = np.searchsorted(tlens[by_end], np.arange(tmax + 2)).tolist()
     rows = sweep(queries, targets, scoring, h0s, floor, bands, codes)
@@ -554,12 +619,13 @@ def fill_direction_bits(
         if done.size:
             col = qlens[done] - a
             ok = (col >= 0) & (col < h.shape[1])
-            corner = h[done, np.clip(col, 0, h.shape[1] - 1)]
+            corner = _take(h, done, col)
             score[done] = np.where(ok & (corner > floor), corner, NEG_INF)
         if bands is not None:
-            _edge_bound(
-                bound, i, a, h, bands, qlens, tlens, scoring.match, True
-            )
+            edges[:, i] = _take(h, jobs, at + (i - a))
+    if bands is None:
+        return codes, score, np.full(n, NEG_INF, dtype=np.int64)
+    bound = _edge_bound(edges, bands, qlens, tlens, scoring.match, True)
     return codes, score, bound
 
 

@@ -6,5 +6,7 @@
 * :mod:`repro.hw.bsw_core`, :mod:`repro.hw.seedex_core`,
   :mod:`repro.hw.accelerator` — the core/cluster/device hierarchy;
 * :mod:`repro.hw.area`, :mod:`repro.hw.timing` — analytic FPGA/ASIC
-  cost models calibrated to the paper's published numbers.
+  cost models calibrated to the paper's published numbers;
+* :mod:`repro.hw.automaton` — Levenshtein automata, the state counts
+  Figure 18 sets against SeedEx's PE count.
 """

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.align import banded
-from repro.align.adaptive import adaptive_extend
+from repro.analysis.adaptive import adaptive_extend
 from repro.align.scoring import BWA_MEM_SCORING
 from repro.genome.sequence import random_sequence
 from tests.helpers import mutate

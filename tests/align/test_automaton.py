@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.align.automaton import (
+from repro.hw.automaton import (
     LevenshteinAutomaton,
     nfa_state_count,
     seedex_pe_count,
@@ -72,7 +72,7 @@ class TestAutomatonExtend:
     @settings(max_examples=150, deadline=None)
     @given(q=SEQ, t=SEQ, k=st.integers(0, 4))
     def test_matches_dp_semiglobal_edit_distance(self, q, t, k):
-        from repro.align.automaton import automaton_extend
+        from repro.hw.automaton import automaton_extend
 
         best, end = automaton_extend(q, t, k)
         truth = min(
@@ -87,7 +87,7 @@ class TestAutomatonExtend:
             assert end == -1
 
     def test_clean_extension(self):
-        from repro.align.automaton import automaton_extend
+        from repro.hw.automaton import automaton_extend
 
         q = encode("ACGTACGT")
         t = encode("ACGTACGTTTTT")
@@ -96,7 +96,7 @@ class TestAutomatonExtend:
         assert end == 8
 
     def test_budget_exceeded(self):
-        from repro.align.automaton import automaton_extend
+        from repro.hw.automaton import automaton_extend
 
         q = encode("AAAAAAAA")
         t = encode("TTTTTTTT")

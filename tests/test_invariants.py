@@ -198,13 +198,7 @@ def _imported_modules(path: Path) -> set[str]:
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
 
-MODEL = (
-    "repro.hw",
-    "repro.system",
-    "repro.analysis",
-    "repro.align.adaptive",
-    "repro.align.automaton",
-)
+MODEL = ("repro.hw", "repro.system", "repro.analysis")
 """The paper's hardware and system model: what reproduces its figures.
 Everything else under ``src/repro`` is the product a user runs."""
 
@@ -213,8 +207,19 @@ INIT_IMPORTERS = ("repro", "repro.obs", "repro.kernels")
 names, the process-wide registry, the backend registry)."""
 
 
+SUBSTRATE = ("repro.align", "repro.core", "repro.kernels")
+"""The DP fills and checks every command runs on."""
+
+DRIVERS = ("repro.aligner", "repro.serve", "repro.apps", "repro.cli")
+"""What runs the substrate: pipelines, the server, the apps, the CLI."""
+
+
+def _under(module: str, packages: tuple[str, ...]) -> bool:
+    return any(module == m or module.startswith(m + ".") for m in packages)
+
+
 def _is_model(module: str) -> bool:
-    return any(module == m or module.startswith(m + ".") for m in MODEL)
+    return _under(module, MODEL)
 
 
 def _src_modules() -> dict[str, Path]:
@@ -325,6 +330,18 @@ class TestLayering:
             if not _is_model(name)
             for target in _imported_modules(path)
             if _is_model(target)
+        )
+        assert edges == []
+
+    def test_the_substrate_imports_no_driver(self):
+        """``align``, ``core`` and ``kernels`` never import what drives
+        them, at any nesting level."""
+        edges = sorted(
+            f"{name} -> {target}"
+            for name, path in _src_modules().items()
+            if _under(name, SUBSTRATE)
+            for target in _imported_modules(path)
+            if _under(target, DRIVERS)
         )
         assert edges == []
 
@@ -537,6 +554,41 @@ class TestOneLockstepRecurrence:
             kernel.extend_batch(queries, targets, h0s, BWA_MEM_SCORING, w=band)
             seen.append(list(calls))
         assert seen[0] and seen[0] == seen[1]
+
+
+class TestLockstepCapturesAfterTheSweep:
+    def test_bound_reduced_once_and_nothing_clipped(self, monkeypatch):
+        """The overlap and gap-fill capture sets copy per-row planes and
+        reduce the band-edge bound once, after the sweep; no row loop
+        pays ``np.clip``'s wrapper."""
+        from repro.align import lockstep
+
+        reduced, clipped = [], []
+        reducer, clip = lockstep._edge_bound, np.clip
+
+        def counting_reducer(*args, **kwargs):
+            reduced.append(1)
+            return reducer(*args, **kwargs)
+
+        def counting_clip(*args, **kwargs):
+            clipped.append(1)
+            return clip(*args, **kwargs)
+
+        monkeypatch.setattr(lockstep, "_edge_bound", counting_reducer)
+        monkeypatch.setattr(np, "clip", counting_clip)
+        rng = np.random.default_rng(39)
+        queries = [random_sequence(int(n), rng) for n in (30, 24, 41, 5)]
+        targets = [random_sequence(int(n), rng) for n in (36, 30, 38, 12)]
+        uniform = np.full(len(queries), 4)
+        lockstep.overlap_ends(queries, targets, BWA_MEM_SCORING, uniform)
+        assert (len(reduced), len(clipped)) == (1, 0)
+        reduced.clear()
+        ragged = np.array([3, 6, 4, 7])
+        lockstep.fill_direction_bits(
+            queries, targets, BWA_MEM_SCORING, [0] * len(queries),
+            lockstep.GLOBAL, ragged,
+        )
+        assert (len(reduced), len(clipped)) == (1, 0)
 
 
 class TestCellBalancedSweeps:
