@@ -50,9 +50,7 @@ ENGINE_POLICIES: dict[str, tuple[bool, bool]] = {
 """``--engine`` / ``EngineSpec.kind`` -> ``(narrow band?, checks?)``."""
 
 
-def _account(
-    name: str, cells: int, jobs: int = 1, kernel: str | None = None
-) -> None:
+def _account(name: str, cells: int, jobs: int = 1) -> None:
     """Per-engine counters in the global registry (when enabled)."""
     if obs.enabled():
         reg = obs.get_registry()
@@ -62,12 +60,6 @@ def _account(
         reg.counter(
             names.ENGINE_CELLS, "DP cells filled", engine=name
         ).inc(cells)
-        if kernel is not None and jobs:
-            reg.counter(
-                names.KERNEL_EXTENSIONS,
-                "extension jobs per DP backend",
-                kernel=kernel,
-            ).inc(jobs)
 
 
 class ExtensionEngine(Protocol):
@@ -88,11 +80,9 @@ class BatchedEngine:
     The accelerator consumes thousands of independent extensions at a
     time (paper Section V-B); this engine is the software analogue.
     :meth:`extend_wave` pushes a whole wave of ``(query, target, h0)``
-    jobs through the backend's batch kernel — the lockstep sweep
-    :func:`repro.align.lockstep.extend_batch` on the scalar backend,
-    the fused anti-diagonal :mod:`repro.kernels.wavefront` on the
-    numpy one —
-    with per-job results bit-equal to the scalar kernel
+    jobs through the backend's batch kernel — on every backend the one
+    lockstep sweep :func:`repro.align.lockstep.extend_batch` — with
+    per-job results bit-equal to the per-job reference
     (``banded.extend(..., prune=False)``), property-tested in
     ``tests/aligner/test_batched_engine.py`` and ``tests/kernels/``.
 
@@ -148,7 +138,7 @@ class BatchedEngine:
         return None if self._extender is None else self._extender.stats
 
     def extend(self, query, target, h0) -> ExtensionResult:
-        """One job through the scalar kernel under the policy."""
+        """One job (a lockstep batch of one) under the policy."""
         if self._extender is not None:
             out = self._extender.extend(query, target, h0)
             res, cells = out.result, out.narrow_result.cells_computed
@@ -159,7 +149,7 @@ class BatchedEngine:
             cells = res.cells_computed
         self.extensions += 1
         self.cells += cells
-        _account(self.name, cells, kernel=self.kernel.name)
+        _account(self.name, cells)
         return res
 
     def extend_wave(self, jobs) -> list[ExtensionResult]:
@@ -188,9 +178,7 @@ class BatchedEngine:
                 )
             cells = sum(res.cells_computed for res in results)
         self.cells += cells
-        _account(
-            self.name, cells, jobs=len(jobs), kernel=self.kernel.name
-        )
+        _account(self.name, cells, jobs=len(jobs))
         return results
 
 
@@ -315,9 +303,9 @@ class EngineSpec:
     seed, disjoint job streams).  ``breaker_threshold`` (``None`` =
     off) arms the accelerator circuit breaker inside that dispatcher
     — see :mod:`repro.durability.breaker`.  ``kernel`` names the DP
-    backend (``scalar``/``numpy``/``striped``; ``None`` = environment
-    default) — a name rather than an instance so the spec stays
-    picklable.
+    backend (``scalar``/``numpy``/``striped``, all one lockstep sweep;
+    ``None`` = ``scalar``) — a name rather than an instance so the spec
+    stays picklable.
 
     The fields are the engine part of a journaled run's configuration
     fingerprint (:func:`repro.durability.runner.run_fingerprint`), so

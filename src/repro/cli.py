@@ -177,12 +177,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--kernel",
         choices=available_kernels(),
         default=None,
-        help="DP kernel backend: 'scalar' (reference implementation), "
-        "'numpy' (vectorized anti-diagonal), or 'striped' "
-        "(inter-sequence lockstep in cell-balanced buckets); default from "
-        "$REPRO_KERNEL, else scalar.  Alignment output is "
-        "bit-identical either way — only the @PG header line records "
-        "the choice (see docs/kernels.md)",
+        help="DP kernel backend name (default scalar).  Every name runs "
+        "the one lockstep sweep, so output and speed are the same "
+        "either way; the @PG header line records the name (see "
+        "docs/kernels.md)",
     )
 
     index_opts = argparse.ArgumentParser(add_help=False)
@@ -777,17 +775,8 @@ def _load_reference(path: str) -> tuple[str, np.ndarray]:
 
 
 def _resolve_kernel(args: argparse.Namespace) -> str:
-    """The active DP backend's name; records the ``kernel.active`` gauge."""
-    from repro.obs import names as mn
-
-    name = get_kernel(getattr(args, "kernel", None)).name
-    if obs.enabled():
-        obs.get_registry().gauge(
-            mn.KERNEL_ACTIVE,
-            "selected DP kernel backend",
-            kernel=name,
-        ).set(1)
-    return name
+    """The ``--kernel`` name the run records (``scalar`` when unset)."""
+    return get_kernel(getattr(args, "kernel", None)).name
 
 
 def _program_tags(
@@ -870,9 +859,7 @@ def _engine_spec(args: argparse.Namespace, kind: str | None = None):
     return EngineSpec(
         kind=kind,
         band=args.band if narrow else None,
-        # Resolved to a concrete name here so workers do not depend on
-        # the parent's environment.
-        kernel=get_kernel(getattr(args, "kernel", None)).name,
+        kernel=_resolve_kernel(args),
         chaos=getattr(args, "chaos", False),
         fault_rate=args.fault_rate,
         fault_seed=args.fault_seed,

@@ -185,8 +185,7 @@ class SeedExtender:
     (BWA-MEM's default), and ``config`` selects check variants for the
     ablation studies.  ``kernel`` picks the DP backend
     (:func:`repro.kernels.get_kernel`): a name, an instance, or
-    ``None`` for the environment default — results are bit-identical
-    either way.
+    ``None`` for ``scalar`` — every name is the one lockstep sweep.
     """
 
     def __init__(

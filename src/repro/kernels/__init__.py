@@ -1,52 +1,44 @@
-"""Kernel backends: pluggable implementations of the DP fills.
+"""Kernel backends: three names for the one lockstep sweep.
 
 The four fills the pipeline runs — the banded extension, its batched
 form, and the suffix-prefix overlap fill single and batched — go
-through a :class:`KernelBackend`.  The optimality checks (S1/S2
-thresholds, the relaxed-edit trapezoid sweep) have one implementation
-each in :mod:`repro.core` and do not depend on the backend.  Three
-implementations ship:
+through a :class:`KernelBackend`.  Every registered backend is the
+same code: each method is one call into the one lockstep sweep,
+:func:`repro.align.lockstep.extend_batch` or
+:func:`repro.align.overlapdp.overlap_batch_lockstep` (a single job is
+the batch with ``n = 1``).  The sweep plans a batch into cell-balanced
+buckets and advances every job of a bucket together, the way the
+accelerator fills its PE array with many independent extensions.  The
+optimality checks have one implementation each in :mod:`repro.core`.
 
-* ``scalar`` (:mod:`repro.kernels.scalar`) — the original row-oriented
-  kernels, the default;
-* ``numpy`` (:mod:`repro.kernels.wavefront`) — anti-diagonal
-  (wavefront) kernels that vectorize along the dependency-free
-  diagonals, the way the accelerator's systolic array does;
-* ``striped`` (:mod:`repro.kernels.striped`) — inter-sequence lockstep
-  fills: every extension batch goes to the one lockstep sweep, which
-  plans it into cell-balanced buckets and advances every job of a
-  bucket together, the way the accelerator fills its PE array with
-  many independent extensions.
+The per-job references, :func:`repro.align.banded.extend` and
+:func:`repro.align.overlapdp.overlap_scalar`, are not backends: they
+are the oracles ``tests/kernels/`` checks the sweep against.
 
-Backends are bit-identical on everything observable (scores, CIGARs,
-boundary channels, accept/rerun verdicts) — only the
-execution-shape fields (``cells_computed``, ``terminated_early``) may
-reflect the backend's own schedule.  The cross-kernel conformance
-suite (``tests/kernels/``) enforces this, and CI diffs whole SAM
-files between backends byte for byte.
+Three names remain — ``scalar`` (the default), ``numpy``
+(:mod:`repro.kernels.wavefront`) and ``striped`` — because ``--kernel``
+accepts them, ``@PG DS:kernel=`` and the journal fingerprint
+(``EngineSpec.kernel``) record them, and ``perfbench/layers.py`` times
+each class's four methods.  That table wraps a method by identity, so
+every class defines its own four functions rather than sharing them.
 
-Selection: pass ``kernel=`` to :class:`~repro.core.extender.SeedExtender`
-or the engines, use the CLI's ``--kernel`` flag, or set the
-``REPRO_KERNEL`` environment variable (the default when nothing is
-passed; unset means ``scalar``).
+Pass ``kernel=`` (a name or an instance) to the engines or
+:class:`~repro.core.extender.SeedExtender`, or ``--kernel`` to the
+CLI; nothing named means ``scalar``.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.align.banded import BatchShapeError, ExtensionResult
+from repro.align.banded import ExtensionResult
 from repro.align.overlapdp import OverlapResult
 from repro.align.scoring import AffineGap
 from repro.kernels.scalar import ScalarKernel
 from repro.kernels.striped import StripedKernel
 from repro.kernels.wavefront import WavefrontKernel
-
-KERNEL_ENV_VAR = "REPRO_KERNEL"
-"""Environment variable consulted when no kernel is named explicitly."""
 
 
 @runtime_checkable
@@ -64,7 +56,6 @@ class KernelBackend(Protocol):
         w: int | None = None,
     ) -> ExtensionResult:
         """Run one banded extension job."""
-        ...
 
     def extend_batch(
         self,
@@ -75,7 +66,6 @@ class KernelBackend(Protocol):
         w: int | None = None,
     ) -> list[ExtensionResult]:
         """Run a batch of extension jobs, results in input order."""
-        ...
 
     def overlap(
         self,
@@ -85,7 +75,6 @@ class KernelBackend(Protocol):
         w: int | None = None,
     ) -> OverlapResult:
         """Run one banded suffix-prefix overlap fill."""
-        ...
 
     def overlap_batch(
         self,
@@ -95,7 +84,6 @@ class KernelBackend(Protocol):
         w: int | None = None,
     ) -> list[OverlapResult]:
         """Run a batch of overlap fills, results in input order."""
-        ...
 
 
 _KERNELS: dict[str, KernelBackend] = {
@@ -110,18 +98,14 @@ def available_kernels() -> tuple[str, ...]:
     return tuple(sorted(_KERNELS))
 
 
-def get_kernel(
-    kernel: str | KernelBackend | None = None,
-) -> KernelBackend:
-    """Resolve a backend from a name, an instance, or the environment.
+def get_kernel(kernel: str | KernelBackend | None = None) -> KernelBackend:
+    """Resolve a backend from a name or an instance.
 
-    ``None`` consults ``REPRO_KERNEL`` (so CI can flip the whole suite
-    without threading a flag through every call site) and falls back
-    to ``scalar``.  An already-built backend passes through untouched,
-    letting tests inject doubles.
+    ``None`` means ``scalar``.  An already-built backend passes
+    through untouched, letting tests inject doubles.
     """
     if kernel is None:
-        kernel = os.environ.get(KERNEL_ENV_VAR) or ScalarKernel.name
+        kernel = ScalarKernel.name
     if not isinstance(kernel, str):
         return kernel
     try:
@@ -131,16 +115,3 @@ def get_kernel(
             f"unknown kernel backend {kernel!r}; "
             f"available: {', '.join(available_kernels())}"
         ) from None
-
-
-__all__ = [
-    "KERNEL_ENV_VAR",
-    "BatchShapeError",
-    "KernelBackend",
-    "OverlapResult",
-    "ScalarKernel",
-    "StripedKernel",
-    "WavefrontKernel",
-    "available_kernels",
-    "get_kernel",
-]

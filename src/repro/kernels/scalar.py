@@ -1,26 +1,24 @@
-"""The scalar (row-vectorized) kernel backend.
+"""The ``scalar`` kernel name, the default backend.
 
-A thin façade over the repo's original kernels: the per-job banded
-extension (:mod:`repro.align.banded`), the one lockstep sweep's
-extension capture set (:func:`repro.align.lockstep.extend_batch`) and
-the per-cell overlap reference
-(:func:`repro.align.overlapdp.overlap_scalar`).  This is the default
-backend — selecting it changes nothing about how the pipeline
-computes.
+Like every backend, one call into the one lockstep sweep per method
+(:mod:`repro.kernels` says why three names remain).  The per-job
+:func:`repro.align.banded.extend` and per-cell
+:func:`repro.align.overlapdp.overlap_scalar` are the conformance
+suite's oracles, not a backend.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.align import banded, lockstep, overlapdp
+from repro.align import lockstep
 from repro.align.banded import ExtensionResult
-from repro.align.overlapdp import OverlapResult
+from repro.align.overlapdp import OverlapResult, overlap_batch_lockstep
 from repro.align.scoring import AffineGap
 
 
 class ScalarKernel:
-    """Backend that delegates to the original row-oriented kernels."""
+    """The default backend (``--kernel scalar``)."""
 
     name = "scalar"
 
@@ -32,8 +30,10 @@ class ScalarKernel:
         h0: int,
         w: int | None = None,
     ) -> ExtensionResult:
-        """One banded extension through the scalar row kernel."""
-        return banded.extend(query, target, scoring, h0, w=w)
+        """One banded extension (the lockstep batch with n = 1)."""
+        return lockstep.extend_batch(
+            [np.asarray(query)], [np.asarray(target)], [h0], scoring, w=w
+        )[0]
 
     def extend_batch(
         self,
@@ -43,7 +43,7 @@ class ScalarKernel:
         scoring: AffineGap,
         w: int | None = None,
     ) -> list[ExtensionResult]:
-        """A batch of extensions through the one lockstep sweep."""
+        """A batch of extensions in cell-balanced lockstep buckets."""
         return lockstep.extend_batch(queries, targets, h0s, scoring, w=w)
 
     def overlap(
@@ -53,8 +53,10 @@ class ScalarKernel:
         scoring: AffineGap,
         w: int | None = None,
     ) -> OverlapResult:
-        """One banded suffix-prefix overlap fill (reference form)."""
-        return overlapdp.overlap_scalar(query, target, scoring, w=w)
+        """One banded overlap fill (the lockstep batch with n = 1)."""
+        return overlap_batch_lockstep(
+            [np.asarray(query)], [np.asarray(target)], scoring, w=w
+        )[0]
 
     def overlap_batch(
         self,
@@ -63,10 +65,5 @@ class ScalarKernel:
         scoring: AffineGap,
         w: int | None = None,
     ) -> list[OverlapResult]:
-        """A batch of overlap fills, one job at a time."""
-        if len(queries) != len(targets):
-            raise ValueError("queries and targets must align")
-        return [
-            overlapdp.overlap_scalar(q, t, scoring, w=w)
-            for q, t in zip(queries, targets)
-        ]
+        """A shape-bucketed batch of overlap fills in lockstep."""
+        return overlap_batch_lockstep(queries, targets, scoring, w=w)

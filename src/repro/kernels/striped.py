@@ -1,27 +1,7 @@
-"""The inter-sequence lockstep backend (``--kernel striped``).
+"""The ``striped`` kernel name (``--kernel striped``).
 
-The wavefront backend vectorizes *within* one extension — across the
-slots of an anti-diagonal — the way one systolic array schedules one
-matrix.  The accelerator's throughput, and that of SSW/SALoBa-style
-software aligners, comes from the other axis: many independent
-extensions advancing in lockstep.  This backend is that
-inter-sequence rendition, and it has no sweep of its own:
-
-* extension batches, at every band, go to the one lockstep sweep's
-  extension capture set (:func:`repro.align.lockstep.extend_batch`),
-  which plans the batch into cell-balanced buckets
-  (:func:`repro.align.lockstep.plan_buckets`) and sweeps each bucket
-  as jobs x band columns;
-* a single extension is that batch with ``n = 1``;
-* overlap fills, single and batched, go to the lockstep overlap batch
-  (:func:`repro.align.overlapdp.overlap_batch_lockstep`).
-
-Semantics are bit-identical to :func:`repro.align.banded.extend`
-(``prune=False``) on everything observable — scores, boundary E/F
-captures, tie-breaking — with the usual execution-shape exemptions
-(``cells_computed`` uses the lockstep formula; ``terminated_early`` is
-always ``False``).  The ragged-batch conformance suite
-(``tests/kernels/``) enforces this per job across all three backends.
+The name the benchmark's fast paths pass; like every backend, one call
+into the one lockstep sweep per method (see :mod:`repro.kernels`).
 """
 
 from __future__ import annotations
@@ -35,7 +15,7 @@ from repro.align.scoring import AffineGap
 
 
 class StripedKernel:
-    """The inter-sequence lockstep NumPy backend (``--kernel striped``)."""
+    """The ``striped`` backend (``--kernel striped``)."""
 
     name = "striped"
 
@@ -70,7 +50,7 @@ class StripedKernel:
         scoring: AffineGap,
         w: int | None = None,
     ) -> OverlapResult:
-        """One banded overlap fill (the lockstep kernel with n = 1)."""
+        """One banded overlap fill (the lockstep batch with n = 1)."""
         return overlap_batch_lockstep(
             [np.asarray(query)], [np.asarray(target)], scoring, w=w
         )[0]

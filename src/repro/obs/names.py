@@ -215,9 +215,6 @@ RESILIENCE_BREAKER_SHORT_CIRCUITS = "resilience.breaker.short_circuits"
 RESILIENCE_BREAKER_PROBES = "resilience.breaker.probes"
 """Half-open probe jobs allowed through to the accelerator."""
 
-KERNEL_EXTENSIONS = "kernel.extensions"
-"""Extension jobs served per DP kernel backend (labels: ``kernel``)."""
-
 KERNEL_BUCKET_TOTAL = "kernel.bucket_total"
 """Extension buckets swept: each lockstep-sweep bucket of
 ``lockstep.extend_batch`` (any backend)."""
@@ -322,9 +319,6 @@ RESILIENCE_BREAKER_STATE = "resilience.breaker.state"
 
 PIPELINE_SHARD_WORKERS = "pipeline.shard.workers"
 """Worker processes the last multi-process run started."""
-
-KERNEL_ACTIVE = "kernel.active"
-"""Set to 1 for the DP kernel backend a run selected (labels: ``kernel``)."""
 
 SCORE_CORRECT_LOCUS_RATE = "score.correct_locus.rate"
 """Correct-locus rate of the most recent scored run."""

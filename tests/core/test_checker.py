@@ -132,10 +132,13 @@ class TestDecisionRecord:
 
 class TestBackendIndependence:
     def test_checker_ignores_kernel_environment(self, monkeypatch):
-        """The checker never extends, so it must not resolve a kernel
-        backend: a bogus ``REPRO_KERNEL`` cannot break the model-only
-        checkers (hardware core model, passing-rate analysis)."""
+        """No backend is read from the environment: with a bogus
+        ``REPRO_KERNEL`` set, ``get_kernel()`` still resolves the
+        default, and the checker, which never extends, still checks."""
+        from repro.kernels import get_kernel
+
         monkeypatch.setenv("REPRO_KERNEL", "bogus")
+        assert get_kernel().name == "scalar"
         rng = np.random.default_rng(42)
         q = random_sequence(40, rng)
         t = np.concatenate(

@@ -203,6 +203,41 @@ class DeadLetteringEngine:
         return self.inner.extend(query, target, h0)
 
 
+class ReferenceKernel:
+    """A kernel backend double over the per-job oracles.
+
+    Every registered backend is the lockstep sweep, so the
+    byte-identity references inject this instead: extensions run
+    :func:`repro.align.banded.extend` one job at a time and overlaps
+    :func:`repro.align.overlapdp.overlap_scalar`, keeping each
+    reference independent of the code it judges.
+    """
+
+    name = "reference"
+
+    def extend(self, query, target, scoring, h0, w=None):
+        from repro.align import banded
+
+        return banded.extend(query, target, scoring, h0, w=w)
+
+    def extend_batch(self, queries, targets, h0s, scoring, w=None):
+        return [
+            self.extend(q, t, scoring, h0, w=w)
+            for q, t, h0 in zip(queries, targets, h0s, strict=True)
+        ]
+
+    def overlap(self, query, target, scoring, w=None):
+        from repro.align.overlapdp import overlap_scalar
+
+        return overlap_scalar(query, target, scoring, w=w)
+
+    def overlap_batch(self, queries, targets, scoring, w=None):
+        return [
+            self.overlap(q, t, scoring, w=w)
+            for q, t in zip(queries, targets, strict=True)
+        ]
+
+
 def fast_policy(**overrides):
     """A :class:`SupervisorPolicy` tuned for tests: quick heartbeats
     and polls, a restart budget bisection never exhausts."""

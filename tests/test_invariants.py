@@ -404,8 +404,8 @@ class TestKernelBackendsOwnTheFillsOnly:
         }
 
     def test_wavefront_module_has_one_importer(self):
-        """Only the registry reaches the wavefront backend, so retiring
-        it is one file plus one registry line."""
+        """Only the registry reaches the ``numpy`` name's module, so
+        retiring it is one file plus one registry line."""
         root = Path(__file__).resolve().parent.parent
         importers = sorted(
             path.relative_to(root).as_posix()
@@ -415,9 +415,39 @@ class TestKernelBackendsOwnTheFillsOnly:
         )
         assert importers == ["src/repro/kernels/__init__.py"]
 
+    def test_backend_modules_define_no_dp_of_their_own(self):
+        """Each backend module is one class whose four methods are one
+        call each into the lockstep sweep: no kernel module, the
+        ``numpy`` name's ``wavefront.py`` included, holds a DP
+        function."""
+        kernels = Path(__file__).resolve().parent.parent / "src/repro/kernels"
+        for name in ("scalar.py", "striped.py", "wavefront.py"):
+            tree = ast.parse((kernels / name).read_text())
+            defs = [
+                node for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            ]
+            [cls] = defs
+            assert isinstance(cls, ast.ClassDef), name
+            methods = [n for n in cls.body if isinstance(n, ast.FunctionDef)]
+            assert [m.name for m in methods] == [
+                "extend", "extend_batch", "overlap", "overlap_batch"
+            ], name
+            for method in methods:
+                *doc, ret = method.body
+                assert len(doc) == 1 and isinstance(ret, ast.Return), (
+                    name, method.name,
+                )
+                call = ret.value
+                while isinstance(call, ast.Subscript):  # the n = 1 batch
+                    call = call.value
+                assert ast.unparse(call.func) in (
+                    "lockstep.extend_batch", "overlap_batch_lockstep"
+                ), (name, method.name)
+
     def test_checks_do_not_import_kernels(self):
-        """The checks never extend, so they must not resolve a backend
-        (and with it ``$REPRO_KERNEL``)."""
+        """The checks never extend, so they must not resolve a
+        backend."""
         core = Path(__file__).resolve().parent.parent / "src/repro/core"
         for name in ("checker.py", "editcheck.py"):
             imported = _imported_modules(core / name)
@@ -477,8 +507,7 @@ class TestOneLockstepRecurrence:
             lockstep,
             overlapdp,
         )
-        from repro.kernels.scalar import ScalarKernel
-        from repro.kernels.striped import StripedKernel
+        from repro.kernels import available_kernels, get_kernel
 
         calls: list[str] = []
         sweep = lockstep.sweep
@@ -492,19 +521,26 @@ class TestOneLockstepRecurrence:
         q = rng.integers(0, 4, 12).astype(np.uint8)
         t = rng.integers(0, 4, 14).astype(np.uint8)
         s = BWA_MEM_SCORING
-        callers = {
-            "ScalarKernel.extend_batch": lambda: ScalarKernel().extend_batch(
-                [q], [t], [10], s
-            ),
-            "StripedKernel.extend_batch": lambda: StripedKernel().extend_batch(
-                [q], [t], [10], s
-            ),
-            "StripedKernel.extend_batch w=3": lambda: (
-                StripedKernel().extend_batch([q], [t], [10], s, w=3)
-            ),
-            "StripedKernel.extend w=3": lambda: StripedKernel().extend(
-                q, t, s, 10, w=3
-            ),
+        callers = {}
+        for kernel in map(get_kernel, available_kernels()):
+            cls = type(kernel).__name__
+            callers |= {
+                f"{cls}.extend": lambda k=kernel: k.extend(q, t, s, 10),
+                f"{cls}.extend w=3": lambda k=kernel: k.extend(
+                    q, t, s, 10, w=3
+                ),
+                f"{cls}.extend_batch": lambda k=kernel: k.extend_batch(
+                    [q], [t], [10], s
+                ),
+                f"{cls}.extend_batch w=3": lambda k=kernel: k.extend_batch(
+                    [q], [t], [10], s, w=3
+                ),
+                f"{cls}.overlap": lambda k=kernel: k.overlap(q, t, s, w=3),
+                f"{cls}.overlap_batch": lambda k=kernel: k.overlap_batch(
+                    [q], [t], s, w=3
+                ),
+            }
+        callers |= {
             "overlap_batch_lockstep": lambda: overlapdp.overlap_batch_lockstep(
                 [q], [t], s, w=3
             ),
@@ -516,10 +552,63 @@ class TestOneLockstepRecurrence:
             ),
             "global_align": lambda: globalband.global_align(q, t, s, w=3),
         }
+        assert len(callers) == 3 * 6 + 4
         for name, call in callers.items():
             before = len(calls)
             call()
             assert len(calls) == before + 1, name
+
+    def test_no_product_path_runs_a_reference(self, monkeypatch, tmp_path):
+        """The per-job references are oracles, not product paths: the
+        default ``align``, its per-job ``--chaos`` path, ``longread
+        --engine scalar`` and ``overlap`` with no ``--kernel`` make no
+        call into :func:`banded.extend` or ``overlap_scalar``."""
+        from repro import cli
+        from repro.align import lockstep, overlapdp
+
+        calls = {"reference": 0, "extend_batch": 0, "overlap_ends": 0}
+
+        def counting(module, name, key):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(banded, "extend", "reference")
+        counting(overlapdp, "overlap_scalar", "reference")
+        counting(lockstep, "extend_batch", "extend_batch")
+        counting(lockstep, "overlap_ends", "overlap_ends")
+
+        def mutated(argv, *positions):
+            """``argv`` with its read mismatched at ``positions``, so
+            seeds stop short and the read ends are extended."""
+            path = Path(argv[argv.index("--reads") + 1])
+            name, seq, plus, qual = path.read_text().splitlines()
+            seq = list(seq)
+            for k in positions:
+                seq[k] = "A" if seq[k] != "A" else "C"
+            path.write_text("\n".join([name, "".join(seq), plus, qual]))
+            return argv
+
+        inputs = _command_inputs(tmp_path)
+        align = mutated(inputs["align"][:7], 30, 70)
+        runs = {
+            "align": align,
+            "align --chaos": [*align, "--chaos", "--fault-rate", "0.5"],
+            "longread --engine scalar": [
+                *mutated(inputs["longread"][:7], 8, -8), "--engine", "scalar"
+            ],
+            "overlap": inputs["overlap"][:5],
+        }
+        for name, argv in runs.items():
+            before = dict(calls)
+            assert cli.main(argv) == 0, name
+            assert calls["reference"] == 0, name
+            key = "overlap_ends" if name == "overlap" else "extend_batch"
+            assert calls[key] > before[key], name
 
     @pytest.mark.parametrize("band", [0, 3, 11, 41, None])
     def test_striped_extension_sweeps_as_scalar_does(self, monkeypatch, band):
