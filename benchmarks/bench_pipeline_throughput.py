@@ -6,9 +6,10 @@ the pipeline level, the software analogue of the accelerator's
 batch-of-thousands working set (paper Section V-B).  Three
 configurations align the same Platinum-like corpus:
 
-* **scalar** — ``Aligner.align``, the per-read reference the
-  differential tests compare against (no production path selects it):
-  one ``engine.extend`` call per chain side, dense per-read host
+* **scalar** — ``tests/reference_drivers.align_reads``, the per-read
+  reference the byte-identity harness compares against (the product
+  has no per-read driver; a single read is a window of one): one
+  ``engine.extend`` call per chain side, dense per-read host
   traceback.  It stays the baseline of this axis on purpose — the
   engine is the same full-band one in every leg, so the ratio is the
   scheduler's alone;
@@ -36,6 +37,7 @@ from repro.genome.synth import (
     ReadSimulator,
     synthesize_reference,
 )
+from tests.reference_drivers import align_reads
 
 CORPUS_SEED = 20200613
 BATCH_SIZE = 4096
@@ -62,7 +64,7 @@ def test_scalar_pipeline_throughput(benchmark, pipeline_corpus):
     aligner = Aligner(reference, make_engine("full"), seeding="kmer")
 
     def run():
-        aligner.align(subset)
+        align_reads(aligner, subset)
 
     benchmark.pedantic(run, rounds=1, iterations=1)
     _rates["scalar"] = len(subset) / benchmark.stats.stats.mean

@@ -21,8 +21,11 @@ is built from one picklable recipe, :class:`EngineSpec`, through
 
 Every wave path — the short-read window, the paired rescue and the
 long-read ends — reaches the engine through one step,
-:func:`repro.aligner.waves.extend_side`, so :meth:`BatchedEngine.extend_wave`
-is one call under the policy and keeps nothing between waves.
+:func:`repro.aligner.waves.extend_side`, and every engine it reaches
+takes whole waves (:class:`ExtensionEngine`):
+:meth:`BatchedEngine.extend_wave` is one call under the policy and
+keeps nothing between waves, and the resilience dispatcher walks a
+wave's jobs down its ladder one at a time.
 """
 
 from __future__ import annotations
@@ -63,14 +66,16 @@ def _account(name: str, cells: int, jobs: int = 1) -> None:
 
 
 class ExtensionEngine(Protocol):
-    """Anything that can run one seed extension job."""
+    """Anything the read driver can hand a wave of extension jobs."""
 
     name: str
+    scoring: AffineGap
 
-    def extend(
-        self, query: np.ndarray, target: np.ndarray, h0: int
-    ) -> ExtensionResult:
-        """Run one extension job and return its result."""
+    def extend_wave(
+        self, jobs: list[tuple[np.ndarray, np.ndarray, int]]
+    ) -> list[ExtensionResult | None]:
+        """Run a wave of ``(query, target, h0)`` jobs; one result per
+        job, in job order, ``None`` for a job that was dead-lettered."""
         ...
 
 
@@ -95,11 +100,10 @@ class BatchedEngine:
     — so SAM output is byte-identical to the full band at any band,
     and :attr:`stats` reports the check outcomes.
 
-    The scalar :meth:`extend` runs one job under the same policy, so
-    the engine still satisfies the :class:`ExtensionEngine` protocol
-    when driven one job at a time (the per-read reference path, or
-    behind the resilience dispatcher).  Every job is computed, equal
-    ones included.
+    The scalar :meth:`extend` runs one job under the same policy: the
+    resilience dispatcher walks its ladder one job at a time through
+    it, and its host fallback reruns a job through it.  Every job is
+    computed, equal ones included; no wave ever dead-letters a job.
     """
 
     def __init__(
@@ -223,7 +227,7 @@ def make_engine(
 
 
 def make_resilient(
-    engine: ExtensionEngine,
+    engine: BatchedEngine,
     fault_rate: float = 0.0,
     fault_seed: int = 0,
     max_retries: int = 3,
@@ -243,7 +247,8 @@ def make_resilient(
     (:mod:`repro.faults`) and the retry → host-rerun → dead-letter
     ladder guarantees the result anyway.  Returns a
     :class:`~repro.faults.resilience.ResilientDispatcher`, which
-    satisfies the :class:`ExtensionEngine` protocol.
+    satisfies the :class:`ExtensionEngine` protocol: it takes a wave
+    and walks each job down the ladder, in wave order.
 
     ``breaker_threshold`` (``None`` = no breaker) arms a
     :class:`~repro.durability.breaker.CircuitBreaker`: that many

@@ -16,8 +16,9 @@ of the paper's guaranteed modes are exercised in one pipeline.
 
 Two execution paths share one plan/stitch skeleton:
 
-* :meth:`LongReadAligner.align` — the scalar path: one read at a
-  time, one ``GlobalSeedEx`` call per gap;
+* :meth:`LongReadAligner.align` — the scalar path (``longread
+  --engine scalar``, the oracle the batched path is checked against):
+  one read at a time, one ``GlobalSeedEx`` call per gap;
 * :meth:`LongReadAligner.align_batch` — the batched path: windows of
   reads move through three dependency-ordered waves (left ends →
   gap fills → right ends).  End extensions go through the same
@@ -47,6 +48,7 @@ from repro.align.globalbatch import fill_gaps_guaranteed
 from repro.align.scoring import BWA_MEM_SCORING, AffineGap
 from repro.aligner.pipeline import _resolve_end, _trace_job, stitch_cigar
 from repro.aligner.waves import DEFAULT_BATCH_SIZE, extend_side, trace_sides
+from repro.constants import DEFAULT_BAND
 from repro.core.extender import SeedExtender
 from repro.core.globalcheck import GlobalSeedEx
 from repro.genome.sam import SamRecord
@@ -141,20 +143,19 @@ class _ReadPlan:
 class LongReadAligner:
     """Seed-chain-fill alignment with guaranteed-optimal fills.
 
-    ``end_band`` is the band of :attr:`end_extender`, the checked
-    scalar read-end extender.  It runs every end of the scalar
-    :meth:`align` and, in :meth:`align_batch`, only the end jobs the
-    wave engine dead-letters; the end waves themselves run under the
-    engine's own policy (the full band, for ``longread --engine
-    batched``).  Either way the ends are optimal, so the SAM is the
-    same.
+    :attr:`end_extender` is the checked read-end extender, at the
+    paper's band (:data:`~repro.constants.DEFAULT_BAND`).  It runs
+    every end of the scalar :meth:`align` and, in :meth:`align_batch`,
+    only the end jobs the wave engine dead-letters; the end waves
+    themselves run under the engine's own policy (the full band, for
+    ``longread --engine batched``).  Either way the ends are optimal,
+    so the SAM is the same.
     """
 
     def __init__(
         self,
         reference: np.ndarray,
         fill_band: int = 16,
-        end_band: int = 41,
         k: int = 15,
         scoring: AffineGap = BWA_MEM_SCORING,
         max_fill_gap: int = 400,
@@ -167,7 +168,7 @@ class LongReadAligner:
         self.reference_name = reference_name
         self.index = KmerIndex(self.reference, k=k)
         self.filler = GlobalSeedEx(band=fill_band, scoring=scoring)
-        self.end_extender = SeedExtender(band=end_band, scoring=scoring)
+        self.end_extender = SeedExtender(band=DEFAULT_BAND, scoring=scoring)
         self.stats = LongReadStats()
 
     # -- planning -------------------------------------------------------
@@ -395,13 +396,12 @@ class LongReadAligner:
 
         ``reads`` may be ``(name, codes)`` pairs or ``SimulatedRead``-like
         objects; results come back in input order, byte-identical to
-        per-read :meth:`align`.  ``engine`` runs the end-extension
-        waves through :func:`~repro.aligner.waves.extend_side`
-        (``extend_wave`` engines, such as
-        :class:`~repro.aligner.engines.BatchedEngine`, get whole waves;
-        anything else with ``extend`` is driven job by job).  A
-        dead-lettered end job falls back to the scalar
-        :attr:`end_extender` alone, never its whole wave.
+        per-read :meth:`align`.  ``engine`` (any
+        :class:`~repro.aligner.engines.ExtensionEngine`) runs the
+        end-extension waves through
+        :func:`~repro.aligner.waves.extend_side`.  A dead-lettered end
+        job falls back to the checked :attr:`end_extender` alone,
+        never its whole wave.
         """
         if batch_size < 1:
             raise ValueError("batch size must be at least 1")

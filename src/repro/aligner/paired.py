@@ -15,23 +15,22 @@ This module adds it on top of the single-end pipeline:
 
 SAM output carries the pair flags/fields (0x1/0x2/0x40/0x80, mate
 reverse, RNEXT/PNEXT/TLEN).
+
+One driver runs it: :meth:`PairedAligner.align_pairs_batched` aligns a
+window of pairs — both mates through the wave scheduler, then every
+rescue candidate of the window as two cross-pair extension waves — and
+:meth:`PairedAligner.align_pair` is a window of one pair.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro import obs
 from repro.align.cigar import Cigar
-from repro.align.fullmatrix import traceback_extension
-from repro.aligner.pipeline import (
-    Aligner,
-    _resolve_end,
-    _trace_job,
-    stitch_cigar,
-)
+from repro.aligner.pipeline import Aligner, _trace_job, stitch_cigar
 from repro.aligner.waves import align_window, extend_side, trace_sides
 from repro.core.extender import SeedExtender
 from repro.genome.sam import FLAG_REVERSE, SamRecord
@@ -178,38 +177,9 @@ class PairedAligner:
         self.stats = PairStats()
 
     def align_pair(self, pair: ReadPair) -> tuple[SamRecord, SamRecord]:
-        """Align both mates, attempt rescue, emit flagged records."""
-        self.stats.pairs += 1
-        rec1 = self.aligner.align_read(pair.first, pair.name)
-        rec2 = self.aligner.align_read(pair.second, pair.name)
-
-        if self._concordant(rec1, rec2):
-            pass
-        elif not rec1.is_unmapped and (
-            rec2.is_unmapped or not self._concordant(rec1, rec2)
-        ):
-            rescued = self._rescue(pair.second, rec1)
-            if rescued is not None and (
-                rec2.is_unmapped or self._better_pair(rec1, rescued, rec2)
-            ):
-                rec2 = rescued
-                self.stats.rescued += 1
-        elif not rec2.is_unmapped and rec1.is_unmapped:
-            rescued = self._rescue(pair.first, rec2, mate_is_first=False)
-            if rescued is not None:
-                rec1 = rescued
-                self.stats.rescued += 1
-
-        proper = self._concordant(rec1, rec2)
-        if proper:
-            self.stats.proper += 1
-        return self._flag(rec1, rec2, proper, first=True), self._flag(
-            rec2, rec1, proper, first=False
-        )
-
-    def align_pairs(self, pairs) -> list[tuple[SamRecord, SamRecord]]:
-        """Align a list of pairs in order."""
-        return [self.align_pair(p) for p in pairs]
+        """Align both mates, attempt rescue, emit flagged records: a
+        window of one pair (:meth:`align_pairs_batched`)."""
+        return self._pairs_window([pair])[0]
 
     # -- pairing logic ------------------------------------------------------
 
@@ -246,9 +216,10 @@ class PairedAligner:
         window and the mate's orientation; short exact probes at
         several query offsets nominate candidate placements (grouped
         by probe offset, deduplicated by implied start — the exact
-        enumeration order the scalar loop uses).  Both the scalar and
-        the batched rescue paths consume this plan, which is what
-        makes their records byte-identical.
+        enumeration order of the scalar rescue loop).  The batched
+        rescue and that loop (kept as the reference driver in
+        ``tests/reference_drivers.py``) both consume this plan, which
+        is what makes their records byte-identical.
         """
         lo_ins, hi_ins = self.insert.window
         ref = self.reference
@@ -310,38 +281,16 @@ class PairedAligner:
         ].copy()
         return lq, lt, rq, rt
 
-    def _extend_candidate(
-        self, plan: "_RescuePlan", o: int, off: int
-    ) -> tuple:
-        """Left extension (reversed), then right with the accumulated
-        score as h0 — the scalar schedule for one candidate.
-
-        Returns ``(score, o, off, left, right)``, the sides resolved as
-        ``(endpoint, score, clipped)``.
-        """
-        lq, lt, rq, rt = self._candidate_jobs(plan, o, off)
-        h0 = plan.k * self.aligner.scoring.match
-        left = self._rescue_side(lq, lt, h0)
-        right = self._rescue_side(rq, rt, left[1])
-        return (right[1], o, off, left, right)
-
-    def _rescue_side(self, query, target, h0: int) -> tuple:
-        """One side through the scalar rescuer, resolved."""
-        if not len(query):
-            return (0, 0), h0, 0
-        res = self.rescuer.extend(query, target, h0).result
-        return _resolve_end(res, h0)
-
     def _select_rescue(
         self, plan: "_RescuePlan", extended: dict
     ) -> tuple | None:
         """Pick the winning candidate from pre-computed extensions.
 
-        Replicates the scalar loop exactly — strict ``>`` best
+        Replicates the scalar rescue loop exactly — strict ``>`` best
         tracking in enumeration order and the early break after any
         probe group whose best reaches half a perfect score — so
-        candidates the scalar path never extended are ignored even
-        when their results sit in ``extended``.
+        candidates that loop never extends are ignored even when
+        their results sit in ``extended``.
         """
         m = self.aligner.scoring.match
         best = None
@@ -353,40 +302,6 @@ class PairedAligner:
             if best is not None and best[0] >= len(plan.query) * m // 2:
                 break
         return best
-
-    def _rescue(
-        self,
-        mate_codes: np.ndarray,
-        anchor: SamRecord,
-        mate_is_first: bool = True,
-    ) -> SamRecord | None:
-        """Search for the mate inside the insert window of the anchor.
-
-        The mate is aligned semi-globally against the window with the
-        SeedEx extender (h0 = one match: nothing is pre-anchored), so
-        even the rescue path inherits the optimality guarantee.
-        """
-        plan = self._rescue_plan(mate_codes, anchor)
-        if plan is None:
-            return None
-        m = self.aligner.scoring.match
-        best = None
-        for group in plan.groups:
-            for o, off in group:
-                cand = self._extend_candidate(plan, o, off)
-                if best is None or cand[0] > best[0]:
-                    best = cand
-            if best is not None and best[0] >= len(plan.query) * m // 2:
-                break
-        left, right = (
-            None
-            if job is None
-            else traceback_extension(
-                job[0], job[1], self.aligner.scoring, job[2], job[3]
-            )
-            for job in self._rescue_jobs(plan, best)
-        )
-        return self._emit_rescue(plan, anchor, best, left, right)
 
     def _min_rescue_score(self, plan: "_RescuePlan") -> int:
         return len(plan.query) * self.aligner.scoring.match // 3
@@ -449,12 +364,13 @@ class PairedAligner:
         waves (all left extensions, then all rights with the lefts'
         scores as ``h0``) instead of extending pair by pair.  The
         selection replays the scalar enumeration order, so records —
-        flags, positions, CIGARs, tags — are byte-identical to
-        :meth:`align_pair` on every pair.
+        flags, positions, CIGARs, tags — are the same at every
+        ``batch_size``.
 
         The aligner's own engine serves the rescue waves, so they run
         under the same ``(band, checks)`` policy as the mates; a
-        dead-lettered job degrades alone, through the scalar rescuer.
+        dead-lettered job degrades alone, through the checked
+        :attr:`rescuer`.
         """
         if batch_size < 1:
             raise ValueError("batch size must be at least 1")
@@ -471,21 +387,18 @@ class PairedAligner:
         recs = align_window(self.aligner, mates)
         self.stats.pairs += len(pairs)
 
-        # Decide, per pair, whether (and which mate) to rescue — the
-        # same ladder the scalar path walks.
+        # Decide, per pair, whether (and which mate) to rescue.
         decisions: list[tuple[SamRecord, SamRecord, tuple | None]] = []
         for i, pair in enumerate(pairs):
             rec1, rec2 = recs[2 * i], recs[2 * i + 1]
             need: tuple | None = None
             if self._concordant(rec1, rec2):
                 pass
-            elif not rec1.is_unmapped and (
-                rec2.is_unmapped or not self._concordant(rec1, rec2)
-            ):
+            elif not rec1.is_unmapped:
                 plan = self._rescue_plan(pair.second, rec1)
                 if plan is not None:
                     need = ("second", plan, rec1)
-            elif not rec2.is_unmapped and rec1.is_unmapped:
+            elif not rec2.is_unmapped:
                 plan = self._rescue_plan(pair.first, rec2)
                 if plan is not None:
                     need = ("first", plan, rec2)
@@ -553,10 +466,10 @@ class PairedAligner:
     def _extend_wave(self, cands) -> dict:
         """Extend every candidate via two cross-pair waves.
 
-        Returns ``{(id(plan), o, off): candidate tuple}`` with exactly
-        the values :meth:`_extend_candidate` would produce — the right
-        wave threads each left result's score in as ``h0``, and any
-        ``DEGRADED`` job falls back to the scalar rescuer alone.
+        Returns ``{(id(plan), o, off): (score, o, off, left, right)}``,
+        the sides resolved as ``(endpoint, score, clipped)`` — the
+        right wave threads each left result's score in as ``h0``, and
+        any dead-lettered job falls back to the checked rescuer alone.
         """
         if not cands:
             return {}

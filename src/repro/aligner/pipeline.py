@@ -11,9 +11,13 @@ A self-contained BWA-MEM-style pipeline (paper Section V-B):
 4. pick the best-scoring candidate, run **traceback on the host** for
    the winner only (Section II-A), and emit a SAM record.
 
-The extension engine is pluggable (:mod:`repro.aligner.engines`); the
-whole pipeline is deterministic for a fixed input, so SAM outputs from
-different engines are directly comparable — the Figure 13 experiment.
+:class:`Aligner` owns the reference, the seeding structures and the
+per-read steps (job geometry, selection, record); the driver that
+runs them over a window of reads is :mod:`repro.aligner.waves`, and
+:meth:`Aligner.align_read` is a window of one.  The extension engine
+is pluggable (:mod:`repro.aligner.engines`); the whole pipeline is
+deterministic for a fixed input, so SAM outputs from different
+engines are directly comparable — the Figure 13 experiment.
 """
 
 from __future__ import annotations
@@ -24,14 +28,12 @@ import numpy as np
 
 from repro import obs
 from repro.align.cigar import Cigar
-from repro.align.fullmatrix import fill_extension, traceback_path
 from repro.align.scoring import AffineGap
 from repro.aligner.engines import BatchedEngine, ExtensionEngine
-from repro.faults.errors import DeadLetterError
 from repro.genome.sam import FLAG_REVERSE, SamRecord
-from repro.genome.sequence import decode, reverse_complement
+from repro.genome.sequence import decode
 from repro.obs import names
-from repro.seeding.chaining import Chain, chain_seeds, filter_chains
+from repro.seeding.chaining import Chain
 from repro.seeding.fmindex import FMIndex
 from repro.seeding.kmer_index import KmerIndex
 from repro.seeding.mems import seed_read
@@ -130,16 +132,14 @@ class Aligner:
 
     # -- seeding ----------------------------------------------------------
 
-    def _seeds(self, query: np.ndarray):
-        if self._fm is not None:
-            return seed_read(self._fm, query, self.min_seed_length)
-        return self._kmer.seed_read(query)
-
     def _seed_window(self, queries: list[np.ndarray]):
         """Seeds of every query, in order: one k-mer pass for the whole
         window, or the SMEM reference one query at a time."""
         if self._fm is not None:
-            return [self._seeds(query) for query in queries]
+            return [
+                seed_read(self._fm, query, self.min_seed_length)
+                for query in queries
+            ]
         return self._kmer.seed_reads(queries)
 
     # -- extension --------------------------------------------------------
@@ -150,8 +150,7 @@ class Aligner:
         """The chain's left extension job: ``(lq, lt, h0)``.
 
         Left extensions run on reversed prefixes so the kernel extends
-        rightward in its own coordinates.  Shared by the scalar path
-        and the wave scheduler so job geometry cannot drift.
+        rightward in its own coordinates.
         """
         seed = chain.anchor
         h0 = seed.length * self.scoring.match
@@ -199,91 +198,17 @@ class Aligner:
             right=right,
         )
 
-    def _extend_side(self, job: tuple) -> tuple:
-        """One job, resolved by the scalar kernel: the per-read twin of
-        :func:`repro.aligner.waves.extend_side`."""
-        query, target, h0 = job
-        if not len(query):
-            return (0, 0), h0, 0
-        return _resolve_end(self.engine.extend(query, target, h0), h0)
-
-    def _extend_chain(
-        self, query: np.ndarray, chain: Chain, reverse: bool
-    ) -> "AlignmentCandidate | str | None":
-        """Extend one chain; ``DEGRADED`` when the engine dead-letters."""
-        left_job = self._left_job(query, chain)
-        try:
-            left = self._extend_side(left_job)
-            if left[0] == (0, 0) and left[1] <= 0:
-                return None
-            # Right extension continues with the accumulated score.
-            right_job = self._right_job(query, chain, left[1])
-            right = self._extend_side(right_job)
-        except DeadLetterError:
-            return DEGRADED
-        return self._make_candidate(
-            chain, reverse, left_job, right_job, left, right
-        )
-
     # -- per-read alignment ------------------------------------------------
 
     def align_read(self, codes: np.ndarray, name: str) -> SamRecord:
-        """Align one read; always returns a record (possibly unmapped)."""
-        with obs.span(names.SPAN_ALIGNER_READ):
-            return self._align_read(codes, name)
+        """Align one read; always returns a record (possibly unmapped).
 
-    def _align_read(self, codes: np.ndarray, name: str) -> SamRecord:
-        codes = np.asarray(codes, dtype=np.uint8)
-        candidates: list[AlignmentCandidate] = []
-        n_seeds = 0
-        n_chains = 0
-        n_degraded = 0
-        for reverse in (False, True):
-            query = reverse_complement(codes) if reverse else codes
-            with obs.span(names.SPAN_ALIGNER_SEED):
-                seeds = self._seeds(query)
-            with obs.span(names.SPAN_ALIGNER_CHAIN):
-                chains = filter_chains(
-                    chain_seeds(seeds), max_chains=self.max_chains
-                )
-            n_seeds += len(seeds)
-            n_chains += len(chains)
-            for chain in chains:
-                with obs.span(names.SPAN_ALIGNER_EXTEND):
-                    cand = self._extend_chain(query, chain, reverse)
-                if cand is DEGRADED:
-                    n_degraded += 1
-                elif cand is not None:
-                    candidates.append(cand)
-        return self._finalize_read(
-            codes, name, candidates, n_seeds, n_chains, n_degraded
-        )
-
-    def _finalize_read(
-        self,
-        codes: np.ndarray,
-        name: str,
-        candidates: "list[AlignmentCandidate]",
-        n_seeds: int,
-        n_chains: int,
-        n_degraded: int,
-    ) -> SamRecord:
-        """Best-candidate selection, traceback, and the SAM record.
-
-        Shared verbatim by the scalar path and the wave scheduler —
-        given the same candidate list (same order: forward chains then
-        reverse, in filter order) both produce the same record byte
-        for byte.
+        A window of one through the wave scheduler
+        (:func:`~repro.aligner.waves.align_window`).
         """
-        picked = self._select_candidate(
-            codes, name, candidates, n_seeds, n_chains, n_degraded
-        )
-        if isinstance(picked, SamRecord):
-            return picked
-        best, mapq = picked
-        with obs.span(names.SPAN_ALIGNER_TRACEBACK):
-            cigar = self._traceback(best)
-        return self._record(codes, name, best, mapq, cigar)
+        from repro.aligner.waves import align_window
+
+        return align_window(self, [(name, codes)])[0]
 
     def _select_candidate(
         self,
@@ -298,7 +223,7 @@ class Aligner:
 
         Returns the finished :class:`SamRecord` for unmapped reads, or
         ``(best, mapq)`` for mapped ones — traceback is the caller's
-        job, so the wave scheduler can batch the winners' matrix fills
+        job, so the wave scheduler batches the winners' matrix fills
         across a whole window.
         """
         if obs.enabled():
@@ -361,17 +286,6 @@ class Aligner:
             tags=(f"AS:i:{best.score}",),
         )
 
-    def align(self, reads) -> list[SamRecord]:
-        """Align a batch of (name, codes) pairs or SimulatedReads."""
-        out = []
-        for read in reads:
-            if hasattr(read, "codes"):
-                out.append(self.align_read(read.codes, read.name))
-            else:
-                name, codes = read
-                out.append(self.align_read(codes, name))
-        return out
-
     def align_batched(
         self, reads, batch_size: int = 4096, progress=None
     ) -> list[SamRecord]:
@@ -379,9 +293,8 @@ class Aligner:
 
         Seeds and chains a window of reads, then dispatches all left
         extensions as one lockstep wave and all right extensions as a
-        second wave (:mod:`repro.aligner.waves`).  Output is
-        byte-identical to :meth:`align`, record for record; the
-        optional ``progress(window_index, done, total)`` callback
+        second wave (:mod:`repro.aligner.waves`).  Output is the same
+        at every ``batch_size``, record for record; the optional ``progress(window_index, done, total)`` callback
         observes window completions without affecting it.
         """
         from repro.aligner.waves import align_batched
@@ -395,21 +308,16 @@ class Aligner:
     def _traceback(
         self,
         cand: AlignmentCandidate,
-        left: Cigar | None = None,
-        right: Cigar | None = None,
+        left: Cigar | None,
+        right: Cigar | None,
     ) -> Cigar:
         """Build the final CIGAR: traceback runs on the host, once, for
         the winning extension only.
 
-        ``left``/``right`` are the sides' walks when a traceback wave
-        (:func:`repro.aligner.waves.trace_sides`) already made them; a
-        side not given is traced here by the per-read reference.
+        ``left``/``right`` are the sides' walks, made by a traceback
+        wave (:func:`repro.aligner.waves.trace_sides`); ``None`` for a
+        side with nothing to walk.
         """
-        jobs = cand.traceback_jobs()
-        if left is None and jobs[0] is not None:
-            left = self._trace_dense(*jobs[0])
-        if right is None and jobs[1] is not None:
-            right = self._trace_dense(*jobs[1])
         return stitch_cigar(
             cand.left[2],
             left,
@@ -417,19 +325,6 @@ class Aligner:
             right,
             cand.right[2],
         )
-
-    def _trace_dense(
-        self,
-        query: np.ndarray,
-        target: np.ndarray,
-        h0: int,
-        end: tuple[int, int],
-    ) -> Cigar:
-        """One side's walk by the oracle: scalar fill of the job clipped
-        to its endpoint, dense walker."""
-        query, target = query[: end[1]], target[: end[0]]
-        mats = fill_extension(query, target, self.scoring, h0)
-        return traceback_path(mats, query, target, self.scoring, end)
 
 
 def _trace_job(

@@ -1,8 +1,9 @@
 """Deferred-extension wave scheduling: batch across reads, not rows.
 
-The one production driver: ``align`` (any ``--engine``, any worker
-count, single-end or paired), ``analyze`` and ``serve`` all come
-through here.  Extending one chain at a time would never show the
+The one read driver: ``align`` (any ``--engine``, any worker count,
+single-end or paired), ``analyze`` and ``serve`` all come through
+here, and :meth:`~repro.aligner.pipeline.Aligner.align_read` is a
+window of one.  Extending one chain at a time would never show the
 lockstep sweep (:mod:`repro.align.lockstep`) a real batch, so
 this scheduler restores the accelerator's working set (paper Section
 V-B): it walks seed/chain for a whole *window* of reads, collects
@@ -19,8 +20,8 @@ and the long-read ends (:meth:`~repro.aligner.longread.LongReadAligner.align_bat
 Each then stitches its CIGAR with
 :func:`~repro.aligner.pipeline.stitch_cigar`.
 
-Semantics are byte-identical to the per-read reference
-(``Aligner.align_read``; the byte-identity harness in
+Semantics are byte-identical to the per-read reference driver
+(``tests/reference_drivers.py``; the byte-identity harness in
 ``tests/test_byte_identity.py`` holds SAM output fixed across
 engine policies x window sizes x worker counts):
 
@@ -32,11 +33,11 @@ engine policies x window sizes x worker counts):
 * candidates accumulate in reference order — forward-orientation
   chains then reverse, in chain-filter order — so tie-breaking in the
   final sort is unchanged;
-* when the engine cannot take a wave (e.g. it is wrapped in the
-  chaos/resilience dispatcher, which is scalar by design), jobs fall
-  back to per-job dispatch and a dead-lettered job degrades **alone**
-  — its chain, not its whole wave (the rescue and long-read paths
-  answer it with their scalar extender instead).
+* every engine takes whole waves (``extend_wave``).  The resilience
+  dispatcher walks a wave's jobs down its ladder one at a time and
+  answers a dead-lettered job with ``None``, so that job degrades
+  **alone** — its chain, not its whole wave (the rescue and long-read
+  paths answer it with their checked fallback extender instead).
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from repro.aligner.pipeline import (
     AlignmentCandidate,
     _resolve_end,
 )
-from repro.faults.errors import DeadLetterError
 from repro.genome.sam import SamRecord
 from repro.genome.sequence import reverse_complement
 from repro.obs import names
@@ -111,24 +111,16 @@ def _count_wave(reg, side: str, jobs: int) -> None:
 def _dispatch_wave(engine, jobs: list[tuple], side: str) -> list:
     """Run one wave of jobs; returns a result (or ``DEGRADED``) per job.
 
-    Engines exposing ``extend_wave`` get the whole wave in one call
-    (the lockstep path); anything else — including the resilience
-    dispatcher — is driven job by job, where a ``DeadLetterError``
-    degrades only the job that raised it.
+    The engine gets the whole wave in one ``extend_wave`` call; a job
+    it dead-lettered comes back as ``None`` and degrades alone.
     """
     if not jobs:
         return []
-    wave = getattr(engine, "extend_wave", None)
     with obs.span(names.SPAN_PIPELINE_WAVE, side=side, jobs=len(jobs)):
-        if wave is not None:
-            results = wave(jobs)
-        else:
-            results = []
-            for query, target, h0 in jobs:
-                try:
-                    results.append(engine.extend(query, target, h0))
-                except DeadLetterError:
-                    results.append(DEGRADED)
+        results = [
+            DEGRADED if res is None else res
+            for res in engine.extend_wave(jobs)
+        ]
     if obs.enabled():
         reg = obs.get_registry()
         _count_wave(reg, side, len(jobs))
@@ -189,21 +181,22 @@ def extend_side(engine, jobs: list[tuple], side: str, fallback=None) -> list:
     (:func:`~repro.aligner.pipeline._resolve_end`).  An empty query has
     nothing to extend and resolves to ``((0, 0), h0, 0)`` without
     reaching the engine; the rest go out as one :func:`_dispatch_wave`.
-    A dead-lettered job resolves through ``fallback`` (a scalar
-    :class:`~repro.core.extender.SeedExtender`) when one is given, and
-    is ``DEGRADED`` otherwise.
+    A dead-lettered job resolves through ``fallback`` (a checked
+    :class:`~repro.core.extender.SeedExtender`, one
+    :meth:`~repro.core.extender.SeedExtender.extend_many` wave over
+    every such job) when one is given, and is ``DEGRADED`` otherwise.
     """
     out: list = [((0, 0), h0, 0) for _, _, h0 in jobs]
     pending = [k for k, (query, _, _) in enumerate(jobs) if len(query)]
-    results = _dispatch_wave(engine, [jobs[k] for k in pending], side)
-    for k, res in zip(pending, results):
-        query, target, h0 = jobs[k]
-        if res is DEGRADED:
-            if fallback is None:
-                out[k] = DEGRADED
-                continue
-            res = fallback.extend(query, target, h0).result
-        out[k] = _resolve_end(res, h0)
+    results = dict(zip(
+        pending, _dispatch_wave(engine, [jobs[k] for k in pending], side)
+    ))
+    dead = [k for k, res in results.items() if res is DEGRADED]
+    if dead and fallback is not None:
+        checked = fallback.extend_many([jobs[k] for k in dead])
+        results.update((k, c.result) for k, c in zip(dead, checked))
+    for k, res in results.items():
+        out[k] = res if res is DEGRADED else _resolve_end(res, jobs[k][2])
     return out
 
 
@@ -381,12 +374,12 @@ def align_batched(
     """Align ``reads`` window by window through the wave scheduler.
 
     ``reads`` may be ``(name, codes)`` pairs or ``SimulatedRead``-like
-    objects.  Records come back in input order, byte-identical to
-    ``aligner.align(reads)``.  ``progress``, when given, is called
-    after each completed window as ``progress(window_index, done,
-    total)``; ``on_record(global_index, record)`` fires per read as
-    its window finishes.  Neither callback may mutate the aligner (the
-    scheduler's output stays byte-identical whether callbacks are
+    objects.  Records come back in input order, byte-identical to the
+    per-read reference at any window size.  ``progress``, when given,
+    is called after each completed window as ``progress(window_index,
+    done, total)``; ``on_record(global_index, record)`` fires per read
+    as its window finishes.  Neither callback may mutate the aligner
+    (the scheduler's output stays byte-identical whether callbacks are
     attached or not).
     """
     if batch_size < 1:

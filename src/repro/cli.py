@@ -381,16 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="speculation band of the inter-seed gap fills (default 16)",
     )
     lr.add_argument(
-        "--end-band",
-        type=_int_at_least(1),
-        default=41,
-        metavar="W",
-        help="band of the checked scalar read-end extender (default "
-        "41): every end under --engine scalar, and only the per-job "
-        "fallbacks under --engine batched, whose end waves run the "
-        "full band",
-    )
-    lr.add_argument(
         "--batch-size",
         type=_int_at_least(1),
         default=512,
@@ -447,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ovl.add_argument(
         "--min-shared",
-        type=int,
+        type=_int_at_least(1),
         default=3,
         metavar="N",
         help="shared k-mers (same diagonal) a pair needs to be "
@@ -455,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ovl.add_argument(
         "--min-overlap",
-        type=int,
+        type=_int_at_least(0),
         default=50,
         metavar="BP",
         help="shortest overlap worth reporting (default 50)",
@@ -728,7 +718,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cl.add_argument(
         "--deadline-ms",
-        type=int,
+        type=_int_at_least(1),
         default=None,
         metavar="MS",
         help="per-request deadline to attach (default: none)",
@@ -985,7 +975,6 @@ def cmd_longread(args: argparse.Namespace) -> int:
         batch_size=args.batch_size,
         options={
             "fill_band": args.fill_band,
-            "end_band": args.end_band,
             "reference_name": name,
         },
     )

@@ -1,10 +1,12 @@
 """ChaosEngine: route every extension through the faultable datapath.
 
-Wraps any :class:`~repro.aligner.engines.ExtensionEngine` so that each
-``extend`` call travels the accelerator's real seams functionally —
-job packed into 512-bit memory lines, lines through (possibly
-corrupted) DRAM, unpack with CRC verification at the core, compute,
-result record packed and CRC-verified on write-back — with a
+Wraps an engine with a per-job ``extend`` (a
+:class:`~repro.aligner.engines.BatchedEngine`) so that each ``extend``
+call (the resilience dispatcher makes one per job and attempt)
+travels the accelerator's real seams functionally — job packed into
+512-bit memory lines, lines through (possibly corrupted) DRAM, unpack
+with CRC verification at the core, compute, result record packed and
+CRC-verified on write-back — with a
 :class:`~repro.faults.injector.FaultInjector` deciding, per attempt,
 whether and where to corrupt.
 

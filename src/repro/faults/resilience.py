@@ -3,7 +3,9 @@
 :class:`ResilientDispatcher` wraps any extension engine (typically a
 :class:`~repro.faults.chaos.ChaosEngine` over the SeedEx engine) and
 guarantees the speculate-and-test contract survives a misbehaving
-accelerator.  Per job it walks the degradation ladder:
+accelerator.  The pipeline hands it waves
+(:meth:`ResilientDispatcher.extend_wave`); it walks each job of a
+wave, in wave order, down the degradation ladder:
 
 1. **retry on the accelerator** — bounded attempts with exponential
    backoff plus deterministic jitter; short stream stalls are absorbed
@@ -13,9 +15,11 @@ accelerator.  Per job it walks the degradation ladder:
    recomputed by the full-band software kernel (always correct);
 3. **dead-letter** — only when the host rerun queue itself refuses the
    job: the job is recorded with its failure context and a typed
-   :class:`~repro.faults.errors.DeadLetterError` tells the pipeline to
-   mark the read unmapped-with-reason.  The dispatcher never crashes
-   the pipeline and never silently drops a job.
+   :class:`~repro.faults.errors.DeadLetterError` ends the job's walk,
+   and the wave answers it with ``None`` so the pipeline marks the
+   read unmapped-with-reason (or reruns the job on its own fallback).
+   The dispatcher never crashes the pipeline and never silently drops
+   a job.
 
 With no injector attached the dispatcher is a measured no-op: one
 counter increment and one histogram observation around the bare
@@ -228,10 +232,11 @@ class ResilientDispatcher:
     """Engine wrapper that survives an untrusted accelerator.
 
     Satisfies the :class:`~repro.aligner.engines.ExtensionEngine`
-    protocol, so it plugs straight into the aligner pipeline in place
-    of the engine it wraps.  ``fallback`` defaults to a lazily-built
-    full-band :class:`~repro.aligner.engines.BatchedEngine` sharing the
-    wrapped engine's scoring; ``host_queue_capacity`` bounds how many fallback
+    protocol (:meth:`extend_wave`), so it plugs straight into the
+    aligner pipeline in place of the engine it wraps.  ``fallback``
+    defaults to a lazily-built full-band
+    :class:`~repro.aligner.engines.BatchedEngine` sharing the wrapped
+    engine's scoring; ``host_queue_capacity`` bounds how many fallback
     reruns the host accepts (``None`` = unbounded, the bit-identity
     configuration).
 
@@ -275,6 +280,22 @@ class ResilientDispatcher:
     def scoring(self):
         """The wrapped engine's affine-gap scheme (pipeline contract)."""
         return self.engine.scoring
+
+    def extend_wave(self, jobs) -> list:
+        """A wave of ``(query, target, h0)`` jobs, each walked down the
+        :meth:`extend` ladder in job order.
+
+        Results come back in job order; a job that exhausted the
+        ladder comes back as ``None`` (its :class:`DeadLetter` is on
+        :attr:`dead_letters`), so one dead job never fails its wave.
+        """
+        results = []
+        for query, target, h0 in jobs:
+            try:
+                results.append(self.extend(query, target, h0))
+            except DeadLetterError:
+                results.append(None)
+        return results
 
     def extend(self, query, target, h0):
         """One extension, guaranteed to terminate down the ladder."""

@@ -41,18 +41,12 @@ SPAN_CHECK_EDIT = "check.edit"
 SPAN_CHECK_ABOVE = "check.above"
 """The above-band sweep (local-target workflow only)."""
 
-SPAN_ALIGNER_READ = "aligner.read"
-"""One read aligned end to end (seed, chain, extend, traceback)."""
-
 SPAN_ALIGNER_SEED = "aligner.seed"
 """Seeding one window, both orientations (SMEM or k-mer lookup); one
 orientation on the per-read reference path."""
 
 SPAN_ALIGNER_CHAIN = "aligner.chain"
 """Chaining and filtering the seeds of one orientation."""
-
-SPAN_ALIGNER_EXTEND = "aligner.extend"
-"""Left+right extension of one chain through the engine."""
 
 SPAN_ALIGNER_TRACEBACK = "aligner.traceback"
 """Host-side traceback of the winning candidate."""

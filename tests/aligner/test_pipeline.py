@@ -30,7 +30,7 @@ class TestAccuracy:
     def test_clean_reads_map_exactly(self, reference):
         reads = ReadSimulator(reference, CLEAN, seed=3).simulate(25)
         aligner = Aligner(reference, make_engine("full"))
-        for read, rec in zip(reads, aligner.align(reads)):
+        for read, rec in zip(reads, aligner.align_batched(reads)):
             assert not rec.is_unmapped
             assert rec.pos == read.true_pos
             assert rec.is_reverse == read.reverse
@@ -40,7 +40,7 @@ class TestAccuracy:
     def test_noisy_reads_map_near_truth(self, reference, platinum_reads):
         aligner = Aligner(reference, make_engine("full"))
         near = 0
-        for read, rec in zip(platinum_reads, aligner.align(platinum_reads)):
+        for read, rec in zip(platinum_reads, aligner.align_batched(platinum_reads)):
             if rec.is_unmapped:
                 continue
             if (
@@ -52,7 +52,7 @@ class TestAccuracy:
 
     def test_cigar_consumes_whole_read(self, reference, platinum_reads):
         aligner = Aligner(reference, make_engine("full"))
-        for rec in aligner.align(platinum_reads):
+        for rec in aligner.align_batched(platinum_reads):
             if rec.is_unmapped:
                 continue
             assert Cigar.parse(rec.cigar).query_length == 101
@@ -94,6 +94,6 @@ class TestConstruction:
 
     def test_engine_counts_extensions(self, reference, platinum_reads):
         engine = make_engine("full")
-        Aligner(reference, engine).align(platinum_reads[:10])
+        Aligner(reference, engine).align_batched(platinum_reads[:10])
         assert engine.extensions > 0
         assert engine.cells > 0

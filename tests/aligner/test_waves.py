@@ -2,9 +2,9 @@
 
 :func:`~repro.aligner.waves.extend_side` resolves a side of many
 chains: empty queries without the engine, the rest as one wave, and a
-dead-lettered job as ``DEGRADED`` or through a scalar fallback.  The
-engine here has no ``extend_wave``, so the wave is driven job by job —
-the path the resilience dispatcher takes.
+dead-lettered job as ``DEGRADED`` or through a checked fallback.  The
+engine here answers the jobs it kills with ``None``, as the resilience
+dispatcher's ``extend_wave`` does for a job that exhausted its ladder.
 """
 
 from __future__ import annotations

@@ -40,17 +40,18 @@ def sam_bytes(
     """SAM output of one pipeline configuration, as comparable bytes.
 
     The byte-identity harness's one in-process runner: every
-    configuration — per-read or wave-scheduled, one process or
-    supervised, short, paired or long reads — renders through the same
-    writer so outputs are directly ``==``-comparable.
+    configuration — the per-read reference or the wave scheduler, one
+    process or supervised, short, paired or long reads — renders
+    through the same writer so outputs are directly ``==``-comparable.
 
     ``engine`` is an engine instance for in-process runs, a picklable
     :class:`~repro.aligner.engines.EngineSpec` (mandatory when
     ``workers > 1``), or a
     :class:`~repro.aligner.longread.LongReadRecipe` for long reads.
-    ``batch_size=None`` runs the per-read path; an integer routes
-    reads through the deferred-extension wave scheduler in windows of
-    that size.  ``workers > 1`` runs the supervised runner, its
+    ``batch_size=None`` runs the reference drivers of
+    :mod:`tests.reference_drivers` (per read, per pair); an integer
+    routes reads through the deferred-extension wave scheduler in
+    windows of that size.  ``workers > 1`` runs the supervised runner, its
     processes started by ``start_method``.  ``paired=True`` takes
     ``ReadPair`` objects through
     :class:`~repro.aligner.paired.PairedAligner`.  ``observe``, when
@@ -63,6 +64,7 @@ def sam_bytes(
     from repro.aligner.parallel import align_supervised
     from repro.aligner.pipeline import Aligner
     from repro.genome.sam import write_sam
+    from tests import reference_drivers
 
     if isinstance(engine, LongReadRecipe):
         options = {"recipe": engine}
@@ -94,7 +96,7 @@ def sam_bytes(
             )
             aligner.aligner.reference_name = reference_name
             mates = (
-                aligner.align_pairs(reads)
+                reference_drivers.align_pairs(aligner, reads)
                 if batch_size is None
                 else aligner.align_pairs_batched(reads, batch_size)
             )
@@ -108,7 +110,7 @@ def sam_bytes(
                 **aligner_opts,
             )
             records = (
-                aligner.align(reads)
+                reference_drivers.align_reads(aligner, reads)
                 if batch_size is None
                 else aligner.align_batched(reads, batch_size=batch_size)
             )
@@ -176,11 +178,11 @@ def serve_report(
 
 
 class DeadLetteringEngine:
-    """A per-job engine (no ``extend_wave``) over the full-band kernel.
+    """A wave engine over the full-band kernel that kills some jobs.
 
-    It raises :class:`~repro.faults.errors.DeadLetterError` for every
-    job whose ``h0`` satisfies ``dies`` and records the ``h0`` of every
-    job it is handed — the shape of a resilience dispatcher whose
+    A job whose ``h0`` satisfies ``dies`` comes back as ``None``, the
+    rest as the full band's results; the ``h0`` of every job it is
+    handed is recorded — the shape of a resilience dispatcher whose
     degradation ladder ran out.
     """
 
@@ -194,13 +196,12 @@ class DeadLetteringEngine:
         self.dies = dies
         self.seen: list[int] = []
 
-    def extend(self, query, target, h0):
-        from repro.faults.errors import DeadLetterError
-
-        self.seen.append(h0)
-        if self.dies(h0):
-            raise DeadLetterError("test", site="test", attempts=1)
-        return self.inner.extend(query, target, h0)
+    def extend_wave(self, jobs):
+        self.seen.extend(h0 for _, _, h0 in jobs)
+        live = iter(self.inner.extend_wave(
+            [job for job in jobs if not self.dies(job[2])]
+        ))
+        return [None if self.dies(h0) else next(live) for _, _, h0 in jobs]
 
 
 class ReferenceKernel:

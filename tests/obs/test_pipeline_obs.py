@@ -52,10 +52,10 @@ class TestInstrumentedPipeline:
         _sam_lines(reference, reads)
         spans = obs.get_tracer().span_names()
         expected = {
-            names.SPAN_ALIGNER_READ,
+            names.SPAN_PIPELINE_WINDOW,
             names.SPAN_ALIGNER_SEED,
             names.SPAN_ALIGNER_CHAIN,
-            names.SPAN_ALIGNER_EXTEND,
+            names.SPAN_PIPELINE_WAVE,
             names.SPAN_ALIGNER_TRACEBACK,
             names.SPAN_EXTEND_NARROW,
             names.SPAN_EXTEND_CHECK,

@@ -7,13 +7,15 @@ backend, wave window, workers and start method, index, and serve.
 
 Each corpus is built once per session and has one reference per
 seeding backend, computed once (:func:`_reference`): for short reads
-the per-read ``Aligner.align`` at full band; for long reads the
-per-read ``LongReadAligner.align``; for read pairs
-``PairedAligner.align_pairs`` under ``seedex`` w=15; for the fixture
-corpora the golden files under ``tests/fixtures/``.  Every kernel name
-runs the lockstep sweep, so the references extend through
-:class:`~tests.helpers.ReferenceKernel` instead — the per-job
-``banded.extend`` — and never through the code they judge.
+the per-read loop of :mod:`tests.reference_drivers` at full band; for
+long reads the per-read ``LongReadAligner.align``; for read pairs the
+per-pair loop of :mod:`tests.reference_drivers` under ``seedex``
+w=15; for the fixture corpora the golden files under
+``tests/fixtures/``.  The product's one read driver is the wave
+scheduler, and every kernel name runs the lockstep sweep, so the
+references extend through :class:`~tests.helpers.ReferenceKernel`
+instead — the per-job ``banded.extend`` — and never through the code
+they judge.
 
 Each row of :data:`LEGS` is one path through the product and asserts
 ``bytes == reference`` — or ``!=`` for the unchecked narrow bands, which
@@ -61,6 +63,7 @@ from repro.genome.synth import (
 )
 from repro.index.build import build_index
 from repro.index.store import load_index
+from tests import reference_drivers
 from tests.helpers import ReferenceKernel, cli_output, sam_bytes, serve_report
 
 KERNELS = ("scalar", "numpy", "striped")
@@ -69,7 +72,7 @@ START_METHODS = tuple(
     m for m in ("fork", "spawn") if m in mp.get_all_start_methods()
 )
 INDEX_MODES = ("none", "built", "mmap", "memory", "handle")
-TRANSPORTS = ("per-read", "wave", "supervised", "cli", "serve")
+TRANSPORTS = ("wave", "supervised", "cli", "serve")
 
 # -- corpora ---------------------------------------------------------------
 
@@ -203,7 +206,7 @@ def _pairs_reference(reference, pairs, seeding):
     aligner = PairedAligner(reference, engine, seeding=seeding)
     aligner.rescuer = _reference_extender(aligner.rescuer)
     aligner.aligner.reference_name = "chr1"
-    mates = aligner.align_pairs(pairs)
+    mates = reference_drivers.align_pairs(aligner, pairs)
     return _sam(reference, [rec for pair in mates for rec in pair]), aligner
 
 
@@ -248,8 +251,10 @@ class Leg:
 
     ``policy`` names an ``ENGINE_POLICIES`` entry (``longread
     --engine`` for long reads; ``None`` = the command's default);
-    ``window`` is the wave size (``None`` = per read); ``transport`` is
-    ``cli`` or ``serve``, else follows from ``window`` and ``workers``.
+    ``window`` is the wave size, which every leg but a ``cli`` one
+    names (``sam_bytes`` without one runs the reference);
+    ``transport`` is ``cli`` or ``serve``, else follows from
+    ``workers``.
     ``differs`` legs must *not* match the reference; ``chaos`` injects
     1% faults; ``reruns`` demands full-band reruns; ``columns`` compares
     only the first N TSV columns.  ``index`` picks how the ``artifact``
@@ -272,13 +277,15 @@ class Leg:
     reruns: bool = False
     columns: int | None = None
 
+    def __post_init__(self):
+        if self.window is None and self.transport != "cli":
+            raise ValueError(f"leg {self.id} names no window")
+
     @property
     def path(self):
         if self.transport:
             return self.transport
-        if self.workers > 1:
-            return "supervised"
-        return "wave" if self.window else "per-read"
+        return "supervised" if self.workers > 1 else "wave"
 
     @property
     def id(self):
@@ -307,12 +314,15 @@ LEGS = [
     Leg("platinum23-small", seeding="smem", window=4),
     Leg("platinum11-1k", window=4096),
     Leg("platinum11-1k", "batched", window=4096, workers=4),
-    # The checked band over the per-read path.
-    Leg("corpus500", "seedex", 15, kernel="scalar"),
-    *[Leg("pipeline40", "seedex", w, seeding="smem") for w in (5, 11, 41)],
-    Leg("pipeline-sv25", "banded", 3, seeding="smem", differs=True),
-    Leg("pipeline-sv25", "seedex", 8, seeding="smem", reruns=True),
-    Leg("e2e500", "seedex", 15, kernel="striped", chaos=True),
+    # The checked band one read at a time (a window of one).
+    Leg("corpus500", "seedex", 15, kernel="scalar", window=1),
+    *[Leg("pipeline40", "seedex", w, seeding="smem", window=1)
+      for w in (5, 11, 41)],
+    Leg("pipeline-sv25", "banded", 3, seeding="smem", window=1,
+        differs=True),
+    Leg("pipeline-sv25", "seedex", 8, seeding="smem", window=1,
+        reruns=True),
+    Leg("e2e500", "seedex", 15, kernel="striped", window=1, chaos=True),
     *[Leg("e2e500", "batched", kernel=k, window=128, workers=2)
       for k in ("scalar", "striped")],
     # Long reads and read pairs.
@@ -320,10 +330,11 @@ LEGS = [
       for k in ("scalar", "striped") for n in (1, 2)],
     *[Leg("pairs60", p, 15, kernel=k, window=16)
       for k in ("scalar", "striped") for p in ("seedex", "full")],
-    # Index artifact: per-read, wave and supervised, every load mode.
-    *[Leg("index16", seeding=s, index="built") for s in SEEDINGS],
-    *[Leg("index16", seeding=s, window=5, index="built") for s in SEEDINGS],
-    *[Leg("index16", index=m) for m in ("mmap", "memory")],
+    # Index artifact: a window of one, wider waves and supervised,
+    # every load mode.
+    *[Leg("index16", seeding=s, window=w, index="built")
+      for s in SEEDINGS for w in (1, 5)],
+    *[Leg("index16", window=1, index=m) for m in ("mmap", "memory")],
     *[Leg("index16", "batched", seeding=s, window=5, workers=2, start=m,
           index="handle") for s in SEEDINGS for m in START_METHODS],
     Leg("serve24", kernel="striped", window=8, transport="serve"),

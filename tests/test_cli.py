@@ -586,7 +586,6 @@ class TestFlagBounds:
             ["align", *IO, "--band", "0"],
             ["analyze", "--reference", "ref.fa", "--reads", "r.fq",
              "--band", "0"],
-            ["longread", *IO, "--end-band", "0"],
             ["longread", *IO, "--fill-band", "-1"],
             ["serve", "--reference", "ref.fa", "--max-batch", "0"],
             ["align", *IO, "--truth-tolerance", "-5"],
@@ -598,6 +597,11 @@ class TestFlagBounds:
              "--batch-size", "0"],
             ["overlap", "--reads", "r.fq", "--out", "o", "--k", "0"],
             ["overlap", "--reads", "r.fq", "--out", "o", "--band", "-1"],
+            ["overlap", "--reads", "r.fq", "--out", "o",
+             "--min-shared", "0"],
+            ["overlap", "--reads", "r.fq", "--out", "o",
+             "--min-overlap", "-10"],
+            ["client", "--port", "1", "--deadline-ms", "0"],
         ],
         ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}",
     )
@@ -704,9 +708,7 @@ class TestFlagBounds:
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
-            ["longread", *self.IO, "--fill-band", "0", "--end-band", "1",
+            ["longread", *self.IO, "--fill-band", "0",
              "--truth-tolerance", "0"]
         )
-        assert (args.fill_band, args.end_band, args.truth_tolerance) == (
-            0, 1, 0,
-        )
+        assert (args.fill_band, args.truth_tolerance) == (0, 0)

@@ -254,7 +254,6 @@ table, the backend registry), the DP fills and checks, FASTA/FASTQ."""
 _ALIGN_LOADS = _LOAD_CORE | {
     "repro.align.cigar", "repro.align.fullmatrix",
     "repro.aligner.pipeline", "repro.aligner.waves",
-    "repro.faults", "repro.faults.errors",
     "repro.genome.sam",
     "repro.seeding", "repro.seeding.chaining", "repro.seeding.fmindex",
     "repro.seeding.kmer_index", "repro.seeding.mems",
@@ -271,7 +270,8 @@ COMMAND_LOADS = {
 """The ``repro.*`` modules a one-record run of each command loads in a
 fresh interpreter (``align`` with ``short_batched``'s flags).  Without
 ``--index``, neither ``align`` nor ``longread`` loads ``index/`` or
-``durability/``."""
+``durability/``; without ``--chaos`` or a breaker, neither loads
+``faults/``."""
 
 _LOADS_SCRIPT = """
 import contextlib, io, json, sys
@@ -384,7 +384,7 @@ class TestLayering:
         assert sorted(want - loaded) == [], (
             f"{command} no longer loads these; lower the pin"
         )
-        budget = {"align": 43, "longread": 45}  # a pin may not outgrow it
+        budget = {"align": 41, "longread": 43}  # a pin may not outgrow it
         assert len(loaded) <= budget.get(command, len(loaded))
 
 
@@ -560,7 +560,7 @@ class TestOneLockstepRecurrence:
 
     def test_no_product_path_runs_a_reference(self, monkeypatch, tmp_path):
         """The per-job references are oracles, not product paths: the
-        default ``align``, its per-job ``--chaos`` path, ``longread
+        default ``align``, its ``--chaos`` path, ``longread
         --engine scalar`` and ``overlap`` with no ``--kernel`` make no
         call into :func:`banded.extend` or ``overlap_scalar``."""
         from repro import cli
@@ -821,6 +821,56 @@ class TestOneExtensionSchedule:
             simulate_long_reads(reference, 2, rng), BatchedEngine()
         )
         assert sides == ["longread_left", "longread_right"]
+
+
+class TestOneReadDriver:
+    def test_dead_letters_are_caught_in_one_place(self):
+        """The resilience dispatcher turns a dead-lettered job into a
+        ``None`` of its wave; nothing else under ``src/`` handles the
+        exception."""
+        sites = sorted(
+            name
+            for name, path in _src_modules().items()
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ExceptHandler)
+            and node.type is not None
+            and "DeadLetterError" in ast.unparse(node.type)
+        )
+        assert sites == ["repro.faults.resilience"]
+
+    def test_the_wave_driver_extends_no_job_alone(self):
+        """``waves.py`` hands every engine whole waves: no probe for
+        ``extend_wave`` and no per-job ``extend(query, target, h0)``
+        call (``list.extend`` takes one argument)."""
+        tree = ast.parse((_SRC / "repro/aligner/waves.py").read_text())
+        calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
+        assert not [
+            ast.unparse(c) for c in calls
+            if isinstance(c.func, ast.Name) and c.func.id == "getattr"
+            and any(isinstance(a, ast.Constant) and a.value == "extend_wave"
+                    for a in c.args)
+        ]
+        assert not [
+            ast.unparse(c) for c in calls
+            if isinstance(c.func, ast.Attribute) and c.func.attr == "extend"
+            and len(c.args) + len(c.keywords) > 1
+        ]
+
+    def test_the_per_read_and_per_pair_drivers_are_gone(self):
+        """One read driver: a single read or pair is a window of one,
+        and the per-read loops live on as the test reference only."""
+        from repro.aligner.paired import PairedAligner
+        from repro.aligner.pipeline import Aligner
+
+        gone = {
+            Aligner: ("align", "_align_read", "_extend_chain",
+                      "_extend_side", "_finalize_read", "_trace_dense",
+                      "_seeds"),
+            PairedAligner: ("align_pairs", "_rescue", "_extend_candidate",
+                            "_rescue_side"),
+        }
+        for cls, methods in gone.items():
+            assert [m for m in methods if hasattr(cls, m)] == [], cls
 
 
 class TestOneRelaxedSweep:
