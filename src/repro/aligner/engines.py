@@ -100,10 +100,10 @@ class BatchedEngine:
     — so SAM output is byte-identical to the full band at any band,
     and :attr:`stats` reports the check outcomes.
 
-    The scalar :meth:`extend` runs one job under the same policy: the
-    resilience dispatcher walks its ladder one job at a time through
-    it, and its host fallback reruns a job through it.  Every job is
-    computed, equal ones included; no wave ever dead-letters a job.
+    :meth:`extend` is a wave of one: the resilience dispatcher walks
+    its ladder one job at a time through it, and its host fallback
+    reruns a job through it.  Every job is computed, equal ones
+    included; no wave ever dead-letters a job.
     """
 
     def __init__(
@@ -142,19 +142,8 @@ class BatchedEngine:
         return None if self._extender is None else self._extender.stats
 
     def extend(self, query, target, h0) -> ExtensionResult:
-        """One job (a lockstep batch of one) under the policy."""
-        if self._extender is not None:
-            out = self._extender.extend(query, target, h0)
-            res, cells = out.result, out.narrow_result.cells_computed
-        else:
-            res = self.kernel.extend(
-                query, target, self.scoring, h0, w=self.band
-            )
-            cells = res.cells_computed
-        self.extensions += 1
-        self.cells += cells
-        _account(self.name, cells)
-        return res
+        """One job under the policy: a wave of one."""
+        return self.extend_wave([(query, target, h0)])[0]
 
     def extend_wave(self, jobs) -> list[ExtensionResult]:
         """Run a wave of ``(query, target, h0)`` jobs in lockstep.

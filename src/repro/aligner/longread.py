@@ -527,16 +527,18 @@ class LongReadRecipe:
     :meth:`LongReadAligner.align`; ``batched`` runs the three-wave
     :meth:`LongReadAligner.align_batch` in windows of ``batch_size``),
     ``spec`` (an :class:`~repro.aligner.engines.EngineSpec`, required
-    by ``batched`` and unused by ``scalar``) names the end-wave engine
-    and ``options`` go to :class:`LongReadAligner`.  Both modes, in one
-    process or under :func:`~repro.aligner.parallel.align_supervised`
-    at any worker count, emit byte-identical SAM.
+    by ``batched`` and unused by ``scalar``) names the end-wave engine,
+    and ``fill_band`` and ``reference_name`` go to
+    :class:`LongReadAligner`.  Both modes, in one process or under
+    :func:`~repro.aligner.parallel.align_supervised` at any worker
+    count, emit byte-identical SAM.
     """
 
     mode: str = "batched"
     spec: object = None
     batch_size: int = DEFAULT_BATCH_SIZE
-    options: dict = field(default_factory=dict)
+    fill_band: int = 16
+    reference_name: str = "chr1"
 
     def __post_init__(self) -> None:
         if self.mode not in ("scalar", "batched"):
@@ -549,7 +551,11 @@ class LongReadRecipe:
 
     def build(self, reference):
         """One aligner + end engine, as a ``reads -> records`` function."""
-        aligner = LongReadAligner(reference, **self.options)
+        aligner = LongReadAligner(
+            reference,
+            fill_band=self.fill_band,
+            reference_name=self.reference_name,
+        )
         engine = self.spec.build() if self.mode == "batched" else None
 
         def run(reads) -> list[SamRecord]:

@@ -167,9 +167,15 @@ class PairedAligner:
         seeding: str = "kmer",
         insert: InsertSizeModel | None = None,
         rescue_band: int = 41,
+        reference_name: str = "chr1",
     ) -> None:
         self.reference = np.asarray(reference, dtype=np.uint8)
-        self.aligner = Aligner(self.reference, engine, seeding=seeding)
+        self.aligner = Aligner(
+            self.reference,
+            engine,
+            seeding=seeding,
+            reference_name=reference_name,
+        )
         self.insert = insert or InsertSizeModel()
         self.rescuer = SeedExtender(
             band=rescue_band, scoring=self.aligner.scoring

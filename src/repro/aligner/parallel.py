@@ -147,13 +147,17 @@ def _resolve_context(start_method: str | None):
 class AlignRecipe:
     """Worker recipe for short reads: ``Aligner.align_batched``.
 
-    ``options`` are forwarded to
-    :class:`~repro.aligner.pipeline.Aligner` (``seeding``,
-    ``reference_name``, ``index``, ...).
+    ``spec`` names the engine each worker builds; ``seeding``,
+    ``reference_name`` and ``index`` (an
+    :class:`~repro.index.store.IndexHandle`, or ``None`` to build the
+    seeding structures in the worker) go to
+    :class:`~repro.aligner.pipeline.Aligner`.
     """
 
     spec: EngineSpec = EngineSpec()
-    options: dict = field(default_factory=dict)
+    seeding: str = "smem"
+    reference_name: str = "chr1"
+    index: IndexHandle | None = None
 
     def probe(self) -> None:
         """Fail fast in the parent when the shipped index is unusable.
@@ -165,15 +169,20 @@ class AlignRecipe:
         before any process is spawned — instead of the same error
         fanned out once per worker.
         """
-        handle = self.options.get("index")
-        if isinstance(handle, IndexHandle):
-            handle.open(mmap=True, verify=False)
+        if isinstance(self.index, IndexHandle):
+            self.index.open(mmap=True, verify=False)
 
     def build(self, reference):
         """One worker's aligner, as a ``slice -> records`` function."""
         from repro.aligner.pipeline import Aligner
 
-        aligner = Aligner(reference, self.spec.build(), **self.options)
+        aligner = Aligner(
+            reference,
+            self.spec.build(),
+            seeding=self.seeding,
+            reference_name=self.reference_name,
+            index=self.index,
+        )
         return lambda reads: aligner.align_batched(
             reads, batch_size=max(1, len(reads))
         )
@@ -665,10 +674,9 @@ def align_supervised(
     The one multi-process entry point.  ``reads`` may be ``(name,
     codes)`` pairs or ``SimulatedRead``-like objects.  What a worker
     does with a slice is ``recipe`` (see the module docstring); by
-    default an :class:`AlignRecipe` built from ``spec`` and
-    ``aligner_options`` (forwarded to
-    :class:`~repro.aligner.pipeline.Aligner`: ``seeding``,
-    ``reference_name``, ...).  ``start_method`` forces
+    default an :class:`AlignRecipe` of ``spec`` and
+    ``aligner_options`` (its ``seeding``, ``reference_name`` and
+    ``index``).  ``start_method`` forces
     ``fork``/``spawn`` (``None`` = platform default).
 
     Reads are planned into tasks by :func:`_task_plan` and dispatched
@@ -694,7 +702,7 @@ def align_supervised(
     if batch_size < 1:
         raise ValueError("batch size must be at least 1")
     if recipe is None:
-        recipe = AlignRecipe(spec or EngineSpec(), aligner_options)
+        recipe = AlignRecipe(spec or EngineSpec(), **aligner_options)
     elif spec is not None or aligner_options:
         raise TypeError(
             "pass either a recipe or spec/aligner options, not both"

@@ -30,6 +30,7 @@ from repro import obs
 from repro.align.cigar import Cigar
 from repro.align.scoring import AffineGap
 from repro.aligner.engines import BatchedEngine, ExtensionEngine
+from repro.constants import MIN_SEED_LENGTH
 from repro.genome.sam import FLAG_REVERSE, SamRecord
 from repro.genome.sequence import decode
 from repro.obs import names
@@ -81,7 +82,7 @@ class Aligner:
         engine: ExtensionEngine | None = None,
         seeding: str = "smem",
         reference_name: str = "chr1",
-        min_seed_length: int = 19,
+        min_seed_length: int = MIN_SEED_LENGTH,
         band_margin: int = 45,
         max_chains: int = 3,
         index: "LoadedIndex | IndexHandle | None" = None,

@@ -36,6 +36,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,6 +44,7 @@ import numpy as np
 # imports the subsystem it runs, so a command loads what it uses.
 from repro import obs
 from repro.aligner.engines import ENGINE_POLICIES, EngineSpec
+from repro.constants import MIN_SEED_LENGTH
 from repro.kernels import available_kernels, get_kernel
 
 
@@ -98,6 +100,37 @@ def _float_above(low: float, inclusive: bool = False):
 
     parse.__name__ = "float"  # argparse names the type in its messages
     return parse
+
+
+def _truth_opts(tolerance: int) -> argparse.ArgumentParser:
+    """The scoring flags of ``align`` and ``longread``.
+
+    A new parent per command, unlike the shared groups: argparse hands
+    a parent's action objects to every child, so one command's
+    ``set_defaults(truth_tolerance=...)`` would move the other's.
+    """
+    opts = argparse.ArgumentParser(add_help=False)
+    opts.add_argument(
+        "--truth",
+        metavar="FILE",
+        help="score the finished SAM against this .truth.tsv sidecar "
+        "(scoring is read-only: the SAM is byte-identical either way)",
+    )
+    opts.add_argument(
+        "--scorecard-out",
+        metavar="FILE",
+        help="write the scorecard as JSON; implies --truth, defaulting "
+        "to the <reads>.truth.tsv sidecar when --truth is omitted",
+    )
+    opts.add_argument(
+        "--truth-tolerance",
+        type=_int_at_least(0),
+        default=tolerance,
+        metavar="BASES",
+        help="correct-locus window around the true position, widened "
+        "per read by its true indel span (default %(default)s)",
+    )
+    return opts
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -199,6 +232,23 @@ def build_parser() -> argparse.ArgumentParser:
         "place once and retry instead of aborting",
     )
 
+    worker_opts = argparse.ArgumentParser(add_help=False)
+    worker_opts.add_argument(
+        "--workers",
+        type=_int_at_least(1),
+        default=1,
+        metavar="N",
+        help="worker processes; >1 shards the reads across supervised "
+        "workers and merges per-shard metrics (default 1)",
+    )
+    worker_opts.add_argument(
+        "--start-method",
+        choices=("fork", "spawn"),
+        default=None,
+        help="multiprocessing start method for worker processes "
+        "(default: fork where available, else spawn)",
+    )
+
     sim = sub.add_parser(
         "simulate",
         help="generate a synthetic workload",
@@ -248,7 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
     aln = sub.add_parser(
         "align",
         help="align reads to a reference",
-        parents=[obs_opts, chaos_opts, kernel_opts, index_opts],
+        parents=[
+            obs_opts, chaos_opts, kernel_opts, index_opts, worker_opts,
+            _truth_opts(20),
+        ],
     )
     aln.add_argument("--reference", required=True)
     aln.add_argument("--reads", required=True)
@@ -274,18 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
         "worker count (default 4096)",
     )
     aln.add_argument(
-        "--workers",
-        type=_int_at_least(1),
-        default=1,
-        metavar="N",
-        help="worker processes; >1 shards the reads across supervised "
-        "workers and merges per-shard metrics (single-end only, "
-        "default 1)",
-    )
-    aln.add_argument(
         "--paired",
         action="store_true",
-        help="treat the FASTQ as interleaved pairs (mate rescue on)",
+        help="treat the FASTQ as interleaved pairs (mate rescue on; "
+        "one process, no --run-dir)",
     )
     aln.add_argument(
         "--on-bad-record",
@@ -323,33 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
         "declared hung and restarted (default 30)",
     )
     aln.add_argument(
-        "--start-method",
-        choices=("fork", "spawn"),
-        default=None,
-        help="multiprocessing start method for worker processes "
-        "(default: fork where available, else spawn)",
-    )
-    aln.add_argument(
-        "--truth",
-        metavar="FILE",
-        help="score the finished SAM against this .truth.tsv sidecar "
-        "(scoring is read-only: the SAM is byte-identical either way)",
-    )
-    aln.add_argument(
-        "--scorecard-out",
-        metavar="FILE",
-        help="write the scorecard as JSON; implies --truth, defaulting "
-        "to the <reads>.truth.tsv sidecar when --truth is omitted",
-    )
-    aln.add_argument(
-        "--truth-tolerance",
-        type=_int_at_least(0),
-        default=20,
-        metavar="BASES",
-        help="correct-locus window around the true position, widened "
-        "per read by its true indel span (default 20)",
-    )
-    aln.add_argument(
         "--log-json",
         action="store_true",
         help="emit one JSON progress line per scheduling window to "
@@ -359,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     lr = sub.add_parser(
         "longread",
         help="seed-chain-fill alignment of long reads",
-        parents=[obs_opts, kernel_opts],
+        # Long-read ends clip more than short reads: a wider window.
+        parents=[obs_opts, kernel_opts, worker_opts, _truth_opts(50)],
     )
     lr.add_argument("--reference", required=True)
     lr.add_argument("--reads", required=True)
@@ -386,38 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=512,
         metavar="N",
         help="long reads per batched scheduling window (default 512)",
-    )
-    lr.add_argument(
-        "--workers",
-        type=_int_at_least(1),
-        default=1,
-        metavar="N",
-        help="worker processes; >1 shards the reads (default 1)",
-    )
-    lr.add_argument(
-        "--start-method",
-        choices=("fork", "spawn"),
-        default=None,
-        help="multiprocessing start method for worker processes",
-    )
-    lr.add_argument(
-        "--truth",
-        metavar="FILE",
-        help="score the finished SAM against this .truth.tsv sidecar",
-    )
-    lr.add_argument(
-        "--scorecard-out",
-        metavar="FILE",
-        help="write the scorecard as JSON; implies --truth, defaulting "
-        "to the <reads>.truth.tsv sidecar when --truth is omitted",
-    )
-    lr.add_argument(
-        "--truth-tolerance",
-        type=_int_at_least(0),
-        default=50,
-        metavar="BASES",
-        help="correct-locus window around the true position (default "
-        "50; long-read ends clip more than short reads)",
     )
 
     ovl = sub.add_parser(
@@ -653,10 +640,10 @@ def build_parser() -> argparse.ArgumentParser:
     idx_build.add_argument(
         "--min-seed-length",
         type=_int_at_least(1),
-        default=19,
+        default=MIN_SEED_LENGTH,
         metavar="K",
         help="k-mer size of the hash tables; must match the aligner's "
-        "min seed length for k-mer seeding (default 19)",
+        "min seed length for k-mer seeding (default %(default)s)",
     )
     idx_build.add_argument(
         "--sa-sample-rate",
@@ -764,31 +751,6 @@ def _load_reference(path: str) -> tuple[str, np.ndarray]:
     return rec.name, encode(rec.sequence)
 
 
-def _resolve_kernel(args: argparse.Namespace) -> str:
-    """The ``--kernel`` name the run records (``scalar`` when unset)."""
-    return get_kernel(getattr(args, "kernel", None)).name
-
-
-def _program_tags(
-    args: argparse.Namespace, index_meta: dict | None = None
-) -> tuple[str, ...]:
-    """Extra ``@PG`` fields recording the run's DP backend.
-
-    When a persistent index artifact is in use its content fingerprint
-    and schema version join the tag, so every SAM names the exact
-    index that seeded it.  Alignment *records* are byte-identical
-    either way — only this header line differs, and the differential
-    suites compare with ``@PG`` stripped.
-    """
-    tag = f"DS:kernel={_resolve_kernel(args)}"
-    if index_meta is not None:
-        tag += (
-            f",index={index_meta['fingerprint']}"
-            f",schema={index_meta['schema_version']}"
-        )
-    return (tag,)
-
-
 def _open_index(args: argparse.Namespace, reference: np.ndarray):
     """The CLI rung of the load ladder; ``None`` without ``--index``.
 
@@ -811,7 +773,7 @@ def _open_index(args: argparse.Namespace, reference: np.ndarray):
         loaded = load_index(path)
         loaded.check_reference(reference)
         if getattr(args, "seeding", None) == "kmer":
-            loaded.check_kmer_size(19)
+            loaded.check_kmer_size(MIN_SEED_LENGTH)
         return loaded
 
     try:
@@ -835,28 +797,78 @@ def _open_index(args: argparse.Namespace, reference: np.ndarray):
         return _load_and_pin()
 
 
-def _engine_spec(args: argparse.Namespace, kind: str | None = None):
-    """The picklable :class:`EngineSpec` the engine and chaos flags name.
+@dataclass(frozen=True)
+class _Run:
+    """One aligning run, resolved once from its flags (:func:`_run_config`).
 
-    ``kind`` stands in for ``--engine`` on commands that run one fixed
-    policy (``analyze``).
+    It holds everything that shapes the output bytes, so it is the one
+    source of the engine, the aligner, the worker recipe, the ``@PG
+    DS:`` field and the journal fingerprint.  ``index`` is the loaded,
+    pinned artifact or ``None``; workers get its picklable ``handle()``.
     """
-    kind = kind or args.engine
+
+    spec: EngineSpec
+    seeding: str | None
+    batch_size: int | None
+    reference_name: str
+    reference: np.ndarray
+    index: object
+    on_bad_record: str
+
+    @property
+    def program_tags(self) -> tuple[str, ...]:
+        """``@PG`` fields naming the DP backend and the index artifact;
+        records are byte-identical either way, only this line differs."""
+        tag = f"DS:kernel={self.spec.kernel}"
+        if self.index is not None:
+            meta = self.index.meta()
+            tag += (
+                f",index={meta['fingerprint']}"
+                f",schema={meta['schema_version']}"
+            )
+        return (tag,)
+
+    def aligner(self, engine):
+        """The in-process short-read aligner over ``engine``."""
+        from repro.aligner.pipeline import Aligner
+
+        return Aligner(
+            self.reference, engine, seeding=self.seeding,
+            reference_name=self.reference_name, index=self.index,
+        )
+
+
+def _run_config(args: argparse.Namespace, kind: str) -> _Run:
+    """Load the reference and the index and resolve the flags into the
+    run record; ``kind`` is the engine policy (``--engine`` on
+    ``align``, fixed on the commands that run one)."""
+    name, reference = _load_reference(args.reference)
+    chaos = {}
+    if hasattr(args, "chaos"):  # the commands with the chaos flags
+        chaos = dict(
+            chaos=args.chaos, fault_rate=args.fault_rate,
+            fault_seed=args.fault_seed, max_retries=args.max_retries,
+            timeout_s=args.timeout, breaker_threshold=args.breaker_threshold,
+            breaker_probe_interval=args.breaker_probe_interval,
+        )
     # The spec is part of the journal fingerprint: --band is recorded
     # only where the policy uses it, so a full-band run resumes under
     # any --band.
     narrow, _ = ENGINE_POLICIES[kind]
-    return EngineSpec(
+    spec = EngineSpec(
         kind=kind,
         band=args.band if narrow else None,
-        kernel=_resolve_kernel(args),
-        chaos=getattr(args, "chaos", False),
-        fault_rate=args.fault_rate,
-        fault_seed=args.fault_seed,
-        max_retries=args.max_retries,
-        timeout_s=args.timeout,
-        breaker_threshold=getattr(args, "breaker_threshold", None),
-        breaker_probe_interval=getattr(args, "breaker_probe_interval", 32),
+        kernel=get_kernel(args.kernel).name,
+        **chaos,
+    )
+    return _Run(
+        spec=spec,
+        seeding=getattr(args, "seeding", None),
+        batch_size=getattr(args, "batch_size", None),
+        reference_name=name,
+        reference=reference,
+        index=_open_index(args, reference),
+        on_bad_record=getattr(args, "on_bad_record", "fail"),
     )
 
 
@@ -925,20 +937,40 @@ class _JsonProgress:
         )
 
 
-def _score_after_align(args: argparse.Namespace) -> None:
-    """Grade the finished SAM when ``--truth``/``--scorecard-out`` ask.
+def _finish_run(
+    args: argparse.Namespace, run: _Run, records, summary,
+    lines: tuple[str, ...] = (), dispatcher=None,
+) -> int:
+    """The tail every aligning run shares.
 
-    Runs strictly after the SAM is on disk and only reads it, so
-    output bytes are identical with scoring on or off.
+    Writes ``records`` as the SAM with the run's ``@PG`` tags
+    (``None``: the journal stitched it), prints ``summary(mapped)``
+    (``mapped`` is ``None`` without records), ``lines`` and the chaos
+    accounting, then grades the SAM when ``--truth``/``--scorecard-out``
+    ask: strictly after it is on disk and read-only, so its bytes are
+    the same with scoring on or off.
     """
-    truth = getattr(args, "truth", None)
-    card_out = getattr(args, "scorecard_out", None)
-    if not truth and not card_out:
-        return
+    mapped = None
+    if records is not None:
+        from repro.genome.sam import write_sam
+
+        with open(args.out, "w") as handle:
+            write_sam(
+                handle, records, run.reference_name, len(run.reference),
+                program_tags=run.program_tags,
+            )
+        mapped = sum(1 for r in records if not r.is_unmapped)
+    print(summary(mapped))
+    for line in lines:
+        print(line)
+    if dispatcher is not None:
+        _print_chaos_summary(dispatcher)
+    if not args.truth and not args.scorecard_out:
+        return 0
     from repro.scorecard.score import score_sam
     from repro.scorecard.truth import TruthError, truth_path_for
 
-    truth = truth or truth_path_for(args.reads)
+    truth = args.truth or truth_path_for(args.reads)
     try:
         card = score_sam(args.out, truth, tolerance=args.truth_tolerance)
     except OSError as exc:
@@ -948,35 +980,29 @@ def _score_after_align(args: argparse.Namespace) -> None:
     if obs.enabled():
         card.publish(obs.get_registry())
     print(card.summary())
-    if card_out:
-        card.write_json(card_out)
-        print(f"wrote scorecard to {card_out}")
+    if args.scorecard_out:
+        card.write_json(args.scorecard_out)
+        print(f"wrote scorecard to {args.scorecard_out}")
+    return 0
 
 
 def cmd_longread(args: argparse.Namespace) -> int:
     """Align long reads (seed-chain-fill), write SAM."""
     from repro.aligner.longread import LongReadRecipe
     from repro.genome.io_fasta import read_fastq
-    from repro.genome.sam import write_sam
     from repro.genome.sequence import encode
 
-    name, reference = _load_reference(args.reference)
+    # Full band through the end-extension waves: byte-identical to the
+    # scalar SeedExtender, whose checked results equal the full-band
+    # oracle by the paper's guarantee.
+    run = _run_config(args, "batched")
     reads = read_fastq(args.reads)
-    kernel = _resolve_kernel(args)
-    spec = None
-    if args.engine == "batched":
-        # Full band through the end-extension waves: byte-identical
-        # to the scalar SeedExtender, whose checked results equal the
-        # full-band oracle by the paper's guarantee.
-        spec = EngineSpec(kind="batched", kernel=kernel)
     recipe = LongReadRecipe(
         mode=args.engine,
-        spec=spec,
-        batch_size=args.batch_size,
-        options={
-            "fill_band": args.fill_band,
-            "reference_name": name,
-        },
+        spec=run.spec,
+        batch_size=run.batch_size,
+        fill_band=args.fill_band,
+        reference_name=run.reference_name,
     )
     encoded = [(r.name, encode(r.sequence)) for r in reads]
     notes: list[str] = []
@@ -987,11 +1013,11 @@ def cmd_longread(args: argparse.Namespace) -> int:
 
         try:
             outcome = align_supervised(
-                reference,
+                run.reference,
                 encoded,
                 recipe=recipe,
                 workers=args.workers,
-                batch_size=args.batch_size,
+                batch_size=run.batch_size,
                 start_method=args.start_method,
             )
         except (StartMethodError, SupervisorError) as exc:
@@ -999,22 +1025,14 @@ def cmd_longread(args: argparse.Namespace) -> int:
         records = outcome.records
         notes = _supervision_notes(outcome)
     else:
-        records = recipe.build(reference)(encoded)
+        records = recipe.build(run.reference)(encoded)
     elapsed = time.perf_counter() - start
-    with open(args.out, "w") as handle:
-        write_sam(
-            handle, records, name, len(reference),
-            program_tags=_program_tags(args),
-        )
-    mapped = sum(1 for r in records if not r.is_unmapped)
-    print("; ".join([
+    return _finish_run(args, run, records, lambda mapped: "; ".join([
         f"aligned {len(records)} long reads ({mapped} mapped) in "
         f"{elapsed:.1f}s with engine {args.engine} across "
         f"{args.workers} worker(s)",
         *notes,
     ]))
-    _score_after_align(args)
-    return 0
 
 
 def cmd_overlap(args: argparse.Namespace) -> int:
@@ -1038,9 +1056,7 @@ def cmd_overlap(args: argparse.Namespace) -> int:
     )
     encoded = [(r.name, encode(r.sequence)) for r in reads]
     start = time.perf_counter()
-    overlaps = find_overlaps(
-        encoded, params, kernel=_resolve_kernel(args)
-    )
+    overlaps = find_overlaps(encoded, params, kernel=args.kernel)
     elapsed = time.perf_counter() - start
     with open(args.out, "w") as handle:
         write_overlaps(handle, overlaps)
@@ -1177,8 +1193,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_input_fastq(args: argparse.Namespace):
-    """Load the FASTQ per ``--on-bad-record``; returns the records.
+def _read_input_fastq(args: argparse.Namespace, run: _Run):
+    """Load the FASTQ per the run's ``--on-bad-record``; returns the
+    records.
 
     ``quarantine`` mode skips malformed records (counted as
     ``pipeline.input.bad_records``, warned to stderr, and listed in
@@ -1188,8 +1205,7 @@ def _read_input_fastq(args: argparse.Namespace):
     from repro.genome.io_fasta import MalformedRecordError, read_fastq
     from repro.obs import names as mn
 
-    policy = getattr(args, "on_bad_record", "fail")
-    if policy == "fail":
+    if run.on_bad_record == "fail":
         try:
             return read_fastq(args.reads)
         except MalformedRecordError as exc:
@@ -1207,11 +1223,10 @@ def _read_input_fastq(args: argparse.Namespace):
             ).inc(len(bad))
         for exc in bad:
             print(f"warning: skipped bad record: {exc}", file=sys.stderr)
-        run_dir = getattr(args, "run_dir", None)
-        if run_dir:
+        if args.run_dir:
             from pathlib import Path
 
-            directory = Path(run_dir)
+            directory = Path(args.run_dir)
             directory.mkdir(parents=True, exist_ok=True)
             with open(directory / "bad_records.tsv", "a") as handle:
                 for exc in bad:
@@ -1224,29 +1239,24 @@ def _read_input_fastq(args: argparse.Namespace):
 
 def cmd_align(args: argparse.Namespace) -> int:
     """Align a FASTQ against a FASTA reference, write SAM."""
-    from repro.aligner.pipeline import Aligner
-    from repro.genome.sam import write_sam
     from repro.genome.sequence import encode
 
-    name, reference = _load_reference(args.reference)
-    reads = _read_input_fastq(args)
     if args.resume and not args.run_dir:
         raise SystemExit("error: --resume needs --run-dir")
     if args.index and args.paired:
         raise SystemExit("error: --index supports single-end reads only")
-    if args.run_dir or args.workers > 1:
-        if args.paired:
-            raise SystemExit(
-                "error: --run-dir and --workers > 1 support "
-                "single-end reads only"
-            )
-        code = _align_workers_cmd(args, name, reference, reads)
-        if code == 0:
-            _score_after_align(args)
-        return code
-    spec = _engine_spec(args)
-    base_engine = spec.engine()
-    engine = spec.wrap(base_engine)
+    supervised = args.run_dir or args.workers > 1
+    if supervised and args.paired:
+        raise SystemExit(
+            "error: --run-dir and --workers > 1 support "
+            "single-end reads only"
+        )
+    run = _run_config(args, args.engine)
+    reads = _read_input_fastq(args, run)
+    if supervised:
+        return _align_workers_cmd(args, run, reads)
+    base_engine = run.spec.engine()
+    engine = run.spec.wrap(base_engine)
     dispatcher = None if engine is base_engine else engine
     start = time.perf_counter()
     if args.paired:
@@ -1257,8 +1267,12 @@ def cmd_align(args: argparse.Namespace) -> int:
                 "error: --paired needs an even number of reads "
                 "(interleaved mates)"
             )
-        paired = PairedAligner(reference, engine, seeding=args.seeding)
-        paired.aligner.reference_name = name
+        paired = PairedAligner(
+            run.reference,
+            engine,
+            seeding=run.seeding,
+            reference_name=run.reference_name,
+        )
         pairs = [
             ReadPair(
                 first.name.removesuffix("/1"),
@@ -1271,61 +1285,41 @@ def cmd_align(args: argparse.Namespace) -> int:
         records = [
             record
             for mates in paired.align_pairs_batched(
-                pairs, batch_size=args.batch_size
+                pairs, batch_size=run.batch_size
             )
             for record in mates
         ]
         elapsed = time.perf_counter() - start
-        with open(args.out, "w") as handle:
-            write_sam(
-                handle, records, name, len(reference),
-                program_tags=_program_tags(args),
-            )
-        mapped = sum(1 for r in records if not r.is_unmapped)
-        print(
-            f"aligned {len(records) // 2} pairs ({mapped} mates mapped, "
-            f"{paired.stats.proper} proper, {paired.stats.rescued} "
-            f"rescued) in {elapsed:.1f}s with engine {engine.name}"
+        return _finish_run(
+            args, run, records,
+            lambda mapped: (
+                f"aligned {len(records) // 2} pairs ({mapped} mates "
+                f"mapped, {paired.stats.proper} proper, "
+                f"{paired.stats.rescued} rescued) in {elapsed:.1f}s "
+                f"with engine {engine.name}"
+            ),
+            dispatcher=dispatcher,
         )
-        if dispatcher is not None:
-            _print_chaos_summary(dispatcher)
-        _score_after_align(args)
-        return 0
-    aligner = Aligner(
-        reference,
-        engine,
-        seeding=args.seeding,
-        reference_name=name,
-        index=_open_index(args, reference),
-    )
-    encoded = [(r.name, encode(r.sequence)) for r in reads]
-    records = aligner.align_batched(
-        encoded,
-        batch_size=args.batch_size,
+    records = run.aligner(engine).align_batched(
+        [(r.name, encode(r.sequence)) for r in reads],
+        batch_size=run.batch_size,
         progress=_JsonProgress() if args.log_json else None,
     )
     elapsed = time.perf_counter() - start
-    with open(args.out, "w") as handle:
-        write_sam(
-            handle, records, name, len(reference),
-            program_tags=_program_tags(args, aligner.index_meta),
-        )
-    mapped = sum(1 for r in records if not r.is_unmapped)
-    print(
-        f"aligned {len(records)} reads ({mapped} mapped) in "
-        f"{elapsed:.1f}s with engine {engine.name}"
-    )
     stats = base_engine.stats
-    if stats is not None:
-        print(
+    return _finish_run(
+        args, run, records,
+        lambda mapped: (
+            f"aligned {len(records)} reads ({mapped} mapped) in "
+            f"{elapsed:.1f}s with engine {engine.name}"
+        ),
+        lines=() if stats is None else (
             f"check passing rate {stats.passing_rate:.1%} "
             f"({stats.reruns} full-band reruns of {stats.total} "
-            "extensions)"
-        )
-    if dispatcher is not None:
-        _print_chaos_summary(dispatcher)
-    _score_after_align(args)
-    return 0
+            "extensions)",
+        ),
+        dispatcher=dispatcher,
+    )
 
 
 def _supervision_notes(outcome, quarantine_file=None) -> list[str]:
@@ -1342,25 +1336,21 @@ def _supervision_notes(outcome, quarantine_file=None) -> list[str]:
     return notes
 
 
-def _align_workers_cmd(
-    args: argparse.Namespace, name: str, reference, reads
-) -> int:
+def _align_workers_cmd(args: argparse.Namespace, run: _Run, reads) -> int:
     """The multi-process ``align`` path: supervised, optionally journaled.
 
-    Every ``--workers N`` run goes through the supervised runner: a
-    dead or hung worker is respawned and a poison read quarantined, so
-    the run never hangs.  Worker metric snapshots are merged into the
-    parent registry, so ``--metrics-out`` reflects the whole run (chaos
-    accounting included — each worker runs its own dispatcher).
-
-    ``--run-dir`` adds only the journal: completed read windows are
-    committed to the run directory as they finish; SIGINT/SIGTERM
-    drain the in-flight wave, flush the journal, and exit with code 3
-    plus a resume hint.  ``--resume`` validates the journal against
-    the current configuration and recomputes only the missing windows;
-    the stitched SAM is byte-identical to an uninterrupted run.
+    A dead or hung worker is respawned and a poison read quarantined;
+    worker metric snapshots (chaos accounting included) merge into the
+    parent registry.  ``--run-dir`` adds only the journal: SIGINT or
+    SIGTERM drain the in-flight wave and exit 3 with a resume hint,
+    and ``--resume`` recomputes only the missing windows, to the bytes
+    of an uninterrupted run (see docs/durability.md).
     """
-    from repro.aligner.parallel import StartMethodError, align_supervised
+    from repro.aligner.parallel import (
+        AlignRecipe,
+        StartMethodError,
+        align_supervised,
+    )
     from repro.durability.journal import JournalError
     from repro.durability.runner import (
         GracefulShutdown,
@@ -1369,36 +1359,28 @@ def _align_workers_cmd(
         run_journaled,
     )
     from repro.durability.supervisor import SupervisorError, SupervisorPolicy
-    from repro.genome.sam import write_sam
     from repro.genome.sequence import encode
     from repro.index.errors import IndexArtifactError
 
-    spec = _engine_spec(args)
-    loaded = _open_index(args, reference)
-    tags = _program_tags(
-        args, loaded.meta() if loaded is not None else None
-    )
-    run = dict(
-        spec=spec,
+    supervise = dict(
+        # Workers get the picklable capability (path + pinned
+        # fingerprint), not the loaded artifact: each opens the same
+        # file and shares its pages through the OS cache.
+        recipe=AlignRecipe(
+            spec=run.spec,
+            seeding=run.seeding,
+            reference_name=run.reference_name,
+            index=None if run.index is None else run.index.handle(),
+        ),
         workers=args.workers,
-        batch_size=args.batch_size,
+        batch_size=run.batch_size,
         policy=SupervisorPolicy(
             max_restarts=args.max_restarts,
             hung_timeout=args.hung_timeout,
         ),
         start_method=args.start_method,
-        reference_name=name,
-        seeding=args.seeding,
     )
-    if loaded is not None:
-        # Workers get the picklable capability (path + pinned
-        # fingerprint), not the loaded artifact: each opens the same
-        # file and shares its pages through the OS cache.
-        run["index"] = loaded.handle()
     encoded = [(r.name, encode(r.sequence)) for r in reads]
-    # A journaled run keeps its records and quarantine in the run
-    # directory; without one they are in hand and named on the line.
-    mapped, quarantine_file = "", None
     start = time.perf_counter()
     try:
         if args.run_dir:
@@ -1409,36 +1391,33 @@ def _align_workers_cmd(
             fingerprint = run_fingerprint(
                 args.reference,
                 args.reads,
-                spec,
-                batch_size=args.batch_size,
-                seeding=args.seeding,
-                on_bad_record=args.on_bad_record,
+                run.spec,
+                batch_size=run.batch_size,
+                seeding=run.seeding,
+                on_bad_record=run.on_bad_record,
                 index_fingerprint=(
-                    loaded.fingerprint if loaded is not None else None
+                    None if run.index is None else run.index.fingerprint
                 ),
             )
             with GracefulShutdown() as shutdown:
                 outcome = run_journaled(
                     args.run_dir,
-                    reference,
+                    run.reference,
                     encoded,
                     fingerprint,
                     out_path=args.out,
+                    reference_name=run.reference_name,
                     resume=args.resume,
                     should_stop=shutdown,
-                    program_tags=tags,
-                    **run,
+                    program_tags=run.program_tags,
+                    **supervise,
                 )
+            # The journal stitched the SAM and keeps the quarantine.
+            records = None
             quarantine_file = f"{outcome.run_dir}/quarantine.fastq"
         else:
-            outcome = align_supervised(reference, encoded, **run)
-            with open(args.out, "w") as handle:
-                write_sam(
-                    handle, outcome.records, name, len(reference),
-                    program_tags=tags,
-                )
-            hits = sum(1 for r in outcome.records if not r.is_unmapped)
-            mapped = f" ({hits} mapped)"
+            outcome = align_supervised(run.reference, encoded, **supervise)
+            records, quarantine_file = outcome.records, None
     except RunInterrupted as exc:
         print(
             f"interrupted: {exc.done}/{exc.total} windows journaled in "
@@ -1457,11 +1436,7 @@ def _align_workers_cmd(
             f"error: {type(exc).__name__}: {exc}"
         ) from exc
     elapsed = time.perf_counter() - start
-    parts = [
-        f"aligned {len(encoded)} reads{mapped} in {elapsed:.1f}s with "
-        f"engine {spec.engine_name} across {args.workers} "
-        "worker(s)"
-    ]
+    parts = []
     if args.resume:
         parts.append(
             f"resumed: {outcome.skipped_windows}/{outcome.total_windows} "
@@ -1473,13 +1448,20 @@ def _align_workers_cmd(
                 "journal segment(s)"
             )
     parts += _supervision_notes(outcome, quarantine_file)
-    print("; ".join(parts))
-    if getattr(args, "chaos", False):
-        print(
+    return _finish_run(
+        args, run, records,
+        lambda mapped: "; ".join([
+            f"aligned {len(encoded)} reads"
+            f"{'' if mapped is None else f' ({mapped} mapped)'} in "
+            f"{elapsed:.1f}s with engine {run.spec.engine_name} across "
+            f"{args.workers} worker(s)",
+            *parts,
+        ]),
+        lines=(
             "chaos: per-worker fault accounting merged into the "
-            "metrics registry (see --metrics-out)"
-        )
-    return 0
+            "metrics registry (see --metrics-out)",
+        ) if args.chaos else (),
+    )
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -1489,31 +1471,27 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     numbers ``--metrics-out`` exports — so Figure-14 accounting and
     production metrics cannot drift apart.
     """
-    from repro.aligner.pipeline import Aligner
     from repro.genome.io_fasta import read_fastq
     from repro.genome.sequence import encode
     from repro.obs import names as mn
     from repro.obs.table import format_table
 
-    name, reference = _load_reference(args.reference)
+    run = _run_config(args, "seedex")
     reads = read_fastq(args.reads)
-    kernel_name = _resolve_kernel(args)
-    spec = _engine_spec(args, kind="seedex")
-    base_engine = spec.engine()
+    base_engine = run.spec.engine()
     base_engine.stats.reset()  # this invocation's workload only
-    engine = spec.wrap(base_engine)
+    engine = run.spec.wrap(base_engine)
     dispatcher = None if engine is base_engine else engine
-    aligner = Aligner(
-        reference, engine, seeding=args.seeding, reference_name=name
+    run.aligner(engine).align_batched(
+        [(r.name, encode(r.sequence)) for r in reads]
     )
-    aligner.align_batched([(r.name, encode(r.sequence)) for r in reads])
     stats = base_engine.stats
     snap = stats.registry.snapshot()
     counters = snap["counters"]
     total = counters.get(mn.EXTENSIONS_TOTAL, 0)
     rows: list[tuple[str, object]] = [
         ("band", args.band),
-        ("kernel", kernel_name),
+        ("kernel", run.spec.kernel),
         ("extensions", total),
         (
             "threshold-only passing rate",
@@ -1608,17 +1586,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
     flush the in-flight waves, answer every straggler, and exit 0 —
     a second signal kills immediately.  See ``docs/serve.md``.
     """
-    from repro.aligner.pipeline import Aligner
     from repro.serve.server import AlignmentServer, ServeConfig
 
-    name, reference = _load_reference(args.reference)
-    aligner = Aligner(
-        reference,
-        EngineSpec(kind="full", kernel=_resolve_kernel(args)).build(),
-        seeding=args.seeding,
-        reference_name=name,
-        index=_open_index(args, reference),
-    )
+    run = _run_config(args, "full")
+    aligner = run.aligner(run.spec.build())
     config = ServeConfig(
         host=args.host,
         port=args.port,
@@ -1654,7 +1625,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     banner = (
-        f"serving {name} ({len(reference)} bases) on "
+        f"serving {run.reference_name} ({len(run.reference)} bases) on "
         f"{args.host}:{port} (queue {config.queue_capacity}, "
         f"batch {config.max_batch})"
     )

@@ -34,6 +34,10 @@ FRACTION_ESTIMATED_LARGE_BAND = 0.38
 DEFAULT_BAND = 41
 """The band size chosen for the SeedEx configuration (Section VII-A)."""
 
+MIN_SEED_LENGTH = 19
+"""BWA-MEM's minimum seed length (``-k 19``): the aligner's seeds and
+the k of a persistent index's k-mer tables, which must agree."""
+
 FULL_BAND = 101
 """The full band used by the baseline accelerator (w = read length)."""
 

@@ -184,6 +184,7 @@ def run_journaled(
     should_stop=None,
     start_method: str | None = None,
     program_tags: tuple[str, ...] = (),
+    recipe=None,
     **aligner_options,
 ) -> RunReport:
     """Drive one journaled, supervised alignment run to a stitched SAM.
@@ -198,7 +199,9 @@ def run_journaled(
     ``reads`` are ``(name, codes)`` pairs (or ``FastqRecord``-like
     objects); ``program_tags`` extends the stitched SAM's ``@PG`` line;
     all other knobs are forwarded to
-    :func:`~repro.aligner.parallel.align_supervised`.
+    :func:`~repro.aligner.parallel.align_supervised`: a worker
+    ``recipe``, or ``spec`` and the aligner options (``reference_name``
+    defaulting to this run's).
     """
     from repro.aligner.parallel import _normalize_reads, align_supervised
     from repro.durability.supervisor import Quarantine
@@ -219,7 +222,8 @@ def run_journaled(
         dropped = []
     skipped = len(journal.completed)
     quarantine = Quarantine(run_dir)
-    aligner_options.setdefault("reference_name", reference_name)
+    if recipe is None:
+        aligner_options.setdefault("reference_name", reference_name)
 
     result = align_supervised(
         reference,
@@ -233,6 +237,7 @@ def run_journaled(
         journal=journal,
         should_stop=should_stop,
         start_method=start_method,
+        recipe=recipe,
         **aligner_options,
     )
     if result.interrupted or not journal.is_complete():

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import obs
+from repro.constants import MIN_SEED_LENGTH
 from repro.index import format as fmt
 from repro.index.store import LoadedIndex, load_index
 from repro.obs import names
@@ -32,7 +33,7 @@ def build_index(
     reference: np.ndarray,
     path: str | Path,
     *,
-    k: int = 19,
+    k: int = MIN_SEED_LENGTH,
     sa_sample_rate: int = 8,
 ) -> LoadedIndex:
     """Build, atomically persist, and re-open one index artifact.

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.constants import MIN_SEED_LENGTH
 from repro.seeding.mems import Seed
 
 SEED_CHUNK = 128
@@ -42,7 +43,9 @@ the cells before a query's start and past its end stop extension."""
 class KmerIndex:
     """Exact k-mer hash index over an encoded, N-free reference."""
 
-    def __init__(self, reference: np.ndarray, k: int = 19) -> None:
+    def __init__(
+        self, reference: np.ndarray, k: int = MIN_SEED_LENGTH
+    ) -> None:
         reference = np.asarray(reference, dtype=np.int64)
         if k < 1 or k > 31:
             raise ValueError("k must be in [1, 31]")

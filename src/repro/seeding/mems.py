@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.constants import MIN_SEED_LENGTH
 from repro.seeding.fmindex import FMIndex, Interval
 
 
@@ -59,11 +60,11 @@ class Mem:
 def find_smems(
     index: FMIndex,
     query: np.ndarray,
-    min_seed_length: int = 19,
+    min_seed_length: int = MIN_SEED_LENGTH,
 ) -> list[Mem]:
     """Supermaximal exact matches of ``query`` against the index.
 
-    ``min_seed_length`` is BWA-MEM's default 19; shorter matches are
+    ``min_seed_length`` defaults to BWA-MEM's 19; shorter matches are
     noise and dropped.
     """
     query = np.asarray(query, dtype=np.int64)
@@ -132,7 +133,7 @@ def place_seeds(
 def seed_read(
     index: FMIndex,
     query: np.ndarray,
-    min_seed_length: int = 19,
+    min_seed_length: int = MIN_SEED_LENGTH,
     max_occurrences: int = 32,
 ) -> list[Seed]:
     """SMEM generation + placement in one call."""

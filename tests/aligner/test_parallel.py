@@ -139,7 +139,7 @@ def _lines(records):
 def _in_process(reference, reads):
     """The single-process truth every multi-process run must equal."""
     return _lines(
-        AlignRecipe(options={"seeding": "kmer"}).build(reference)(
+        AlignRecipe(seeding="kmer").build(reference)(
             [(r.name, r.codes) for r in reads]
         )
     )
@@ -233,7 +233,7 @@ class TestStartMethodError:
                 workers=2,
                 start_method="spawn",
                 seeding="kmer",
-                min_seed_len=lambda: 19,  # unpicklable on purpose
+                reference_name=lambda: "chr1",  # unpicklable on purpose
             )
         message = str(excinfo.value)
         assert "spawn" in message
@@ -246,7 +246,7 @@ class TestStartMethodError:
         reference, reads = corpus
         recipe = LongReadRecipe(
             spec=EngineSpec(kind="batched"),
-            options={"scoring": lambda: None},
+            reference_name=lambda: "chr1",  # unpicklable on purpose
         )
         with pytest.raises(StartMethodError):
             align_supervised(

@@ -52,7 +52,7 @@ def _clean_obs():
 def baseline_sam(corpus):
     """The uninterrupted ground truth: write_sam of a plain run."""
     reference, reads = corpus
-    records = AlignRecipe(options={"seeding": "kmer"}).build(reference)(
+    records = AlignRecipe(seeding="kmer").build(reference)(
         [(r.name, r.codes) for r in reads]
     )
     buf = io.StringIO()

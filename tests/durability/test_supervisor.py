@@ -59,7 +59,7 @@ def _clean_obs():
 
 
 def _baseline_lines(reference, reads):
-    records = AlignRecipe(options={"seeding": "kmer"}).build(reference)(
+    records = AlignRecipe(seeding="kmer").build(reference)(
         [(r.name, r.codes) for r in reads]
     )
     return [rec.to_line() for rec in records]

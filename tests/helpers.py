@@ -92,9 +92,12 @@ def sam_bytes(
         built = engine.build() if isinstance(engine, EngineSpec) else engine
         if paired:
             aligner = PairedAligner(
-                reference, built, seeding=seeding, **aligner_opts
+                reference,
+                built,
+                seeding=seeding,
+                reference_name=reference_name,
+                **aligner_opts,
             )
-            aligner.aligner.reference_name = reference_name
             mates = (
                 reference_drivers.align_pairs(aligner, reads)
                 if batch_size is None

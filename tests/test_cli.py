@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -712,3 +713,367 @@ class TestFlagBounds:
              "--truth-tolerance", "0"]
         )
         assert (args.fill_band, args.truth_tolerance) == (0, 0)
+
+
+# -- the CLI surface and the run identity, pinned as literals -----------
+
+OPTIONS = {
+    ('simulate', '--metrics-out'):
+        ('metrics_out', None, None, None, False, 'store'),
+    ('simulate', '--trace-out'):
+        ('trace_out', None, None, None, False, 'store'),
+    ('simulate', '--length'): ('length', 50000, None, 'int', False, 'store'),
+    ('simulate', '--reads'): ('reads', 100, None, 'int', False, 'store'),
+    ('simulate', '--profile'):
+        ('profile', 'platinum', ('clean', 'platinum'), None, False, 'store'),
+    ('simulate', '--seed'): ('seed', 0, None, 'int', False, 'store'),
+    ('simulate', '--out-reference'):
+        ('out_reference', None, None, None, True, 'store'),
+    ('simulate', '--out-reads'):
+        ('out_reads', None, None, None, True, 'store'),
+    ('simulate', '--paired'):
+        ('paired', False, None, None, False, 'store_true'),
+    ('simulate', '--no-truth'):
+        ('no_truth', False, None, None, False, 'store_true'),
+    ('simulate', '--long'): ('long', False, None, None, False, 'store_true'),
+    ('simulate', '--long-length'):
+        ('long_length', 1500, None, 'int', False, 'store'),
+    ('simulate', '--length-sd'):
+        ('length_sd', 0.0, None, 'float', False, 'store'),
+    ('align', '--metrics-out'):
+        ('metrics_out', None, None, None, False, 'store'),
+    ('align', '--trace-out'): ('trace_out', None, None, None, False, 'store'),
+    ('align', '--chaos'): ('chaos', False, None, None, False, 'store_true'),
+    ('align', '--fault-rate'):
+        ('fault_rate', 0.01, None, 'float', False, 'store'),
+    ('align', '--fault-seed'): ('fault_seed', 0, None, 'int', False, 'store'),
+    ('align', '--max-retries'):
+        ('max_retries', 3, None, 'int', False, 'store'),
+    ('align', '--timeout'): ('timeout', 0.25, None, 'float', False, 'store'),
+    ('align', '--breaker-threshold'):
+        ('breaker_threshold', None, None, 'int', False, 'store'),
+    ('align', '--breaker-probe-interval'):
+        ('breaker_probe_interval', 32, None, 'int', False, 'store'),
+    ('align', '--kernel'):
+        ('kernel', None, ('numpy', 'scalar', 'striped'), None, False, 'store'),
+    ('align', '--index'): ('index', None, None, None, False, 'store'),
+    ('align', '--rebuild-index'):
+        ('rebuild_index', False, None, None, False, 'store_true'),
+    ('align', '--reference'): ('reference', None, None, None, True, 'store'),
+    ('align', '--reads'): ('reads', None, None, None, True, 'store'),
+    ('align', '--out'): ('out', None, None, None, True, 'store'),
+    ('align', '--engine'):
+        ('engine', 'seedex', ('full', 'batched', 'banded', 'seedex'), None,
+         False, 'store'),
+    ('align', '--band'): ('band', 41, None, 'int', False, 'store'),
+    ('align', '--seeding'):
+        ('seeding', 'kmer', ('smem', 'kmer'), None, False, 'store'),
+    ('align', '--batch-size'):
+        ('batch_size', 4096, None, 'int', False, 'store'),
+    ('align', '--workers'): ('workers', 1, None, 'int', False, 'store'),
+    ('align', '--paired'): ('paired', False, None, None, False, 'store_true'),
+    ('align', '--on-bad-record'):
+        ('on_bad_record', 'fail', ('fail', 'quarantine'), None, False,
+         'store'),
+    ('align', '--run-dir'): ('run_dir', None, None, None, False, 'store'),
+    ('align', '--resume'): ('resume', False, None, None, False, 'store_true'),
+    ('align', '--max-restarts'):
+        ('max_restarts', 8, None, 'int', False, 'store'),
+    ('align', '--hung-timeout'):
+        ('hung_timeout', 30.0, None, 'float', False, 'store'),
+    ('align', '--start-method'):
+        ('start_method', None, ('fork', 'spawn'), None, False, 'store'),
+    ('align', '--truth'): ('truth', None, None, None, False, 'store'),
+    ('align', '--scorecard-out'):
+        ('scorecard_out', None, None, None, False, 'store'),
+    ('align', '--truth-tolerance'):
+        ('truth_tolerance', 20, None, 'int', False, 'store'),
+    ('align', '--log-json'):
+        ('log_json', False, None, None, False, 'store_true'),
+    ('longread', '--metrics-out'):
+        ('metrics_out', None, None, None, False, 'store'),
+    ('longread', '--trace-out'):
+        ('trace_out', None, None, None, False, 'store'),
+    ('longread', '--kernel'):
+        ('kernel', None, ('numpy', 'scalar', 'striped'), None, False, 'store'),
+    ('longread', '--reference'):
+        ('reference', None, None, None, True, 'store'),
+    ('longread', '--reads'): ('reads', None, None, None, True, 'store'),
+    ('longread', '--out'): ('out', None, None, None, True, 'store'),
+    ('longread', '--engine'):
+        ('engine', 'batched', ('scalar', 'batched'), None, False, 'store'),
+    ('longread', '--fill-band'):
+        ('fill_band', 16, None, 'int', False, 'store'),
+    ('longread', '--batch-size'):
+        ('batch_size', 512, None, 'int', False, 'store'),
+    ('longread', '--workers'): ('workers', 1, None, 'int', False, 'store'),
+    ('longread', '--start-method'):
+        ('start_method', None, ('fork', 'spawn'), None, False, 'store'),
+    ('longread', '--truth'): ('truth', None, None, None, False, 'store'),
+    ('longread', '--scorecard-out'):
+        ('scorecard_out', None, None, None, False, 'store'),
+    ('longread', '--truth-tolerance'):
+        ('truth_tolerance', 50, None, 'int', False, 'store'),
+    ('overlap', '--metrics-out'):
+        ('metrics_out', None, None, None, False, 'store'),
+    ('overlap', '--trace-out'):
+        ('trace_out', None, None, None, False, 'store'),
+    ('overlap', '--kernel'):
+        ('kernel', None, ('numpy', 'scalar', 'striped'), None, False, 'store'),
+    ('overlap', '--reads'): ('reads', None, None, None, True, 'store'),
+    ('overlap', '--out'): ('out', None, None, None, True, 'store'),
+    ('overlap', '--k'): ('k', 15, None, 'int', False, 'store'),
+    ('overlap', '--min-shared'):
+        ('min_shared', 3, None, 'int', False, 'store'),
+    ('overlap', '--min-overlap'):
+        ('min_overlap', 50, None, 'int', False, 'store'),
+    ('overlap', '--accept'): ('accept', 0.5, None, 'float', False, 'store'),
+    ('overlap', '--band'): ('band', 31, None, 'int', False, 'store'),
+    ('overlap', '--batch-size'):
+        ('batch_size', 512, None, 'int', False, 'store'),
+    ('score', '--metrics-out'):
+        ('metrics_out', None, None, None, False, 'store'),
+    ('score', '--trace-out'): ('trace_out', None, None, None, False, 'store'),
+    ('score', '--sam'): ('sam', None, None, None, True, 'store'),
+    ('score', '--truth'): ('truth', None, None, None, True, 'store'),
+    ('score', '--tolerance'): ('tolerance', 20, None, 'int', False, 'store'),
+    ('score', '--out'): ('out', None, None, None, False, 'store'),
+    ('analyze', '--metrics-out'):
+        ('metrics_out', None, None, None, False, 'store'),
+    ('analyze', '--trace-out'):
+        ('trace_out', None, None, None, False, 'store'),
+    ('analyze', '--chaos'): ('chaos', False, None, None, False, 'store_true'),
+    ('analyze', '--fault-rate'):
+        ('fault_rate', 0.01, None, 'float', False, 'store'),
+    ('analyze', '--fault-seed'):
+        ('fault_seed', 0, None, 'int', False, 'store'),
+    ('analyze', '--max-retries'):
+        ('max_retries', 3, None, 'int', False, 'store'),
+    ('analyze', '--timeout'): ('timeout', 0.25, None, 'float', False, 'store'),
+    ('analyze', '--breaker-threshold'):
+        ('breaker_threshold', None, None, 'int', False, 'store'),
+    ('analyze', '--breaker-probe-interval'):
+        ('breaker_probe_interval', 32, None, 'int', False, 'store'),
+    ('analyze', '--kernel'):
+        ('kernel', None, ('numpy', 'scalar', 'striped'), None, False, 'store'),
+    ('analyze', '--reference'): ('reference', None, None, None, True, 'store'),
+    ('analyze', '--reads'): ('reads', None, None, None, True, 'store'),
+    ('analyze', '--band'): ('band', 41, None, 'int', False, 'store'),
+    ('analyze', '--seeding'):
+        ('seeding', 'kmer', ('smem', 'kmer'), None, False, 'store'),
+    ('stats', '--metrics-out'):
+        ('metrics_out', None, None, None, False, 'store'),
+    ('stats', '--trace-out'): ('trace_out', None, None, None, False, 'store'),
+    ('stats', 'metrics_file'):
+        ('metrics_file', None, None, None, True, 'store'),
+    ('serve', '--metrics-out'):
+        ('metrics_out', None, None, None, False, 'store'),
+    ('serve', '--trace-out'): ('trace_out', None, None, None, False, 'store'),
+    ('serve', '--kernel'):
+        ('kernel', None, ('numpy', 'scalar', 'striped'), None, False, 'store'),
+    ('serve', '--index'): ('index', None, None, None, False, 'store'),
+    ('serve', '--rebuild-index'):
+        ('rebuild_index', False, None, None, False, 'store_true'),
+    ('serve', '--reference'): ('reference', None, None, None, True, 'store'),
+    ('serve', '--host'): ('host', '127.0.0.1', None, None, False, 'store'),
+    ('serve', '--port'): ('port', 0, None, 'int', False, 'store'),
+    ('serve', '--port-file'): ('port_file', None, None, None, False, 'store'),
+    ('serve', '--seeding'):
+        ('seeding', 'smem', ('smem', 'kmer'), None, False, 'store'),
+    ('serve', '--queue-capacity'):
+        ('queue_capacity', 256, None, 'int', False, 'store'),
+    ('serve', '--high-water'):
+        ('high_water', None, None, 'int', False, 'store'),
+    ('serve', '--max-batch'): ('max_batch', 64, None, 'int', False, 'store'),
+    ('serve', '--linger-ms'):
+        ('linger_ms', 20.0, None, 'float', False, 'store'),
+    ('serve', '--default-deadline-ms'):
+        ('default_deadline_ms', None, None, 'int', False, 'store'),
+    ('serve', '--quota-rate'):
+        ('quota_rate', None, None, 'float', False, 'store'),
+    ('serve', '--quota-burst'):
+        ('quota_burst', None, None, 'float', False, 'store'),
+    ('serve', '--wal-dir'): ('wal_dir', None, None, None, False, 'store'),
+    ('serve', '--breaker-threshold'):
+        ('breaker_threshold', 5, None, 'int', False, 'store'),
+    ('serve', '--breaker-probe-interval'):
+        ('breaker_probe_interval', 32, None, 'int', False, 'store'),
+    ('serve', '--net-disconnect-rate'):
+        ('net_disconnect_rate', 0.0, None, 'float', False, 'store'),
+    ('serve', '--net-stall-rate'):
+        ('net_stall_rate', 0.0, None, 'float', False, 'store'),
+    ('serve', '--net-fault-seed'):
+        ('net_fault_seed', 0, None, 'int', False, 'store'),
+    ('index', '--metrics-out'):
+        ('metrics_out', None, None, None, False, 'store'),
+    ('index', '--trace-out'): ('trace_out', None, None, None, False, 'store'),
+    ('index build', '--reference'):
+        ('reference', None, None, None, True, 'store'),
+    ('index build', '--out'): ('out', None, None, None, True, 'store'),
+    ('index build', '--min-seed-length'):
+        ('min_seed_length', 19, None, 'int', False, 'store'),
+    ('index build', '--sa-sample-rate'):
+        ('sa_sample_rate', 8, None, 'int', False, 'store'),
+    ('index verify', '--index'): ('index', None, None, None, True, 'store'),
+    ('index info', '--index'): ('index', None, None, None, True, 'store'),
+    ('index info', '--json'): ('json', False, None, None, False, 'store_true'),
+    ('client', '--host'): ('host', '127.0.0.1', None, None, False, 'store'),
+    ('client', '--port'): ('port', None, None, 'int', False, 'store'),
+    ('client', '--port-file'): ('port_file', None, None, None, False, 'store'),
+    ('client', '--reads'): ('reads', None, None, None, False, 'store'),
+    ('client', '--connections'):
+        ('connections', 1, None, 'int', False, 'store'),
+    ('client', '--client-id'): ('client_id', '', None, None, False, 'store'),
+    ('client', '--deadline-ms'):
+        ('deadline_ms', None, None, 'int', False, 'store'),
+    ('client', '--repeat'): ('repeat', 1, None, 'int', False, 'store'),
+    ('client', '--out'): ('out', None, None, None, False, 'store'),
+    ('client', '--json'): ('json', False, None, None, False, 'store_true'),
+    ('client', '--status'): ('status', False, None, None, False, 'store_true'),
+}
+"""Every subcommand's options, ``index build|verify|info`` included:
+``(command, flags) -> (dest, default, choices, type, required,
+action)``.  Defaults that differ by command (``--batch-size``,
+``--seeding``, ``--band``, ``--truth-tolerance``,
+``--breaker-threshold``) are read off the built parser, so an option
+group shared by several commands cannot move one command's default."""
+
+_ACTIONS = {"_StoreAction": "store", "_StoreTrueAction": "store_true"}
+
+
+def _option_table() -> dict:
+    import argparse
+
+    from repro.cli import build_parser
+
+    def commands(parser, prefix=()):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, sub in action.choices.items():
+                    yield " ".join(prefix + (name,)), sub
+                    yield from commands(sub, prefix + (name,))
+
+    table = {}
+    for command, sub in commands(build_parser()):
+        for action in sub._actions:
+            if isinstance(
+                action, (argparse._HelpAction, argparse._SubParsersAction)
+            ):
+                continue
+            key = (command, " ".join(action.option_strings) or action.dest)
+            table[key] = (
+                action.dest,
+                action.default,
+                None if action.choices is None else tuple(action.choices),
+                None if action.type is None else action.type.__name__,
+                action.required,
+                _ACTIONS[type(action).__name__],
+            )
+    return table
+
+
+def test_every_option_of_every_command_is_pinned():
+    assert _option_table() == OPTIONS
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+SHORT = ["--reference", str(FIXTURES / "golden_ref.fa"),
+         "--reads", str(FIXTURES / "golden_reads.fq")]
+LONG = ["--reference", str(FIXTURES / "longread_ref.fa"),
+        "--reads", str(FIXTURES / "longread_reads.fq")]
+PG = "@PG\tID:repro-seedex\tPN:repro-seedex\tDS:kernel="
+INDEX = ",index=67527f53,schema=1"
+FINGERPRINT = {
+    "version": 2,
+    "reference_sha256": "2cfe5a0f757288df8fea76a01404c83297f99ad078a2c5437"
+    "5136c195d6e192d",
+    "reads_sha256": "6ce6ccf955656c5e8d592a2e2c8677dcee49a3718075fe4ac79bc"
+    "33e1f52a3b4",
+    "engine": {
+        "kind": "seedex", "band": 41, "kernel": "scalar", "chaos": False,
+        "fault_rate": 0.01, "fault_seed": 0, "max_retries": 3,
+        "timeout_s": 0.25, "breaker_threshold": None,
+        "breaker_probe_interval": 32,
+    },
+    "batch_size": 8,
+    "seeding": "kmer",
+    "on_bad_record": "fail",
+    "index": None,
+}
+"""The journal fingerprint of ``align --run-dir --batch-size 8`` on the
+golden corpus; the cases below change it field by field."""
+
+
+class TestRunIdentity:
+    """A SAM's ``@PG`` line and a run directory's journal fingerprint
+    name the configuration that made them, byte for byte."""
+
+    @pytest.fixture(scope="class")
+    def index(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("identity") / "golden.idx"
+        argv = ["index", "build", "--out", str(path), *SHORT[:2]]
+        assert main(argv) == 0
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["align", *SHORT], PG + "scalar"),
+            (["align", *SHORT, "--index", "IDX"], PG + "scalar" + INDEX),
+            (["align", *SHORT, "--index", "IDX", "--seeding", "kmer",
+              "--kernel", "striped", "--workers", "2"],
+             PG + "striped" + INDEX),
+            (["align", *SHORT, "--paired", "--kernel", "numpy"],
+             PG + "numpy"),
+            (["longread", *LONG], PG + "scalar"),
+            (["longread", *LONG, "--engine", "scalar", "--kernel",
+              "striped", "--workers", "2"], PG + "striped"),
+        ],
+        ids=["align", "align-index", "align-index-workers", "paired",
+             "longread", "longread-scalar-workers"],
+    )
+    def test_program_line(self, argv, want, index, tmp_path):
+        out = tmp_path / "out.sam"
+        argv = [index if a == "IDX" else a for a in argv]
+        assert main([*argv, "--out", str(out)]) == 0
+        [pg] = [
+            line for line in out.read_text().splitlines()
+            if line.startswith("@PG")
+        ]
+        assert pg == want
+
+    @pytest.mark.parametrize(
+        "flags, changes",
+        [
+            ([], {}),
+            (["--engine", "full", "--band", "9", "--seeding", "smem",
+              "--batch-size", "4096"],
+             {"engine": {"kind": "full", "band": None},
+              "seeding": "smem", "batch_size": 4096}),
+            (["--engine", "banded", "--band", "9", "--chaos",
+              "--fault-rate", "0.05", "--fault-seed", "3",
+              "--max-retries", "2", "--timeout", "0.5",
+              "--breaker-threshold", "4", "--breaker-probe-interval", "7",
+              "--index", "IDX", "--kernel", "striped",
+              "--on-bad-record", "quarantine", "--workers", "2"],
+             {"engine": {"kind": "banded", "band": 9, "kernel": "striped",
+                         "chaos": True, "fault_rate": 0.05,
+                         "fault_seed": 3, "max_retries": 2,
+                         "timeout_s": 0.5, "breaker_threshold": 4,
+                         "breaker_probe_interval": 7},
+              "index": "67527f53", "on_bad_record": "quarantine"}),
+        ],
+        ids=["default", "full-band-smem", "every-knob"],
+    )
+    def test_journal_fingerprint(self, flags, changes, index, tmp_path):
+        run_dir = tmp_path / "run"
+        flags = [index if a == "IDX" else a for a in flags]
+        argv = ["align", *SHORT, "--out", str(tmp_path / "out.sam"),
+                "--run-dir", str(run_dir), "--batch-size", "8", *flags]
+        assert main(argv) == 0
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        want = {**FINGERPRINT, **changes}
+        want["engine"] = {
+            **FINGERPRINT["engine"], **changes.get("engine", {})
+        }
+        assert manifest["payload"]["fingerprint"] == want

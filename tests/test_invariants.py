@@ -266,9 +266,11 @@ COMMAND_LOADS = {
         "repro.align.globalbatch", "repro.aligner.longread",
     },
     "overlap": _LOAD_CORE | {"repro.apps", "repro.apps.overlap"},
+    "analyze": _ALIGN_LOADS | {"repro.obs.table"},
 }
 """The ``repro.*`` modules a one-record run of each command loads in a
-fresh interpreter (``align`` with ``short_batched``'s flags).  Without
+fresh interpreter (``align`` with ``short_batched``'s flags;
+``analyze`` builds the same run record as ``align``).  Without
 ``--index``, neither ``align`` nor ``longread`` loads ``index/`` or
 ``durability/``; without ``--chaos`` or a breaker, neither loads
 ``faults/``."""
@@ -316,6 +318,10 @@ def _command_inputs(tmp_path: Path) -> dict[str, list[str]]:
                 "tiles.fq", reference[0:400], reference[250:650]
             ),
             "--kernel", "striped", "--band", "31",
+        ],
+        "analyze": [
+            "analyze", "--reference", ref,
+            "--reads", fastq("short.fq", reference[2000:2101]),
         ],
     }
 
