@@ -47,7 +47,12 @@ from repro.align.fullmatrix import traceback_extension, traceback_global
 from repro.align.globalbatch import fill_gaps_guaranteed
 from repro.align.scoring import BWA_MEM_SCORING, AffineGap
 from repro.aligner.pipeline import _resolve_end, _trace_job, stitch_cigar
-from repro.aligner.waves import DEFAULT_BATCH_SIZE, extend_side, trace_sides
+from repro.aligner.waves import (
+    DEFAULT_BATCH_SIZE,
+    extend_side,
+    normalize_reads,
+    trace_sides,
+)
 from repro.constants import DEFAULT_BAND
 from repro.core.extender import SeedExtender
 from repro.core.globalcheck import GlobalSeedEx
@@ -405,10 +410,7 @@ class LongReadAligner:
         """
         if batch_size < 1:
             raise ValueError("batch size must be at least 1")
-        normalized = [
-            (read.name, read.codes) if hasattr(read, "codes") else read
-            for read in reads
-        ]
+        normalized = normalize_reads(reads)
         out: list[LongReadAlignment | None] = []
         for start in range(0, len(normalized), batch_size):
             out.extend(

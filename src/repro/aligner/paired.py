@@ -32,6 +32,7 @@ from repro import obs
 from repro.align.cigar import Cigar
 from repro.aligner.pipeline import Aligner, _trace_job, stitch_cigar
 from repro.aligner.waves import align_window, extend_side, trace_sides
+from repro.constants import InputError
 from repro.core.extender import SeedExtender
 from repro.genome.sam import FLAG_REVERSE, SamRecord
 from repro.genome.sequence import decode, reverse_complement
@@ -124,7 +125,7 @@ def simulate_pairs(
     length = profile.read_length
     max_size = int(insert.mean + insert.max_deviation * insert.std)
     if len(reference) < max_size + length + 100:
-        raise ValueError("reference too short for the insert model")
+        raise InputError("reference too short for the insert model")
     out = []
     for k in range(count):
         size = int(rng.normal(insert.mean, insert.std))

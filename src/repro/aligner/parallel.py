@@ -69,7 +69,8 @@ import numpy as np
 
 from repro import obs
 from repro.aligner.engines import EngineSpec
-from repro.aligner.waves import DEFAULT_BATCH_SIZE
+from repro.aligner.waves import DEFAULT_BATCH_SIZE, normalize_reads
+from repro.constants import ReproError
 from repro.durability.supervisor import (
     QUARANTINE_TAG,
     HeartbeatBoard,
@@ -84,7 +85,7 @@ from repro.index.store import IndexHandle
 from repro.obs import names
 
 
-class StartMethodError(TypeError):
+class StartMethodError(ReproError, TypeError):
     """Spawn-start workers cannot rebuild the requested worker state.
 
     Raised *before* any worker starts when ``start_method="spawn"``
@@ -186,16 +187,6 @@ class AlignRecipe:
         return lambda reads: aligner.align_batched(
             reads, batch_size=max(1, len(reads))
         )
-
-
-def _normalize_reads(reads) -> list[tuple[str, np.ndarray]]:
-    """Coerce reads to ``(name, uint8 codes)`` pairs."""
-    return [
-        (read.name, np.asarray(read.codes, dtype=np.uint8))
-        if hasattr(read, "codes")
-        else (read[0], np.asarray(read[1], dtype=np.uint8))
-        for read in reads
-    ]
 
 
 def _task_plan(
@@ -708,7 +699,7 @@ def align_supervised(
             "pass either a recipe or spec/aligner options, not both"
         )
     policy = policy or SupervisorPolicy()
-    normalized = _normalize_reads(reads)
+    normalized = normalize_reads(reads)
     ctx, method = _resolve_context(start_method)
     recipe.probe()
     if method != "fork":

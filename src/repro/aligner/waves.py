@@ -364,6 +364,12 @@ def align_window(aligner, window, on_record=None) -> list[SamRecord]:
     return records
 
 
+def normalize_reads(reads) -> list[tuple[str, np.ndarray]]:
+    """Reads as ``(name, uint8 codes)``; ``SimulatedRead``-likes too."""
+    pairs = ((r.name, r.codes) if hasattr(r, "codes") else r for r in reads)
+    return [(name, np.asarray(c, dtype=np.uint8)) for name, c in pairs]
+
+
 def align_batched(
     aligner,
     reads,
@@ -384,10 +390,7 @@ def align_batched(
     """
     if batch_size < 1:
         raise ValueError("batch size must be at least 1")
-    normalized = [
-        (read.name, read.codes) if hasattr(read, "codes") else read
-        for read in reads
-    ]
+    normalized = normalize_reads(reads)
     records: list[SamRecord] = []
     for index, start in enumerate(range(0, len(normalized), batch_size)):
         base = len(records)

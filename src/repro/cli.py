@@ -27,6 +27,7 @@ achieve on the given workload.  Every subcommand
 accepts ``--metrics-out FILE`` (registry snapshot as JSON) and
 ``--trace-out FILE`` (Chrome-trace JSON, loadable in Perfetto);
 ``stats`` pretty-prints a saved metrics snapshot.
+Every failure is one ``error:`` line and an exit code (README.md).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -44,7 +46,7 @@ import numpy as np
 # imports the subsystem it runs, so a command loads what it uses.
 from repro import obs
 from repro.aligner.engines import ENGINE_POLICIES, EngineSpec
-from repro.constants import MIN_SEED_LENGTH
+from repro.constants import MIN_SEED_LENGTH, ReproError
 from repro.kernels import available_kernels, get_kernel
 
 
@@ -371,7 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--log-json",
         action="store_true",
         help="emit one JSON progress line per scheduling window to "
-        "stderr (reads done, reads/s, ETA); single-process runs only",
+        "stderr (reads done, reads/s, ETA); single-end, one-process runs "
+        "only: refused with --paired, --workers > 1 or --run-dir",
     )
 
     lr = sub.add_parser(
@@ -741,7 +744,7 @@ def _load_reference(path: str) -> tuple[str, np.ndarray]:
 
     records = read_fasta(path)
     if not records:
-        raise SystemExit(f"error: {path} contains no FASTA records")
+        raise ReproError(f"{path} contains no FASTA records")
     if len(records) > 1:
         print(
             f"warning: using first of {len(records)} reference records",
@@ -779,9 +782,9 @@ def _open_index(args: argparse.Namespace, reference: np.ndarray):
     try:
         return _load_and_pin()
     except IndexArtifactError as exc:
-        if not getattr(args, "rebuild_index", False):
-            raise SystemExit(
-                f"error: {type(exc).__name__}: {exc}\n(rerun with "
+        if not args.rebuild_index:
+            raise ReproError(
+                f"{type(exc).__name__}: {exc} (rerun with "
                 "--rebuild-index to rebuild the artifact in place, "
                 f"or `repro index build --reference {args.reference} "
                 f"--out {path}`)"
@@ -827,6 +830,13 @@ class _Run:
                 f",schema={meta['schema_version']}"
             )
         return (tag,)
+
+    def engines(self):
+        """``(base, engine, dispatcher)``: the bare wave engine, the one
+        to run and its resilient dispatcher (``None`` without one)."""
+        base = self.spec.engine()
+        engine = self.spec.wrap(base)
+        return base, engine, None if engine is base else engine
 
     def aligner(self, engine):
         """The in-process short-read aligner over ``engine``."""
@@ -968,15 +978,10 @@ def _finish_run(
     if not args.truth and not args.scorecard_out:
         return 0
     from repro.scorecard.score import score_sam
-    from repro.scorecard.truth import TruthError, truth_path_for
+    from repro.scorecard.truth import truth_path_for
 
     truth = args.truth or truth_path_for(args.reads)
-    try:
-        card = score_sam(args.out, truth, tolerance=args.truth_tolerance)
-    except OSError as exc:
-        raise SystemExit(f"error: cannot score run: {exc}") from exc
-    except TruthError as exc:
-        raise SystemExit(f"error: {exc}") from exc
+    card = score_sam(args.out, truth, tolerance=args.truth_tolerance)
     if obs.enabled():
         card.publish(obs.get_registry())
     print(card.summary())
@@ -989,14 +994,12 @@ def _finish_run(
 def cmd_longread(args: argparse.Namespace) -> int:
     """Align long reads (seed-chain-fill), write SAM."""
     from repro.aligner.longread import LongReadRecipe
-    from repro.genome.io_fasta import read_fastq
-    from repro.genome.sequence import encode
 
     # Full band through the end-extension waves: byte-identical to the
     # scalar SeedExtender, whose checked results equal the full-band
     # oracle by the paper's guarantee.
     run = _run_config(args, "batched")
-    reads = read_fastq(args.reads)
+    encoded = _load_reads(args)
     recipe = LongReadRecipe(
         mode=args.engine,
         spec=run.spec,
@@ -1004,24 +1007,19 @@ def cmd_longread(args: argparse.Namespace) -> int:
         fill_band=args.fill_band,
         reference_name=run.reference_name,
     )
-    encoded = [(r.name, encode(r.sequence)) for r in reads]
     notes: list[str] = []
     start = time.perf_counter()
     if args.workers > 1:
-        from repro.aligner.parallel import StartMethodError, align_supervised
-        from repro.durability.supervisor import SupervisorError
+        from repro.aligner.parallel import align_supervised
 
-        try:
-            outcome = align_supervised(
-                run.reference,
-                encoded,
-                recipe=recipe,
-                workers=args.workers,
-                batch_size=run.batch_size,
-                start_method=args.start_method,
-            )
-        except (StartMethodError, SupervisorError) as exc:
-            raise SystemExit(f"error: {exc}") from exc
+        outcome = align_supervised(
+            run.reference,
+            encoded,
+            recipe=recipe,
+            workers=args.workers,
+            batch_size=run.batch_size,
+            start_method=args.start_method,
+        )
         records = outcome.records
         notes = _supervision_notes(outcome)
     else:
@@ -1042,10 +1040,8 @@ def cmd_overlap(args: argparse.Namespace) -> int:
         find_overlaps,
         write_overlaps,
     )
-    from repro.genome.io_fasta import read_fastq
-    from repro.genome.sequence import encode
 
-    reads = read_fastq(args.reads)
+    encoded = _load_reads(args)
     params = OverlapParams(
         k=args.k,
         min_shared=args.min_shared,
@@ -1054,7 +1050,6 @@ def cmd_overlap(args: argparse.Namespace) -> int:
         band=args.band,
         batch_size=args.batch_size,
     )
-    encoded = [(r.name, encode(r.sequence)) for r in reads]
     start = time.perf_counter()
     overlaps = find_overlaps(encoded, params, kernel=args.kernel)
     elapsed = time.perf_counter() - start
@@ -1062,7 +1057,7 @@ def cmd_overlap(args: argparse.Namespace) -> int:
         write_overlaps(handle, overlaps)
     proved = sum(1 for o in overlaps if o.proved)
     print(
-        f"found {len(overlaps)} overlaps among {len(reads)} reads "
+        f"found {len(overlaps)} overlaps among {len(encoded)} reads "
         f"({proved} proved on band {params.band}, "
         f"{len(overlaps) - proved} full-band reruns) in {elapsed:.1f}s"
     )
@@ -1072,18 +1067,8 @@ def cmd_overlap(args: argparse.Namespace) -> int:
 def cmd_score(args: argparse.Namespace) -> int:
     """Grade an existing SAM run against its truth sidecar."""
     from repro.scorecard.score import score_sam
-    from repro.scorecard.truth import TruthError
 
-    try:
-        card = score_sam(args.sam, args.truth, tolerance=args.tolerance)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TruthError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from exc
+    card = score_sam(args.sam, args.truth, tolerance=args.tolerance)
     if obs.enabled():
         card.publish(obs.get_registry())
     print(card.summary())
@@ -1125,7 +1110,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from repro.scorecard.truth import TruthRecord
 
     if args.long and args.paired:
-        raise SystemExit("error: --long and --paired are exclusive")
+        raise ReproError("--long and --paired are exclusive")
     profile = {"platinum": PLATINUM_LIKE, "clean": CLEAN}[args.profile]
     rng = np.random.default_rng(args.seed)
     reference = synthesize_reference(args.length, rng)
@@ -1193,28 +1178,32 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_input_fastq(args: argparse.Namespace, run: _Run):
-    """Load the FASTQ per the run's ``--on-bad-record``; returns the
-    records.
-
-    ``quarantine`` mode skips malformed records (counted as
+def _load_reads(args: argparse.Namespace) -> list[tuple[str, np.ndarray]]:
+    """The FASTQ at ``--reads`` as encoded ``(name, codes)`` pairs; a
+    malformed record is a ``MalformedRecordError``, unless ``align
+    --on-bad-record quarantine`` skips it: counted as
     ``pipeline.input.bad_records``, warned to stderr, and listed in
-    ``<run-dir>/bad_records.tsv`` when a run directory exists) instead
-    of aborting the run.
-    """
+    ``<run-dir>/bad_records.tsv`` when a run directory exists."""
     from repro.genome.io_fasta import MalformedRecordError, read_fastq
+    from repro.genome.sequence import encode
     from repro.obs import names as mn
 
-    if run.on_bad_record == "fail":
-        try:
-            return read_fastq(args.reads)
-        except MalformedRecordError as exc:
-            raise SystemExit(
-                f"error: {exc} (rerun with --on-bad-record quarantine "
-                "to skip malformed records)"
-            ) from exc
+    policy = getattr(args, "on_bad_record", None)  # align's flag only
     bad: list[MalformedRecordError] = []
-    reads = read_fastq(args.reads, on_bad=bad.append)
+
+    def on_bad(exc: MalformedRecordError) -> None:
+        if policy == "quarantine":
+            bad.append(exc)
+            return
+        hint = "" if policy is None else (
+            " (rerun with --on-bad-record quarantine to skip malformed "
+            "records)"
+        )
+        raise MalformedRecordError(
+            exc.reason + hint, path=exc.path, line=exc.line
+        )
+
+    reads = read_fastq(args.reads, on_bad=on_bad)
     if bad:
         if obs.enabled():
             obs.get_registry().counter(
@@ -1224,49 +1213,46 @@ def _read_input_fastq(args: argparse.Namespace, run: _Run):
         for exc in bad:
             print(f"warning: skipped bad record: {exc}", file=sys.stderr)
         if args.run_dir:
-            from pathlib import Path
-
-            directory = Path(args.run_dir)
-            directory.mkdir(parents=True, exist_ok=True)
-            with open(directory / "bad_records.tsv", "a") as handle:
+            os.makedirs(args.run_dir, exist_ok=True)
+            tsv = os.path.join(args.run_dir, "bad_records.tsv")
+            with open(tsv, "a") as handle:
                 for exc in bad:
                     handle.write(
                         f"{exc.path or args.reads}\t{exc.line}\t"
                         f"{exc.reason}\n"
                     )
-    return reads
+    return [(r.name, encode(r.sequence)) for r in reads]
 
 
 def cmd_align(args: argparse.Namespace) -> int:
     """Align a FASTQ against a FASTA reference, write SAM."""
-    from repro.genome.sequence import encode
-
     if args.resume and not args.run_dir:
-        raise SystemExit("error: --resume needs --run-dir")
+        raise ReproError("--resume needs --run-dir")
     if args.index and args.paired:
-        raise SystemExit("error: --index supports single-end reads only")
+        raise ReproError("--index supports single-end reads only")
     supervised = args.run_dir or args.workers > 1
     if supervised and args.paired:
-        raise SystemExit(
-            "error: --run-dir and --workers > 1 support "
-            "single-end reads only"
+        raise ReproError(
+            "--run-dir and --workers > 1 support single-end reads only"
+        )
+    if args.log_json and (supervised or args.paired):
+        raise ReproError(
+            "--log-json supports single-end, one-process runs only "
+            "(not --paired, --workers > 1 or --run-dir)"
         )
     run = _run_config(args, args.engine)
-    reads = _read_input_fastq(args, run)
+    reads = _load_reads(args)
     if supervised:
         return _align_workers_cmd(args, run, reads)
-    base_engine = run.spec.engine()
-    engine = run.spec.wrap(base_engine)
-    dispatcher = None if engine is base_engine else engine
+    if args.paired and len(reads) % 2:
+        raise ReproError(
+            "--paired needs an even number of reads (interleaved mates)"
+        )
+    base_engine, engine, dispatcher = run.engines()
     start = time.perf_counter()
     if args.paired:
         from repro.aligner.paired import PairedAligner, ReadPair
 
-        if len(reads) % 2:
-            raise SystemExit(
-                "error: --paired needs an even number of reads "
-                "(interleaved mates)"
-            )
         paired = PairedAligner(
             run.reference,
             engine,
@@ -1274,12 +1260,8 @@ def cmd_align(args: argparse.Namespace) -> int:
             reference_name=run.reference_name,
         )
         pairs = [
-            ReadPair(
-                first.name.removesuffix("/1"),
-                encode(first.sequence),
-                encode(second.sequence),
-            )
-            for first, second in zip(reads[0::2], reads[1::2])
+            ReadPair(name.removesuffix("/1"), first, second)
+            for (name, first), (_, second) in zip(reads[0::2], reads[1::2])
         ]
         # Mates and rescue candidates go through cross-pair waves.
         records = [
@@ -1301,7 +1283,7 @@ def cmd_align(args: argparse.Namespace) -> int:
             dispatcher=dispatcher,
         )
     records = run.aligner(engine).align_batched(
-        [(r.name, encode(r.sequence)) for r in reads],
+        reads,
         batch_size=run.batch_size,
         progress=_JsonProgress() if args.log_json else None,
     )
@@ -1346,21 +1328,14 @@ def _align_workers_cmd(args: argparse.Namespace, run: _Run, reads) -> int:
     and ``--resume`` recomputes only the missing windows, to the bytes
     of an uninterrupted run (see docs/durability.md).
     """
-    from repro.aligner.parallel import (
-        AlignRecipe,
-        StartMethodError,
-        align_supervised,
-    )
-    from repro.durability.journal import JournalError
+    from repro.aligner.parallel import AlignRecipe, align_supervised
     from repro.durability.runner import (
         GracefulShutdown,
         RunInterrupted,
         run_fingerprint,
         run_journaled,
     )
-    from repro.durability.supervisor import SupervisorError, SupervisorPolicy
-    from repro.genome.sequence import encode
-    from repro.index.errors import IndexArtifactError
+    from repro.durability.supervisor import SupervisorPolicy
 
     supervise = dict(
         # Workers get the picklable capability (path + pinned
@@ -1380,7 +1355,6 @@ def _align_workers_cmd(args: argparse.Namespace, run: _Run, reads) -> int:
         ),
         start_method=args.start_method,
     )
-    encoded = [(r.name, encode(r.sequence)) for r in reads]
     start = time.perf_counter()
     try:
         if args.run_dir:
@@ -1403,7 +1377,7 @@ def _align_workers_cmd(args: argparse.Namespace, run: _Run, reads) -> int:
                 outcome = run_journaled(
                     args.run_dir,
                     run.reference,
-                    encoded,
+                    reads,
                     fingerprint,
                     out_path=args.out,
                     reference_name=run.reference_name,
@@ -1416,7 +1390,7 @@ def _align_workers_cmd(args: argparse.Namespace, run: _Run, reads) -> int:
             records = None
             quarantine_file = f"{outcome.run_dir}/quarantine.fastq"
         else:
-            outcome = align_supervised(run.reference, encoded, **supervise)
+            outcome = align_supervised(run.reference, reads, **supervise)
             records, quarantine_file = outcome.records, None
     except RunInterrupted as exc:
         print(
@@ -1429,12 +1403,6 @@ def _align_workers_cmd(args: argparse.Namespace, run: _Run, reads) -> int:
             f"--run-dir {args.run_dir} --resume"
         )
         return 3
-    except (JournalError, SupervisorError, StartMethodError) as exc:
-        raise SystemExit(f"error: {exc}") from exc
-    except IndexArtifactError as exc:
-        raise SystemExit(
-            f"error: {type(exc).__name__}: {exc}"
-        ) from exc
     elapsed = time.perf_counter() - start
     parts = []
     if args.resume:
@@ -1451,7 +1419,7 @@ def _align_workers_cmd(args: argparse.Namespace, run: _Run, reads) -> int:
     return _finish_run(
         args, run, records,
         lambda mapped: "; ".join([
-            f"aligned {len(encoded)} reads"
+            f"aligned {len(reads)} reads"
             f"{'' if mapped is None else f' ({mapped} mapped)'} in "
             f"{elapsed:.1f}s with engine {run.spec.engine_name} across "
             f"{args.workers} worker(s)",
@@ -1471,20 +1439,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     numbers ``--metrics-out`` exports — so Figure-14 accounting and
     production metrics cannot drift apart.
     """
-    from repro.genome.io_fasta import read_fastq
-    from repro.genome.sequence import encode
     from repro.obs import names as mn
     from repro.obs.table import format_table
 
     run = _run_config(args, "seedex")
-    reads = read_fastq(args.reads)
-    base_engine = run.spec.engine()
+    reads = _load_reads(args)
+    base_engine, engine, dispatcher = run.engines()
     base_engine.stats.reset()  # this invocation's workload only
-    engine = run.spec.wrap(base_engine)
-    dispatcher = None if engine is base_engine else engine
-    run.aligner(engine).align_batched(
-        [(r.name, encode(r.sequence)) for r in reads]
-    )
+    run.aligner(engine).align_batched(reads)
     stats = base_engine.stats
     snap = stats.registry.snapshot()
     counters = snap["counters"]
@@ -1519,62 +1481,36 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-_STATS_TABLES = (
-    ("counters", ("counter", "value")),
-    ("gauges", ("gauge", "value")),
-)
-
-
 def cmd_stats(args: argparse.Namespace) -> int:
     """Pretty-print a metrics snapshot written by ``--metrics-out``."""
+    from repro.obs.metrics import read_snapshot
     from repro.obs.table import format_table
 
-    try:
-        with open(args.metrics_file) as handle:
-            snap = json.load(handle)
-    except OSError as exc:
-        print(f"error: cannot read {args.metrics_file}: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(
-            f"error: {args.metrics_file} is not a metrics snapshot "
-            f"(invalid JSON: {exc})",
-            file=sys.stderr,
-        )
-        return 2
-    for section, headers in _STATS_TABLES:
+    def dash(value):
+        return "-" if value is None else value
+
+    tables = (
+        ("counters", ("counter", "value"), lambda value: (value,)),
+        ("gauges", ("gauge", "value"), lambda value: (value,)),
+        (
+            "histograms",
+            ("histogram", "count", "mean", "p50", "p90", "p99", "max"),
+            lambda h: (
+                h.get("count", 0),
+                h.get("mean", 0.0),
+                *(dash((h.get("quantiles") or {}).get(q))
+                  for q in ("p50", "p90", "p99")),
+                dash(h.get("max")),
+            ),
+        ),
+    )
+    snap = read_snapshot(args.metrics_file)
+    for section, headers, cells in tables:
         entries = snap.get(section) or {}
-        if not entries:
-            continue
-        print(f"\n== {section} ==")
-        print(
-            format_table(
-                headers, sorted(entries.items(), key=lambda kv: kv[0])
-            )
-        )
-    histograms = snap.get("histograms") or {}
-    if histograms:
-        print("\n== histograms ==")
-        rows = []
-        for key, h in sorted(histograms.items(), key=lambda kv: kv[0]):
-            q = h.get("quantiles") or {}
-            rows.append(
-                (
-                    key,
-                    h.get("count", 0),
-                    h.get("mean", 0.0),
-                    _q(q, "p50"),
-                    _q(q, "p90"),
-                    _q(q, "p99"),
-                    h.get("max") if h.get("max") is not None else "-",
-                )
-            )
-        print(
-            format_table(
-                ("histogram", "count", "mean", "p50", "p90", "p99", "max"),
-                rows,
-            )
-        )
+        if entries:
+            rows = [(key, *cells(v)) for key, v in sorted(entries.items())]
+            print(f"\n== {section} ==")
+            print(format_table(headers, rows))
     return 0
 
 
@@ -1655,7 +1591,6 @@ def cmd_index(args: argparse.Namespace) -> int:
     error on any refusal; ``info`` prints the artifact's identity.
     """
     from repro.index.build import build_index
-    from repro.index.errors import IndexArtifactError
     from repro.index.format import read_header
     from repro.index.store import verify_artifact
 
@@ -1669,9 +1604,7 @@ def cmd_index(args: argparse.Namespace) -> int:
             sa_sample_rate=args.sa_sample_rate,
         )
         elapsed = time.perf_counter() - start
-        from pathlib import Path
-
-        size = Path(args.out).stat().st_size
+        size = os.path.getsize(args.out)
         print(
             f"built {args.out} ({size} bytes) in {elapsed:.1f}s: "
             f"fingerprint {loaded.fingerprint}, schema "
@@ -1680,11 +1613,7 @@ def cmd_index(args: argparse.Namespace) -> int:
         )
         return 0
     if args.index_command == "verify":
-        try:
-            header = verify_artifact(args.index)
-        except IndexArtifactError as exc:
-            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-            return 2
+        header = verify_artifact(args.index)
         print(
             f"{args.index}: intact (fingerprint {header.fingerprint}, "
             f"schema {header.schema_version}, "
@@ -1693,11 +1622,7 @@ def cmd_index(args: argparse.Namespace) -> int:
         return 0
     # info: envelope only — prints identity even when a section is
     # damaged (verify is the integrity tool).
-    try:
-        header = read_header(args.index)
-    except IndexArtifactError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+    header = read_header(args.index)
     payload = {
         "path": args.index,
         "fingerprint": header.fingerprint,
@@ -1740,20 +1665,21 @@ def cmd_client(args: argparse.Namespace) -> int:
     died first).  ``--status`` instead prints the server's health
     payload and exits.
     """
-    from repro.genome.io_fasta import read_fastq
+    from repro.genome.sequence import decode
     from repro.serve.client import request_status, run_load
 
     port = args.port
     if port is None:
         if not args.port_file:
-            raise SystemExit("error: need --port or --port-file")
-        try:
-            with open(args.port_file) as handle:
-                port = int(handle.read().strip())
-        except (OSError, ValueError) as exc:
-            raise SystemExit(
-                f"error: cannot read port from {args.port_file}: {exc}"
+            raise ReproError("need --port or --port-file")
+        with open(args.port_file) as handle:
+            text = handle.read().strip()
+        if not text.isdigit():
+            raise ReproError(
+                f"cannot read port from {args.port_file}: {text!r} is "
+                "not a port number"
             )
+        port = int(text)
     if args.status:
         print(
             json.dumps(
@@ -1762,9 +1688,10 @@ def cmd_client(args: argparse.Namespace) -> int:
         )
         return 0
     if not args.reads:
-        raise SystemExit("error: need --reads (or --status)")
-    fastq = read_fastq(args.reads)
-    pairs = [(r.name, r.sequence) for r in fastq] * max(1, args.repeat)
+        raise ReproError("need --reads (or --status)")
+    pairs = [
+        (name, decode(codes)) for name, codes in _load_reads(args)
+    ] * args.repeat
     report = run_load(
         args.host,
         port,
@@ -1806,24 +1733,58 @@ def cmd_client(args: argparse.Namespace) -> int:
     return 1 if report.unanswered else 0
 
 
-def _q(quantiles: dict, key: str) -> object:
-    value = quantiles.get(key)
-    return "-" if value is None else value
+def _check_outputs(args: argparse.Namespace) -> None:
+    """Refuse an output path in a missing directory before any work, so
+    a long run does not fail at its first write (``client --port-file``
+    is read, and refused the same way)."""
+    for dest in ("out", "out_reference", "out_reads", "metrics_out",
+                 "trace_out", "scorecard_out", "port_file"):
+        path = getattr(args, dest, None)
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ReproError(
+                f"--{dest.replace('_', '-')} {path}: no such directory"
+            )
 
 
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
+def _observed(handler, args: argparse.Namespace) -> int:
+    """Run ``handler`` with the metrics registry and the tracer on when
+    ``--metrics-out``, ``--trace-out`` or ``--log-json`` asks, and
+    export them after it returns or fails; a failed export is exit 1."""
     metrics_out = getattr(args, "metrics_out", None)
     trace_out = getattr(args, "trace_out", None)
     # --log-json reads progress counts back from the registry, so it
     # turns observability on even without an export file.
-    exporting = bool(
-        metrics_out or trace_out or getattr(args, "log_json", False)
-    )
-    if exporting:
-        obs.reset()
-        obs.enable()
+    if not (metrics_out or trace_out or getattr(args, "log_json", False)):
+        return handler(args)
+    obs.reset()
+    obs.enable()
+    try:
+        return handler(args)
+    finally:
+        try:
+            if metrics_out:
+                obs.get_registry().write_json(metrics_out)
+                print(f"wrote metrics snapshot to {metrics_out}")
+            if trace_out:
+                obs.get_tracer().export_chrome(trace_out)
+                print(f"wrote Chrome trace to {trace_out}")
+        except OSError as exc:
+            error = ReproError(f"cannot write snapshot: {exc}")
+            error.exit_code = 1  # the run failed, after its work
+            raise error from exc
+        finally:
+            obs.disable()
+
+
+def main(argv: list[str] | None = None) -> int:
+    """CLI entry point; returns a process exit code.
+
+    The one error boundary: a :class:`~repro.constants.ReproError`, an
+    ``OSError`` or a named file that is not text ends in one ``error:``
+    line and its exit code (2 but for a ``ReproError``'s own).
+    Anything else is a bug and keeps its traceback.
+    """
+    args = build_parser().parse_args(argv)
     handlers = {
         "simulate": cmd_simulate,
         "align": cmd_align,
@@ -1837,29 +1798,12 @@ def main(argv: list[str] | None = None) -> int:
         "index": cmd_index,
     }
     try:
-        code = handlers[args.command](args)
-    finally:
-        export_error = None
-        if exporting:
-            try:
-                if metrics_out:
-                    obs.get_registry().write_json(metrics_out)
-                    print(f"wrote metrics snapshot to {metrics_out}")
-                if trace_out:
-                    obs.get_tracer().export_chrome(trace_out)
-                    print(f"wrote Chrome trace to {trace_out}")
-            except OSError as exc:
-                export_error = exc
-            finally:
-                obs.disable()
-        if export_error is not None:
-            print(
-                f"error: cannot write snapshot: {export_error}",
-                file=sys.stderr,
-            )
-    if export_error is not None:
-        return 1
-    return code
+        _check_outputs(args)
+        return _observed(handlers[args.command], args)
+    except (ReproError, OSError, UnicodeDecodeError) as exc:
+        kind = "" if type(exc) is ReproError else f"{type(exc).__name__}: "
+        print(f"error: {kind}{exc}", file=sys.stderr)
+        return getattr(exc, "exit_code", 2)
 
 
 if __name__ == "__main__":

@@ -7,10 +7,27 @@ benchmark harnesses can print paper-vs-model rows side by side.
 
 Nothing in the *algorithmic* packages (:mod:`repro.align`,
 :mod:`repro.core`) depends on this module; the optimality checks are
-exact algorithms, not calibrated models.
+exact algorithms, not calibrated models.  It also holds
+:class:`ReproError`, the base of every typed error a command reports
+(every command loads this module, so the base costs no import).
 """
 
 from __future__ import annotations
+
+
+class ReproError(Exception):
+    """A typed refusal the command line reports as one ``error:`` line.
+
+    ``exit_code`` is 2 (the command line or a file it names is unusable)
+    or 1 (the run itself failed).  Library errors derive from it beside
+    their builtin base, so ``except ValueError`` callers still work."""
+
+    exit_code = 2
+
+
+class InputError(ReproError, ValueError):
+    """An input value the program cannot use (e.g. a short reference)."""
+
 
 # --- Workload (Section VI) -------------------------------------------------
 

@@ -40,6 +40,7 @@ from pathlib import Path
 from typing import Iterable
 
 from repro import obs
+from repro.constants import ReproError
 from repro.genome.sam import SamRecord, write_header
 from repro.obs import names
 
@@ -48,7 +49,7 @@ SEGMENT_DIR = "segments"
 MANIFEST_VERSION = 1
 
 
-class JournalError(RuntimeError):
+class JournalError(ReproError, RuntimeError):
     """The journal refused an operation (mismatch, reuse, torn state)."""
 
 

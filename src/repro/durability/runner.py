@@ -196,18 +196,19 @@ def run_journaled(
     drained the run first — everything finished so far is journaled and
     a later call with ``resume=True`` picks up where this one stopped.
 
-    ``reads`` are ``(name, codes)`` pairs (or ``FastqRecord``-like
+    ``reads`` are ``(name, codes)`` pairs (or ``SimulatedRead``-like
     objects); ``program_tags`` extends the stitched SAM's ``@PG`` line;
     all other knobs are forwarded to
     :func:`~repro.aligner.parallel.align_supervised`: a worker
     ``recipe``, or ``spec`` and the aligner options (``reference_name``
     defaulting to this run's).
     """
-    from repro.aligner.parallel import _normalize_reads, align_supervised
+    from repro.aligner.parallel import align_supervised
+    from repro.aligner.waves import normalize_reads
     from repro.durability.supervisor import Quarantine
 
     run_dir = Path(run_dir)
-    normalized = _normalize_reads(reads)
+    normalized = normalize_reads(reads)
     if batch_size < 1:
         raise ValueError("batch size must be at least 1")
     total_windows = max(

@@ -34,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.constants import ReproError
 from repro.genome.sequence import decode
 
 QUARANTINE_TAG = "XF:Z:quarantined"
@@ -47,8 +48,10 @@ POISON_MODES = (KILL, KILL_ONCE, RAISE, HANG)
 """The poison behaviours :class:`PoisonPlan` can assign to a read."""
 
 
-class SupervisorError(RuntimeError):
+class SupervisorError(ReproError, RuntimeError):
     """The supervisor could not keep the run alive (budget exhausted)."""
+
+    exit_code = 1  # the run failed; its inputs were fine
 
 
 @dataclass(frozen=True)

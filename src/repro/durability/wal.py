@@ -37,6 +37,8 @@ import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.constants import ReproError
+
 WAL_NAME = "requests.wal"
 """File name of the request WAL inside its directory."""
 
@@ -44,7 +46,7 @@ WAL_VERSION = 1
 """Record schema version stamped into every line."""
 
 
-class WalError(RuntimeError):
+class WalError(ReproError, RuntimeError):
     """The WAL refused an operation (unwritable directory, bad path)."""
 
 

@@ -20,13 +20,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TextIO
 
-ON_BAD_FAIL = "fail"
-ON_BAD_QUARANTINE = "quarantine"
-ON_BAD_POLICIES = (ON_BAD_FAIL, ON_BAD_QUARANTINE)
-"""Accepted ``--on-bad-record`` policies."""
+from repro.constants import ReproError
 
-
-class MalformedRecordError(ValueError):
+class MalformedRecordError(ReproError, ValueError):
     """A FASTA/FASTQ record the parser refused, with its location.
 
     ``path`` is ``None`` when parsing an anonymous stream; ``line`` is

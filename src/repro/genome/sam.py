@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, TextIO
 
+from repro.constants import InputError
+
 FLAG_REVERSE = 0x10
 FLAG_UNMAPPED = 0x4
 FLAG_SECONDARY = 0x100
@@ -84,17 +86,20 @@ class SamRecord:
     def from_line(cls, line: str) -> "SamRecord":
         parts = line.rstrip("\n").split("\t")
         if len(parts) < 11:
-            raise ValueError(f"SAM line has {len(parts)} fields, need 11")
-        return cls(
-            qname=parts[0],
-            flag=int(parts[1]),
-            rname=parts[2],
-            pos=int(parts[3]) - 1,
-            mapq=int(parts[4]),
-            cigar=parts[5],
-            seq=parts[9],
-            tags=tuple(parts[11:]),
-        )
+            raise InputError(f"SAM line has {len(parts)} fields, need 11")
+        try:
+            return cls(
+                qname=parts[0],
+                flag=int(parts[1]),
+                rname=parts[2],
+                pos=int(parts[3]) - 1,
+                mapq=int(parts[4]),
+                cigar=parts[5],
+                seq=parts[9],
+                tags=tuple(parts[11:]),
+            )
+        except ValueError as exc:  # a non-integer or out-of-range field
+            raise InputError(f"bad SAM line for {parts[0]!r}: {exc}") from exc
 
 
 def write_header(

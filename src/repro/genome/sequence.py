@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.constants import InputError
+
 BASES = "ACGT"
 AMBIGUOUS_CODE = 4
 """Code for 'N'; never matches anything, including itself."""
@@ -38,7 +40,7 @@ def encode(seq: str) -> np.ndarray:
     codes = _ENCODE[raw]
     if (codes < 0).any():
         bad = seq[int(np.argmax(codes < 0))]
-        raise ValueError(f"invalid DNA character: {bad!r}")
+        raise InputError(f"invalid DNA character: {bad!r}")
     return codes.astype(np.uint8)
 
 

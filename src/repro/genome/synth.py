@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.constants import InputError
 from repro.genome.sequence import decode, random_sequence, reverse_complement
 
 
@@ -137,7 +138,7 @@ class ReadSimulator:
         seed: int = 0,
     ) -> None:
         if len(reference) < profile.read_length + profile.large_indel_max:
-            raise ValueError("reference too short for the read profile")
+            raise InputError("reference too short for the read profile")
         self.reference = np.asarray(reference, dtype=np.uint8)
         self.profile = profile
         self.rng = np.random.default_rng(seed)
@@ -256,7 +257,7 @@ def simulate_long_reads(
         int(4 * p.length_sd) if p.length_sd else 0
     )
     if len(reference) < max_len + p.sv_max + 64:
-        raise ValueError("reference too short for the long-read profile")
+        raise InputError("reference too short for the long-read profile")
     reads = []
     for k in range(count):
         if p.length_sd:

@@ -29,8 +29,10 @@ The hierarchy:
 
 from __future__ import annotations
 
+from repro.constants import ReproError
 
-class IndexArtifactError(RuntimeError):
+
+class IndexArtifactError(ReproError, RuntimeError):
     """Base: the index artifact cannot be used for this run."""
 
 

@@ -21,6 +21,8 @@ import math
 import threading
 from typing import Iterable, Mapping
 
+from repro.constants import InputError
+
 DEFAULT_BUCKETS: tuple[float, ...] = tuple(
     float(10**e) for e in range(-6, 7)
 )
@@ -457,3 +459,25 @@ class MetricsRegistry:
         with open(path, "w") as handle:
             handle.write(self.to_json())
             handle.write("\n")
+
+
+def read_snapshot(path: str) -> dict:
+    """Read a snapshot; a file that is not one raises ``InputError``."""
+    with open(path) as handle:
+        try:
+            snap = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise InputError(
+                f"{path} is not a metrics snapshot (invalid JSON: {exc})"
+            ) from exc
+    kinds = ("counters", "gauges", "histograms")
+    if not (
+        isinstance(snap, dict)
+        and all(isinstance(snap.get(kind) or {}, dict) for kind in kinds)
+        and all(
+            isinstance(h, dict) and isinstance(h.get("quantiles") or {}, dict)
+            for h in (snap.get("histograms") or {}).values()
+        )
+    ):
+        raise InputError(f"{path} is not a metrics snapshot")
+    return snap

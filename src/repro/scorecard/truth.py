@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, TextIO
 
+from repro.constants import ReproError
+
 TRUTH_VERSION = 1
 """Sidecar format version; bumped only on incompatible changes."""
 
@@ -31,7 +33,7 @@ _COLUMNS = "#read\ttrue_pos\tstrand\tsubs\tins\tdels"
 _UNKNOWN = "-"
 
 
-class TruthError(ValueError):
+class TruthError(ReproError, ValueError):
     """A sidecar could not be parsed (bad magic, version, or row)."""
 
 

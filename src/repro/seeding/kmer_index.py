@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.constants import MIN_SEED_LENGTH
+from repro.constants import MIN_SEED_LENGTH, InputError
 from repro.seeding.mems import Seed
 
 SEED_CHUNK = 128
@@ -50,9 +50,9 @@ class KmerIndex:
         if k < 1 or k > 31:
             raise ValueError("k must be in [1, 31]")
         if len(reference) < k:
-            raise ValueError("reference shorter than k")
+            raise InputError(f"reference shorter than k={k}")
         if reference.max(initial=0) >= 4:
-            raise ValueError("reference must be N-free for k-mer packing")
+            raise InputError("reference must be N-free for k-mer packing")
         self.k = k
         self.reference = reference.astype(np.uint8)
         keys = _pack_kmers(reference, k)

@@ -119,7 +119,7 @@ class TestAlignWithIndex:
         assert "schema=1" in pg
 
     def test_corrupt_index_refused_without_rebuild_flag(
-        self, workload, tmp_path
+        self, workload, tmp_path, capsys
     ):
         _, ref, reads, _ = workload
         from pathlib import Path
@@ -128,14 +128,16 @@ class TestAlignWithIndex:
         bad = bitflip_section(
             Path(idx), tmp_path / "bad.rpidx", "fm_occ"
         )
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "align", "--reference", ref, "--reads", reads,
-                    "--out", str(tmp_path / "out.sam"),
-                    "--index", str(bad),
-                ]
-            )
+        assert main(
+            [
+                "align", "--reference", ref, "--reads", reads,
+                "--out", str(tmp_path / "out.sam"),
+                "--index", str(bad),
+            ]
+        ) == 2
+        err = capsys.readouterr().err
+        assert "IndexCorruptError" in err and "--rebuild-index" in err
+        assert not (tmp_path / "out.sam").exists()
 
     def test_rebuild_flag_recovers_in_place(self, workload, tmp_path):
         root, ref, reads, idx = workload

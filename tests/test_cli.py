@@ -104,15 +104,15 @@ class TestAlign:
             out_full
         )
 
-    def test_missing_reference_errors(self, workload, tmp_path):
+    def test_missing_reference_errors(self, workload, tmp_path, capsys):
         root, _, reads = workload
         empty = tmp_path / "empty.fasta"
         empty.write_text("")
-        with pytest.raises(SystemExit):
-            main(
-                ["align", "--reference", str(empty), "--reads", reads,
-                 "--out", str(tmp_path / "x.sam")]
-            )
+        assert main(
+            ["align", "--reference", str(empty), "--reads", reads,
+             "--out", str(tmp_path / "x.sam")]
+        ) == 2
+        assert "contains no FASTA records" in capsys.readouterr().err
 
 
 class TestPaired:
@@ -150,13 +150,13 @@ class TestPaired:
         proper = sum(1 for r in records if r.flag & 0x2)
         assert proper >= 20
 
-    def test_paired_odd_count_rejected(self, tmp_path, workload):
+    def test_paired_odd_count_rejected(self, tmp_path, workload, capsys):
         _, ref, reads = workload
-        with pytest.raises(SystemExit):
-            main(
-                ["align", "--reference", ref, "--reads", reads,
-                 "--out", str(tmp_path / "x.sam"), "--paired"]
-            )
+        assert main(
+            ["align", "--reference", ref, "--reads", reads,
+             "--out", str(tmp_path / "x.sam"), "--paired"]
+        ) == 2
+        assert "even number of reads" in capsys.readouterr().err
 
 
 class TestAnalyze:
@@ -265,7 +265,7 @@ class TestDurableCli:
         assert (tmp_path / "run" / "manifest.json").exists()
 
     def test_reusing_run_dir_without_resume_errors(
-        self, workload, tmp_path
+        self, workload, tmp_path, capsys
     ):
         _, ref, reads = workload
         out = str(tmp_path / "out.sam")
@@ -273,8 +273,8 @@ class TestDurableCli:
                 "--out", out, "--batch-size", "8",
                 "--run-dir", str(tmp_path / "run")]
         assert main(argv) == 0
-        with pytest.raises(SystemExit, match="already holds"):
-            main(argv)
+        assert main(argv) == 2
+        assert "already holds" in capsys.readouterr().err
 
     def test_resume_of_finished_run_reuses_every_window(
         self, workload, tmp_path, capsys
@@ -291,11 +291,13 @@ class TestDurableCli:
         assert "windows reused from the journal" in capsys.readouterr().out
         assert self._sam_bytes(out) == first
 
-    def test_resume_without_run_dir_rejected(self, workload, tmp_path):
+    def test_resume_without_run_dir_rejected(
+        self, workload, tmp_path, capsys
+    ):
         _, ref, reads = workload
-        with pytest.raises(SystemExit, match="--resume needs"):
-            main(["align", "--reference", ref, "--reads", reads,
-                  "--out", str(tmp_path / "x.sam"), "--resume"])
+        assert main(["align", "--reference", ref, "--reads", reads,
+                     "--out", str(tmp_path / "x.sam"), "--resume"]) == 2
+        assert "--resume needs" in capsys.readouterr().err
 
 
 class TestBadRecordPolicy:
@@ -312,11 +314,11 @@ class TestBadRecordPolicy:
         reads.write_text(self.CORRUPT)
         return str(ref), str(reads)
 
-    def test_fail_policy_aborts(self, tmp_path):
+    def test_fail_policy_aborts(self, tmp_path, capsys):
         ref, reads = self._workload(tmp_path)
-        with pytest.raises(SystemExit, match="on-bad-record"):
-            main(["align", "--reference", ref, "--reads", reads,
-                  "--out", str(tmp_path / "x.sam")])
+        assert main(["align", "--reference", ref, "--reads", reads,
+                     "--out", str(tmp_path / "x.sam")]) == 2
+        assert "on-bad-record" in capsys.readouterr().err
 
     def test_quarantine_policy_skips_and_reports(
         self, tmp_path, capsys
@@ -460,14 +462,14 @@ class TestSimulateLong:
             ]
         assert len(rows) == 8
 
-    def test_long_and_paired_exclusive(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(
-                ["simulate", "--length", "15000", "--reads", "4",
-                 "--long", "--paired",
-                 "--out-reference", str(tmp_path / "r.fa"),
-                 "--out-reads", str(tmp_path / "r.fq")]
-            )
+    def test_long_and_paired_exclusive(self, tmp_path, capsys):
+        assert main(
+            ["simulate", "--length", "15000", "--reads", "4",
+             "--long", "--paired",
+             "--out-reference", str(tmp_path / "r.fa"),
+             "--out-reads", str(tmp_path / "r.fq")]
+        ) == 2
+        assert "--long and --paired are exclusive" in capsys.readouterr().err
 
 
 class TestLongReadCli:
@@ -713,6 +715,210 @@ class TestFlagBounds:
              "--truth-tolerance", "0"]
         )
         assert (args.fill_band, args.truth_tolerance) == (0, 0)
+
+
+# -- one error boundary: every bad input or output ends in one line ----
+
+@pytest.fixture(scope="module")
+def bad_inputs(tmp_path_factory):
+    """Good and broken copies of every kind of file a command names."""
+    root = tmp_path_factory.mktemp("boundary")
+    ref, reads = str(root / "ref.fa"), str(root / "reads.fq")
+    assert main(["simulate", "--length", "3000", "--reads", "4",
+                 "--seed", "2", "--out-reference", ref,
+                 "--out-reads", reads]) == 0
+    sam, idx = str(root / "good.sam"), str(root / "good.idx")
+    assert main(["align", "--reference", ref, "--reads", reads,
+                 "--out", sam]) == 0
+    assert main(["index", "build", "--reference", ref, "--out", idx]) == 0
+    body = Path(sam).read_text()
+    artifact = Path(idx).read_bytes()
+    files = {
+        "empty": "",
+        "bad_fq": "@r1\nACGTACGT\n+\nIII\n",
+        "cut_fq": Path(reads).read_text()[:-150],
+        "bad_fa": "ACGT\n>chr1\nACGT\n",
+        "cut_fa": ">chr1\n",
+        "short_fa": ">chr1\nACGTACGTAC\n",
+        "bad_sam": "@HD\tVN:1.6\nr1\t0\tchr1\n",
+        "cut_sam": body[: body.rstrip().rindex("\n") + 20],
+        "bad_truth": "this is not a sidecar\n",
+        "cut_truth": Path(reads + ".truth.tsv").read_text()[:-9],
+        "list_json": "[1, 2]",
+        "bad_json": '{"counters": [1, 2]}',
+        "cut_json": '{"counters": {"a": 1',
+        "bad_idx": "not an index artifact\n" * 8,
+        "bad_port": "port\n",
+    }
+    paths = {"ref": ref, "reads": reads, "sam": sam, "idx": idx,
+             "truth": reads + ".truth.tsv",
+             "missing": str(root / "missing")}
+    for name, text in files.items():
+        paths[name] = str(root / name)
+        Path(paths[name]).write_text(text)
+    paths["cut_idx"] = str(root / "cut_idx")
+    Path(paths["cut_idx"]).write_bytes(artifact[: len(artifact) // 2])
+    return paths
+
+
+ALIGN = "align --reference {ref} --reads {reads} --out {out}/x.sam"
+LONG = "longread --reference {ref} --reads {reads} --out {out}/x.sam"
+ANALYZE = "analyze --reference {ref} --reads {reads}"
+OVERLAP = "overlap --reads {reads} --out {out}/x.tsv"
+SCORE = "score --sam {sam} --truth {truth}"
+SERVE = "serve --reference {ref} --seeding kmer"
+BUILD = "index build --reference {ref} --out {out}/x.idx"
+CLIENT = "client --port 1 --reads {reads}"
+
+BOUNDARY = {
+    # a missing file
+    "align-missing-reads": ALIGN.replace("{reads}", "{missing}"),
+    "align-missing-reference": ALIGN.replace("{ref}", "{missing}"),
+    "longread-missing-reads": LONG.replace("{reads}", "{missing}"),
+    "longread-missing-reference": LONG.replace("{ref}", "{missing}"),
+    "analyze-missing-reads": ANALYZE.replace("{reads}", "{missing}"),
+    "overlap-missing-reads": OVERLAP.replace("{reads}", "{missing}"),
+    "score-missing-sam": SCORE.replace("{sam}", "{missing}"),
+    "score-missing-truth": SCORE.replace("{truth}", "{missing}"),
+    "stats-missing": "stats {missing}",
+    "serve-missing-reference": SERVE.replace("{ref}", "{missing}"),
+    "index-build-missing-reference": BUILD.replace("{ref}", "{missing}"),
+    "index-verify-missing": "index verify --index {missing}",
+    "index-info-missing": "index info --index {missing}",
+    "client-missing-reads": CLIENT.replace("{reads}", "{missing}"),
+    "client-missing-port-file": "client --port-file {missing} "
+    "--reads {reads}",
+    # an empty file
+    "align-empty-reference": ALIGN.replace("{ref}", "{empty}"),
+    "longread-empty-reference": LONG.replace("{ref}", "{empty}"),
+    "analyze-empty-reference": ANALYZE.replace("{ref}", "{empty}"),
+    "score-empty-truth": SCORE.replace("{truth}", "{empty}"),
+    "stats-empty": "stats {empty}",
+    "serve-empty-reference": SERVE.replace("{ref}", "{empty}"),
+    "index-build-empty-reference": BUILD.replace("{ref}", "{empty}"),
+    "index-verify-empty": "index verify --index {empty}",
+    "index-info-empty": "index info --index {empty}",
+    "client-empty-port-file": "client --port-file {empty} --reads {reads}",
+    # a malformed record
+    "align-malformed-reads": ALIGN.replace("{reads}", "{bad_fq}"),
+    "align-malformed-reference": ALIGN.replace("{ref}", "{bad_fa}"),
+    "longread-malformed-reads": LONG.replace("{reads}", "{bad_fq}"),
+    "analyze-malformed-reads": ANALYZE.replace("{reads}", "{bad_fq}"),
+    "overlap-malformed-reads": OVERLAP.replace("{reads}", "{bad_fq}"),
+    "client-malformed-reads": CLIENT.replace("{reads}", "{bad_fq}"),
+    "score-malformed-sam": SCORE.replace("{sam}", "{bad_sam}"),
+    "score-malformed-truth": SCORE.replace("{truth}", "{bad_truth}"),
+    "stats-json-list": "stats {list_json}",
+    "stats-section-not-object": "stats {bad_json}",
+    "serve-malformed-reference": SERVE.replace("{ref}", "{bad_fa}"),
+    "index-build-malformed-reference": BUILD.replace("{ref}", "{bad_fa}"),
+    "index-verify-malformed": "index verify --index {bad_idx}",
+    "index-info-malformed": "index info --index {bad_idx}",
+    "client-malformed-port-file": "client --port-file {bad_port} "
+    "--reads {reads}",
+    "align-reads-not-text": ALIGN.replace("{reads}", "{idx}"),
+    "stats-not-text": "stats {idx}",
+    # a truncated record
+    "align-truncated-reads": ALIGN.replace("{reads}", "{cut_fq}"),
+    "align-truncated-reference": ALIGN.replace("{ref}", "{cut_fa}"),
+    "longread-truncated-reads": LONG.replace("{reads}", "{cut_fq}"),
+    "analyze-truncated-reads": ANALYZE.replace("{reads}", "{cut_fq}"),
+    "overlap-truncated-reads": OVERLAP.replace("{reads}", "{cut_fq}"),
+    "client-truncated-reads": CLIENT.replace("{reads}", "{cut_fq}"),
+    "score-truncated-sam": SCORE.replace("{sam}", "{cut_sam}"),
+    "score-truncated-truth": SCORE.replace("{truth}", "{cut_truth}"),
+    "stats-truncated": "stats {cut_json}",
+    "index-verify-truncated": "index verify --index {cut_idx}",
+    "index-info-truncated": "index info --index {cut_idx}",
+    # a reference shorter than k (k-mer seeding)
+    "align-short-reference": ALIGN.replace("{ref}", "{short_fa}"),
+    "longread-short-reference": LONG.replace("{ref}", "{short_fa}"),
+    "analyze-short-reference": ANALYZE.replace("{ref}", "{short_fa}"),
+    "serve-short-reference": SERVE.replace("{ref}", "{short_fa}"),
+    "index-build-short-reference": BUILD.replace("{ref}", "{short_fa}"),
+    "simulate-short-reference": "simulate --length 100 "
+    "--out-reference {out}/r.fa --out-reads {out}/r.fq",
+    "simulate-paired-short-reference": "simulate --length 100 --paired "
+    "--out-reference {out}/r.fa --out-reads {out}/r.fq",
+    "simulate-long-short-reference": "simulate --length 100 --long "
+    "--out-reference {out}/r.fa --out-reads {out}/r.fq",
+    # an output path in a missing directory, refused before any work
+    "align-out": ALIGN.replace("{out}", "{nodir}"),
+    "align-scorecard-out": ALIGN + " --scorecard-out {nodir}/c.json",
+    "align-metrics-out": ALIGN + " --metrics-out {nodir}/m.json",
+    "align-trace-out": ALIGN + " --trace-out {nodir}/t.json",
+    "longread-out": LONG.replace("{out}", "{nodir}"),
+    "analyze-metrics-out": ANALYZE + " --metrics-out {nodir}/m.json",
+    "overlap-out": OVERLAP.replace("{out}", "{nodir}"),
+    "score-out": SCORE + " --out {nodir}/c.json",
+    "stats-trace-out": "stats {sam} --trace-out {nodir}/t.json",
+    "simulate-out-reference": "simulate --out-reference {nodir}/r.fa "
+    "--out-reads {out}/r.fq",
+    "simulate-out-reads": "simulate --out-reference {out}/r.fa "
+    "--out-reads {nodir}/r.fq",
+    "serve-port-file": SERVE + " --port-file {nodir}/port",
+    "index-build-out": BUILD.replace("{out}", "{nodir}"),
+    "client-out": CLIENT + " --out {nodir}/x.sam",
+}
+"""``repro`` invocations (``{name}`` is a file of :func:`bad_inputs`,
+``{out}`` an empty directory, ``{nodir}`` a missing one), by command
+and case; every one exits 2: usage, or an input or output the command
+cannot use (README.md, "Exit codes")."""
+
+
+class TestCliErrorBoundary:
+    @pytest.mark.parametrize("argv", BOUNDARY.values(), ids=BOUNDARY)
+    def test_refused_with_one_error_line(
+        self, argv, bad_inputs, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        out.mkdir()
+        paths = {**bad_inputs, "out": str(out), "nodir": str(out / "nodir")}
+        code = main(argv.format(**paths).split())
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "Traceback" not in captured.err
+        assert captured.err.splitlines()[-1].startswith("error: ")
+        assert sorted(out.iterdir()) == []  # no output, and no work
+        assert not captured.out
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--paired"], ["--workers", "2"], ["--run-dir", "RUN"]],
+        ids=["paired", "workers", "run-dir"],
+    )
+    def test_log_json_refused_where_it_prints_nothing(
+        self, flags, bad_inputs, tmp_path, capsys
+    ):
+        flags = [str(tmp_path / "run") if f == "RUN" else f for f in flags]
+        code = main(["align", "--reference", bad_inputs["ref"],
+                     "--reads", bad_inputs["reads"], "--log-json",
+                     "--out", str(tmp_path / "x.sam"), *flags])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("error: --log-json ")
+        assert sorted(tmp_path.iterdir()) == []
+
+    def test_failed_snapshot_export_exits_1(
+        self, bad_inputs, tmp_path, capsys
+    ):
+        out = tmp_path / "x.sam"
+        code = main(["align", "--reference", bad_inputs["ref"],
+                     "--reads", bad_inputs["reads"], "--out", str(out),
+                     "--metrics-out", str(tmp_path)])  # a directory
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith(
+            "error: cannot write snapshot: "
+        )
+        assert out.exists()  # the run finished; only the export failed
+
+    def test_smem_seeding_aligns_a_short_reference(
+        self, bad_inputs, tmp_path
+    ):
+        assert main(["align", "--reference", bad_inputs["short_fa"],
+                     "--reads", bad_inputs["reads"], "--seeding", "smem",
+                     "--out", str(tmp_path / "x.sam")]) == 0
 
 
 # -- the CLI surface and the run identity, pinned as literals -----------

@@ -879,6 +879,58 @@ class TestOneReadDriver:
             assert [m for m in methods if hasattr(cls, m)] == [], cls
 
 
+class TestOneErrorBoundary:
+    def test_cli_reports_errors_in_one_place(self):
+        """``main`` is the one ``except`` that reports an error; the
+        others are ``_open_index``'s rebuild rung, ``RunInterrupted``
+        (exit 3) and the snapshot export (exit 1).  No command exits on
+        its own or reads a FASTQ but through ``_load_reads``."""
+        source = (_SRC / "repro/cli.py").read_text()
+        tree = ast.parse(source)
+        handlers = [
+            n for n in ast.walk(tree) if isinstance(n, ast.ExceptHandler)
+        ]
+        assert len(handlers) <= 5
+        assert source.count("raise SystemExit(") == 1  # __main__
+        commands = [
+            n for n in tree.body
+            if isinstance(n, ast.FunctionDef) and n.name.startswith("cmd_")
+        ]
+        assert [
+            f"{fn.name}: {ast.unparse(node)}"
+            for fn in commands
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Return)
+            and isinstance(node.value, ast.Constant)
+            and node.value.value == 2
+        ] == []
+        assert source.count("read_fastq(") == 1
+
+    def test_typed_errors_share_one_base(self):
+        """Every typed error a command can hit is a ``ReproError`` and
+        keeps its builtin base, so library callers' ``except`` holds."""
+        from repro.aligner.parallel import StartMethodError
+        from repro.constants import InputError, ReproError
+        from repro.durability.journal import JournalError
+        from repro.durability.supervisor import SupervisorError
+        from repro.durability.wal import WalError
+        from repro.genome.io_fasta import MalformedRecordError
+        from repro.index.errors import IndexArtifactError
+        from repro.scorecard.truth import TruthError
+
+        bases = {
+            MalformedRecordError: ValueError, TruthError: ValueError,
+            InputError: ValueError, IndexArtifactError: RuntimeError,
+            JournalError: RuntimeError, SupervisorError: RuntimeError,
+            WalError: RuntimeError, StartMethodError: TypeError,
+        }
+        for error, base in bases.items():
+            assert issubclass(error, ReproError), error
+            assert issubclass(error, base), error
+        codes = {error: error.exit_code for error in bases}
+        assert codes == {**dict.fromkeys(bases, 2), SupervisorError: 1}
+
+
 class TestOneRelaxedSweep:
     OLD_NAMES = (
         "left_entry_scores",
