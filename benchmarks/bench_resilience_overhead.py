@@ -1,12 +1,12 @@
 """Resilience-layer overhead with faults disabled (<1% target).
 
 Not a paper figure — this is the no-op cost contract of the
-fault-injection PR: with ``fault_rate=0`` the `ResilientDispatcher`
-adds only a counter increment and a histogram observation around the
-bare engine call, so wrapping the production path in the resilience
-layer must be free for fault-free runs.  The measured overhead lands
-in `benchmarks/metrics_last_run.json` via the session obs dump
-(`resilience.overhead.fraction`).
+fault-injection layer: with ``fault_rate=0`` the `ResilientDispatcher`
+sends each wave to the bare engine in one `extend_wave` call and adds
+only its per-job counters, so wrapping the production path in the
+resilience layer must be free for fault-free runs.  The measured
+overhead lands in `benchmarks/metrics_last_run.json` via the session
+obs dump (`resilience.overhead.fraction`).
 """
 
 import pytest
@@ -26,8 +26,7 @@ def _engine():
 
 
 def _drive(engine, jobs):
-    for job in jobs:
-        engine.extend(job.query, job.target, job.h0)
+    engine.extend_wave([(job.query, job.target, job.h0) for job in jobs])
 
 
 def test_bare_engine(benchmark, platinum_corpus):

@@ -24,8 +24,9 @@ long-read ends — reaches the engine through one step,
 :func:`repro.aligner.waves.extend_side`, and every engine it reaches
 takes whole waves (:class:`ExtensionEngine`):
 :meth:`BatchedEngine.extend_wave` is one call under the policy and
-keeps nothing between waves, and the resilience dispatcher walks a
-wave's jobs down its ladder one at a time.
+keeps nothing between waves, and the resilience dispatcher runs a
+wave down its ladder in rounds, each one engine call over the jobs
+still pending, then one host wave.  Nothing extends one job alone.
 """
 
 from __future__ import annotations
@@ -100,10 +101,9 @@ class BatchedEngine:
     — so SAM output is byte-identical to the full band at any band,
     and :attr:`stats` reports the check outcomes.
 
-    :meth:`extend` is a wave of one: the resilience dispatcher walks
-    its ladder one job at a time through it, and its host fallback
-    reruns a job through it.  Every job is computed, equal ones
-    included; no wave ever dead-letters a job.
+    The resilience dispatcher sends it each round of a wave and its
+    host fallback wave.  Every job is computed, equal ones included;
+    no wave ever dead-letters a job.
     """
 
     def __init__(
@@ -140,10 +140,6 @@ class BatchedEngine:
     def stats(self):
         """Check-outcome accounting; ``None`` without ``checks``."""
         return None if self._extender is None else self._extender.stats
-
-    def extend(self, query, target, h0) -> ExtensionResult:
-        """One job under the policy: a wave of one."""
-        return self.extend_wave([(query, target, h0)])[0]
 
     def extend_wave(self, jobs) -> list[ExtensionResult]:
         """Run a wave of ``(query, target, h0)`` jobs in lockstep.
@@ -231,13 +227,13 @@ def make_resilient(
     """Wrap ``engine`` in the chaos/resilience layer.
 
     With ``fault_rate == 0`` no injector is attached and the
-    dispatcher is a measured no-op passthrough; with a positive rate
-    the engine's datapath runs through the faultable I/O seams
-    (:mod:`repro.faults`) and the retry → host-rerun → dead-letter
-    ladder guarantees the result anyway.  Returns a
-    :class:`~repro.faults.resilience.ResilientDispatcher`, which
-    satisfies the :class:`ExtensionEngine` protocol: it takes a wave
-    and walks each job down the ladder, in wave order.
+    dispatcher is a measured no-op passthrough (one engine call per
+    wave); with a positive rate the engine's datapath runs through the
+    faultable I/O seams (:mod:`repro.faults`) and the retry →
+    host-rerun → dead-letter ladder guarantees the result anyway.
+    Returns a :class:`~repro.faults.resilience.ResilientDispatcher`,
+    which satisfies the :class:`ExtensionEngine` protocol: it takes a
+    wave and runs it down the ladder in rounds.
 
     ``breaker_threshold`` (``None`` = no breaker) arms a
     :class:`~repro.durability.breaker.CircuitBreaker`: that many

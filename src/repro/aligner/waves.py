@@ -34,10 +34,11 @@ engine policies x window sizes x worker counts):
   chains then reverse, in chain-filter order — so tie-breaking in the
   final sort is unchanged;
 * every engine takes whole waves (``extend_wave``).  The resilience
-  dispatcher walks a wave's jobs down its ladder one at a time and
-  answers a dead-lettered job with ``None``, so that job degrades
-  **alone** — its chain, not its whole wave (the rescue and long-read
-  paths answer it with their checked fallback extender instead).
+  dispatcher runs a wave down its ladder in rounds, retrying only
+  the jobs whose frames faulted, and answers a dead-lettered job with
+  ``None``, so that job degrades **alone** — its chain, not its whole
+  wave (the rescue and long-read paths answer it with their checked
+  fallback extender instead).
 """
 
 from __future__ import annotations

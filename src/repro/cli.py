@@ -534,15 +534,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=_int_at_least(1),
         default=256,
         metavar="N",
-        help="admission queue bound (default 256)",
-    )
-    srv.add_argument(
-        "--high-water",
-        type=_int_at_least(1),
-        default=None,
-        metavar="N",
-        help="shed new requests at this queue depth "
-        "(default: the capacity)",
+        help="admission queue bound; a request arriving at a full "
+        "queue is shed with `overloaded` (default 256)",
     )
     srv.add_argument(
         "--max-batch",
@@ -808,6 +801,8 @@ class _Run:
     source of the engine, the aligner, the worker recipe, the ``@PG
     DS:`` field and the journal fingerprint.  ``index`` is the loaded,
     pinned artifact or ``None``; workers get its picklable ``handle()``.
+    ``truth`` is the parsed ``--truth`` sidecar the finished SAM is
+    graded against, or ``None`` when no scoring was asked for.
     """
 
     spec: EngineSpec
@@ -817,6 +812,7 @@ class _Run:
     reference: np.ndarray
     index: object
     on_bad_record: str
+    truth: dict | None = None
 
     @property
     def program_tags(self) -> tuple[str, ...]:
@@ -849,10 +845,20 @@ class _Run:
 
 
 def _run_config(args: argparse.Namespace, kind: str) -> _Run:
-    """Load the reference and the index and resolve the flags into the
-    run record; ``kind`` is the engine policy (``--engine`` on
-    ``align``, fixed on the commands that run one)."""
+    """Load the reference, the truth sidecar and the index and resolve
+    the flags into the run record; ``kind`` is the engine policy
+    (``--engine`` on ``align``, fixed on the commands that run one).
+
+    The sidecar — ``--truth``, or the ``<reads>.truth.tsv`` that
+    ``--scorecard-out`` implies — is read here, before any work, so a
+    missing or malformed one costs no run and leaves no SAM.
+    """
     name, reference = _load_reference(args.reference)
+    truth = None
+    if getattr(args, "truth", None) or getattr(args, "scorecard_out", None):
+        from repro.scorecard.truth import read_truth, truth_path_for
+
+        truth = read_truth(args.truth or truth_path_for(args.reads))
     chaos = {}
     if hasattr(args, "chaos"):  # the commands with the chaos flags
         chaos = dict(
@@ -879,6 +885,7 @@ def _run_config(args: argparse.Namespace, kind: str) -> _Run:
         reference=reference,
         index=_open_index(args, reference),
         on_bad_record=getattr(args, "on_bad_record", "fail"),
+        truth=truth,
     )
 
 
@@ -956,9 +963,9 @@ def _finish_run(
     Writes ``records`` as the SAM with the run's ``@PG`` tags
     (``None``: the journal stitched it), prints ``summary(mapped)``
     (``mapped`` is ``None`` without records), ``lines`` and the chaos
-    accounting, then grades the SAM when ``--truth``/``--scorecard-out``
-    ask: strictly after it is on disk and read-only, so its bytes are
-    the same with scoring on or off.
+    accounting, then grades the SAM against the run's truth when
+    ``--truth``/``--scorecard-out`` ask: strictly after it is on disk
+    and read-only, so its bytes are the same with scoring on or off.
     """
     mapped = None
     if records is not None:
@@ -975,13 +982,11 @@ def _finish_run(
         print(line)
     if dispatcher is not None:
         _print_chaos_summary(dispatcher)
-    if not args.truth and not args.scorecard_out:
+    if run.truth is None:
         return 0
     from repro.scorecard.score import score_sam
-    from repro.scorecard.truth import truth_path_for
 
-    truth = args.truth or truth_path_for(args.reads)
-    card = score_sam(args.out, truth, tolerance=args.truth_tolerance)
+    card = score_sam(args.out, run.truth, tolerance=args.truth_tolerance)
     if obs.enabled():
         card.publish(obs.get_registry())
     print(card.summary())
@@ -1531,7 +1536,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         port_file=args.port_file,
         queue_capacity=args.queue_capacity,
-        high_water=args.high_water,
         max_batch=args.max_batch,
         linger_ms=args.linger_ms,
         default_deadline_ms=args.default_deadline_ms,
@@ -1749,7 +1753,8 @@ def _check_outputs(args: argparse.Namespace) -> None:
 def _observed(handler, args: argparse.Namespace) -> int:
     """Run ``handler`` with the metrics registry and the tracer on when
     ``--metrics-out``, ``--trace-out`` or ``--log-json`` asks, and
-    export them after it returns or fails; a failed export is exit 1."""
+    export them once it returns: a command that fails writes no
+    snapshot, and a failed export is exit 1."""
     metrics_out = getattr(args, "metrics_out", None)
     trace_out = getattr(args, "trace_out", None)
     # --log-json reads progress counts back from the registry, so it
@@ -1759,8 +1764,7 @@ def _observed(handler, args: argparse.Namespace) -> int:
     obs.reset()
     obs.enable()
     try:
-        return handler(args)
-    finally:
+        code = handler(args)
         try:
             if metrics_out:
                 obs.get_registry().write_json(metrics_out)
@@ -1772,8 +1776,9 @@ def _observed(handler, args: argparse.Namespace) -> int:
             error = ReproError(f"cannot write snapshot: {exc}")
             error.exit_code = 1  # the run failed, after its work
             raise error from exc
-        finally:
-            obs.disable()
+    finally:
+        obs.disable()
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:

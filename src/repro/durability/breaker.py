@@ -86,8 +86,8 @@ class CircuitBreaker:
     """Job-count-scheduled circuit breaker (closed/open/half-open).
 
     Single-threaded by design — one breaker guards one dispatcher in
-    one process.  Callers ask :meth:`allow` before an accelerator
-    attempt and report the job-level outcome with
+    one process.  Callers ask :meth:`allow` for each job of a wave as
+    it arrives and report each job-level outcome after the wave with
     :meth:`record_success` / :meth:`record_failure` (a *failure* is a
     job that fell back to the host, not an individual retry).
     """
@@ -135,8 +135,8 @@ class CircuitBreaker:
                 names.RESILIENCE_BREAKER_SHORT_CIRCUITS, "short circuits"
             )
             return False
-        # Half-open with the probe still in flight cannot happen in the
-        # single-threaded dispatcher, but fail safe: keep short-circuiting.
+        # Half-open with the probe in flight: the rest of the probe's
+        # wave short-circuits until its outcome is reported.
         self.short_circuits += 1
         self._count(
             names.RESILIENCE_BREAKER_SHORT_CIRCUITS, "short circuits"

@@ -1,20 +1,21 @@
-"""ChaosEngine: route every extension through the faultable datapath.
+"""ChaosEngine: route every wave through the faultable datapath.
 
-Wraps an engine with a per-job ``extend`` (a
-:class:`~repro.aligner.engines.BatchedEngine`) so that each ``extend``
-call (the resilience dispatcher makes one per job and attempt)
-travels the accelerator's real seams functionally — job packed into
-512-bit memory lines, lines through (possibly corrupted) DRAM, unpack
-with CRC verification at the core, compute, result record packed and
-CRC-verified on write-back — with a
-:class:`~repro.faults.injector.FaultInjector` deciding, per attempt,
-whether and where to corrupt.
+Wraps a wave engine (a :class:`~repro.aligner.engines.BatchedEngine`)
+so that each job of each :meth:`ChaosEngine.extend_wave` call (the
+resilience dispatcher makes one per round) travels the accelerator's
+real seams functionally — job packed into 512-bit memory lines, lines
+through (possibly corrupted) DRAM, unpack with CRC verification at the
+core, compute, result record packed and CRC-verified on write-back —
+with a :class:`~repro.faults.injector.FaultInjector` deciding, per job
+and attempt, whether and where to corrupt.  Every job's lines and
+record carry their own CRC-16 (:mod:`repro.faults.wire`), so a fault
+names its job and the rest of the wave is unharmed.
 
 Every injected fault surfaces as a typed
-:class:`~repro.faults.errors.FaultError` (detection), with one
-exception: an injection the seam absorbs harmlessly is counted as
-tolerated by the injector.  If a corruption ever slips past the CRCs
-*and* changes data, the built-in tripwire raises
+:class:`~repro.faults.errors.FaultError` in its job's slot (detection),
+with one exception: an injection the seam absorbs harmlessly is
+counted as tolerated by the injector.  If a corruption ever slips past
+the CRCs *and* changes data, the built-in tripwire raises
 :class:`~repro.faults.errors.SilentCorruptionError` — the chaos suite
 asserts this never happens.
 """
@@ -25,6 +26,7 @@ import numpy as np
 
 from repro.faults.errors import (
     DataCorruptionFault,
+    FaultError,
     MissingRecordFault,
     SilentCorruptionError,
     StalledStreamFault,
@@ -63,13 +65,29 @@ class ChaosEngine:
         """The inner engine's affine-gap scheme (pipeline contract)."""
         return self.inner.scoring
 
-    def extend(self, query, target, h0):
-        """One extension through the faultable datapath.
+    def extend_wave(self, jobs) -> list:
+        """A wave of ``(query, target, h0)`` jobs through the faultable
+        datapath: each job's input frame, one inner ``extend_wave``
+        over the jobs whose frames arrived intact, then each job's
+        write-back record.
 
-        Raises a :class:`~repro.faults.errors.FaultError` subclass
-        when the drawn fault surfaces; the resilient dispatcher owns
-        retry/fallback policy.
+        Returns, in job order, each job's result or the
+        :class:`~repro.faults.errors.FaultError` its frame raised; the
+        resilient dispatcher owns retry/fallback policy.
         """
+        out = [self._send(*job) for job in jobs]
+        intact = [
+            k for k, frame in enumerate(out)
+            if not isinstance(frame, FaultError)
+        ]
+        computed = self.inner.extend_wave([out[k][1] for k in intact])
+        for k, result in zip(intact, computed):
+            out[k] = self._write_back(out[k][0], result)
+        return out
+
+    def _send(self, query, target, h0):
+        """One job's input path: job -> memory lines -> (corruptible
+        DRAM) -> core.  ``(site, job as received)``, or the fault."""
         injector = self.injector
         site = injector.draw()
         job = ExtensionJob(
@@ -77,15 +95,13 @@ class ChaosEngine:
             target=np.asarray(target, dtype=np.uint8),
             h0=int(h0),
         )
-
-        # Input path: job -> memory lines -> (corruptible DRAM) -> core.
         lines = pack_job(job)
         if site in LINE_SITES:
             lines = injector.corrupt_lines(site, lines)
         if site == "stream.stall":
-            raise StalledStreamFault(injector.stall_seconds, site=site)
+            return StalledStreamFault(injector.stall_seconds, site=site)
         if site == "batch.transient":
-            raise TransientAcceleratorFault(
+            return TransientAcceleratorFault(
                 "accelerator batch failed transiently", site=site
             )
         try:
@@ -93,34 +109,32 @@ class ChaosEngine:
         except CorruptLineError as exc:
             if site is None:
                 raise  # not injected: a real framing bug, crash loudly
-            raise DataCorruptionFault(str(exc), site=site) from exc
+            return DataCorruptionFault(str(exc), site=site)
         if site in LINE_SITES and not _same_job(job, received):
             raise SilentCorruptionError(
                 f"line corruption at {site} evaded the CRC"
             )
+        return site, (received.query, received.target, received.h0)
 
-        # Compute on what the core actually received.
-        result = self.inner.extend(
-            received.query, received.target, received.h0
-        )
-
-        # Write-back path: result record through the output coalescer.
+    def _write_back(self, site, result):
+        """One job's result record through the output coalescer: the
+        result, or the fault."""
         record = ResultRecord.from_result(result)
         blob = record.pack()
         if site == "record.drop":
-            raise MissingRecordFault(
+            return MissingRecordFault(
                 "result record dropped by the coalescer", site=site
             )
         if site in RECORD_SITES:
-            corrupted = injector.corrupt_record(site, blob)
+            corrupted = self.injector.corrupt_record(site, blob)
             blob = corrupted if corrupted is not None else b""
         try:
-            received_record = ResultRecord.unpack(blob)
+            received = ResultRecord.unpack(blob)
         except CorruptRecordError as exc:
             if site is None:
                 raise
-            raise DataCorruptionFault(str(exc), site=site) from exc
-        if received_record != record:
+            return DataCorruptionFault(str(exc), site=site)
+        if received != record:
             raise SilentCorruptionError(
                 f"record corruption at {site} evaded the CRC"
             )

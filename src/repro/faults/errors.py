@@ -16,7 +16,6 @@ from __future__ import annotations
 
 __all__ = [
     "DataCorruptionFault",
-    "DeadLetterError",
     "FaultError",
     "MissingRecordFault",
     "SilentCorruptionError",
@@ -29,9 +28,11 @@ class FaultError(RuntimeError):
     """Base class of every injectable datapath failure.
 
     ``site`` names the injection seam (see
-    :data:`repro.faults.injector.ALL_SITES`); the resilience ladder
-    catches this type and nothing broader, so genuine bugs still
-    crash loudly instead of being retried away.
+    :data:`repro.faults.injector.ALL_SITES`).  The chaos engine
+    returns one in the slot of the job whose frame failed, and the
+    resilience ladder retries this type and nothing broader, so
+    genuine bugs, which raise, still crash loudly instead of being
+    retried away.
     """
 
     def __init__(self, message: str, *, site: str) -> None:
@@ -72,19 +73,3 @@ class SilentCorruptionError(RuntimeError):
     Never retried: an undetected corruption means the CRC framing has
     a hole, and the only safe reaction is to crash the test loudly.
     """
-
-
-class DeadLetterError(RuntimeError):
-    """A job exhausted the whole degradation ladder.
-
-    Raised after accelerator retries were spent *and* the host rerun
-    queue refused the job; the pipeline reacts by marking the read
-    unmapped-with-reason rather than crashing.
-    """
-
-    def __init__(self, message: str, *, site: str, attempts: int) -> None:
-        super().__init__(
-            f"{message} [site={site}, attempts={attempts}]"
-        )
-        self.site = site
-        self.attempts = attempts

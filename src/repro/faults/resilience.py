@@ -1,29 +1,33 @@
 """The resilience layer: retry, timeout, and graceful degradation.
 
-:class:`ResilientDispatcher` wraps any extension engine (typically a
+:class:`ResilientDispatcher` wraps any wave engine (typically a
 :class:`~repro.faults.chaos.ChaosEngine` over the SeedEx engine) and
 guarantees the speculate-and-test contract survives a misbehaving
 accelerator.  The pipeline hands it waves
-(:meth:`ResilientDispatcher.extend_wave`); it walks each job of a
-wave, in wave order, down the degradation ladder:
+(:meth:`ResilientDispatcher.extend_wave`); it runs each wave down the
+degradation ladder in rounds, as the host of the paper reruns the
+failed jobs of a batch from its rerun queue (Section V):
 
-1. **retry on the accelerator** — bounded attempts with exponential
-   backoff plus deterministic jitter; short stream stalls are absorbed
-   without consuming a retry, long ones count as timeouts;
+1. **retry on the accelerator** — each round sends every pending job
+   in one engine call; a job whose frame faulted (each frame has its
+   own CRC, so a fault names its job) goes back for the next round,
+   up to its own retry budget, after one jittered exponential backoff
+   per round; short stream stalls are absorbed without consuming a
+   retry, long ones count as timeouts;
 2. **rerun full-band on the host** — the paper's escape hatch,
-   generalized: any job whose accelerator attempts were exhausted is
-   recomputed by the full-band software kernel (always correct);
-3. **dead-letter** — only when the host rerun queue itself refuses the
-   job: the job is recorded with its failure context and a typed
-   :class:`~repro.faults.errors.DeadLetterError` ends the job's walk,
-   and the wave answers it with ``None`` so the pipeline marks the
-   read unmapped-with-reason (or reruns the job on its own fallback).
+   generalized: the jobs whose accelerator attempts were exhausted
+   are recomputed as one wave by the full-band software kernel
+   (always correct);
+3. **dead-letter** — only when the host rerun queue itself refuses a
+   job: the job is recorded with its failure context and the wave
+   answers it with ``None``, so the pipeline marks the read
+   unmapped-with-reason (or reruns the job on its own fallback).
    The dispatcher never crashes the pipeline and never silently drops
    a job.
 
 With no injector attached the dispatcher is a measured no-op: one
-counter increment and one histogram observation around the bare
-engine call (see ``benchmarks/bench_resilience_overhead.py``).
+engine call per wave, as the bare engine makes, plus its counters
+(see ``benchmarks/bench_resilience_overhead.py``).
 """
 
 from __future__ import annotations
@@ -33,11 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.faults.errors import (
-    DeadLetterError,
-    FaultError,
-    StalledStreamFault,
-)
+from repro.faults.errors import FaultError, StalledStreamFault
 from repro.faults.injector import ALL_SITES, FaultInjector
 from repro.obs import names
 from repro.obs.metrics import MetricsRegistry
@@ -246,6 +246,9 @@ class ResilientDispatcher:
     short-circuited straight to the host full-band kernel without
     burning their retry/timeout budget on an accelerator that is
     plainly down, re-probing on the breaker's half-open schedule.
+    It is asked once per job as a wave arrives and told each job's
+    outcome, in job order, when the wave's rounds end, so it trips
+    between waves.
     Output bytes are unchanged either way — the host kernel is the
     ground truth.
     """
@@ -282,93 +285,98 @@ class ResilientDispatcher:
         return self.engine.scoring
 
     def extend_wave(self, jobs) -> list:
-        """A wave of ``(query, target, h0)`` jobs, each walked down the
-        :meth:`extend` ladder in job order.
+        """A wave of ``(query, target, h0)`` jobs, run down the ladder
+        in rounds.
 
-        Results come back in job order; a job that exhausted the
-        ladder comes back as ``None`` (its :class:`DeadLetter` is on
+        The breaker is asked once per job as the wave arrives.  Each
+        round sends every pending job in one engine call; a faulted
+        job goes back for the next round, a sub-timeout stall without
+        using up a retry.  Jobs that exhaust their retries, and jobs
+        the breaker denies, run as one host full-band wave.  Results
+        come back in job order; a job the host queue refuses comes
+        back as ``None`` (its :class:`DeadLetter` is on
         :attr:`dead_letters`), so one dead job never fails its wave.
         """
-        results = []
-        for query, target, h0 in jobs:
-            try:
-                results.append(self.extend(query, target, h0))
-            except DeadLetterError:
-                results.append(None)
-        return results
-
-    def extend(self, query, target, h0):
-        """One extension, guaranteed to terminate down the ladder."""
         policy = self.policy
         stats = self.stats
-        stats.record_job()
-        if self.breaker is not None and not self.breaker.allow():
-            # Breaker open: the accelerator is known-bad, so skip the
-            # retry ladder entirely and go straight to the host.
-            return self._fallback_engine().extend(query, target, h0)
-        attempt = 1
-        stalls = 0
-        last_site = ""
-        while True:
-            try:
-                result = self.engine.extend(query, target, h0)
-            except StalledStreamFault as exc:
+        breaker = self.breaker
+        n = len(jobs)
+        results: list = [None] * n
+        attempts, stalls, sites = [1] * n, [0] * n, [""] * n
+        pending, host, exhausted = [], [], []
+        for k in range(n):
+            stats.record_job()
+            if breaker is None or breaker.allow():
+                pending.append(k)
+            else:  # breaker open: straight to the host
+                host.append(k)
+        allowed = pending
+        while pending:
+            outs = self.engine.extend_wave([jobs[k] for k in pending])
+            retry, backoff = [], 0
+            for k, out in zip(pending, outs):
+                if not isinstance(out, FaultError):
+                    results[k] = out
+                    stats.record_attempts(attempts[k])
+                    continue
                 if (
-                    exc.seconds <= policy.timeout_s
-                    and stalls < policy.max_tolerated_stalls
+                    isinstance(out, StalledStreamFault)
+                    and out.seconds <= policy.timeout_s
+                    and stalls[k] < policy.max_tolerated_stalls
                 ):
                     # The stream resumed within budget: wait it out
                     # without consuming a retry.
-                    stalls += 1
-                    stats.record_tolerated(exc.site)
+                    stalls[k] += 1
+                    stats.record_tolerated(out.site)
+                    retry.append(k)
                     continue
-                stats.record_detected(exc.site)
-                stats.record_timeout()
-                last_site = exc.site
-                if attempt > policy.max_retries:
-                    break
+                stats.record_detected(out.site)
+                if isinstance(out, StalledStreamFault):
+                    stats.record_timeout()
+                sites[k] = out.site
+                if attempts[k] > policy.max_retries:
+                    exhausted.append(k)
+                    continue
                 stats.record_retry()
-                self._backoff(attempt)
-                attempt += 1
-                continue
-            except FaultError as exc:
-                stats.record_detected(exc.site)
-                last_site = exc.site
-                if attempt > policy.max_retries:
-                    break
-                stats.record_retry()
-                self._backoff(attempt)
-                attempt += 1
-                continue
-            stats.record_attempts(attempt)
-            if self.breaker is not None:
-                self.breaker.record_success()
-            return result
+                backoff = max(backoff, attempts[k])
+                attempts[k] += 1
+                retry.append(k)
+            if backoff:
+                self._backoff(backoff)
+            pending = retry
+        if breaker is not None:
+            for k in allowed:
+                if k in exhausted:
+                    breaker.record_failure()
+                else:
+                    breaker.record_success()
 
-        # Rung 2: full-band rerun on the host.
-        if self.breaker is not None:
-            self.breaker.record_failure()
-        if self._host_accepts():
-            stats.record_fallback()
-            stats.record_attempts(attempt)
-            return self._fallback_engine().extend(query, target, h0)
-
-        # Rung 3: dead-letter — recorded, never silently dropped.
-        letter = DeadLetter(
-            query=np.asarray(query, dtype=np.uint8),
-            target=np.asarray(target, dtype=np.uint8),
-            h0=int(h0),
-            site=last_site,
-            attempts=attempt,
-            reason="host rerun queue refused the job",
-        )
-        self.dead_letters.append(letter)
-        stats.record_dead_letter()
-        raise DeadLetterError(
-            "extension exhausted the degradation ladder",
-            site=last_site,
-            attempts=attempt,
-        )
+        # Rung 2: full-band rerun on the host, one wave.
+        for k in sorted(exhausted):
+            if self._host_accepts():
+                stats.record_fallback()
+                stats.record_attempts(attempts[k])
+                host.append(k)
+                continue
+            # Rung 3: dead-letter — recorded, never silently dropped.
+            query, target, h0 = jobs[k]
+            self.dead_letters.append(DeadLetter(
+                query=np.asarray(query, dtype=np.uint8),
+                target=np.asarray(target, dtype=np.uint8),
+                h0=int(h0),
+                site=sites[k],
+                attempts=attempts[k],
+                reason="host rerun queue refused the job",
+            ))
+            stats.record_dead_letter()
+        if host:
+            host.sort()
+            computed = self._fallback_engine().extend_wave(
+                [jobs[k] for k in host]
+            )
+            for k, result in zip(host, computed):
+                results[k] = result
+        return results
 
     def _host_accepts(self) -> bool:
         """Whether the host rerun queue takes one more job."""

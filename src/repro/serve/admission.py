@@ -6,7 +6,7 @@ Its contract is the robustness envelope of ``repro serve``:
 
 * **bounded** — at most ``capacity`` tickets wait; memory cannot grow
   with offered load;
-* **load shedding** — a ticket arriving at depth >= ``high_water`` is
+* **load shedding** — a ticket arriving at a full queue is
   rejected *immediately* (:data:`~repro.serve.protocol.E_OVERLOADED`)
   instead of queued — an overloaded server answers in microseconds
   with a retry-after hint rather than timing everyone out;
@@ -104,19 +104,10 @@ class MicroBatchPolicy:
 class AdmissionQueue:
     """The bounded, shedding, drainable ticket queue (thread-safe)."""
 
-    def __init__(
-        self,
-        capacity: int = DEFAULT_CAPACITY,
-        high_water: int | None = None,
-    ) -> None:
+    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self.capacity = int(capacity)
-        self.high_water = (
-            int(high_water) if high_water is not None else self.capacity
-        )
-        if not 1 <= self.high_water <= self.capacity:
-            raise ValueError("high_water must be in [1, capacity]")
         self._items: list[Ticket] = []
         self._lock = threading.Lock()
         self._nonempty = threading.Condition(self._lock)
@@ -129,13 +120,13 @@ class AdmissionQueue:
 
         Rejections carry the typed code the caller turns into a wire
         response: ``draining`` once :meth:`close` ran, ``overloaded``
-        at or past the high-water mark.
+        when ``capacity`` tickets already wait.
         """
         with self._nonempty:
             depth = len(self._items)
             if self._closed:
                 return Decision(False, E_DRAINING, depth)
-            if depth >= self.high_water:
+            if depth >= self.capacity:
                 return Decision(False, E_OVERLOADED, depth)
             self._items.append(ticket)
             self._nonempty.notify()

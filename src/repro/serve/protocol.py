@@ -45,7 +45,7 @@ VERBS = (VERB_ALIGN, VERB_STATUS, VERB_PING)
 # -- typed error codes (the closed rejection vocabulary) ----------------
 
 E_OVERLOADED = "overloaded"
-"""Admission queue past its high-water mark; retry after the hint."""
+"""Admission queue full; retry after the hint."""
 
 E_QUOTA = "quota_exceeded"
 """The client's token bucket is empty; retry after the hint."""

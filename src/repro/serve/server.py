@@ -76,7 +76,6 @@ class ServeConfig:
     """0 binds an ephemeral port; read it back from ``port_file``."""
     port_file: str | None = None
     queue_capacity: int = DEFAULT_CAPACITY
-    high_water: int | None = None
     max_batch: int = 64
     linger_ms: float = 20.0
     default_deadline_ms: int | None = None
@@ -212,10 +211,7 @@ class AlignmentServer:
             max_batch=self.config.max_batch,
             linger_ms=self.config.linger_ms,
         )
-        self.queue = AdmissionQueue(
-            capacity=self.config.queue_capacity,
-            high_water=self.config.high_water,
-        )
+        self.queue = AdmissionQueue(capacity=self.config.queue_capacity)
         self.quotas = QuotaTable(
             self.config.quota_rate, self.config.quota_burst
         )
@@ -419,8 +415,8 @@ class AlignmentServer:
         if decision.code == E_OVERLOADED:
             retry = self._retry_hint(decision.depth)
             message = (
-                f"admission queue at high-water mark "
-                f"({decision.depth}/{self.queue.high_water})"
+                "admission queue full "
+                f"({decision.depth}/{self.queue.capacity})"
             )
         else:
             message = "server is draining; no new requests admitted"
@@ -549,7 +545,6 @@ class AlignmentServer:
             "uptime_s": round(self.clock() - self._started_at, 3),
             "queue_depth": self.queue.depth(),
             "queue_capacity": self.queue.capacity,
-            "high_water": self.queue.high_water,
             "max_batch": self.policy.max_batch,
             "linger_ms": self.policy.linger_ms,
             "breaker": self.breaker.state,

@@ -99,8 +99,8 @@ class TestWaveBitIdentity:
     @settings(max_examples=60, deadline=None)
     @given(job=JOB)
     def test_scalar_extend_matches_kernel(self, job):
-        """The protocol's scalar ``extend`` is the same kernel result."""
+        """A wave of one is the same kernel result."""
         q, t, h0 = job
         engine = BatchedEngine()
         want = banded.extend(q, t, BWA_MEM_SCORING, h0)
-        assert_results_equal(engine.extend(q, t, h0), want)
+        assert_results_equal(engine.extend_wave([(q, t, h0)])[0], want)

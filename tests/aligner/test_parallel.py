@@ -122,7 +122,7 @@ class TestEngineSpec:
     def test_chaos_spec_wraps_the_engine(self):
         engine = EngineSpec(kind="batched", chaos=True).build()
         # The resilient dispatcher still satisfies the protocol.
-        assert hasattr(engine, "extend")
+        assert hasattr(engine, "extend_wave")
         assert not isinstance(engine, BatchedEngine)
 
     def test_spec_is_picklable(self):

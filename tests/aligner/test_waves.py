@@ -32,7 +32,7 @@ def _jobs(seed: int = 9) -> list[tuple]:
 
 def _reference(job) -> tuple:
     q, t, h0 = job
-    return _resolve_end(BatchedEngine().extend(q, t, h0), h0)
+    return _resolve_end(BatchedEngine().extend_wave([job])[0], h0)
 
 
 class TestExtendSide:

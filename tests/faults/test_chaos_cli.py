@@ -1,11 +1,12 @@
 """The ``chaos:`` summary of ``align --chaos``, pinned to exact counts.
 
-The resilience dispatcher takes whole waves and walks each job down its
-ladder in wave order, so the fault injector draws in the order the wave
-driver used when it looped over a wave's jobs itself.  A fixed run
-therefore reports fixed fault, retry, timeout, fallback and
-dead-letter counts; these strings were recorded from that per-job
-loop, for single-end reads and for read pairs with mate rescue.
+The resilience dispatcher runs each wave down its ladder in rounds, so
+the fault injector draws in round-major order: every job's input frame
+of a round in wave order, then the write-back records of the jobs
+whose frames arrived intact.  A fixed run therefore reports fixed
+fault, retry, timeout, fallback and dead-letter counts; these strings
+were recorded from that order, for single-end reads and for read pairs
+with mate rescue.
 """
 
 from pathlib import Path
@@ -34,8 +35,8 @@ def test_single_end_chaos_summary(tmp_path, capsys):
     ]
     assert main(argv) == 0
     assert _chaos_line(capsys.readouterr().out) == (
-        "chaos: 15 faults injected (13 detected, 2 tolerated), "
-        "12 retries, 3 timeouts, 1 host fallbacks, 0 dead letters"
+        "chaos: 16 faults injected (14 detected, 2 tolerated), "
+        "13 retries, 3 timeouts, 1 host fallbacks, 0 dead letters"
     )
 
 
@@ -54,6 +55,6 @@ def test_paired_chaos_summary(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "2 rescued" in out  # the rescue waves went down the ladder too
     assert _chaos_line(out) == (
-        "chaos: 126 faults injected (114 detected, 12 tolerated), "
-        "110 retries, 20 timeouts, 4 host fallbacks, 0 dead letters"
+        "chaos: 126 faults injected (115 detected, 11 tolerated), "
+        "111 retries, 20 timeouts, 4 host fallbacks, 0 dead letters"
     )

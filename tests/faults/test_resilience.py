@@ -7,7 +7,7 @@ from repro.align.banded import ExtensionResult
 from repro.aligner.engines import make_engine, make_resilient
 from repro.align.scoring import BWA_MEM_SCORING
 from repro.faults.errors import (
-    DeadLetterError,
+    FaultError,
     StalledStreamFault,
     TransientAcceleratorFault,
 )
@@ -25,7 +25,9 @@ T = np.array([0, 1, 2, 3] * 6, dtype=np.uint8)
 
 
 class FlakyEngine:
-    """Raises a scripted fault sequence, then computes for real."""
+    """A wave engine that answers jobs from a scripted fault sequence,
+    one entry per job and attempt (``None``: compute), then computes
+    for real; an entry that is not a fault is a bug, and raises."""
 
     name = "flaky"
     scoring = BWA_MEM_SCORING
@@ -35,11 +37,18 @@ class FlakyEngine:
         self.calls = 0
         self.inner = make_engine("full")
 
-    def extend(self, query, target, h0):
+    def extend_wave(self, jobs):
         self.calls += 1
-        if self.faults:
-            raise self.faults.pop(0)
-        return self.inner.extend(query, target, h0)
+        out = []
+        for job in jobs:
+            fault = self.faults.pop(0) if self.faults else None
+            if fault is not None and not isinstance(fault, FaultError):
+                raise fault
+            out.append(
+                fault if fault is not None
+                else self.inner.extend_wave([job])[0]
+            )
+        return out
 
 
 def _stall(seconds):
@@ -48,6 +57,12 @@ def _stall(seconds):
 
 def _transient():
     return TransientAcceleratorFault("batch failed", site="batch.transient")
+
+
+def _one(engine, h0=10):
+    """One job as a wave of one."""
+    [result] = engine.extend_wave([(Q, T, h0)])
+    return result
 
 
 def _dispatcher(engine, **kwargs):
@@ -94,7 +109,7 @@ class TestRetryLadder:
     def test_transient_fault_retried_to_success(self):
         engine = FlakyEngine([_transient(), _transient()])
         disp = _dispatcher(engine, policy=RetryPolicy(max_retries=3))
-        res = disp.extend(Q, T, 10)
+        res = _one(disp)
         assert isinstance(res, ExtensionResult)
         assert engine.calls == 3
         assert disp.stats.retries == 2
@@ -109,15 +124,15 @@ class TestRetryLadder:
             policy=RetryPolicy(max_retries=3),
             sleep=slept.append,
         )
-        disp.extend(Q, T, 10)
+        _one(disp)
         assert len(slept) == 2
         assert slept[1] > slept[0] > 0  # exponential growth
 
     def test_exhausted_retries_fall_back_to_host(self):
         engine = FlakyEngine([_transient()] * 10)
         disp = _dispatcher(engine, policy=RetryPolicy(max_retries=2))
-        res = disp.extend(Q, T, 10)
-        expected = make_engine("full").extend(Q, T, 10)
+        res = _one(disp)
+        expected = _one(make_engine("full"))
         assert _same_result(res, expected)
         assert engine.calls == 3  # 1 try + 2 retries
         assert disp.stats.fallbacks == 1
@@ -128,7 +143,7 @@ class TestRetryLadder:
         disp = _dispatcher(
             engine, policy=RetryPolicy(max_retries=0, timeout_s=0.25)
         )
-        disp.extend(Q, T, 10)
+        _one(disp)
         assert disp.stats.tolerated_total == 1
         assert disp.stats.retries == 0
         assert disp.stats.timeouts == 0
@@ -138,7 +153,7 @@ class TestRetryLadder:
         disp = _dispatcher(
             engine, policy=RetryPolicy(max_retries=3, timeout_s=0.25)
         )
-        disp.extend(Q, T, 10)
+        _one(disp)
         assert disp.stats.timeouts == 1
         assert disp.stats.retries == 1
 
@@ -150,8 +165,8 @@ class TestRetryLadder:
                 max_retries=1, timeout_s=0.25, max_tolerated_stalls=4
             ),
         )
-        res = disp.extend(Q, T, 10)  # must terminate down the ladder
-        assert _same_result(res, make_engine("full").extend(Q, T, 10))
+        res = _one(disp)  # must terminate down the ladder
+        assert _same_result(res, _one(make_engine("full")))
         assert disp.stats.tolerated_total == 4  # then stalls escalate
 
     def test_dead_letter_when_host_queue_refuses(self):
@@ -161,12 +176,12 @@ class TestRetryLadder:
             policy=RetryPolicy(max_retries=1),
             host_queue_capacity=0,
         )
-        with pytest.raises(DeadLetterError) as err:
-            disp.extend(Q, T, 10)
-        assert err.value.site == "batch.transient"
+        assert _one(disp) is None
         assert disp.stats.dead_letters == 1
         assert len(disp.dead_letters) == 1
         letter = disp.dead_letters[0]
+        assert letter.site == "batch.transient"
+        assert letter.attempts == 2
         assert (letter.query == Q).all()
         assert letter.reason
 
@@ -174,8 +189,101 @@ class TestRetryLadder:
         engine = FlakyEngine([RuntimeError("real bug")])
         disp = _dispatcher(engine)
         with pytest.raises(RuntimeError, match="real bug"):
-            disp.extend(Q, T, 10)
+            _one(disp)
         assert disp.stats.retries == 0  # genuine bugs are not retried
+
+
+class TestRounds:
+    """A wave runs down the ladder in rounds of one engine call each."""
+
+    def test_only_faulted_jobs_go_to_the_next_round(self):
+        slept = []
+        engine = FlakyEngine([_transient(), None, _transient()])
+        disp = _dispatcher(
+            engine, policy=RetryPolicy(max_retries=3), sleep=slept.append
+        )
+        jobs = [(Q, T, h0) for h0 in (10, 20, 30)]
+        results = disp.extend_wave(jobs)
+        want = make_engine("full").extend_wave(jobs)
+        assert all(map(_same_result, results, want))
+        assert engine.calls == 2  # one call per round, not per job
+        assert disp.stats.jobs == 3
+        assert disp.stats.retries == 2
+        assert len(slept) == 1  # backoff once per round
+
+    def test_exhausted_jobs_share_one_host_wave(self):
+        class CountingHost:
+            name = "host"
+            scoring = BWA_MEM_SCORING
+
+            def __init__(self):
+                self.waves = []
+                self.inner = make_engine("full")
+
+            def extend_wave(self, jobs):
+                self.waves.append(len(jobs))
+                return self.inner.extend_wave(jobs)
+
+        host = CountingHost()
+        engine = FlakyEngine([_transient()] * 6)
+        disp = _dispatcher(
+            engine, fallback=host, policy=RetryPolicy(max_retries=1)
+        )
+        jobs = [(Q, T, h0) for h0 in (10, 20, 30)]
+        results = disp.extend_wave(jobs)
+        want = make_engine("full").extend_wave(jobs)
+        assert all(map(_same_result, results, want))
+        assert engine.calls == 2
+        assert host.waves == [3]
+        assert disp.stats.fallbacks == 3
+
+    def test_breaker_trips_between_waves(self):
+        from repro.durability.breaker import (
+            BreakerPolicy,
+            BreakerState,
+            CircuitBreaker,
+        )
+
+        breaker = CircuitBreaker(
+            BreakerPolicy(failure_threshold=1, probe_interval=8)
+        )
+        engine = FlakyEngine([_transient()] * 100)
+        disp = _dispatcher(
+            engine, policy=RetryPolicy(max_retries=0), breaker=breaker
+        )
+        jobs = [(Q, T, h0) for h0 in (10, 20, 30)]
+        disp.extend_wave(jobs)  # the breaker is asked as the wave arrives
+        assert engine.calls == 1
+        assert disp.stats.fallbacks == 3
+        assert breaker.state == BreakerState.OPEN
+        assert breaker.trips == 1
+        results = disp.extend_wave(jobs)  # short-circuited to the host
+        assert engine.calls == 1
+        assert breaker.short_circuits == 3
+        want = make_engine("full").extend_wave(jobs)
+        assert all(map(_same_result, results, want))
+
+
+    def test_chaos_engine_frames_a_wave_around_one_inner_call(self):
+        from repro.faults.chaos import ChaosEngine
+        from repro.faults.injector import FaultInjector
+
+        inner = FlakyEngine([])
+        stats = ResilienceStats()
+        chaos = ChaosEngine(
+            inner, FaultInjector(rate=0.1, seed=3, sink=stats)
+        )
+        jobs = [(Q, T, h0) for h0 in range(5, 45, 2)]
+        outs = chaos.extend_wave(jobs)
+        want = make_engine("full").extend_wave(jobs)
+        faulted = [out for out in outs if isinstance(out, FaultError)]
+        assert inner.calls == 1
+        assert 0 < len(faulted) < len(jobs)
+        for out, ref in zip(outs, want):
+            assert isinstance(out, FaultError) or _same_result(out, ref)
+        for fault in faulted:
+            stats.record_detected(fault.site)
+        assert stats.accounted()
 
 
 class TestDisabledNoOp:
@@ -183,7 +291,7 @@ class TestDisabledNoOp:
         base = make_engine("full")
         disp = make_resilient(base, fault_rate=0.0)
         for h0 in (0, 10, 40):
-            assert _same_result(disp.extend(Q, T, h0), base.extend(Q, T, h0))
+            assert _same_result(_one(disp, h0), _one(base, h0))
         assert disp.stats.jobs == 3
         assert disp.stats.injected_total == 0
         assert disp.injector is None
@@ -213,7 +321,7 @@ class TestStats:
         reg = MetricsRegistry()
         engine = FlakyEngine([_transient()])
         disp = _dispatcher(engine, registry=reg)
-        disp.extend(Q, T, 10)
+        _one(disp)
         counters = reg.snapshot()["counters"]
         assert counters[names.RESILIENCE_JOBS] == 1
         assert counters[names.RESILIENCE_RETRIES] == 1

@@ -4,7 +4,8 @@ The product has one read driver, the wave scheduler
 (:mod:`repro.aligner.waves`): every read and every pair goes through a
 window, and a single read is a window of one.  These loops are its
 independent reference.  :func:`align_reads` seeds, chains and extends
-one read at a time, one chain side per ``engine.extend`` call, and
+one read at a time, one chain side per ``engine.extend_wave`` call
+of one job, and
 walks each winner back over a dense scalar fill;
 :func:`align_pairs` aligns both mates that way and rescues one mate at
 a time, one candidate side per ``rescuer.extend`` call.
@@ -22,7 +23,6 @@ import numpy as np
 
 from repro.align.fullmatrix import fill_extension, traceback_path
 from repro.aligner.pipeline import DEGRADED, _resolve_end
-from repro.faults.errors import DeadLetterError
 from repro.genome.sam import SamRecord
 from repro.genome.sequence import reverse_complement
 from repro.seeding.chaining import chain_seeds, filter_chains
@@ -83,26 +83,36 @@ def _extend_chain(aligner, query, chain, reverse):
     ``None`` when the left side dies at the origin, ``DEGRADED`` when
     the engine dead-letters either side."""
     left_job = aligner._left_job(query, chain)
-    try:
-        left = _extend_side(aligner.engine.extend, *left_job)
-        if left[0] == (0, 0) and left[1] <= 0:
-            return None
-        right_job = aligner._right_job(query, chain, left[1])
-        right = _extend_side(aligner.engine.extend, *right_job)
-    except DeadLetterError:
+    left = _extend_side(_one_job(aligner.engine), *left_job)
+    if left is DEGRADED:
+        return DEGRADED
+    if left[0] == (0, 0) and left[1] <= 0:
+        return None
+    right_job = aligner._right_job(query, chain, left[1])
+    right = _extend_side(_one_job(aligner.engine), *right_job)
+    if right is DEGRADED:
         return DEGRADED
     return aligner._make_candidate(
         chain, reverse, left_job, right_job, left, right
     )
 
 
-def _extend_side(extend, query, target, h0) -> tuple:
+def _one_job(engine):
+    """``extend(query, target, h0)`` as a wave of one on ``engine``;
+    ``None`` when the engine dead-letters the job."""
+    return lambda query, target, h0: engine.extend_wave(
+        [(query, target, h0)]
+    )[0]
+
+
+def _extend_side(extend, query, target, h0):
     """One side, one ``extend(query, target, h0)`` call, resolved to
-    ``(endpoint, score, clipped)``; an empty query resolves without a
-    call."""
+    ``(endpoint, score, clipped)``, or ``DEGRADED`` for a dead-lettered
+    job; an empty query resolves without a call."""
     if not len(query):
         return (0, 0), h0, 0
-    return _resolve_end(extend(query, target, h0), h0)
+    result = extend(query, target, h0)
+    return DEGRADED if result is None else _resolve_end(result, h0)
 
 
 def _trace_dense(scoring, query, target, h0, end):

@@ -28,8 +28,8 @@ def _ticket(rid: str, deadline: float | None = None) -> Ticket:
 
 
 class TestAdmissionQueue:
-    def test_admits_until_high_water_then_sheds_typed(self):
-        q = AdmissionQueue(capacity=4, high_water=2)
+    def test_admits_until_capacity_then_sheds_typed(self):
+        q = AdmissionQueue(capacity=2)
         assert q.try_admit(_ticket("a")).admitted
         assert q.try_admit(_ticket("b")).admitted
         decision = q.try_admit(_ticket("c"))
@@ -75,8 +75,6 @@ class TestAdmissionQueue:
     def test_validation(self):
         with pytest.raises(ValueError):
             AdmissionQueue(capacity=0)
-        with pytest.raises(ValueError):
-            AdmissionQueue(capacity=4, high_water=5)
         with pytest.raises(ValueError):
             AdmissionQueue(capacity=4).pop_wave(
                 max_batch=0, linger_s=0.0, clock=lambda: 0.0

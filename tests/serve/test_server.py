@@ -159,7 +159,6 @@ class TestOverload:
         with running(
             reference,
             queue_capacity=capacity,
-            high_water=capacity,
             max_batch=capacity,
             linger_ms=300,
         ) as (server, port):
@@ -186,13 +185,12 @@ class TestOverload:
         reference, pairs, _ = corpus
         with running(
             reference,
-            queue_capacity=4,
-            high_water=2,
+            queue_capacity=2,
             linger_ms=200,
             max_batch=4,
         ) as (server, port):
             run_load(HOST, port, pairs[:16], client="depth")
-            assert server.queue.depth() <= 4
+            assert server.queue.depth() <= 2
 
 
 class TestDeadlines:

@@ -666,7 +666,6 @@ class TestFlagBounds:
             ([*SERVE, "--linger-ms", "nan"], "at least 0"),
             ([*SERVE, "--linger-ms", "-1"], "at least 0"),
             ([*SERVE, "--queue-capacity", "0"], "at least 1"),
-            ([*SERVE, "--high-water", "0"], "at least 1"),
             ([*SERVE, "--net-stall-rate", "2"], "fraction"),
             ([*SERVE, "--net-disconnect-rate", "2"], "fraction"),
             ([*SERVE, "--port", "70000"], "at most 65535"),
@@ -749,6 +748,7 @@ def bad_inputs(tmp_path_factory):
         "cut_json": '{"counters": {"a": 1',
         "bad_idx": "not an index artifact\n" * 8,
         "bad_port": "port\n",
+        "bare_fq": Path(reads).read_text(),  # no sidecar beside it
     }
     paths = {"ref": ref, "reads": reads, "sam": sam, "idx": idx,
              "truth": reads + ".truth.tsv",
@@ -859,6 +859,21 @@ BOUNDARY = {
     "serve-port-file": SERVE + " --port-file {nodir}/port",
     "index-build-out": BUILD.replace("{out}", "{nodir}"),
     "client-out": CLIENT + " --out {nodir}/x.sam",
+    # a truth sidecar that cannot be read, refused before any work
+    "align-missing-truth": ALIGN + " --truth {missing}",
+    "align-malformed-truth": ALIGN + " --truth {bad_truth}",
+    "align-implied-truth-missing": ALIGN.replace("{reads}", "{bare_fq}")
+    + " --scorecard-out {out}/c.json",
+    "align-paired-missing-truth": ALIGN + " --paired --truth {missing}",
+    "align-workers-missing-truth": ALIGN + " --workers 2 --truth {missing}",
+    "longread-missing-truth": LONG + " --truth {missing}",
+    "longread-implied-truth-missing": LONG.replace("{reads}", "{bare_fq}")
+    + " --scorecard-out {out}/c.json",
+    # a failed command exports no snapshot
+    "align-missing-reads-metrics-out": ALIGN.replace("{reads}", "{missing}")
+    + " --metrics-out {out}/m.json",
+    "align-missing-reads-trace-out": ALIGN.replace("{reads}", "{missing}")
+    + " --trace-out {out}/t.json",
 }
 """``repro`` invocations (``{name}`` is a file of :func:`bad_inputs`,
 ``{out}`` an empty directory, ``{nodir}`` a missing one), by command
@@ -1088,8 +1103,6 @@ OPTIONS = {
         ('seeding', 'smem', ('smem', 'kmer'), None, False, 'store'),
     ('serve', '--queue-capacity'):
         ('queue_capacity', 256, None, 'int', False, 'store'),
-    ('serve', '--high-water'):
-        ('high_water', None, None, 'int', False, 'store'),
     ('serve', '--max-batch'): ('max_batch', 64, None, 'int', False, 'store'),
     ('serve', '--linger-ms'):
         ('linger_ms', 20.0, None, 'float', False, 'store'),

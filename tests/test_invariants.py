@@ -830,19 +830,34 @@ class TestOneExtensionSchedule:
 
 
 class TestOneReadDriver:
-    def test_dead_letters_are_caught_in_one_place(self):
-        """The resilience dispatcher turns a dead-lettered job into a
-        ``None`` of its wave; nothing else under ``src/`` handles the
-        exception."""
-        sites = sorted(
-            name
-            for name, path in _src_modules().items()
+    def test_the_fault_layer_extends_no_job_alone(self):
+        """Every engine takes waves: no module of the fault layer and
+        no engine makes a per-job ``extend(query, target, h0)`` call
+        (``list.extend`` takes one argument)."""
+        modules = {
+            name: path for name, path in _src_modules().items()
+            if name.startswith("repro.faults")
+            or name == "repro.aligner.engines"
+        }
+        assert "repro.faults.resilience" in modules
+        calls = [
+            f"{name}: {ast.unparse(node)}"
+            for name, path in modules.items()
             for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, ast.ExceptHandler)
-            and node.type is not None
-            and "DeadLetterError" in ast.unparse(node.type)
-        )
-        assert sites == ["repro.faults.resilience"]
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "extend"
+            and len(node.args) + len(node.keywords) > 1
+        ]
+        assert calls == []
+
+    def test_dead_letters_are_a_none_of_their_wave(self):
+        """A dead-lettered job comes back as ``None`` in its wave: no
+        module under ``src/`` names a dead-letter exception."""
+        assert [
+            name for name, path in _src_modules().items()
+            if "DeadLetterError" in path.read_text()
+        ] == []
 
     def test_the_wave_driver_extends_no_job_alone(self):
         """``waves.py`` hands every engine whole waves: no probe for
@@ -877,6 +892,58 @@ class TestOneReadDriver:
         }
         for cls, methods in gone.items():
             assert [m for m in methods if hasattr(cls, m)] == [], cls
+
+
+class TestFaultsPerWave:
+    """The resilience ladder runs in rounds over whole waves: one
+    engine call per round, not per job."""
+
+    FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+    def _align(self, tmp_path, monkeypatch, name, *extra):
+        """``lockstep.extend_batch`` calls of one ``align --engine
+        batched`` window over the golden reads, and its SAM."""
+        from repro.align import lockstep
+        from repro.cli import main
+
+        calls = []
+        sweep = lockstep.extend_batch
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[0]))
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(lockstep, "extend_batch", counting)
+        out = tmp_path / f"{name}.sam"
+        assert main([
+            "align", "--reference", str(self.FIXTURES / "golden_ref.fa"),
+            "--reads", str(self.FIXTURES / "golden_reads.fq"),
+            "--out", str(out), "--engine", "batched", *extra,
+        ]) == 0
+        return len(calls), out.read_bytes()
+
+    def test_chaos_makes_one_call_per_round(self, tmp_path, monkeypatch):
+        """At most ``max_retries + 1`` rounds plus one host wave for
+        each of the left and right sides, whatever the job count."""
+        from repro.faults.resilience import RetryPolicy
+
+        bare, want = self._align(tmp_path, monkeypatch, "bare")
+        calls, got = self._align(
+            tmp_path, monkeypatch, "chaos",
+            "--chaos", "--fault-rate", "0.05", "--fault-seed", "1",
+        )
+        assert got == want
+        assert bare == 2
+        assert calls <= 2 * (RetryPolicy().max_retries + 2)
+
+    def test_breaker_alone_calls_as_the_bare_engine(
+        self, tmp_path, monkeypatch
+    ):
+        bare, want = self._align(tmp_path, monkeypatch, "bare")
+        calls, got = self._align(
+            tmp_path, monkeypatch, "breaker", "--breaker-threshold", "1"
+        )
+        assert (calls, got) == (bare, want)
 
 
 class TestOneErrorBoundary:
