@@ -26,7 +26,9 @@ takes whole waves (:class:`ExtensionEngine`):
 :meth:`BatchedEngine.extend_wave` is one call under the policy and
 keeps nothing between waves, and the resilience dispatcher runs a
 wave down its ladder in rounds, each one engine call over the jobs
-still pending, then one host wave.  Nothing extends one job alone.
+still pending, then one host wave.  Nothing extends one job alone,
+and every engine answers every job of a wave: no consumer has a
+"no result" case.
 """
 
 from __future__ import annotations
@@ -74,9 +76,9 @@ class ExtensionEngine(Protocol):
 
     def extend_wave(
         self, jobs: list[tuple[np.ndarray, np.ndarray, int]]
-    ) -> list[ExtensionResult | None]:
+    ) -> list[ExtensionResult]:
         """Run a wave of ``(query, target, h0)`` jobs; one result per
-        job, in job order, ``None`` for a job that was dead-lettered."""
+        job, in job order."""
         ...
 
 
@@ -102,8 +104,7 @@ class BatchedEngine:
     and :attr:`stats` reports the check outcomes.
 
     The resilience dispatcher sends it each round of a wave and its
-    host fallback wave.  Every job is computed, equal ones included;
-    no wave ever dead-letters a job.
+    host fallback wave.  Every job is computed, equal ones included.
     """
 
     def __init__(
@@ -218,8 +219,6 @@ def make_resilient(
     max_retries: int = 3,
     timeout_s: float = 0.25,
     registry: MetricsRegistry | None = None,
-    host_queue_capacity: int | None = None,
-    fault_sites: tuple[str, ...] | None = None,
     sleep=None,
     breaker_threshold: int | None = None,
     breaker_probe_interval: int = 32,
@@ -227,10 +226,9 @@ def make_resilient(
     """Wrap ``engine`` in the chaos/resilience layer.
 
     With ``fault_rate == 0`` no injector is attached and the
-    dispatcher is a measured no-op passthrough (one engine call per
-    wave); with a positive rate the engine's datapath runs through the
+    dispatcher is a passthrough (one engine call per wave); with a positive rate the engine's datapath runs through the
     faultable I/O seams (:mod:`repro.faults`) and the retry →
-    host-rerun → dead-letter ladder guarantees the result anyway.
+    host-rerun ladder guarantees the result anyway.
     Returns a :class:`~repro.faults.resilience.ResilientDispatcher`,
     which satisfies the :class:`ExtensionEngine` protocol: it takes a
     wave and runs it down the ladder in rounds.
@@ -251,9 +249,7 @@ def make_resilient(
     injector = None
     wrapped = engine
     if fault_rate > 0.0:
-        injector = FaultInjector(
-            rate=fault_rate, seed=fault_seed, sites=fault_sites
-        )
+        injector = FaultInjector(rate=fault_rate, seed=fault_seed)
         wrapped = ChaosEngine(engine, injector)
     breaker = None
     if breaker_threshold is not None:
@@ -272,7 +268,6 @@ def make_resilient(
         policy=RetryPolicy(max_retries=max_retries, timeout_s=timeout_s),
         injector=injector,
         registry=registry,
-        host_queue_capacity=host_queue_capacity,
         seed=fault_seed,
         breaker=breaker,
         **kwargs,

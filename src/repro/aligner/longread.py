@@ -150,9 +150,8 @@ class LongReadAligner:
 
     :attr:`end_extender` is the checked read-end extender, at the
     paper's band (:data:`~repro.constants.DEFAULT_BAND`).  It runs
-    every end of the scalar :meth:`align` and, in :meth:`align_batch`,
-    only the end jobs the wave engine dead-letters; the end waves
-    themselves run under the engine's own policy (the full band, for
+    every end of the scalar :meth:`align`; in :meth:`align_batch` the
+    end waves run under the engine's own policy (the full band, for
     ``longread --engine batched``).  Either way the ends are optimal,
     so the SAM is the same.
     """
@@ -404,9 +403,8 @@ class LongReadAligner:
         per-read :meth:`align`.  ``engine`` (any
         :class:`~repro.aligner.engines.ExtensionEngine`) runs the
         end-extension waves through
-        :func:`~repro.aligner.waves.extend_side`.  A dead-lettered end
-        job falls back to the checked :attr:`end_extender` alone,
-        never its whole wave.
+        :func:`~repro.aligner.waves.extend_side`, which answers every
+        end job.
         """
         if batch_size < 1:
             raise ValueError("batch size must be at least 1")
@@ -444,7 +442,6 @@ class LongReadAligner:
                 engine,
                 [(p.lq, p.lt, p.h0) for p in live],
                 "longread_left",
-                fallback=self.end_extender,
             )
 
             # Wave 2: every gap of every read, one lockstep ladder.
@@ -465,7 +462,6 @@ class LongReadAligner:
                 engine,
                 [(p.rq, p.rt, h0) for p, h0 in zip(live, r_h0)],
                 "longread_right",
-                fallback=self.end_extender,
             )
             # An empty right end stays None: its dispatch h0 is not
             # the score the read reports.

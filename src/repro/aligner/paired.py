@@ -33,7 +33,6 @@ from repro.align.cigar import Cigar
 from repro.aligner.pipeline import Aligner, _trace_job, stitch_cigar
 from repro.aligner.waves import align_window, extend_side, trace_sides
 from repro.constants import InputError
-from repro.core.extender import SeedExtender
 from repro.genome.sam import FLAG_REVERSE, SamRecord
 from repro.genome.sequence import decode, reverse_complement
 from repro.genome.synth import ReadProfile
@@ -167,7 +166,6 @@ class PairedAligner:
         engine=None,
         seeding: str = "kmer",
         insert: InsertSizeModel | None = None,
-        rescue_band: int = 41,
         reference_name: str = "chr1",
     ) -> None:
         self.reference = np.asarray(reference, dtype=np.uint8)
@@ -178,9 +176,6 @@ class PairedAligner:
             reference_name=reference_name,
         )
         self.insert = insert or InsertSizeModel()
-        self.rescuer = SeedExtender(
-            band=rescue_band, scoring=self.aligner.scoring
-        )
         self.stats = PairStats()
 
     def align_pair(self, pair: ReadPair) -> tuple[SamRecord, SamRecord]:
@@ -375,9 +370,8 @@ class PairedAligner:
         ``batch_size``.
 
         The aligner's own engine serves the rescue waves, so they run
-        under the same ``(band, checks)`` policy as the mates; a
-        dead-lettered job degrades alone, through the checked
-        :attr:`rescuer`.
+        under the same ``(band, checks)`` policy as the mates, and it
+        answers every rescue job as it answers every mate's.
         """
         if batch_size < 1:
             raise ValueError("batch size must be at least 1")
@@ -475,8 +469,7 @@ class PairedAligner:
 
         Returns ``{(id(plan), o, off): (score, o, off, left, right)}``,
         the sides resolved as ``(endpoint, score, clipped)`` — the
-        right wave threads each left result's score in as ``h0``, and
-        any dead-lettered job falls back to the checked rescuer alone.
+        right wave threads each left result's score in as ``h0``.
         """
         if not cands:
             return {}
@@ -495,14 +488,12 @@ class PairedAligner:
             [(lq, lt, plan.k * m) for (plan, _, _), (lq, lt, _, _)
              in zip(cands, geoms)],
             "rescue_left",
-            fallback=self.rescuer,
         )
         rights = extend_side(
             self.aligner.engine,
             [(rq, rt, left[1]) for (_, _, rq, rt), left
              in zip(geoms, lefts)],
             "rescue_right",
-            fallback=self.rescuer,
         )
         return {
             (id(plan), o, off): (right[1], o, off, left, right)

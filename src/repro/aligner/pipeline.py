@@ -42,12 +42,6 @@ from repro.seeding.mems import seed_read
 END_BONUS = 4
 """Preference for to-end over clipped extensions (BWA-MEM's -L)."""
 
-DEGRADED = "degraded"
-"""Sentinel: a chain whose extension exhausted the resilience ladder."""
-
-DEGRADED_TAG = "XF:Z:degraded_extension"
-"""SAM tag on reads left unmapped by the degradation ladder."""
-
 
 @dataclass
 class AlignmentCandidate:
@@ -218,7 +212,6 @@ class Aligner:
         candidates: "list[AlignmentCandidate]",
         n_seeds: int,
         n_chains: int,
-        n_degraded: int,
     ) -> "SamRecord | tuple[AlignmentCandidate, int]":
         """Pick the read's winner (or emit its unmapped record).
 
@@ -249,17 +242,9 @@ class Aligner:
                 reg.counter(
                     names.ALIGNER_READS_UNMAPPED, "unmapped reads"
                 ).inc()
-            if n_degraded and not candidates:
-                reg.counter(
-                    names.ALIGNER_READS_DEGRADED,
-                    "reads unmapped by the degradation ladder",
-                ).inc()
 
         if not candidates:
-            # Never crash on a dead-lettered extension: the read goes
-            # out unmapped with the reason in a tag.
-            tags = (DEGRADED_TAG,) if n_degraded else ()
-            return SamRecord.unmapped(name, decode(codes), tags=tags)
+            return SamRecord.unmapped(name, decode(codes))
 
         candidates.sort(key=lambda c: (-c.score, c.reverse, c.pos))
         best = candidates[0]

@@ -33,12 +33,11 @@ engine policies x window sizes x worker counts):
 * candidates accumulate in reference order — forward-orientation
   chains then reverse, in chain-filter order — so tie-breaking in the
   final sort is unchanged;
-* every engine takes whole waves (``extend_wave``).  The resilience
-  dispatcher runs a wave down its ladder in rounds, retrying only
-  the jobs whose frames faulted, and answers a dead-lettered job with
-  ``None``, so that job degrades **alone** — its chain, not its whole
-  wave (the rescue and long-read paths answer it with their checked
-  fallback extender instead).
+* every engine takes whole waves (``extend_wave``) and answers every
+  job of them.  The resilience dispatcher runs a wave down its ladder
+  in rounds, retrying only the jobs whose frames faulted, and reruns
+  the jobs that exhaust their retries on the host, which always
+  answers — so no stage downstream has a "no result" case.
 """
 
 from __future__ import annotations
@@ -51,11 +50,7 @@ from repro import obs
 from repro.align import fullmatrix
 from repro.align.cigar import Cigar
 from repro.align.lockstep import plan_buckets
-from repro.aligner.pipeline import (
-    DEGRADED,
-    AlignmentCandidate,
-    _resolve_end,
-)
+from repro.aligner.pipeline import AlignmentCandidate, _resolve_end
 from repro.genome.sam import SamRecord
 from repro.genome.sequence import reverse_complement
 from repro.obs import names
@@ -73,7 +68,6 @@ class _ReadState:
     codes: np.ndarray
     n_seeds: int = 0
     n_chains: int = 0
-    n_degraded: int = 0
     chains: "list[_ChainState]" = field(default_factory=list)
 
 
@@ -90,12 +84,6 @@ class _ChainState:
     left: tuple | None = None
     right: tuple | None = None
     dropped: bool = False
-    degraded: bool = False
-
-    @property
-    def alive(self) -> bool:
-        """Still a candidate: neither dropped nor degraded."""
-        return not (self.dropped or self.degraded)
 
 
 def _count_wave(reg, side: str, jobs: int) -> None:
@@ -110,27 +98,14 @@ def _count_wave(reg, side: str, jobs: int) -> None:
 
 
 def _dispatch_wave(engine, jobs: list[tuple], side: str) -> list:
-    """Run one wave of jobs; returns a result (or ``DEGRADED``) per job.
-
-    The engine gets the whole wave in one ``extend_wave`` call; a job
-    it dead-lettered comes back as ``None`` and degrades alone.
-    """
+    """Run one wave of jobs in one ``extend_wave`` call; one result
+    per job."""
     if not jobs:
         return []
     with obs.span(names.SPAN_PIPELINE_WAVE, side=side, jobs=len(jobs)):
-        results = [
-            DEGRADED if res is None else res
-            for res in engine.extend_wave(jobs)
-        ]
+        results = engine.extend_wave(jobs)
     if obs.enabled():
-        reg = obs.get_registry()
-        _count_wave(reg, side, len(jobs))
-        degraded = sum(1 for r in results if r is DEGRADED)
-        if degraded:
-            reg.counter(
-                names.PIPELINE_BATCH_JOBS_DEGRADED,
-                "wave jobs dead-lettered individually",
-            ).inc(degraded)
+        _count_wave(obs.get_registry(), side, len(jobs))
     return results
 
 
@@ -172,7 +147,7 @@ def _collect_chains(aligner, window) -> tuple[list[_ReadState], list[_ChainState
     return reads, chains
 
 
-def extend_side(engine, jobs: list[tuple], side: str, fallback=None) -> list:
+def extend_side(engine, jobs: list[tuple], side: str) -> list:
     """Extend one side of many chains as one wave; resolve each job.
 
     The host's per-chain schedule (paper Section V-B) is this step run
@@ -182,22 +157,12 @@ def extend_side(engine, jobs: list[tuple], side: str, fallback=None) -> list:
     (:func:`~repro.aligner.pipeline._resolve_end`).  An empty query has
     nothing to extend and resolves to ``((0, 0), h0, 0)`` without
     reaching the engine; the rest go out as one :func:`_dispatch_wave`.
-    A dead-lettered job resolves through ``fallback`` (a checked
-    :class:`~repro.core.extender.SeedExtender`, one
-    :meth:`~repro.core.extender.SeedExtender.extend_many` wave over
-    every such job) when one is given, and is ``DEGRADED`` otherwise.
     """
     out: list = [((0, 0), h0, 0) for _, _, h0 in jobs]
     pending = [k for k, (query, _, _) in enumerate(jobs) if len(query)]
-    results = dict(zip(
-        pending, _dispatch_wave(engine, [jobs[k] for k in pending], side)
-    ))
-    dead = [k for k, res in results.items() if res is DEGRADED]
-    if dead and fallback is not None:
-        checked = fallback.extend_many([jobs[k] for k in dead])
-        results.update((k, c.result) for k, c in zip(dead, checked))
-    for k, res in results.items():
-        out[k] = res if res is DEGRADED else _resolve_end(res, jobs[k][2])
+    results = _dispatch_wave(engine, [jobs[k] for k in pending], side)
+    for k, res in zip(pending, results):
+        out[k] = _resolve_end(res, jobs[k][2])
     return out
 
 
@@ -208,27 +173,21 @@ def _run_left_wave(aligner, chains: list[_ChainState]) -> None:
         aligner.engine, [cs.left_job for cs in chains], "left"
     )
     for cs, left in zip(chains, lefts):
-        if left is DEGRADED:
-            cs.degraded = True
-        else:
-            cs.left = left
-            cs.dropped = left[0] == (0, 0) and left[1] <= 0
+        cs.left = left
+        cs.dropped = left[0] == (0, 0) and left[1] <= 0
 
 
 def _run_right_wave(aligner, chains: list[_ChainState]) -> None:
     """Extend the right side of every surviving chain (``h0`` = its
     left score)."""
-    live = [cs for cs in chains if cs.alive]
+    live = [cs for cs in chains if not cs.dropped]
     for cs in live:
         cs.right_job = aligner._right_job(cs.query, cs.chain, cs.left[1])
     rights = extend_side(
         aligner.engine, [cs.right_job for cs in live], "right"
     )
     for cs, right in zip(live, rights):
-        if right is DEGRADED:
-            cs.degraded = True
-        else:
-            cs.right = right
+        cs.right = right
 
 
 def traceback_wave(
@@ -306,24 +265,16 @@ def _finalize_window(aligner, reads: list[_ReadState]) -> list[SamRecord]:
     records: list[SamRecord | None] = []
     winners: list[tuple[int, AlignmentCandidate, int]] = []
     for state in reads:
-        candidates: list[AlignmentCandidate] = []
-        for cs in state.chains:
-            if cs.degraded:
-                state.n_degraded += 1
-            elif not cs.dropped:
-                candidates.append(
-                    aligner._make_candidate(
-                        cs.chain, cs.reverse, cs.left_job, cs.right_job,
-                        cs.left, cs.right,
-                    )
-                )
+        candidates = [
+            aligner._make_candidate(
+                cs.chain, cs.reverse, cs.left_job, cs.right_job,
+                cs.left, cs.right,
+            )
+            for cs in state.chains
+            if not cs.dropped
+        ]
         picked = aligner._select_candidate(
-            state.codes,
-            state.name,
-            candidates,
-            state.n_seeds,
-            state.n_chains,
-            state.n_degraded,
+            state.codes, state.name, candidates, state.n_seeds, state.n_chains
         )
         if isinstance(picked, SamRecord):
             records.append(picked)

@@ -897,8 +897,7 @@ def _print_chaos_summary(dispatcher) -> None:
         f"({stats.detected_total} detected, "
         f"{stats.tolerated_total} tolerated), "
         f"{stats.retries} retries, {stats.timeouts} timeouts, "
-        f"{stats.fallbacks} host fallbacks, "
-        f"{stats.dead_letters} dead letters"
+        f"{stats.fallbacks} host fallbacks"
     )
     if not stats.accounted():
         print(

@@ -1,8 +1,8 @@
 """Circuit breaker for the accelerator path of the resilience ladder.
 
 The :class:`~repro.faults.resilience.ResilientDispatcher` already
-guarantees every job terminates — retry, host full-band rerun, dead
-letter — but a *persistently* broken accelerator makes that guarantee
+guarantees every job an answer — retry, then host full-band rerun —
+but a *persistently* broken accelerator makes that guarantee
 expensive: every job burns its full retry/timeout budget before the
 inevitable host fallback.  The breaker turns that repeated discovery
 into state:

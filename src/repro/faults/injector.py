@@ -32,27 +32,9 @@ ALL_SITES = (
     "record.bitflip",
     "record.truncate",
     "record.drop",
-    "queue.overflow",
 )
-"""Every seam the injector knows how to corrupt."""
-
-DATAPATH_SITES = (
-    "line.bitflip",
-    "line.truncate",
-    "line.drop",
-    "stream.reorder",
-    "stream.stall",
-    "batch.transient",
-    "record.bitflip",
-    "record.truncate",
-    "record.drop",
-)
-"""Default chaos mix: every seam the ladder can fully absorb.
-
-``queue.overflow`` is opt-in because it breaches the ladder's last
-rung (host fallback) and therefore changes observable output —
-bit-identity chaos runs must keep it off.
-"""
+"""Every seam the injector knows how to corrupt, and the default mix:
+the retry/host ladder absorbs a fault at any of them."""
 
 LINE_SITES = frozenset(
     {"line.bitflip", "line.truncate", "line.drop", "stream.reorder"}
@@ -89,16 +71,12 @@ class FaultInjector:
             raise ValueError(f"unknown fault sites: {sorted(unknown)}")
         self.rate = rate
         self.seed = seed
-        self.sites = tuple(sites) if sites is not None else DATAPATH_SITES
+        self.sites = tuple(sites) if sites is not None else ALL_SITES
         self.stall_seconds = stall_seconds
         self.sink = sink
         self._rng = np.random.default_rng(seed)
         self.injected: dict[str, int] = {}
         self.tolerated: dict[str, int] = {}
-        # queue.overflow fires at fallback time, not per attempt.
-        self._attempt_sites = tuple(
-            s for s in self.sites if s != "queue.overflow"
-        )
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -139,28 +117,14 @@ class FaultInjector:
         consume the same number of RNG values, so fault sequences are
         reproducible regardless of outcomes.
         """
-        if self.rate == 0.0 or not self._attempt_sites:
+        if self.rate == 0.0 or not self.sites:
             return None
-        rolls = self._rng.random(len(self._attempt_sites))
-        for site, roll in zip(self._attempt_sites, rolls):
+        rolls = self._rng.random(len(self.sites))
+        for site, roll in zip(self.sites, rolls):
             if roll < self.rate:
                 self._record_injected(site)
                 return site
         return None
-
-    def overflow(self) -> bool:
-        """Roll the host rerun-queue overflow site (fallback time).
-
-        Separate from :meth:`draw` because overflow strikes the
-        ladder's last rung, not the per-attempt datapath; it only
-        fires when ``queue.overflow`` was opted into ``sites``.
-        """
-        if "queue.overflow" not in self.sites or self.rate == 0.0:
-            return False
-        if float(self._rng.random()) < self.rate:
-            self._record_injected("queue.overflow")
-            return True
-        return False
 
     # -- corruption operators -------------------------------------------
 

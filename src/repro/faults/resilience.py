@@ -16,27 +16,26 @@ failed jobs of a batch from its rerun queue (Section V):
    retry, long ones count as timeouts;
 2. **rerun full-band on the host** — the paper's escape hatch,
    generalized: the jobs whose accelerator attempts were exhausted
-   are recomputed as one wave by the full-band software kernel
-   (always correct);
-3. **dead-letter** — only when the host rerun queue itself refuses a
-   job: the job is recorded with its failure context and the wave
-   answers it with ``None``, so the pipeline marks the read
-   unmapped-with-reason (or reruns the job on its own fallback).
-   The dispatcher never crashes the pipeline and never silently drops
-   a job.
+   are recomputed as one wave by the full-band software kernel,
+   which always answers (and is always correct).
 
-With no injector attached the dispatcher is a measured no-op: one
-engine call per wave, as the bare engine makes, plus its counters
-(see ``benchmarks/bench_resilience_overhead.py``).
+The ladder ends at the host, so every job of a wave gets a result:
+the dispatcher never crashes the pipeline and never drops a job.
+
+With no injector attached the dispatcher is a passthrough: one
+engine call per wave, as the bare engine makes, plus its per-job
+counters, whose cost ``benchmarks/bench_resilience_overhead.py``
+measures.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from repro.align.banded import ExtensionResult
 from repro.faults.errors import FaultError, StalledStreamFault
 from repro.faults.injector import ALL_SITES, FaultInjector
 from repro.obs import names
@@ -104,9 +103,6 @@ class ResilienceStats:
         self._fallbacks = reg.counter(
             names.RESILIENCE_FALLBACKS, "host full-band fallbacks"
         )
-        self._dead_letters = reg.counter(
-            names.RESILIENCE_DEAD_LETTERS, "jobs that exhausted the ladder"
-        )
         self._attempts = reg.histogram(
             names.RESILIENCE_ATTEMPTS, "accelerator attempts per job"
         )
@@ -159,10 +155,6 @@ class ResilienceStats:
         """Account one host full-band fallback."""
         self._fallbacks.inc()
 
-    def record_dead_letter(self) -> None:
-        """Account one job that exhausted the whole ladder."""
-        self._dead_letters.inc()
-
     def record_attempts(self, attempts: int) -> None:
         """Observe how many accelerator attempts one job used."""
         self._attempts.observe(attempts)
@@ -190,11 +182,6 @@ class ResilienceStats:
         return self._fallbacks.value
 
     @property
-    def dead_letters(self) -> int:
-        """Dead-lettered jobs so far."""
-        return self._dead_letters.value
-
-    @property
     def detected_total(self) -> int:
         """Detected faults across every site."""
         return sum(c.value for c in self._detected.values())
@@ -216,18 +203,6 @@ class ResilienceStats:
         )
 
 
-@dataclass(frozen=True)
-class DeadLetter:
-    """One job that exhausted the degradation ladder, with context."""
-
-    query: np.ndarray = field(repr=False)
-    target: np.ndarray = field(repr=False)
-    h0: int = 0
-    site: str = ""
-    attempts: int = 0
-    reason: str = ""
-
-
 class ResilientDispatcher:
     """Engine wrapper that survives an untrusted accelerator.
 
@@ -236,12 +211,10 @@ class ResilientDispatcher:
     aligner pipeline in place of the engine it wraps.  ``fallback``
     defaults to a lazily-built full-band
     :class:`~repro.aligner.engines.BatchedEngine` sharing the wrapped
-    engine's scoring; ``host_queue_capacity`` bounds how many fallback
-    reruns the host accepts (``None`` = unbounded, the bit-identity
-    configuration).
+    engine's scoring.
 
     ``breaker`` (a :class:`~repro.durability.breaker.CircuitBreaker`)
-    adds a fourth behaviour on top of the ladder: after enough
+    adds one behaviour on top of the ladder: after enough
     *consecutive* host fallbacks it trips and subsequent jobs are
     short-circuited straight to the host full-band kernel without
     burning their retry/timeout budget on an accelerator that is
@@ -261,7 +234,6 @@ class ResilientDispatcher:
         injector: FaultInjector | None = None,
         registry: MetricsRegistry | None = None,
         sleep=time.sleep,
-        host_queue_capacity: int | None = None,
         seed: int = 0,
         breaker=None,
     ) -> None:
@@ -270,8 +242,6 @@ class ResilientDispatcher:
         self.policy = policy or RetryPolicy()
         self.injector = injector
         self.stats = ResilienceStats(registry)
-        self.dead_letters: list[DeadLetter] = []
-        self.host_queue_capacity = host_queue_capacity
         self.breaker = breaker
         self.name = f"resilient({engine.name})"
         self._sleep = sleep
@@ -284,26 +254,24 @@ class ResilientDispatcher:
         """The wrapped engine's affine-gap scheme (pipeline contract)."""
         return self.engine.scoring
 
-    def extend_wave(self, jobs) -> list:
+    def extend_wave(self, jobs) -> list[ExtensionResult]:
         """A wave of ``(query, target, h0)`` jobs, run down the ladder
-        in rounds.
+        in rounds; one result per job, in job order.
 
         The breaker is asked once per job as the wave arrives.  Each
         round sends every pending job in one engine call; a faulted
         job goes back for the next round, a sub-timeout stall without
         using up a retry.  Jobs that exhaust their retries, and jobs
-        the breaker denies, run as one host full-band wave.  Results
-        come back in job order; a job the host queue refuses comes
-        back as ``None`` (its :class:`DeadLetter` is on
-        :attr:`dead_letters`), so one dead job never fails its wave.
+        the breaker denies, run as one host full-band wave, which
+        answers every one of them.
         """
         policy = self.policy
         stats = self.stats
         breaker = self.breaker
         n = len(jobs)
         results: list = [None] * n
-        attempts, stalls, sites = [1] * n, [0] * n, [""] * n
-        pending, host, exhausted = [], [], []
+        attempts, stalls, exhausted = [1] * n, [0] * n, [False] * n
+        pending, host = [], []
         for k in range(n):
             stats.record_job()
             if breaker is None or breaker.allow():
@@ -333,9 +301,8 @@ class ResilientDispatcher:
                 stats.record_detected(out.site)
                 if isinstance(out, StalledStreamFault):
                     stats.record_timeout()
-                sites[k] = out.site
                 if attempts[k] > policy.max_retries:
-                    exhausted.append(k)
+                    exhausted[k] = True
                     continue
                 stats.record_retry()
                 backoff = max(backoff, attempts[k])
@@ -344,31 +311,19 @@ class ResilientDispatcher:
             if backoff:
                 self._backoff(backoff)
             pending = retry
-        if breaker is not None:
-            for k in allowed:
-                if k in exhausted:
-                    breaker.record_failure()
-                else:
-                    breaker.record_success()
 
-        # Rung 2: full-band rerun on the host, one wave.
-        for k in sorted(exhausted):
-            if self._host_accepts():
+        # Rung 2: the host reruns every exhausted job full band, in
+        # one wave; the breaker hears each outcome in job order.
+        for k in allowed:
+            if exhausted[k]:
                 stats.record_fallback()
                 stats.record_attempts(attempts[k])
                 host.append(k)
-                continue
-            # Rung 3: dead-letter — recorded, never silently dropped.
-            query, target, h0 = jobs[k]
-            self.dead_letters.append(DeadLetter(
-                query=np.asarray(query, dtype=np.uint8),
-                target=np.asarray(target, dtype=np.uint8),
-                h0=int(h0),
-                site=sites[k],
-                attempts=attempts[k],
-                reason="host rerun queue refused the job",
-            ))
-            stats.record_dead_letter()
+            if breaker is not None:
+                if exhausted[k]:
+                    breaker.record_failure()
+                else:
+                    breaker.record_success()
         if host:
             host.sort()
             computed = self._fallback_engine().extend_wave(
@@ -377,15 +332,6 @@ class ResilientDispatcher:
             for k, result in zip(host, computed):
                 results[k] = result
         return results
-
-    def _host_accepts(self) -> bool:
-        """Whether the host rerun queue takes one more job."""
-        if self.injector is not None and self.injector.overflow():
-            self.stats.record_detected("queue.overflow")
-            return False
-        if self.host_queue_capacity is None:
-            return True
-        return self.stats.fallbacks < self.host_queue_capacity
 
     def _fallback_engine(self):
         """The host full-band engine, built lazily on first use."""

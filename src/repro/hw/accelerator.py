@@ -17,7 +17,7 @@ band) and analytic for time: per-core initiation intervals from
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.align import banded
 from repro.align.banded import ExtensionResult
@@ -62,21 +62,11 @@ class AcceleratorReport:
     throughput_ext_per_s: float
     rerun_fraction: float
     prefetch_hidden: bool
-    faults_detected: int = 0
-    dead_letter_indices: tuple[int, ...] = ()
 
     def final_result(self, index: int) -> ExtensionResult:
-        """The guaranteed-optimal result for job ``index``.
-
-        Raises ``KeyError`` for a dead-lettered index — those jobs
-        have no result by definition (the rerun queue refused them).
-        """
+        """The guaranteed-optimal result for job ``index``."""
         if index in self.rerun_results:
             return self.rerun_results[index]
-        if index in self.dead_letter_indices:
-            raise KeyError(
-                f"job {index} was dead-lettered: rerun queue full"
-            )
         return self.outputs[index].result
 
 
@@ -101,8 +91,6 @@ class SeedExAccelerator:
         jobs: list[ExtensionJob],
         rerun_on_host: bool = True,
         model_io: bool = False,
-        injector=None,
-        rerun_queue_capacity: int | None = None,
     ) -> AcceleratorReport:
         """Process a job list and model device time.
 
@@ -115,28 +103,13 @@ class SeedExAccelerator:
         packing path (:mod:`repro.faults.wire`): jobs are serialized to
         512-bit lines, fed through the arbiter, and unpacked at the
         core — exercising the full Figure-7 input path functionally.
-
-        ``injector`` (a :class:`~repro.faults.injector.FaultInjector`;
-        implies ``model_io``) corrupts the packed lines in flight.
-        Jobs whose corruption the CRC framing catches skip the core
-        and degrade straight to the host rerun queue — the host still
-        holds its pristine copy of every in-flight job.
-        ``rerun_queue_capacity`` bounds that queue; overflowing jobs
-        are dead-lettered in the report rather than silently lost.
         """
         cfg = self.config
-        corrupted: set[int] = set()
-        if model_io or injector is not None:
-            jobs_in = jobs
-            jobs, corrupted = _through_io_path(
-                jobs, len(self.cores), injector
-            )
-        outputs: list[CoreOutput | None] = []
+        if model_io:
+            jobs = _through_io_path(jobs, len(self.cores))
+        outputs: list[CoreOutput] = []
         core_busy = [0.0] * len(self.cores)
         for k, job in enumerate(jobs):
-            if k in corrupted:
-                outputs.append(None)
-                continue
             core_idx = k % len(self.cores)
             core = self.cores[core_idx]
             before = _core_cycles(core)
@@ -144,26 +117,13 @@ class SeedExAccelerator:
             core_busy[core_idx] += _core_cycles(core) - before
 
         rerun_results: dict[int, ExtensionResult] = {}
-        dead_letters: list[int] = []
         if rerun_on_host:
-            rerun_queue: list[tuple[int, ExtensionJob]] = []
             for idx, out in enumerate(outputs):
-                if out is None:
-                    # Detected corruption: the host reruns its own
-                    # pristine copy of the job.
-                    rerun_queue.append((idx, jobs_in[idx]))
-                elif not out.accepted:
-                    rerun_queue.append((idx, out.job))
-            for n, (idx, job) in enumerate(rerun_queue):
-                if (
-                    rerun_queue_capacity is not None
-                    and n >= rerun_queue_capacity
-                ):
-                    dead_letters.append(idx)
-                    continue
-                rerun_results[idx] = banded.extend(
-                    job.query, job.target, self.scoring, job.h0
-                )
+                if not out.accepted:
+                    job = out.job
+                    rerun_results[idx] = banded.extend(
+                        job.query, job.target, self.scoring, job.h0
+                    )
 
         # Each SeedEx core's 3 BSW engines drain their share in
         # parallel; device time = slowest core.
@@ -172,9 +132,7 @@ class SeedExAccelerator:
         prefetch_hidden = cfg.axi_read_latency_cycles < compute_per_job
         seconds = total_cycles / cfg.clock_hz if total_cycles else 0.0
         throughput = len(jobs) / seconds if seconds else 0.0
-        failed = len(corrupted) + sum(
-            o is not None and not o.accepted for o in outputs
-        )
+        failed = sum(not o.accepted for o in outputs)
         rerun_fraction = failed / max(1, len(jobs)) if jobs else 0.0
         return AcceleratorReport(
             outputs=outputs,
@@ -183,8 +141,6 @@ class SeedExAccelerator:
             throughput_ext_per_s=throughput,
             rerun_fraction=rerun_fraction,
             prefetch_hidden=prefetch_hidden,
-            faults_detected=len(corrupted),
-            dead_letter_indices=tuple(dead_letters),
         )
 
     def passing_rate(self) -> float:
@@ -199,43 +155,24 @@ def _core_cycles(core: SeedExCore) -> float:
 
 
 def _through_io_path(
-    jobs: list[ExtensionJob], n_streams: int, injector=None
-) -> tuple[list[ExtensionJob], set[int]]:
+    jobs: list[ExtensionJob], n_streams: int
+) -> list[ExtensionJob]:
     """Serialize jobs through the memory-line input path and back.
 
     One arbiter stream per core; each job becomes 512-bit lines, the
     arbiter interleaves the streams, and the state manager's
     reassembled lines are unpacked into jobs again — asserting, in
     effect, that nothing in the I/O plumbing can corrupt an input
-    *undetected*.
-
-    With an ``injector``, each job's lines may be corrupted in flight
-    (line faults); the CRC framing catches every corruption at unpack
-    and the job's index lands in the returned ``corrupted`` set (the
-    entry keeps the host's pristine copy for the rerun queue).  Drawn
-    fault sites that have no seam on this batch path — stalls are
-    absorbed by the state manager, and the per-record/batch seams
-    belong to the dispatcher path — are counted as tolerated so the
-    accounting invariant holds.
+    *undetected* (a line that fails its CRC raises).
     """
-    from repro.faults.injector import LINE_SITES
-    from repro.faults.wire import CorruptLineError, pack_job, unpack_job
+    from repro.faults.wire import pack_job, unpack_job
     from repro.hw.io_path import Arbiter
 
     per_stream: list[list[tuple[int, list[bytes], str]]] = [
         [] for _ in range(n_streams)
     ]
-    site_of: dict[int, str] = {}
     for k, job in enumerate(jobs):
-        lines = pack_job(job)
-        if injector is not None:
-            site = injector.draw()
-            if site in LINE_SITES:
-                lines = injector.corrupt_lines(site, lines)
-                site_of[k] = site
-            elif site is not None:
-                injector.record_tolerated(site)
-        per_stream[k % n_streams].append((k, lines, job.tag))
+        per_stream[k % n_streams].append((k, pack_job(job), job.tag))
 
     arbiter = Arbiter()
     for sid in range(n_streams):
@@ -247,7 +184,6 @@ def _through_io_path(
     arbiter.run()
 
     out: list[ExtensionJob] = list(jobs)
-    corrupted: set[int] = set()
     for sid in range(n_streams):
         if not per_stream[sid]:
             continue
@@ -256,11 +192,5 @@ def _through_io_path(
         for k, job_lines, tag in per_stream[sid]:
             chunk = delivered[cursor : cursor + len(job_lines)]
             cursor += len(job_lines)
-            try:
-                out[k] = unpack_job(chunk, tag=tag)
-            except CorruptLineError:
-                corrupted.add(k)  # host copy stays in out[k]
-                sink = getattr(injector, "sink", None)
-                if sink is not None:
-                    sink.record_detected(site_of.get(k, "line.bitflip"))
-    return out, corrupted
+            out[k] = unpack_job(chunk, tag=tag)
+    return out

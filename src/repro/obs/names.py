@@ -116,9 +116,6 @@ ALIGNER_CHAINS_KEPT = "aligner.chains.kept"
 ALIGNER_CANDIDATES_TOTAL = "aligner.candidates.total"
 """Fully-extended alignment candidates scored."""
 
-ALIGNER_READS_DEGRADED = "aligner.reads.degraded"
-"""Reads left unmapped because an extension exhausted the ladder."""
-
 FAULTS_INJECTED = "faults.injected"
 """Faults the chaos injector planted (labels: ``site``)."""
 
@@ -140,17 +137,11 @@ RESILIENCE_TIMEOUTS = "resilience.timeouts.total"
 RESILIENCE_FALLBACKS = "resilience.fallbacks.host"
 """Jobs degraded to the host full-band rerun."""
 
-RESILIENCE_DEAD_LETTERS = "resilience.dead_letters.total"
-"""Jobs that exhausted the whole degradation ladder."""
-
 PIPELINE_BATCH_WAVES = "pipeline.batch.waves"
 """Extension waves dispatched by the scheduler (labels: ``side``)."""
 
 PIPELINE_BATCH_JOBS = "pipeline.batch.jobs"
 """Extension jobs entering a wave (labels: ``side``)."""
-
-PIPELINE_BATCH_JOBS_DEGRADED = "pipeline.batch.jobs.degraded"
-"""Wave jobs that exhausted the resilience ladder individually."""
 
 PIPELINE_BATCH_TRACEBACK_CELLS = "pipeline.batch.traceback.cells"
 """Matrix cells of the endpoint-clipped jobs a traceback wave filled."""

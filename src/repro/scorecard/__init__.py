@@ -14,8 +14,9 @@ simulated FASTQ — and graded on
 * **MAPQ calibration**: empirical accuracy per reported-MAPQ bin
   (a MAPQ-60 bin should be ~always right; a miscalibrated mapper
   shows high-confidence wrong placements here);
-* **failure fractions**: unmapped, degraded (resilience ladder
-  exhausted, ``XF:Z:degraded_extension``), and quarantined
+* **failure fractions**: unmapped, degraded
+  (``XF:Z:degraded_extension``, a tag only SAMs from earlier versions
+  carry: the resilience ladder now always answers), and quarantined
   (``XF:Z:quarantined``) — including under ``--chaos``;
 * **per-band-bucket accuracy**: accuracy sliced by the read's true
   indel span (its genuine band demand), so wide-band reads — the

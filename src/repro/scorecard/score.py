@@ -111,7 +111,7 @@ class Scorecard:
 
     @property
     def degraded_fraction(self) -> float:
-        """Ladder-exhausted (``XF:Z:degraded_extension``) fraction."""
+        """``XF:Z:degraded_extension`` fraction (earlier versions' SAMs)."""
         return self._fraction("degraded")
 
     @property

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.align.cigar import Cigar
-from repro.aligner.engines import BatchedEngine
+from repro.aligner.engines import BatchedEngine, make_resilient
 from repro.aligner.longread import (
     LongReadAligner,
     _non_overlapping,
@@ -16,7 +16,6 @@ from repro.genome.synth import (
     synthesize_reference,
 )
 from repro.seeding.mems import Seed
-from tests.helpers import DeadLetteringEngine
 
 
 @pytest.fixture(scope="module")
@@ -95,10 +94,10 @@ class TestGuarantee:
 
 
 class TestEndWaves:
-    def test_dead_lettered_ends_are_answered_by_end_extender(self, setup):
-        """An engine that dead-letters every end job changes nothing:
-        each job falls back to the checked scalar ``end_extender``,
-        whose results equal the clean full-band waves'."""
+    def test_faulted_end_waves_are_answered_on_the_host(self, setup):
+        """End waves behind the fault layer with no retries change
+        nothing: every end job whose frame faults is answered by the
+        host's full-band wave, equal to the clean waves' result."""
         reference, reads = setup
 
         def lines(engine):
@@ -109,9 +108,16 @@ class TestEndWaves:
                 for r, aln in zip(reads, alns)
             ]
 
-        dead = DeadLetteringEngine(dies=lambda h0: True)
-        assert lines(dead) == lines(BatchedEngine())
-        assert dead.seen, "no end job reached the engine"
+        faulted = make_resilient(
+            BatchedEngine(),
+            fault_rate=0.5,
+            fault_seed=1,
+            max_retries=0,
+            sleep=lambda s: None,
+        )
+        assert lines(faulted) == lines(BatchedEngine())
+        assert faulted.stats.fallbacks > 0
+        assert faulted.stats.accounted()
 
 
 class TestPlumbing:

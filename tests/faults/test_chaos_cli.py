@@ -36,7 +36,7 @@ def test_single_end_chaos_summary(tmp_path, capsys):
     assert main(argv) == 0
     assert _chaos_line(capsys.readouterr().out) == (
         "chaos: 16 faults injected (14 detected, 2 tolerated), "
-        "13 retries, 3 timeouts, 1 host fallbacks, 0 dead letters"
+        "13 retries, 3 timeouts, 1 host fallbacks"
     )
 
 
@@ -56,5 +56,5 @@ def test_paired_chaos_summary(tmp_path, capsys):
     assert "2 rescued" in out  # the rescue waves went down the ladder too
     assert _chaos_line(out) == (
         "chaos: 126 faults injected (115 detected, 11 tolerated), "
-        "111 retries, 20 timeouts, 4 host fallbacks, 0 dead letters"
+        "111 retries, 20 timeouts, 4 host fallbacks"
     )

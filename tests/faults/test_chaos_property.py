@@ -82,7 +82,6 @@ def test_sam_bit_identity_under_chaos(
             f"detected={stats.detected_total} + "
             f"tolerated={stats.tolerated_total}"
         )
-        assert stats.dead_letters == 0  # unbounded host queue
 
 
 def test_high_rate_chaos_actually_exercised(reference, reads, baseline):
@@ -122,23 +121,21 @@ def test_chaos_fault_sequence_is_reproducible(reference, reads):
     assert diff_records(recs_a, recs_b) == 0
 
 
-def test_degradation_to_unmapped_never_crashes(reference, reads):
-    """With a zero-capacity host queue the ladder's last rung holds:
-    reads come back unmapped-with-reason instead of raising."""
-    from repro.aligner.pipeline import DEGRADED_TAG
-
+def test_zero_retries_answer_every_job_on_the_host(
+    reference, reads, baseline
+):
+    """At a 90% fault rate with no retries, every job whose frame
+    faults goes straight to the host, which answers it: the records
+    equal the clean run's."""
     engine = make_resilient(
         make_engine("seedex", 9),
         fault_rate=0.9,
         fault_seed=3,
         max_retries=0,
-        host_queue_capacity=0,
         sleep=lambda s: None,
     )
     aligner = Aligner(reference, engine, seeding="kmer")
     records = [aligner.align_read(codes, name) for name, codes in reads]
-    assert len(records) == len(reads)
-    degraded = [r for r in records if DEGRADED_TAG in r.tags]
-    assert degraded, "a 90% fault rate must dead-letter something"
-    assert all(r.is_unmapped for r in degraded)
-    assert engine.stats.dead_letters == len(engine.dead_letters) > 0
+    assert diff_records(baseline, records) == 0
+    assert engine.stats.fallbacks > 0
+    assert engine.stats.accounted()

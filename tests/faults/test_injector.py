@@ -5,7 +5,6 @@ import pytest
 
 from repro.faults.injector import (
     ALL_SITES,
-    DATAPATH_SITES,
     LINE_SITES,
     RECORD_SITES,
     FaultInjector,
@@ -52,19 +51,18 @@ class TestRatesAndSites:
     def test_zero_rate_never_fires(self):
         inj = FaultInjector(rate=0.0, seed=0)
         assert all(inj.draw() is None for _ in range(500))
-        assert not inj.overflow()
         assert inj.total_injected == 0
 
     def test_rate_one_always_fires_first_site(self):
         inj = FaultInjector(rate=1.0, seed=0)
-        assert inj.draw() == DATAPATH_SITES[0]
+        assert inj.draw() == ALL_SITES[0]
 
     def test_observed_rate_tracks_configured_rate(self):
         inj = FaultInjector(rate=0.05, seed=3)
         n = 4000
         hits = sum(inj.draw() is not None for _ in range(n))
         # P(any site) = 1 - (1-rate)^len(sites) ~ 0.37 for 9 sites.
-        expected = 1.0 - (1.0 - 0.05) ** len(DATAPATH_SITES)
+        expected = 1.0 - (1.0 - 0.05) ** len(ALL_SITES)
         assert abs(hits / n - expected) < 0.05
 
     def test_site_restriction_honored(self):
@@ -80,22 +78,11 @@ class TestRatesAndSites:
         with pytest.raises(ValueError):
             FaultInjector(rate=1.5)
 
-    def test_overflow_only_fires_when_opted_in(self):
-        off = FaultInjector(rate=1.0, seed=0)
-        assert not off.overflow()
-        on = FaultInjector(rate=1.0, seed=0, sites=ALL_SITES)
-        assert on.overflow()
-        assert on.injected["queue.overflow"] == 1
-
-    def test_draw_never_picks_queue_overflow(self):
-        inj = FaultInjector(rate=1.0, seed=0, sites=ALL_SITES)
-        assert all(inj.draw() != "queue.overflow" for _ in range(100))
-
     def test_every_injection_is_counted(self):
         inj = FaultInjector(rate=0.4, seed=9)
         drawn = [s for s in (inj.draw() for _ in range(300)) if s]
         assert inj.total_injected == len(drawn)
-        assert set(inj.injected) <= set(DATAPATH_SITES)
+        assert set(inj.injected) <= set(ALL_SITES)
 
 
 class TestCorruptionOperators:

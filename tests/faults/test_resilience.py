@@ -1,4 +1,4 @@
-"""ResilientDispatcher: retry, backoff, timeout, fallback, dead-letter."""
+"""ResilientDispatcher: retry, backoff, timeout, host fallback."""
 
 import numpy as np
 import pytest
@@ -136,7 +136,6 @@ class TestRetryLadder:
         assert _same_result(res, expected)
         assert engine.calls == 3  # 1 try + 2 retries
         assert disp.stats.fallbacks == 1
-        assert disp.stats.dead_letters == 0
 
     def test_short_stall_tolerated_without_retry(self):
         engine = FlakyEngine([_stall(0.01)])
@@ -168,22 +167,6 @@ class TestRetryLadder:
         res = _one(disp)  # must terminate down the ladder
         assert _same_result(res, _one(make_engine("full")))
         assert disp.stats.tolerated_total == 4  # then stalls escalate
-
-    def test_dead_letter_when_host_queue_refuses(self):
-        engine = FlakyEngine([_transient()] * 20)
-        disp = _dispatcher(
-            engine,
-            policy=RetryPolicy(max_retries=1),
-            host_queue_capacity=0,
-        )
-        assert _one(disp) is None
-        assert disp.stats.dead_letters == 1
-        assert len(disp.dead_letters) == 1
-        letter = disp.dead_letters[0]
-        assert letter.site == "batch.transient"
-        assert letter.attempts == 2
-        assert (letter.query == Q).all()
-        assert letter.reason
 
     def test_non_fault_errors_propagate(self):
         engine = FlakyEngine([RuntimeError("real bug")])
@@ -325,60 +308,3 @@ class TestStats:
         counters = reg.snapshot()["counters"]
         assert counters[names.RESILIENCE_JOBS] == 1
         assert counters[names.RESILIENCE_RETRIES] == 1
-
-
-class TestAcceleratorBatchPath:
-    """Fault injection through the device-level batch model."""
-
-    def _jobs(self, n=60):
-        from repro.genome.synth import ExtensionJob
-
-        rng = np.random.default_rng(17)
-        out = []
-        for _ in range(n):
-            q = rng.integers(0, 4, size=80).astype(np.uint8)
-            t = rng.integers(0, 4, size=120).astype(np.uint8)
-            out.append(ExtensionJob(query=q, target=t, h0=20))
-        return out
-
-    def test_corrupted_jobs_degrade_to_host_rerun(self):
-        from repro.faults.injector import FaultInjector
-        from repro.hw.accelerator import SeedExAccelerator
-
-        jobs = self._jobs()
-        inj = FaultInjector(rate=0.3, seed=5)
-        report = SeedExAccelerator().run(jobs, injector=inj)
-        assert report.faults_detected > 0
-        assert report.dead_letter_indices == ()
-        # Every job still has a result, corrupted or not.
-        for k in range(len(jobs)):
-            report.final_result(k)
-        # Injection accounting holds on the batch path too.
-        assert inj.total_injected >= report.faults_detected
-
-    def test_clean_run_matches_faulted_run_results(self):
-        from repro.faults.injector import FaultInjector
-        from repro.hw.accelerator import SeedExAccelerator
-
-        jobs = self._jobs(30)
-        clean = SeedExAccelerator().run(jobs)
-        inj = FaultInjector(rate=0.3, seed=6)
-        chaos = SeedExAccelerator().run(jobs, injector=inj)
-        for k in range(len(jobs)):
-            assert _same_result(
-                clean.final_result(k), chaos.final_result(k)
-            )
-
-    def test_bounded_rerun_queue_dead_letters(self):
-        from repro.faults.injector import FaultInjector
-        from repro.hw.accelerator import SeedExAccelerator
-
-        jobs = self._jobs()
-        inj = FaultInjector(rate=0.5, seed=7)
-        report = SeedExAccelerator().run(
-            jobs, injector=inj, rerun_queue_capacity=2
-        )
-        assert report.dead_letter_indices
-        dead = report.dead_letter_indices[0]
-        with pytest.raises(KeyError):
-            report.final_result(dead)

@@ -63,6 +63,7 @@ def sam_bytes(
     from repro.aligner.engines import EngineSpec
     from repro.aligner.parallel import align_supervised
     from repro.aligner.pipeline import Aligner
+    from repro.core.extender import SeedExtender
     from repro.genome.sam import write_sam
     from tests import reference_drivers
 
@@ -99,7 +100,9 @@ def sam_bytes(
                 **aligner_opts,
             )
             mates = (
-                reference_drivers.align_pairs(aligner, reads)
+                reference_drivers.align_pairs(
+                    aligner, reads, SeedExtender(scoring=built.scoring)
+                )
                 if batch_size is None
                 else aligner.align_pairs_batched(reads, batch_size)
             )
@@ -180,31 +183,25 @@ def serve_report(
         server.shutdown()
 
 
-class DeadLetteringEngine:
-    """A wave engine over the full-band kernel that kills some jobs.
+class RecordingEngine:
+    """A wave engine over the full-band kernel that records its jobs.
 
-    A job whose ``h0`` satisfies ``dies`` comes back as ``None``, the
-    rest as the full band's results; the ``h0`` of every job it is
-    handed is recorded — the shape of a resilience dispatcher whose
-    degradation ladder ran out.
+    Every job comes back as the full band's result; the ``h0`` of
+    every job it is handed is recorded, in the order it was handed.
     """
 
-    name = "dead-lettering"
+    name = "recording"
 
-    def __init__(self, dies=lambda h0: False) -> None:
+    def __init__(self) -> None:
         from repro.aligner.engines import BatchedEngine
 
         self.inner = BatchedEngine()
         self.scoring = self.inner.scoring
-        self.dies = dies
         self.seen: list[int] = []
 
     def extend_wave(self, jobs):
         self.seen.extend(h0 for _, _, h0 in jobs)
-        live = iter(self.inner.extend_wave(
-            [job for job in jobs if not self.dies(job[2])]
-        ))
-        return [None if self.dies(h0) else next(live) for _, _, h0 in jobs]
+        return self.inner.extend_wave(jobs)
 
 
 class ReferenceKernel:

@@ -8,7 +8,8 @@ one read at a time, one chain side per ``engine.extend_wave`` call
 of one job, and
 walks each winner back over a dense scalar fill;
 :func:`align_pairs` aligns both mates that way and rescues one mate at
-a time, one candidate side per ``rescuer.extend`` call.
+a time, one candidate side per ``rescuer.extend`` call on the checked
+rescuer it is given.
 
 They share only the aligner's job geometry, candidate selection,
 rescue plan and record rendering with the product — never a wave, a
@@ -22,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.align.fullmatrix import fill_extension, traceback_path
-from repro.aligner.pipeline import DEGRADED, _resolve_end
+from repro.aligner.pipeline import _resolve_end
 from repro.genome.sam import SamRecord
 from repro.genome.sequence import reverse_complement
 from repro.seeding.chaining import chain_seeds, filter_chains
@@ -46,7 +47,7 @@ def align_read(aligner, codes: np.ndarray, name: str) -> SamRecord:
     the winner, walk it back."""
     codes = np.asarray(codes, dtype=np.uint8)
     candidates = []
-    n_seeds = n_chains = n_degraded = 0
+    n_seeds = n_chains = 0
     for reverse in (False, True):
         query = reverse_complement(codes) if reverse else codes
         if aligner._fm is not None:
@@ -60,12 +61,10 @@ def align_read(aligner, codes: np.ndarray, name: str) -> SamRecord:
         n_chains += len(chains)
         for chain in chains:
             cand = _extend_chain(aligner, query, chain, reverse)
-            if cand is DEGRADED:
-                n_degraded += 1
-            elif cand is not None:
+            if cand is not None:
                 candidates.append(cand)
     picked = aligner._select_candidate(
-        codes, name, candidates, n_seeds, n_chains, n_degraded
+        codes, name, candidates, n_seeds, n_chains
     )
     if isinstance(picked, SamRecord):
         return picked
@@ -80,26 +79,20 @@ def align_read(aligner, codes: np.ndarray, name: str) -> SamRecord:
 
 def _extend_chain(aligner, query, chain, reverse):
     """Left side, then right side with the left score as ``h0``;
-    ``None`` when the left side dies at the origin, ``DEGRADED`` when
-    the engine dead-letters either side."""
+    ``None`` when the left side dies at the origin."""
     left_job = aligner._left_job(query, chain)
     left = _extend_side(_one_job(aligner.engine), *left_job)
-    if left is DEGRADED:
-        return DEGRADED
     if left[0] == (0, 0) and left[1] <= 0:
         return None
     right_job = aligner._right_job(query, chain, left[1])
     right = _extend_side(_one_job(aligner.engine), *right_job)
-    if right is DEGRADED:
-        return DEGRADED
     return aligner._make_candidate(
         chain, reverse, left_job, right_job, left, right
     )
 
 
 def _one_job(engine):
-    """``extend(query, target, h0)`` as a wave of one on ``engine``;
-    ``None`` when the engine dead-letters the job."""
+    """``extend(query, target, h0)`` as a wave of one on ``engine``."""
     return lambda query, target, h0: engine.extend_wave(
         [(query, target, h0)]
     )[0]
@@ -107,12 +100,11 @@ def _one_job(engine):
 
 def _extend_side(extend, query, target, h0):
     """One side, one ``extend(query, target, h0)`` call, resolved to
-    ``(endpoint, score, clipped)``, or ``DEGRADED`` for a dead-lettered
-    job; an empty query resolves without a call."""
+    ``(endpoint, score, clipped)``; an empty query resolves without a
+    call."""
     if not len(query):
         return (0, 0), h0, 0
-    result = extend(query, target, h0)
-    return DEGRADED if result is None else _resolve_end(result, h0)
+    return _resolve_end(extend(query, target, h0), h0)
 
 
 def _trace_dense(scoring, query, target, h0, end):
@@ -123,14 +115,18 @@ def _trace_dense(scoring, query, target, h0, end):
     return traceback_path(mats, query, target, scoring, end)
 
 
-def align_pairs(paired, pairs) -> list[tuple[SamRecord, SamRecord]]:
+def align_pairs(
+    paired, pairs, rescuer
+) -> list[tuple[SamRecord, SamRecord]]:
     """Align ``ReadPair`` objects one pair at a time with
-    ``paired``'s aligner, rescuer and insert model; counts into
-    ``paired.stats`` as the product does."""
-    return [align_pair(paired, pair) for pair in pairs]
+    ``paired``'s aligner and insert model, rescuing with ``rescuer``
+    (a checked :class:`~repro.core.extender.SeedExtender`, optimal as
+    the product's rescue waves are); counts into ``paired.stats`` as
+    the product does."""
+    return [align_pair(paired, pair, rescuer) for pair in pairs]
 
 
-def align_pair(paired, pair) -> tuple[SamRecord, SamRecord]:
+def align_pair(paired, pair, rescuer) -> tuple[SamRecord, SamRecord]:
     """Both mates per read, then at most one mate rescued."""
     paired.stats.pairs += 1
     rec1 = align_read(paired.aligner, pair.first, pair.name)
@@ -138,14 +134,14 @@ def align_pair(paired, pair) -> tuple[SamRecord, SamRecord]:
     if paired._concordant(rec1, rec2):
         pass
     elif not rec1.is_unmapped:
-        rescued = _rescue(paired, pair.second, rec1)
+        rescued = _rescue(paired, rescuer, pair.second, rec1)
         if rescued is not None and (
             rec2.is_unmapped or paired._better_pair(rec1, rescued, rec2)
         ):
             rec2 = rescued
             paired.stats.rescued += 1
     elif not rec2.is_unmapped:
-        rescued = _rescue(paired, pair.first, rec2)
+        rescued = _rescue(paired, rescuer, pair.first, rec2)
         if rescued is not None:
             rec1 = rescued
             paired.stats.rescued += 1
@@ -158,7 +154,7 @@ def align_pair(paired, pair) -> tuple[SamRecord, SamRecord]:
     )
 
 
-def _rescue(paired, mate_codes, anchor) -> SamRecord | None:
+def _rescue(paired, rescuer, mate_codes, anchor) -> SamRecord | None:
     """Extend each candidate of the rescue plan in enumeration order,
     strict ``>`` best, stopping after a probe group whose best reaches
     half a perfect score; render the winner."""
@@ -168,7 +164,7 @@ def _rescue(paired, mate_codes, anchor) -> SamRecord | None:
     m = paired.aligner.scoring.match
 
     def extend(query, target, h0):
-        return paired.rescuer.extend(query, target, h0).result
+        return rescuer.extend(query, target, h0).result
 
     best = None
     for group in plan.groups:

@@ -201,12 +201,14 @@ def _long_reference(reference, reads):
 
 def _pairs_reference(reference, pairs, seeding):
     """Per-pair alignment under ``seedex`` w=15, its mates and their
-    rescue on the reference kernel."""
+    rescue (a checked w=41 extender) on the reference kernel."""
     engine = make_engine("seedex", 15, kernel=ReferenceKernel())
     aligner = PairedAligner(reference, engine, seeding=seeding)
-    aligner.rescuer = _reference_extender(aligner.rescuer)
     aligner.aligner.reference_name = "chr1"
-    mates = reference_drivers.align_pairs(aligner, pairs)
+    rescuer = SeedExtender(
+        band=41, scoring=aligner.aligner.scoring, kernel=ReferenceKernel()
+    )
+    mates = reference_drivers.align_pairs(aligner, pairs, rescuer)
     return _sam(reference, [rec for pair in mates for rec in pair]), aligner
 
 

@@ -795,9 +795,9 @@ class TestOneExtensionSchedule:
         sides: list[str] = []
         extend_side = waves.extend_side
 
-        def counting(engine, jobs, side, fallback=None):
+        def counting(engine, jobs, side):
             sides.append(side)
-            return extend_side(engine, jobs, side, fallback=fallback)
+            return extend_side(engine, jobs, side)
 
         for module in (waves, paired, longread):
             monkeypatch.setattr(module, "extend_side", counting)
@@ -851,13 +851,30 @@ class TestOneReadDriver:
         ]
         assert calls == []
 
-    def test_dead_letters_are_a_none_of_their_wave(self):
-        """A dead-lettered job comes back as ``None`` in its wave: no
-        module under ``src/`` names a dead-letter exception."""
+    def test_every_engine_answers_every_job(self):
+        """The resilience ladder ends at the host, which always
+        answers: no module under ``src/`` names a dead letter, a
+        degraded extension, a bounded host queue or its overflow
+        site, no side step takes a fallback for a missing result, and
+        the engine contract returns one result per job."""
+        import inspect
+
+        from repro.aligner.engines import ExtensionEngine
+        from repro.aligner.waves import extend_side
+
+        gone = re.compile(
+            r"\b(DEGRADED|DeadLetter\w*|host_queue_capacity"
+            r"|rerun_queue_capacity)\b|queue\.overflow"
+        )
         assert [
-            name for name, path in _src_modules().items()
-            if "DeadLetterError" in path.read_text()
+            f"{name}: {match.group(0)}"
+            for name, path in _src_modules().items()
+            for match in gone.finditer(path.read_text())
         ] == []
+        assert "fallback" not in inspect.signature(extend_side).parameters
+        assert inspect.signature(
+            ExtensionEngine.extend_wave
+        ).return_annotation == "list[ExtensionResult]"
 
     def test_the_wave_driver_extends_no_job_alone(self):
         """``waves.py`` hands every engine whole waves: no probe for
