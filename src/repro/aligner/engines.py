@@ -39,6 +39,7 @@ from typing import Protocol
 import numpy as np
 
 from repro import obs
+from repro.align import ungapped
 from repro.align.banded import ExtensionResult
 from repro.align.scoring import BWA_MEM_SCORING, AffineGap
 from repro.constants import DEFAULT_BAND
@@ -56,13 +57,17 @@ ENGINE_POLICIES: dict[str, tuple[bool, bool]] = {
 """``--engine`` / ``EngineSpec.kind`` -> ``(narrow band?, checks?)``."""
 
 
-def _account(name: str, cells: int, jobs: int = 1) -> None:
+def _account(name: str, cells: int, jobs: int, settled: int) -> None:
     """Per-engine counters in the global registry (when enabled)."""
     if obs.enabled():
         reg = obs.get_registry()
         reg.counter(
             names.ENGINE_EXTENSIONS, "extensions served", engine=name
         ).inc(jobs)
+        reg.counter(
+            names.ENGINE_SETTLED, "extensions settled with no DP",
+            engine=name,
+        ).inc(settled)
         reg.counter(
             names.ENGINE_CELLS, "DP cells filled", engine=name
         ).inc(cells)
@@ -103,8 +108,13 @@ class BatchedEngine:
     — so SAM output is byte-identical to the full band at any band,
     and :attr:`stats` reports the check outcomes.
 
-    The resilience dispatcher sends it each round of a wave and its
-    host fallback wave.  Every job is computed, equal ones included.
+    Before any of that, one vectorised pass settles the jobs whose
+    ungapped diagonal provably wins (:func:`repro.align.ungapped.settle`):
+    their closed-form results need no DP under any policy, so only the
+    rest reach the kernel, the checks and the rerun, and :attr:`settled`
+    counts the others.  The resilience dispatcher sends it each round
+    of a wave and its host fallback wave, so every wave path settles
+    its jobs here.
     """
 
     def __init__(
@@ -135,6 +145,7 @@ class BatchedEngine:
                 kernel=self.kernel,
             )
         self.extensions = 0
+        self.settled = 0
         self.cells = 0
 
     @property
@@ -145,31 +156,46 @@ class BatchedEngine:
     def extend_wave(self, jobs) -> list[ExtensionResult]:
         """Run a wave of ``(query, target, h0)`` jobs in lockstep.
 
-        Results come back in job order.  With checks, the wave goes
-        through :meth:`~repro.core.extender.SeedExtender.extend_many`,
-        whose full-band rerun wave's cells are accounted by
-        :attr:`stats`; :attr:`cells` counts the speculation.
+        Results come back in job order.  The settled jobs take their
+        closed form; the rest go to the kernel in one call.  With
+        checks, they go through
+        :meth:`~repro.core.extender.SeedExtender.extend_many`, whose
+        full-band rerun wave's cells are accounted by :attr:`stats`;
+        :attr:`cells` counts the speculation.
         """
         self.extensions += len(jobs)
         if not jobs:
             return []
+        results = ungapped.settle(jobs, self.scoring)
+        todo = [k for k, res in enumerate(results) if res is None]
+        cells = 0
+        if todo:
+            computed, cells = self._compute([jobs[k] for k in todo])
+            for k, res in zip(todo, computed):
+                results[k] = res
+        settled = len(jobs) - len(todo)
+        self.settled += settled
+        self.cells += cells
+        _account(self.name, cells, jobs=len(jobs), settled=settled)
+        return results
+
+    def _compute(self, jobs) -> tuple[list[ExtensionResult], int]:
+        """The DP under the policy, and the cells its speculation
+        filled: one kernel call, or the checked narrow wave and its
+        rerun."""
         if self._extender is not None:
             outs = self._extender.extend_many(jobs)
-            results = [out.result for out in outs]
             cells = sum(out.narrow_result.cells_computed for out in outs)
-        else:
-            with obs.span(names.SPAN_EXTEND_BATCH, jobs=len(jobs)):
-                results = self.kernel.extend_batch(
-                    [q for q, _, _ in jobs],
-                    [t for _, t, _ in jobs],
-                    [h0 for _, _, h0 in jobs],
-                    self.scoring,
-                    w=self.band,
-                )
-            cells = sum(res.cells_computed for res in results)
-        self.cells += cells
-        _account(self.name, cells, jobs=len(jobs))
-        return results
+            return [out.result for out in outs], cells
+        with obs.span(names.SPAN_EXTEND_BATCH, jobs=len(jobs)):
+            results = self.kernel.extend_batch(
+                [q for q, _, _ in jobs],
+                [t for _, t, _ in jobs],
+                [h0 for _, _, h0 in jobs],
+                self.scoring,
+                w=self.band,
+            )
+        return results, sum(res.cells_computed for res in results)
 
 
 def _policy_name(band: int | None, checks: bool) -> str:

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import obs
-from repro.align import fullmatrix
+from repro.align import fullmatrix, ungapped
 from repro.align.cigar import Cigar
 from repro.align.lockstep import plan_buckets
 from repro.aligner.pipeline import AlignmentCandidate, _resolve_end
@@ -198,7 +198,9 @@ def traceback_wave(
     The paper's once-per-read host step, as a wave.  The recurrence
     looks up and left only, so a walk from ``end = (i, j)`` reads
     nothing outside ``target[:i] x query[:j]``: each job is clipped to
-    its endpoint, the clipped jobs are bucketed by padded shape
+    its endpoint.  A clipped job that ends on its diagonal (``i == j``)
+    and that the ungapped rule settles (:mod:`repro.align.ungapped`)
+    walks ``jM`` with no fill.  The rest are bucketed by padded shape
     (:func:`~repro.align.lockstep.plan_buckets`, the planner every
     lockstep extension sweep and gap fill shares), and each bucket is
     filled in lockstep, walked, and dropped — peak memory is two
@@ -207,8 +209,21 @@ def traceback_wave(
     """
     queries = [q[: end[1]] for q, _, _, end in jobs]
     targets = [t[: end[0]] for _, t, _, end in jobs]
-    cigars: list[Cigar | None] = [None] * len(jobs)
-    for bucket in plan_buckets(queries, targets):
+    on_diagonal = np.fromiter(
+        (i == j for _, _, _, (i, j) in jobs), bool, len(jobs)
+    )
+    settled = on_diagonal & ungapped.settled(
+        queries, targets, [h0 for _, _, h0, _ in jobs], scoring
+    )
+    cigars: list[Cigar | None] = [
+        Cigar.from_ops([(len(q), "M")]) if done else None
+        for q, done in zip(queries, settled.tolist())
+    ]
+    todo = np.flatnonzero(~settled).tolist()
+    for bucket in plan_buckets(
+        [queries[k] for k in todo], [targets[k] for k in todo]
+    ):
+        bucket = [todo[b] for b in bucket]
         bq = [queries[k] for k in bucket]
         bt = [targets[k] for k in bucket]
         with obs.span(

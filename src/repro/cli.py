@@ -1300,12 +1300,18 @@ def cmd_align(args: argparse.Namespace) -> int:
             f"{elapsed:.1f}s with engine {engine.name}"
         ),
         lines=() if stats is None else (
-            f"check passing rate {stats.passing_rate:.1%} "
+            f"check passing rate {_rate(stats.passing_rate, stats.total)} "
             f"({stats.reruns} full-band reruns of {stats.total} "
-            "extensions)",
+            f"extensions; {base_engine.settled} settled with no DP)",
         ),
         dispatcher=dispatcher,
     )
+
+
+def _rate(fraction: float, checked: int) -> str:
+    """A check rate as a percentage; ``n/a`` when no job was checked
+    (every job settled with no DP)."""
+    return f"{fraction:.1%}" if checked else "n/a"
 
 
 def _supervision_notes(outcome, quarantine_file=None) -> list[str]:
@@ -1441,7 +1447,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     The table is sourced from the metrics-registry snapshot — the same
     numbers ``--metrics-out`` exports — so Figure-14 accounting and
-    production metrics cannot drift apart.
+    production metrics cannot drift apart.  The jobs the ungapped rule
+    settles reach no DP and no check: the rates are over the
+    ``extensions`` row, and the ``settled (no DP)`` row counts the rest.
     """
     from repro.obs import names as mn
     from repro.obs.table import format_table
@@ -1458,13 +1466,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     rows: list[tuple[str, object]] = [
         ("band", args.band),
         ("kernel", run.spec.kernel),
+        ("settled (no DP)", base_engine.settled),
         ("extensions", total),
         (
             "threshold-only passing rate",
-            f"{stats.threshold_only_rate:.1%}",
+            _rate(stats.threshold_only_rate, total),
         ),
-        ("overall passing rate", f"{stats.passing_rate:.1%}"),
-        ("rerun fraction", f"{stats.rerun_rate:.1%}"),
+        ("overall passing rate", _rate(stats.passing_rate, total)),
+        ("rerun fraction", _rate(stats.rerun_rate, total)),
     ]
     prefix = mn.CHECK_OUTCOME + "{outcome="
     outcome_rows = sorted(

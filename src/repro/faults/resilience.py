@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import obs
 from repro.align.banded import ExtensionResult
 from repro.faults.errors import FaultError, StalledStreamFault
 from repro.faults.injector import ALL_SITES, FaultInjector
@@ -103,9 +104,14 @@ class ResilienceStats:
         self._fallbacks = reg.counter(
             names.RESILIENCE_FALLBACKS, "host full-band fallbacks"
         )
-        self._attempts = reg.histogram(
-            names.RESILIENCE_ATTEMPTS, "accelerator attempts per job"
-        )
+        # A quantile sketch costs microseconds per job, so the
+        # attempts histogram lives only where it can be read: in the
+        # process-wide registry that --metrics-out snapshots.
+        self._attempts = None
+        if reg is obs.get_registry():
+            self._attempts = reg.histogram(
+                names.RESILIENCE_ATTEMPTS, "accelerator attempts per job"
+            )
         self._injected = {
             site: reg.counter(
                 names.FAULTS_INJECTED, "faults injected", site=site
@@ -156,8 +162,10 @@ class ResilienceStats:
         self._fallbacks.inc()
 
     def record_attempts(self, attempts: int) -> None:
-        """Observe how many accelerator attempts one job used."""
-        self._attempts.observe(attempts)
+        """Observe how many accelerator attempts one job used (in the
+        process-wide registry only)."""
+        if self._attempts is not None:
+            self._attempts.observe(attempts)
 
     # -- façade ---------------------------------------------------------
 

@@ -101,6 +101,10 @@ ENGINE_EXTENSIONS = "engine.extensions"
 ENGINE_CELLS = "engine.cells"
 """DP cells filled per engine (labels: ``engine``)."""
 
+ENGINE_SETTLED = "engine.settled"
+"""Extensions settled on the ungapped diagonal with no DP (labels:
+``engine``)."""
+
 ALIGNER_READS_TOTAL = "aligner.reads.total"
 """Reads entering the end-to-end aligner."""
 

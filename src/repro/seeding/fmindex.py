@@ -21,8 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.seeding.suffixarray import build_suffix_array
-
 ALPHABET = 4
 
 
@@ -67,6 +65,10 @@ class FMIndex:
         # index artifact builder passes its own copy in so the array is
         # computed once and also serialized.
         if sa is None:
+            # Imported here: the k-mer path loads this module for its
+            # types and never builds an FM-index.
+            from repro.seeding.suffixarray import build_suffix_array
+
             sa = build_suffix_array(text)
         # Conceptual rotation order: sentinel suffix first, then sa.
         # BWT[r] = text[sa_full[r] - 1]; sentinel occupies row 0.

@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.align import banded
+from repro.align import banded, ungapped
 from repro.align.scoring import BWA_MEM_SCORING
 from repro.aligner.engines import BatchedEngine
 
@@ -87,14 +87,25 @@ class TestWaveBitIdentity:
         band=st.integers(1, 10),
     )
     def test_banded_wave_matches_scalar_kernel(self, jobs, band):
-        """A fixed band batches just like the scalar banded kernel."""
+        """A fixed band batches just like the scalar banded kernel.
+
+        A job the ungapped rule settles reaches no kernel: its scores,
+        ``max_off`` and geometry are still the narrow band's, and it
+        carries no boundary planes (no check reads them)."""
         engine = BatchedEngine(band=band)
         results = engine.extend_wave(jobs)
-        for (q, t, h0), res in zip(jobs, results):
+        settled = ungapped.settled(*zip(*jobs), BWA_MEM_SCORING)
+        for (q, t, h0), res, done in zip(jobs, results, settled):
             want = banded.extend(
                 q, t, BWA_MEM_SCORING, h0, w=band, prune=False
             )
-            assert_results_equal(res, want)
+            if not done:
+                assert_results_equal(res, want)
+                continue
+            assert res.scores() == want.scores()
+            assert res.max_off == want.max_off
+            assert (res.h0, res.qlen, res.tlen) == (h0, len(q), len(t))
+            assert res.boundary_e.size == res.boundary_f.size == 0
 
     @settings(max_examples=60, deadline=None)
     @given(job=JOB)

@@ -239,6 +239,39 @@ class ReferenceKernel:
         ]
 
 
+class ReferenceEngine:
+    """A wave engine that sends every job through :class:`ReferenceKernel`.
+
+    The byte-identity references extend through this, not through
+    :class:`~repro.aligner.engines.BatchedEngine`: the product engine
+    settles the ungapped jobs in closed form
+    (:mod:`repro.align.ungapped`) before any DP, and a reference built
+    on it would judge that rule with itself.  ``band=None`` runs every
+    job at the full band; a ``band`` runs each job through a checked
+    :class:`~repro.core.extender.SeedExtender` at that band, one job at
+    a time.  :attr:`jobs` counts the jobs handed over.
+    """
+
+    name = "reference"
+
+    def __init__(self, band=None):
+        from repro.align.scoring import BWA_MEM_SCORING
+        from repro.core.extender import SeedExtender
+
+        self.scoring = BWA_MEM_SCORING
+        self.kernel = ReferenceKernel()
+        self.extender = None if band is None else SeedExtender(
+            band=band, scoring=self.scoring, kernel=self.kernel
+        )
+        self.jobs = 0
+
+    def extend_wave(self, jobs):
+        self.jobs += len(jobs)
+        if self.extender is not None:
+            return [self.extender.extend(q, t, h0).result for q, t, h0 in jobs]
+        return [self.kernel.extend(q, t, self.scoring, h0) for q, t, h0 in jobs]
+
+
 def fast_policy(**overrides):
     """A :class:`SupervisorPolicy` tuned for tests: quick heartbeats
     and polls, a restart budget bisection never exhausts."""

@@ -194,3 +194,43 @@ class TestBucketPaddingCounters:
         assert reg.counter(names.KERNEL_BUCKET_PAD_CELLS).value == (
             padded - real
         )
+
+
+class TestSettledAndDispatcherAccounting:
+    def test_settled_jobs_are_counted_beside_the_checked(self, workload):
+        """``engine.settled`` counts the jobs the ungapped rule answers;
+        the checks see the rest, so the two add up to the engine's
+        extensions."""
+        reference, reads = workload
+        obs.enable()
+        _sam_lines(reference, reads)
+        counters = obs.get_registry().snapshot()["counters"]
+        settled = counters[names.ENGINE_SETTLED + "{engine=seedex-w9}"]
+        assert settled > 0
+        assert counters[names.ENGINE_EXTENSIONS + "{engine=seedex-w9}"] == (
+            settled + counters[names.EXTENSIONS_TOTAL]
+        )
+
+    def test_attempts_histogram_lives_in_the_process_wide_registry(self):
+        """A fault-free dispatcher observes attempts only where a
+        snapshot can read them: a private registry keeps no sketch."""
+        from repro.aligner.engines import make_resilient
+
+        rng = np.random.default_rng(4)
+        jobs = [
+            (rng.integers(0, 4, 20).astype(np.uint8),
+             rng.integers(0, 4, 30).astype(np.uint8), 10)
+            for _ in range(5)
+        ]
+        private = make_resilient(make_engine("full"))
+        private.extend_wave(jobs)
+        assert names.RESILIENCE_ATTEMPTS not in str(
+            private.stats.registry.snapshot()
+        )
+        obs.enable()
+        shared = make_resilient(
+            make_engine("full"), registry=obs.get_registry()
+        )
+        shared.extend_wave(jobs)
+        hists = obs.get_registry().snapshot()["histograms"]
+        assert hists[names.RESILIENCE_ATTEMPTS]["count"] == len(jobs)

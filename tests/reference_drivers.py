@@ -13,9 +13,10 @@ rescuer it is given.
 
 They share only the aligner's job geometry, candidate selection,
 rescue plan and record rendering with the product — never a wave, a
-lockstep fill or the window bookkeeping they judge.  Run them on
-:class:`tests.helpers.ReferenceKernel` engines, so no extension runs
-the lockstep sweep either.
+lockstep fill or the window bookkeeping they judge.  Run them on a
+:class:`tests.helpers.ReferenceEngine`, so every extension runs the
+per-job oracle: none runs the lockstep sweep, and none is settled by
+the ungapped rule either.
 """
 
 from __future__ import annotations

@@ -12,9 +12,11 @@ long reads the per-read ``LongReadAligner.align``; for read pairs the
 per-pair loop of :mod:`tests.reference_drivers` under ``seedex``
 w=15; for the fixture corpora the golden files under
 ``tests/fixtures/``.  The product's one read driver is the wave
-scheduler, and every kernel name runs the lockstep sweep, so the
-references extend through :class:`~tests.helpers.ReferenceKernel`
-instead — the per-job ``banded.extend`` — and never through the code
+scheduler, every kernel name runs the lockstep sweep, and the
+product engine settles the ungapped jobs in closed form, so the
+references extend every job through :class:`~tests.helpers.ReferenceKernel`
+instead — the per-job ``banded.extend``, behind
+:class:`~tests.helpers.ReferenceEngine` — and never through the code
 they judge.
 
 Each row of :data:`LEGS` is one path through the product and asserts
@@ -36,12 +38,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.align import lockstep
+from repro.align import lockstep, ungapped
+from repro.align.scoring import BWA_MEM_SCORING
 from repro.aligner import waves
 from repro.aligner.engines import (
     BatchedEngine,
     EngineSpec,
-    make_engine,
     make_resilient,
 )
 from repro.aligner.longread import (
@@ -64,7 +66,13 @@ from repro.genome.synth import (
 from repro.index.build import build_index
 from repro.index.store import load_index
 from tests import reference_drivers
-from tests.helpers import ReferenceKernel, cli_output, sam_bytes, serve_report
+from tests.helpers import (
+    ReferenceEngine,
+    ReferenceKernel,
+    cli_output,
+    sam_bytes,
+    serve_report,
+)
 
 KERNELS = ("scalar", "numpy", "striped")
 SEEDINGS = ("kmer", "smem")
@@ -202,7 +210,7 @@ def _long_reference(reference, reads):
 def _pairs_reference(reference, pairs, seeding):
     """Per-pair alignment under ``seedex`` w=15, its mates and their
     rescue (a checked w=41 extender) on the reference kernel."""
-    engine = make_engine("seedex", 15, kernel=ReferenceKernel())
+    engine = ReferenceEngine(15)
     aligner = PairedAligner(reference, engine, seeding=seeding)
     aligner.aligner.reference_name = "chr1"
     rescuer = SeedExtender(
@@ -214,34 +222,46 @@ def _pairs_reference(reference, pairs, seeding):
 
 @functools.cache
 def _reference(name, seeding):
-    """``(bytes, aligner, sweeps)`` of the one reference run of a
-    corpus; ``sweeps`` counts its ``lockstep.extend_batch`` calls."""
+    """``(bytes, aligner, calls)`` of the one reference run of a
+    corpus; ``calls`` counts, by name, the ``lockstep.extend_batch``
+    sweeps, the ungapped rule's entry points, the reference kernel's
+    extensions and the jobs handed to reference engines."""
     if name in GOLDEN:
-        return GOLDEN[name][1].read_bytes(), None, 0
+        return GOLDEN[name][1].read_bytes(), None, {}
     reference, reads = corpus(name)
-    sweeps = []
-    extend_batch = lockstep.extend_batch
+    calls = dict.fromkeys(("sweep", "settle", "settled", "kernel", "jobs"), 0)
+    patched = [
+        (lockstep, "extend_batch", "sweep", None),
+        (ungapped, "settle", "settle", None),
+        (ungapped, "settled", "settled", None),
+        (ReferenceKernel, "extend", "kernel", None),
+        (ReferenceEngine, "extend_wave", "jobs", lambda args: len(args[-1])),
+    ]
+    originals = [getattr(owner, attr) for owner, attr, _, _ in patched]
 
-    def counting(*args, **kwargs):
-        sweeps.append(1)
-        return extend_batch(*args, **kwargs)
+    def counting(fn, key, weight):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1 if weight is None else weight(args)
+            return fn(*args, **kwargs)
+        return wrapper
 
-    lockstep.extend_batch = counting
+    for (owner, attr, key, weight), fn in zip(patched, originals):
+        setattr(owner, attr, counting(fn, key, weight))
     try:
         if name == "long24":
             out, aligner = _long_reference(reference, reads)
         elif name == "pairs60":
             out, aligner = _pairs_reference(reference, reads, seeding)
         else:
-            engine = make_engine("full", kernel=ReferenceKernel())
             out, aligner = sam_bytes(
-                reference, reads, engine, seeding=seeding
+                reference, reads, ReferenceEngine(), seeding=seeding
             ), None
     finally:
-        lockstep.extend_batch = extend_batch
+        for (owner, attr, _, _), fn in zip(patched, originals):
+            setattr(owner, attr, fn)
     mapped = [r for r in _body(out.decode()) if not int(r.split("\t")[1]) & 4]
     assert len(mapped) >= MIN_MAPPED.get(name, 1)
-    return out, aligner, len(sweeps)
+    return out, aligner, calls
 
 
 # -- legs ------------------------------------------------------------------
@@ -450,17 +470,31 @@ def test_leg_matches_reference(leg, request):
     assert (got != want) if leg.differs else (got == want)
 
 
-@pytest.mark.parametrize("name,seeding", [
+REFERENCE_RUNS = [
     pytest.param(name, seeding, id=f"{name}-{seeding}",
                  marks=[pytest.mark.slow] * (name in SLOW))
     for name, seeding in sorted({
         (leg.corpus, leg.seeding) for leg in LEGS if leg.corpus in CORPORA
     })
-])
+]
+"""Every ``(corpus, seeding)`` reference run some leg judges against."""
+
+
+@pytest.mark.parametrize("name,seeding", REFERENCE_RUNS)
 def test_reference_runs_no_lockstep_extension(name, seeding):
     """Every reference extends through the per-job oracle: a reference
     run never reaches the lockstep sweep the legs it judges run."""
-    assert _reference(name, seeding)[2] == 0
+    assert _reference(name, seeding)[2]["sweep"] == 0
+
+
+@pytest.mark.parametrize("name,seeding", REFERENCE_RUNS)
+def test_every_reference_job_reaches_the_reference_kernel(name, seeding):
+    """No reference job is settled in closed form: the ungapped rule
+    is code the legs judge, so a reference never consults it, and every
+    job a reference engine is handed reaches ``ReferenceKernel``."""
+    calls = _reference(name, seeding)[2]
+    assert calls["settle"] == calls["settled"] == 0
+    assert calls["kernel"] >= max(calls["jobs"], 1)
 
 
 @pytest.mark.parametrize("chunk_cells", [1, 5_000])
@@ -471,8 +505,10 @@ def test_traceback_chunking_is_invisible(monkeypatch, chunk_cells):
     exceeds; 5,000 cells mixes many-job buckets with jobs larger than
     the bound.  Either way winners with a left and a right job see
     them filled in different buckets, in shape order, not winner order.
+    The ungapped rule walks most sides with no fill, so the corpus is
+    one large enough to hold winners whose two sides are both filled.
     """
-    reference, reads = corpus("sv")
+    reference, reads = corpus("corpus500")
     plans, sides_seen = [], []
     plan, sides = waves.plan_buckets, waves.trace_sides
 
@@ -496,7 +532,7 @@ def test_traceback_chunking_is_invisible(monkeypatch, chunk_cells):
         sides_seen.clear()
         monkeypatch.setattr(lockstep, "TRACEBACK_CHUNK_CELLS", bound)
         out = sam_bytes(reference, reads, BatchedEngine(), batch_size=4096)
-        assert out == _reference("sv", "kmer")[0]
+        assert out == _reference("corpus500", "kmer")[0]
         [(shapes, buckets)] = plans  # one traceback wave per window
         [pairs] = sides_seen
         return shapes, buckets, pairs
@@ -517,14 +553,25 @@ def test_traceback_chunking_is_invisible(monkeypatch, chunk_cells):
     sizes = {len(bucket) for bucket in buckets}
     assert (sizes == {1}) if chunk_cells == 1 else (max(sizes) > 1)
 
-    # A winner's two sides are neighbours in the flat job list.
+    # A winner's two filled sides are neighbours in the list of filled
+    # jobs; a side the ungapped rule settles walks with no fill.
     bucket_of = {k: b for b, bucket in enumerate(buckets) for k in bucket}
-    flat = split = 0
-    for left, right in pairs:
-        if left is not None and right is not None:
-            split += bucket_of[flat] != bucket_of[flat + 1]
-        flat += (left is not None) + (right is not None)
-    assert split
+    filled = split = 0
+    for pair in pairs:
+        fills = [job is not None and not _settled_walk(job) for job in pair]
+        if all(fills):
+            split += bucket_of[filled] != bucket_of[filled + 1]
+        filled += sum(fills)
+    assert split and filled == len(shapes)
+
+
+def _settled_walk(job):
+    """Whether a ``(query, target, h0, end)`` traceback job walks ``jM``
+    with no fill: it ends on its diagonal and the rule settles it."""
+    query, target, h0, (i, j) = job
+    return i == j and bool(
+        ungapped.settled([query[:j]], [target[:i]], [h0], BWA_MEM_SCORING)[0]
+    )
 
 
 def test_golden_overlap_content_sane():

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +105,29 @@ class TestAlign:
             out_full
         )
 
+    def test_rates_over_no_checked_job_read_na(
+        self, workload, tmp_path, capsys
+    ):
+        """A read whose every extension job settles (here: one exact
+        copy of the reference, one mismatch from each end) reaches no
+        check, so the summary prints no rate rather than 0%."""
+        _, ref, _ = workload
+        sequence = "".join(
+            line.strip() for line in open(ref) if not line.startswith(">")
+        )
+        read = list(sequence[5000:5101])
+        for k in (0, -1):
+            read[k] = "A" if read[k] != "A" else "C"
+        reads = tmp_path / "one.fq"
+        reads.write_text(f"@r0\n{''.join(read)}\n+\n{'I' * 101}\n")
+        capsys.readouterr()
+        assert main(["align", "--reference", ref, "--reads", str(reads),
+                     "--out", str(tmp_path / "one.sam"),
+                     "--seeding", "kmer"]) == 0
+        out = capsys.readouterr().out
+        assert "check passing rate n/a (0 full-band reruns of 0 " \
+            "extensions; 2 settled with no DP)" in out
+
     def test_missing_reference_errors(self, workload, tmp_path, capsys):
         root, _, reads = workload
         empty = tmp_path / "empty.fasta"
@@ -170,6 +194,10 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "overall passing rate" in out
         assert "band: 41" in out
+        # The rates are over the checked jobs; the settled ones are
+        # named beside them, so the denominator is explicit.
+        settled = re.search(r"settled \(no DP\)\s+(\d+)", out)
+        assert settled and int(settled.group(1)) > 0
         # The passing-rate report is a shared-format table now.
         assert "metric" in out and "value" in out
 
@@ -200,10 +228,11 @@ class TestObservability:
             key.startswith("seedex.check.outcome{") for key in counters
         )
         # The default engine keeps its user-facing label on the waves,
-        # and every job it serves is a checked extension.
+        # and every job it serves is settled with no DP or checked.
         assert (
             counters["engine.extensions{engine=seedex-w41}"]
             == counters["seedex.extensions.total"]
+            + counters["engine.settled{engine=seedex-w41}"]
         )
         assert counters["pipeline.batch.waves{side=left}"] == 1
         hists = snap["histograms"]

@@ -238,6 +238,7 @@ _LOAD_CORE = frozenset({
     "repro.align", "repro.align.banded", "repro.align.editdp",
     "repro.align.globalband", "repro.align.lockstep",
     "repro.align.overlapdp", "repro.align.scoring",
+    "repro.align.ungapped",
     "repro.aligner", "repro.aligner.engines",
     "repro.core", "repro.core.checker", "repro.core.editcheck",
     "repro.core.escore", "repro.core.extender", "repro.core.globalcheck",
@@ -257,7 +258,6 @@ _ALIGN_LOADS = _LOAD_CORE | {
     "repro.genome.sam",
     "repro.seeding", "repro.seeding.chaining", "repro.seeding.fmindex",
     "repro.seeding.kmer_index", "repro.seeding.mems",
-    "repro.seeding.suffixarray",
 }
 
 COMMAND_LOADS = {
@@ -590,7 +590,9 @@ class TestOneLockstepRecurrence:
 
         def mutated(argv, *positions):
             """``argv`` with its read mismatched at ``positions``, so
-            seeds stop short and the read ends are extended."""
+            seeds stop short and the read ends are extended (two
+            mismatches side by side, so the ungapped rule does not
+            settle the end)."""
             path = Path(argv[argv.index("--reads") + 1])
             name, seq, plus, qual = path.read_text().splitlines()
             seq = list(seq)
@@ -600,7 +602,7 @@ class TestOneLockstepRecurrence:
             return argv
 
         inputs = _command_inputs(tmp_path)
-        align = mutated(inputs["align"][:7], 30, 70)
+        align = mutated(inputs["align"][:7], 29, 30, 70, 71)
         runs = {
             "align": align,
             "align --chaos": [*align, "--chaos", "--fault-rate", "0.5"],
@@ -1190,3 +1192,64 @@ class TestOneByteIdentityTable:
             assert names <= have, f"no byte-identity leg for {axis} " + (
                 f"{sorted(names - have)}"
             )
+
+
+class TestSettledJobsReachNoDP:
+    @pytest.mark.parametrize("kind,band", [
+        ("full", None), ("seedex", 11), ("banded", 5),
+    ])
+    def test_kernels_see_only_unsettled_jobs(self, monkeypatch, kind, band):
+        """The ungapped rule settles its jobs before any DP: under every
+        policy the extension sweep and the traceback fill are handed
+        only jobs it leaves unsettled, and the corpus holds settled
+        jobs of both kinds, so the test cannot pass vacuously."""
+        from repro.align import fullmatrix, lockstep, ungapped
+        from repro.aligner import waves
+        from repro.aligner.engines import make_engine
+        from repro.aligner.pipeline import Aligner
+        from repro.genome.synth import ReadSimulator, synthesize_reference
+
+        s = BWA_MEM_SCORING
+        seen = {"extend": 0, "fill": 0}
+        walks = []
+        extend_batch = lockstep.extend_batch
+        fill = fullmatrix.fill_extension_batch
+        traceback_wave = waves.traceback_wave
+
+        def extending(queries, targets, h0s, scoring, w=None):
+            seen["extend"] += len(queries)
+            assert not ungapped.settled(queries, targets, h0s, s).any()
+            return extend_batch(queries, targets, h0s, scoring, w=w)
+
+        def filling(queries, targets, scoring, h0s):
+            seen["fill"] += len(queries)
+            square = np.array(
+                [len(q) == len(t) for q, t in zip(queries, targets)]
+            )
+            assert not (
+                square & ungapped.settled(queries, targets, h0s, s)
+            ).any()
+            return fill(queries, targets, scoring, h0s)
+
+        def tracing(scoring, jobs):
+            walks.extend(jobs)
+            return traceback_wave(scoring, jobs)
+
+        monkeypatch.setattr(lockstep, "extend_batch", extending)
+        monkeypatch.setattr(fullmatrix, "fill_extension_batch", filling)
+        monkeypatch.setattr(waves, "traceback_wave", tracing)
+        rng = np.random.default_rng(17)
+        reference = synthesize_reference(20_000, rng)
+        reads = ReadSimulator(reference, seed=17).simulate(60)
+        engine = make_engine(kind, band)
+        Aligner(reference, engine, seeding="kmer").align_batched(reads)
+
+        assert 0 < engine.settled < engine.extensions
+        reruns = engine.stats.reruns if engine.stats else 0
+        assert seen["extend"] == engine.extensions - engine.settled + reruns
+        diagonal = [
+            (q[:j], t[:i], h0) for q, t, h0, (i, j) in walks if i == j
+        ]
+        settled_walks = int(ungapped.settled(*zip(*diagonal), s).sum())
+        assert settled_walks > 0
+        assert seen["fill"] == len(walks) - settled_walks
