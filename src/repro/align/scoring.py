@@ -55,11 +55,6 @@ class AffineGap:
         if self.gap_extend_ins < 0 or self.gap_extend_del < 0:
             raise ValueError("gap extensions must be non-negative magnitudes")
 
-    @property
-    def is_symmetric(self) -> bool:
-        """True when insertions and deletions extend at the same cost."""
-        return self.gap_extend_ins == self.gap_extend_del
-
     def substitution(self, a: int, b: int) -> int:
         """Score of aligning base codes ``a`` and ``b`` (N never matches)."""
         from repro.genome.sequence import AMBIGUOUS_CODE

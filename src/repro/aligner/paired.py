@@ -101,11 +101,6 @@ class PairStats:
     proper: int = 0
     rescued: int = 0
 
-    @property
-    def proper_rate(self) -> float:
-        """Fraction of pairs flagged proper."""
-        return self.proper / self.pairs if self.pairs else 0.0
-
 
 def simulate_pairs(
     reference: np.ndarray,

@@ -34,19 +34,10 @@ class InputError(ReproError, ValueError):
 READ_LENGTH_BP = 101
 """Read length of the ERR194147 Platinum Genomes dataset."""
 
-TOTAL_READS = 787_265_109
-"""Number of reads aligned for the validation study."""
-
 EXTENSIONS_PER_READ = 10
 """Approximate seed extensions per read (Section II-A)."""
 
 # --- Band analysis (Figures 2, 14) -----------------------------------------
-
-FRACTION_NEEDING_SMALL_BAND = 0.98
-"""Fraction of extensions that need band w <= 10 (Figure 2)."""
-
-FRACTION_ESTIMATED_LARGE_BAND = 0.38
-"""Fraction of extensions whose *estimated* band exceeds 40 (Figure 2)."""
 
 DEFAULT_BAND = 41
 """The band size chosen for the SeedEx configuration (Section VII-A)."""
@@ -57,15 +48,6 @@ the k of a persistent index's k-mer tables, which must agree."""
 
 FULL_BAND = 101
 """The full band used by the baseline accelerator (w = read length)."""
-
-PASS_RATE_THRESHOLD_ONLY_AT_41 = 0.7176
-"""Passing rate with thresholding only at w=41 (Section VII-A)."""
-
-PASS_RATE_ALL_CHECKS_AT_41 = 0.9819
-"""Overall passing rate with all checks at w=41 (Section VII-A)."""
-
-EDIT_CHECK_PASS_BOOST_AVG = 0.18
-"""Average passing-rate boost from the edit-distance check (Figure 14)."""
 
 BSW_TO_EDIT_CORE_RATIO = 3
 """BSW cores per edit machine in a SeedEx core (Section VII-A)."""
@@ -98,15 +80,6 @@ TABLE2_UTILIZATION = {
     "Total": {"LUT": 53.77, "BRAM": 24.52, "URAM": 24.52},
 }
 
-# Figure 15: LUT breakdown of the SeedEx-only FPGA (fractions of total).
-FIG15_LUT_BREAKDOWN = {
-    "BSW cores": 0.55,
-    "Edit cores": 0.0553,
-    "Controller + arbiter": 0.03,
-    "I/O buffers": 0.04,
-    "AWS shell interface": 0.32,
-}
-
 # --- Throughput / latency (Figure 16c, Section VII-A) -----------------------
 
 SEEDEX_THROUGHPUT_EXT_PER_S = 43.9e6
@@ -133,14 +106,8 @@ SEEDING_CLOCK_NS = 4.0
 AXI_READ_LATENCY_CYCLES = 40
 """AWS AXI-4 input access latency hidden by prefetching (Section V-A)."""
 
-COMPUTE_LATENCY_CYCLES = 100
-"""Approximate compute latency per extension (Section V-A)."""
-
 RERUN_RATE = 0.02
 """Fraction of extensions rerun on the host CPU (Section VII-A)."""
-
-RERUN_CORE_AREA_OVERHEAD = 0.06
-"""Area overhead of an optional on-FPGA full-band rerun core."""
 
 # --- Application-level results (Figure 17, Section VII-B) -------------------
 
@@ -150,14 +117,10 @@ SPEEDUP_FULL_BWAMEM = 3.75
 SPEEDUP_FULL_BWAMEM2 = 2.28
 SOFTWARE_SEEDEX_KERNEL_SPEEDUP = 1.14
 SOFTWARE_SEEDEX_APP_SPEEDUP_BWAMEM2 = 1.028
-READS_PER_S_COMBINED_FPGA = 1.5e6
-SEEDING_THREAD_FRACTION = 0.88
-CPU_36V_VS_FPGA_SPEEDUP = 1.9
 
 # --- ASIC implementation (Table III, Figure 18) -----------------------------
 
 ASIC_CLOCK_NS = 0.49
-ASIC_PROCESS_NM = 28
 
 # Table III rows: configuration -> (area mm^2, power W).
 TABLE3_ASIC = {
@@ -172,8 +135,6 @@ TABLE3_ERT = {"config": "x8", "area_mm2": 27.78, "power_w": 8.71}
 TABLE3_TOTAL = {"area_mm2": 28.76, "power_w": 9.81}
 
 SEEDEX_VS_SILLAX_KERNEL_SPEEDUP = 20.0
-SEEDEX_VS_SILLAX_AREA_REDUCTION = 16.0
-SEEDEX_VS_SILLAX_POWER_REDUCTION = 10.0
 ERT_SEEDEX_VS_ERT_SILLAX_PERF = 1.56
 ERT_SEEDEX_VS_ERT_SILLAX_ENERGY = 2.45
 ERT_SEEDEX_VS_GENAX_PERF = 14.6

@@ -62,13 +62,3 @@ def score_max_e(
         if bound > best:
             best = bound
     return best
-
-
-def escore_check_passes(
-    result: ExtensionResult,
-    score_nb: int,
-    scoring: AffineGap,
-    paper_formula: bool = False,
-) -> bool:
-    """True when no top-entering path can reach ``score_nb``."""
-    return score_max_e(result, scoring, paper_formula) < score_nb

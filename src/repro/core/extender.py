@@ -124,16 +124,6 @@ class ExtenderStats:
         }
 
     @property
-    def narrow_cells(self) -> int:
-        """DP cells filled by narrow-band speculation."""
-        return self._narrow_cells.value
-
-    @property
-    def rerun_cells(self) -> int:
-        """DP cells filled by full-band reruns."""
-        return self._rerun_cells.value
-
-    @property
     def passed(self) -> int:
         """Extensions accepted by the checks."""
         return sum(
@@ -309,7 +299,3 @@ class SeedExtender:
             else:
                 out.append(SeedExOutput(res, res, decisions[k], False))
         return out
-
-    def reset_stats(self) -> None:
-        """Clear the accumulated statistics in place."""
-        self.stats.reset()

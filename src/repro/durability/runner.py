@@ -25,7 +25,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import signal
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -139,20 +138,6 @@ def run_fingerprint(
         "on_bad_record": on_bad_record,
         "index": index_fingerprint,
     }
-
-
-def fingerprint_reads(names_and_codes) -> str:
-    """CRC-chain over in-memory reads, for path-less programmatic runs.
-
-    :func:`run_fingerprint` hashes input *files*; tests and library
-    callers that built their reads in memory can pin them with this
-    instead (stable across processes — names and code bytes only).
-    """
-    crc = 0
-    for name, codes in names_and_codes:
-        crc = zlib.crc32(name.encode(), crc)
-        crc = zlib.crc32(bytes(bytearray(codes)), crc)
-    return f"{crc & 0xFFFFFFFF:08x}"
 
 
 @dataclass

@@ -80,16 +80,6 @@ class FaultInjector:
 
     # -- bookkeeping ----------------------------------------------------
 
-    @property
-    def total_injected(self) -> int:
-        """Faults injected so far, across every site."""
-        return sum(self.injected.values())
-
-    @property
-    def total_tolerated(self) -> int:
-        """Injections that were no-ops (absorbed at the seam)."""
-        return sum(self.tolerated.values())
-
     def reset(self) -> None:
         """Restart the RNG stream and zero the counts."""
         self._rng = np.random.default_rng(self.seed)

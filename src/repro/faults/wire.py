@@ -29,7 +29,6 @@ from repro.genome.synth import ExtensionJob
 LINE_BITS = 512
 LINE_BYTES = LINE_BITS // 8
 CHAR_BITS = 3
-CHARS_PER_LINE = LINE_BITS // CHAR_BITS  # 170
 HEADER_BYTES = 8
 RESULT_BYTES = 12
 """Per-extension result record: scores, positions, check bits."""

@@ -57,11 +57,6 @@ def reverse_complement(codes: np.ndarray) -> np.ndarray:
     return _COMPLEMENT[np.asarray(codes, dtype=np.uint8)][::-1]
 
 
-def reverse_complement_str(seq: str) -> str:
-    """Reverse-complement a DNA string."""
-    return decode(reverse_complement(encode(seq)))
-
-
 def pack_2bit(codes: np.ndarray) -> np.ndarray:
     """Pack base codes into the 2-bit format stored in FPGA DRAM.
 
@@ -106,10 +101,6 @@ def pack_3bit(codes: np.ndarray) -> np.ndarray:
     if codes.size and codes.max(initial=0) > 7:
         raise ValueError("3-bit code out of range")
     return codes.copy()
-
-
-INIT_SYMBOL = 7
-"""Special 3-bit input symbol used to propagate initial scores."""
 
 
 def random_sequence(length: int, rng: np.random.Generator) -> np.ndarray:

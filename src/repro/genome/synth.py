@@ -15,7 +15,7 @@ band.  Reads record their true origin so aligner output can be scored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,11 +72,6 @@ class SimulatedRead:
         return decode(self.codes)
 
     @property
-    def edits(self) -> int:
-        """Total edits applied to this read."""
-        return self.substitutions + self.insertions + self.deletions
-
-    @property
     def indel_span(self) -> int:
         """Total inserted+deleted bases: the read's true band demand."""
         return self.insertions + self.deletions
@@ -105,27 +100,6 @@ def synthesize_reference(
         dst = int(rng.integers(0, length - repeat_length))
         ref[dst : dst + repeat_length] = ref[src : src + repeat_length]
     return ref
-
-
-def write_truth_sidecar(reads, reads_path) -> "Path":
-    """Write the ``.truth.tsv`` sidecar for a simulated FASTQ.
-
-    ``reads`` is any iterable of :class:`SimulatedRead` (or objects
-    with the same truth attributes); the sidecar lands next to
-    ``reads_path`` at the canonical ``<reads>.truth.tsv`` location and
-    the path is returned.  Imports lazily so the simulator stays free
-    of a scorecard dependency unless truth output is requested.
-    """
-    from repro.scorecard.truth import (
-        TruthRecord,
-        truth_path_for,
-        write_truth,
-    )
-
-    path = truth_path_for(reads_path)
-    with open(path, "w") as handle:
-        write_truth(handle, (TruthRecord.from_read(r) for r in reads))
-    return path
 
 
 class ReadSimulator:

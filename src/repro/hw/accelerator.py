@@ -63,12 +63,6 @@ class AcceleratorReport:
     rerun_fraction: float
     prefetch_hidden: bool
 
-    def final_result(self, index: int) -> ExtensionResult:
-        """The guaranteed-optimal result for job ``index``."""
-        if index in self.rerun_results:
-            return self.rerun_results[index]
-        return self.outputs[index].result
-
 
 class SeedExAccelerator:
     """Device-level model: dispatch, compute, check, rerun."""

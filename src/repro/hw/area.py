@@ -200,17 +200,3 @@ def asic_system_totals() -> tuple[float, float]:
     )
 
 
-def sillax_area_mm2() -> float:
-    """GenAx's Silla array area under SeedEx's scaling comparison.
-
-    The paper reports SeedEx reduces extension area by 16x vs Sillax
-    (Section VII-C); Sillax's O(K^2) state scaling with K=32 is why.
-    """
-    seedex_area, _ = asic_seedex_totals()
-    return seedex_area * paper.SEEDEX_VS_SILLAX_AREA_REDUCTION
-
-
-def sillax_power_w() -> float:
-    """Sillax power under the paper's 10x reduction comparison."""
-    _, seedex_power = asic_seedex_totals()
-    return seedex_power * paper.SEEDEX_VS_SILLAX_POWER_REDUCTION

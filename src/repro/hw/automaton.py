@@ -1,151 +1,20 @@
-"""Levenshtein automata: the automata-based alternative's substrate.
+"""Levenshtein-automaton state counts: Figure 18's scaling argument.
 
 The paper's related work (GenAx [8] and the automata processors
 [46]-[50]) matches reads with Levenshtein automata instead of DP
 arrays.  GenAx's Silla generalizes them to be string-independent, at
 the cost of ``O(K^2)`` states for edit budget ``K`` — the quadratic
 scaling that Figure 18 contrasts with SeedEx's linear PE count
-(``w = 2K + 1`` band needs ``O(K)`` PEs).
+(``w = 2K + 1`` band needs ``O(K)`` PEs).  This module holds the two
+counts that the Figure 18 harness prints:
 
-This module implements the classic nondeterministic Levenshtein
-automaton with bit-parallel simulation, both as a working recognizer
-("is string b within edit distance k of pattern a?") and as the state
-accounting behind the area argument:
-
-* :class:`LevenshteinAutomaton` — feed characters, query acceptance;
-  equivalence with the DP edit distance is property-tested;
-* :func:`nfa_state_count` — ``(|pattern|+1) x (k+1)`` NFA states, the
-  per-string machine the older works bake into hardware;
 * :func:`silla_state_count` — the string-independent automaton's
   ``O(K^2)`` lag x error state space, the quantity that makes Sillax
-  16x bigger than SeedEx at equal capability.
+  16x bigger than SeedEx at equal capability;
+* :func:`seedex_pe_count` — the banded array's ``2K + 1`` PEs.
 """
 
 from __future__ import annotations
-
-import numpy as np
-
-
-class LevenshteinAutomaton:
-    """NFA recognizing strings within edit distance ``k`` of a pattern.
-
-    States are (position, errors) pairs simulated bit-parallel: one
-    integer bitmask per error level, bit ``i`` = "a path consumed
-    ``i`` pattern characters".  Feeding a character applies the
-    match / substitution / insertion transitions plus the deletion
-    epsilon-closure.
-    """
-
-    def __init__(self, pattern: np.ndarray, k: int) -> None:
-        if k < 0:
-            raise ValueError("edit budget k must be non-negative")
-        self.pattern = np.asarray(pattern, dtype=np.int64)
-        self.k = k
-        self.m = len(self.pattern)
-        # Character bitmasks: bit i set when pattern[i] == c.
-        self._masks: dict[int, int] = {}
-        for i, c in enumerate(self.pattern):
-            self._masks[int(c)] = self._masks.get(int(c), 0) | (1 << i)
-        self.reset()
-
-    def reset(self) -> None:
-        """Return to the start state (nothing consumed, zero errors)."""
-        levels = [1 << 0]
-        for _ in range(self.k):
-            levels.append(0)
-        self._levels = self._deletion_closure(levels)
-
-    def _deletion_closure(self, levels: list[int]) -> list[int]:
-        # (i, e) -> (i+1, e+1): consuming a pattern char for free costs
-        # one error; iterate once per level (it is a DAG over e).
-        out = list(levels)
-        for e in range(1, self.k + 1):
-            out[e] |= out[e - 1] << 1
-        full = (1 << (self.m + 1)) - 1
-        return [lvl & full for lvl in out]
-
-    def feed(self, c: int) -> None:
-        """Consume one input character."""
-        mask = self._masks.get(int(c), 0)
-        old = self._levels
-        new = [0] * (self.k + 1)
-        # Match: advance at the same error level.
-        for e in range(self.k + 1):
-            new[e] = (old[e] & mask) << 1
-        # Substitution (advance) and insertion (stay), +1 error.
-        for e in range(1, self.k + 1):
-            new[e] |= (old[e - 1] << 1) | old[e - 1]
-        self._levels = self._deletion_closure(new)
-
-    @property
-    def alive(self) -> bool:
-        """Whether any state is still reachable."""
-        return any(self._levels)
-
-    @property
-    def accepts(self) -> bool:
-        """Whether the input consumed so far is within distance k."""
-        bit = 1 << self.m
-        return any(lvl & bit for lvl in self._levels)
-
-    def min_errors(self) -> int | None:
-        """Smallest error level accepting, or None."""
-        bit = 1 << self.m
-        for e, lvl in enumerate(self._levels):
-            if lvl & bit:
-                return e
-        return None
-
-
-def within_distance(a: np.ndarray, b: np.ndarray, k: int) -> bool:
-    """True iff ``levenshtein(a, b) <= k``, via the automaton."""
-    auto = LevenshteinAutomaton(a, k)
-    for c in np.asarray(b, dtype=np.int64):
-        auto.feed(int(c))
-        if not auto.alive:
-            return False
-    return auto.accepts
-
-
-def automaton_extend(
-    query: np.ndarray, target: np.ndarray, k: int
-) -> tuple[int | None, int]:
-    """Semi-global edit-distance extension via the automaton.
-
-    The automata-based kernels score a read by streaming reference
-    characters through a machine built from the query; this is that
-    computation: feed ``target`` one character at a time and track the
-    best (fewest-errors) step at which the whole query has been
-    consumed.  Returns ``(best_distance, best_end)`` — the minimal
-    edit distance of the query against any prefix-anchored target
-    span, and the target position where it ends — or ``(None, -1)``
-    when no alignment fits the budget ``k``.
-
-    Cross-validated against the DP edit distance in the tests; the
-    point of keeping it here is to make the Figure 18 comparison's
-    baseline *runnable*, not just a constant.
-    """
-    auto = LevenshteinAutomaton(query, k)
-    best: int | None = auto.min_errors()  # empty target: pure deletions
-    best_end = 0 if best is not None else -1
-    for j, c in enumerate(np.asarray(target, dtype=np.int64), start=1):
-        auto.feed(int(c))
-        if not auto.alive:
-            break
-        e = auto.min_errors()
-        if e is not None and (best is None or e < best):
-            best = e
-            best_end = j
-    return best, best_end
-
-
-def nfa_state_count(pattern_length: int, k: int) -> int:
-    """States of the per-string NFA: (m+1) x (k+1).
-
-    This is what string-*dependent* automata hardware must program per
-    read — the paper's "prohibitive reprogramming cost".
-    """
-    return (pattern_length + 1) * (k + 1)
 
 
 def silla_state_count(k: int) -> int:

@@ -8,8 +8,8 @@ dynamic range: if two candidates are known to differ by at most
 ``modulus >= 2*delta + 1``, then whichever residue precedes the other
 on the shorter arc is the smaller value (paper Figure 9).
 
-* :func:`dmax2` / :func:`dmax3` — the 2- and 3-input delta-max units
-  (Figure 11);
+* :func:`dmax2` — the 2-input delta-max unit; two chained stages make
+  the 3-input unit of Figure 11;
 * :class:`AugmentationUnit` — decodes residues back to full-width
   scores by walking along the augmentation path (Figure 10), keeping
   one full-width accumulator.
@@ -23,14 +23,6 @@ from __future__ import annotations
 
 DELTA_MODULUS = 8
 """Modulo-circle circumference: 3-bit residues, supports delta <= 3."""
-
-MAX_DELTA = (DELTA_MODULUS - 1) // 2
-"""Largest pairwise difference the 3-bit circle can order."""
-
-
-def encode_residue(value: int, modulus: int = DELTA_MODULUS) -> int:
-    """Full-width score -> residue on the modulo circle."""
-    return value % modulus
 
 
 def dmax2(
@@ -51,15 +43,6 @@ def dmax2(
     return x1 % modulus, False
 
 
-def dmax3(
-    x1: int, x2: int, x3: int, modulus: int = DELTA_MODULUS
-) -> int:
-    """Residue of ``max(X1, X2, X3)`` (two dmax2 stages, Figure 11)."""
-    first, _ = dmax2(x1, x2, modulus)
-    out, _ = dmax2(first, x3, modulus)
-    return out
-
-
 def checked_dmax(
     values: list[int], modulus: int = DELTA_MODULUS
 ) -> int:
@@ -76,7 +59,7 @@ def checked_dmax(
                     f"pairwise difference |{a} - {b}| exceeds delta="
                     f"{delta}; the modulo circle cannot order these"
                 )
-    residues = [encode_residue(v, modulus) for v in values]
+    residues = [v % modulus for v in values]
     out = residues[0]
     for r in residues[1:]:
         out, _ = dmax2(out, r, modulus)

@@ -22,20 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.faults.wire import (
-    LINE_BYTES,
-    RESULT_BYTES,
-    CorruptRecordError,
-    pack_job,
-)
-from repro.genome.synth import ExtensionJob
+from repro.faults.wire import LINE_BYTES, RESULT_BYTES, CorruptRecordError
 
 OUTPUT_COALESCE_RATIO = 5
-
-
-def lines_per_job(job: ExtensionJob) -> int:
-    """Memory lines one packed job occupies."""
-    return len(pack_job(job))
 
 
 @dataclass
@@ -59,13 +48,6 @@ class ArbiterReport:
     lines_delivered: int
     stalls: int
     per_stream_lines: dict[int, int]
-
-    @property
-    def efficiency(self) -> float:
-        """Delivered lines per cycle (1.0 = never stalled)."""
-        return (
-            self.lines_delivered / self.cycles if self.cycles else 0.0
-        )
 
 
 class Arbiter:

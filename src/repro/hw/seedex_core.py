@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.align.banded import ExtensionResult
 from repro.align.scoring import BWA_MEM_SCORING, AffineGap
 from repro.core.checker import (
@@ -131,7 +129,3 @@ class SeedExCore:
             accepted=accepted,
             hw_exception=run.exception,
         )
-
-    def process_batch(self, jobs: list[ExtensionJob]) -> list[CoreOutput]:
-        """Process a list of jobs in order."""
-        return [self.process(job) for job in jobs]

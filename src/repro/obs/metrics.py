@@ -122,10 +122,6 @@ class Gauge:
         """Raise the gauge by ``amount``."""
         self._value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        """Lower the gauge by ``amount``."""
-        self._value -= amount
-
     def reset(self) -> None:
         """Return the gauge to zero."""
         self._value = 0.0

@@ -163,10 +163,6 @@ class Tracer:
         """Spans discarded after ``max_records`` was reached."""
         return self._dropped
 
-    def span_names(self) -> set[str]:
-        """Distinct names among the collected spans."""
-        return {r.name for r in self._records}
-
     def last(self, name: str) -> SpanRecord | None:
         """Most recently finished span named ``name``, if any."""
         for record in reversed(self._records):

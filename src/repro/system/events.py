@@ -19,7 +19,6 @@ import heapq
 import itertools
 from dataclasses import dataclass, field
 
-from repro import constants as paper
 from repro import obs
 from repro.hw import timing
 from repro.obs import names
@@ -204,6 +203,3 @@ def threads_to_saturate(
         if report.fpga_utilization >= 0.95:
             return k
     return max_threads
-
-
-RERUN_OVERLAP_NOTE = paper.RERUN_RATE

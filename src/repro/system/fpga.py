@@ -31,11 +31,6 @@ class F1Instance:
         """PCIe gen3 x16: ~12 GB/s effective."""
         return 12e9
 
-    @property
-    def channel_bandwidth_bytes_per_s(self) -> float:
-        """One DDR4-2133 channel: ~17 GB/s peak."""
-        return 17e9
-
 
 @dataclass(frozen=True)
 class BatchTransfer:

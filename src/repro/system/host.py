@@ -13,8 +13,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro import obs
 from repro.align import banded
 from repro.align.scoring import BWA_MEM_SCORING, AffineGap
@@ -29,11 +27,6 @@ class KernelTiming:
     band: int
     seconds_per_extension: float
     cells_per_extension: float
-
-    @property
-    def extensions_per_second(self) -> float:
-        """Measured kernel rate at this band."""
-        return 1.0 / self.seconds_per_extension
 
 
 def time_software_kernel(

@@ -36,11 +36,10 @@ class TestAffineGapValidation:
         s = AffineGap(match=2, mismatch=3, gap_open=4, gap_extend=2)
         assert s.gap_extend_ins == 2
         assert s.gap_extend_del == 2
-        assert s.is_symmetric
 
     def test_asymmetric_extension(self):
         s = AffineGap(gap_extend=1, gap_extend_ins=0)
-        assert not s.is_symmetric
+        assert s.gap_extend_ins == 0
         assert s.gap_extend_del == 1
 
 

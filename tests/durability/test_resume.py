@@ -15,7 +15,6 @@ from repro.durability.journal import JournalError, RunJournal
 from repro.durability.runner import (
     GracefulShutdown,
     RunInterrupted,
-    fingerprint_reads,
     run_fingerprint,
     run_journaled,
 )
@@ -25,6 +24,7 @@ from repro.genome.synth import (
     ReadSimulator,
     synthesize_reference,
 )
+from tests.helpers import fingerprint_reads
 
 BATCH = 4
 

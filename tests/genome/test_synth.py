@@ -66,7 +66,7 @@ class TestReadSimulator:
             codes = reverse_complement(r.codes) if r.reverse else r.codes
             window = ref[r.true_pos : r.true_pos + len(codes)]
             assert (codes == window).all()
-            assert r.edits == 0
+            assert r.substitutions == r.insertions == r.deletions == 0
 
     def test_error_rates_in_expected_range(self):
         _, reads = self._sim(PLATINUM_LIKE, n=2000)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import io
 import tempfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -578,3 +579,17 @@ def dense_global_cigar(
         j -= 1
     ops.reverse()
     return Cigar.from_ops(ops)
+
+
+def fingerprint_reads(names_and_codes) -> str:
+    """CRC-chain over in-memory reads, to pin them in a journal manifest.
+
+    :func:`repro.durability.runner.run_fingerprint` hashes input
+    *files*; a test that built its reads in memory pins them with this
+    instead (stable across processes: names and code bytes only).
+    """
+    crc = 0
+    for name, codes in names_and_codes:
+        crc = zlib.crc32(name.encode(), crc)
+        crc = zlib.crc32(bytes(bytearray(codes)), crc)
+    return f"{crc & 0xFFFFFFFF:08x}"

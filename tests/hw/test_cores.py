@@ -45,12 +45,13 @@ class TestBSWCore:
 class TestSeedExCore:
     def test_round_robin_across_bsw_cores(self, corpus):
         core = SeedExCore(band=10)
-        core.process_batch(corpus[:9])
+        for job in corpus[:9]:
+            core.process(job)
         assert [c.jobs for c in core.bsw_cores] == [3, 3, 3]
 
     def test_accepted_results_are_optimal(self, corpus):
         core = SeedExCore(band=10)
-        for out in core.process_batch(corpus):
+        for out in map(core.process, corpus):
             if out.accepted:
                 full = banded.extend(
                     out.job.query,
@@ -62,7 +63,8 @@ class TestSeedExCore:
 
     def test_telemetry_consistency(self, corpus):
         core = SeedExCore(band=10)
-        core.process_batch(corpus)
+        for job in corpus:
+            core.process(job)
         t = core.telemetry
         assert t.jobs == len(corpus)
         assert t.accepted + t.rerun == t.jobs
@@ -81,7 +83,8 @@ class TestAccelerator:
             full = banded.extend(
                 job.query, job.target, BWA_MEM_SCORING, job.h0
             )
-            assert report.final_result(idx).scores() == full.scores()
+            final = report.rerun_results.get(idx, report.outputs[idx].result)
+            assert final.scores() == full.scores()
 
     def test_throughput_positive_and_prefetch_hidden(self, corpus):
         acc = SeedExAccelerator()

@@ -6,13 +6,13 @@ from hypothesis import strategies as st
 
 from repro.hw.delta import (
     DELTA_MODULUS,
-    MAX_DELTA,
     AugmentationUnit,
     checked_dmax,
     dmax2,
-    dmax3,
-    encode_residue,
 )
+
+MAX_DELTA = (DELTA_MODULUS - 1) // 2
+"""Largest pairwise difference the 3-bit circle can order."""
 
 
 class TestDmax2:
@@ -23,9 +23,7 @@ class TestDmax2:
     )
     def test_orders_bounded_pairs(self, base, d):
         x1, x2 = base, base + d
-        res, second = dmax2(
-            encode_residue(x1), encode_residue(x2)
-        )
+        res, second = dmax2(x1 % DELTA_MODULUS, x2 % DELTA_MODULUS)
         assert res == max(x1, x2) % DELTA_MODULUS
         if d > 0:
             assert second
@@ -48,7 +46,9 @@ class TestDmax2:
             # difference (paper Figure 9, right); out-of-range trios
             # are excluded by the scoring co-design.
             return
-        res = dmax3(*[encode_residue(x) for x in xs])
+        # Two dmax2 stages, as the edit machine chains its candidates.
+        first, _ = dmax2(xs[0] % DELTA_MODULUS, xs[1] % DELTA_MODULUS)
+        res, _ = dmax2(first, xs[2] % DELTA_MODULUS)
         assert res == max(xs) % DELTA_MODULUS
 
     def test_checked_dmax_rejects_out_of_range(self):
@@ -84,7 +84,7 @@ class TestAugmentation:
         value = start
         for d in steps:
             value += d
-            assert aug.decode(encode_residue(value)) == value
+            assert aug.decode(value % DELTA_MODULUS) == value
 
     def test_rejects_bad_residue(self):
         aug = AugmentationUnit(10)
@@ -95,4 +95,4 @@ class TestAugmentation:
         """Sanity: the circle genuinely cannot follow a big jump."""
         aug = AugmentationUnit(0)
         jumped = MAX_DELTA + 2
-        assert aug.decode(encode_residue(jumped)) != jumped
+        assert aug.decode(jumped % DELTA_MODULUS) != jumped

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faults.wire import CHARS_PER_LINE, LINE_BYTES, pack_job, unpack_job
+from repro.faults.wire import LINE_BYTES, pack_job, unpack_job
 from repro.genome.synth import ExtensionJob
-from repro.hw.io_path import Arbiter, coalesce_results, lines_per_job
+from repro.hw.io_path import Arbiter, coalesce_results
 
 SEQ = st.lists(st.integers(0, 4), min_size=1, max_size=200).map(
     lambda xs: np.array(xs, dtype=np.uint8)
@@ -35,7 +35,7 @@ class TestPacking:
         # + header => 2 lines, matching the paper's bandwidth budget.
         q = np.zeros(101, dtype=np.uint8)
         t = np.zeros(149, dtype=np.uint8)
-        assert lines_per_job(_job(q, t, 25)) == 2
+        assert len(pack_job(_job(q, t, 25))) == 2
 
     def test_rejects_out_of_range(self):
         q = np.zeros(4, dtype=np.uint8)
@@ -82,7 +82,7 @@ class TestArbiter:
         arb.add_stream(0, self._lines(10, 1))
         report = arb.run()
         assert report.stalls == 0
-        assert report.efficiency == 1.0
+        assert report.lines_delivered == report.cycles
 
     def test_prefetch_pipe_fill_stalls_once(self):
         arb = Arbiter(prefetch_latency_lines=4)
@@ -101,7 +101,10 @@ class TestArbiter:
         duo.add_stream(0, self._lines(20, 1))
         duo.add_stream(1, self._lines(20, 2))
         duo_report = duo.run()
-        assert duo_report.efficiency >= solo_report.efficiency
+        assert (
+            duo_report.lines_delivered / duo_report.cycles
+            >= solo_report.lines_delivered / solo_report.cycles
+        )
 
     def test_duplicate_stream_rejected(self):
         arb = Arbiter()

@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.faults.indexfaults import bitflip_section
+from tests.index.seams import bitflip_section
 
 
 def _strip_pg(path):

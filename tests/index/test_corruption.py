@@ -14,13 +14,6 @@ import pickle
 
 import pytest
 
-from repro.faults.indexfaults import (
-    bitflip_section,
-    stale_magic,
-    stale_version,
-    tamper_header,
-    truncate_at,
-)
 from repro.index.errors import (
     IndexArtifactError,
     IndexCorruptError,
@@ -29,6 +22,13 @@ from repro.index.errors import (
 )
 from repro.index.format import _FIXED, SECTION_NAMES
 from repro.index.store import load_index, verify_artifact
+from tests.index.seams import (
+    bitflip_section,
+    stale_magic,
+    stale_version,
+    tamper_header,
+    truncate_at,
+)
 
 pytestmark = pytest.mark.chaos
 

@@ -13,12 +13,9 @@ import pytest
 
 from repro.aligner.engines import EngineSpec
 from repro.durability.journal import JournalError
-from repro.durability.runner import (
-    fingerprint_reads,
-    run_fingerprint,
-    run_journaled,
-)
+from repro.durability.runner import run_fingerprint, run_journaled
 from repro.index.build import build_index
+from tests.helpers import fingerprint_reads
 
 
 def _fingerprint(reads, index_fingerprint):

@@ -41,7 +41,7 @@ class TestGauge:
         g = Gauge("x.y")
         g.set(10.0)
         g.inc(2.5)
-        g.dec(0.5)
+        g.inc(-0.5)
         assert g.value == 12.0
 
     def test_reset(self):

@@ -50,7 +50,7 @@ class TestInstrumentedPipeline:
         reference, reads = workload
         obs.enable()
         _sam_lines(reference, reads)
-        spans = obs.get_tracer().span_names()
+        spans = {r.name for r in obs.get_tracer().records}
         expected = {
             names.SPAN_PIPELINE_WINDOW,
             names.SPAN_ALIGNER_SEED,
@@ -99,22 +99,24 @@ class TestExtenderStatsRegistry:
         ext.extend(encode("ACGTACGTAC"), encode("ACGTTCGTAC"), h0=10)
         counters = reg.snapshot()["counters"]
         assert counters[names.EXTENSIONS_TOTAL] == ext.stats.total == 1
-        assert counters[names.CELLS_NARROW] == ext.stats.narrow_cells
+        assert counters[names.CELLS_NARROW] > 0
         assert stats_outcome_total(counters) == 1
         assert ext.stats.by_outcome == {CheckOutcome.PASS_S2: 1}
 
     def test_reset_in_place(self):
         from repro.genome.sequence import encode
 
-        ext = SeedExtender(band=9)
+        reg = MetricsRegistry()
+        ext = SeedExtender(band=9, registry=reg)
         ext.extend(encode("ACGTACGTAC"), encode("ACGTTCGTAC"), h0=10)
         stats = ext.stats
-        ext.reset_stats()
+        stats.reset()
         assert ext.stats is stats  # same façade, zeroed in place
         assert stats.total == 0
         assert stats.by_outcome == {}
-        assert stats.narrow_cells == 0
-        assert stats.rerun_cells == 0
+        counters = reg.snapshot()["counters"]
+        assert counters[names.CELLS_NARROW] == 0
+        assert counters[names.CELLS_RERUN] == 0
 
     def test_cells_histograms_recorded(self):
         from repro.genome.sequence import encode
@@ -125,7 +127,8 @@ class TestExtenderStatsRegistry:
         hists = reg.snapshot()["histograms"]
         key = names.CELLS_PER_EXTENSION + "{stage=narrow}"
         assert hists[key]["count"] == 1
-        assert hists[key]["sum"] == ext.stats.narrow_cells
+        counters = reg.snapshot()["counters"]
+        assert hists[key]["sum"] == counters[names.CELLS_NARROW]
 
 
 def stats_outcome_total(counters: dict) -> int:

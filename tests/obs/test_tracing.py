@@ -75,7 +75,7 @@ class TestSpans:
             return x + 1
 
         assert work(1) == 2
-        assert tracer.span_names() == {"work.unit"}
+        assert {r.name for r in tracer.records} == {"work.unit"}
 
     def test_max_records_cap(self):
         tracer = Tracer(max_records=2)
@@ -138,7 +138,7 @@ class TestGlobalFacade:
         assert obs.enabled()
         with obs.span("x.y"):
             pass
-        assert "x.y" in obs.get_tracer().span_names()
+        assert "x.y" in {r.name for r in obs.get_tracer().records}
         obs.disable()
         assert obs.get_tracer().span("z") is NOOP_SPAN
 

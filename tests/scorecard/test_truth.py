@@ -11,7 +11,6 @@ from repro.genome.synth import (
     PLATINUM_LIKE,
     ReadSimulator,
     synthesize_reference,
-    write_truth_sidecar,
 )
 from repro.scorecard.truth import (
     TruthError,
@@ -65,13 +64,16 @@ class TestRoundTrip:
             == "reads.fastq.truth.tsv"
         )
 
-    def test_synth_convenience_writes_next_to_fastq(
-        self, simulated_reads, tmp_path
-    ):
+    def test_sidecar_written_next_to_fastq(self, simulated_reads, tmp_path):
+        # The way `simulate` writes it: truth_path_for + write_truth.
         fastq = tmp_path / "reads.fastq"
         fastq.write_text("")
-        path = write_truth_sidecar(simulated_reads, fastq)
-        assert path == truth_path_for(fastq)
+        path = truth_path_for(fastq)
+        with open(path, "w") as handle:
+            write_truth(
+                handle, (TruthRecord.from_read(r) for r in simulated_reads)
+            )
+        assert path.parent == fastq.parent
         assert len(read_truth(path)) == len(simulated_reads)
 
 

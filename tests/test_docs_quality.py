@@ -3,8 +3,9 @@
 Deliverable (e) requires doc comments on every public item; this test
 makes that a property of the build rather than a hope.  It walks every
 module under ``repro`` and asserts that public modules, classes, and
-functions carry docstrings.  The examples and the python blocks of the
-docs must import: every ``repro`` name they name has to resolve.
+functions carry docstrings.  The examples, the benchmark scripts, the
+tools and the python blocks of the docs must import: every ``repro``
+name they name has to resolve.
 """
 
 import ast
@@ -84,10 +85,11 @@ class TestDocstrings:
 
 
 def _snippets():
-    """``(label, source)`` of every example and every python block of
-    ``README.md`` and ``docs/*.md``."""
-    for path in sorted((_ROOT / "examples").glob("*.py")):
-        yield path.relative_to(_ROOT).as_posix(), path.read_text()
+    """``(label, source)`` of every example, benchmark script and tool,
+    and of every python block of ``README.md`` and ``docs/*.md``."""
+    for top in ("examples", "benchmarks", "tools"):
+        for path in sorted((_ROOT / top).glob("*.py")):
+            yield path.relative_to(_ROOT).as_posix(), path.read_text()
     for path in [_ROOT / "README.md", *sorted((_ROOT / "docs").glob("*.md"))]:
         blocks = _PYTHON_BLOCK.findall(path.read_text())
         for k, block in enumerate(blocks):
@@ -107,8 +109,9 @@ def _resolves(module: str, name: str) -> bool:
 
 class TestExamplesAndDocsImport:
     def test_every_repro_import_resolves(self):
-        """Nothing runs the examples or the docs' snippets, so an import
-        of a moved or deleted name would rot there silently."""
+        """Tier-1 runs no benchmark script, tool or docs snippet (CI runs
+        the examples, but only once tier-1 has passed), so an import of
+        a moved or deleted name would rot there silently."""
         snippets = list(_snippets())
         assert len(snippets) >= 10
         broken = []

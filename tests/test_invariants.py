@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -1253,3 +1254,262 @@ class TestSettledJobsReachNoDP:
         settled_walks = int(ungapped.settled(*zip(*diagonal), s).sum())
         assert settled_walks > 0
         assert seen["fill"] == len(walks) - settled_walks
+
+
+
+PRODUCT_ROOTS = ("src", "benchmarks", "examples", "tools", "perfbench")
+"""What running the code means: the package, the paper-figure harnesses,
+the examples, the repo tools and the benchmark."""
+
+_LATER = "test-only model, deleted with its tests in a later cut: "
+
+TEST_ONLY_ALLOWED = {
+    # Oracles: tests compare the product against these.
+    "repro.align.overlapdp.overlap_scalar": (
+        "oracle: tests/kernels/test_overlap_conformance.py and "
+        "tests/align/test_overlap_boundaries.py hold the lockstep overlap "
+        "sweep to it"
+    ),
+    "repro.align.globalbatch.fill_global_scalar": (
+        "oracle: tests/align/test_globalband.py and "
+        "tests/align/test_overlap_boundaries.py hold the batched global "
+        "fills to it"
+    ),
+    "repro.seeding.suffixarray.sa_interval": (
+        "oracle: TestSeedingInvariants::test_fmindex_and_suffix_array_agree "
+        "holds the FM index's backward search to it"
+    ),
+    "repro.seeding.suffixarray._compare_suffix": "sa_interval's step",
+    # The one check on something the product builds.
+    "repro.seeding.fmindex.FMIndex.find": (
+        "tests/index/test_format.py::test_fm_index_answers_like_a_fresh_build"
+        " and ::test_mmap_and_memory_modes_agree read the FM tables "
+        "`index build` writes through it"
+    ),
+    "repro.seeding.kmer_index.KmerIndex.lookup": (
+        "tests/seeding/test_kmer_chaining.py::TestKmerIndex::"
+        "test_lookup_exact checks the k-mer table against the reference"
+    ),
+    "repro.index.store.LoadedIndex.suffix_array": (
+        "tests/index/test_store.py::TestMeta::"
+        "test_suffix_array_section_matches_fresh_build is the one check of "
+        "the suffix-array section `index build` writes"
+    ),
+    "repro.obs.metrics.Histogram.quantile": (
+        "tests/obs/test_metrics.py::TestQuantileAccuracy reads through it "
+        "the P² estimates that `Histogram.snapshot` reports"
+    ),
+    # A paper figure a model is checked against.
+    "repro.constants.EDIT_MACHINE_AREA_OVERHEAD": (
+        "paper figure (5.53%, Sections I and VII): tests/hw/"
+        "test_area_timing.py::test_edit_machine_overhead_is_5_53_percent"
+    ),
+    # Test-only models whose deletion waits for a later cut.
+    "repro.align.editdp.levenshtein": _LATER + "TestLevenshtein",
+    "repro.align.scoring.AffineGap.gap_cost": _LATER + "TestGapCost",
+    "repro.align.scoring.AffineGap.doubled_gap": _LATER + "TestDoubledGap",
+    "repro.align.cigar.Cigar.edit_ops": _LATER + "test_edit_ops",
+    "repro.genome.sequence.pack_2bit": _LATER + "TestPacking",
+    "repro.genome.sequence.unpack_2bit": _LATER + "TestPacking",
+    "repro.genome.sequence.pack_3bit": _LATER + "TestPacking",
+    "repro.genome.sequence.hamming": _LATER + "test_hamming*",
+    "repro.hw.delta.checked_dmax": _LATER + "test_checked_dmax_*",
+    "repro.hw.io_path.OUTPUT_COALESCE_RATIO": _LATER + "TestCoalescer",
+    "repro.hw.io_path.CoalescerReport": _LATER + "TestCoalescer",
+    "repro.hw.io_path.CoalescerReport.bytes_saved_fraction": (
+        _LATER + "TestCoalescer"
+    ),
+    "repro.hw.io_path.coalesce_results": _LATER + "TestCoalescer",
+    "repro.hw.io_path.coalesce_record_lines": _LATER + "TestRecordCoalescer",
+    "repro.hw.io_path.split_record_lines": _LATER + "TestRecordCoalescer",
+    "repro.seeding.suffixarray.longest_prefix_match": (
+        _LATER + "test_longest_prefix_*"
+    ),
+    "repro.system.fpga.pcie_is_bottleneck": (
+        _LATER + "test_pcie_not_bottleneck_at_seedex_rate"
+    ),
+    "repro.system.scheduler.reads_per_second_combined": (
+        _LATER + "test_combined_reads_per_second"
+    ),
+    "repro.system.host.RerunBudget": (
+        _LATER + "TestRerunBudgetWithFaults, test_rerun_budget_*"
+    ),
+    "repro.system.host.RerunBudget.rerun_demand_ext_per_s": (
+        _LATER + "RerunBudget's"
+    ),
+    "repro.system.host.RerunBudget.host_capacity_ext_per_s": (
+        _LATER + "RerunBudget's"
+    ),
+    "repro.system.host.RerunBudget.host_keeps_up": _LATER + "RerunBudget's",
+    "repro.system.host.RerunBudget.overhead_fraction": (
+        _LATER + "RerunBudget's"
+    ),
+    "repro.system.host.RerunBudget.with_faults": _LATER + "RerunBudget's",
+}
+"""The definitions in ``src/`` that only ``tests/`` reaches, and why each
+stays: an oracle the product is held to, the one check on something the
+product builds, a paper figure, or a model still waiting to be cut."""
+
+_IDENTIFIER = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _uses(*nodes: ast.AST) -> set[str]:
+    """The identifiers ``nodes`` refer to.
+
+    Names and attributes read, imported names, and strings made of
+    identifiers: those cover ``getattr``, ``__all__`` and the dotted
+    ``Entry`` rows of ``perfbench/layers.py``."""
+    found: set[str] = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                if not isinstance(sub.ctx, ast.Store):
+                    found.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                if not isinstance(sub.ctx, ast.Store):
+                    found.add(sub.attr)
+            elif isinstance(sub, ast.AugAssign):
+                target = sub.target
+                found.add(getattr(target, "id", getattr(target, "attr", "")))
+            elif isinstance(sub, ast.alias):
+                found.update(sub.name.split("."))
+            elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                if _IDENTIFIER.fullmatch(sub.value):
+                    found.update(sub.value.split("."))
+    return found
+
+
+@dataclass
+class _Definition:
+    """One top-level function, class, method or constant of ``src/``."""
+
+    name: str
+    uses: set[str]
+    owner: str | None = None
+    """The qualified name of a method's class."""
+
+
+def _module_definitions(
+    tree: ast.Module, module: str
+) -> tuple[dict[str, _Definition], set[str]]:
+    """``({qualname: definition}, uses of the module's own statements)``.
+
+    A module constant's value, a class's bases, decorators and fields,
+    and a function's body count as uses of that definition only; the
+    rest of the module (imports, ``__all__``, ``if __name__`` blocks)
+    runs on import, so its uses are the module's own."""
+    defined: dict[str, _Definition] = {}
+    module_uses: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defined[f"{module}.{node.name}"] = _Definition(
+                node.name, _uses(node)
+            )
+        elif isinstance(node, ast.ClassDef):
+            qual = f"{module}.{node.name}"
+            body = [
+                sub for sub in node.body
+                if not isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
+            ]
+            defined[qual] = _Definition(
+                node.name,
+                _uses(*node.bases, *node.keywords, *node.decorator_list,
+                      *body),
+            )
+            for sub in node.body:
+                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    defined[f"{qual}.{sub.name}"] = _Definition(
+                        sub.name, _uses(sub), owner=qual
+                    )
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (
+                node.targets if isinstance(node, ast.Assign) else [node.target]
+            )
+            names = [
+                sub.id for target in targets for sub in ast.walk(target)
+                if isinstance(sub, ast.Name) and not _is_dunder(sub.id)
+            ]
+            value = [node.value] if node.value is not None else []
+            for name in names:
+                defined[f"{module}.{name}"] = _Definition(name, _uses(*value))
+            if not names:
+                module_uses |= _uses(node)
+        else:
+            module_uses |= _uses(node)
+    return defined, module_uses
+
+
+def _reached(defined: dict[str, _Definition], roots: set[str]) -> set[str]:
+    """The qualified names ``roots`` reach, run to a fixpoint.
+
+    A definition is reached when a reached use names it (a method also
+    needs its class reached; a dunder method needs only its class), and
+    only a reached definition's own uses count: code that nothing runs
+    reaches nothing, and a definition's mention of itself is no use."""
+    names = set(roots)
+    live: set[str] = set()
+    grew = True
+    while grew:
+        grew = False
+        for qual, item in defined.items():
+            if qual in live:
+                continue
+            if item.owner is not None and item.owner not in live:
+                continue
+            if item.name in names or (
+                item.owner is not None and _is_dunder(item.name)
+            ):
+                live.add(qual)
+                names |= item.uses
+                grew = True
+    return live
+
+
+def _reach_scan() -> tuple[dict[str, _Definition], set[str], set[str]]:
+    """``(definitions in src, reached from product roots, reached from
+    product roots or tests)``."""
+    root = _SRC.parent
+    defined: dict[str, _Definition] = {}
+    product: set[str] = set()
+    for module, path in _src_modules().items():
+        found, uses = _module_definitions(ast.parse(path.read_text()), module)
+        defined.update(found)
+        product |= uses
+    for top in PRODUCT_ROOTS[1:]:
+        for path in sorted((root / top).rglob("*.py")):
+            product |= _uses(ast.parse(path.read_text()))
+    tests: set[str] = set()
+    for path in sorted((root / "tests").rglob("*.py")):
+        tests |= _uses(ast.parse(path.read_text()))
+    return defined, _reached(defined, product), _reached(
+        defined, product | tests
+    )
+
+
+class TestSrcHoldsWhatRuns:
+    def test_every_definition_is_reached_or_allowed(self):
+        """Every top-level function, class, method and constant in
+        ``src/`` is reached from a product root, or only tests reach it
+        and :data:`TEST_ONLY_ALLOWED` says why it stays.  Code nothing
+        reaches is deleted; test-only code goes with its tests, or into
+        ``tests/`` if it is a fixture."""
+        defined, product, anywhere = _reach_scan()
+        unreached = sorted(set(defined) - anywhere)
+        test_only = sorted(anywhere - product - set(TEST_ONLY_ALLOWED))
+        stale = sorted(
+            qual for qual in TEST_ONLY_ALLOWED
+            if qual not in defined or qual in product or qual not in anywhere
+        )
+        assert unreached == [], "nothing reaches these: delete them"
+        assert test_only == [], (
+            "only tests reach these: delete them with their tests, move "
+            "a fixture into tests/, or allow it here with its reason"
+        )
+        assert stale == [], (
+            "allowed, but gone, reached by a product root, or used by no "
+            "test: drop the entry"
+        )
