@@ -11,9 +11,6 @@ rerun fraction on a real corpus, then feeds them into the calibrated
 pipeline model.
 """
 
-from repro import constants as paper
-from repro.align import banded
-from repro.align.scoring import BWA_MEM_SCORING
 from repro.analysis.report import PaperComparison, comparison_table, print_table
 from repro.core.extender import SeedExtender
 from repro.system.batching import best_thread_split

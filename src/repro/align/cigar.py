@@ -70,11 +70,6 @@ class Cigar:
         """Number of reference characters the alignment consumes."""
         return sum(n for n, op in self.ops if op in _CONSUMES_REF)
 
-    @property
-    def edit_ops(self) -> int:
-        """Total inserted plus deleted characters (gap volume)."""
-        return sum(n for n, op in self.ops if op in ("I", "D"))
-
     def reversed(self) -> "Cigar":
         """The CIGAR of the same alignment read right-to-left."""
         return Cigar(tuple(reversed(self.ops)))

@@ -1,4 +1,4 @@
-"""Edit-distance DP kernels: Levenshtein and the one relaxed-edit sweep.
+"""Edit-distance DP: the one relaxed-edit sweep of the optimality checks.
 
 Every band-leaving path of the SeedEx checks (paper Section III-D) is
 bounded by one optimistic DP, :func:`relaxed_sweep`, run over all a
@@ -28,9 +28,7 @@ along the right edge (Figure 10) and why the edit machine is a
 half-width PE array (Section IV-B).  The global checks read its
 corner.
 
-:func:`relaxed_sweep_reference` is the cell-by-cell loop oracle;
-:func:`levenshtein` is the classic edit distance, the delta-encoding
-hardware model's reference.
+:func:`relaxed_sweep_reference` is the cell-by-cell loop oracle.
 """
 
 from __future__ import annotations
@@ -43,28 +41,6 @@ from repro.align.scoring import AffineGap, relaxed_edit_scoring
 BELOW = "below"
 ABOVE = "above"
 """The two sweep regions (see module doc)."""
-
-
-def levenshtein(a: np.ndarray, b: np.ndarray) -> int:
-    """Classic edit distance between two encoded sequences."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if len(a) == 0:
-        return len(b)
-    prev = np.arange(len(b) + 1, dtype=np.int64)
-    for i in range(1, len(a) + 1):
-        cur = np.empty_like(prev)
-        cur[0] = i
-        sub = prev[:-1] + (b != a[i - 1])
-        # Insertions need a sequential scan; do it with the standard
-        # prefix-min trick: cur[j] = min(sub/del candidates, cur[j-1]+1).
-        cand = np.minimum(sub, prev[1:] + 1)
-        run = np.minimum.accumulate(cand - np.arange(1, len(b) + 1))
-        cur[1:] = np.minimum(cand, run + np.arange(1, len(b) + 1))
-        # One more pass to honor cur[0] as an insertion source.
-        cur[1:] = np.minimum(cur[1:], cur[0] + np.arange(1, len(b) + 1))
-        prev = cur
-    return int(prev[-1])
 
 
 def _region(qlen: int, tlen: int, band: int, region: str):

@@ -63,13 +63,6 @@ class AffineGap:
             return -self.mismatch
         return self.match if a == b else -self.mismatch
 
-    def gap_cost(self, length: int, *, deletion: bool = True) -> int:
-        """Total (positive) penalty of a gap of ``length`` characters."""
-        if length <= 0:
-            return 0
-        extend = self.gap_extend_del if deletion else self.gap_extend_ins
-        return self.gap_open + extend * length
-
     def dominates(self, other: "AffineGap") -> bool:
         """True if this scheme scores every path at least as high as
         ``other`` does.
@@ -84,21 +77,6 @@ class AffineGap:
             and self.gap_open <= other.gap_open
             and self.gap_extend_ins <= other.gap_extend_ins
             and self.gap_extend_del <= other.gap_extend_del
-        )
-
-    def doubled_gap(self) -> "AffineGap":
-        """The paper's global-alignment threshold substitution.
-
-        Section III-A: "The formulation above can be easily extended for
-        global alignment by replacing go with 2go and ge with 2ge."
-        """
-        return AffineGap(
-            match=self.match,
-            mismatch=self.mismatch,
-            gap_open=2 * self.gap_open,
-            gap_extend=2 * self.gap_extend,
-            gap_extend_ins=2 * self.gap_extend_ins,
-            gap_extend_del=2 * self.gap_extend_del,
         )
 
 

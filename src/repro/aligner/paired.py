@@ -97,7 +97,6 @@ class _RescuePlan:
 
 @dataclass
 class PairStats:
-    pairs: int = 0
     proper: int = 0
     rescued: int = 0
 
@@ -381,7 +380,6 @@ class PairedAligner:
             mates.append((pair.name, pair.first))
             mates.append((pair.name, pair.second))
         recs = align_window(self.aligner, mates)
-        self.stats.pairs += len(pairs)
 
         # Decide, per pair, whether (and which mate) to rescue.
         decisions: list[tuple[SamRecord, SamRecord, tuple | None]] = []

@@ -71,10 +71,9 @@ class CheckOutcome(enum.Enum):
 class CheckConfig:
     """Which checks run and in which flavour.
 
-    Disabling ``use_escore``/``use_edit_check`` turns the corresponding
-    check into an automatic failure (rerun) — soundness is never
-    sacrificed, only the passing rate, which is exactly the ablation
-    Figure 14 plots.
+    Disabling ``use_edit_check`` turns the edit-distance check into an
+    automatic failure (rerun) — soundness is never sacrificed, only the
+    passing rate, which is exactly the ablation Figure 14 plots.
 
     ``target`` picks which score the acceptance certifies.  The
     default ``"semiglobal"`` compares every bound against ``gscore``,
@@ -85,10 +84,8 @@ class CheckConfig:
     workloads, where the semi-global target would always rerun).
     """
 
-    use_escore: bool = True
     use_edit_check: bool = True
     exact_left_seed: bool = True
-    paper_escore_formula: bool = False
     target: str = "semiglobal"
 
     def __post_init__(self) -> None:
@@ -168,12 +165,8 @@ class OptimalityChecker:
             return CheckDecision(CheckOutcome.PASS_S2, score_nb, thresholds)
 
         local = self.config.target == "local"
-        if not self.config.use_escore:
-            return CheckDecision(CheckOutcome.FAIL_ESCORE, score_nb, thresholds)
         with obs.span(names.SPAN_CHECK_ESCORE):
-            e_bound = score_max_e(
-                result, self.scoring, self.config.paper_escore_formula
-            )
+            e_bound = score_max_e(result, self.scoring)
         e_pass = e_bound < score_nb
         if not e_pass and not local:
             return CheckDecision(

@@ -19,8 +19,7 @@ endpoint.  Hence the optimistic bound
 If ``scoreMax_E < score_nb`` no such path can beat the narrow-band
 score.  (The paper's Eq. 6 writes the match count as ``n - i + 1`` over
 ``n`` boundary cells; for a full-span boundary that equals ``N - j + 1``
-— one match looser than necessary.  We use the exact ``N - j`` and
-expose the paper's variant for the calibration harnesses.)
+— one match looser than necessary.  We use the exact ``N - j``.)
 
 Column 0 is deliberately excluded: a crossing there is the paper's
 "path 2 from the left" — a pure-deletion run down the matrix edge —
@@ -38,27 +37,18 @@ NO_THREAT = -(10**9)
 """Returned when the shaded region is empty: nothing to bound."""
 
 
-def score_max_e(
-    result: ExtensionResult,
-    scoring: AffineGap,
-    paper_formula: bool = False,
-) -> int:
-    """Upper bound on paths entering the shaded region from the top.
-
-    ``paper_formula=True`` reproduces Eq. 6's ``+1`` match-count slack
-    exactly; the default is the tight version (still an upper bound).
-    """
+def score_max_e(result: ExtensionResult, scoring: AffineGap) -> int:
+    """Upper bound on paths entering the shaded region from the top."""
     boundary = result.boundary_e
     if boundary.size == 0:
         return NO_THREAT
     m = scoring.match
-    slack = 1 if paper_formula else 0
     best = NO_THREAT
     qlen = result.qlen
     for j in range(1, boundary.size):
         if boundary[j] <= 0:
             continue
-        bound = int(boundary[j]) + (qlen - j + slack) * m
+        bound = int(boundary[j]) + (qlen - j) * m
         if bound > best:
             best = bound
     return best

@@ -12,8 +12,7 @@ drop or reorder anywhere in the datapath surfaces as a typed
 :class:`CorruptLineError` / :class:`CorruptRecordError` instead of a
 silently mis-aligned read.  The chaos engine
 (:mod:`repro.faults.chaos`) routes every extension through this
-format; the accelerator model's arbiter and output coalescer
-(:mod:`repro.hw.io_path`) carry the same lines and records.
+format.
 """
 
 from __future__ import annotations

@@ -39,7 +39,6 @@ class AcceleratorConfig:
     batch_size: int = 512
     clock_hz: float = timing.FPGA_CLOCK_HZ
     axi_read_latency_cycles: int = paper.AXI_READ_LATENCY_CYCLES
-    output_coalesce_ratio: int = 5
 
     @property
     def n_cores(self) -> int:
@@ -80,27 +79,15 @@ class SeedExAccelerator:
             for _ in range(self.config.n_cores)
         ]
 
-    def run(
-        self,
-        jobs: list[ExtensionJob],
-        rerun_on_host: bool = True,
-        model_io: bool = False,
-    ) -> AcceleratorReport:
+    def run(self, jobs: list[ExtensionJob]) -> AcceleratorReport:
         """Process a job list and model device time.
 
         Jobs round-robin across SeedEx cores (the state manager
         bookkeeping multiple input streams).  Device time is the
         slowest core's busy time; prefetch hides memory latency as
         long as the AXI round-trip fits under one initiation interval.
-
-        ``model_io=True`` routes every job through the memory-line
-        packing path (:mod:`repro.faults.wire`): jobs are serialized to
-        512-bit lines, fed through the arbiter, and unpacked at the
-        core — exercising the full Figure-7 input path functionally.
         """
         cfg = self.config
-        if model_io:
-            jobs = _through_io_path(jobs, len(self.cores))
         outputs: list[CoreOutput] = []
         core_busy = [0.0] * len(self.cores)
         for k, job in enumerate(jobs):
@@ -111,13 +98,12 @@ class SeedExAccelerator:
             core_busy[core_idx] += _core_cycles(core) - before
 
         rerun_results: dict[int, ExtensionResult] = {}
-        if rerun_on_host:
-            for idx, out in enumerate(outputs):
-                if not out.accepted:
-                    job = out.job
-                    rerun_results[idx] = banded.extend(
-                        job.query, job.target, self.scoring, job.h0
-                    )
+        for idx, out in enumerate(outputs):
+            if not out.accepted:
+                job = out.job
+                rerun_results[idx] = banded.extend(
+                    job.query, job.target, self.scoring, job.h0
+                )
 
         # Each SeedEx core's 3 BSW engines drain their share in
         # parallel; device time = slowest core.
@@ -146,45 +132,3 @@ class SeedExAccelerator:
 
 def _core_cycles(core: SeedExCore) -> float:
     return core.telemetry.bsw_cycles + core.telemetry.edit_cycles
-
-
-def _through_io_path(
-    jobs: list[ExtensionJob], n_streams: int
-) -> list[ExtensionJob]:
-    """Serialize jobs through the memory-line input path and back.
-
-    One arbiter stream per core; each job becomes 512-bit lines, the
-    arbiter interleaves the streams, and the state manager's
-    reassembled lines are unpacked into jobs again — asserting, in
-    effect, that nothing in the I/O plumbing can corrupt an input
-    *undetected* (a line that fails its CRC raises).
-    """
-    from repro.faults.wire import pack_job, unpack_job
-    from repro.hw.io_path import Arbiter
-
-    per_stream: list[list[tuple[int, list[bytes], str]]] = [
-        [] for _ in range(n_streams)
-    ]
-    for k, job in enumerate(jobs):
-        per_stream[k % n_streams].append((k, pack_job(job), job.tag))
-
-    arbiter = Arbiter()
-    for sid in range(n_streams):
-        lines = []
-        for _, job_lines, _ in per_stream[sid]:
-            lines.extend(job_lines)
-        if lines:
-            arbiter.add_stream(sid, lines)
-    arbiter.run()
-
-    out: list[ExtensionJob] = list(jobs)
-    for sid in range(n_streams):
-        if not per_stream[sid]:
-            continue
-        delivered = arbiter.streams[sid].delivered
-        cursor = 0
-        for k, job_lines, tag in per_stream[sid]:
-            chunk = delivered[cursor : cursor + len(job_lines)]
-            cursor += len(job_lines)
-            out[k] = unpack_job(chunk, tag=tag)
-    return out

@@ -43,30 +43,6 @@ def dmax2(
     return x1 % modulus, False
 
 
-def checked_dmax(
-    values: list[int], modulus: int = DELTA_MODULUS
-) -> int:
-    """Residue max over full-width values, asserting the bound.
-
-    Test/model helper: encodes, runs the dmax tree, and verifies both
-    the precondition and that the result matches the true max.
-    """
-    delta = (modulus - 1) // 2
-    for a in values:
-        for b in values:
-            if abs(a - b) > delta:
-                raise ValueError(
-                    f"pairwise difference |{a} - {b}| exceeds delta="
-                    f"{delta}; the modulo circle cannot order these"
-                )
-    residues = [v % modulus for v in values]
-    out = residues[0]
-    for r in residues[1:]:
-        out, _ = dmax2(out, r, modulus)
-    assert out == max(values) % modulus
-    return out
-
-
 class AugmentationUnit:
     """Decodes delta scores along the augmentation path (Figure 10).
 

@@ -51,7 +51,6 @@ class CoreTelemetry:
     jobs: int = 0
     accepted: int = 0
     rerun: int = 0
-    exceptions: int = 0
     edit_machine_jobs: int = 0
     bsw_cycles: float = 0.0
     edit_cycles: float = 0.0
@@ -116,8 +115,6 @@ class SeedExCore:
             )
 
         accepted = decision.passed and not run.exception
-        if run.exception:
-            tele.exceptions += 1
         if accepted:
             tele.accepted += 1
         else:

@@ -1,9 +1,9 @@
 """Suffix array construction (prefix doubling) and pattern search.
 
 The seeding substrate's foundation: the FM-index derives its BWT from
-this suffix array, and the MEM finder uses suffix-array binary search
-for longest-prefix matching.  Prefix doubling with numpy argsort is
-O(n log^2 n) — comfortably fast for the multi-hundred-kilobase
+this suffix array, and :func:`sa_interval`'s binary search is the
+oracle its backward search is held to.  Prefix doubling with numpy
+argsort is O(n log^2 n) — comfortably fast for the multi-hundred-kilobase
 synthetic references the experiments use.
 
 A unique sentinel is appended internally so that all suffixes are
@@ -102,36 +102,3 @@ def sa_interval(
         else:
             hi = mid
     return (first, lo)
-
-
-def longest_prefix_match(
-    text: np.ndarray,
-    sa: np.ndarray,
-    pattern: np.ndarray,
-    min_length: int = 1,
-) -> tuple[int, tuple[int, int]]:
-    """Longest prefix of ``pattern`` occurring in ``text``.
-
-    Returns ``(length, (lo, hi))`` — the match length and its SA
-    interval; ``(0, (0, 0))`` when even ``pattern[:min_length]`` is
-    absent.  Binary search over the length, O(log m) interval probes.
-    """
-    pattern = np.asarray(pattern)
-    m = len(pattern)
-    if m < min_length:
-        return 0, (0, 0)
-    if sa_interval(text, sa, pattern[:min_length])[0] == sa_interval(
-        text, sa, pattern[:min_length]
-    )[1]:
-        return 0, (0, 0)
-    lo_len, hi_len = min_length, m
-    best = sa_interval(text, sa, pattern[:min_length])
-    while lo_len < hi_len:
-        mid = (lo_len + hi_len + 1) // 2
-        interval = sa_interval(text, sa, pattern[:mid])
-        if interval[0] < interval[1]:
-            lo_len = mid
-            best = interval
-        else:
-            hi_len = mid - 1
-    return lo_len, best

@@ -53,11 +53,3 @@ class BatchTransfer:
         """Results coalesce 5:1 into memory lines before readback."""
         result_bytes = self.jobs * 64 // 5
         return 10e-6 + result_bytes / instance.pcie_bandwidth_bytes_per_s
-
-
-def pcie_is_bottleneck(
-    instance: F1Instance, throughput_ext_per_s: float
-) -> bool:
-    """Check the paper's claim that PCIe bandwidth is underutilized."""
-    bytes_per_s = throughput_ext_per_s * BatchTransfer(1).bytes_per_job
-    return bytes_per_s > instance.pcie_bandwidth_bytes_per_s

@@ -1,11 +1,11 @@
-"""Host-CPU side: software kernel timing and the rerun budget.
+"""Host-CPU side: software kernel timing and fault-adjusted reruns.
 
 The host plays two roles in the SeedEx system: it runs the software
 pipeline stages (seeding, SAM output) and it *reruns* the ~2% of
 extensions whose optimality checks failed, using the full-band
 software kernel.  This module measures the real software kernel on
 this machine (Figure 3's curve is produced from these measurements)
-and models the rerun budget.
+and models how datapath faults grow the rerun fraction.
 """
 
 from __future__ import annotations
@@ -62,66 +62,6 @@ def time_software_kernel(
         seconds_per_extension=elapsed / n,
         cells_per_extension=cells / len(jobs),
     )
-
-
-@dataclass(frozen=True)
-class RerunBudget:
-    """Host-side cost of the failed-check reruns.
-
-    The paper overlaps reruns with FPGA batches and reports negligible
-    overhead; this model quantifies when that holds: the host keeps up
-    as long as rerun demand (failed fraction x full-band kernel time)
-    stays under the thread budget reserved for it.
-    """
-
-    rerun_fraction: float
-    host_threads: int
-    full_band_seconds_per_extension: float
-    fpga_throughput_ext_per_s: float
-
-    @property
-    def rerun_demand_ext_per_s(self) -> float:
-        """Rerun work arriving from the accelerator."""
-        return self.rerun_fraction * self.fpga_throughput_ext_per_s
-
-    @property
-    def host_capacity_ext_per_s(self) -> float:
-        """Full-band extensions the host can absorb."""
-        return self.host_threads / self.full_band_seconds_per_extension
-
-    @property
-    def host_keeps_up(self) -> bool:
-        """True when reruns fully overlap with FPGA batches."""
-        return self.host_capacity_ext_per_s >= self.rerun_demand_ext_per_s
-
-    @property
-    def overhead_fraction(self) -> float:
-        """Extra wall time when the host cannot fully overlap."""
-        if self.host_keeps_up:
-            return 0.0
-        return (
-            self.rerun_demand_ext_per_s / self.host_capacity_ext_per_s - 1.0
-        )
-
-    def with_faults(
-        self, fault_rate: float, max_retries: int
-    ) -> "RerunBudget":
-        """The budget under injected datapath faults.
-
-        See :func:`fault_adjusted_rerun_fraction` for the model: the
-        extra host demand is the jobs whose accelerator retries all
-        faulted and therefore degrade to the full-band rerun.
-        """
-        return RerunBudget(
-            rerun_fraction=fault_adjusted_rerun_fraction(
-                self.rerun_fraction, fault_rate, max_retries
-            ),
-            host_threads=self.host_threads,
-            full_band_seconds_per_extension=(
-                self.full_band_seconds_per_extension
-            ),
-            fpga_throughput_ext_per_s=self.fpga_throughput_ext_per_s,
-        )
 
 
 def fault_adjusted_rerun_fraction(

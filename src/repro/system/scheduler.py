@@ -12,9 +12,8 @@ the paper's four acceleration configurations:
 
 Stage fractions are calibrated so the baseline splits reproduce the
 paper's published speedups exactly (the paper's own Figure 17 is a
-normalized breakdown, not absolute times); the FPGA-side times come
-from the throughput model, and the host rerun budget from
-:mod:`repro.system.host`.  The harness prints paper-vs-model speedups
+normalized breakdown, not absolute times), and the fault-adjusted
+rerun fraction comes from :mod:`repro.system.host`.  The harness prints paper-vs-model speedups
 for all four configurations on both aligners.
 """
 
@@ -23,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro import constants as paper
-from repro.hw import timing
 
 
 @dataclass(frozen=True)
@@ -192,15 +190,3 @@ def figure17_table(
             )
             rows.append((row, reported.get((breakdown.name, config))))
     return rows
-
-
-def reads_per_second_combined() -> float:
-    """Throughput of the combined seeding+SeedEx FPGA (paper: 1.5 M).
-
-    Extension throughput divided by extensions-per-read, capped by the
-    seeding accelerator which the paper matched to the same rate.
-    """
-    ext_rate = timing.fpga_throughput(
-        n_bsw_cores=12, band=paper.DEFAULT_BAND
-    )
-    return min(ext_rate / paper.EXTENSIONS_PER_READ, 1.5e6)

@@ -45,10 +45,6 @@ class TestLengths:
         assert c.query_length == 5 + 10 + 2 + 7
         assert c.reference_length == 10 + 3 + 7
 
-    def test_edit_ops(self):
-        assert Cigar.parse("10M2I3D7M").edit_ops == 5
-        assert Cigar.parse("20M").edit_ops == 0
-
 
 class TestReversed:
     def test_reversed_order(self):

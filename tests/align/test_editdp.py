@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.align.editdp import (
     ABOVE,
     BELOW,
-    levenshtein,
     relaxed_sweep,
     relaxed_sweep_reference,
 )
@@ -16,44 +15,9 @@ from repro.align.lockstep import GLOBAL, LOCAL_EXTEND, NEG_INF
 from repro.align.scoring import BWA_MEM_SCORING
 from repro.genome.sequence import encode
 
-SEQ = st.lists(st.integers(0, 3), min_size=0, max_size=10).map(
-    lambda xs: np.array(xs, dtype=np.uint8)
-)
 NONEMPTY = st.lists(st.integers(0, 3), min_size=1, max_size=12).map(
     lambda xs: np.array(xs, dtype=np.uint8)
 )
-
-
-def naive_levenshtein(a, b):
-    prev = list(range(len(b) + 1))
-    for i in range(1, len(a) + 1):
-        cur = [i] + [0] * len(b)
-        for j in range(1, len(b) + 1):
-            cur[j] = min(
-                prev[j] + 1,
-                cur[j - 1] + 1,
-                prev[j - 1] + (a[i - 1] != b[j - 1]),
-            )
-        prev = cur
-    return prev[-1]
-
-
-class TestLevenshtein:
-    def test_known_values(self):
-        assert levenshtein(encode("ACGT"), encode("ACGT")) == 0
-        assert levenshtein(encode("ACGT"), encode("AGGT")) == 1
-        assert levenshtein(encode("ACGT"), encode("AC")) == 2
-        assert levenshtein(encode(""), encode("ACGT")) == 4
-
-    @settings(max_examples=200, deadline=None)
-    @given(a=SEQ, b=SEQ)
-    def test_matches_naive(self, a, b):
-        assert levenshtein(a, b) == naive_levenshtein(list(a), list(b))
-
-    @settings(max_examples=100, deadline=None)
-    @given(a=SEQ, b=SEQ)
-    def test_symmetry(self, a, b):
-        assert levenshtein(a, b) == levenshtein(b, a)
 
 
 def edge_of(target, seed):

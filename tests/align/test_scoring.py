@@ -55,20 +55,6 @@ class TestSubstitution:
         assert s.substitution(2, AMBIGUOUS_CODE) == -4
 
 
-class TestGapCost:
-    def test_zero_length_gap_is_free(self):
-        assert BWA_MEM_SCORING.gap_cost(0) == 0
-
-    def test_affine_formula(self):
-        assert BWA_MEM_SCORING.gap_cost(1) == 7
-        assert BWA_MEM_SCORING.gap_cost(5) == 11
-
-    def test_insertion_side(self):
-        s = relaxed_edit_scoring()
-        assert s.gap_cost(5, deletion=False) == 0
-        assert s.gap_cost(5, deletion=True) == 5
-
-
 class TestDominance:
     def test_edit_dominates_bwa(self):
         assert edit_scoring().dominates(BWA_MEM_SCORING)
@@ -81,13 +67,3 @@ class TestDominance:
 
     def test_bwa_does_not_dominate_edit(self):
         assert not BWA_MEM_SCORING.dominates(edit_scoring())
-
-
-class TestDoubledGap:
-    def test_doubles_only_gap_terms(self):
-        d = BWA_MEM_SCORING.doubled_gap()
-        assert d.match == 1
-        assert d.mismatch == 4
-        assert d.gap_open == 12
-        assert d.gap_extend_ins == 2
-        assert d.gap_extend_del == 2

@@ -67,18 +67,6 @@ class TestOutcomes:
 
 
 class TestConfigAblations:
-    def test_disabling_escore_forces_rerun_in_case_c(self):
-        rng = np.random.default_rng(22)
-        cfg = CheckConfig(use_escore=False)
-        saw_case_c = False
-        for _ in range(200):
-            q, t = related_pair(rng, 24, extra_target=6, subs=2, dels=1)
-            decision, _ = run_check(q, t, 20, 6, cfg)
-            if decision.outcome == CheckOutcome.FAIL_ESCORE:
-                saw_case_c = True
-                assert decision.score_max_e is None
-        assert saw_case_c
-
     def test_disabling_edit_check_forces_rerun_after_escore(self):
         rng = np.random.default_rng(23)
         cfg = CheckConfig(use_edit_check=False)
@@ -98,7 +86,7 @@ class TestConfigAblations:
     def test_ablations_never_accept_more(self):
         """Disabling checks can only reduce the accept set."""
         rng = np.random.default_rng(24)
-        weak = CheckConfig(use_escore=False, use_edit_check=False)
+        weak = CheckConfig(use_edit_check=False)
         for _ in range(150):
             q, t = related_pair(rng, 20, extra_target=5, subs=2, ins=1)
             full_cfg, _ = run_check(q, t, 18, 5)

@@ -30,14 +30,6 @@ class TestAdmissibility:
             if side == "down" and col >= 1:
                 assert rec.score <= bound
 
-    @settings(max_examples=60, deadline=None)
-    @given(q=TINY, t=TINY, h0=st.integers(1, 20), w=st.integers(0, 4))
-    def test_paper_formula_is_looser(self, q, t, h0, w):
-        res = banded.extend(q, t, BWA_MEM_SCORING, h0, w=w)
-        tight = score_max_e(res, BWA_MEM_SCORING)
-        loose = score_max_e(res, BWA_MEM_SCORING, paper_formula=True)
-        assert loose >= tight
-
 
 class TestUnits:
     def test_no_region_no_threat(self):

@@ -94,12 +94,9 @@ class TestTheorem:
         h0=st.integers(1, 40),
         w=st.integers(1, 8),
         exact_seed=st.booleans(),
-        paper_e=st.booleans(),
     )
-    def test_config_variants(self, q, t, h0, w, exact_seed, paper_e):
-        config = CheckConfig(
-            exact_left_seed=exact_seed, paper_escore_formula=paper_e
-        )
+    def test_config_variants(self, q, t, h0, w, exact_seed):
+        config = CheckConfig(exact_left_seed=exact_seed)
         _assert_theorem(q, t, h0, w, BWA_MEM_SCORING, config)
 
 

@@ -9,16 +9,11 @@ from repro.genome.sequence import (
     AMBIGUOUS_CODE,
     decode,
     encode,
-    hamming,
-    pack_2bit,
-    pack_3bit,
     random_sequence,
     reverse_complement,
-    unpack_2bit,
 )
 
 DNA = st.text(alphabet="ACGTN", min_size=0, max_size=50)
-PURE_DNA = st.text(alphabet="ACGT", min_size=0, max_size=50)
 
 
 class TestEncodeDecode:
@@ -70,30 +65,6 @@ class TestReverseComplement:
         assert decode(reverse_complement(reverse_complement(codes))) == s
 
 
-class TestPacking:
-    @settings(max_examples=100)
-    @given(s=PURE_DNA)
-    def test_2bit_roundtrip(self, s):
-        codes = encode(s)
-        packed = pack_2bit(codes)
-        assert packed.size == (len(s) + 3) // 4
-        assert (unpack_2bit(packed, len(s)) == codes).all()
-
-    def test_2bit_rejects_ambiguous(self):
-        with pytest.raises(ValueError):
-            pack_2bit(encode("ACGN"))
-
-    def test_unpack_length_guard(self):
-        packed = pack_2bit(encode("ACGT"))
-        with pytest.raises(ValueError):
-            unpack_2bit(packed, 5)
-
-    def test_3bit_range_guard(self):
-        pack_3bit(np.array([0, 7], dtype=np.uint8))
-        with pytest.raises(ValueError):
-            pack_3bit(np.array([8], dtype=np.uint8))
-
-
 class TestUtilities:
     def test_random_sequence_is_pure(self):
         rng = np.random.default_rng(0)
@@ -101,11 +72,3 @@ class TestUtilities:
         assert s.max() <= 3
         # All four bases should appear in 1000 draws.
         assert set(np.unique(s)) == {0, 1, 2, 3}
-
-    def test_hamming(self):
-        assert hamming(encode("ACGT"), encode("ACGT")) == 0
-        assert hamming(encode("ACGT"), encode("TCGA")) == 2
-
-    def test_hamming_length_mismatch(self):
-        with pytest.raises(ValueError):
-            hamming(encode("ACG"), encode("ACGT"))

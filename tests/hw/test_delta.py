@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.hw.delta import (
     DELTA_MODULUS,
     AugmentationUnit,
-    checked_dmax,
     dmax2,
 )
 
@@ -50,25 +49,6 @@ class TestDmax2:
         first, _ = dmax2(xs[0] % DELTA_MODULUS, xs[1] % DELTA_MODULUS)
         res, _ = dmax2(first, xs[2] % DELTA_MODULUS)
         assert res == max(xs) % DELTA_MODULUS
-
-    def test_checked_dmax_rejects_out_of_range(self):
-        with pytest.raises(ValueError, match="exceeds delta"):
-            checked_dmax([0, MAX_DELTA + 1])
-
-    @settings(max_examples=100)
-    @given(
-        base=st.integers(-100, 100),
-        ds=st.lists(
-            st.integers(-MAX_DELTA, MAX_DELTA), min_size=1, max_size=5
-        ),
-    )
-    def test_checked_dmax_chain(self, base, ds):
-        # Chains stay valid as long as all values share one window.
-        vals = [base] + [base + d for d in ds]
-        lo, hi = min(vals), max(vals)
-        if hi - lo > MAX_DELTA:
-            return
-        assert checked_dmax(vals) == max(vals) % DELTA_MODULUS
 
 
 class TestAugmentation:

@@ -129,7 +129,6 @@ def align_pairs(
 
 def align_pair(paired, pair, rescuer) -> tuple[SamRecord, SamRecord]:
     """Both mates per read, then at most one mate rescued."""
-    paired.stats.pairs += 1
     rec1 = align_read(paired.aligner, pair.first, pair.name)
     rec2 = align_read(paired.aligner, pair.second, pair.name)
     if paired._concordant(rec1, rec2):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.genome.sequence import encode, random_sequence
 from repro.seeding.suffixarray import (
     build_suffix_array,
-    longest_prefix_match,
     sa_interval,
 )
 
@@ -78,16 +77,3 @@ class TestSearch:
         sa = build_suffix_array(text)
         lo, hi = sa_interval(text, sa, encode("T"))
         assert lo == hi
-
-    def test_longest_prefix_match(self):
-        text = encode("ACGTACGTTT")
-        sa = build_suffix_array(text)
-        length, (lo, hi) = longest_prefix_match(text, sa, encode("ACGTAAAA"))
-        assert length == 5  # "ACGTA" occurs, "ACGTAA" does not
-        assert hi - lo == 1
-
-    def test_longest_prefix_respects_min_length(self):
-        text = encode("AAAA")
-        sa = build_suffix_array(text)
-        length, _ = longest_prefix_match(text, sa, encode("TTTT"), 2)
-        assert length == 0

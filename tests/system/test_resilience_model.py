@@ -5,7 +5,6 @@ import pytest
 
 from repro.genome.synth import ExtensionJob
 from repro.system.host import (
-    RerunBudget,
     fault_adjusted_rerun_fraction,
     time_software_kernel,
 )
@@ -79,37 +78,6 @@ class TestFaultAdjustedRerunFraction:
             fault_adjusted_rerun_fraction(0.02, 1.0, 1)
         with pytest.raises(ValueError):
             fault_adjusted_rerun_fraction(0.02, 0.1, -1)
-
-
-class TestRerunBudgetWithFaults:
-    def _budget(self, fraction=0.02):
-        return RerunBudget(
-            rerun_fraction=fraction,
-            host_threads=8,
-            full_band_seconds_per_extension=1e-4,
-            fpga_throughput_ext_per_s=1e6,
-        )
-
-    def test_with_faults_grows_demand(self):
-        base = self._budget()
-        faulted = base.with_faults(fault_rate=0.3, max_retries=0)
-        assert faulted.rerun_fraction > base.rerun_fraction
-        assert (
-            faulted.rerun_demand_ext_per_s > base.rerun_demand_ext_per_s
-        )
-
-    def test_faults_can_break_the_overlap(self):
-        base = self._budget()
-        assert base.host_keeps_up
-        flaky = base.with_faults(fault_rate=0.5, max_retries=0)
-        assert not flaky.host_keeps_up
-        assert flaky.overhead_fraction > 0
-
-    def test_zero_rate_is_noop(self):
-        base = self._budget()
-        assert base.with_faults(0.0, 3).rerun_fraction == (
-            base.rerun_fraction
-        )
 
 
 class TestSchedulerFaultModel:

@@ -3,21 +3,19 @@
 import numpy as np
 import pytest
 
-from repro import constants as paper
 from repro.genome.synth import extension_corpus
 from repro.system.batching import (
     BatchingConfig,
     best_thread_split,
     simulate_batching,
 )
-from repro.system.fpga import BatchTransfer, F1Instance, pcie_is_bottleneck
-from repro.system.host import RerunBudget, time_software_kernel
+from repro.system.fpga import BatchTransfer, F1Instance
+from repro.system.host import time_software_kernel
 from repro.system.scheduler import (
     bwa_mem2_breakdown,
     bwa_mem_breakdown,
     figure17_table,
     model_configuration,
-    reads_per_second_combined,
 )
 
 
@@ -33,12 +31,6 @@ class TestFpgaModel:
         big = BatchTransfer(100_000).transfer_seconds(inst)
         assert big > small
 
-    def test_pcie_not_bottleneck_at_seedex_rate(self):
-        """Paper: no bottleneck observed in PCIe communication."""
-        assert not pcie_is_bottleneck(
-            F1Instance(), paper.SEEDEX_THROUGHPUT_EXT_PER_S
-        )
-
 
 class TestHostModel:
     def test_kernel_timing_runs(self):
@@ -52,27 +44,6 @@ class TestHostModel:
     def test_kernel_timing_rejects_empty(self):
         with pytest.raises(ValueError):
             time_software_kernel([], band=5)
-
-    def test_rerun_budget_overlaps_at_2_percent(self):
-        budget = RerunBudget(
-            rerun_fraction=0.02,
-            host_threads=4,
-            full_band_seconds_per_extension=2e-6,
-            fpga_throughput_ext_per_s=43.9e6,
-        )
-        assert budget.rerun_demand_ext_per_s == pytest.approx(878_000)
-        assert budget.host_keeps_up
-        assert budget.overhead_fraction == 0.0
-
-    def test_rerun_budget_overwhelms_slow_host(self):
-        budget = RerunBudget(
-            rerun_fraction=0.5,
-            host_threads=1,
-            full_band_seconds_per_extension=1e-3,
-            fpga_throughput_ext_per_s=43.9e6,
-        )
-        assert not budget.host_keeps_up
-        assert budget.overhead_fraction > 0
 
 
 class TestScheduler:
@@ -102,9 +73,6 @@ class TestScheduler:
     def test_unknown_configuration_rejected(self):
         with pytest.raises(ValueError):
             model_configuration(bwa_mem_breakdown(), "gpu-only")
-
-    def test_combined_reads_per_second(self):
-        assert reads_per_second_combined() == pytest.approx(1.5e6, rel=0.5)
 
 
 class TestBatching:

@@ -1261,8 +1261,6 @@ PRODUCT_ROOTS = ("src", "benchmarks", "examples", "tools", "perfbench")
 """What running the code means: the package, the paper-figure harnesses,
 the examples, the repo tools and the benchmark."""
 
-_LATER = "test-only model, deleted with its tests in a later cut: "
-
 TEST_ONLY_ALLOWED = {
     # Oracles: tests compare the product against these.
     "repro.align.overlapdp.overlap_scalar": (
@@ -1304,51 +1302,10 @@ TEST_ONLY_ALLOWED = {
         "paper figure (5.53%, Sections I and VII): tests/hw/"
         "test_area_timing.py::test_edit_machine_overhead_is_5_53_percent"
     ),
-    # Test-only models whose deletion waits for a later cut.
-    "repro.align.editdp.levenshtein": _LATER + "TestLevenshtein",
-    "repro.align.scoring.AffineGap.gap_cost": _LATER + "TestGapCost",
-    "repro.align.scoring.AffineGap.doubled_gap": _LATER + "TestDoubledGap",
-    "repro.align.cigar.Cigar.edit_ops": _LATER + "test_edit_ops",
-    "repro.genome.sequence.pack_2bit": _LATER + "TestPacking",
-    "repro.genome.sequence.unpack_2bit": _LATER + "TestPacking",
-    "repro.genome.sequence.pack_3bit": _LATER + "TestPacking",
-    "repro.genome.sequence.hamming": _LATER + "test_hamming*",
-    "repro.hw.delta.checked_dmax": _LATER + "test_checked_dmax_*",
-    "repro.hw.io_path.OUTPUT_COALESCE_RATIO": _LATER + "TestCoalescer",
-    "repro.hw.io_path.CoalescerReport": _LATER + "TestCoalescer",
-    "repro.hw.io_path.CoalescerReport.bytes_saved_fraction": (
-        _LATER + "TestCoalescer"
-    ),
-    "repro.hw.io_path.coalesce_results": _LATER + "TestCoalescer",
-    "repro.hw.io_path.coalesce_record_lines": _LATER + "TestRecordCoalescer",
-    "repro.hw.io_path.split_record_lines": _LATER + "TestRecordCoalescer",
-    "repro.seeding.suffixarray.longest_prefix_match": (
-        _LATER + "test_longest_prefix_*"
-    ),
-    "repro.system.fpga.pcie_is_bottleneck": (
-        _LATER + "test_pcie_not_bottleneck_at_seedex_rate"
-    ),
-    "repro.system.scheduler.reads_per_second_combined": (
-        _LATER + "test_combined_reads_per_second"
-    ),
-    "repro.system.host.RerunBudget": (
-        _LATER + "TestRerunBudgetWithFaults, test_rerun_budget_*"
-    ),
-    "repro.system.host.RerunBudget.rerun_demand_ext_per_s": (
-        _LATER + "RerunBudget's"
-    ),
-    "repro.system.host.RerunBudget.host_capacity_ext_per_s": (
-        _LATER + "RerunBudget's"
-    ),
-    "repro.system.host.RerunBudget.host_keeps_up": _LATER + "RerunBudget's",
-    "repro.system.host.RerunBudget.overhead_fraction": (
-        _LATER + "RerunBudget's"
-    ),
-    "repro.system.host.RerunBudget.with_faults": _LATER + "RerunBudget's",
 }
 """The definitions in ``src/`` that only ``tests/`` reaches, and why each
 stays: an oracle the product is held to, the one check on something the
-product builds, a paper figure, or a model still waiting to be cut."""
+product builds, or a paper figure."""
 
 _IDENTIFIER = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
 
@@ -1490,6 +1447,37 @@ def _reach_scan() -> tuple[dict[str, _Definition], set[str], set[str]]:
     )
 
 
+def _unread_imports(tree: ast.Module) -> list[tuple[str, int]]:
+    """``(name, line)`` of each name ``tree`` imports and never reads."""
+    imported: dict[str, int] = {}
+    exported: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            if node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            exported |= {
+                sub.value for sub in ast.walk(node.value)
+                if isinstance(sub, ast.Constant)
+            }
+    read = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+    return sorted(
+        (name, line) for name, line in imported.items()
+        if name not in read | exported
+    )
+
+
 class TestSrcHoldsWhatRuns:
     def test_every_definition_is_reached_or_allowed(self):
         """Every top-level function, class, method and constant in
@@ -1513,3 +1501,21 @@ class TestSrcHoldsWhatRuns:
             "allowed, but gone, reached by a product root, or used by no "
             "test: drop the entry"
         )
+
+    def test_product_roots_import_what_they_use(self):
+        """Every name a product file imports is read in that file.
+
+        The reachability scan counts an import as a use, so an import
+        nothing reads would keep its target alive.  A name the module's
+        ``__all__`` lists is a re-export, and ``from __future__`` sets a
+        compiler flag: neither needs a read.  ``perfbench/`` is the
+        benchmark's own and is left out."""
+        unused = []
+        for top in ("src", "benchmarks", "examples", "tools"):
+            for path in sorted((_SRC.parent / top).rglob("*.py")):
+                tree = ast.parse(path.read_text())
+                unused += [
+                    f"{path.relative_to(_SRC.parent)}:{line}: {name}"
+                    for name, line in _unread_imports(tree)
+                ]
+        assert unused == [], "imported, never read: delete the import"
